@@ -39,9 +39,10 @@ RunResult Run(const blossomtree::xml::Document* doc,
   double t = TimeSeconds([&] {
     auto plan = blossomtree::opt::PlanQuery(doc, tree, po);
     if (!plan.ok()) return;
-    blossomtree::nestedlist::NestedList nl;
+    blossomtree::exec::Batch batch;
     auto start = std::chrono::steady_clock::now();
-    while (plan->trees[0].root->GetNext(&nl)) {
+    while (plan->trees[0].root->GetNextBatch(&batch, po.exec.batch_rows) >
+           0) {
       double elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();

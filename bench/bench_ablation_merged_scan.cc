@@ -53,9 +53,8 @@ int main(int argc, char** argv) {
         auto plan = blossomtree::opt::PlanQuery(doc.get(), &*tree, po);
         if (!plan.ok()) return;
         num_noks = plan->trees[0].scans.size();
-        blossomtree::nestedlist::NestedList nl;
-        while (plan->trees[0].root->GetNext(&nl)) {
-        }
+        blossomtree::exec::Drain(plan->trees[0].root.get(),
+                                 po.exec.batch_rows);
         separate_nodes = plan->trees[0].TotalNodesScanned();
       });
 
@@ -66,9 +65,8 @@ int main(int argc, char** argv) {
         po.merge_nok_scans = true;
         auto plan = blossomtree::opt::PlanQuery(doc.get(), &*tree, po);
         if (!plan.ok()) return;
-        blossomtree::nestedlist::NestedList nl;
-        while (plan->trees[0].root->GetNext(&nl)) {
-        }
+        blossomtree::exec::Drain(plan->trees[0].root.get(),
+                                 po.exec.batch_rows);
         merged_nodes = plan->merged_scan->NodesScanned();
       });
 

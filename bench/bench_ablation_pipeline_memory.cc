@@ -51,8 +51,9 @@ size_t CountLists(const blossomtree::xml::Document* doc,
   *seconds = TimeSeconds([&] {
     auto plan = blossomtree::opt::PlanQuery(doc, tree, po);
     if (!plan.ok()) return;
-    blossomtree::nestedlist::NestedList nl;
-    while (plan->trees[0].root->GetNext(&nl)) ++count;
+    count = blossomtree::exec::Drain(plan->trees[0].root.get(),
+                                     po.exec.batch_rows)
+                .size();
   });
   return count;
 }

@@ -57,9 +57,7 @@ void BM_NokScan(benchmark::State& state) {
   for (auto _ : state) {
     exec::NokScanOperator scan(doc.get(), &tree,
                                &decomp.noks[decomp.noks.size() - 1]);
-    nestedlist::NestedList nl;
-    size_t count = 0;
-    while (scan.GetNext(&nl)) ++count;
+    size_t count = exec::Drain(&scan).size();
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

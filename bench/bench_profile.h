@@ -51,7 +51,9 @@ inline std::string PlanProfileJson(const xml::Document* doc,
   options.estimate_cardinalities = true;
   auto plan = opt::PlanQuery(doc, tree, options);
   if (!plan.ok()) return {};
-  for (auto& tp : plan->trees) exec::Drain(tp.root.get());
+  for (auto& tp : plan->trees) {
+    exec::Drain(tp.root.get(), options.exec.batch_rows);
+  }
   unsigned threads =
       options.pool != nullptr
           ? static_cast<unsigned>(options.pool->NumThreads())

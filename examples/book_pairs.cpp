@@ -86,8 +86,7 @@ int main() {
     }
     std::printf("NoK%zu matches:\n", i);
     exec::NokScanOperator scan(doc.get(), &*tree, &decomp.noks[i]);
-    nestedlist::NestedList nl;
-    while (scan.GetNext(&nl)) {
+    for (const nestedlist::NestedList& nl : exec::Drain(&scan)) {
       std::printf("  %s\n", nestedlist::ToString(nl, label).c_str());
     }
   }

@@ -166,10 +166,10 @@ Result<std::vector<xml::NodeId>> BlossomTreeEngine::EvalPathPlan(
   pattern::SlotId result = tree.SlotOfVariable("result");
   std::vector<xml::NodeId> out;
   // Batch-at-a-time drain (DESIGN.md §16): one virtual call and one trace
-  // span per batch instead of per row.
+  // span per batch.
   exec::Batch batch;
-  size_t batch_rows = exec::ClampBatchRows(options_.plan.exec.batch_rows);
-  while (plan.trees[0].root->GetNextBatch(&batch, batch_rows) > 0) {
+  while (plan.trees[0].root->GetNextBatch(
+             &batch, options_.plan.exec.batch_rows) > 0) {
     for (const nestedlist::NestedList& nl : batch.rows) {
       auto part = nestedlist::Project(tree, plan.trees[0].tops, nl, result);
       out.insert(out.end(), part.begin(), part.end());
@@ -334,7 +334,8 @@ Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
   // Per pattern tree: drain the plan, expand bindings.
   std::vector<std::vector<Env>> per_tree;
   for (opt::PatternTreePlan& tp : plan.trees) {
-    std::vector<nestedlist::NestedList> lists = exec::Drain(tp.root.get());
+    std::vector<nestedlist::NestedList> lists =
+        exec::Drain(tp.root.get(), options_.plan.exec.batch_rows);
     if (guard_.Tripped()) return guard_.status();
     per_tree.push_back(EnumerateBindings(tree, tp.tops, lists, bindings));
   }

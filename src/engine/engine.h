@@ -35,7 +35,7 @@ struct EngineOptions {
   bool collect_profile = false;
   /// Enable query-lifecycle tracing (DESIGN.md §10): the engine turns on
   /// the process-wide util::Tracer at construction, so every span from
-  /// parse to per-operator GetNext batches is recorded and exportable as
+  /// parse to per-operator GetNextBatch calls is recorded and exportable as
   /// Chrome trace_event JSON via util::Tracer::ExportJsonFile(). When off
   /// (the default) every instrumentation point reduces to one relaxed
   /// atomic load. Tracing never changes results.

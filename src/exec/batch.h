@@ -9,11 +9,10 @@
 namespace blossomtree {
 namespace exec {
 
-/// \brief Fixed-capacity unit of exchange between batch-at-a-time
-/// operators (DESIGN.md §16). A producer clears `rows` and refills it on
-/// each GetNextBatch call; ownership of the rows passes to the consumer,
-/// which may move them out. Reusing one Batch across calls amortizes the
-/// vector allocation the way the Volcano path reused one NestedList.
+/// \brief Fixed-capacity unit of exchange between operators (DESIGN.md
+/// §16). GetNextBatch clears `rows` and refills it on each call; ownership
+/// of the rows passes to the consumer, which may move them out. Reusing one
+/// Batch across calls amortizes the vector allocation.
 struct Batch {
   std::vector<nestedlist::NestedList> rows;
 
@@ -23,28 +22,28 @@ struct Batch {
 };
 
 /// \brief Execution-core knobs, plumbed planner→operators through
-/// `opt::PlanOptions::exec`. `vectorize=false` pins the node-at-a-time
-/// reference path the batch_exec_test equivalence suite compares against;
-/// `simd=false` keeps the batched structure but routes every kernel
-/// through the portable scalar fallback. Results and the deterministic
-/// counter surface are identical across all four combinations
-/// (DESIGN.md §16).
+/// `opt::PlanOptions::exec`. `simd=false` routes every kernel through the
+/// portable scalar fallback — the kernel-parity oracle. Results and the
+/// deterministic counter surface are identical for every batch size and
+/// either kernel backend (DESIGN.md §16).
 struct ExecOptions {
   /// Rows per exchanged batch, clamped to [1, 4096] by operators. A
-  /// NestedList row is a few pointers, so the default 64 rows lands in
-  /// the tentpole's 1–4 KB per-batch target.
+  /// NestedList row is a few pointers, so the default 64 rows keeps one
+  /// batch within 1–4 KB.
   size_t batch_rows = 64;
-  /// Batch-at-a-time operator internals + kernel candidate prefilters.
-  bool vectorize = true;
   /// Allow the compiled SIMD kernel backend; false forces the scalar
   /// fallback (same effect as BLOSSOMTREE_FORCE_SCALAR_KERNELS=1).
   bool simd = true;
 };
 
-/// \brief Effective per-batch row budget: the knob clamped to [1, 4096].
+/// \brief Largest batch an operator produces per call.
+constexpr size_t kMaxBatchRows = 4096;
+
+/// \brief Effective per-batch row budget: the knob clamped to
+/// [1, kMaxBatchRows].
 inline size_t ClampBatchRows(size_t batch_rows) {
   if (batch_rows < 1) return 1;
-  if (batch_rows > 4096) return 4096;
+  if (batch_rows > kMaxBatchRows) return kMaxBatchRows;
   return batch_rows;
 }
 

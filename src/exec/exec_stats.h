@@ -24,7 +24,7 @@ struct ExecStats {
   uint64_t nodes_scanned = 0;  ///< Document nodes fetched by scan drivers.
   uint64_t index_entries = 0;  ///< Tag-index entries consumed.
   uint64_t comparisons = 0;    ///< Constraint checks + value comparisons.
-  uint64_t matches = 0;        ///< NestedLists emitted by GetNext.
+  uint64_t matches = 0;        ///< NestedLists emitted by GetNextBatch.
   uint64_t nl_cells = 0;       ///< NestedList entries in emitted lists.
   uint64_t peak_buffer_bytes = 0;  ///< Peak buffered bytes (pipelined join).
   uint64_t rescans = 0;        ///< Inner-stream restarts (BNLJ).

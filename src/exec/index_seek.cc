@@ -24,26 +24,15 @@ IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
   if (guard_ != nullptr) matcher_.set_guard(guard_);
 }
 
-bool IndexSeekOperator::GetNext(nestedlist::NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  return GetNextImpl(out);
-}
-
-size_t IndexSeekOperator::GetNextBatch(Batch* out, size_t max_rows) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
-  max_rows = ClampBatchRows(max_rows);
+void IndexSeekOperator::FillBatch(Batch* out, size_t max_rows) {
   nestedlist::NestedList nl;
-  while (out->rows.size() < max_rows && GetNextImpl(&nl)) {
+  while (out->rows.size() < max_rows && NextMatch(&nl)) {
     out->rows.push_back(std::move(nl));
     nl = nestedlist::NestedList();
   }
-  return out->rows.size();
 }
 
-bool IndexSeekOperator::GetNextImpl(nestedlist::NestedList* out) {
+bool IndexSeekOperator::NextMatch(nestedlist::NestedList* out) {
   while (pos_ < candidates_.size() && candidates_[pos_] <= range_end_) {
     if (guard_ != nullptr &&
         (guard_->Tripped() ||
@@ -87,7 +76,7 @@ void IndexSeekOperator::Restrict(xml::NodeId begin, xml::NodeId end) {
 
 ExecStats IndexSeekOperator::Stats() const {
   ExecStats s;
-  s.wall_nanos = wall_nanos_;
+  s.wall_nanos = wall_nanos();
   s.nodes_scanned = probed_;
   s.index_entries = probed_;
   s.comparisons = matcher_.MatchWork() + value_cmps_;

@@ -49,8 +49,6 @@ class IndexSeekOperator : public NestedListOperator {
     return matcher_.top_slots();
   }
 
-  bool GetNext(nestedlist::NestedList* out) override;
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
   void Rewind() override;
 
   /// \brief Restricts probing to candidates in [begin, end] (the BNLJ
@@ -65,8 +63,12 @@ class IndexSeekOperator : public NestedListOperator {
 
   size_t NumCandidates() const { return candidates_.size(); }
 
+ protected:
+  void FillBatch(Batch* out, size_t max_rows) override;
+
  private:
-  bool GetNextImpl(nestedlist::NestedList* out);
+  /// Probes candidates until one matches into `*out`; false at the end.
+  bool NextMatch(nestedlist::NestedList* out);
 
   const xml::Document* doc_;
   NokMatcher matcher_;
@@ -79,7 +81,6 @@ class IndexSeekOperator : public NestedListOperator {
   uint64_t matches_emitted_ = 0;
   uint64_t cells_emitted_ = 0;
   uint64_t value_cmps_ = 0;
-  uint64_t wall_nanos_ = 0;
 
   util::ResourceGuard* guard_;
   const storage::NodeStore* store_;

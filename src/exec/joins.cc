@@ -21,8 +21,7 @@ PipelinedDescJoin::PipelinedDescJoin(const xml::Document* doc,
                                      std::unique_ptr<NestedListOperator> outer,
                                      std::unique_ptr<NestedListOperator> inner,
                                      SlotId from_slot, EdgeMode mode,
-                                     util::ResourceGuard* guard,
-                                     ExecOptions exec)
+                                     util::ResourceGuard* guard)
     : doc_(doc),
       tree_(tree),
       outer_(std::move(outer)),
@@ -30,13 +29,13 @@ PipelinedDescJoin::PipelinedDescJoin(const xml::Document* doc,
       from_slot_(from_slot),
       mode_(mode),
       guard_(guard),
-      exec_(exec) {
+      outer_rows_(outer_.get()),
+      inner_rows_(inner_.get()) {
   inner_top_ = inner_->top_slots()[0];
   child_index_ = nestedlist::ChildIndex(*tree, from_slot, inner_top_);
 }
 
-bool PipelinedDescJoin::FetchInner() {
-  if (inner_done_) return false;
+bool PipelinedDescJoin::FetchInner(size_t batch_rows) {
   // Only ever called with the live run empty: reclaim the consumed prefix
   // so the buffer never grows beyond one in-flight inner run (the §4.2
   // memory bound).
@@ -46,10 +45,7 @@ bool PipelinedDescJoin::FetchInner() {
     inner_head_ = 0;
   }
   NestedList nl;
-  if (!inner_->GetNext(&nl)) {
-    inner_done_ = true;
-    return false;
-  }
+  if (!inner_rows_.Next(&nl, batch_rows)) return false;
   // Inner streams carry one top group (the NoK root's slot); each match is
   // one entry. Region labels are mirrored into the flat sorted NodeId
   // array the counting searches run over.
@@ -61,118 +57,73 @@ bool PipelinedDescJoin::FetchInner() {
   return true;
 }
 
-void PipelinedDescJoin::MergeInto(Entry* e) {
+void PipelinedDescJoin::MergeInto(Entry* e, size_t batch_rows) {
   xml::NodeId start = e->node;
   xml::NodeId end = doc_->SubtreeEnd(e->node);
   // Merge step (paper GetNext lines 7-9): discard inner matches that
   // precede this outer entry; on a non-recursive document they can
-  // belong to no later outer entry either.
-  if (exec_.vectorize) {
-    // Branch-free containment: the live run is sorted by NodeId, so "drop
-    // everything <= start, graft everything <= end, stop at the first
-    // entry beyond" are two counting binary searches per refill instead
-    // of a compare-and-branch per entry. merge_comparisons_ ticks once
-    // per entry disposition — identical to the scalar loop's ticks.
-    while (true) {
-      size_t avail = inner_buf_.size() - inner_head_;
-      if (avail == 0) {
-        if (!inner_done_ && FetchInner()) continue;
-        if (inner_buf_.size() == inner_head_) break;
-        continue;
-      }
-      size_t npop =
-          CountLessEq(inner_nodes_.data() + inner_head_, avail, start);
-      merge_comparisons_ += npop;
-      inner_head_ += npop;
-      if (npop == avail) continue;  // Run drained by stale entries: refill.
-      avail -= npop;
-      size_t ngraft =
-          CountLessEq(inner_nodes_.data() + inner_head_, avail, end);
-      merge_comparisons_ += ngraft;
-      Group& dst = e->groups[child_index_];
-      dst.insert(dst.end(),
-                 std::make_move_iterator(inner_buf_.begin() + inner_head_),
-                 std::make_move_iterator(inner_buf_.begin() + inner_head_ +
-                                         ngraft));
-      inner_head_ += ngraft;
-      if (ngraft == avail) continue;  // More of the region may follow.
-      ++merge_comparisons_;           // The probe that found n > end.
+  // belong to no later outer entry either. The live run is sorted by
+  // NodeId, so "drop everything <= start, graft everything <= end, stop at
+  // the first entry beyond" are two branch-free counting searches per
+  // refill. merge_comparisons_ ticks once per entry disposition, plus the
+  // probe that finds the first entry beyond the region.
+  while (true) {
+    size_t avail = inner_buf_.size() - inner_head_;
+    if (avail == 0) {
+      if (FetchInner(batch_rows)) continue;
       break;
     }
-    return;
-  }
-  // Scalar reference merge: one examined front, one tick, one branch.
-  while (true) {
-    while (inner_head_ >= inner_buf_.size() && !inner_done_) FetchInner();
-    if (inner_head_ >= inner_buf_.size()) break;
-    ++merge_comparisons_;
-    xml::NodeId n = inner_nodes_[inner_head_];
-    if (n <= start) {
-      ++inner_head_;
-      continue;
-    }
-    if (n > end) break;
-    e->groups[child_index_].push_back(std::move(inner_buf_[inner_head_]));
-    ++inner_head_;
+    size_t npop = CountLessEq(inner_nodes_.data() + inner_head_, avail, start);
+    merge_comparisons_ += npop;
+    inner_head_ += npop;
+    if (npop == avail) continue;  // Run drained by stale entries: refill.
+    avail -= npop;
+    size_t ngraft = CountLessEq(inner_nodes_.data() + inner_head_, avail, end);
+    merge_comparisons_ += ngraft;
+    Group& dst = e->groups[child_index_];
+    dst.insert(dst.end(),
+               std::make_move_iterator(inner_buf_.begin() + inner_head_),
+               std::make_move_iterator(inner_buf_.begin() + inner_head_ +
+                                       ngraft));
+    inner_head_ += ngraft;
+    if (ngraft == avail) continue;  // More of the region may follow.
+    ++merge_comparisons_;           // The probe that found n > end.
+    break;
   }
 }
 
-bool PipelinedDescJoin::GetNext(NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  return GetNextImpl(out);
-}
-
-size_t PipelinedDescJoin::GetNextBatch(Batch* out, size_t max_rows) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
-  max_rows = ClampBatchRows(max_rows);
-  NestedList nl;
-  while (out->rows.size() < max_rows && GetNextImpl(&nl)) {
-    out->rows.push_back(std::move(nl));
-    nl = NestedList();
-  }
-  return out->rows.size();
-}
-
-bool PipelinedDescJoin::GetNextImpl(NestedList* out) {
+void PipelinedDescJoin::FillBatch(Batch* out, size_t max_rows) {
   NestedList m;
-  while (outer_->GetNext(&m)) {
+  while (out->rows.size() < max_rows && outer_rows_.Next(&m, max_rows)) {
     // Batch boundary (DESIGN.md §9): one guard check per outer tuple — the
     // children sample their own guards inside longer stretches of work.
-    if (guard_ != nullptr && !guard_->Check()) return false;
+    if (guard_ != nullptr && !guard_->Check()) return;
     nestedlist::ForEachEntryMutable(*tree_, outer_->top_slots(), &m,
                                     from_slot_, [&](Entry* e) {
                                       if (e->IsPlaceholder()) return;
-                                      MergeInto(e);
+                                      MergeInto(e, max_rows);
                                     });
-    bool valid = true;
-    if (mode_ == EdgeMode::kFor) {
-      valid = nestedlist::EnforceMandatory(*tree_, outer_->top_slots(), &m,
-                                           from_slot_, child_index_);
+    if (mode_ == EdgeMode::kFor &&
+        !nestedlist::EnforceMandatory(*tree_, outer_->top_slots(), &m,
+                                      from_slot_, child_index_)) {
+      continue;
     }
-    if (valid) {
-      *out = std::move(m);
-      uint64_t cells = CountCells(*out);
-      // Charge before counting: a budget trip on this row means the
-      // consumer never received it, so matches/cells must not include it.
-      if (guard_ != nullptr &&
-          !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
-        return false;
-      }
-      ++matches_emitted_;
-      cells_emitted_ += cells;
-      return true;
+    uint64_t cells = CountCells(m);
+    // Charge before counting: a budget trip on this row means the
+    // consumer never receives it, so matches/cells must not include it.
+    if (guard_ != nullptr &&
+        !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
+      return;
     }
-    m = NestedList();
+    ++matches_emitted_;
+    cells_emitted_ += cells;
+    out->rows.push_back(std::move(m));
   }
-  return false;
 }
 
 ExecStats PipelinedDescJoin::Stats() const {
   ExecStats s;
-  s.wall_nanos = wall_nanos_;
+  s.wall_nanos = wall_nanos();
   s.comparisons = merge_comparisons_;
   s.matches = matches_emitted_;
   s.nl_cells = cells_emitted_;
@@ -185,10 +136,11 @@ ExecStats PipelinedDescJoin::Stats() const {
 void PipelinedDescJoin::Rewind() {
   outer_->Rewind();
   inner_->Rewind();
+  outer_rows_.Reset();
+  inner_rows_.Reset();
   inner_buf_.clear();
   inner_nodes_.clear();
   inner_head_ = 0;
-  inner_done_ = false;
 }
 
 BoundedNestedLoopJoin::BoundedNestedLoopJoin(
@@ -203,37 +155,19 @@ BoundedNestedLoopJoin::BoundedNestedLoopJoin(
       from_slot_(from_slot),
       mode_(mode),
       bounded_(bounded),
-      guard_(guard) {
+      guard_(guard),
+      outer_rows_(outer_.get()) {
   inner_top_ = inner_->top_slots()[0];
   child_index_ = nestedlist::ChildIndex(*tree, from_slot, inner_top_);
 }
 
-bool BoundedNestedLoopJoin::GetNext(NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  return GetNextImpl(out);
-}
-
-size_t BoundedNestedLoopJoin::GetNextBatch(Batch* out, size_t max_rows) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
-  max_rows = ClampBatchRows(max_rows);
-  NestedList nl;
-  while (out->rows.size() < max_rows && GetNextImpl(&nl)) {
-    out->rows.push_back(std::move(nl));
-    nl = NestedList();
-  }
-  return out->rows.size();
-}
-
-bool BoundedNestedLoopJoin::GetNextImpl(NestedList* out) {
+void BoundedNestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
   NestedList m;
-  while (outer_->GetNext(&m)) {
+  while (out->rows.size() < max_rows && outer_rows_.Next(&m, max_rows)) {
     // One check per outer tuple; each inner re-scan below is a governed
     // NokScan that samples the guard itself, so even the naive variant's
     // whole-document re-scans observe a trip within ~512 nodes.
-    if (guard_ != nullptr && !guard_->Check()) return false;
+    if (guard_ != nullptr && !guard_->Check()) return;
     nestedlist::ForEachEntryMutable(
         *tree_, outer_->top_slots(), &m, from_slot_, [&](Entry* e) {
           if (e->IsPlaceholder()) return;
@@ -247,50 +181,47 @@ bool BoundedNestedLoopJoin::GetNextImpl(NestedList* out) {
           }
           inner_->Rewind();
           ++inner_rescans_;
-          NestedList nl;
-          while (inner_->GetNext(&nl)) {
-            for (Entry& ie : nl.tops[0]) {
-              if (!bounded_ &&
-                  !(ie.node > e->node && ie.node <= end)) {
-                continue;
+          while (inner_->GetNextBatch(&inner_batch_, max_rows) > 0) {
+            for (NestedList& nl : inner_batch_.rows) {
+              for (Entry& ie : nl.tops[0]) {
+                if (!bounded_ && !(ie.node > e->node && ie.node <= end)) {
+                  continue;
+                }
+                e->groups[child_index_].push_back(std::move(ie));
               }
-              e->groups[child_index_].push_back(std::move(ie));
             }
-            nl = NestedList();
           }
         });
-    bool valid = true;
-    if (mode_ == EdgeMode::kFor) {
-      valid = nestedlist::EnforceMandatory(*tree_, outer_->top_slots(), &m,
-                                           from_slot_, child_index_);
+    if (mode_ == EdgeMode::kFor &&
+        !nestedlist::EnforceMandatory(*tree_, outer_->top_slots(), &m,
+                                      from_slot_, child_index_)) {
+      continue;
     }
-    if (valid) {
-      *out = std::move(m);
-      uint64_t cells = CountCells(*out);
-      // Charge before counting (see PipelinedDescJoin::GetNextImpl).
-      if (guard_ != nullptr &&
-          !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
-        return false;
-      }
-      ++matches_emitted_;
-      cells_emitted_ += cells;
-      return true;
+    uint64_t cells = CountCells(m);
+    // Charge before counting (see PipelinedDescJoin::FillBatch).
+    if (guard_ != nullptr &&
+        !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
+      return;
     }
-    m = NestedList();
+    ++matches_emitted_;
+    cells_emitted_ += cells;
+    out->rows.push_back(std::move(m));
   }
-  return false;
 }
 
 ExecStats BoundedNestedLoopJoin::Stats() const {
   ExecStats s;
-  s.wall_nanos = wall_nanos_;
+  s.wall_nanos = wall_nanos();
   s.matches = matches_emitted_;
   s.nl_cells = cells_emitted_;
   s.rescans = inner_rescans_;
   return s;
 }
 
-void BoundedNestedLoopJoin::Rewind() { outer_->Rewind(); }
+void BoundedNestedLoopJoin::Rewind() {
+  outer_->Rewind();
+  outer_rows_.Reset();
+}
 
 NestedLoopJoin::NestedLoopJoin(
     std::vector<SlotId> tops, std::unique_ptr<NestedListOperator> left,
@@ -302,74 +233,56 @@ NestedLoopJoin::NestedLoopJoin(
       right_(std::move(right)),
       owns_left_(std::move(owns_left)),
       pred_(std::move(pred)),
-      guard_(guard) {}
+      guard_(guard),
+      left_rows_(left_.get()) {}
 
-bool NestedLoopJoin::GetNext(NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  return GetNextImpl(out);
-}
-
-size_t NestedLoopJoin::GetNextBatch(Batch* out, size_t max_rows) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
-  max_rows = ClampBatchRows(max_rows);
-  NestedList nl;
-  while (out->rows.size() < max_rows && GetNextImpl(&nl)) {
-    out->rows.push_back(std::move(nl));
-    nl = NestedList();
-  }
-  return out->rows.size();
-}
-
-bool NestedLoopJoin::GetNextImpl(NestedList* out) {
+void NestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
   if (!right_materialized_) {
-    right_mat_ = Drain(right_.get());
+    right_mat_ = Drain(right_.get(), max_rows);
     right_materialized_ = true;
   }
-  while (true) {
+  while (out->rows.size() < max_rows) {
     if (!left_valid_) {
-      if (!left_->GetNext(&cur_left_)) return false;
+      if (!left_rows_.Next(&cur_left_, max_rows)) return;
       left_valid_ = true;
       right_pos_ = 0;
     }
-    while (right_pos_ < right_mat_.size()) {
-      // This join is quadratic: sample the clock every ~1k predicate
-      // evaluations, with a cheap tripped probe in between.
-      if (guard_ != nullptr &&
-          (guard_->Tripped() ||
-           ((pred_calls_ & 0x3FF) == 0x3FF && !guard_->Check()))) {
-        return false;
-      }
-      const NestedList& r = right_mat_[right_pos_++];
-      // Value comparisons inside the predicate (general compares,
-      // deep-equal prefilters) run on this thread: attribute the
-      // thread-local delta here (DESIGN.md §8).
-      uint64_t cmp_before = ValueComparisonCount();
-      ++pred_calls_;
-      bool hit = pred_(cur_left_, r);
-      value_cmps_ += ValueComparisonCount() - cmp_before;
-      if (hit) {
-        *out = nestedlist::Combine(cur_left_, r, owns_left_);
-        uint64_t cells = CountCells(*out);
-        // Charge before counting (see PipelinedDescJoin::GetNextImpl).
-        if (guard_ != nullptr &&
-            !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
-          return false;
-        }
-        ++matches_emitted_;
-        cells_emitted_ += cells;
-        return true;
-      }
+    if (right_pos_ == right_mat_.size()) {
+      left_valid_ = false;
+      continue;
     }
-    left_valid_ = false;
+    // This join is quadratic: sample the clock every ~1k predicate
+    // evaluations, with a cheap tripped probe in between.
+    if (guard_ != nullptr &&
+        (guard_->Tripped() ||
+         ((pred_calls_ & 0x3FF) == 0x3FF && !guard_->Check()))) {
+      return;
+    }
+    const NestedList& r = right_mat_[right_pos_++];
+    // Value comparisons inside the predicate (general compares,
+    // deep-equal prefilters) run on this thread: attribute the
+    // thread-local delta here (DESIGN.md §8).
+    uint64_t cmp_before = ValueComparisonCount();
+    ++pred_calls_;
+    bool hit = pred_(cur_left_, r);
+    value_cmps_ += ValueComparisonCount() - cmp_before;
+    if (!hit) continue;
+    NestedList combined = nestedlist::Combine(cur_left_, r, owns_left_);
+    uint64_t cells = CountCells(combined);
+    // Charge before counting (see PipelinedDescJoin::FillBatch).
+    if (guard_ != nullptr &&
+        !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
+      return;
+    }
+    ++matches_emitted_;
+    cells_emitted_ += cells;
+    out->rows.push_back(std::move(combined));
   }
 }
 
 ExecStats NestedLoopJoin::Stats() const {
   ExecStats s;
-  s.wall_nanos = wall_nanos_;
+  s.wall_nanos = wall_nanos();
   s.comparisons = pred_calls_ + value_cmps_;
   s.matches = matches_emitted_;
   s.nl_cells = cells_emitted_;
@@ -378,6 +291,7 @@ ExecStats NestedLoopJoin::Stats() const {
 
 void NestedLoopJoin::Rewind() {
   left_->Rewind();
+  left_rows_.Reset();
   left_valid_ = false;
   right_pos_ = 0;
 }
@@ -390,30 +304,29 @@ FrameOperator::FrameOperator(const pattern::BlossomTree* tree,
       position_(position),
       input_(std::move(input)) {}
 
-bool FrameOperator::GetNext(NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  NestedList in;
-  if (!input_->GetNext(&in)) return false;
-  out->tops.clear();
-  out->tops.reserve(frame_tops_.size());
-  for (size_t i = 0; i < frame_tops_.size(); ++i) {
-    if (i == position_) {
-      out->tops.push_back(std::move(in.tops[0]));
-    } else {
-      Group g;
-      g.push_back(nestedlist::MakePlaceholderEntry(*tree_, frame_tops_[i]));
-      out->tops.push_back(std::move(g));
+void FrameOperator::FillBatch(Batch* out, size_t max_rows) {
+  input_->GetNextBatch(&in_, max_rows);
+  for (NestedList& in : in_.rows) {
+    NestedList framed;
+    framed.tops.reserve(frame_tops_.size());
+    for (size_t i = 0; i < frame_tops_.size(); ++i) {
+      if (i == position_) {
+        framed.tops.push_back(std::move(in.tops[0]));
+      } else {
+        Group g;
+        g.push_back(nestedlist::MakePlaceholderEntry(*tree_, frame_tops_[i]));
+        framed.tops.push_back(std::move(g));
+      }
     }
+    ++matches_emitted_;
+    cells_emitted_ += CountCells(framed);
+    out->rows.push_back(std::move(framed));
   }
-  ++matches_emitted_;
-  cells_emitted_ += CountCells(*out);
-  return true;
 }
 
 ExecStats FrameOperator::Stats() const {
   ExecStats s;
-  s.wall_nanos = wall_nanos_;
+  s.wall_nanos = wall_nanos();
   s.matches = matches_emitted_;
   s.nl_cells = cells_emitted_;
   return s;

@@ -19,7 +19,10 @@ namespace exec {
 ///
 /// Correct only when projections are document-order preserving, i.e. on
 /// non-recursive documents (Theorem 2); the optimizer enforces that
-/// precondition. No intermediate results are materialized.
+/// precondition. No intermediate results are materialized: the join holds
+/// one in-flight inner run plus one staged batch per child. Inner rows move
+/// from the staged batch into the run one at a time, so PeakBuffered()
+/// measures the §4.2 run alone.
 class PipelinedDescJoin : public NestedListOperator {
  public:
   /// \param from_slot the outer slot the cut //-edge leaves from.
@@ -27,23 +30,16 @@ class PipelinedDescJoin : public NestedListOperator {
   ///        (cascading); l: they are kept with an empty group.
   /// \param guard optional per-query resource guard, checked once per outer
   ///        tuple and charged for emitted cells (DESIGN.md §9).
-  /// \param exec with `exec.vectorize` the merge step advances over the
-  ///        buffered inner run with branch-free counting searches
-  ///        (CountLessEq) instead of one branchy compare per entry — same
-  ///        stream, same comparison counts.
   PipelinedDescJoin(const xml::Document* doc,
                     const pattern::BlossomTree* tree,
                     std::unique_ptr<NestedListOperator> outer,
                     std::unique_ptr<NestedListOperator> inner,
                     pattern::SlotId from_slot, pattern::EdgeMode mode,
-                    util::ResourceGuard* guard = nullptr,
-                    ExecOptions exec = {});
+                    util::ResourceGuard* guard = nullptr);
 
   const std::vector<pattern::SlotId>& top_slots() const override {
     return outer_->top_slots();
   }
-  bool GetNext(nestedlist::NestedList* out) override;
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
   void Rewind() override;
   void Restrict(xml::NodeId begin, xml::NodeId end) override {
     outer_->Restrict(begin, end);
@@ -64,12 +60,16 @@ class PipelinedDescJoin : public NestedListOperator {
     return i == 0 ? outer_.get() : inner_.get();
   }
 
+ protected:
+  void FillBatch(Batch* out, size_t max_rows) override;
+
  private:
-  bool GetNextImpl(nestedlist::NestedList* out);
-  bool FetchInner();
+  /// Moves the next inner row's entries into the run, pulling a staged
+  /// batch of `batch_rows` when needed; false at the end of the inner.
+  bool FetchInner(size_t batch_rows);
   /// Merges buffered inner entries into `e`'s child group (the paper
   /// GetNext lines 7-9), fetching more inner as the buffer drains.
-  void MergeInto(nestedlist::Entry* e);
+  void MergeInto(nestedlist::Entry* e, size_t batch_rows);
 
   const xml::Document* doc_;
   const pattern::BlossomTree* tree_;
@@ -80,22 +80,21 @@ class PipelinedDescJoin : public NestedListOperator {
   size_t child_index_;
   pattern::EdgeMode mode_;
   util::ResourceGuard* guard_;
-  ExecOptions exec_;
+  BatchReader outer_rows_;
+  BatchReader inner_rows_;
 
   /// Buffered inner run: entries [inner_head_, inner_buf_.size()) are
   /// live, with their region labels mirrored in inner_nodes_ so the merge
-  /// can binary-search a flat sorted NodeId array (the vectorized
+  /// can binary-search a flat sorted NodeId array (the CountLessEq
   /// containment test) without touching the entries.
   std::vector<nestedlist::Entry> inner_buf_;
   std::vector<xml::NodeId> inner_nodes_;
   size_t inner_head_ = 0;
-  bool inner_done_ = false;
   size_t peak_buffered_ = 0;
 
   uint64_t matches_emitted_ = 0;
   uint64_t cells_emitted_ = 0;
   uint64_t merge_comparisons_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 /// \brief Bounded nested-loop //-join (paper §4.3): for every outer entry,
@@ -122,8 +121,6 @@ class BoundedNestedLoopJoin : public NestedListOperator {
   const std::vector<pattern::SlotId>& top_slots() const override {
     return outer_->top_slots();
   }
-  bool GetNext(nestedlist::NestedList* out) override;
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
   void Rewind() override;
   void Restrict(xml::NodeId begin, xml::NodeId end) override {
     outer_->Restrict(begin, end);
@@ -144,9 +141,10 @@ class BoundedNestedLoopJoin : public NestedListOperator {
     return i == 0 ? outer_.get() : inner_.get();
   }
 
- private:
-  bool GetNextImpl(nestedlist::NestedList* out);
+ protected:
+  void FillBatch(Batch* out, size_t max_rows) override;
 
+ private:
   const xml::Document* doc_;
   const pattern::BlossomTree* tree_;
   std::unique_ptr<NestedListOperator> outer_;
@@ -157,10 +155,12 @@ class BoundedNestedLoopJoin : public NestedListOperator {
   pattern::EdgeMode mode_;
   bool bounded_;
   util::ResourceGuard* guard_;
+  BatchReader outer_rows_;
+  /// Reused across the per-entry inner re-scans.
+  Batch inner_batch_;
   uint64_t inner_rescans_ = 0;
   uint64_t matches_emitted_ = 0;
   uint64_t cells_emitted_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 /// \brief Naive nested-loop join (paper §4.3) for the predicates that are
@@ -189,8 +189,6 @@ class NestedLoopJoin : public NestedListOperator {
   const std::vector<pattern::SlotId>& top_slots() const override {
     return tops_;
   }
-  bool GetNext(nestedlist::NestedList* out) override;
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
   void Rewind() override;
 
   const char* Name() const override { return "NestedLoopJoin"; }
@@ -203,9 +201,10 @@ class NestedLoopJoin : public NestedListOperator {
     return i == 0 ? left_.get() : right_.get();
   }
 
- private:
-  bool GetNextImpl(nestedlist::NestedList* out);
+ protected:
+  void FillBatch(Batch* out, size_t max_rows) override;
 
+ private:
   std::vector<pattern::SlotId> tops_;
   std::unique_ptr<NestedListOperator> left_;
   std::unique_ptr<NestedListOperator> right_;
@@ -215,6 +214,7 @@ class NestedLoopJoin : public NestedListOperator {
       pred_;
   util::ResourceGuard* guard_;
 
+  BatchReader left_rows_;
   bool left_valid_ = false;
   nestedlist::NestedList cur_left_;
   std::vector<nestedlist::NestedList> right_mat_;
@@ -225,7 +225,6 @@ class NestedLoopJoin : public NestedListOperator {
   uint64_t value_cmps_ = 0;
   uint64_t matches_emitted_ = 0;
   uint64_t cells_emitted_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 /// \brief Re-frames a NoK-local stream into a larger slot context: emitted
@@ -241,7 +240,6 @@ class FrameOperator : public NestedListOperator {
   const std::vector<pattern::SlotId>& top_slots() const override {
     return frame_tops_;
   }
-  bool GetNext(nestedlist::NestedList* out) override;
   void Rewind() override;
 
   const char* Name() const override { return "Frame"; }
@@ -252,14 +250,18 @@ class FrameOperator : public NestedListOperator {
   }
   NestedListOperator* MutableChild(size_t) override { return input_.get(); }
 
+ protected:
+  /// One framed row per input row: pulls one input batch of `max_rows`.
+  void FillBatch(Batch* out, size_t max_rows) override;
+
  private:
   const pattern::BlossomTree* tree_;
   std::vector<pattern::SlotId> frame_tops_;
   size_t position_;
   std::unique_ptr<NestedListOperator> input_;
+  Batch in_;
   uint64_t matches_emitted_ = 0;
   uint64_t cells_emitted_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 }  // namespace exec

@@ -64,7 +64,7 @@ void MergedNokScan::Run() {
       results_[i].push_back(std::move(nl));
     }
   };
-  if (exec_.vectorize && wildcard.empty()) {
+  if (wildcard.empty()) {
     // All roots concrete: one SIMD candidate sweep per distinct root tag
     // replaces the per-node dispatch loop. Per-NoK result vectors are
     // filled in ascending NodeId (each sweep's candidates ascend) and the

@@ -21,21 +21,12 @@ class MaterializedOperator : public NestedListOperator {
   const std::vector<pattern::SlotId>& top_slots() const override {
     return tops_;
   }
-  bool GetNext(nestedlist::NestedList* out) override {
-    ScopedTimer timer(&wall_nanos_);
-    util::TraceSpan span("exec", TraceName(*this));
-    if (pos_ >= lists_.size()) return false;
-    *out = lists_[pos_++];
-    ++matches_emitted_;
-    cells_emitted_ += CountCells(*out);
-    return true;
-  }
   void Rewind() override { pos_ = 0; }
 
   const char* Name() const override { return "Materialized"; }
   ExecStats Stats() const override {
     ExecStats s = base_stats_;
-    s.wall_nanos += wall_nanos_;
+    s.wall_nanos += wall_nanos();
     s.matches += matches_emitted_;
     s.nl_cells += cells_emitted_;
     return s;
@@ -45,6 +36,15 @@ class MaterializedOperator : public NestedListOperator {
   /// (e.g. a merged scan's per-NoK attribution), folded into Stats().
   void set_base_stats(const ExecStats& s) { base_stats_ = s; }
 
+ protected:
+  void FillBatch(Batch* out, size_t max_rows) override {
+    while (out->rows.size() < max_rows && pos_ < lists_.size()) {
+      out->rows.push_back(lists_[pos_++]);
+      ++matches_emitted_;
+      cells_emitted_ += CountCells(out->rows.back());
+    }
+  }
+
  private:
   std::vector<pattern::SlotId> tops_;
   std::vector<nestedlist::NestedList> lists_;
@@ -52,7 +52,6 @@ class MaterializedOperator : public NestedListOperator {
   ExecStats base_stats_;
   uint64_t matches_emitted_ = 0;
   uint64_t cells_emitted_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 /// \brief Merged NoK evaluation (paper §4.2 "merging NoK operators"): runs
@@ -68,11 +67,12 @@ class MergedNokScan {
   ///        samples it every ~512 nodes and stops scanning once tripped
   ///        (the partial materialization is then discarded by the caller,
   ///        which must check guard->status()).
-  /// \param exec batch/vectorization knobs: with `exec.vectorize` and only
-  ///        concrete root tags, the pass runs one SIMD candidate sweep per
-  ///        distinct root tag instead of the per-node dispatch loop — same
-  ///        per-NoK streams and counters (probes re-verify every
-  ///        candidate). Any wildcard root falls back to the per-node pass.
+  /// \param exec execution knobs: when every root tag is concrete, the
+  ///        pass runs one SIMD candidate sweep per distinct root tag
+  ///        (`exec.simd` picks the kernel backend) instead of the per-node
+  ///        dispatch loop — same per-NoK streams and counters (probes
+  ///        re-verify every candidate). Any wildcard root selects the
+  ///        per-node pass.
   MergedNokScan(const xml::Document* doc, const pattern::BlossomTree* tree,
                 std::vector<const pattern::NokTree*> noks,
                 util::ResourceGuard* guard = nullptr, ExecOptions exec = {});

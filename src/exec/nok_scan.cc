@@ -1,6 +1,7 @@
 #include "exec/nok_scan.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <span>
 
@@ -255,11 +256,12 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
     canonical_nok_ = pattern::CanonicalNok(*tree, *nok);
   }
   // Kernel candidate prefiltering needs a concrete element root tag: the
-  // prefilter `tag_id(x) == target` then implies exactly the set of nodes
-  // the reference loop's RootTest would spend any counted work on (TagOk
-  // is a free string compare; value comparisons and match work only start
-  // after it passes), so counters stay bitwise-identical. Wildcard,
-  // attribute, and virtual roots use the per-node reference loop.
+  // prefilter `tag_id(x) == target` then selects exactly the nodes on
+  // which RootTest would spend any counted work (TagOk is a free string
+  // compare; value comparisons and match work only start after it
+  // passes), so counters match a per-node pass bitwise. Wildcard and
+  // attribute roots take ScanRange's per-node body; virtual roots match
+  // once, outside the scan.
   const pattern::Vertex& rootv = tree->vertex(nok->root);
   kernel_eligible_ = !virtual_root_ && !rootv.MatchesAnyTag() &&
                      !rootv.tag.empty() && rootv.tag[0] != '@';
@@ -274,11 +276,9 @@ void NokScanOperator::SetRange(xml::NodeId begin, xml::NodeId end) {
   range_begin_ = begin;
   range_end_ = end;
   cursor_ = begin;
-  parallel_done_ = false;
-  parallel_buf_.clear();
-  parallel_pos_ = 0;
-  pending_.clear();
-  pending_pos_ = 0;
+  buffered_ = false;
+  buffer_.clear();
+  buffer_pos_ = 0;
   io_cursor_ = storage::ScanCursor();
 }
 
@@ -317,8 +317,8 @@ bool NokScanOperator::HandOutBuffered(nestedlist::NestedList* out) {
   // A trip during materialization leaves a partial buffer: end the stream
   // instead of handing out a truncated prefix as if complete.
   if (guard_ != nullptr && guard_->Tripped()) return false;
-  if (parallel_pos_ >= parallel_buf_.size()) return false;
-  *out = std::move(parallel_buf_[parallel_pos_++]);
+  if (buffer_pos_ >= buffer_.size()) return false;
+  *out = std::move(buffer_[buffer_pos_++]);
   // Cell charging happens at handout (main thread, identical order at
   // every thread count and on cache hits) so the budget verdict is
   // deterministic.
@@ -382,9 +382,8 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
   nestedlist::NestedList nl;
   for (xml::NodeId x = begin;;) {
     // Chunk-top guard sample. Check() never mutates a counter, so the
-    // coarser-than-legacy cadence leaves untripped-run counters bitwise
-    // unchanged; only trip *timing* coarsens (results are discarded on a
-    // trip, so nothing observable depends on it).
+    // cadence leaves untripped-run counters unchanged; only trip *timing*
+    // depends on it (results are discarded on a trip).
     if (guard_ != nullptr && (guard_->Tripped() || !guard_->Check())) {
       return false;
     }
@@ -433,8 +432,8 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
 }
 
 void NokScanOperator::RunSerialCachedScan() {
-  parallel_buf_.clear();
-  parallel_pos_ = 0;
+  buffer_.clear();
+  buffer_pos_ = 0;
   NokCacheKey key{doc_->generation(), canonical_nok_, range_begin_,
                   range_end_};
   {
@@ -442,57 +441,28 @@ void NokScanOperator::RunSerialCachedScan() {
     if (std::shared_ptr<const CachedNokScan> hit = cache_->Get(key)) {
       // Deep copy: buffered matches are handed out by move, and the cached
       // master must stay intact for the next hit.
-      parallel_buf_ = hit->matches;
-      parallel_done_ = true;
+      buffer_ = hit->matches;
+      buffered_ = true;
       return;
     }
   }
-  if (exec_.vectorize) {
-    // Cold: the chunked driver, run eagerly into the buffer. Same stream
-    // and untripped-run counters as the reference loop below.
-    ScanRange(&matcher_, cursor_, range_end_, &io_cursor_, &nodes_scanned_,
-              &value_cmps_, &parallel_buf_);
-    parallel_done_ = true;
-    FillCache(key, parallel_buf_);
-    return;
-  }
-  // Cold: the lazy serial loop, run eagerly into the buffer with the same
-  // per-node guard sampling and counters.
-  nestedlist::NestedList nl;
-  while (cursor_ <= range_end_ &&
-         static_cast<size_t>(cursor_) < doc_->NumNodes()) {
-    if (guard_ != nullptr &&
-        (guard_->Tripped() ||
-         ((nodes_scanned_ & 0x1FF) == 0x1FF && !guard_->Check()))) {
-      break;
-    }
-    xml::NodeId x = cursor_++;
-    ++nodes_scanned_;
-    // Touch the backing store so block residency and read counters track
-    // the scan even though matching runs over the document facade.
-    if (store_ != nullptr) store_->Get(x, &io_cursor_);
-    uint64_t cmp_before = ValueComparisonCount();
-    bool matched = matcher_.RootTest(x) && matcher_.MatchAt(x, &nl);
-    value_cmps_ += ValueComparisonCount() - cmp_before;
-    if (matched && (guard_ == nullptr || !guard_->Tripped())) {
-      parallel_buf_.push_back(std::move(nl));
-      nl = nestedlist::NestedList();
-    }
-  }
-  parallel_done_ = true;
-  FillCache(key, parallel_buf_);
+  // Cold: the chunked driver, run eagerly into the buffer.
+  ScanRange(&matcher_, cursor_, range_end_, &io_cursor_, &nodes_scanned_,
+            &value_cmps_, &buffer_);
+  buffered_ = true;
+  FillCache(key, buffer_);
 }
 
 void NokScanOperator::RunVirtualCachedScan() {
-  parallel_buf_.clear();
-  parallel_pos_ = 0;
+  buffer_.clear();
+  buffer_pos_ = 0;
   NokCacheKey key{doc_->generation(), canonical_nok_, range_begin_,
                   range_end_};
   {
     util::TraceSpan span("cache", "result.lookup");
     if (std::shared_ptr<const CachedNokScan> hit = cache_->Get(key)) {
-      parallel_buf_ = hit->matches;
-      parallel_done_ = true;
+      buffer_ = hit->matches;
+      buffered_ = true;
       return;
     }
   }
@@ -502,10 +472,10 @@ void NokScanOperator::RunVirtualCachedScan() {
   bool matched = matcher_.MatchAt(kVirtualRootNode, &nl);
   value_cmps_ += ValueComparisonCount() - cmp_before;
   if (matched && (guard_ == nullptr || !guard_->Tripped())) {
-    parallel_buf_.push_back(std::move(nl));
+    buffer_.push_back(std::move(nl));
   }
-  parallel_done_ = true;
-  FillCache(key, parallel_buf_);
+  buffered_ = true;
+  FillCache(key, buffer_);
 }
 
 void NokScanOperator::RunParallelScan() {
@@ -559,30 +529,8 @@ void NokScanOperator::RunParallelScan() {
         // local to this worker, so the aggregate equals the sum of
         // partition read counts at every thread count and interleaving.
         storage::ScanCursor io;
-        if (exec_.vectorize) {
-          ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i],
-                    &vcmp[i], &results[i]);
-        } else {
-          uint64_t cmp_before = ValueComparisonCount();
-          nestedlist::NestedList nl;
-          for (xml::NodeId x = parts[i].begin; x <= parts[i].end; ++x) {
-            // Batch-boundary guard sample: a cheap tripped probe per node
-            // plus a full check every ~512 nodes.
-            if (guard_ != nullptr &&
-                (guard_->Tripped() ||
-                 ((scanned[i] & 0x1FF) == 0x1FF && !guard_->Check()))) {
-              break;
-            }
-            ++scanned[i];
-            if (store_ != nullptr) store_->Get(x, &io);
-            if (!m.RootTest(x)) continue;
-            if (m.MatchAt(x, &nl)) {
-              results[i].push_back(std::move(nl));
-              nl = nestedlist::NestedList();
-            }
-          }
-          vcmp[i] = ValueComparisonCount() - cmp_before;
-        }
+        ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i],
+                  &vcmp[i], &results[i]);
         work[i] = m.MatchWork();
       },
       guard_);
@@ -595,7 +543,7 @@ void NokScanOperator::RunParallelScan() {
                 results[i]);
     }
   }
-  parallel_buf_.clear();
+  buffer_.clear();
   // Deterministic merge point (DESIGN.md §8): per-partition counters fold
   // in partition order, matching the result concatenation. Hit partitions
   // contribute no scan work — they replay a deep copy of their entry.
@@ -604,43 +552,29 @@ void NokScanOperator::RunParallelScan() {
     parallel_work_ += work[i];
     value_cmps_ += vcmp[i];
     if (hits[i] != nullptr) {
-      parallel_buf_.insert(parallel_buf_.end(), hits[i]->matches.begin(),
-                           hits[i]->matches.end());
+      buffer_.insert(buffer_.end(), hits[i]->matches.begin(),
+                     hits[i]->matches.end());
     } else {
-      parallel_buf_.insert(parallel_buf_.end(),
-                           std::make_move_iterator(results[i].begin()),
-                           std::make_move_iterator(results[i].end()));
+      std::move(results[i].begin(), results[i].end(),
+                std::back_inserter(buffer_));
     }
   }
-  parallel_pos_ = 0;
-  parallel_done_ = true;
+  buffer_pos_ = 0;
+  buffered_ = true;
 }
 
-bool NokScanOperator::GetNext(nestedlist::NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  return GetNextImpl(out);
-}
-
-size_t NokScanOperator::GetNextBatch(Batch* out, size_t max_rows) {
-  // One timer + trace span for the whole batch: the per-row bookkeeping
-  // that dominated the node-at-a-time hot path amortizes across max_rows.
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
-  max_rows = ClampBatchRows(max_rows);
+void NokScanOperator::FillBatch(Batch* out, size_t max_rows) {
   nestedlist::NestedList nl;
-  while (out->rows.size() < max_rows && GetNextImpl(&nl)) {
+  while (out->rows.size() < max_rows && NextMatch(&nl)) {
     out->rows.push_back(std::move(nl));
     nl = nestedlist::NestedList();
   }
-  return out->rows.size();
 }
 
-bool NokScanOperator::GetNextImpl(nestedlist::NestedList* out) {
+bool NokScanOperator::NextMatch(nestedlist::NestedList* out) {
   if (virtual_root_) {
     if (CacheEligible()) {
-      if (!parallel_done_) RunVirtualCachedScan();
+      if (!buffered_) RunVirtualCachedScan();
       return HandOutBuffered(out);
     }
     if (virtual_done_) return false;
@@ -656,64 +590,37 @@ bool NokScanOperator::GetNextImpl(nestedlist::NestedList* out) {
     return matched;
   }
   if (ParallelEligible()) {
-    if (!parallel_done_) RunParallelScan();
+    if (!buffered_) RunParallelScan();
     return HandOutBuffered(out);
   }
   if (CacheEligible()) {
-    if (!parallel_done_) RunSerialCachedScan();
+    if (!buffered_) RunSerialCachedScan();
     return HandOutBuffered(out);
   }
-  if (exec_.vectorize) {
-    // Chunked serial driver: scan one chunk at a time into the pending
-    // buffer, hand matches out one per call. Emission order and charge
-    // sequence are identical to the reference loop below — charges happen
-    // only on handed-out matches, in the same document order.
-    while (pending_pos_ >= pending_.size()) {
-      pending_.clear();
-      pending_pos_ = 0;
-      if (cursor_ > range_end_ ||
-          static_cast<size_t>(cursor_) >= doc_->NumNodes()) {
-        return false;
-      }
-      xml::NodeId chunk_end = range_end_;
-      if (chunk_end - cursor_ >= kScanChunk) {
-        chunk_end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
-      }
-      bool ok = ScanRange(&matcher_, cursor_, chunk_end, &io_cursor_,
-                          &nodes_scanned_, &value_cmps_, &pending_);
-      cursor_ = chunk_end + 1;
-      if (!ok) return false;
-    }
-    *out = std::move(pending_[pending_pos_++]);
-    if (guard_ != nullptr && guard_->Tripped()) return false;
-    return ChargeAndCount(*out);
-  }
-  // Reference node-at-a-time loop (exec.vectorize == false): the pinned
-  // baseline the equivalence suite compares the chunked driver against.
-  while (cursor_ <= range_end_ &&
-         static_cast<size_t>(cursor_) < doc_->NumNodes()) {
-    if (guard_ != nullptr &&
-        (guard_->Tripped() ||
-         ((nodes_scanned_ & 0x1FF) == 0x1FF && !guard_->Check()))) {
+  // Lazy serial driver: scan chunk by chunk into the buffer until it
+  // holds a match, then hand matches out in document order.
+  while (buffer_pos_ >= buffer_.size()) {
+    buffer_.clear();
+    buffer_pos_ = 0;
+    if (cursor_ > range_end_ ||
+        static_cast<size_t>(cursor_) >= doc_->NumNodes()) {
       return false;
     }
-    xml::NodeId x = cursor_++;
-    ++nodes_scanned_;
-    if (store_ != nullptr) store_->Get(x, &io_cursor_);
-    uint64_t cmp_before = ValueComparisonCount();
-    bool matched = matcher_.RootTest(x) && matcher_.MatchAt(x, out);
-    value_cmps_ += ValueComparisonCount() - cmp_before;
-    if (matched) {
-      if (guard_ != nullptr && guard_->Tripped()) return false;
-      return ChargeAndCount(*out);
+    xml::NodeId chunk_end = range_end_;
+    if (chunk_end - cursor_ >= kScanChunk) {
+      chunk_end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
     }
+    bool ok = ScanRange(&matcher_, cursor_, chunk_end, &io_cursor_,
+                        &nodes_scanned_, &value_cmps_, &buffer_);
+    cursor_ = chunk_end + 1;
+    if (!ok) return false;
   }
-  return false;
+  return HandOutBuffered(out);
 }
 
 ExecStats NokScanOperator::Stats() const {
   ExecStats s;
-  s.wall_nanos = wall_nanos_;
+  s.wall_nanos = wall_nanos();
   s.nodes_scanned = nodes_scanned_;
   s.comparisons = MatchWork() + value_cmps_;
   s.matches = matches_emitted_;
@@ -724,13 +631,10 @@ ExecStats NokScanOperator::Stats() const {
 void NokScanOperator::Rewind() {
   cursor_ = range_begin_;
   virtual_done_ = false;
-  // Parallel buffers hand entries out by move, so a rewound parallel scan
-  // recomputes — mirroring the serial driver, which also rescans.
-  parallel_done_ = false;
-  parallel_buf_.clear();
-  parallel_pos_ = 0;
-  pending_.clear();
-  pending_pos_ = 0;
+  // The buffer hands entries out by move, so a rewound scan recomputes.
+  buffered_ = false;
+  buffer_.clear();
+  buffer_pos_ = 0;
   io_cursor_ = storage::ScanCursor();
 }
 

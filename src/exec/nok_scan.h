@@ -83,7 +83,7 @@ class NokMatcher {
 
 /// \brief Sequential-scan driver (paper §3.3's "sequential scan of the XML
 /// tree against the blossom tree"): tries the NoK at every node in document
-/// order and emits one NestedList per match, as a Volcano-style iterator.
+/// order and emits one NestedList per match, as a pull iterator.
 ///
 /// With a thread pool the full-document scan runs in *parallel mode*: the
 /// document is split at top-level subtree boundaries
@@ -113,10 +113,8 @@ class NokScanOperator : public NestedListOperator {
   ///        residency and page-read counts reflect the scan's real access
   ///        pattern — deterministically, independent of concurrent readers.
   ///        Partitioning also goes through the store when attached.
-  /// \param exec batch/vectorization knobs (DESIGN.md §16).
-  /// `exec.vectorize` selects the chunked scan driver with SIMD tag-id
-  /// candidate prefiltering; false pins the node-at-a-time reference
-  /// loop. Results and deterministic counters are identical either way.
+  /// \param exec execution knobs (DESIGN.md §16); `exec.simd` picks the
+  ///        kernel backend of the tag-id candidate prefilter.
   NokScanOperator(const xml::Document* doc, const pattern::BlossomTree* tree,
                   const pattern::NokTree* nok,
                   util::ThreadPool* pool = nullptr,
@@ -131,19 +129,12 @@ class NokScanOperator : public NestedListOperator {
 
   /// \brief Restricts the scan to nodes in [begin, end] (inclusive) — the
   /// bounded range of the BNLJ inner side (paper §4.3). Call before the
-  /// first GetNext or after Rewind.
+  /// first GetNextBatch or after Rewind.
   void SetRange(xml::NodeId begin, xml::NodeId end);
 
   void Restrict(xml::NodeId begin, xml::NodeId end) override {
     SetRange(begin, end);
   }
-
-  /// \brief Fetches the next match in document order of the match root.
-  bool GetNext(nestedlist::NestedList* out) override;
-
-  /// \brief Batch production: one timer/trace span per batch instead of
-  /// per row, same stream and counters as repeated GetNext.
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
 
   void Rewind() override;
 
@@ -163,23 +154,25 @@ class NokScanOperator : public NestedListOperator {
   /// handout. After Finish() both paths report identical totals.
   ExecStats Stats() const override;
 
+ protected:
+  /// Emits matches in document order of the match root.
+  void FillBatch(Batch* out, size_t max_rows) override;
+
  private:
   /// Chunk granularity of the batched scan drivers: guard checks, kernel
   /// candidate prefilters, and bulk nodes_scanned accounting all happen at
   /// this stride (DESIGN.md §16).
   static constexpr size_t kScanChunk = 512;
 
-  /// GetNext body without the per-call timer/trace span (GetNext and
-  /// GetNextBatch wrap it, amortizing both per row or per batch).
-  bool GetNextImpl(nestedlist::NestedList* out);
+  /// Produces the next match into `*out`; false at end of stream.
+  bool NextMatch(nestedlist::NestedList* out);
 
   /// Scans nodes [begin, end] with matcher `m`, touching `store_` through
   /// `io`, bulk-counting scanned nodes / value comparisons into *scanned /
   /// *vcmps and appending matches to *out. Chunked: the guard is sampled at
-  /// every ≤kScanChunk-node chunk top instead of the legacy per-node cadence
-  /// — Check() never mutates counters, so untripped runs keep bitwise-
-  /// identical counters; only trip *timing* coarsens (errored runs discard
-  /// results). Returns false iff the guard tripped mid-scan.
+  /// every ≤kScanChunk-node chunk top; Check() never mutates counters, and
+  /// a tripped run discards its results. Returns false iff the guard
+  /// tripped mid-scan.
   bool ScanRange(NokMatcher* m, xml::NodeId begin, xml::NodeId end,
                  storage::ScanCursor* io, uint64_t* scanned, uint64_t* vcmps,
                  std::vector<nestedlist::NestedList>* out) const;
@@ -215,7 +208,7 @@ class NokScanOperator : public NestedListOperator {
 
   /// Cached serial path: probes the whole-range key, scanning eagerly into
   /// the buffer on a miss (then filling the cache). Emits the same stream,
-  /// counters, and guard charges as the lazy serial loop.
+  /// counters, and guard charges as the lazy chunked driver.
   void RunSerialCachedScan();
 
   /// Cached virtual-root path ("~" NoKs match at most once per document).
@@ -243,15 +236,15 @@ class NokScanOperator : public NestedListOperator {
   uint64_t matches_emitted_ = 0;
   uint64_t cells_emitted_ = 0;
   uint64_t value_cmps_ = 0;
-  uint64_t wall_nanos_ = 0;
 
   util::ThreadPool* pool_;
   util::ResourceGuard* guard_;
-  /// Shared materialization state: the parallel scan and both cached paths
-  /// buffer their full match stream here and hand entries out by move.
-  bool parallel_done_ = false;
-  std::vector<nestedlist::NestedList> parallel_buf_;
-  size_t parallel_pos_ = 0;
+  /// Match buffer, handed out by move: the parallel scan and both cached
+  /// paths materialize their full stream here (`buffered_`), the lazy
+  /// serial driver one chunk at a time.
+  bool buffered_ = false;
+  std::vector<nestedlist::NestedList> buffer_;
+  size_t buffer_pos_ = 0;
   uint64_t parallel_work_ = 0;
   size_t partitions_used_ = 0;
 
@@ -267,16 +260,11 @@ class NokScanOperator : public NestedListOperator {
 
   ExecOptions exec_;
   /// Root tag id for kernel candidate prefiltering; kNullTag when the tag
-  /// is absent from the document (zero candidates, matching the reference
-  /// scan's zero matches).
+  /// is absent from the document (zero candidates, hence zero matches).
   xml::TagId target_tag_ = xml::kNullTag;
   /// Prefiltering is sound only for a concrete element root: wildcard /
-  /// attribute / virtual roots fall back to the per-node reference loop.
+  /// attribute roots take ScanRange's per-node body.
   bool kernel_eligible_ = false;
-  /// Serial vectorized path: matches found by the current chunk, handed
-  /// out one per GetNext (charged on handout like the buffered paths).
-  std::vector<nestedlist::NestedList> pending_;
-  size_t pending_pos_ = 0;
 };
 
 }  // namespace exec

@@ -14,8 +14,10 @@
 namespace blossomtree {
 namespace exec {
 
-/// \brief Volcano-style iterator over NestedLists (paper §4.2: operators
-/// expose GetNext; pipelined joins compose them without materialization).
+/// \brief Pull-based iterator over NestedLists (paper §4.2: operators
+/// compose GetNext streams; pipelined joins consume them without
+/// materialization). The one production call is GetNextBatch, which hands
+/// over up to a batch of rows per call (DESIGN.md §16).
 ///
 /// Every operator additionally exposes the observability surface of
 /// DESIGN.md §8: a name/label, ExecStats counters, and child links so the
@@ -28,25 +30,11 @@ class NestedListOperator {
   /// \brief The slot context of emitted NestedLists.
   virtual const std::vector<pattern::SlotId>& top_slots() const = 0;
 
-  /// \brief Produces the next NestedList; false at end of stream.
-  virtual bool GetNext(nestedlist::NestedList* out) = 0;
-
-  /// \brief Batch-at-a-time production (DESIGN.md §16): clears `out` and
-  /// refills it with up to `max_rows` NestedLists. Returns the number
-  /// produced; 0 ⟺ end of stream. The base implementation adapts
-  /// node-at-a-time GetNext; batch-native operators override it to pay
-  /// the timer, trace span, and guard checks once per batch instead of
-  /// once per row. Mixing GetNext and GetNextBatch calls on one stream is
-  /// legal — both advance the same cursor.
-  virtual size_t GetNextBatch(Batch* out, size_t max_rows) {
-    out->rows.clear();
-    nestedlist::NestedList nl;
-    while (out->rows.size() < max_rows && GetNext(&nl)) {
-      out->rows.push_back(std::move(nl));
-      nl = nestedlist::NestedList();
-    }
-    return out->rows.size();
-  }
+  /// \brief Clears `out` and refills it with up to `max_rows` NestedLists
+  /// (clamped to [1, kMaxBatchRows]). Returns the number produced; 0 ⟺
+  /// end of stream. The operator's wall timer and trace span cover each
+  /// call once, however many rows it produces.
+  size_t GetNextBatch(Batch* out, size_t max_rows);
 
   /// \brief Restarts the stream from the beginning.
   virtual void Rewind() = 0;
@@ -75,11 +63,7 @@ class NestedListOperator {
   /// Finish(), counters cover the whole input, whether the stream was
   /// consumed lazily (serial scans) or materialized eagerly (parallel
   /// scans) — the normalization the cross-thread determinism tests rely on.
-  virtual void Finish() {
-    nestedlist::NestedList nl;
-    while (GetNext(&nl)) nl = nestedlist::NestedList();
-    for (size_t i = 0; i < NumChildren(); ++i) MutableChild(i)->Finish();
-  }
+  void Finish();
 
   /// \brief Plan-tree links for renderers (0 children by default).
   virtual size_t NumChildren() const { return 0; }
@@ -102,9 +86,56 @@ class NestedListOperator {
   double estimated_rows() const { return estimated_rows_; }
   void set_estimated_rows(double rows) { estimated_rows_ = rows; }
 
+ protected:
+  /// \brief The operator's fill loop: appends up to `max_rows` (already
+  /// clamped) rows to the empty `out->rows`. Appending none ends the
+  /// stream.
+  virtual void FillBatch(Batch* out, size_t max_rows) = 0;
+
+  /// \brief Wall time spent inside GetNextBatch, children included.
+  uint64_t wall_nanos() const { return wall_nanos_; }
+
  private:
   std::string label_;
   double estimated_rows_ = -1.0;
+  uint64_t wall_nanos_ = 0;
+};
+
+/// \brief Row-at-a-time view of a child's batch stream, for consumers
+/// whose per-row logic (the joins' merge and probe loops) reads one input
+/// row at a time. Stages one child batch and refills it when drained.
+class BatchReader {
+ public:
+  explicit BatchReader(NestedListOperator* op) : op_(op) {}
+
+  /// \brief Moves the next row into `*out`, refilling the staged batch
+  /// with up to `batch_rows` rows when it is drained; false at end of
+  /// stream. Once the child reports end, later calls return false without
+  /// pulling again.
+  bool Next(nestedlist::NestedList* out, size_t batch_rows) {
+    if (pos_ == batch_.rows.size()) {
+      pos_ = 0;
+      if (done_ || op_->GetNextBatch(&batch_, batch_rows) == 0) {
+        done_ = true;
+        return false;
+      }
+    }
+    *out = std::move(batch_.rows[pos_++]);
+    return true;
+  }
+
+  /// \brief Drops the staged rows; call after rewinding the child.
+  void Reset() {
+    batch_.clear();
+    pos_ = 0;
+    done_ = false;
+  }
+
+ private:
+  NestedListOperator* op_;
+  Batch batch_;
+  size_t pos_ = 0;
+  bool done_ = false;
 };
 
 /// \brief Span name for an operator's timeline events: the planner label
@@ -114,8 +145,10 @@ inline std::string TraceName(const NestedListOperator& op) {
   return util::Tracer::Get().enabled() ? op.Label() : std::string();
 }
 
-/// \brief Drains an operator into a materialized sequence.
-std::vector<nestedlist::NestedList> Drain(NestedListOperator* op);
+/// \brief Drains an operator into a materialized sequence, pulling
+/// `batch_rows` rows per call (pass the plan's `exec.batch_rows`).
+std::vector<nestedlist::NestedList> Drain(
+    NestedListOperator* op, size_t batch_rows = ExecOptions{}.batch_rows);
 
 /// \brief Renders the operator tree rooted at `op` as indented EXPLAIN
 /// ANALYZE lines: one "Label (est=...) (actual: counters)" line per

@@ -283,7 +283,7 @@ class TreePlanner {
       if (join == JoinStrategy::kPipelined) {
         op = std::make_unique<exec::PipelinedDescJoin>(
             doc_, tree_, std::move(op), std::move(inner), from_slot, c.mode,
-            guard_, exec_);
+            guard_);
       } else {
         op = std::make_unique<exec::BoundedNestedLoopJoin>(
             doc_, tree_, std::move(op), std::move(inner), from_slot, c.mode,
@@ -552,10 +552,12 @@ Result<std::vector<xml::NodeId>> EvaluatePathQuery(
   }
   PatternTreePlan& tp = plan.trees[0];
   std::vector<xml::NodeId> out;
-  nestedlist::NestedList nl;
-  while (tp.root->GetNext(&nl)) {
-    auto part = nestedlist::Project(*tree, tp.tops, nl, result);
-    out.insert(out.end(), part.begin(), part.end());
+  exec::Batch batch;
+  while (tp.root->GetNextBatch(&batch, options.exec.batch_rows) > 0) {
+    for (const nestedlist::NestedList& nl : batch.rows) {
+      auto part = nestedlist::Project(*tree, tp.tops, nl, result);
+      out.insert(out.end(), part.begin(), part.end());
+    }
   }
   // Operators end their streams early when the guard trips; distinguish
   // that from genuine exhaustion before claiming a complete result.

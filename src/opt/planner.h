@@ -75,12 +75,10 @@ struct PlanOptions {
   /// seeks re-verify every candidate and emit the scan's exact stream.
   /// nullptr = every NoK scans (the exact pre-index behavior).
   const index::StructuralIndex* index = nullptr;
-  /// Batched/vectorized execution knobs (DESIGN.md §16): batch size for
-  /// GetNextBatch exchanges, the chunked+SIMD scan drivers
-  /// (`exec.vectorize`, on by default), and the SIMD kernel toggle
-  /// (`exec.simd`). Every combination produces byte-identical results and
-  /// bitwise-identical deterministic counters; vectorize=false pins the
-  /// node-at-a-time reference path.
+  /// Execution knobs (DESIGN.md §16): rows per GetNextBatch exchange
+  /// (`exec.batch_rows`) and the SIMD kernel toggle (`exec.simd`). Every
+  /// combination produces byte-identical results and bitwise-identical
+  /// deterministic counters.
   exec::ExecOptions exec;
 };
 
@@ -121,7 +119,8 @@ struct QueryPlan {
   /// Call before reading counters: it normalizes lazy serial pipelines and
   /// eagerly-materializing parallel scans to the same run-to-completion
   /// totals (DESIGN.md §8), so profiles are identical at every thread
-  /// count. Idempotent on drained plans; invalidates further GetNext use.
+  /// count. Idempotent on drained plans; ends the streams for further
+  /// GetNextBatch calls.
   void FinishAll();
 
   /// \brief EXPLAIN ANALYZE rendering: the Explain() tree re-annotated with

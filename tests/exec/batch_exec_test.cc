@@ -1,9 +1,11 @@
 // Batch-at-a-time execution equivalence suite (DESIGN.md §16):
-//  - every engine result and every deterministic counter must be bitwise-
-//    identical across vectorize on/off, SIMD on/off, batch sizes
-//    {1, 7, 64, 4096}, and 1/2/4 threads, on all five generated datasets;
-//  - operator streams drained via GetNextBatch (any size, or mixed with
-//    GetNext) must equal the node-at-a-time stream byte for byte;
+//  - every engine result must equal the navigational oracle
+//    (engine::PathEvaluator), and every deterministic counter must be
+//    bitwise-identical to the serial scalar-kernel run, across SIMD on/off,
+//    batch sizes {1, 7, 64, 4096}, and 1/2/4 threads, on all five
+//    generated datasets;
+//  - operator streams drained at any batch size (or mixing sizes on one
+//    stream) must equal the batch_rows=1 stream byte for byte;
 //  - mid-batch cancellation: a cell budget tripping at *every* possible
 //    boundary (±1 row around each batch edge) must leave
 //    matches/nl_cells equal to what the consumer actually received — the
@@ -12,17 +14,21 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "engine/path_eval.h"
 #include "exec/exec_stats.h"
 #include "exec/nok_scan.h"
 #include "opt/planner.h"
 #include "pattern/builder.h"
 #include "pattern/decompose.h"
+#include "util/json.h"
 #include "util/resource_guard.h"
+#include "util/trace.h"
 #include "workload/queries.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
@@ -40,12 +46,10 @@ struct EngineRun {
 };
 
 EngineRun RunEngine(const xml::Document* doc, const xpath::PathExpr& path,
-                    unsigned threads, bool vectorize, bool simd,
-                    size_t batch_rows) {
+                    unsigned threads, bool simd, size_t batch_rows) {
   engine::EngineOptions o;
   o.num_threads = threads;
   o.collect_profile = true;
-  o.plan.exec.vectorize = vectorize;
   o.plan.exec.simd = simd;
   o.plan.exec.batch_rows = batch_rows;
   engine::BlossomTreeEngine eng(doc, o);
@@ -66,39 +70,30 @@ TEST(BatchExecTest, EngineIdenticalAcrossBatchSimdAndThreads) {
     for (const workload::QuerySpec& q : workload::QueriesFor(ds)) {
       auto path = xpath::ParsePath(q.xpath);
       ASSERT_TRUE(path.ok()) << q.xpath;
-      // Reference: the node-at-a-time scalar path, serial.
-      EngineRun ref = RunEngine(doc.get(), *path, 1, false, false, 64);
-      auto check = [&](unsigned threads, bool vec, bool simd, size_t rows) {
-        EngineRun got = RunEngine(doc.get(), *path, threads, vec, simd, rows);
-        EXPECT_EQ(got.result, ref.result)
-            << q.xpath << " threads=" << threads << " vectorize=" << vec
-            << " simd=" << simd << " batch_rows=" << rows;
+      // Result oracle: navigational evaluation over the DOM.
+      auto oracle = engine::PathEvaluator(doc.get()).Evaluate(*path);
+      ASSERT_TRUE(oracle.ok()) << q.xpath;
+      // Counter reference: the serial scalar-kernel run.
+      EngineRun ref = RunEngine(doc.get(), *path, 1, false, 64);
+      EXPECT_EQ(ref.result, *oracle) << q.xpath;
+      auto check = [&](unsigned threads, bool simd, size_t rows) {
+        EngineRun got = RunEngine(doc.get(), *path, threads, simd, rows);
+        EXPECT_EQ(got.result, *oracle)
+            << q.xpath << " threads=" << threads << " simd=" << simd
+            << " batch_rows=" << rows;
         EXPECT_EQ(got.counters, ref.counters)
-            << q.xpath << " threads=" << threads << " vectorize=" << vec
-            << " simd=" << simd << " batch_rows=" << rows;
+            << q.xpath << " threads=" << threads << " simd=" << simd
+            << " batch_rows=" << rows;
       };
-      // Batch-size sweep on the vectorized serial path.
-      for (size_t rows : {1u, 7u, 64u, 4096u}) check(1, true, true, rows);
+      // Batch-size sweep on the serial SIMD path.
+      for (size_t rows : {1u, 7u, 64u, 4096u}) check(1, true, rows);
       // Thread × kernel cross at the default batch size.
       for (unsigned threads : {1u, 2u, 4u}) {
-        check(threads, true, true, 64);
-        check(threads, true, false, 64);
-        check(threads, false, false, 64);
+        check(threads, true, 64);
+        check(threads, false, 64);
       }
     }
   }
-}
-
-std::string DrainNodeAtATime(NestedListOperator* op,
-                             const xml::Document& doc) {
-  OccurrenceLabeler label(&doc);
-  std::string out;
-  NestedList nl;
-  while (op->GetNext(&nl)) {
-    out += nestedlist::ToString(nl, label);
-    out += '\n';
-  }
-  return out;
 }
 
 std::string DrainBatched(NestedListOperator* op, const xml::Document& doc,
@@ -117,17 +112,17 @@ std::string DrainBatched(NestedListOperator* op, const xml::Document& doc,
   return out;
 }
 
-opt::PlanOptions VectorizedPlan(util::ResourceGuard* guard = nullptr) {
+opt::PlanOptions PipelinedPlan(util::ResourceGuard* guard = nullptr) {
   opt::PlanOptions po;
   po.strategy = opt::JoinStrategy::kPipelined;
   po.guard = guard;
   return po;
 }
 
-TEST(BatchExecTest, PlanRootBatchedStreamEqualsNodeAtATime) {
+TEST(BatchExecTest, PlanRootStreamIdenticalAcrossBatchSizes) {
   // A scan → pipelined-//-join chain over a generated document, drained
-  // through the plan root: the batch sizes of satellite (d) plus a mixed
-  // GetNext/GetNextBatch drain must all reproduce the reference stream.
+  // through the plan root: every batch size, and a drain mixing sizes on
+  // one stream, must reproduce the batch_rows=1 stream.
   datagen::GenOptions o;
   o.scale = 0.02;
   o.seed = 7;
@@ -137,16 +132,16 @@ TEST(BatchExecTest, PlanRootBatchedStreamEqualsNodeAtATime) {
     ASSERT_TRUE(path.ok()) << q;
     auto tree = pattern::BuildFromPath(*path);
     ASSERT_TRUE(tree.ok()) << q;
-    auto ref_plan = opt::PlanQuery(doc.get(), &*tree, VectorizedPlan());
+    auto ref_plan = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan());
     ASSERT_TRUE(ref_plan.ok()) << q;
     ASSERT_EQ(ref_plan->trees.size(), 1u);
     std::string expected =
-        DrainNodeAtATime(ref_plan->trees[0].root.get(), *doc);
+        DrainBatched(ref_plan->trees[0].root.get(), *doc, 1);
     ref_plan->FinishAll();
     std::string expected_counters =
         ref_plan->trees[0].root->Stats().Counters();
     for (size_t rows : {1u, 7u, 64u, 4096u}) {
-      auto plan = opt::PlanQuery(doc.get(), &*tree, VectorizedPlan());
+      auto plan = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan());
       ASSERT_TRUE(plan.ok());
       EXPECT_EQ(DrainBatched(plan->trees[0].root.get(), *doc, rows),
                 expected)
@@ -155,20 +150,16 @@ TEST(BatchExecTest, PlanRootBatchedStreamEqualsNodeAtATime) {
       EXPECT_EQ(plan->trees[0].root->Stats().Counters(), expected_counters)
           << q << " batch_rows=" << rows;
     }
-    // Mixed drain: one row, then one batch, alternating — both entry
-    // points advance the same cursor.
-    auto plan = opt::PlanQuery(doc.get(), &*tree, VectorizedPlan());
+    // Mixed drain: one row, then three, alternating — every call advances
+    // the same cursor whatever its size.
+    auto plan = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan());
     ASSERT_TRUE(plan.ok());
     NestedListOperator* root = plan->trees[0].root.get();
     OccurrenceLabeler label(doc.get());
     std::string mixed;
     Batch batch;
-    NestedList nl;
-    for (;;) {
-      if (!root->GetNext(&nl)) break;
-      mixed += nestedlist::ToString(nl, label);
-      mixed += '\n';
-      if (root->GetNextBatch(&batch, 3) == 0) break;
+    for (size_t call = 0; root->GetNextBatch(&batch, call % 2 ? 3 : 1) > 0;
+         ++call) {
       for (const NestedList& b : batch.rows) {
         mixed += nestedlist::ToString(b, label);
         mixed += '\n';
@@ -178,7 +169,7 @@ TEST(BatchExecTest, PlanRootBatchedStreamEqualsNodeAtATime) {
   }
 }
 
-TEST(BatchExecTest, NokScanBatchedStreamEqualsNodeAtATime) {
+TEST(BatchExecTest, NokScanStreamIdenticalAcrossBatchSizes) {
   auto doc = xml::ParseDocument(
                  "<r><a><b/><c/></a><a><b/></a><x/><a><c/><b/><b/></a>"
                  "<a><a><b/></a></a></r>")
@@ -189,7 +180,7 @@ TEST(BatchExecTest, NokScanBatchedStreamEqualsNodeAtATime) {
   pattern::Decomposition d = pattern::Decompose(*tree);
   for (size_t nok = 0; nok < d.noks.size(); ++nok) {
     NokScanOperator ref(doc.get(), &*tree, &d.noks[nok]);
-    std::string expected = DrainNodeAtATime(&ref, *doc);
+    std::string expected = DrainBatched(&ref, *doc, 1);
     for (size_t rows : {1u, 7u, 64u, 4096u}) {
       NokScanOperator scan(doc.get(), &*tree, &d.noks[nok]);
       EXPECT_EQ(DrainBatched(&scan, *doc, rows), expected)
@@ -198,6 +189,89 @@ TEST(BatchExecTest, NokScanBatchedStreamEqualsNodeAtATime) {
       scan.Rewind();
       EXPECT_EQ(DrainBatched(&scan, *doc, rows), expected);
     }
+  }
+}
+
+// -- Trace volume: one exec span per batch, not per row ----------------------
+
+/// Counts the 'B' events of category "exec" per span name in the current
+/// trace capture.
+std::map<std::string, size_t> ExecSpanCounts() {
+  std::map<std::string, size_t> counts;
+  auto parsed = util::ParseJson(util::Tracer::Get().ExportJson());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return counts;
+  for (const util::JsonValue& e : parsed->Find("traceEvents")->AsArray()) {
+    if (e.StringOr("ph", "") == "B" && e.StringOr("cat", "") == "exec") {
+      ++counts[e.StringOr("name", "")];
+    }
+  }
+  return counts;
+}
+
+size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
+
+/// The tracer is process-wide: leave it off and empty for later tests.
+void ResetTracer() {
+  util::Tracer::Get().Disable();
+  util::Tracer::Get().Clear();
+}
+
+TEST(BatchExecTest, FlworDrainHonorsBatchRows) {
+  // The FLWOR drain must pull at the plan's batch size: its single scan
+  // emits one exec span per batch plus the end-of-stream call.
+  constexpr size_t kBooks = 200;
+  std::string xml = "<bib>";
+  for (size_t i = 0; i < kBooks; ++i) xml += "<book/>";
+  xml += "</bib>";
+  auto doc = xml::ParseDocument(xml).MoveValue();
+  for (size_t rows : {1u, 64u}) {
+    engine::EngineOptions o;
+    o.num_threads = 1;
+    o.trace = true;
+    o.plan.exec.batch_rows = rows;
+    engine::BlossomTreeEngine eng(doc.get(), o);
+    auto r = eng.EvaluateQuery("for $b in //book return $b");
+    std::map<std::string, size_t> spans = ExecSpanCounts();
+    ResetTracer();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(spans.size(), 1u) << "expected one scan operator";
+    EXPECT_EQ(spans["NokScan(book)"], CeilDiv(kBooks, rows) + 1)
+        << "batch_rows=" << rows;
+  }
+}
+
+TEST(BatchExecTest, ChildTraceSpansScaleWithBatchesNotRows) {
+  // A pipelined //a//b plan with 250 inner rows: the joins pull their
+  // children batch-at-a-time, so each operator records at most one exec
+  // span per batch it produced plus the end-of-stream call.
+  constexpr size_t kBatchRows = 16;
+  std::string xml = "<r>";
+  for (int i = 0; i < 50; ++i) xml += "<a><b/><b/><b/><b/><b/></a>";
+  xml += "</r>";
+  auto doc = xml::ParseDocument(xml).MoveValue();
+  auto path = xpath::ParsePath("//a//b");
+  auto tree = pattern::BuildFromPath(*path);
+  ASSERT_TRUE(tree.ok());
+  opt::PlanOptions po = PipelinedPlan();
+  po.exec.batch_rows = kBatchRows;
+  auto plan = opt::PlanQuery(doc.get(), &*tree, po);
+  ASSERT_TRUE(plan.ok());
+  NestedListOperator* root = plan->trees[0].root.get();
+  ASSERT_EQ(root->NumChildren(), 2u);
+  util::Tracer::Get().Enable();
+  Drain(root, kBatchRows);
+  util::Tracer::Get().Disable();
+  std::map<std::string, size_t> spans = ExecSpanCounts();
+  ResetTracer();
+  std::vector<const NestedListOperator*> ops = {root, root->Child(0),
+                                                root->Child(1)};
+  EXPECT_EQ(root->Child(1)->Stats().matches, 250u);
+  for (const NestedListOperator* op : ops) {
+    size_t rows = op->Stats().matches;
+    EXPECT_GE(spans[op->Label()], 1u) << op->Label();
+    EXPECT_LE(spans[op->Label()], CeilDiv(rows, kBatchRows) + 1)
+        << op->Label() << " rows=" << rows;
   }
 }
 
@@ -241,22 +315,22 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
   // not just the root's delivered cells.
   util::ResourceGuard unlimited;
   unlimited.Arm();
-  auto full = opt::PlanQuery(doc.get(), &*tree, VectorizedPlan(&unlimited));
+  auto full = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan(&unlimited));
   ASSERT_TRUE(full.ok());
   GovernedDrain total = DrainGoverned(full->trees[0].root.get(), 64);
   ASSERT_GT(total.rows, 4u);
   const uint64_t total_charge = unlimited.CellsCharged();
   ASSERT_GE(total_charge, total.cells);
 
-  for (bool vectorize : {true, false}) {
+  for (bool simd : {true, false}) {
     for (size_t batch_rows : {1u, 7u, 64u}) {
       for (uint64_t budget = 0; budget <= total_charge; ++budget) {
         util::QueryLimits limits;
         limits.max_nl_cells = budget;
         util::ResourceGuard guard(limits);
         guard.Arm();
-        opt::PlanOptions po = VectorizedPlan(&guard);
-        po.exec.vectorize = vectorize;
+        opt::PlanOptions po = PipelinedPlan(&guard);
+        po.exec.simd = simd;
         auto plan = opt::PlanQuery(doc.get(), &*tree, po);
         ASSERT_TRUE(plan.ok());
         NestedListOperator* root = plan->trees[0].root.get();
@@ -269,10 +343,10 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
         plan->FinishAll();
         ExecStats s = plan->trees[0].root->Stats();
         EXPECT_EQ(s.matches, got.rows)
-            << "vectorize=" << vectorize << " batch_rows=" << batch_rows
+            << "simd=" << simd << " batch_rows=" << batch_rows
             << " budget=" << budget;
         EXPECT_EQ(s.nl_cells, got.cells)
-            << "vectorize=" << vectorize << " batch_rows=" << batch_rows
+            << "simd=" << simd << " batch_rows=" << batch_rows
             << " budget=" << budget;
         if (budget < total_charge) {
           EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
@@ -287,8 +361,7 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
 
 TEST(BatchExecTest, ScanStatsMatchDeliveryUnderRowBudgetTrips) {
   // The same audit at the leaf: a bare NokScanOperator under cell budgets
-  // tripping on every row, on both the vectorized chunk driver and the
-  // node-at-a-time reference loop.
+  // tripping on every row, with either kernel backend.
   auto doc = xml::ParseDocument(
                  "<r><a/><b/><a/><a/><c/><a/><a/><a/><b/><a/></r>")
                  .MoveValue();
@@ -300,13 +373,12 @@ TEST(BatchExecTest, ScanStatsMatchDeliveryUnderRowBudgetTrips) {
 
   NokScanOperator ungoverned(doc.get(), &*tree, nok);
   uint64_t total = 0;
-  NestedList nl;
-  while (ungoverned.GetNext(&nl)) total += CountCells(nl);
+  for (const NestedList& nl : Drain(&ungoverned)) total += CountCells(nl);
   ASSERT_GT(total, 0u);
 
-  for (bool vectorize : {true, false}) {
+  for (bool simd : {true, false}) {
     ExecOptions eo;
-    eo.vectorize = vectorize;
+    eo.simd = simd;
     for (uint64_t budget = 0; budget <= total; ++budget) {
       util::QueryLimits limits;
       limits.max_nl_cells = budget;
@@ -316,9 +388,9 @@ TEST(BatchExecTest, ScanStatsMatchDeliveryUnderRowBudgetTrips) {
                            nullptr, eo);
       GovernedDrain got = DrainGoverned(&scan, 3);
       EXPECT_EQ(scan.Stats().matches, got.rows)
-          << "vectorize=" << vectorize << " budget=" << budget;
+          << "simd=" << simd << " budget=" << budget;
       EXPECT_EQ(scan.Stats().nl_cells, got.cells)
-          << "vectorize=" << vectorize << " budget=" << budget;
+          << "simd=" << simd << " budget=" << budget;
       EXPECT_EQ(guard.Tripped(), budget < total);
     }
   }

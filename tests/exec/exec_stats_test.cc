@@ -176,8 +176,8 @@ TEST(ExecStatsTest, FinishNormalizesPartiallyConsumedPlans) {
     if (threads > 1) opts.pool = &pool;
     auto plan = opt::PlanQuery(doc.get(), &tree, opts);
     ASSERT_TRUE(plan.ok());
-    nestedlist::NestedList nl;
-    ASSERT_TRUE(plan->trees[0].root->GetNext(&nl));  // One row only.
+    Batch one;
+    ASSERT_EQ(plan->trees[0].root->GetNextBatch(&one, 1), 1u);  // One row.
     engine::QueryProfile profile =
         engine::BuildQueryProfile(&*plan, q, threads);  // Finishes.
     EXPECT_EQ(profile.ToText(), full) << "threads=" << threads;

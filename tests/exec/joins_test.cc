@@ -111,9 +111,8 @@ TEST(NestedLoopJoinTest, Example4NoKOutputsMatchPaper) {
   ASSERT_GE(fx.nok_book2, 0);
   auto op = fx.FramedScan(fx.nok_book1, 0);
   auto label = fx.AbbrevLabeler();
-  NestedList nl;
   std::vector<std::string> rendered;
-  while (op->GetNext(&nl)) {
+  for (const NestedList& nl : Drain(op.get())) {
     rendered.push_back(nestedlist::ToString(nl, label));
   }
   // Paper Example 4 (the NoK emits (book,(author),(title)) frames; the
@@ -143,9 +142,8 @@ TEST(NestedLoopJoinTest, Example4JoinResultMatchesPaper) {
                       fx.FramedScan(fx.nok_book1, 0),
                       fx.FramedScan(fx.nok_book2, 1), {true, false}, pred);
   auto label = fx.AbbrevLabeler();
-  NestedList nl;
   std::vector<std::string> rendered;
-  while (join.GetNext(&nl)) {
+  for (const NestedList& nl : Drain(&join)) {
     rendered.push_back(nestedlist::ToString(nl, label));
   }
   // Paper Example 4's final result (canonical group order: author, title).

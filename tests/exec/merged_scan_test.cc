@@ -51,13 +51,12 @@ TEST(MergedScanTest, MatchesSeparateScans) {
   for (size_t i = 0; i < noks.size(); ++i) {
     auto merged_op = merged.MakeOperator(i);
     NokScanOperator separate(fx.doc.get(), &fx.tree, noks[i]);
-    nestedlist::NestedList a;
-    nestedlist::NestedList b;
-    while (true) {
-      bool ga = merged_op->GetNext(&a);
-      bool gb = separate.GetNext(&b);
-      ASSERT_EQ(ga, gb);
-      if (!ga) break;
+    std::vector<nestedlist::NestedList> ra = Drain(merged_op.get());
+    std::vector<nestedlist::NestedList> rb = Drain(&separate);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (size_t row = 0; row < ra.size(); ++row) {
+      const nestedlist::NestedList& a = ra[row];
+      const nestedlist::NestedList& b = rb[row];
       ASSERT_EQ(a.tops.size(), b.tops.size());
       for (size_t t = 0; t < a.tops.size(); ++t) {
         ASSERT_EQ(a.tops[t].size(), b.tops[t].size());
@@ -97,9 +96,7 @@ TEST(MergedScanTest, HandlesVirtualRootNok) {
   MergedNokScan merged(fx.doc.get(), &fx.tree, noks);
   merged.Run();
   auto op = merged.MakeOperator(0);
-  nestedlist::NestedList nl;
-  EXPECT_TRUE(op->GetNext(&nl));
-  EXPECT_FALSE(op->GetNext(&nl));
+  EXPECT_EQ(Drain(op.get()).size(), 1u);
 }
 
 TEST(MergedScanTest, MatchAnyRootsMatchSerialReference) {
@@ -120,13 +117,12 @@ TEST(MergedScanTest, MatchAnyRootsMatchSerialReference) {
     for (size_t i = 0; i < noks.size(); ++i) {
       auto merged_op = merged.MakeOperator(i);
       NokScanOperator separate(fx.doc.get(), &fx.tree, noks[i]);
-      nestedlist::NestedList a;
-      nestedlist::NestedList b;
-      while (true) {
-        bool ga = merged_op->GetNext(&a);
-        bool gb = separate.GetNext(&b);
-        ASSERT_EQ(ga, gb) << query << " nok " << i;
-        if (!ga) break;
+      std::vector<nestedlist::NestedList> ra = Drain(merged_op.get());
+      std::vector<nestedlist::NestedList> rb = Drain(&separate);
+      ASSERT_EQ(ra.size(), rb.size()) << query << " nok " << i;
+      for (size_t row = 0; row < ra.size(); ++row) {
+        const nestedlist::NestedList& a = ra[row];
+        const nestedlist::NestedList& b = rb[row];
         ASSERT_EQ(a.tops.size(), b.tops.size()) << query;
         for (size_t t = 0; t < a.tops.size(); ++t) {
           ASSERT_EQ(a.tops[t].size(), b.tops[t].size()) << query;
@@ -148,10 +144,8 @@ TEST(MergedScanTest, WildcardRootFindsAllElements) {
   MergedNokScan merged(fx.doc.get(), &fx.tree, noks);
   merged.Run();
   auto op = merged.MakeOperator(0);
-  nestedlist::NestedList nl;
-  size_t matches = 0;
-  while (op->GetNext(&nl)) ++matches;
-  EXPECT_EQ(matches, 4u);  // r, a, b, c — every element in the document
+  // r, a, b, c — every element in the document.
+  EXPECT_EQ(Drain(op.get()).size(), 4u);
 }
 
 TEST(MergedScanTest, MatchWorkAccumulates) {

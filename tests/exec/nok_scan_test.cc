@@ -44,12 +44,12 @@ TEST(NokScanTest, ReproducesExample3Figure4) {
   Decomposition d = Decompose(t);
   ASSERT_EQ(d.noks.size(), 1u);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_EQ(rows.size(), 1u);
+  const NestedList& out = rows[0];
   OccurrenceLabeler label(doc.get());
   EXPECT_EQ(nestedlist::ToString(out, label),
             "(a1,[(b1,()),(b2,[(d1),(d2)]),(b3,(d3))],[(c1),(c2)])");
-  EXPECT_FALSE(scan.GetNext(&out));
 }
 
 TEST(NokScanTest, MandatoryChildFailsMatch) {
@@ -58,13 +58,13 @@ TEST(NokScanTest, MandatoryChildFailsMatch) {
   BlossomTree t = Example3Pattern();
   Decomposition d = Decompose(t);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_EQ(rows.size(), 1u);
+  const NestedList& out = rows[0];
   std::vector<SlotId> tops(scan.top_slots());
   auto as = nestedlist::Project(t, tops, out, 0);
   ASSERT_EQ(as.size(), 1u);
   EXPECT_EQ(doc->TagName(as[0]), "a");
-  EXPECT_FALSE(scan.GetNext(&out));
 }
 
 TEST(NokScanTest, OptionalChildrenMayBeMissing) {
@@ -72,8 +72,9 @@ TEST(NokScanTest, OptionalChildrenMayBeMissing) {
   BlossomTree t = Example3Pattern();
   Decomposition d = Decompose(t);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_FALSE(rows.empty());
+  const NestedList& out = rows[0];
   OccurrenceLabeler label(doc.get());
   EXPECT_EQ(nestedlist::ToString(out, label), "(a1,(b1,()),())");
 }
@@ -83,9 +84,8 @@ TEST(NokScanTest, EmitsOneListPerRootMatchInDocOrder) {
   BlossomTree t = Example3Pattern();
   Decomposition d = Decompose(t);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  NestedList out;
   std::vector<xml::NodeId> roots;
-  while (scan.GetNext(&out)) {
+  for (const NestedList& out : Drain(&scan)) {
     auto as = nestedlist::Project(t, scan.top_slots(), out, 0);
     roots.insert(roots.end(), as.begin(), as.end());
   }
@@ -99,10 +99,7 @@ TEST(NokScanTest, RecursiveMatchesNestAndAllEmit) {
   BlossomTree t = Example3Pattern();
   Decomposition d = Decompose(t);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  NestedList out;
-  int count = 0;
-  while (scan.GetNext(&out)) ++count;
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(Drain(&scan).size(), 2u);
 }
 
 TEST(NokScanTest, VirtualRootAnchorsAbsolutePaths) {
@@ -114,13 +111,13 @@ TEST(NokScanTest, VirtualRootAnchorsAbsolutePaths) {
   Decomposition d = Decompose(*tr);
   ASSERT_EQ(d.noks.size(), 1u);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_EQ(rows.size(), 1u);
+  const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
                                    tr->SlotOfVariable("result"));
   ASSERT_EQ(nodes.size(), 1u);
   EXPECT_EQ(doc->TagName(nodes[0]), "b");
-  EXPECT_FALSE(scan.GetNext(&out));
 }
 
 TEST(NokScanTest, AbsolutePathDoesNotMatchNonRootElements) {
@@ -132,8 +129,7 @@ TEST(NokScanTest, AbsolutePathDoesNotMatchNonRootElements) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  NestedList out;
-  EXPECT_FALSE(scan.GetNext(&out));
+  EXPECT_TRUE(Drain(&scan).empty());
 }
 
 TEST(NokScanTest, ValueConstraint) {
@@ -144,8 +140,9 @@ TEST(NokScanTest, ValueConstraint) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_FALSE(rows.empty());
+  const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
                                    tr->SlotOfVariable("result"));
   ASSERT_EQ(nodes.size(), 1u);
@@ -160,8 +157,9 @@ TEST(NokScanTest, NumericValueConstraint) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));  // "07" == 7 numerically.
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_FALSE(rows.empty());  // "07" == 7 numerically.
+  const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
                                    tr->SlotOfVariable("result"));
   EXPECT_EQ(doc->StringValue(nodes[0]), "07");
@@ -175,8 +173,9 @@ TEST(NokScanTest, PositionPredicate) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_FALSE(rows.empty());
+  const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
                                    tr->SlotOfVariable("result"));
   ASSERT_EQ(nodes.size(), 1u);
@@ -191,8 +190,9 @@ TEST(NokScanTest, WildcardStep) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_FALSE(rows.empty());
+  const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
                                    tr->SlotOfVariable("result"));
   EXPECT_EQ(nodes.size(), 2u);
@@ -206,8 +206,9 @@ TEST(NokScanTest, ExistencePredicateSubtree) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_FALSE(rows.empty());
+  const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
                                    tr->SlotOfVariable("result"));
   // Only the first a (which has a b) contributes its c.
@@ -227,8 +228,9 @@ TEST(NokScanTest, FollowingSiblingAxis) {
   Decomposition d = Decompose(t);
   ASSERT_EQ(d.noks.size(), 1u);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_FALSE(rows.empty());
+  const NestedList& out = rows[0];
   auto nodes =
       nestedlist::Project(t, scan.top_slots(), out, t.SlotOfVariable("result"));
   EXPECT_EQ(nodes.size(), 2u);  // Both b's follow a.
@@ -242,10 +244,7 @@ TEST(NokScanTest, AttributeConstraint) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  NestedList out;
-  int count = 0;
-  while (scan.GetNext(&out)) ++count;
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(Drain(&scan).size(), 1u);
 }
 
 TEST(NokScanTest, AttributeValueConstraint) {
@@ -256,8 +255,9 @@ TEST(NokScanTest, AttributeValueConstraint) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_FALSE(rows.empty());
+  const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
                                    tr->SlotOfVariable("result"));
   ASSERT_EQ(nodes.size(), 1u);
@@ -273,11 +273,11 @@ TEST(NokScanTest, SetRangeBoundsTheScan) {
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
   // Restrict to the second a's subtree (nodes 3..4).
   scan.SetRange(3, 4);
-  NestedList out;
-  ASSERT_TRUE(scan.GetNext(&out));
+  std::vector<NestedList> rows = Drain(&scan);
+  ASSERT_EQ(rows.size(), 1u);
+  const NestedList& out = rows[0];
   auto as = nestedlist::Project(t, scan.top_slots(), out, 0);
   EXPECT_EQ(as[0], 3u);
-  EXPECT_FALSE(scan.GetNext(&out));
 }
 
 TEST(NokScanTest, RewindRestartsAndCountsWork) {
@@ -285,13 +285,12 @@ TEST(NokScanTest, RewindRestartsAndCountsWork) {
   BlossomTree t = Example3Pattern();
   Decomposition d = Decompose(t);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  NestedList out;
-  while (scan.GetNext(&out)) {
-  }
+  Drain(&scan);
   uint64_t scanned = scan.NodesScanned();
   EXPECT_EQ(scanned, doc->NumNodes());
   scan.Rewind();
-  ASSERT_TRUE(scan.GetNext(&out));
+  Batch one;
+  ASSERT_EQ(scan.GetNextBatch(&one, 1), 1u);
   EXPECT_GT(scan.NodesScanned(), scanned);
   EXPECT_GT(scan.MatchWork(), 0u);
 }

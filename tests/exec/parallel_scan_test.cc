@@ -31,8 +31,7 @@ std::string DrainToString(NokScanOperator* scan,
                           const xml::Document& doc) {
   OccurrenceLabeler label(&doc);
   std::string out;
-  NestedList nl;
-  while (scan->GetNext(&nl)) {
+  for (const NestedList& nl : Drain(scan)) {
     out += nestedlist::ToString(nl, label);
     out += '\n';
   }

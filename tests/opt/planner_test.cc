@@ -172,9 +172,7 @@ TEST(PlannerTest, ScanMetricsExposed) {
   pattern::BlossomTree t = Tree("//a//b");
   auto plan = PlanQuery(doc.get(), &t);
   ASSERT_TRUE(plan.ok());
-  nestedlist::NestedList nl;
-  while (plan->trees[0].root->GetNext(&nl)) {
-  }
+  exec::Drain(plan->trees[0].root.get());
   EXPECT_GT(plan->trees[0].TotalNodesScanned(), 0u);
 }
 
