@@ -32,6 +32,7 @@
 #include "engine/engine.h"
 #include "service/corpus.h"
 #include "service/query_service.h"
+#include "util/json.h"
 #include "util/metrics.h"
 
 using blossomtree::bench::BenchFlags;
@@ -357,12 +358,14 @@ int main(int argc, char** argv) {
     }
     if (obs_fail > 0) return 1;
 
-    // CI artifacts: the scrapeable exposition and the slow-query log.
+    // CI artifacts: the scrapeable exposition, the slow-query log and the
+    // flight recorder. The JSON dumps must parse.
     blossomtree::service::ObservabilityReport report =
         svc.ObservabilityReport();
     const std::pair<const char*, const std::string*> artifacts[] = {
         {"BENCH_service_exposition.txt", &report.prometheus},
         {"BENCH_service_slowlog.json", &report.slow_json},
+        {"BENCH_service_recent.json", &report.recent_json},
     };
     for (const auto& [path, text] : artifacts) {
       std::FILE* f = std::fopen(path, "w");
@@ -370,6 +373,14 @@ int main(int argc, char** argv) {
         std::fwrite(text->data(), 1, text->size(), f);
         std::fclose(f);
         std::printf("  wrote %s (%zu bytes)\n", path, text->size());
+      }
+    }
+    for (const std::string* json : {&report.slow_json, &report.recent_json}) {
+      auto parsed = blossomtree::util::ParseJson(*json);
+      if (!parsed.ok()) {
+        std::printf("FAIL: observer JSON dump does not parse: %s\n",
+                    parsed.status().ToString().c_str());
+        return 1;
       }
     }
   }

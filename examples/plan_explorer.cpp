@@ -15,6 +15,7 @@
 #include <string>
 
 #include "datagen/datagen.h"
+#include "engine/query_profile.h"
 #include "exec/operator.h"
 #include "opt/cost_model.h"
 #include "opt/planner.h"
@@ -32,19 +33,23 @@ using namespace blossomtree;
 
 namespace {
 
-/// Folds a drained plan's per-operator counters (and per-operator wall
-/// times) into `m`; no-op when metrics collection is off.
-void FoldPlanMetrics(util::MetricsRegistry* m, opt::QueryPlan& plan) {
-  if (m == nullptr) return;
-  opt::ForEachOperator(
-      plan, [&](const exec::NestedListOperator& op, int /*depth*/) {
-        const exec::ExecStats& s = op.Stats();
-        m->GetCounter("exec.rows")->Add(s.matches);
-        m->GetCounter("exec.nodes_scanned")->Add(s.nodes_scanned);
-        m->GetCounter("exec.comparisons")->Add(s.comparisons);
-        m->GetCounter("exec.nl_cells")->Add(s.nl_cells);
-        m->GetHistogram("exec.operator_wall_ns")->Record(s.wall_nanos);
-      });
+/// Profiles a drained plan (BuildQueryProfile finishes it), folds the
+/// per-operator counters and wall times into `m` (no-op when metrics
+/// collection is off), and returns the EXPLAIN ANALYZE text.
+std::string ExplainAnalyze(util::MetricsRegistry* m, opt::QueryPlan* plan,
+                           const std::string& query) {
+  engine::QueryProfile profile = engine::BuildQueryProfile(plan, query, 1);
+  if (m != nullptr) {
+    for (const engine::OperatorProfile& op : profile.operators) {
+      const exec::ExecStats& s = op.stats;
+      m->GetCounter("exec.rows")->Add(s.matches);
+      m->GetCounter("exec.nodes_scanned")->Add(s.nodes_scanned);
+      m->GetCounter("exec.comparisons")->Add(s.comparisons);
+      m->GetCounter("exec.nl_cells")->Add(s.nl_cells);
+      m->GetHistogram("exec.operator_wall_ns")->Record(s.wall_nanos);
+    }
+  }
+  return profile.ExplainAnalyze();
 }
 
 void Explore(const char* label, const char* xml, const char* query,
@@ -102,9 +107,8 @@ void Explore(const char* label, const char* xml, const char* query,
   auto aplan = opt::PlanQuery(doc.get(), &*tree, eo);
   if (aplan.ok()) {
     for (auto& tp : aplan->trees) exec::Drain(tp.root.get());
-    aplan->FinishAll();
-    FoldPlanMetrics(m, *aplan);
-    std::printf("EXPLAIN ANALYZE:\n%s", aplan->ExplainAnalyze().c_str());
+    std::printf("EXPLAIN ANALYZE:\n%s",
+                ExplainAnalyze(m, &*aplan, query).c_str());
     opt::CalibrationReport cal = opt::CheckCalibration(*aplan);
     if (cal.num_flagged > 0) {
       std::printf("calibration (>10x deviations):\n%s",
@@ -145,11 +149,9 @@ void ExplainWorkload(util::MetricsRegistry* m) {
       auto plan = opt::PlanQuery(doc.get(), &*tree, po);
       if (!plan.ok()) continue;
       for (auto& tp : plan->trees) exec::Drain(tp.root.get());
-      plan->FinishAll();
-      FoldPlanMetrics(m, *plan);
       std::printf("%s %s: %s\n%s\n", datagen::DatasetName(d),
                   q.id.c_str(), q.xpath.c_str(),
-                  plan->ExplainAnalyze().c_str());
+                  ExplainAnalyze(m, &*plan, q.xpath).c_str());
     }
   }
 }

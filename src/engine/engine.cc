@@ -52,18 +52,29 @@ BlossomTreeEngine::BlossomTreeEngine(const xml::Document* doc,
 
 namespace {
 
-/// Wall-clock nanoseconds since `start` — histogram fodder, never part of
-/// the deterministic counter surface.
-uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+/// Adds one query's probes of a cache to the `prefix`.hits/.misses
+/// counters, and sets the cache-wide evictions, bytes and entries from
+/// `now` as gauges (an eviction belongs to whichever insert needed room,
+/// not to one query).
+void AddCacheMetrics(util::MetricsRegistry* metrics, const std::string& prefix,
+                     const exec::CacheProbes& probes,
+                     const util::CacheStats& now) {
+  metrics->GetCounter(prefix + ".hits")->Add(probes.hits);
+  metrics->GetCounter(prefix + ".misses")->Add(probes.misses);
+  auto set_gauge = [&](const char* name, uint64_t value) {
+    util::Counter* gauge = metrics->GetCounter(prefix + name);
+    gauge->Reset();
+    gauge->Add(value);
+  };
+  set_gauge(".evictions", now.evictions);
+  set_gauge(".bytes", now.bytes);
+  set_gauge(".entries", now.entries);
 }
 
 }  // namespace
 
 Result<std::string> BlossomTreeEngine::EvaluateQuery(std::string_view query) {
+  last_profile_ = QueryProfile{};
   // Plan-cache level 1: verbatim query text → parsed AST. A hit skips the
   // parser entirely (and records no query.parse_ns sample — there was no
   // parse). Parse failures are never cached: the error re-surfaces each time.
@@ -71,41 +82,43 @@ Result<std::string> BlossomTreeEngine::EvaluateQuery(std::string_view query) {
   if (active_plan_cache_ != nullptr) {
     util::TraceSpan lookup("cache", "plan.parsed.lookup");
     expr = active_plan_cache_->GetParsed(std::string(query));
+    last_profile_.plan_cache.Count(expr != nullptr);
   }
   if (expr == nullptr) {
     auto parse_start = std::chrono::steady_clock::now();
-    BT_ASSIGN_OR_RETURN(
-        std::unique_ptr<flwor::Expr> parsed,
-        flwor::ParseQuery(query, options_.limits.ToParseLimits()));
-    if (options_.collect_metrics) {
-      metrics_.GetHistogram("query.parse_ns")->Record(NanosSince(parse_start));
+    Result<std::unique_ptr<flwor::Expr>> parsed =
+        flwor::ParseQuery(query, options_.limits.ToParseLimits());
+    if (!parsed.ok()) {
+      EndQuery(nullptr, parse_start);
+      return parsed.status();
     }
-    expr = std::shared_ptr<const flwor::Expr>(std::move(parsed));
+    if (options_.collect_metrics) {
+      metrics_.GetHistogram("query.parse_ns")
+          ->Record(util::NanosSince(parse_start));
+    }
+    expr = std::shared_ptr<const flwor::Expr>(parsed.MoveValue());
     if (active_plan_cache_ != nullptr) {
       active_plan_cache_->PutParsed(std::string(query), expr);
     }
   }
-  return EvaluateToXml(*expr);
+  return RunToXml(*expr);
 }
 
 Result<std::string> BlossomTreeEngine::EvaluateToXml(
     const flwor::Expr& expr) {
+  last_profile_ = QueryProfile{};
+  return RunToXml(expr);
+}
+
+Result<std::string> BlossomTreeEngine::RunToXml(const flwor::Expr& expr) {
   util::TraceSpan span("engine", "query");
   auto start = std::chrono::steady_clock::now();
   guard_.Arm();  // The deadline clock starts here, not at construction.
   ResultBuilder out(doc_);
-  BT_RETURN_NOT_OK(EvalExpr(expr, Env{}, &out));
-  if (guard_.Tripped()) return guard_.status();
-  Result<std::string> xml = out.ToXml();
-  if (options_.collect_metrics) {
-    FoldCacheMetrics();
-    metrics_.GetCounter("engine.queries")->Increment();
-    metrics_.GetHistogram("query.wall_ns")->Record(NanosSince(start));
-    // Re-snapshot so the profile's embedded registry includes the
-    // query-level counters recorded just now, not only the per-operator
-    // ones folded in by CollectProfile.
-    if (options_.collect_profile) last_profile_.metrics_json = metrics_.ToJson();
-  }
+  Status status = EvalExpr(expr, Env{}, &out);
+  if (status.ok() && guard_.Tripped()) status = guard_.status();
+  Result<std::string> xml = status.ok() ? out.ToXml() : status;
+  EndQuery(xml.ok() ? "engine.queries" : nullptr, start);
   return xml;
 }
 
@@ -113,18 +126,43 @@ Result<std::vector<xml::NodeId>> BlossomTreeEngine::EvaluatePath(
     const xpath::PathExpr& path) {
   util::TraceSpan span("engine", "path");
   auto start = std::chrono::steady_clock::now();
+  last_profile_ = QueryProfile{};
   guard_.Arm();
-  BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> out, EvalPathPlan(path));
-  if (guard_.Tripped()) return guard_.status();
-  if (options_.collect_metrics) {
-    FoldCacheMetrics();
-    metrics_.GetCounter("engine.path_queries")->Increment();
+  Result<std::vector<xml::NodeId>> out = EvalPathPlan(path);
+  if (out.ok() && guard_.Tripped()) out = guard_.status();
+  if (out.ok() && options_.collect_metrics) {
     metrics_.GetCounter("engine.path_result_nodes")
-        ->Add(static_cast<uint64_t>(out.size()));
-    metrics_.GetHistogram("query.wall_ns")->Record(NanosSince(start));
-    if (options_.collect_profile) last_profile_.metrics_json = metrics_.ToJson();
+        ->Add(static_cast<uint64_t>(out->size()));
   }
+  EndQuery(out.ok() ? "engine.path_queries" : nullptr, start);
   return out;
+}
+
+void BlossomTreeEngine::EndQuery(const char* done_counter,
+                                 std::chrono::steady_clock::time_point start) {
+  if (!options_.collect_metrics) return;
+  exec::ExecStats total = last_profile_.Totals();
+  if (!last_profile_.operators.empty()) {
+    metrics_.GetCounter("exec.rows")->Add(total.matches);
+    metrics_.GetCounter("exec.nodes_scanned")->Add(total.nodes_scanned);
+    metrics_.GetCounter("exec.comparisons")->Add(total.comparisons);
+    metrics_.GetCounter("exec.nl_cells")->Add(total.nl_cells);
+  }
+  if (active_plan_cache_ != nullptr) {
+    AddCacheMetrics(&metrics_, "cache.plan", last_profile_.plan_cache,
+                    active_plan_cache_->Stats());
+  }
+  if (options_.plan.result_cache != nullptr) {
+    AddCacheMetrics(&metrics_, "cache.result", total.result_cache,
+                    options_.plan.result_cache->Stats());
+  }
+  if (done_counter != nullptr) {
+    metrics_.GetCounter(done_counter)->Increment();
+    metrics_.GetHistogram("query.wall_ns")->Record(util::NanosSince(start));
+  }
+  // Snapshot last, so the profile's embedded registry includes this
+  // query's counters.
+  if (options_.collect_profile) last_profile_.metrics_json = metrics_.ToJson();
 }
 
 Result<std::vector<xml::NodeId>> BlossomTreeEngine::EvalPathPlan(
@@ -138,6 +176,7 @@ Result<std::vector<xml::NodeId>> BlossomTreeEngine::EvalPathPlan(
     key = CanonicalPathKey(path);
     util::TraceSpan lookup("cache", "plan.path.lookup");
     compiled = active_plan_cache_->GetPath(key);
+    last_profile_.plan_cache.Count(compiled != nullptr);
   }
   if (compiled == nullptr) {
     auto built = pattern::BuildFromPath(path);
@@ -188,25 +227,7 @@ Result<std::vector<xml::NodeId>> BlossomTreeEngine::EvalPathPlan(
 void BlossomTreeEngine::CollectProfile(opt::QueryPlan* plan,
                                        const std::string& label) {
   if (!options_.collect_profile && !options_.collect_metrics) return;
-  QueryProfile profile = BuildQueryProfile(plan, label, EffectiveThreads());
-  if (options_.collect_metrics) {
-    // Fold deterministic per-operator counters into the registry — with or
-    // without profile collection, so `--metrics` alone sees exec.* totals.
-    for (const OperatorProfile& op : profile.operators) {
-      metrics_.GetCounter("exec.rows")->Add(op.stats.matches);
-      metrics_.GetCounter("exec.nodes_scanned")->Add(op.stats.nodes_scanned);
-      metrics_.GetCounter("exec.comparisons")->Add(op.stats.comparisons);
-      metrics_.GetCounter("exec.nl_cells")->Add(op.stats.nl_cells);
-    }
-  }
-  if (!options_.collect_profile) return;
-  last_profile_ = std::move(profile);
-  last_explain_analyze_ = plan->ExplainAnalyze();
-  if (options_.collect_metrics) {
-    // Attach a registry snapshot (histogram summaries included) to the
-    // profile's JSON form.
-    last_profile_.metrics_json = metrics_.ToJson();
-  }
+  last_profile_.AddPlan(BuildQueryProfile(plan, label, EffectiveThreads()));
 }
 
 Status BlossomTreeEngine::EvalExpr(const flwor::Expr& expr, const Env& env,
@@ -282,6 +303,7 @@ Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
     key = CanonicalFlworKey(flwor);
     util::TraceSpan lookup("cache", "plan.flwor.lookup");
     std::shared_ptr<const CompiledFlwor> hit = active_plan_cache_->GetFlwor(key);
+    last_profile_.plan_cache.Count(hit != nullptr);
     if (hit != nullptr) return hit;
   }
   auto compiled = std::make_shared<CompiledFlwor>();
@@ -290,34 +312,6 @@ Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
   compiled->bindings = ComputeSlotBindings(compiled->tree, flwor);
   if (active_plan_cache_ != nullptr) active_plan_cache_->PutFlwor(key, compiled);
   return std::shared_ptr<const CompiledFlwor>(std::move(compiled));
-}
-
-void BlossomTreeEngine::FoldCacheMetrics() {
-  auto fold = [this](const char* which, const util::CacheStats& now,
-                     util::CacheStats* last) {
-    std::string prefix = std::string("cache.") + which;
-    metrics_.GetCounter(prefix + ".hits")->Add(now.hits - last->hits);
-    metrics_.GetCounter(prefix + ".misses")->Add(now.misses - last->misses);
-    metrics_.GetCounter(prefix + ".evictions")
-        ->Add(now.evictions - last->evictions);
-    // Occupancy is a gauge, not a monotonic counter: overwrite in place.
-    util::Counter* bytes = metrics_.GetCounter(prefix + ".bytes");
-    bytes->Reset();
-    bytes->Add(now.bytes);
-    util::Counter* entries = metrics_.GetCounter(prefix + ".entries");
-    entries->Reset();
-    entries->Add(now.entries);
-    *last = now;
-  };
-  if (active_plan_cache_ != nullptr) {
-    fold("plan", active_plan_cache_->Stats(), &folded_plan_stats_);
-  }
-  if (options_.plan.result_cache != nullptr) {
-    // The effective cache: owned or borrowed (corpus-scope). With a shared
-    // cache the deltas cover all engines' activity since this engine's
-    // last fold — corpus-wide totals, which is what a service wants.
-    fold("result", options_.plan.result_cache->Stats(), &folded_result_stats_);
-  }
 }
 
 Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(

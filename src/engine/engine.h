@@ -1,6 +1,7 @@
 #ifndef BLOSSOMTREE_ENGINE_ENGINE_H_
 #define BLOSSOMTREE_ENGINE_ENGINE_H_
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,9 +30,10 @@ struct EngineOptions {
   /// path (no thread pool is created — the configuration bitwise-comparison
   /// tests pin against). Results are byte-identical at every setting.
   unsigned num_threads = 0;
-  /// Collect a per-operator QueryProfile (and EXPLAIN ANALYZE text) for
-  /// every planned query. Profiling runs every plan to completion after the
-  /// result is drained, so enabling it changes timings but never results.
+  /// Record every executed plan's operators in the per-query QueryProfile
+  /// (LastProfile(), LastExplainAnalyze()). Profiling runs every plan to
+  /// completion after the result is drained, so enabling it changes
+  /// timings but never results.
   bool collect_profile = false;
   /// Enable query-lifecycle tracing (DESIGN.md §10): the engine turns on
   /// the process-wide util::Tracer at construction, so every span from
@@ -41,8 +43,9 @@ struct EngineOptions {
   /// atomic load. Tracing never changes results.
   bool trace = false;
   /// Populate the engine's MetricsRegistry with per-query counters and
-  /// latency histograms (query.wall_ns, query.parse_ns, ...), and attach a
-  /// registry snapshot to QueryProfile::ToJson(). Counter text
+  /// latency histograms (query.wall_ns, query.parse_ns, ...), added once
+  /// per top-level call from its QueryProfile, and (with collect_profile)
+  /// attach a registry snapshot to QueryProfile::ToJson(). Counter text
   /// (MetricsRegistry::CountersText) stays bitwise-identical across thread
   /// counts; wall-clock values live only in histograms. Like
   /// collect_profile, this runs every plan to completion after the result
@@ -101,15 +104,19 @@ class BlossomTreeEngine {
   /// \brief EXPLAIN text of the most recent FLWOR/path plan.
   const std::string& LastExplain() const { return last_explain_; }
 
-  /// \brief EXPLAIN ANALYZE text of the most recent plan (empty unless
-  /// EngineOptions::collect_profile): the plan tree annotated with each
-  /// operator's estimated and actual cardinalities and counters.
-  const std::string& LastExplainAnalyze() const {
-    return last_explain_analyze_;
+  /// \brief EXPLAIN ANALYZE text of the most recent top-level call,
+  /// rendered from LastProfile() on each call: every operator with its
+  /// estimated and actual cardinalities, counters and wall time. Empty
+  /// unless EngineOptions::collect_profile or collect_metrics recorded a
+  /// plan.
+  std::string LastExplainAnalyze() const {
+    return last_profile_.ExplainAnalyze();
   }
 
-  /// \brief Per-operator profile of the most recent plan (empty unless
-  /// EngineOptions::collect_profile).
+  /// \brief The per-query record of the most recent top-level call
+  /// (EvaluateQuery / EvaluateToXml / EvaluatePath), reset at the start of
+  /// each: its plan-cache probes, and the operators of every plan it
+  /// executed when EngineOptions::collect_profile or collect_metrics is on.
   const QueryProfile& LastProfile() const { return last_profile_; }
 
   /// \brief The resolved degree of intra-query parallelism (1 = serial).
@@ -144,6 +151,15 @@ class BlossomTreeEngine {
   /// paths nested inside an already-armed evaluation (re-arming would
   /// restart the deadline mid-query).
   Result<std::vector<xml::NodeId>> EvalPathPlan(const xpath::PathExpr& path);
+  /// EvaluateToXml minus the profile reset (EvaluateQuery resets it before
+  /// its plan-cache lookup).
+  Result<std::string> RunToXml(const flwor::Expr& expr);
+  /// Closes a top-level call: adds its profile to the registry (exec.* and
+  /// cache.*.{hits,misses}; cache occupancy as gauges), and when the call
+  /// succeeded bumps `done_counter` and records query.wall_ns since
+  /// `start`. No-op unless collect_metrics.
+  void EndQuery(const char* done_counter,
+                std::chrono::steady_clock::time_point start);
   Status EvalExpr(const flwor::Expr& expr, const Env& env,
                   ResultBuilder* out);
   Status EvalFlwor(const flwor::Flwor& flwor, const Env& env,
@@ -151,17 +167,13 @@ class BlossomTreeEngine {
   Result<std::vector<Env>> FlworTuples(const flwor::Flwor& flwor);
   Status EmitTuples(const flwor::Flwor& flwor, std::vector<Env> tuples,
                     ResultBuilder* out);
-  /// Finishes the executed plan and snapshots last_profile_ /
-  /// last_explain_analyze_ (no-op unless collect_profile).
+  /// Finishes the executed plan and adds its rows to last_profile_ (no-op
+  /// unless collect_profile or collect_metrics).
   void CollectProfile(opt::QueryPlan* plan, const std::string& label);
   /// Compiles `flwor` (BlossomTree + decomposition + slot bindings) through
   /// the plan cache when enabled, building uncached otherwise.
   Result<std::shared_ptr<const CompiledFlwor>> CompileFlwor(
       const flwor::Flwor& flwor);
-  /// Folds cache counters into the metrics registry: hits/misses/evictions
-  /// as deltas since the last fold, bytes/entries as gauges (no-op unless
-  /// collect_metrics and at least one cache is enabled).
-  void FoldCacheMetrics();
 
   const xml::Document* doc_;
   EngineOptions options_;
@@ -183,12 +195,7 @@ class BlossomTreeEngine {
   /// The cache every lookup goes through: the borrowed corpus-scope cache
   /// when EngineOptions::shared_plan_cache is set, else plan_cache_.get().
   PlanCache* active_plan_cache_ = nullptr;
-  /// Stats snapshots at the last FoldCacheMetrics, for delta folding of the
-  /// monotonic cache counters.
-  util::CacheStats folded_plan_stats_;
-  util::CacheStats folded_result_stats_;
   std::string last_explain_;
-  std::string last_explain_analyze_;
   QueryProfile last_profile_;
 };
 

@@ -3,31 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/json.h"
+
 namespace blossomtree {
 namespace engine {
 
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 std::string MsString(uint64_t nanos) {
   char buf[32];
@@ -50,17 +31,19 @@ void QueryProfile::AddOperator(std::string label, int depth,
 }
 
 std::string QueryProfile::ToJson() const {
-  std::string out = "{";
-  out += "\"query\": \"" + EscapeJson(query) + "\", ";
-  out += "\"strategy\": \"" + EscapeJson(strategy) + "\", ";
-  out += "\"threads\": " + std::to_string(threads) + ", ";
+  std::string out = "{\"query\": \"";
+  util::AppendJsonEscaped(&out, query);
+  out += "\", \"strategy\": \"";
+  util::AppendJsonEscaped(&out, strategy);
+  out += "\", \"threads\": " + std::to_string(threads) + ", ";
   out += "\"total_wall_ms\": " + MsString(total_wall_nanos) + ", ";
   out += "\"operators\": [";
   for (size_t i = 0; i < operators.size(); ++i) {
     const OperatorProfile& op = operators[i];
     if (i > 0) out += ", ";
-    out += "{\"label\": \"" + EscapeJson(op.label) + "\"";
-    out += ", \"depth\": " + std::to_string(op.depth);
+    out += "{\"label\": \"";
+    util::AppendJsonEscaped(&out, op.label);
+    out += "\", \"depth\": " + std::to_string(op.depth);
     if (op.estimated_rows >= 0) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.1f", op.estimated_rows);
@@ -85,21 +68,74 @@ std::string QueryProfile::ToJson() const {
   return out;
 }
 
-std::string QueryProfile::ToText() const {
-  std::string out = "strategy: " + strategy + "\n";
+void QueryProfile::AddPlan(QueryProfile plan) {
+  if (plan_starts_.empty()) {
+    query = std::move(plan.query);
+    strategy = std::move(plan.strategy);
+    threads = plan.threads;
+  }
+  total_wall_nanos += plan.total_wall_nanos;
+  const std::vector<OperatorProfile>& rows = plan.operators;
+  auto same_row = [](const OperatorProfile& a, const OperatorProfile& b) {
+    return a.depth == b.depth && a.label == b.label;
+  };
+  for (size_t p = 0; p < plan_starts_.size(); ++p) {
+    size_t begin = plan_starts_[p];
+    size_t end = p + 1 < plan_starts_.size() ? plan_starts_[p + 1]
+                                            : operators.size();
+    if (end - begin != rows.size() ||
+        !std::equal(rows.begin(), rows.end(), operators.begin() + begin,
+                    same_row)) {
+      continue;
+    }
+    for (size_t i = 0; i < rows.size(); ++i) {
+      operators[begin + i].stats.MergeFrom(rows[i].stats);
+    }
+    return;
+  }
+  plan_starts_.push_back(operators.size());
+  operators.insert(operators.end(),
+                   std::make_move_iterator(plan.operators.begin()),
+                   std::make_move_iterator(plan.operators.end()));
+}
+
+exec::ExecStats QueryProfile::Totals() const {
+  exec::ExecStats total;
+  for (const OperatorProfile& op : operators) total.MergeFrom(op.stats);
+  return total;
+}
+
+std::string QueryProfile::ToText() const { return Render(false); }
+
+std::string QueryProfile::ExplainAnalyze() const {
+  return operators.empty() ? std::string() : Render(true);
+}
+
+std::string QueryProfile::Render(bool analyze) const {
   // Two passes: size the label column first, so the counter column starts
   // at one fixed offset whatever the tree depth, label length, or counter
   // magnitude (7+-digit counters used to shear the layout).
+  std::vector<std::string> lines;
+  lines.reserve(operators.size());
   size_t width = 0;
-  for (const OperatorProfile& op : operators) {
-    width = std::max(width,
-                     static_cast<size_t>(op.depth) * 2 + op.label.size());
-  }
   for (const OperatorProfile& op : operators) {
     std::string line(static_cast<size_t>(op.depth) * 2, ' ');
     line += op.label;
-    line.append(width - line.size() + 2, ' ');
-    out += line + op.stats.Counters() + "\n";
+    if (analyze && op.estimated_rows >= 0) {
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), "  (est rows=%.1f)", op.estimated_rows);
+      line += buf;
+    }
+    width = std::max(width, line.size());
+    lines.push_back(std::move(line));
+  }
+  std::string out = "strategy: " + strategy + "\n";
+  for (size_t i = 0; i < operators.size(); ++i) {
+    const exec::ExecStats& s = operators[i].stats;
+    lines[i].append(width - lines[i].size() + 2, ' ');
+    out += lines[i];
+    out += analyze ? "(actual: " + s.Summary() + ")" : s.Counters();
+    out += "\n";
   }
   return out;
 }

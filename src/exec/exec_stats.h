@@ -10,6 +10,15 @@
 namespace blossomtree {
 namespace exec {
 
+/// \brief Hit and miss counts of one cache, as probed by one operator or
+/// one query.
+struct CacheProbes {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+
+  void Count(bool hit) { ++(hit ? hits : misses); }
+};
+
 /// \brief Per-operator execution counters — the uniform measurement layer
 /// every operator of the engine reports through (DESIGN.md §8).
 ///
@@ -28,6 +37,11 @@ struct ExecStats {
   uint64_t nl_cells = 0;       ///< NestedList entries in emitted lists.
   uint64_t peak_buffer_bytes = 0;  ///< Peak buffered bytes (pipelined join).
   uint64_t rescans = 0;        ///< Inner-stream restarts (BNLJ).
+  /// NoK result-cache probes (NokScan). Exact, but not deterministic: a
+  /// partitioned scan probes once per partition, so the counts follow the
+  /// thread count. Kept out of Counters() and the profile JSON for that
+  /// reason.
+  CacheProbes result_cache;
 
   /// \brief Deterministic merge: counters sum; peaks take the max. Used at
   /// partition-concatenation points, where merge order is partition order.
@@ -42,6 +56,8 @@ struct ExecStats {
                             ? peak_buffer_bytes
                             : o.peak_buffer_bytes;
     rescans += o.rescans;
+    result_cache.hits += o.result_cache.hits;
+    result_cache.misses += o.result_cache.misses;
   }
 
   /// \brief Renders only the deterministic counters (no wall time) — the

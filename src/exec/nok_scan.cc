@@ -325,6 +325,13 @@ bool NokScanOperator::HandOutBuffered(nestedlist::NestedList* out) {
   return ChargeAndCount(*out);
 }
 
+std::shared_ptr<const CachedNokScan> NokScanOperator::ProbeCache(
+    const NokCacheKey& key) {
+  std::shared_ptr<const CachedNokScan> hit = cache_->Get(key);
+  cache_probes_.Count(hit != nullptr);
+  return hit;
+}
+
 void NokScanOperator::FillCache(
     const NokCacheKey& key,
     const std::vector<nestedlist::NestedList>& matches) {
@@ -438,7 +445,7 @@ void NokScanOperator::RunSerialCachedScan() {
                   range_end_};
   {
     util::TraceSpan span("cache", "result.lookup");
-    if (std::shared_ptr<const CachedNokScan> hit = cache_->Get(key)) {
+    if (std::shared_ptr<const CachedNokScan> hit = ProbeCache(key)) {
       // Deep copy: buffered matches are handed out by move, and the cached
       // master must stay intact for the next hit.
       buffer_ = hit->matches;
@@ -460,7 +467,7 @@ void NokScanOperator::RunVirtualCachedScan() {
                   range_end_};
   {
     util::TraceSpan span("cache", "result.lookup");
-    if (std::shared_ptr<const CachedNokScan> hit = cache_->Get(key)) {
+    if (std::shared_ptr<const CachedNokScan> hit = ProbeCache(key)) {
       buffer_ = hit->matches;
       buffered_ = true;
       return;
@@ -500,8 +507,8 @@ void NokScanOperator::RunParallelScan() {
   if (CacheEligible()) {
     util::TraceSpan span("cache", "result.lookup");
     for (size_t i = 0; i < parts.size(); ++i) {
-      hits[i] = cache_->Get(NokCacheKey{doc_->generation(), canonical_nok_,
-                                        parts[i].begin, parts[i].end});
+      hits[i] = ProbeCache(NokCacheKey{doc_->generation(), canonical_nok_,
+                                       parts[i].begin, parts[i].end});
       if (hits[i] == nullptr) missing.push_back(i);
     }
   } else {
@@ -625,6 +632,7 @@ ExecStats NokScanOperator::Stats() const {
   s.comparisons = MatchWork() + value_cmps_;
   s.matches = matches_emitted_;
   s.nl_cells = cells_emitted_;
+  s.result_cache = cache_probes_;
   return s;
 }
 

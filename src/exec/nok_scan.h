@@ -218,6 +218,9 @@ class NokScanOperator : public NestedListOperator {
   /// deterministic main-thread charging as the parallel handout).
   bool HandOutBuffered(nestedlist::NestedList* out);
 
+  /// Looks `key` up in the result cache, counting the hit or miss.
+  std::shared_ptr<const CachedNokScan> ProbeCache(const NokCacheKey& key);
+
   /// Stores a complete match list under `key` unless the guard tripped
   /// mid-scan (a partial list must never be cached).
   void FillCache(const NokCacheKey& key,
@@ -236,6 +239,7 @@ class NokScanOperator : public NestedListOperator {
   uint64_t matches_emitted_ = 0;
   uint64_t cells_emitted_ = 0;
   uint64_t value_cmps_ = 0;
+  CacheProbes cache_probes_;
 
   util::ThreadPool* pool_;
   util::ResourceGuard* guard_;

@@ -20,9 +20,8 @@ namespace exec {
 /// over up to a batch of rows per call (DESIGN.md §16).
 ///
 /// Every operator additionally exposes the observability surface of
-/// DESIGN.md §8: a name/label, ExecStats counters, and child links so the
-/// EXPLAIN ANALYZE renderer and QueryProfile export can walk the executed
-/// plan tree.
+/// DESIGN.md §8: a name/label, ExecStats counters, and child links so
+/// engine::BuildQueryProfile can walk the executed plan tree.
 class NestedListOperator {
  public:
   virtual ~NestedListOperator() = default;
@@ -149,12 +148,6 @@ inline std::string TraceName(const NestedListOperator& op) {
 /// `batch_rows` rows per call (pass the plan's `exec.batch_rows`).
 std::vector<nestedlist::NestedList> Drain(
     NestedListOperator* op, size_t batch_rows = ExecOptions{}.batch_rows);
-
-/// \brief Renders the operator tree rooted at `op` as indented EXPLAIN
-/// ANALYZE lines: one "Label (est=...) (actual: counters)" line per
-/// operator, children indented two spaces deeper. Call op->Finish() first
-/// for run-to-completion counters.
-std::string ExplainAnalyzeTree(const NestedListOperator& op, int depth = 0);
 
 }  // namespace exec
 }  // namespace blossomtree

@@ -361,22 +361,6 @@ void QueryPlan::FinishAll() {
   }
 }
 
-std::string QueryPlan::ExplainAnalyze() const {
-  std::string out = "strategy: ";
-  out += JoinStrategyToString(chosen);
-  out += "\n";
-  if (merged_scan != nullptr) {
-    out += "merged scan: " + merged_scan->ScanStats().Summary() + "\n";
-  }
-  for (size_t i = 0; i < trees.size(); ++i) {
-    out += "pattern tree " + std::to_string(i) + ":\n";
-    if (trees[i].root != nullptr) {
-      out += exec::ExplainAnalyzeTree(*trees[i].root, 1);
-    }
-  }
-  return out;
-}
-
 void ForEachOperator(
     const QueryPlan& plan,
     const std::function<void(const exec::NestedListOperator&, int depth)>&

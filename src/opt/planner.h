@@ -122,12 +122,6 @@ struct QueryPlan {
   /// count. Idempotent on drained plans; ends the streams for further
   /// GetNextBatch calls.
   void FinishAll();
-
-  /// \brief EXPLAIN ANALYZE rendering: the Explain() tree re-annotated with
-  /// each operator's estimated cardinality (when planned with
-  /// estimate_cardinalities) and actual counters. Call after FinishAll()
-  /// for complete totals.
-  std::string ExplainAnalyze() const;
 };
 
 /// \brief Depth-first pre-order walk over every operator of every pattern

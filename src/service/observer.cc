@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "util/json.h"
 #include "util/trace.h"
 
 namespace blossomtree {
@@ -11,36 +12,7 @@ namespace service {
 
 namespace {
 
-/// Minimal JSON string escaping (query texts carry quotes and backslashes).
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
+using util::AppendJsonEscaped;
 
 // Keys are escaped too: labeled series names ('x{status="ok"}') carry
 // quotes and are used as JSON object keys in the window dumps.
@@ -98,14 +70,13 @@ uint64_t FingerprintQuery(std::string_view query) {
 }
 
 WorkCounters WorkCounters::FromProfile(const engine::QueryProfile& profile) {
+  exec::ExecStats total = profile.Totals();
   WorkCounters w;
-  for (const engine::OperatorProfile& op : profile.operators) {
-    w.nodes_scanned += op.stats.nodes_scanned;
-    w.index_entries += op.stats.index_entries;
-    w.comparisons += op.stats.comparisons;
-    w.matches += op.stats.matches;
-    w.nl_cells += op.stats.nl_cells;
-  }
+  w.nodes_scanned = total.nodes_scanned;
+  w.index_entries = total.index_entries;
+  w.comparisons = total.comparisons;
+  w.matches = total.matches;
+  w.nl_cells = total.nl_cells;
   return w;
 }
 
@@ -284,13 +255,6 @@ ServiceObserver::ServiceObserver(util::MetricsRegistry* registry,
   }
 }
 
-uint64_t ServiceObserver::NanosSinceEpoch() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-}
-
 void ServiceObserver::RecordCompletion(QuerySummary summary,
                                        SlowQueryRecord* detail) {
   if (!enabled()) return;
@@ -368,7 +332,7 @@ MetricsWindow ServiceObserver::SampleWindow() {
   MetricsWindow w;
   w.seq = ++window_seq_;
   w.start_ns = last_sample_ns_;
-  w.end_ns = NanosSinceEpoch();
+  w.end_ns = util::NanosSince(epoch_);
   for (const auto& [name, value] : counters) {
     auto it = last_counters_.find(name);
     uint64_t prev = it == last_counters_.end() ? 0 : it->second;

@@ -25,8 +25,8 @@ namespace service {
 /// runs and platforms (pure byte hash, no pointers, no seeds).
 uint64_t FingerprintQuery(std::string_view query);
 
-/// \brief The deterministic work counters of one query, summed over every
-/// operator of its profile — bitwise-identical at every thread count (the
+/// \brief The deterministic work counters of one query: its profile's
+/// QueryProfile::Totals() — bitwise-identical at every thread count (the
 /// DESIGN.md §8 contract the recorder inherits).
 struct WorkCounters {
   uint64_t nodes_scanned = 0;
@@ -73,8 +73,8 @@ struct AccessPathMix {
 /// \brief One flight-recorder entry: the always-on per-query summary
 /// recorded for every terminal outcome — completed, rejected, unknown
 /// document, cancelled, failed (DESIGN.md §15). Everything here is either
-/// already known at completion time or a deterministic counter; nothing is
-/// recomputed from the document.
+/// already known at completion time or read from the query's own
+/// engine::QueryProfile; nothing is recomputed from the document.
 struct QuerySummary {
   uint64_t id = 0;  ///< Monotonic recorder id (1-based; 0 = empty slot).
   std::string tenant;
@@ -89,9 +89,9 @@ struct QuerySummary {
   unsigned threads = 1;  ///< Intra-query parallelism the query ran with.
   WorkCounters work;
   AccessPathMix paths;
-  /// Corpus-cache hit deltas sampled around the query's run. Exact when one
-  /// query runs at a time; approximate under concurrency (a neighbor's hits
-  /// can land in this window) — a triage signal, not a gated counter.
+  /// Corpus-cache hits of this query alone, from its profile: counted at
+  /// the engine's plan-cache lookups and the NoK scans' result-cache
+  /// probes, so exact under any concurrency.
   uint64_t plan_cache_hits = 0;
   uint64_t result_cache_hits = 0;
 
@@ -113,7 +113,7 @@ struct SlowQueryRecord {
   QuerySummary summary;
   std::string explain_analyze;  ///< EXPLAIN ANALYZE text of the actual run.
   std::string profile_json;     ///< engine::QueryProfile::ToJson().
-  std::string metrics_json;     ///< Per-query engine registry snapshot.
+  std::string metrics_json;     ///< The query's own engine registry.
 
   std::string ToJson() const;
 };
@@ -205,8 +205,9 @@ struct ObserverOptions {
 /// never blocks other shards. Reading (Recent/SlowLog/rollups/exposition)
 /// locks shards briefly to copy and aggregates outside the locks.
 ///
-/// Determinism: summaries carry only deterministic work counters (plus wall
-/// timings, which live in histograms and the timing fields) — recording
+/// Determinism: summaries carry deterministic work counters, plus wall
+/// timings and per-query cache hits (which follow scheduling and cache
+/// warmth, and live only in their own fields) — recording
 /// them never perturbs query results or the deterministic counter surface,
 /// which stays bitwise-identical at 1/2/4 slots with the recorder on (the
 /// observer test and the bench_service gate pin this).
@@ -293,8 +294,6 @@ class ServiceObserver {
     std::vector<QuerySummary> ring;  ///< Slot id 0 = never written.
     uint64_t written = 0;            ///< Entries ever stored in this shard.
   };
-
-  uint64_t NanosSinceEpoch() const;
 
   util::MetricsRegistry* registry_;
   ObserverOptions options_;

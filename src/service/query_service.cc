@@ -8,17 +8,6 @@
 namespace blossomtree {
 namespace service {
 
-namespace {
-
-uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-}  // namespace
-
 // -- QueryTicket -------------------------------------------------------------
 
 const Result<std::string>& QueryTicket::Wait() const {
@@ -90,16 +79,10 @@ QueryService::~QueryService() {
     // Recorded before Complete(): a ticket observed done always has its
     // summary visible in the flight recorder.
     if (observer_->enabled()) {
-      QuerySummary s;
-      s.id = observer_->NextId();
-      s.tenant = t->tenant_;
-      s.document = t->document_;
-      s.query = t->query_;
-      s.fingerprint = FingerprintQuery(t->query_);
-      s.code = StatusCode::kCancelled;
-      s.admitted = true;  // Was queued; shutdown cancelled it.
-      s.e2e_ns = NanosSince(t->submit_time_);
-      observer_->RecordCompletion(std::move(s));
+      // Admitted: it was queued when shutdown cancelled it.
+      observer_->RecordCompletion(
+          Summarize(*t, StatusCode::kCancelled, true,
+                    util::NanosSince(t->submit_time_)));
     }
     t->Complete(Status::Cancelled("service: shut down while queued"));
   }
@@ -137,19 +120,27 @@ std::shared_ptr<QueryTicket> QueryService::Reject(
   // Recorded before Complete() — once a waiter sees the ticket done, the
   // summary is already queryable.
   if (observer_->enabled()) {
-    QuerySummary s;
-    s.id = observer_->NextId();
-    s.tenant = ticket->tenant_;
-    s.document = ticket->document_;
-    s.query = ticket->query_;
-    s.fingerprint = FingerprintQuery(ticket->query_);
-    s.code = status.code();
-    s.admitted = false;
-    s.e2e_ns = NanosSince(ticket->submit_time_);
-    observer_->RecordCompletion(std::move(s));
+    observer_->RecordCompletion(
+        Summarize(*ticket, status.code(), false,
+                  util::NanosSince(ticket->submit_time_)));
   }
   ticket->Complete(std::move(status));
   return ticket;
+}
+
+QuerySummary QueryService::Summarize(const QueryTicket& ticket,
+                                     StatusCode code, bool admitted,
+                                     uint64_t e2e_ns) {
+  QuerySummary s;
+  s.id = observer_->NextId();
+  s.tenant = ticket.tenant_;
+  s.document = ticket.document_;
+  s.query = ticket.query_;
+  s.fingerprint = FingerprintQuery(ticket.query_);
+  s.code = code;
+  s.admitted = admitted;
+  s.e2e_ns = e2e_ns;
+  return s;
 }
 
 std::shared_ptr<QueryTicket> QueryService::Submit(const Session& session,
@@ -241,17 +232,14 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
   eo.plan.pool = intra_pool_.get();
   eo.limits = ticket->limits_;
   eo.collect_profile = options_.collect_profile;
-  // The observer reads each query's deterministic work counters and access-
-  // path mix from its profile, and the slow log needs the EXPLAIN ANALYZE
-  // text and metrics snapshot. Profiling never changes results (run-to-
-  // completion normalization changes counters vs a short-circuiting run,
-  // but identically at every thread count), so forcing it on preserves the
-  // service's determinism contract.
+  // The observer reads each query's work counters, access-path mix and
+  // cache hits from its profile, which collect_metrics records (and the
+  // slow log renders EXPLAIN ANALYZE and the registry from it). Profiling
+  // never changes results (run-to-completion normalization changes
+  // counters vs a short-circuiting run, but identically at every thread
+  // count), so forcing it on preserves the service's determinism contract.
   const bool observe = observer_->enabled();
-  if (observe) {
-    eo.collect_profile = true;
-    eo.collect_metrics = true;
-  }
+  eo.collect_metrics = observe;
   eo.shared_plan_cache = corpus_->plan_cache();
   eo.plan.result_cache = corpus_->result_cache();
   // Scans of disk-backed documents touch nodes through the DiskStore's
@@ -265,19 +253,6 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
   // provably-empty patterns. Access paths never change results.
   eo.plan.index = ticket->doc_->index();
   engine::BlossomTreeEngine engine(ticket->doc_->doc(), eo);
-
-  // Corpus-cache hit counts sampled around the run, so the summary can
-  // carry this query's (approximate under concurrency) hit delta.
-  uint64_t plan_hits_before = 0;
-  uint64_t result_hits_before = 0;
-  if (observe) {
-    if (corpus_->plan_cache() != nullptr) {
-      plan_hits_before = corpus_->plan_cache()->Stats().hits;
-    }
-    if (corpus_->result_cache() != nullptr) {
-      result_hits_before = corpus_->result_cache()->Stats().hits;
-    }
-  }
 
   bool cancelled_while_queued = false;
   {
@@ -300,8 +275,8 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
     if (options_.collect_profile) ticket->profile_ = engine.LastProfile();
   }
 
-  uint64_t run_ns = NanosSince(run_start);
-  uint64_t e2e = NanosSince(ticket->submit_time_);
+  uint64_t run_ns = util::NanosSince(run_start);
+  uint64_t e2e = util::NanosSince(ticket->submit_time_);
   {
     std::lock_guard<std::mutex> lock(ticket->mu_);
     ticket->queue_delay_ns_ = queue_delay;
@@ -324,30 +299,15 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
   // Wait() returns, the query's summary (and slow-log entry, if any) is
   // guaranteed to be visible to stats/profile readers.
   if (observe) {
-    QuerySummary s;
-    s.id = observer_->NextId();
-    s.tenant = ticket->tenant_;
-    s.document = ticket->document_;
-    s.query = ticket->query_;
-    s.fingerprint = FingerprintQuery(ticket->query_);
-    s.code = code;
-    s.admitted = true;
+    QuerySummary s = Summarize(*ticket, code, true, e2e);
     s.queue_delay_ns = queue_delay;
     s.run_ns = run_ns;
-    s.e2e_ns = e2e;
     s.threads = eo.num_threads;
     const engine::QueryProfile& prof = engine.LastProfile();
     s.work = WorkCounters::FromProfile(prof);
     s.paths = AccessPathMix::FromProfile(prof);
-    if (corpus_->plan_cache() != nullptr) {
-      uint64_t now = corpus_->plan_cache()->Stats().hits;
-      s.plan_cache_hits = now > plan_hits_before ? now - plan_hits_before : 0;
-    }
-    if (corpus_->result_cache() != nullptr) {
-      uint64_t now = corpus_->result_cache()->Stats().hits;
-      s.result_cache_hits =
-          now > result_hits_before ? now - result_hits_before : 0;
-    }
+    s.plan_cache_hits = prof.plan_cache.hits;
+    s.result_cache_hits = prof.Totals().result_cache.hits;
     // Over-threshold queries capture full plan detail; the strings are
     // built only on this (already slow) path.
     SlowQueryRecord detail;
@@ -355,7 +315,7 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
     if (slow) {
       detail.explain_analyze = engine.LastExplainAnalyze();
       detail.profile_json = prof.ToJson();
-      detail.metrics_json = prof.metrics_json;
+      detail.metrics_json = engine.metrics().ToJson();
     }
     observer_->RecordCompletion(std::move(s), slow ? &detail : nullptr);
   }

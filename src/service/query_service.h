@@ -239,6 +239,11 @@ class QueryService {
   std::shared_ptr<QueryTicket> Reject(std::shared_ptr<QueryTicket> ticket,
                                       Status status);
 
+  /// The flight-recorder summary of `ticket`'s terminal outcome, with a
+  /// fresh recorder id: identity, status and end-to-end time.
+  QuerySummary Summarize(const QueryTicket& ticket, StatusCode code,
+                         bool admitted, uint64_t e2e_ns);
+
   /// Starts queued queries while slots are free (mu_ held).
   void DispatchLocked();
 

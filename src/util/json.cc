@@ -291,5 +291,35 @@ Result<JsonValue> ParseJsonFile(const std::string& path) {
   return ParseJson(contents);
 }
 
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+}
+
 }  // namespace util
 }  // namespace blossomtree

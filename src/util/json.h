@@ -15,7 +15,7 @@ namespace util {
 /// \brief A parsed JSON value — the minimal reader the tracing tests and
 /// the bench regression gate need (objects, arrays, strings, numbers,
 /// booleans, null). Not a serializer: the repo's JSON *writers* stay
-/// hand-rolled per artifact.
+/// hand-rolled per artifact, sharing AppendJsonEscaped below.
 ///
 /// Numbers are stored as double (sufficient for the counters and
 /// timestamps the artifacts carry; 2^53 exceeds every counter we emit).
@@ -67,6 +67,11 @@ Result<JsonValue> ParseJson(std::string_view input);
 
 /// \brief ParseJson over a file's contents.
 Result<JsonValue> ParseJsonFile(const std::string& path);
+
+/// \brief Appends `s` to `out` as the body of a JSON string literal:
+/// quotes, backslashes and every control character escaped, so the result
+/// always satisfies ParseJson.
+void AppendJsonEscaped(std::string* out, std::string_view s);
 
 }  // namespace util
 }  // namespace blossomtree

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -14,6 +15,15 @@
 
 namespace blossomtree {
 namespace util {
+
+/// \brief Steady-clock nanoseconds elapsed since `start`: the unit every
+/// latency histogram and per-query timing field records.
+inline uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
 
 /// \brief A monotonically increasing named counter (relaxed atomics: totals
 /// are exact, ordering is irrelevant).

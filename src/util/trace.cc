@@ -2,41 +2,10 @@
 
 #include <cstdio>
 
+#include "util/json.h"
+
 namespace blossomtree {
 namespace util {
-
-namespace {
-
-/// Minimal JSON string escaping for event names (categories are static
-/// identifiers and need none).
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<TraceEvent> TraceRing::Snapshot() const {
   uint64_t count = count_.load(std::memory_order_relaxed);
@@ -135,7 +104,7 @@ std::string Tracer::ExportJson() const {
                     e.ph, static_cast<double>(e.ts_nanos) / 1e3, ring->tid(),
                     e.cat != nullptr ? e.cat : "");
       out += buf;
-      AppendEscaped(&out, e.name);
+      AppendJsonEscaped(&out, e.name);
       out += '"';
       if (e.ph == 'C') {
         std::snprintf(buf, sizeof(buf), ", \"args\": {\"value\": %.3f}",

@@ -6,6 +6,7 @@
 
 #include "baseline/navigational.h"
 #include "flwor/parser.h"
+#include "util/json.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
 
@@ -195,6 +196,52 @@ TEST(EngineTest, CollectProfileExposesExplainAnalyzeAndJson) {
   auto q = engine.EvaluateQuery("for $a in //a return <o>{ $a }</o>");
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EXPECT_EQ(engine.LastProfile().query, "flwor");
+}
+
+TEST(EngineTest, ProfileJsonEscapesControlCharacters) {
+  auto doc = Parse("<r><book><title>a\tb</title></book></r>");
+  EngineOptions opts;
+  opts.collect_profile = true;
+  BlossomTreeEngine engine(doc.get(), opts);
+  auto p = xpath::ParsePath("//book[title = \"a\tb\"]/title");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ASSERT_TRUE(engine.EvaluatePath(*p).ok());
+  const QueryProfile& prof = engine.LastProfile();
+  ASSERT_NE(prof.query.find('\t'), std::string::npos) << prof.query;
+  auto parsed = util::ParseJson(prof.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->StringOr("query", ""), prof.query);
+}
+
+TEST(EngineTest, ProfileRecordsEveryPlanAndMergesRepeatedSites) {
+  auto doc = Parse("<r><a><b/></a><a/><c><b/></c></r>");
+  EngineOptions opts;
+  opts.num_threads = 1;
+  opts.collect_profile = true;
+  BlossomTreeEngine engine(doc.get(), opts);
+  ASSERT_TRUE(engine.EvaluateQuery("//a").ok());
+  const QueryProfile one = engine.LastProfile();
+  ASSERT_TRUE(engine.EvaluateQuery("//c/b").ok());
+  const QueryProfile other = engine.LastProfile();
+
+  // Two different plan sites: both plans' rows, in execution order.
+  ASSERT_TRUE(engine.EvaluateQuery("<o>{//a}{//c/b}</o>").ok());
+  const QueryProfile& both = engine.LastProfile();
+  ASSERT_EQ(both.operators.size(),
+            one.operators.size() + other.operators.size());
+  EXPECT_EQ(both.operators.front().label, one.operators.front().label);
+  EXPECT_EQ(both.operators.back().label, other.operators.back().label);
+  EXPECT_EQ(both.Totals().matches,
+            one.Totals().matches + other.Totals().matches);
+  EXPECT_EQ(both.query, one.query);  // The first plan names the record.
+
+  // The same plan site twice: one set of rows, stats summed.
+  ASSERT_TRUE(engine.EvaluateQuery("<o>{//a}{//a}</o>").ok());
+  const QueryProfile& twice = engine.LastProfile();
+  ASSERT_EQ(twice.operators.size(), one.operators.size());
+  EXPECT_EQ(twice.Totals().matches, 2 * one.Totals().matches);
+  EXPECT_EQ(twice.Totals().nodes_scanned, 2 * one.Totals().nodes_scanned);
+  EXPECT_NE(engine.LastExplainAnalyze().find("(actual: "), std::string::npos);
 }
 
 TEST(EngineTest, ProfileOffByDefault) {

@@ -1,5 +1,6 @@
 #include "engine/plan_cache.h"
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -333,6 +334,39 @@ TEST(CacheMetricsTest, DisabledCachesLeaveCounterSurfaceIdentical) {
   EXPECT_EQ(e1.metrics().CountersText(), e2.metrics().CountersText());
   EXPECT_EQ(e1.plan_cache(), nullptr);
   EXPECT_EQ(e1.result_cache(), nullptr);
+}
+
+TEST(CacheProbeCountTest, RegistryCountsEqualOwnedCacheStats) {
+  // An engine that owns its caches is their only client, so the hits and
+  // misses it counts at its lookups add up to the caches' own counters —
+  // at every thread count (parallel scans probe once per partition).
+  auto doc = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, {0.01, 7});
+  const char* queries[] = {
+      "//article/title",
+      "for $a in //phdthesis return <hit>{$a/school}</hit>",
+      "//article/title",
+      "for   $a in //phdthesis return <hit>{$a/school}</hit>",
+      "<r>{//article/title}{//phdthesis/author}</r>",
+  };
+  for (unsigned threads : {1u, 4u}) {
+    EngineOptions opts;
+    opts.num_threads = threads;
+    opts.collect_metrics = true;
+    opts.plan_cache.enabled = true;
+    opts.result_cache.enabled = true;
+    BlossomTreeEngine eng(doc.get(), opts);
+    for (const char* q : queries) ASSERT_TRUE(eng.EvaluateQuery(q).ok()) << q;
+    std::map<std::string, uint64_t> c = eng.metrics().CounterValues();
+    util::CacheStats plan = eng.plan_cache()->Stats();
+    util::CacheStats result = eng.result_cache()->Stats();
+    EXPECT_EQ(c["cache.plan.hits"], plan.hits) << threads;
+    EXPECT_EQ(c["cache.plan.misses"], plan.misses) << threads;
+    EXPECT_EQ(c["cache.result.hits"], result.hits) << threads;
+    EXPECT_EQ(c["cache.result.misses"], result.misses) << threads;
+    EXPECT_EQ(c["cache.plan.entries"], plan.entries) << threads;
+    EXPECT_EQ(c["cache.result.bytes"], result.bytes) << threads;
+    EXPECT_GT(result.hits, 0u) << threads;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/query_profile.h"
 #include "exec/value_ops.h"
 #include "index/btsi.h"
 #include "opt/planner.h"
@@ -287,8 +288,8 @@ TEST(IndexAccessPathTest, ExplainAnalyzeShowsSeekCounters) {
   with.estimate_cardinalities = true;
   auto plan = opt::PlanQuery(doc.get(), &t, with);
   ASSERT_TRUE(plan.ok());
-  plan->FinishAll();
-  std::string analyze = plan->ExplainAnalyze();
+  std::string analyze =
+      engine::BuildQueryProfile(&*plan, "//fig", 1).ExplainAnalyze();
   EXPECT_NE(analyze.find("IndexSeek(fig)"), std::string::npos) << analyze;
   // The seek reports its probes as both nodes_scanned and index_entries.
   ASSERT_EQ(plan->trees.size(), 1u);

@@ -1,13 +1,14 @@
 // Tests for the service observability plane (DESIGN.md §15): the query
 // flight recorder, slow-query log, per-tenant labeled metrics, windowed
 // snapshots, and the determinism contract (recorder on never perturbs the
-// deterministic counter surface). Suite names stay under the Service*
-// prefix so CI's TSan stress step picks them up via --gtest_filter.
+// deterministic counter surface). CI's TSan stress step runs the Service*
+// suites and CacheAttributionTest via --gtest_filter.
 
 #include "service/observer.h"
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/status.h"
+#include "xml/parser.h"
 
 namespace blossomtree {
 namespace service {
@@ -30,6 +32,23 @@ std::unique_ptr<xml::Document> DblpDoc(double scale = 0.02) {
   o.scale = scale;
   o.seed = 7;
   return datagen::GenerateDataset(datagen::Dataset::kD5Dblp, o);
+}
+
+/// 50 books and one magazine, each with a title.
+std::unique_ptr<xml::Document> BookDoc() {
+  std::string xml = "<lib>";
+  for (int i = 0; i < 50; ++i) {
+    xml += "<book><title>t" + std::to_string(i) + "</title></book>";
+  }
+  xml += "<mag><title>m</title></mag></lib>";
+  return xml::ParseDocument(xml).MoveValue();
+}
+
+CorpusOptions CachedCorpus() {
+  CorpusOptions copts;
+  copts.plan_cache.enabled = true;
+  copts.result_cache.enabled = true;
+  return copts;
 }
 
 constexpr char kArticles[] = "for $a in //article return $a/title";
@@ -178,6 +197,99 @@ TEST(ServiceObserverTest, SlowLogCapturesGroundTruthPlans) {
   EXPECT_EQ(got_paths.scan_ops, want_paths.scan_ops);
   EXPECT_EQ(got_paths.merged_views, want_paths.merged_views);
   EXPECT_EQ(got_paths.seek_ops, want_paths.seek_ops);
+}
+
+TEST(ServiceObserverTest, SlowLogCacheCountsAreTheQuerysOwn) {
+  // A per-query engine over the corpus caches: its registry must carry
+  // this query's cache probes, not the caches' lifetime totals.
+  Corpus corpus(CachedCorpus());
+  ASSERT_TRUE(corpus.Add("lib", BookDoc()).ok());
+  ServiceOptions sopts;
+  sopts.slots = 1;
+  sopts.observer.slow_threshold_ns = 0;
+  QueryService svc(&corpus, sopts);
+  auto session = svc.CreateSession("t");
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(svc.Execute(*session, "lib", "//book/title").ok());
+  }
+  const SlowQueryRecord last = svc.observer()->SlowLog().front();
+  // A warm run hits the text and compiled-path plan-cache levels once
+  // each, and the serial scan's result cache once.
+  EXPECT_EQ(last.summary.plan_cache_hits, 2u);
+  EXPECT_EQ(last.summary.result_cache_hits, 1u);
+  auto metrics = util::ParseJson(last.metrics_json);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const util::JsonValue* counters = metrics->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->NumberOr("cache.plan.hits", -1), 2.0);
+  EXPECT_EQ(counters->NumberOr("cache.result.hits", -1), 1.0);
+}
+
+TEST(ServiceObserverTest, SummaryCoversEveryPlanOfAQuery) {
+  Corpus corpus;
+  ASSERT_TRUE(corpus.Add("lib", BookDoc()).ok());
+  ServiceOptions sopts;
+  sopts.slots = 1;
+  QueryService svc(&corpus, sopts);
+  auto session = svc.CreateSession("t");
+  auto run = [&](const char* query) {
+    Result<std::string> r = svc.Execute(*session, "lib", query);
+    EXPECT_TRUE(r.ok()) << query;
+    return r.ok() ? *r : std::string();
+  };
+  run("//book/title");
+  uint64_t books = svc.observer()->Recent(1)[0].work.matches;
+  run("//mag/title");
+  uint64_t mags = svc.observer()->Recent(1)[0].work.matches;
+  std::string both = run("<r>{//book/title}{//mag/title}</r>");
+  size_t titles = 0;
+  for (size_t at = both.find("<title>"); at != std::string::npos;
+       at = both.find("<title>", at + 1)) {
+    ++titles;
+  }
+  EXPECT_EQ(titles, 51u);
+  // The two-plan query's summary sums both plans, not only the last.
+  EXPECT_EQ(books + mags, 51u);
+  EXPECT_EQ(svc.observer()->Recent(1)[0].work.matches, books + mags);
+}
+
+TEST(CacheAttributionTest, SummariesSumToCacheStatsUnderConcurrency) {
+  // Per-query hits are counted at the probes, so under 4 concurrent slots
+  // (and partitioned scans) the summaries add up to the caches' own
+  // counters exactly — no neighbour's hit lands in another query.
+  Corpus corpus(CachedCorpus());
+  ASSERT_TRUE(corpus.Add("dblp", DblpDoc(0.01)).ok());
+  ServiceOptions sopts;
+  sopts.slots = 4;
+  sopts.intra_query_threads = 2;
+  sopts.max_queue = 256;
+  QueryService svc(&corpus, sopts);
+  const util::CacheStats plan_before = corpus.plan_cache()->Stats();
+  const util::CacheStats result_before = corpus.result_cache()->Stats();
+  std::vector<std::shared_ptr<Session>> sessions;
+  for (int c = 0; c < 4; ++c) {
+    sessions.push_back(svc.CreateSession("c" + std::to_string(c)));
+  }
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  constexpr size_t kQueries = 240;
+  for (size_t i = 0; i < kQueries; ++i) {
+    tickets.push_back(svc.Submit(*sessions[i % sessions.size()], "dblp",
+                                 kMix[i % std::size(kMix)]));
+  }
+  for (auto& t : tickets) ASSERT_TRUE(t->Wait().ok());
+
+  ASSERT_EQ(svc.observer()->TotalRecorded(), kQueries);
+  uint64_t plan_hits = 0;
+  uint64_t result_hits = 0;
+  for (const QuerySummary& s : svc.observer()->Recent(kQueries)) {
+    plan_hits += s.plan_cache_hits;
+    result_hits += s.result_cache_hits;
+  }
+  EXPECT_EQ(plan_hits, corpus.plan_cache()->Stats().hits - plan_before.hits);
+  EXPECT_EQ(result_hits,
+            corpus.result_cache()->Stats().hits - result_before.hits);
+  EXPECT_GT(plan_hits, 0u);
+  EXPECT_GT(result_hits, 0u);
 }
 
 TEST(ServiceObserverTest, DeterministicCountersIdenticalAcrossSlots) {
