@@ -1,57 +1,65 @@
 #include "engine/construct.h"
 
+#include "util/strings.h"
 #include "xml/serializer.h"
 
 namespace blossomtree {
 namespace engine {
 
-ResultBuilder::ResultBuilder(const xml::Document* source) : source_(source) {
-  out_.BeginElement("#seq");
+ResultBuilder::ResultBuilder(const xml::Document* source) : source_(source) {}
+
+void ResultBuilder::CloseStartTag() {
+  if (!start_tag_open_) return;
+  out_.push_back('>');
+  start_tag_open_ = false;
 }
 
 void ResultBuilder::BeginElement(std::string_view name) {
-  out_.BeginElement(name);
+  CloseStartTag();
+  out_.push_back('<');
+  out_.append(name);
+  open_.emplace_back(name);
+  start_tag_open_ = true;
 }
 
 void ResultBuilder::AddAttribute(std::string_view name,
                                  std::string_view value) {
-  out_.AddAttribute(name, value);
+  if (!start_tag_open_) return;
+  out_.push_back(' ');
+  out_.append(name);
+  out_.append("=\"");
+  out_.append(XmlEscape(value));
+  out_.push_back('"');
 }
 
-void ResultBuilder::AddText(std::string_view text) { out_.AddText(text); }
+void ResultBuilder::AddText(std::string_view text) {
+  CloseStartTag();
+  out_.append(XmlEscape(text));
+}
 
-void ResultBuilder::EndElement() { out_.EndElement(); }
+void ResultBuilder::EndElement() {
+  if (start_tag_open_) {
+    // No content: the serializer's empty-element form.
+    out_.append("/>");
+    start_tag_open_ = false;
+  } else {
+    out_.append("</");
+    out_.append(open_.back());
+    out_.push_back('>');
+  }
+  open_.pop_back();
+}
 
-void ResultBuilder::CopyNode(xml::NodeId n) { CopyRec(n); }
-
-void ResultBuilder::CopyRec(xml::NodeId n) {
-  if (!source_->IsElement(n)) {
-    out_.AddText(source_->Text(n));
-    return;
-  }
-  out_.BeginElement(source_->TagName(n));
-  for (const auto& [name, value] : source_->Attributes(n)) {
-    out_.AddAttribute(name, value);
-  }
-  for (xml::NodeId c = source_->FirstChild(n); c != xml::kNullNode;
-       c = source_->NextSibling(c)) {
-    CopyRec(c);
-  }
-  out_.EndElement();
+void ResultBuilder::CopyNode(xml::NodeId n) {
+  CloseStartTag();
+  xml::AppendSubtree(*source_, n, &out_);
 }
 
 Result<std::string> ResultBuilder::ToXml() {
-  if (!finished_) {
-    out_.EndElement();  // #seq wrapper.
-    BT_RETURN_NOT_OK(out_.Finish());
-    finished_ = true;
+  if (!open_.empty()) {
+    return Status::Internal("ResultBuilder::ToXml with unclosed elements");
   }
-  std::string result;
-  for (xml::NodeId c = out_.FirstChild(out_.Root()); c != xml::kNullNode;
-       c = out_.NextSibling(c)) {
-    result += xml::SerializeSubtree(out_, c);
-  }
-  return result;
+  return std::move(out_);
 }
 
 }  // namespace engine

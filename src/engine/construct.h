@@ -1,8 +1,9 @@
 #ifndef BLOSSOMTREE_ENGINE_CONSTRUCT_H_
 #define BLOSSOMTREE_ENGINE_CONSTRUCT_H_
 
-#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/status.h"
 #include "xml/document.h"
@@ -12,29 +13,33 @@ namespace engine {
 
 /// \brief Builds the query result: a sequence of constructed elements /
 /// copied source subtrees (the paper's "construction" arrow out of Env in
-/// Figure 2). One-shot: build, then ToXml().
+/// Figure 2), written straight to XML text as the calls arrive, with
+/// xml::Serialize's bytes. One-shot: build, then ToXml().
 class ResultBuilder {
  public:
   explicit ResultBuilder(const xml::Document* source);
 
   void BeginElement(std::string_view name);
+  /// \brief Valid directly after BeginElement (or another AddAttribute);
+  /// elsewhere there is no open start tag and the attribute is dropped.
   void AddAttribute(std::string_view name, std::string_view value);
   void AddText(std::string_view text);
   void EndElement();
 
-  /// \brief Deep-copies the subtree of source node `n` at the current
-  /// position.
+  /// \brief Appends the subtree of source node `n` at the current position.
   void CopyNode(xml::NodeId n);
 
-  /// \brief Serializes the constructed top-level sequence (no wrapper).
+  /// \brief Hands out the constructed top-level sequence (no wrapper).
   Result<std::string> ToXml();
 
  private:
-  void CopyRec(xml::NodeId n);
+  /// Ends a start tag still open for attributes: its element has content.
+  void CloseStartTag();
 
   const xml::Document* source_;
-  xml::Document out_;
-  bool finished_ = false;
+  std::string out_;
+  std::vector<std::string> open_;  // Names of the open elements.
+  bool start_tag_open_ = false;
 };
 
 }  // namespace engine

@@ -5,7 +5,6 @@
 
 #include "engine/binder.h"
 #include "engine/where_eval.h"
-#include "nestedlist/ops.h"
 #include "exec/operator.h"
 #include "flwor/parser.h"
 #include "pattern/builder.h"
@@ -168,14 +167,14 @@ void BlossomTreeEngine::EndQuery(const char* done_counter,
 Result<std::vector<xml::NodeId>> BlossomTreeEngine::EvalPathPlan(
     const xpath::PathExpr& path) {
   // Plan-cache level 2: canonical path fingerprint → compiled BlossomTree +
-  // decomposition. The navigational fallback below produces no compiled
-  // artifact and is never cached.
-  std::shared_ptr<const CompiledPath> compiled;
+  // decomposition (no slot bindings). The navigational fallback below
+  // produces no compiled artifact and is never cached.
+  std::shared_ptr<const CompiledFlwor> compiled;
   std::string key;
   if (active_plan_cache_ != nullptr) {
     key = CanonicalPathKey(path);
     util::TraceSpan lookup("cache", "plan.path.lookup");
-    compiled = active_plan_cache_->GetPath(key);
+    compiled = active_plan_cache_->GetCompiled(key);
     last_profile_.plan_cache.Count(compiled != nullptr);
   }
   if (compiled == nullptr) {
@@ -191,34 +190,20 @@ Result<std::vector<xml::NodeId>> BlossomTreeEngine::EvalPathPlan(
       }
       return built.status();
     }
-    auto fresh = std::make_shared<CompiledPath>();
+    auto fresh = std::make_shared<CompiledFlwor>();
     fresh->tree = built.MoveValue();
     fresh->decomposition = pattern::Decompose(fresh->tree);
-    if (active_plan_cache_ != nullptr) active_plan_cache_->PutPath(key, fresh);
+    if (active_plan_cache_ != nullptr) {
+      active_plan_cache_->PutCompiled(key, fresh);
+    }
     compiled = std::move(fresh);
   }
-  const pattern::BlossomTree& tree = compiled->tree;
   BT_ASSIGN_OR_RETURN(opt::QueryPlan plan,
-                      opt::PlanQuery(doc_, &tree, options_.plan,
+                      opt::PlanQuery(doc_, &compiled->tree, options_.plan,
                                      &compiled->decomposition));
   last_explain_ = plan.Explain();
-  pattern::SlotId result = tree.SlotOfVariable("result");
-  std::vector<xml::NodeId> out;
-  // Batch-at-a-time drain (DESIGN.md §16): one virtual call and one trace
-  // span per batch.
-  exec::Batch batch;
-  while (plan.trees[0].root->GetNextBatch(
-             &batch, options_.plan.exec.batch_rows) > 0) {
-    for (const nestedlist::NestedList& nl : batch.rows) {
-      auto part = nestedlist::Project(tree, plan.trees[0].tops, nl, result);
-      out.insert(out.end(), part.begin(), part.end());
-    }
-  }
-  // Tripped operators end their streams early; refuse to pass the partial
-  // result off as complete.
-  if (guard_.Tripped()) return guard_.status();
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> out,
+                      opt::DrainPathPlan(&plan, options_.plan));
   if (!guard_.ChargeRows(out.size())) return guard_.status();
   CollectProfile(&plan, path.ToString());
   return out;
@@ -302,7 +287,8 @@ Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
   if (active_plan_cache_ != nullptr) {
     key = CanonicalFlworKey(flwor);
     util::TraceSpan lookup("cache", "plan.flwor.lookup");
-    std::shared_ptr<const CompiledFlwor> hit = active_plan_cache_->GetFlwor(key);
+    std::shared_ptr<const CompiledFlwor> hit =
+        active_plan_cache_->GetCompiled(key);
     last_profile_.plan_cache.Count(hit != nullptr);
     if (hit != nullptr) return hit;
   }
@@ -310,7 +296,9 @@ Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
   BT_ASSIGN_OR_RETURN(compiled->tree, pattern::BuildFromFlwor(flwor));
   compiled->decomposition = pattern::Decompose(compiled->tree);
   compiled->bindings = ComputeSlotBindings(compiled->tree, flwor);
-  if (active_plan_cache_ != nullptr) active_plan_cache_->PutFlwor(key, compiled);
+  if (active_plan_cache_ != nullptr) {
+    active_plan_cache_->PutCompiled(key, compiled);
+  }
   return std::shared_ptr<const CompiledFlwor>(std::move(compiled));
 }
 

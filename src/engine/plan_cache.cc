@@ -6,8 +6,8 @@ namespace engine {
 namespace {
 
 /// Budget split: level 1 (parsed ASTs, small) gets a quarter; the compiled
-/// FLWOR and path caches split the rest. Separate ledgers keep a flood of
-/// distinct query texts from evicting compiled trees.
+/// plans get the rest. Separate ledgers keep a flood of distinct query
+/// texts from evicting compiled trees.
 util::CacheOptions Fraction(const util::CacheOptions& options,
                             uint64_t num, uint64_t den) {
   util::CacheOptions out = options;
@@ -184,9 +184,7 @@ uint64_t TreeBytes(const pattern::BlossomTree& tree,
 }  // namespace
 
 PlanCache::PlanCache(const util::CacheOptions& options)
-    : parsed_(Fraction(options, 1, 4)),
-      flwor_(Fraction(options, 3, 8)),
-      path_(Fraction(options, 3, 8)) {}
+    : parsed_(Fraction(options, 1, 4)), compiled_(Fraction(options, 3, 4)) {}
 
 std::shared_ptr<const flwor::Expr> PlanCache::GetParsed(
     const std::string& text) {
@@ -198,34 +196,21 @@ void PlanCache::PutParsed(const std::string& text,
   parsed_.Put(text, std::move(expr), ParsedBytes(text));
 }
 
-std::shared_ptr<const CompiledFlwor> PlanCache::GetFlwor(
+std::shared_ptr<const CompiledFlwor> PlanCache::GetCompiled(
     const std::string& key) {
-  return flwor_.Get(key);
+  return compiled_.Get(key);
 }
 
-void PlanCache::PutFlwor(const std::string& key,
-                         std::shared_ptr<const CompiledFlwor> compiled) {
+void PlanCache::PutCompiled(const std::string& key,
+                            std::shared_ptr<const CompiledFlwor> compiled) {
   uint64_t bytes = TreeBytes(compiled->tree, compiled->decomposition) +
                    compiled->bindings.size() * 48 + key.size();
-  flwor_.Put(key, std::move(compiled), bytes);
-}
-
-std::shared_ptr<const CompiledPath> PlanCache::GetPath(
-    const std::string& key) {
-  return path_.Get(key);
-}
-
-void PlanCache::PutPath(const std::string& key,
-                        std::shared_ptr<const CompiledPath> compiled) {
-  uint64_t bytes =
-      TreeBytes(compiled->tree, compiled->decomposition) + key.size();
-  path_.Put(key, std::move(compiled), bytes);
+  compiled_.Put(key, std::move(compiled), bytes);
 }
 
 util::CacheStats PlanCache::Stats() const {
   util::CacheStats total;
-  for (const util::CacheStats& s :
-       {parsed_.Stats(), flwor_.Stats(), path_.Stats()}) {
+  for (const util::CacheStats& s : {parsed_.Stats(), compiled_.Stats()}) {
     total.hits += s.hits;
     total.misses += s.misses;
     total.evictions += s.evictions;

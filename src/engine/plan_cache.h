@@ -14,22 +14,17 @@
 namespace blossomtree {
 namespace engine {
 
-/// \brief Everything FlworTuples needs short of physical operators: the
-/// finalized BlossomTree, its NoK decomposition (Algorithm 1), and the
-/// per-slot binding metadata. All three are pure functions of the FLWOR
-/// AST, so they are shared read-only across repeat executions (physical
-/// operators are rebuilt per query — they are stateful iterators).
+/// \brief A compiled query short of physical operators: the finalized
+/// BlossomTree, its NoK decomposition (Algorithm 1), and the per-slot
+/// binding metadata FlworTuples expands (empty for an absolute path query,
+/// whose result pattern::BuildFromPath binds to the "result" variable).
+/// All three are pure functions of the AST, so they are shared read-only
+/// across repeat executions (physical operators are rebuilt per query —
+/// they are stateful iterators).
 struct CompiledFlwor {
   pattern::BlossomTree tree;
   pattern::Decomposition decomposition;
   std::vector<SlotBinding> bindings;
-};
-
-/// \brief The compiled form of an absolute path query (result bound to the
-/// "result" variable by pattern::BuildFromPath).
-struct CompiledPath {
-  pattern::BlossomTree tree;
-  pattern::Decomposition decomposition;
 };
 
 /// \brief The engine's plan cache (DESIGN.md §11): two levels over
@@ -52,20 +47,17 @@ class PlanCache {
                  std::shared_ptr<const flwor::Expr> expr);
 
   // -- Level 2: canonical fingerprint -> compiled artifacts ------------------
-  std::shared_ptr<const CompiledFlwor> GetFlwor(const std::string& key);
-  void PutFlwor(const std::string& key,
-                std::shared_ptr<const CompiledFlwor> compiled);
-  std::shared_ptr<const CompiledPath> GetPath(const std::string& key);
-  void PutPath(const std::string& key,
-               std::shared_ptr<const CompiledPath> compiled);
+  // FLWOR ("flwor{") and path ("path:") keys are disjoint.
+  std::shared_ptr<const CompiledFlwor> GetCompiled(const std::string& key);
+  void PutCompiled(const std::string& key,
+                   std::shared_ptr<const CompiledFlwor> compiled);
 
-  /// \brief Merged counters across the three internal caches.
+  /// \brief Merged counters across the two levels.
   util::CacheStats Stats() const;
 
  private:
   util::ShardedLruCache<std::string, flwor::Expr> parsed_;
-  util::ShardedLruCache<std::string, CompiledFlwor> flwor_;
-  util::ShardedLruCache<std::string, CompiledPath> path_;
+  util::ShardedLruCache<std::string, CompiledFlwor> compiled_;
 };
 
 /// \brief Canonical fingerprint of a FLWOR: every binding, the where tree,

@@ -523,23 +523,24 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   return plan;
 }
 
-Result<std::vector<xml::NodeId>> EvaluatePathQuery(
-    const xml::Document* doc, const pattern::BlossomTree* tree,
-    const PlanOptions& options) {
-  BT_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(doc, tree, options));
-  if (plan.trees.size() != 1) {
+Result<std::vector<xml::NodeId>> DrainPathPlan(QueryPlan* plan,
+                                               const PlanOptions& options) {
+  if (plan->trees.size() != 1) {
     return Status::InvalidArgument("path queries have one pattern tree");
   }
-  pattern::SlotId result = tree->SlotOfVariable("result");
+  const pattern::BlossomTree& tree = *plan->tree;
+  pattern::SlotId result = tree.SlotOfVariable("result");
   if (result == pattern::kNoSlot) {
     return Status::InvalidArgument("no result slot; not a path query");
   }
-  PatternTreePlan& tp = plan.trees[0];
+  PatternTreePlan& tp = plan->trees[0];
   std::vector<xml::NodeId> out;
+  // Batch-at-a-time drain (DESIGN.md §16): one virtual call and one trace
+  // span per batch.
   exec::Batch batch;
   while (tp.root->GetNextBatch(&batch, options.exec.batch_rows) > 0) {
     for (const nestedlist::NestedList& nl : batch.rows) {
-      auto part = nestedlist::Project(*tree, tp.tops, nl, result);
+      auto part = nestedlist::Project(tree, tp.tops, nl, result);
       out.insert(out.end(), part.begin(), part.end());
     }
   }
@@ -551,6 +552,13 @@ Result<std::vector<xml::NodeId>> EvaluatePathQuery(
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+Result<std::vector<xml::NodeId>> EvaluatePathQuery(
+    const xml::Document* doc, const pattern::BlossomTree* tree,
+    const PlanOptions& options) {
+  BT_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(doc, tree, options));
+  return DrainPathPlan(&plan, options);
 }
 
 }  // namespace opt

@@ -148,9 +148,14 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
                             const pattern::Decomposition* precomputed =
                                 nullptr);
 
-/// \brief Convenience for path queries (single pattern tree, result bound
-/// to the "result" variable): plans, executes, and returns the distinct
-/// document-ordered matches.
+/// \brief Drains a built path-query plan (single pattern tree, result bound
+/// to the "result" variable) batch-at-a-time and returns the distinct
+/// document-ordered matches. Fails with the guard's status if
+/// `options.guard` tripped: tripped operators end their streams early.
+Result<std::vector<xml::NodeId>> DrainPathPlan(QueryPlan* plan,
+                                               const PlanOptions& options);
+
+/// \brief Convenience for path queries: PlanQuery, then DrainPathPlan.
 Result<std::vector<xml::NodeId>> EvaluatePathQuery(
     const xml::Document* doc, const pattern::BlossomTree* tree,
     const PlanOptions& options = {});

@@ -34,11 +34,10 @@ struct Frame {
   bool indent;
 };
 
-/// Iterative serializer (explicit stack): document depth never grows the
-/// call stack, so pathologically deep documents serialize instead of
-/// overflowing.
-void SerializeIter(const Document& doc, NodeId root,
-                   const SerializeOptions& opts, std::string* out) {
+}  // namespace
+
+void AppendSubtree(const Document& doc, NodeId root, std::string* out,
+                   const SerializeOptions& opts) {
   std::vector<Frame> stack;
   stack.push_back(Frame{root, 0, false, false});
   std::vector<NodeId> children;  // Scratch for reverse-order pushes.
@@ -90,12 +89,10 @@ void SerializeIter(const Document& doc, NodeId root,
   }
 }
 
-}  // namespace
-
 std::string SerializeSubtree(const Document& doc, NodeId n,
                              const SerializeOptions& options) {
   std::string out;
-  SerializeIter(doc, n, options, &out);
+  AppendSubtree(doc, n, &out, options);
   return out;
 }
 

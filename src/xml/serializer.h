@@ -14,6 +14,12 @@ struct SerializeOptions {
   bool indent = false;
 };
 
+/// \brief Appends the subtree rooted at `n` to `out` as XML text. Iterative
+/// (explicit stack): document depth never grows the call stack, so
+/// pathologically deep documents serialize instead of overflowing.
+void AppendSubtree(const Document& doc, NodeId n, std::string* out,
+                   const SerializeOptions& options = {});
+
 /// \brief Serializes the subtree rooted at `n` back to XML text.
 std::string SerializeSubtree(const Document& doc, NodeId n,
                              const SerializeOptions& options = {});

@@ -1,7 +1,8 @@
 // Unit and concurrency tests for the src/service/ layer: Corpus registry
 // semantics, QueryService execution / admission / cancellation / shutdown,
 // and service.* metrics. Suite names stay under the Service* / Admission*
-// prefixes so CI's TSan stress step picks them up via --gtest_filter.
+// prefixes so CI's TSan stress step picks them up via --gtest_filter; the
+// single-threaded DeepResultTest is left out of it and runs under ASan.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "storage/btsx2.h"
 #include "service/query_service.h"
 #include "util/status.h"
+#include "xml/serializer.h"
 
 namespace blossomtree {
 namespace service {
@@ -140,6 +142,30 @@ TEST(ServiceCorpusTest, AddDiskServesBtsx2WithoutParsing) {
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(*got, *expected);
   std::remove(path.c_str());
+}
+
+TEST(DeepResultTest, DiskImageOfA200000DeepChainAnswersThroughTheService) {
+  // A valid image passes AddDisk's validation however deep it nests, so
+  // the whole query path — plan, drain, construction — must not recurse
+  // on document depth. Built through the Document API, which (unlike the
+  // parser) has no nesting cap.
+  constexpr int kDepth = 200000;
+  xml::Document deep;
+  for (int i = 0; i < kDepth; ++i) deep.BeginElement("a");
+  for (int i = 0; i < kDepth; ++i) deep.EndElement();
+  ASSERT_TRUE(deep.Finish().ok());
+  std::string path = ::testing::TempDir() + "/bt_service_deep.btsx2";
+  ASSERT_TRUE(storage::WriteBtsx2(deep, path).ok());
+
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddDisk("deep", path).ok());
+  QueryService svc(&corpus, {});
+  auto session = svc.CreateSession("tenant-a");
+  auto got = svc.Execute(*session, "deep", "/a");
+  std::remove(path.c_str());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const std::string expected = xml::Serialize(deep);
+  EXPECT_TRUE(*got == expected) << got->size() << " vs " << expected.size();
 }
 
 TEST(ServiceCorpusTest, AddDiskRejectsMissingFileAndPreadMode) {
