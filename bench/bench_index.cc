@@ -164,9 +164,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Two cold opens — separate block caches, so neither variant rides the
-    // other's residency. The sidecar attaches to both; only the seek
-    // variant passes it to the planner.
+    // Two separate opens, so each variant's block-read counters are its
+    // own. The sidecar attaches to both; only the seek variant passes it
+    // to the planner.
     auto scan_store = blossomtree::storage::DiskStore::Open(path);
     auto seek_store = blossomtree::storage::DiskStore::Open(path);
     if (!scan_store.ok() || !seek_store.ok()) {

@@ -36,8 +36,8 @@ class IndexSeekOperator : public NestedListOperator {
   /// \param guard optional per-query resource guard, sampled every ~512
   ///        probes and charged for every emitted NestedList cell.
   /// \param store optional paged store backing `doc`: probed candidates are
-  ///        touched through it so residency counters see the seek's access
-  ///        pattern.
+  ///        touched through it so block-read counters see the seek's
+  ///        access pattern.
   IndexSeekOperator(const xml::Document* doc,
                     const pattern::BlossomTree* tree,
                     const pattern::NokTree* nok,

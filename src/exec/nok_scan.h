@@ -109,8 +109,8 @@ class NokScanOperator : public NestedListOperator {
   ///        inner side) bypass it. nullptr = the exact uncached scan.
   /// \param store optional paged node store backing `doc` (an in-RAM
   ///        PageStore or an out-of-core DiskStore): the scan drivers touch
-  ///        every visited node through it with a per-scan cursor, so block
-  ///        residency and page-read counts reflect the scan's real access
+  ///        every visited node through it with a per-scan cursor, so
+  ///        page/block-read counts reflect the scan's real access
   ///        pattern — deterministically, independent of concurrent readers.
   ///        Partitioning also goes through the store when attached.
   /// \param exec execution knobs (DESIGN.md §16); `exec.simd` picks the

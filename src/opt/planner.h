@@ -61,8 +61,8 @@ struct PlanOptions {
   /// Paged node store backing `doc` (borrowed, not owned): an in-RAM
   /// storage::PageStore or an out-of-core storage::DiskStore. When set,
   /// every NoK scan in the plan touches visited nodes through it (per-scan
-  /// cursors), so block residency and page-read counters reflect the
-  /// query's real access pattern; scan partitioning also goes through the
+  /// cursors), so page/block-read counters reflect the query's real
+  /// access pattern; scan partitioning also goes through the
   /// store. nullptr = scans run purely over the document.
   const storage::NodeStore* store = nullptr;
   /// Structural index over `doc` (borrowed, not owned; DESIGN.md §14): when

@@ -51,14 +51,14 @@ class CorpusDocument {
   /// than an in-RAM build.
   bool disk_backed() const { return disk_ != nullptr; }
 
-  /// \brief The shared paged node store for this document: the DiskStore's
-  /// block-cached substrate for disk-backed entries, else an in-RAM
-  /// PageStore built on first use. Thread-safe; the store's own counters
-  /// are atomic and per-scan state lives in caller cursors.
+  /// \brief The shared paged node store for this document: the DiskStore
+  /// itself for disk-backed entries, else an in-RAM PageStore built on
+  /// first use. Thread-safe; the store's own counters are atomic and
+  /// per-scan state lives in caller cursors.
   const storage::NodeStore& store() const;
 
   /// \brief The DiskStore behind a disk-backed entry — the observability
-  /// plane samples its block-cache residency (DESIGN.md §15). nullptr for
+  /// plane samples its measured residency (DESIGN.md §15). nullptr for
   /// in-RAM builds.
   const storage::DiskStore* disk() const { return disk_.get(); }
 
@@ -114,9 +114,10 @@ class Corpus {
 
   /// \brief Registers the BTSX v2 file at `path` under `name` without
   /// parsing any XML: the file is opened O(open) as a DiskStore
-  /// (mmap-backed with a block-cache budget; see storage/disk_store.h) and
-  /// its zero-copy document facade serves queries exactly like an in-RAM
-  /// build — byte-identical results, fresh generation for cache identity.
+  /// (mmap-backed, read straight from the mapping; see
+  /// storage/disk_store.h) and its zero-copy document facade serves queries
+  /// exactly like an in-RAM build — byte-identical results, fresh
+  /// generation for cache identity.
   /// `options.use_mmap` must be true: the scan-only pread mode has no
   /// document facade to run queries over.
   Status AddDisk(const std::string& name, const std::string& path,

@@ -242,9 +242,9 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
   eo.collect_metrics = observe;
   eo.shared_plan_cache = corpus_->plan_cache();
   eo.plan.result_cache = corpus_->result_cache();
-  // Scans of disk-backed documents touch nodes through the DiskStore's
-  // block cache so residency stays under its budget; in-RAM documents keep
-  // the plain document scan (their PageStore stays lazy, bench-only).
+  // Scans of disk-backed documents touch nodes through the DiskStore so
+  // its block-read counters see them; in-RAM documents keep the plain
+  // document scan (their PageStore stays lazy, bench-only).
   if (ticket->doc_->disk_backed()) {
     eo.plan.store = &ticket->doc_->store();
   }
@@ -350,19 +350,16 @@ std::map<std::string, uint64_t> QueryService::ResourceGauges() const {
     g["corpus.result_cache.entries"] = s.entries;
     g["corpus.result_cache.bytes"] = s.bytes;
   }
-  // DiskStore block-cache residency across every disk-backed document: the
-  // out-of-core working set actually held in RAM vs its configured budget.
+  // Measured memory residency across every disk-backed document: the part
+  // of the out-of-core corpora actually held in RAM.
   uint64_t resident = 0;
-  uint64_t budget = 0;
   for (const std::string& name : corpus_->Names()) {
     std::shared_ptr<const CorpusDocument> doc = corpus_->Get(name);
     if (doc != nullptr && doc->disk() != nullptr) {
-      resident += doc->disk()->BlockCacheStats().bytes;
-      budget += doc->disk()->budget_bytes();
+      resident += doc->disk()->ResidentBytes();
     }
   }
   g["corpus.disk_resident_bytes"] = resident;
-  g["corpus.disk_budget_bytes"] = budget;
   return g;
 }
 

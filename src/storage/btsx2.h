@@ -84,8 +84,8 @@ struct Btsx2View {
   const xml::NodeId* tag_streams = nullptr;
   std::vector<std::string> tag_names;
 
-  /// Byte extent of the record section within the image — the block cache's
-  /// substrate (DiskStore reads records block-at-a-time through it).
+  /// Byte extent of the record section within the image (DiskStore reads
+  /// records block-at-a-time through it).
   uint64_t records_offset = 0;
   uint64_t records_bytes = 0;
 

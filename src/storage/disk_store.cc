@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "index/btsi.h"
 
@@ -47,24 +48,6 @@ constexpr size_t kPageBytes = 4096;
 
 }  // namespace
 
-DiskStore::Block::~Block() {
-  // Best-effort residency release for evicted mmap-backed blocks: the
-  // mapping is read-only and file-backed, so MADV_DONTNEED only drops the
-  // resident pages — a later touch faults them back in, it never loses
-  // data. Shrink to whole pages inside the block so pinned neighbors keep
-  // their edge pages.
-  if (advise_base != nullptr && advise_len > 0) {
-    uintptr_t begin = reinterpret_cast<uintptr_t>(advise_base);
-    uintptr_t end = begin + advise_len;
-    uintptr_t aligned_begin = (begin + kPageBytes - 1) & ~(kPageBytes - 1);
-    uintptr_t aligned_end = end & ~(kPageBytes - 1);
-    if (aligned_end > aligned_begin) {
-      ::madvise(reinterpret_cast<void*>(aligned_begin),
-                aligned_end - aligned_begin, MADV_DONTNEED);
-    }
-  }
-}
-
 DiskStore::~DiskStore() {
   doc_.reset();  // The facade views the image; drop it before unmapping.
   if (mode_ == Mode::kMmap && image_ != nullptr && image_bytes_ > 0) {
@@ -76,33 +59,39 @@ DiskStore::~DiskStore() {
 std::shared_ptr<const DiskStore::Block> DiskStore::PinBlock(
     size_t index) const {
   if (std::shared_ptr<const Block> hit = cache_->Get(index)) return hit;
-  auto block = std::make_shared<Block>();
-  uint64_t offset = static_cast<uint64_t>(index) * block_bytes_;
-  size_t len = static_cast<size_t>(
-      std::min<uint64_t>(block_bytes_, records_bytes_ - offset));
-  if (mode_ == Mode::kPread) {
-    block->owned.reset(new char[len]);
-    if (!ReadFully(fd_, block->owned.get(), len, records_offset_ + offset)) {
-      // A read error mid-scan has no status channel through Get(); serve
-      // zeroed records (subtree_end 0 terminates walks) rather than UB.
-      std::memset(block->owned.get(), 0, len);
-    }
-    block->data = block->owned.get();
-  } else {
-    block->data = image_ + records_offset_ + offset;
-    if (mode_ == Mode::kMmap) {
-      block->advise_base = block->data;
-      block->advise_len = len;
-    }
+  size_t first = index * nodes_per_block_;
+  auto block = std::make_shared<Block>(
+      std::min(nodes_per_block_, num_nodes_ - first));
+  size_t bytes = block->size() * sizeof(NodeRecord);
+  if (!ReadFully(fd_, reinterpret_cast<char*>(block->data()), bytes,
+                 records_offset_ + first * sizeof(NodeRecord))) {
+    // A read error mid-scan has no status channel through Get(); serve
+    // zeroed records (subtree_end 0 terminates walks) rather than UB.
+    std::fill(block->begin(), block->end(), NodeRecord{});
   }
-  block->size = len;
   // Charge the block against the ResourceGuard budget; the cache evicts
   // LRU blocks round-robin until the reservation fits and drops the entry
   // entirely if it never can — our shared_ptr still pins it for the
   // caller's cursor either way, so budget < block_bytes degrades to
   // "nothing stays resident between cursor moves", not a failure.
-  cache_->Put(index, block, len);
+  cache_->Put(index, block, bytes);
   return block;
+}
+
+uint64_t DiskStore::ResidentBytes() const {
+  if (mode_ == Mode::kPread) return cache_->Stats().bytes;
+  if (mode_ == Mode::kHeap) return file_bytes_;
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> resident((image_bytes_ + page - 1) / page);
+  if (::mincore(const_cast<char*>(image_), image_bytes_, resident.data()) !=
+      0) {
+    return 0;
+  }
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < resident.size(); ++i) {
+    if (resident[i] & 1) bytes += std::min(page, image_bytes_ - i * page);
+  }
+  return bytes;
 }
 
 Status DiskStore::LoadPreadHeader(const std::string& path) {
@@ -167,7 +156,6 @@ Status DiskStore::LoadImage(const std::string& path,
   if (options.full_validation) {
     BT_RETURN_NOT_OK(ValidateBtsx2Deep(view_));
   }
-  records_offset_ = view_.records_offset;
   records_bytes_ = view_.records_bytes;
   num_nodes_ = static_cast<size_t>(view_.num_nodes);
   on_disk_generation_ = view_.generation;
@@ -182,16 +170,13 @@ Result<std::unique_ptr<DiskStore>> DiskStore::Open(const std::string& path,
                                                    DiskStoreOptions options) {
   auto store = std::unique_ptr<DiskStore>(new DiskStore());
 
-  // Blocks are whole pages (and therefore whole records): madvise ranges
-  // stay page-aligned and no record straddles a block boundary.
+  // Blocks are whole pages (and therefore whole records): no record
+  // straddles a block boundary.
   size_t block = options.block_bytes;
   block = std::max<size_t>(block, kPageBytes);
   block = (block + kPageBytes - 1) & ~(kPageBytes - 1);
-  store->block_bytes_ = block;
   store->nodes_per_block_ = block / sizeof(NodeRecord);
   store->budget_bytes_ = std::max<uint64_t>(options.cache_budget_bytes, 1);
-  store->cache_ = std::make_unique<util::ShardedLruCache<uint64_t, Block>>(
-      store->budget_bytes_, options.cache_shards);
 
   store->fd_ = ::open(path.c_str(), O_RDONLY);
   if (store->fd_ < 0) {
@@ -209,6 +194,8 @@ Result<std::unique_ptr<DiskStore>> DiskStore::Open(const std::string& path,
     BT_RETURN_NOT_OK(store->LoadImage(path, options));
   } else {
     store->mode_ = Mode::kPread;
+    store->cache_ = std::make_unique<util::ShardedLruCache<uint64_t, Block>>(
+        store->budget_bytes_, options.cache_shards);
     if (store->file_bytes_ < kBtsx2HeaderBytes) {
       return Status::InvalidArgument("BTSX2: '" + path +
                                      "' is smaller than the header");

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -29,16 +28,19 @@ struct DiskStoreOptions {
   /// the cache — the mode for files larger than address-space comfort, at
   /// the price of serving only the NodeStore scan API (no document()).
   bool use_mmap = true;
-  /// Block granularity of the record-section cache; rounded up to a 4 KiB
-  /// multiple (which is also a record multiple, so records never straddle
-  /// blocks).
+  /// Block granularity of record reads; rounded up to a 4 KiB multiple
+  /// (which is also a record multiple, so records never straddle blocks).
+  /// In the mapped modes it is only the read-accounting unit (one read per
+  /// block entered); in pread mode it is also the I/O and caching unit.
   size_t block_bytes = 64 << 10;
-  /// ResourceGuard byte budget for resident record blocks (the
-  /// ShardedLruCache charges every cached block against it and evicts LRU
-  /// to stay under). Pinned blocks of in-flight cursors live outside the
-  /// budget, so a scan always makes progress even with a budget smaller
-  /// than one block.
+  /// Pread mode only: ResourceGuard byte budget for resident record blocks
+  /// (the ShardedLruCache charges every cached block against it and evicts
+  /// LRU to stay under). Pinned blocks of in-flight cursors live outside
+  /// the budget, so a scan always makes progress even with a budget smaller
+  /// than one block. The mapped modes keep no block cache: the OS page
+  /// cache owns their residency (see ResidentBytes()).
   uint64_t cache_budget_bytes = 8ull << 20;
+  /// Pread mode only: shard count of the block cache.
   size_t cache_shards = 8;
   /// Run ValidateBtsx2Deep (O(n)) at open — for untrusted files and tests.
   /// Off by default: trusted reopen stays O(open).
@@ -54,16 +56,20 @@ struct DiskStoreOptions {
 
 /// \brief A NodeStore served straight from a BTSX v2 file (DESIGN.md §13):
 /// opening is O(open) — header parse, map, adopt — with no XML parse and no
-/// index build. Resident record blocks are charged against a ResourceGuard
-/// byte budget with LRU replacement (util::ShardedLruCache), so a corpus
-/// larger than the budget stays queryable: blocks fall out and re-fault on
-/// demand (mmap residency is released with madvise(MADV_DONTNEED); pread
-/// blocks are simply freed).
+/// index build.
 ///
-/// In the mapped modes the store also exposes a full xml::Document facade
-/// (AdoptExternal over the image) — the engine runs on it unchanged, and
-/// results are byte-identical to the in-RAM path. Thread-safe for
-/// concurrent readers: per-scan state lives in caller-owned ScanCursors.
+/// In the mapped modes (mmap, or the heap image when mapping fails) every
+/// record read is a span straight into the image; the OS page cache decides
+/// what stays resident, and ResidentBytes() measures it. The store also
+/// exposes a full xml::Document facade (AdoptExternal over the image) — the
+/// engine runs on it unchanged, and results are byte-identical to the
+/// in-RAM path. In pread mode the store owns every record read: blocks are
+/// fetched into a util::ShardedLruCache charged against a ResourceGuard
+/// byte budget, so a corpus larger than the budget stays scannable as
+/// blocks fall out and are re-read on demand.
+///
+/// Thread-safe for concurrent readers: per-scan state lives in caller-owned
+/// ScanCursors.
 class DiskStore : public NodeStore {
  public:
   static Result<std::unique_ptr<DiskStore>> Open(const std::string& path,
@@ -85,32 +91,19 @@ class DiskStore : public NodeStore {
   uint64_t generation() const override { return generation_; }
 
   NodeRecord Get(xml::NodeId n, ScanCursor* cursor) const override {
-    const Block* b = PageTo(n, cursor);
-    // memcpy load: block buffers are 16-byte aligned (below), but the
-    // copy keeps this path correct for any buffer.
-    NodeRecord r;
-    std::memcpy(&r,
-                b->data + (static_cast<size_t>(n) * sizeof(NodeRecord) -
-                           cursor->page * block_bytes_),
-                sizeof r);
-    return r;
+    return PageTo(n, cursor)[n - cursor->page * nodes_per_block_];
   }
 
-  /// \brief Zero-copy span over the resident block holding `n`, clipped
-  /// to `last`; same per-block read accounting as sequential Gets. The
-  /// typed view is well-formed in every mode: mmap images are
-  /// page-aligned with 16-byte-aligned section offsets, and heap/pread
-  /// buffers come from operator new[] (16-byte aligned by
-  /// __STDCPP_DEFAULT_NEW_ALIGNMENT__).
+  /// \brief Zero-copy span over the block holding `n`, clipped to `last`;
+  /// same per-block read accounting as sequential Gets. The typed view is
+  /// well-formed in every mode: MapBtsx2 admits only 16-byte-aligned
+  /// record sections, and pread blocks are NodeRecord vectors.
   std::span<const NodeRecord> NextBlock(xml::NodeId n, xml::NodeId last,
                                         ScanCursor* cursor) const override {
-    const Block* b = PageTo(n, cursor);
-    size_t first = cursor->page * block_bytes_ / sizeof(NodeRecord);
-    size_t end = std::min<size_t>(
-        {static_cast<size_t>(last), first + b->size / sizeof(NodeRecord) - 1,
-         num_nodes_ - 1});
-    const NodeRecord* records = reinterpret_cast<const NodeRecord*>(b->data);
-    return {records + (n - first), end - n + 1};
+    std::span<const NodeRecord> block = PageTo(n, cursor);
+    size_t first = cursor->page * nodes_per_block_;
+    size_t end = std::min<size_t>(last, first + block.size() - 1);
+    return block.subspan(n - first, end - n + 1);
   }
 
   std::vector<NodeRange> Partition(size_t max_partitions) const override {
@@ -144,49 +137,56 @@ class DiskStore : public NodeStore {
 
   uint64_t FileBytes() const { return file_bytes_; }
   uint64_t RecordBytes() const { return records_bytes_; }
+  /// The pread block-cache budget (bounds nothing in the mapped modes).
   uint64_t budget_bytes() const { return budget_bytes_; }
   bool mmap_backed() const { return mode_ == Mode::kMmap; }
-  util::CacheStats BlockCacheStats() const { return cache_->Stats(); }
+  /// The pread block cache's counters; all zero in the mapped modes, which
+  /// keep no block cache.
+  util::CacheStats BlockCacheStats() const {
+    return cache_ != nullptr ? cache_->Stats() : util::CacheStats{};
+  }
+
+  /// \brief Bytes of this corpus held in memory, as measured: the
+  /// page-cache residency of the mapped file's pages (mincore) in mmap
+  /// mode, the whole image in heap mode, the cached blocks in pread mode.
+  /// For a file the process may neither write nor own, Linux's mincore
+  /// counts only the pages this process has mapped in.
+  uint64_t ResidentBytes() const;
 
  private:
   enum class Mode { kMmap, kHeap, kPread };
 
-  /// One cached record block. Mapped modes: `data` points into the image
-  /// and eviction (the last shared_ptr dropping) releases the pages'
-  /// residency via madvise. Pread mode: `owned` holds the bytes —
-  /// operator new[] storage so the record stream is 16-byte aligned (a
-  /// std::string buffer carries no alignment guarantee; the typed
-  /// NextBlock span and the SIMD scan kernels want an aligned base).
-  struct Block {
-    ~Block();
-    const char* data = nullptr;
-    size_t size = 0;
-    std::unique_ptr<char[]> owned;
-    const char* advise_base = nullptr;  ///< mmap mode: eviction hint range.
-    size_t advise_len = 0;
-  };
+  /// One pread-mode record block.
+  using Block = std::vector<NodeRecord>;
 
   DiskStore() = default;
 
-  /// Moves the cursor onto n's block — pinning it and counting the switch
-  /// (unless the cursor is a non-counting planning walk) — and returns
-  /// the pinned block.
-  const Block* PageTo(xml::NodeId n, ScanCursor* cursor) const {
-    size_t block = static_cast<size_t>(n) * sizeof(NodeRecord) / block_bytes_;
+  /// Moves the cursor onto n's block — counting the switch (unless the
+  /// cursor is a non-counting planning walk) — and returns the block's
+  /// records. Mapped modes slice the image; pread mode pins the cached
+  /// block on the cursor.
+  std::span<const NodeRecord> PageTo(xml::NodeId n,
+                                     ScanCursor* cursor) const {
+    size_t block = n / nodes_per_block_;
     if (block != cursor->page) {
-      cursor->pin = PinBlock(block);
+      if (mode_ == Mode::kPread) cursor->pin = PinBlock(block);
       cursor->page = block;
       if (cursor->count_reads) {
         ++cursor->reads;
         block_reads_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    return static_cast<const Block*>(cursor->pin.get());
+    if (mode_ == Mode::kPread) {
+      return *static_cast<const Block*>(cursor->pin.get());
+    }
+    size_t first = block * nodes_per_block_;
+    return {view_.records + first,
+            std::min(nodes_per_block_, num_nodes_ - first)};
   }
 
-  /// Returns the cached block, loading + inserting on miss. The returned
-  /// pin keeps the block alive even if the cache refuses it (budget smaller
-  /// than one block) or evicts it concurrently.
+  /// Pread mode: returns the cached block, reading + inserting on miss. The
+  /// returned pin keeps the block alive even if the cache refuses it
+  /// (budget smaller than one block) or evicts it concurrently.
   std::shared_ptr<const Block> PinBlock(size_t index) const;
 
   Status LoadImage(const std::string& path, const DiskStoreOptions& options);
@@ -204,13 +204,13 @@ class DiskStore : public NodeStore {
   uint64_t records_offset_ = 0;
   uint64_t records_bytes_ = 0;
   size_t num_nodes_ = 0;
-  size_t block_bytes_ = 0;
   size_t nodes_per_block_ = 0;
   size_t num_blocks_ = 0;
   uint64_t generation_ = 0;
   uint64_t on_disk_generation_ = 0;
   uint64_t budget_bytes_ = 0;
 
+  /// Pread mode only; null in the mapped modes.
   mutable std::unique_ptr<util::ShardedLruCache<uint64_t, Block>> cache_;
   mutable std::atomic<uint64_t> block_reads_{0};
 

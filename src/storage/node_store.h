@@ -30,9 +30,8 @@ struct NodeRange {
 };
 
 /// \brief Per-scan sequential-reader state: which page/block the scan is
-/// currently on, how many it has fetched, and a pin keeping the current
-/// block resident (DiskStore parks the shared_ptr of the cached block here
-/// so eviction can never pull bytes out from under an in-progress read).
+/// currently on, how many it has fetched, and (pread-mode DiskStore only) a
+/// pin keeping the current block resident.
 ///
 /// One cursor belongs to exactly one scan (one thread); concurrent scans
 /// over a shared store each carry their own. That is what makes page-read
@@ -42,9 +41,12 @@ struct NodeRange {
 struct ScanCursor {
   size_t page = static_cast<size_t>(-1);
   uint64_t reads = 0;
+  /// Pread-mode DiskStore: the shared_ptr of the cached block the cursor is
+  /// on, so eviction can never pull bytes out from under an in-progress
+  /// read. Empty for every other store, whose blocks never move.
   std::shared_ptr<const void> pin;
   /// False for planning-time walks (PartitionFromRecords): the cursor
-  /// still pins and pages normally, but neither the cursor's `reads` nor
+  /// still pages normally, but neither the cursor's `reads` nor
   /// the store-wide aggregate is incremented — partitioning is planning,
   /// not scan I/O, on every store (PageStore always behaved this way;
   /// DiskStore used to count its partition walk, diverging from it).
@@ -86,8 +88,8 @@ class NodeStore {
   /// accounting is identical to fetching the same records one Get() at a
   /// time — one page read per block entered — so batched and
   /// node-at-a-time scans report bitwise-identical counters. The span
-  /// stays valid until the next call through the same cursor (the
-  /// cursor's pin keeps the backing block resident).
+  /// stays valid until the next call through the same cursor (a pread
+  /// DiskStore's cursor pin keeps the backing block resident).
   virtual std::span<const NodeRecord> NextBlock(xml::NodeId n,
                                                 xml::NodeId last,
                                                 ScanCursor* cursor) const {

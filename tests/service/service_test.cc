@@ -13,6 +13,8 @@
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "index/btsi.h"
+#include "index/structural_index.h"
 #include "service/corpus.h"
 #include "storage/btsx2.h"
 #include "service/query_service.h"
@@ -177,6 +179,72 @@ TEST(ServiceCorpusTest, AddDiskRejectsMissingFileAndPreadMode) {
   storage::DiskStoreOptions opts;
   opts.use_mmap = false;  // No document facade: nothing to query.
   EXPECT_FALSE(corpus.AddDisk("x", path, opts).ok());
+  std::remove(path.c_str());
+}
+
+TEST(ServiceDiskTest, MappedCorpusWithTinyBudgetMatchesRam) {
+  // A mapped corpus serves every read straight from the image: a one-byte
+  // block budget must change no answer, with the `.btsi` sidecar (index
+  // seeks) and without it (scans), at 1 and 4 intra-query threads.
+  datagen::GenOptions o;
+  o.scale = 0.02;
+  auto ram = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, o);
+  std::string path = ::testing::TempDir() + "/bt_service_tiny_budget.btsx2";
+  ASSERT_TRUE(storage::WriteBtsx2(*ram, path).ok());
+  auto idx = index::StructuralIndex::Build(*ram);
+  ASSERT_TRUE(index::WriteBtsi(*idx, index::BtsiSidecarPath(path)).ok());
+
+  const char* queries[] = {
+      "//article/author",
+      "//phdthesis[year]/title",
+      "//inproceedings[author]/booktitle",
+      "for $a in //article where exists($a/year) return "
+      "<hit>{$a/title}</hit>",
+  };
+  std::vector<std::string> expected;
+  for (const char* q : queries) {
+    engine::EngineOptions serial;
+    serial.num_threads = 1;
+    engine::BlossomTreeEngine ref(ram.get(), serial);
+    auto r = ref.EvaluateQuery(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected.push_back(*r);
+  }
+
+  storage::DiskStoreOptions disk;
+  disk.cache_budget_bytes = 1;
+  for (bool sidecar : {true, false}) {
+    if (!sidecar) std::remove(index::BtsiSidecarPath(path).c_str());
+    Corpus corpus;
+    ASSERT_TRUE(corpus.AddDisk("d5", path, disk).ok());
+    const storage::DiskStore* store = corpus.Get("d5")->disk();
+    ASSERT_EQ(store->index() != nullptr, sidecar);
+    for (unsigned threads : {1u, 4u}) {
+      ServiceOptions opts;
+      opts.slots = 2;
+      opts.intra_query_threads = threads;
+      QueryService svc(&corpus, opts);
+      auto session = svc.CreateSession("tenant-a");
+      for (size_t i = 0; i < std::size(queries); ++i) {
+        auto got = svc.Execute(*session, "d5", queries[i]);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(*got == expected[i])
+            << queries[i] << " sidecar=" << sidecar
+            << " threads=" << threads;
+      }
+      // The sidecar really switched the access path to index seeks.
+      uint64_t seeks = 0;
+      for (const QuerySummary& q : svc.observer()->Recent(64)) {
+        seeks += q.paths.seek_ops;
+      }
+      EXPECT_EQ(seeks > 0, sidecar) << "threads=" << threads;
+      // Residency is measured, not a ledger; no gauge reports the budget.
+      auto gauges = svc.ResourceGauges();
+      EXPECT_LE(gauges["corpus.disk_resident_bytes"], store->FileBytes());
+      EXPECT_EQ(gauges.count("corpus.disk_budget_bytes"), 0u);
+    }
+    EXPECT_EQ(store->BlockCacheStats().insertions, 0u);
+  }
   std::remove(path.c_str());
 }
 
