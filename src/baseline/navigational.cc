@@ -1,7 +1,5 @@
 #include "baseline/navigational.h"
 
-#include <algorithm>
-
 #include "engine/engine.h"
 #include "flwor/parser.h"
 
@@ -64,29 +62,10 @@ Status NavigationalEvaluator::EvalExpr(const flwor::Expr& expr,
       PathEvaluator ev(doc_);
       BT_ASSIGN_OR_RETURN(std::vector<Env> tuples,
                           engine::NaiveFlworTuples(*expr.flwor, env, &ev));
+      BT_RETURN_NOT_OK(engine::OrderTuples(*expr.flwor, &ev, &tuples));
       nodes_visited_ += ev.NodesVisited();
-      const flwor::Flwor& f = *expr.flwor;
-      if (f.order_by.has_value()) {
-        PathEvaluator kev(doc_);
-        std::vector<std::pair<std::string, size_t>> keys;
-        for (size_t i = 0; i < tuples.size(); ++i) {
-          BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                              kev.EvaluateWith(*f.order_by, tuples[i], {}));
-          keys.emplace_back(
-              nodes.empty() ? "" : doc_->StringValue(nodes[0]), i);
-        }
-        nodes_visited_ += kev.NodesVisited();
-        std::stable_sort(keys.begin(), keys.end(),
-                         [&](const auto& a, const auto& b) {
-                           return f.order_descending ? a.first > b.first
-                                                     : a.first < b.first;
-                         });
-        std::vector<Env> ordered;
-        for (const auto& [key, idx] : keys) ordered.push_back(tuples[idx]);
-        tuples = std::move(ordered);
-      }
       for (const Env& t : tuples) {
-        BT_RETURN_NOT_OK(EvalExpr(*f.ret, t, out));
+        BT_RETURN_NOT_OK(EvalExpr(*expr.flwor->ret, t, out));
       }
       return Status::OK();
     }

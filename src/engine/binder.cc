@@ -1,7 +1,6 @@
 #include "engine/binder.h"
 
 #include <algorithm>
-#include <set>
 
 #include "util/trace.h"
 
@@ -15,167 +14,139 @@ using pattern::SlotId;
 
 std::vector<SlotBinding> ComputeSlotBindings(const pattern::BlossomTree& tree,
                                              const flwor::Flwor& flwor) {
-  util::TraceSpan span("engine", "bind");
   std::vector<SlotBinding> out(tree.NumSlots());
-  for (const flwor::Binding& b : flwor.bindings) {
-    SlotId s = tree.SlotOfVariable(b.var);
-    if (s == pattern::kNoSlot) continue;
-    out[s].variable = b.var;
-    out[s].is_let = b.kind == flwor::Binding::Kind::kLet;
+  if (flwor.bindings.empty()) return out;
+  uint32_t first = flwor.bindings.front().var_slot;
+  for (SlotId s = 0; s < tree.NumSlots(); ++s) {
+    uint32_t var = tree.vertex(tree.slot(s).vertex).var_slot;
+    if (var == xpath::kNoVarSlot) continue;
+    out[s].var_slot = var;
+    out[s].is_let =
+        flwor.bindings[var - first].kind == flwor::Binding::Kind::kLet;
   }
   return out;
 }
 
 namespace {
 
-/// Merges two env lists as a cross product.
-std::vector<Env> Cross(const std::vector<Env>& a, const std::vector<Env>& b) {
-  std::vector<Env> out;
-  out.reserve(a.size() * b.size());
-  for (const Env& x : a) {
-    for (const Env& y : b) {
-      Env merged = x;
-      for (const auto& [k, v] : y) merged[k] = v;
-      out.push_back(std::move(merged));
-    }
-  }
-  return out;
-}
+/// One pattern tree's binding walk. Pending work is a stack of (slot,
+/// groups) items; a walk that empties it emits the tree's slots of the
+/// scratch tuple as one row.
+struct Expander {
+  struct Item {
+    SlotId slot;
+    std::vector<const Group*> groups;
+  };
 
-class Expander {
- public:
-  Expander(const pattern::BlossomTree& tree,
-           const std::vector<SlotBinding>& bindings)
-      : tree_(tree), bindings_(bindings) {}
-
-  /// Envs induced by group `g` of slot `s`.
-  std::vector<Env> ExpandSlot(SlotId s, const Group& g) {
-    const SlotBinding& sb = bindings_[s];
-    if (!sb.variable.empty() && sb.is_let) {
-      // let-binding: the whole (possibly empty) sequence in one env.
-      Env env;
-      std::vector<xml::NodeId>& seq = env[sb.variable];
-      for (const Entry& e : g) {
-        if (!e.IsPlaceholder()) seq.push_back(e.node);
+  Status Run(const std::vector<SlotId>& tops,
+             const std::vector<NestedList>& lists) {
+    for (SlotId top : tops) CollectVars(top);
+    std::sort(out->slots.begin(), out->slots.end());
+    // The tops behave as the children of a non-blossom root whose matches
+    // are the lists.
+    for (size_t t = 0; t < tops.size(); ++t) {
+      Item item{tops[t], {}};
+      for (const NestedList& nl : lists) {
+        if (t < nl.tops.size()) item.groups.push_back(&nl.tops[t]);
       }
-      // Variables nested below a let-binding would require sequence-valued
-      // iteration; the supported FLWOR subset never produces them.
-      return {std::move(env)};
+      pending.push_back(std::move(item));
     }
-    if (!sb.variable.empty()) {
-      // for-binding: one branch per match.
-      std::vector<Env> out;
-      for (const Entry& e : g) {
-        if (e.IsPlaceholder()) continue;
-        std::vector<Env> below = ExpandChildren(s, e);
-        for (Env& env : below) {
-          env[sb.variable] = {e.node};
-          out.push_back(std::move(env));
-        }
+    BT_RETURN_NOT_OK(Walk());
+    std::sort(out->rows.begin(), out->rows.end());
+    out->rows.erase(std::unique(out->rows.begin(), out->rows.end()),
+                    out->rows.end());
+    return Status::OK();
+  }
+
+  void CollectVars(SlotId s) {
+    if (bindings[s].var_slot != xpath::kNoVarSlot) {
+      out->slots.push_back(bindings[s].var_slot);
+    }
+    for (SlotId c : tree.slot(s).children) CollectVars(c);
+  }
+
+  Status Walk() {
+    if (pending.empty()) {
+      if ((++emitted & 0x1FF) == 0 && !guard->Check()) {
+        return guard->status();
       }
-      return out;
+      Env& row = out->rows.emplace_back();
+      for (uint32_t var : out->slots) row.push_back(scratch[var]);
+      return Status::OK();
     }
-    // Non-blossom returning slot (join endpoint): no branching — union the
-    // environments contributed by every match.
-    if (!SubtreeHasVariable(s)) {
-      return {Env{}};
-    }
-    std::vector<Env> out;
-    for (const Entry& e : g) {
-      if (e.IsPlaceholder()) continue;
-      std::vector<Env> below = ExpandChildren(s, e);
-      out.insert(out.end(), std::make_move_iterator(below.begin()),
-                 std::make_move_iterator(below.end()));
-    }
-    return out;
-  }
-
- private:
-  std::vector<Env> ExpandChildren(SlotId s, const Entry& e) {
-    std::vector<Env> result = {Env{}};
-    const auto& kids = tree_.slot(s).children;
-    for (size_t i = 0; i < kids.size() && i < e.groups.size(); ++i) {
-      if (!SubtreeHasVariable(kids[i])) continue;
-      std::vector<Env> branch = ExpandSlot(kids[i], e.groups[i]);
-      if (branch.empty()) {
-        // No matches below. If everything down there is let-bound, the
-        // bindings are empty sequences; a for-bound variable means zero
-        // iterations, killing this entry's contribution.
-        Env lets;
-        if (!BindAllLetsEmpty(kids[i], &lets)) return {};
-        branch.push_back(std::move(lets));
+    Item item = std::move(pending.back());
+    pending.pop_back();
+    std::vector<const Entry*> matches;
+    for (const Group* g : item.groups) {
+      for (const Entry& e : *g) {
+        if (!e.IsPlaceholder()) matches.push_back(&e);
       }
-      result = Cross(result, branch);
     }
-    return result;
+    const SlotBinding& sb = bindings[item.slot];
+    Status st;
+    if (sb.var_slot == xpath::kNoVarSlot) {
+      // Non-blossom slot: no branching; its children see every match's
+      // groups, as the path through it reaches them.
+      st = Descend(item.slot, matches);
+    } else if (sb.is_let) {
+      // let-binding: the whole (possibly empty) sequence, in document
+      // order; groups merged through a non-blossom slot can repeat nodes.
+      std::vector<xml::NodeId>& seq = scratch[sb.var_slot];
+      seq.clear();
+      for (const Entry* e : matches) seq.push_back(e->node);
+      std::sort(seq.begin(), seq.end());
+      seq.erase(std::unique(seq.begin(), seq.end()), seq.end());
+      st = Walk();
+    } else {
+      // for-binding: one branch per match; no match, no tuple.
+      for (const Entry* e : matches) {
+        scratch[sb.var_slot].assign(1, e->node);
+        st = Descend(item.slot, {e});
+        if (!st.ok()) break;
+      }
+    }
+    pending.push_back(std::move(item));
+    return st;
   }
 
-  /// Binds every variable under `s` (inclusive) to the empty sequence;
-  /// returns false if any of them is for-bound.
-  bool BindAllLetsEmpty(SlotId s, Env* env) {
-    const SlotBinding& sb = bindings_[s];
-    if (!sb.variable.empty()) {
-      if (!sb.is_let) return false;
-      (*env)[sb.variable] = {};
+  /// Walks on with each child slot of `s` queued over its groups in
+  /// `matches`.
+  Status Descend(SlotId s, const std::vector<const Entry*>& matches) {
+    size_t mark = pending.size();
+    const std::vector<SlotId>& kids = tree.slot(s).children;
+    for (size_t i = 0; i < kids.size(); ++i) {
+      Item child{kids[i], {}};
+      for (const Entry* e : matches) {
+        if (i < e->groups.size()) child.groups.push_back(&e->groups[i]);
+      }
+      pending.push_back(std::move(child));
     }
-    for (SlotId c : tree_.slot(s).children) {
-      if (!BindAllLetsEmpty(c, env)) return false;
-    }
-    return true;
+    Status st = Walk();
+    pending.resize(mark);
+    return st;
   }
 
-  bool SubtreeHasVariable(SlotId s) {
-    if (!bindings_[s].variable.empty()) return true;
-    for (SlotId c : tree_.slot(s).children) {
-      if (SubtreeHasVariable(c)) return true;
-    }
-    return false;
-  }
-
-  const pattern::BlossomTree& tree_;
-  const std::vector<SlotBinding>& bindings_;
+  const pattern::BlossomTree& tree;
+  const std::vector<SlotBinding>& bindings;
+  util::ResourceGuard* guard;
+  TreeTuples* out;
+  Env scratch;  ///< Sized to every slot in scope; this tree writes its own.
+  std::vector<Item> pending = {};
+  uint64_t emitted = 0;
 };
 
 }  // namespace
 
-std::vector<Env> EnumerateBindings(const pattern::BlossomTree& tree,
-                                   const std::vector<SlotId>& tops,
-                                   const std::vector<NestedList>& lists,
-                                   const std::vector<SlotBinding>& bindings) {
-  Expander expander(tree, bindings);
-  std::vector<Env> out;
-  for (const NestedList& nl : lists) {
-    std::vector<Env> per_list = {Env{}};
-    for (size_t t = 0; t < tops.size() && t < nl.tops.size(); ++t) {
-      std::vector<Env> branch = expander.ExpandSlot(tops[t], nl.tops[t]);
-      if (branch.empty()) {
-        per_list.clear();
-        break;
-      }
-      per_list = Cross(per_list, branch);
-    }
-    out.insert(out.end(), std::make_move_iterator(per_list.begin()),
-               std::make_move_iterator(per_list.end()));
-  }
-  // Dedup on for-bound assignments: the same node reachable through two
-  // embeddings (recursive documents) binds once.
-  std::set<std::vector<std::pair<std::string, std::vector<xml::NodeId>>>>
-      seen;
-  std::vector<Env> deduped;
-  for (Env& env : out) {
-    std::vector<std::pair<std::string, std::vector<xml::NodeId>>> key(
-        env.begin(), env.end());
-    if (seen.insert(key).second) deduped.push_back(std::move(env));
-  }
-  return deduped;
-}
-
-std::vector<Env> CrossEnvs(const std::vector<std::vector<Env>>& per_tree) {
-  std::vector<Env> out = {Env{}};
-  for (const auto& envs : per_tree) {
-    out = Cross(out, envs);
-  }
-  return out;
+Status EnumerateBindings(const pattern::BlossomTree& tree,
+                         const std::vector<SlotId>& tops,
+                         const std::vector<NestedList>& lists,
+                         const std::vector<SlotBinding>& bindings,
+                         size_t num_vars, util::ResourceGuard* guard,
+                         TreeTuples* out) {
+  util::TraceSpan span("engine", "bind");
+  *out = TreeTuples{};
+  Expander expander{tree, bindings, guard, out, Env(num_vars), {}, 0};
+  return expander.Run(tops, lists);
 }
 
 }  // namespace engine

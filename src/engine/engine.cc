@@ -1,7 +1,9 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
+#include <functional>
 
 #include "engine/binder.h"
 #include "engine/where_eval.h"
@@ -257,25 +259,17 @@ Status BlossomTreeEngine::EvalExpr(const flwor::Expr& expr, const Env& env,
 
 Status BlossomTreeEngine::EvalFlwor(const flwor::Flwor& flwor, const Env& env,
                                     ResultBuilder* out) {
-  std::vector<Env> tuples;
-  if (env.empty()) {
-    auto r = FlworTuples(flwor);
-    if (!r.ok() && r.status().code() == StatusCode::kUnsupported) {
-      // Bindings outside the BlossomTree subset (e.g. reverse axes):
-      // degrade to per-iteration evaluation.
-      PathEvaluator ev(doc_);
-      BT_ASSIGN_OR_RETURN(tuples, NaiveFlworTuples(flwor, env, &ev, &guard_));
-    } else {
-      BT_RETURN_NOT_OK(r.status());
-      tuples = r.MoveValue();
-    }
-  } else {
-    // Nested FLWOR with free variables from the enclosing scope: fall back
-    // to per-iteration evaluation under the outer bindings.
+  Result<std::vector<Env>> tuples =
+      env.empty() ? FlworTuples(flwor)
+                  : Status::Unsupported("nested FLWOR with free variables");
+  if (!tuples.ok() && tuples.status().code() == StatusCode::kUnsupported) {
+    // Bindings outside the BlossomTree subset (e.g. reverse axes) and
+    // nested FLWORs under outer bindings: per-iteration evaluation.
     PathEvaluator ev(doc_);
-    BT_ASSIGN_OR_RETURN(tuples, NaiveFlworTuples(flwor, env, &ev, &guard_));
+    tuples = NaiveFlworTuples(flwor, env, &ev, &guard_);
   }
-  return EmitTuples(flwor, std::move(tuples), out);
+  BT_RETURN_NOT_OK(tuples.status());
+  return EmitTuples(flwor, tuples.MoveValue(), out);
 }
 
 Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
@@ -292,6 +286,8 @@ Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
     last_profile_.plan_cache.Count(hit != nullptr);
     if (hit != nullptr) return hit;
   }
+  // Only env-free FLWORs are compiled, so their slots start at 0.
+  assert(flwor.bindings.empty() || flwor.bindings.front().var_slot == 0);
   auto compiled = std::make_shared<CompiledFlwor>();
   BT_ASSIGN_OR_RETURN(compiled->tree, pattern::BuildFromFlwor(flwor));
   compiled->decomposition = pattern::Decompose(compiled->tree);
@@ -312,35 +308,52 @@ Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
                       opt::PlanQuery(doc_, &tree, options_.plan,
                                      &compiled->decomposition));
   last_explain_ = plan.Explain();
-  const std::vector<SlotBinding>& bindings = compiled->bindings;
-  // Per pattern tree: drain the plan, expand bindings.
-  std::vector<std::vector<Env>> per_tree;
+  // Per pattern tree: drain the plan, bind its own slots.
+  std::vector<TreeTuples> per_tree;
   for (opt::PatternTreePlan& tp : plan.trees) {
     std::vector<nestedlist::NestedList> lists =
         exec::Drain(tp.root.get(), options_.plan.exec.batch_rows);
     if (guard_.Tripped()) return guard_.status();
-    per_tree.push_back(EnumerateBindings(tree, tp.tops, lists, bindings));
+    BT_RETURN_NOT_OK(EnumerateBindings(
+        tree, tp.tops, lists, compiled->bindings, flwor.bindings.size(),
+        &guard_, &per_tree.emplace_back()));
   }
   CollectProfile(&plan, "flwor");
   // Crossing edges (<<, value joins, deep-equal) are evaluated by the
-  // naive nested loop over the per-tree tuple sets (paper §4.3), as the
-  // where-clause filter below.
-  std::vector<Env> tuples = CrossEnvs(per_tree);
-  if (!guard_.ChargeRows(tuples.size())) return guard_.status();
-  if (flwor.where != nullptr) {
-    PathEvaluator ev(doc_);
-    std::vector<Env> kept;
-    uint64_t filtered = 0;
-    for (Env& t : tuples) {
-      if ((++filtered & 0x1FF) == 0 && !guard_.Check()) {
-        return guard_.status();
+  // naive nested loop over the per-tree rows (paper §4.3): the first tree
+  // outermost, each tuple charged as it is formed and filtered by the
+  // where-clause at once, so only survivors are held.
+  Env tuple(flwor.bindings.size());
+  std::vector<Env> kept;
+  PathEvaluator ev(doc_);
+  uint64_t formed = 0;
+  std::function<Status(size_t)> join = [&](size_t t) -> Status {
+    if (t == per_tree.size()) {
+      if (!guard_.ChargeRows(1)) return guard_.status();
+      if ((++formed & 0x1FF) == 0 && !guard_.Check()) return guard_.status();
+      if (flwor.where != nullptr) {
+        BT_ASSIGN_OR_RETURN(bool ok,
+                            EvalWhere(*flwor.where, tuple, *doc_, &ev));
+        if (!ok) return Status::OK();
       }
-      BT_ASSIGN_OR_RETURN(bool ok, EvalWhere(*flwor.where, t, *doc_, &ev));
-      if (ok) kept.push_back(std::move(t));
+      kept.push_back(tuple);
+      return Status::OK();
     }
-    tuples = std::move(kept);
+    const TreeTuples& tt = per_tree[t];
+    for (const Env& row : tt.rows) {
+      for (size_t j = 0; j < tt.slots.size(); ++j) tuple[tt.slots[j]] = row[j];
+      BT_RETURN_NOT_OK(join(t + 1));
+    }
+    return Status::OK();
+  };
+  BT_RETURN_NOT_OK(join(0));
+  // The FLWOR's own loop order is ascending slots; trees whose slots
+  // interleave (`for $a in //a, $b in //b, $c in $a/c`) leave the nested
+  // loop out of it.
+  if (!std::is_sorted(kept.begin(), kept.end())) {
+    std::sort(kept.begin(), kept.end());
   }
-  return tuples;
+  return kept;
 }
 
 Status BlossomTreeEngine::EmitTuples(const flwor::Flwor& flwor,
@@ -351,29 +364,35 @@ Status BlossomTreeEngine::EmitTuples(const flwor::Flwor& flwor,
     metrics_.GetCounter("engine.flwor_tuples")
         ->Add(static_cast<uint64_t>(tuples.size()));
   }
-  if (flwor.order_by.has_value()) {
-    PathEvaluator ev(doc_);
-    std::vector<std::pair<std::string, size_t>> keys;
-    keys.reserve(tuples.size());
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                          ev.EvaluateWith(*flwor.order_by, tuples[i], {}));
-      keys.emplace_back(nodes.empty() ? "" : doc_->StringValue(nodes[0]), i);
-    }
-    std::stable_sort(keys.begin(), keys.end(),
-                     [&](const auto& a, const auto& b) {
-                       return flwor.order_descending ? a.first > b.first
-                                                     : a.first < b.first;
-                     });
-    std::vector<Env> ordered;
-    ordered.reserve(tuples.size());
-    for (const auto& [key, idx] : keys) ordered.push_back(tuples[idx]);
-    tuples = std::move(ordered);
-  }
+  PathEvaluator ev(doc_);
+  BT_RETURN_NOT_OK(OrderTuples(flwor, &ev, &tuples));
   uint64_t emitted = 0;
   for (const Env& t : tuples) {
     if ((++emitted & 0xFF) == 0 && !guard_.Check()) return guard_.status();
     BT_RETURN_NOT_OK(EvalExpr(*flwor.ret, t, out));
+  }
+  return Status::OK();
+}
+
+Status OrderTuples(const flwor::Flwor& flwor, PathEvaluator* evaluator,
+                   std::vector<Env>* tuples) {
+  if (!flwor.order_by.has_value()) return Status::OK();
+  std::vector<std::pair<std::string, Env>> keyed;
+  keyed.reserve(tuples->size());
+  for (Env& t : *tuples) {
+    BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
+                        evaluator->EvaluateWith(*flwor.order_by, t, {}));
+    keyed.emplace_back(
+        nodes.empty() ? "" : evaluator->doc()->StringValue(nodes[0]),
+        std::move(t));
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [&](const auto& a, const auto& b) {
+                     return flwor.order_descending ? a.first > b.first
+                                                   : a.first < b.first;
+                   });
+  for (size_t i = 0; i < keyed.size(); ++i) {
+    (*tuples)[i] = std::move(keyed[i].second);
   }
   return Status::OK();
 }
@@ -393,14 +412,17 @@ Result<std::vector<Env>> NaiveFlworTuples(const flwor::Flwor& flwor,
       // enclosing loop — the inefficiency BlossomTree eliminates.
       BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
                           evaluator->EvaluateWith(b.path, t, {}));
+      // Each binding appends its slot: bindings take consecutive slots
+      // after the enclosing scope's.
+      assert(b.var_slot == t.size());
       if (b.kind == flwor::Binding::Kind::kLet) {
         Env env = t;
-        env[b.var] = std::move(nodes);
+        env.push_back(std::move(nodes));
         next.push_back(std::move(env));
       } else {
         for (xml::NodeId n : nodes) {
           Env env = t;
-          env[b.var] = {n};
+          env.push_back({n});
           next.push_back(std::move(env));
         }
       }

@@ -83,8 +83,9 @@ struct EngineOptions {
 
 /// \brief End-to-end query evaluation via BlossomTree pattern matching:
 /// FLWOR → BlossomTree → NoK decomposition → (merged) NoK scans +
-/// structural joins → NestedLists → variable binding (Env) → where
-/// filtering → ordering → result construction.
+/// structural joins → NestedLists → per-tree variable binding into
+/// slot-indexed tuples (Env) → nested-loop join across trees with the where
+/// filter → ordering → result construction.
 class BlossomTreeEngine {
  public:
   explicit BlossomTreeEngine(const xml::Document* doc,
@@ -164,6 +165,9 @@ class BlossomTreeEngine {
                   ResultBuilder* out);
   Status EvalFlwor(const flwor::Flwor& flwor, const Env& env,
                    ResultBuilder* out);
+  /// Tuples of an env-free FLWOR that satisfy its where-clause, in the
+  /// FLWOR's loop order. Each tuple of the cross product is charged as a
+  /// result row as it is formed; only survivors are held.
   Result<std::vector<Env>> FlworTuples(const flwor::Flwor& flwor);
   Status EmitTuples(const flwor::Flwor& flwor, std::vector<Env> tuples,
                     ResultBuilder* out);
@@ -202,11 +206,17 @@ class BlossomTreeEngine {
 /// \brief FLWOR tuple enumeration by naive per-iteration path evaluation —
 /// the semantics-following strategy the paper's introduction warns about.
 /// Used by the navigational baseline and for nested FLWORs with free
-/// variables.
+/// variables. Each binding appends its slot to `base_env`, whose size is
+/// the number of variables in the FLWOR's enclosing scope.
 Result<std::vector<Env>> NaiveFlworTuples(const flwor::Flwor& flwor,
                                           const Env& base_env,
                                           PathEvaluator* evaluator,
                                           util::ResourceGuard* guard = nullptr);
+
+/// \brief Stable-sorts `tuples` on the string value of the first node of
+/// the FLWOR's `order by` key (no-op without one).
+Status OrderTuples(const flwor::Flwor& flwor, PathEvaluator* evaluator,
+                   std::vector<Env>* tuples);
 
 }  // namespace engine
 }  // namespace blossomtree

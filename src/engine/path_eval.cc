@@ -23,14 +23,12 @@ void SortDedup(std::vector<xml::NodeId>* nodes) {
 
 Result<std::vector<xml::NodeId>> PathEvaluator::Evaluate(
     const xpath::PathExpr& path) {
-  static const Env kEmptyEnv;
-  return EvaluateWith(path, kEmptyEnv, {});
+  return EvaluateWith(path, /*env=*/{}, {});
 }
 
 Result<std::vector<xml::NodeId>> PathEvaluator::EvaluateWith(
     const xpath::PathExpr& path, const Env& env,
     const std::vector<xml::NodeId>& context) {
-  std::vector<xml::NodeId> start;
   switch (path.start) {
     case xpath::PathExpr::StartKind::kRoot:
       // The "virtual root" context: the first step's child axis reaches the
@@ -78,19 +76,15 @@ Result<std::vector<xml::NodeId>> PathEvaluator::EvaluateWith(
         }
         return EvaluateSteps(path.steps, 1, kept);
       }
-    case xpath::PathExpr::StartKind::kVariable: {
-      auto it = env.find(path.variable);
-      if (it == env.end()) {
+    case xpath::PathExpr::StartKind::kVariable:
+      if (path.var_slot >= env.size()) {
         return Status::InvalidArgument("unbound variable $" + path.variable);
       }
-      start = it->second;
-      break;
-    }
+      return EvaluateSteps(path.steps, 0, env[path.var_slot]);
     case xpath::PathExpr::StartKind::kContext:
-      start = context;
       break;
   }
-  return EvaluateSteps(path.steps, 0, start);
+  return EvaluateSteps(path.steps, 0, context);
 }
 
 Result<std::vector<xml::NodeId>> PathEvaluator::EvaluateSteps(
@@ -225,9 +219,8 @@ Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
 
 Result<bool> PathEvaluator::EvalPredicate(const xpath::Predicate& pred,
                                           xml::NodeId node) {
-  static const Env kEmptyEnv;
   BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                      EvaluateWith(*pred.path, kEmptyEnv, {node}));
+                      EvaluateWith(*pred.path, /*env=*/{}, {node}));
   if (pred.kind == xpath::Predicate::Kind::kExists) {
     return !nodes.empty();
   }

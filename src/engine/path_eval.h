@@ -2,7 +2,6 @@
 #define BLOSSOMTREE_ENGINE_PATH_EVAL_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -13,10 +12,12 @@
 namespace blossomtree {
 namespace engine {
 
-/// \brief A variable environment: each variable is bound to a node sequence
-/// (singleton for for-bound variables, any length for let-bound ones).
-/// This is the paper's `Env` abstract data type (§3.2, Figure 2).
-using Env = std::map<std::string, std::vector<xml::NodeId>>;
+/// \brief A variable tuple, indexed by the slots flwor::ParseQuery resolved
+/// (Binding::var_slot, PathExpr::var_slot): `env[s]` is the node sequence
+/// bound to slot `s` (singleton for for-bound variables, any length for
+/// let-bound ones). This is the paper's `Env` abstract data type (§3.2,
+/// Figure 2).
+using Env = std::vector<std::vector<xml::NodeId>>;
 
 /// \brief Navigational XPath evaluation over the DOM: every step traverses
 /// the tree directly, with no indexes and no sharing — the per-step
@@ -32,8 +33,9 @@ class PathEvaluator {
   /// document-ordered set of nodes.
   Result<std::vector<xml::NodeId>> Evaluate(const xpath::PathExpr& path);
 
-  /// \brief Evaluates a path whose start may be a variable (resolved in
-  /// `env`) or the context node(s).
+  /// \brief Evaluates a path whose start may be a variable (read from
+  /// `env[path.var_slot]`; kInvalidArgument if that slot is not in `env`,
+  /// e.g. for a path parsed without a FLWOR) or the context node(s).
   Result<std::vector<xml::NodeId>> EvaluateWith(
       const xpath::PathExpr& path, const Env& env,
       const std::vector<xml::NodeId>& context);

@@ -37,6 +37,7 @@ void AppendPath(const xpath::PathExpr& path, std::string* out) {
     case xpath::PathExpr::StartKind::kVariable:
       out->push_back('$');
       AppendString(path.variable, out);
+      out->append(std::to_string(path.var_slot));
       break;
     case xpath::PathExpr::StartKind::kContext:
       out->push_back('.');
@@ -115,6 +116,7 @@ void AppendFlwor(const flwor::Flwor& flwor, std::string* out) {
   for (const flwor::Binding& b : flwor.bindings) {
     out->append(b.kind == flwor::Binding::Kind::kFor ? "for$" : "let$");
     AppendString(b.var, out);
+    out->append(std::to_string(b.var_slot));
     AppendPath(b.path, out);
     out->push_back(';');
   }

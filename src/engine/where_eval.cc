@@ -5,6 +5,10 @@
 namespace blossomtree {
 namespace engine {
 
+namespace {
+
+/// Evaluates one operand to a node sequence; literals yield an empty node
+/// list plus `*literal_out` set.
 Result<std::vector<xml::NodeId>> EvalOperand(const flwor::Operand& op,
                                              const Env& env,
                                              PathEvaluator* evaluator,
@@ -25,8 +29,6 @@ Result<std::vector<xml::NodeId>> EvalOperand(const flwor::Operand& op,
   *is_literal = false;
   return evaluator->EvaluateWith(op.path, env, {});
 }
-
-namespace {
 
 Result<bool> EvalCompare(const flwor::BoolExpr& expr, const Env& env,
                          const xml::Document& doc,

@@ -19,14 +19,6 @@ namespace engine {
 Result<bool> EvalWhere(const flwor::BoolExpr& expr, const Env& env,
                        const xml::Document& doc, PathEvaluator* evaluator);
 
-/// \brief Evaluates one operand to a node sequence; literals yield an empty
-/// node list plus `*literal_out` set.
-Result<std::vector<xml::NodeId>> EvalOperand(const flwor::Operand& op,
-                                             const Env& env,
-                                             PathEvaluator* evaluator,
-                                             bool* is_literal,
-                                             std::string* literal_out);
-
 }  // namespace engine
 }  // namespace blossomtree
 

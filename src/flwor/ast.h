@@ -17,6 +17,9 @@ struct Binding {
   enum class Kind { kFor, kLet };
   Kind kind;
   std::string var;  ///< Variable name without '$'.
+  /// Tuple slot this binding writes: the number of variables in scope
+  /// before it, outer FLWORs included (assigned by ParseQuery).
+  uint32_t var_slot = xpath::kNoVarSlot;
   xpath::PathExpr path;
 };
 

@@ -1,5 +1,6 @@
 #include "flwor/parser.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "util/strings.h"
@@ -103,6 +104,7 @@ class QueryParser {
     return Status::OK();
   }
 
+  /// Parses a path and resolves its variable reference.
   Status ParseEmbeddedPath(xpath::PathExpr* out) {
     SkipSpace();
     size_t pos = pos_;
@@ -110,6 +112,20 @@ class QueryParser {
     if (!r.ok()) return r.status();
     pos_ = pos;
     *out = r.MoveValue();
+    return Resolve(out);
+  }
+
+  /// Resolves a `$v` reference, once, to the slot of the innermost binding
+  /// of `v` in scope. As in XQuery (XPST0008), a reference no binding
+  /// reaches is a static error, whatever the data.
+  Status Resolve(xpath::PathExpr* path) const {
+    if (path->start == xpath::PathExpr::StartKind::kVariable) {
+      auto it = std::find(scope_.rbegin(), scope_.rend(), path->variable);
+      if (it == scope_.rend()) {
+        return Status::InvalidArgument("unbound variable $" + path->variable);
+      }
+      path->var_slot = static_cast<uint32_t>(scope_.rend() - it) - 1;
+    }
     return Status::OK();
   }
 
@@ -148,37 +164,36 @@ class QueryParser {
 
  private:
   Status ParseFlwor(Flwor* out) {
+    size_t outer_scope = scope_.size();
     while (true) {
+      Binding::Kind kind;
       if (ConsumeKeyword("for")) {
-        // 'for' allows a comma-separated binding list.
-        while (true) {
-          Binding b;
-          b.kind = Binding::Kind::kFor;
-          BT_RETURN_NOT_OK(ParseVariable(&b.var));
-          if (!ConsumeKeyword("in")) return Error("expected 'in'");
-          SkipSpace();
-          BT_RETURN_NOT_OK(ParseEmbeddedPath(&b.path));
-          out->bindings.push_back(std::move(b));
-          SkipSpace();
-          if (!ConsumeToken(",")) break;
-        }
-        continue;
+        kind = Binding::Kind::kFor;
+      } else if (ConsumeKeyword("let")) {
+        kind = Binding::Kind::kLet;
+      } else {
+        break;
       }
-      if (ConsumeKeyword("let")) {
-        while (true) {
-          Binding b;
-          b.kind = Binding::Kind::kLet;
-          BT_RETURN_NOT_OK(ParseVariable(&b.var));
-          if (!ConsumeToken(":=")) return Error("expected ':='");
-          SkipSpace();
-          BT_RETURN_NOT_OK(ParseEmbeddedPath(&b.path));
-          out->bindings.push_back(std::move(b));
-          SkipSpace();
-          if (!ConsumeToken(",")) break;
+      // Both clauses allow a comma-separated binding list.
+      while (true) {
+        Binding b;
+        b.kind = kind;
+        BT_RETURN_NOT_OK(ParseVariable(&b.var));
+        if (kind == Binding::Kind::kFor ? !ConsumeKeyword("in")
+                                        : !ConsumeToken(":=")) {
+          return Error(kind == Binding::Kind::kFor ? "expected 'in'"
+                                                   : "expected ':='");
         }
-        continue;
+        SkipSpace();
+        // The path sees only earlier bindings; the new one takes the next
+        // slot.
+        BT_RETURN_NOT_OK(ParseEmbeddedPath(&b.path));
+        b.var_slot = static_cast<uint32_t>(scope_.size());
+        scope_.push_back(b.var);
+        out->bindings.push_back(std::move(b));
+        SkipSpace();
+        if (!ConsumeToken(",")) break;
       }
-      break;
     }
     if (out->bindings.empty()) {
       return Error("FLWOR requires at least one for/let clause");
@@ -199,7 +214,9 @@ class QueryParser {
       }
     }
     if (!ConsumeKeyword("return")) return Error("expected 'return'");
-    return ParseExpr(&out->ret);
+    Status st = ParseExpr(&out->ret);
+    scope_.resize(outer_scope);  // The FLWOR's variables leave scope.
+    return st;
   }
 
   Status ParseBool(std::unique_ptr<BoolExpr>* out) {
@@ -454,6 +471,8 @@ class QueryParser {
   util::ParseLimits limits_;
   size_t pos_ = 0;
   size_t depth_ = 0;
+  /// Variables in scope, outermost first; a variable's index is its slot.
+  std::vector<std::string> scope_;
 };
 
 }  // namespace

@@ -28,6 +28,12 @@ namespace flwor {
 ///   Constructor ::= '<' Name Attr* '>' (Text | '{' Expr '}' | Constructor)*
 ///                   '</' Name '>'
 ///
+/// Variables are resolved here, once: each for/let binding takes the next
+/// tuple slot (the number of variables in scope, outer FLWORs included), and
+/// every `$v` reference records the slot of the innermost binding of `v`
+/// (PathExpr::var_slot). A reference no binding reaches fails with
+/// kInvalidArgument.
+///
 /// `limits` bounds the recursion depth (expression / boolean / constructor
 /// nesting) and the input size; exceeding either returns a ParseError /
 /// ResourceExhausted instead of overflowing the stack.

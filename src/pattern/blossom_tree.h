@@ -44,6 +44,9 @@ struct Vertex {
   std::optional<ValueConstraint> value;
   long long position = 0;  ///< 1-based positional predicate; 0 = none.
   std::string variable;    ///< Blossom; empty if unbound.
+  /// Tuple slot of the blossom's FLWOR binding (flwor::Binding::var_slot);
+  /// xpath::kNoVarSlot for unbound vertices and path results.
+  uint32_t var_slot = xpath::kNoVarSlot;
   bool returning = false;
 
   // Incoming tree edge (kNoVertex parent for pattern-tree roots).

@@ -1,7 +1,7 @@
 #include "pattern/builder.h"
 
-#include <map>
 #include <string>
+#include <vector>
 
 namespace blossomtree {
 namespace pattern {
@@ -14,12 +14,27 @@ class Builder {
     for (const flwor::Binding& b : flwor.bindings) {
       EdgeMode mode = b.kind == flwor::Binding::Kind::kLet ? EdgeMode::kLet
                                                            : EdgeMode::kFor;
-      BT_ASSIGN_OR_RETURN(VertexId v, AddPath(b.path, mode));
-      if (vars_.count(b.var)) {
-        return Status::InvalidArgument("variable $" + b.var + " rebound");
+      if (b.var_slot == xpath::kNoVarSlot) {
+        return Status::InvalidArgument("$" + b.var + " has no resolved slot");
+      }
+      // Each binding gets vertices of its own: two bindings sharing a
+      // prefix vertex would have to match the same node there.
+      BT_ASSIGN_OR_RETURN(VertexId v, AddPath(b.path, mode, /*reuse=*/false));
+      // The binder binds one variable per vertex, and a let's whole
+      // sequence without iterating below it.
+      VertexId u = v;
+      while (u != kNoVertex && tree_.vertex(u).var_slot == xpath::kNoVarSlot) {
+        u = tree_.vertex(u).parent;
+      }
+      bool below_let = u != kNoVertex && tree_.vertex(u).mode == EdgeMode::kLet;
+      if (u == v || below_let) {
+        return Status::Unsupported("$" + b.var + " aliases or nests in $" +
+                                   tree_.vertex(u).variable);
       }
       tree_.MarkReturning(v, b.var);
-      vars_[b.var] = v;
+      tree_.mutable_vertex(v).var_slot = b.var_slot;
+      if (vars_.size() <= b.var_slot) vars_.resize(b.var_slot + 1, kNoVertex);
+      vars_[b.var_slot] = v;
     }
     if (flwor.where != nullptr) {
       BT_RETURN_NOT_OK(AddWhere(*flwor.where, /*negated=*/false));
@@ -28,7 +43,8 @@ class Builder {
   }
 
   Result<BlossomTree> FromPath(const xpath::PathExpr& path) {
-    BT_ASSIGN_OR_RETURN(VertexId v, AddPath(path, EdgeMode::kFor));
+    BT_ASSIGN_OR_RETURN(VertexId v, AddPath(path, EdgeMode::kFor,
+                                            /*reuse=*/true));
     tree_.MarkReturning(v, "result");
     return Finish();
   }
@@ -56,7 +72,8 @@ class Builder {
   }
 
   /// Adds the vertices for `path`; returns the terminal vertex.
-  Result<VertexId> AddPath(const xpath::PathExpr& path, EdgeMode mode) {
+  Result<VertexId> AddPath(const xpath::PathExpr& path, EdgeMode mode,
+                           bool reuse) {
     VertexId anchor = kNoVertex;
     switch (path.start) {
       case xpath::PathExpr::StartKind::kRoot:
@@ -65,18 +82,22 @@ class Builder {
         anchor = tree_.AddRoot("~");
         break;
       case xpath::PathExpr::StartKind::kVariable: {
-        auto it = vars_.find(path.variable);
-        if (it == vars_.end()) {
-          return Status::InvalidArgument("unbound variable $" + path.variable);
-        }
-        anchor = it->second;
+        BT_ASSIGN_OR_RETURN(anchor, VariableVertex(path));
         break;
       }
       case xpath::PathExpr::StartKind::kContext:
         return Status::InvalidArgument(
             "context-relative path outside a predicate");
     }
-    return Extend(anchor, path, /*first_step=*/0, mode, /*reuse=*/true);
+    return Extend(anchor, path, /*first_step=*/0, mode, reuse);
+  }
+
+  /// The blossom of the binding `path`'s variable reference resolved to.
+  Result<VertexId> VariableVertex(const xpath::PathExpr& path) const {
+    if (path.var_slot >= vars_.size() || vars_[path.var_slot] == kNoVertex) {
+      return Status::InvalidArgument("unbound variable $" + path.variable);
+    }
+    return vars_[path.var_slot];
   }
 
   /// Extends the pattern from `anchor` along path.steps[first_step..];
@@ -217,20 +238,19 @@ class Builder {
     if (path.start != xpath::PathExpr::StartKind::kVariable) {
       return Status::Unsupported("operand is not variable-rooted");
     }
-    auto it = vars_.find(path.variable);
-    if (it == vars_.end()) {
-      return Status::InvalidArgument("unbound variable $" + path.variable);
-    }
+    BT_ASSIGN_OR_RETURN(VertexId anchor, VariableVertex(path));
     // Where-operand paths are *optional* (l-mode): a comparison operand may
     // evaluate to the empty sequence without disqualifying the tuple (e.g.
     // deep-equal over two empty author sequences is true — Example 2).
     // Figure 1 draws these edges bold, but XQuery semantics requires the
     // optional interpretation.
-    return Extend(it->second, path, 0, EdgeMode::kLet, /*reuse=*/true);
+    return Extend(anchor, path, 0, EdgeMode::kLet, /*reuse=*/true);
   }
 
   BlossomTree tree_;
-  std::map<std::string, VertexId> vars_;
+  /// Blossom of each variable slot bound so far (kNoVertex for slots of
+  /// enclosing FLWORs).
+  std::vector<VertexId> vars_;
 };
 
 const flwor::Flwor* FindFlwor(const flwor::Expr& expr) {

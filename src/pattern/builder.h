@@ -14,7 +14,12 @@ namespace pattern {
 /// (paper §3.1, Figure 1):
 ///
 ///  - each `for $v in <absolute path>` starts a new pattern tree rooted at
-///    the virtual document root "~"; paths rooted at `$u` extend u's vertex;
+///    the virtual document root "~"; paths rooted at `$u` extend the vertex
+///    of the binding `$u` resolved to (xpath::PathExpr::var_slot), and each
+///    binding path gets vertices of its own, tagged with its slot;
+///  - a binding that aliases another variable (`$b in $a`) or iterates
+///    below a let-bound one is kUnsupported (callers evaluate it
+///    navigationally);
 ///  - edges contributed by for-clauses are "f" (mandatory), by let-clauses
 ///    "l" (optional);
 ///  - step predicates become non-returning subtrees ([p] existence) or

@@ -142,6 +142,7 @@ PathExpr ClonePath(const PathExpr& path) {
   out.start = path.start;
   out.document = path.document;
   out.variable = path.variable;
+  out.var_slot = path.var_slot;
   out.steps.reserve(path.steps.size());
   for (const Step& s : path.steps) {
     Step copy;

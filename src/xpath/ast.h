@@ -1,6 +1,7 @@
 #ifndef BLOSSOMTREE_XPATH_AST_H_
 #define BLOSSOMTREE_XPATH_AST_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,6 +63,10 @@ const char* CompareOpToString(CompareOp op);
 
 struct PathExpr;
 
+/// \brief Variable slot of a reference no binding resolves (see
+/// PathExpr::var_slot).
+constexpr uint32_t kNoVarSlot = UINT32_MAX;
+
 /// \brief A step predicate `[...]`.
 ///
 /// Three forms are supported, mirroring the paper's query classes:
@@ -97,6 +102,10 @@ struct PathExpr {
   StartKind start = StartKind::kRoot;
   std::string document;  ///< doc("...") argument; may be empty.
   std::string variable;  ///< For kVariable: name without '$'.
+  /// For kVariable: the tuple slot of the innermost binding of `variable`,
+  /// resolved once by flwor::ParseQuery. kNoVarSlot for paths parsed by
+  /// xpath::ParsePath alone.
+  uint32_t var_slot = kNoVarSlot;
   std::vector<Step> steps;
 
   /// \brief Serializes back to XPath surface syntax (for tests/EXPLAIN).

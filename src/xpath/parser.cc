@@ -75,6 +75,8 @@ class PathParser {
   Status ParsePathExpr(PathExpr* out, bool inside_predicate) {
     SkipSpace();
     if (Peek() == '$') {
+      // A predicate sees only its context node, never a variable binding.
+      if (inside_predicate) return Error("variable inside a predicate");
       ++pos_;
       out->start = PathExpr::StartKind::kVariable;
       BT_RETURN_NOT_OK(ParseName(&out->variable));

@@ -19,12 +19,12 @@ std::unique_ptr<xml::Document> Parse(std::string_view s) {
 }
 
 /// Runs the full NestedList pipeline for a FLWOR's pattern trees and
-/// enumerates the environments.
+/// enumerates each tree's rows.
 struct BinderFixture {
   std::unique_ptr<xml::Document> doc;
   std::unique_ptr<flwor::Expr> expr;
   pattern::BlossomTree tree;
-  std::vector<Env> envs;
+  std::vector<TreeTuples> per_tree;
 
   BinderFixture(const char* xml, const char* query) : doc(Parse(xml)) {
     auto e = flwor::ParseQuery(query);
@@ -36,62 +36,98 @@ struct BinderFixture {
     auto plan = opt::PlanQuery(doc.get(), &tree);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     auto bindings = ComputeSlotBindings(tree, *expr->flwor);
-    std::vector<std::vector<Env>> per_tree;
+    util::ResourceGuard guard;
     for (auto& tp : plan->trees) {
       auto lists = exec::Drain(tp.root.get());
-      per_tree.push_back(EnumerateBindings(tree, tp.tops, lists, bindings));
+      Status st = EnumerateBindings(tree, tp.tops, lists, bindings,
+                                    expr->flwor->bindings.size(), &guard,
+                                    &per_tree.emplace_back());
+      EXPECT_TRUE(st.ok()) << st.ToString();
     }
-    envs = CrossEnvs(per_tree);
   }
+
+  /// Rows of a single-tree query.
+  const std::vector<Env>& rows() const { return per_tree.at(0).rows; }
 };
 
 TEST(BinderTest, ForBindingBranchesPerMatch) {
   BinderFixture fx("<r><k>1</k><k>2</k></r>", "for $x in //k return $x");
-  ASSERT_EQ(fx.envs.size(), 2u);
-  for (const Env& e : fx.envs) {
-    ASSERT_EQ(e.count("x"), 1u);
-    EXPECT_EQ(e.at("x").size(), 1u);
+  ASSERT_EQ(fx.rows().size(), 2u);
+  EXPECT_EQ(fx.per_tree[0].slots, std::vector<uint32_t>{0});
+  for (const Env& e : fx.rows()) {
+    ASSERT_EQ(e.size(), 1u);
+    EXPECT_EQ(e[0].size(), 1u);
   }
 }
 
 TEST(BinderTest, LetBindingCollectsSequence) {
   BinderFixture fx("<r><g><k/><k/></g></r>",
                    "for $g in //g let $ks := $g/k return $g");
-  ASSERT_EQ(fx.envs.size(), 1u);
-  EXPECT_EQ(fx.envs[0].at("ks").size(), 2u);
+  ASSERT_EQ(fx.rows().size(), 1u);
+  EXPECT_EQ(fx.rows()[0][1].size(), 2u);
 }
 
 TEST(BinderTest, LetOverEmptyBindsEmptySequence) {
   BinderFixture fx("<r><g/></r>", "for $g in //g let $ks := $g/k return $g");
-  ASSERT_EQ(fx.envs.size(), 1u);
-  EXPECT_TRUE(fx.envs[0].at("ks").empty());
+  ASSERT_EQ(fx.rows().size(), 1u);
+  EXPECT_TRUE(fx.rows()[0][1].empty());
+}
+
+TEST(BinderTest, LetOverAbsolutePathBindsOnce) {
+  // One tuple holding every match, not one tuple per match.
+  BinderFixture fx("<r><k/><k/><k/></r>", "let $ks := //k return $ks");
+  ASSERT_EQ(fx.rows().size(), 1u);
+  EXPECT_EQ(fx.rows()[0][0].size(), 3u);
+  BinderFixture none("<r/>", "let $ks := //k return $ks");
+  ASSERT_EQ(none.rows().size(), 1u);
+  EXPECT_TRUE(none.rows()[0][0].empty());
 }
 
 TEST(BinderTest, NestedForMultiplies) {
   BinderFixture fx("<r><g><k/><k/></g><g><k/></g></r>",
                    "for $g in //g for $k in $g/k return $k");
   // (g1,k1),(g1,k2),(g2,k3).
-  ASSERT_EQ(fx.envs.size(), 3u);
+  ASSERT_EQ(fx.rows().size(), 3u);
 }
 
 TEST(BinderTest, ForOverEmptyYieldsNoTuples) {
   BinderFixture fx("<r><g/></r>", "for $g in //g for $k in $g/k return $k");
-  EXPECT_TRUE(fx.envs.empty());
+  EXPECT_TRUE(fx.rows().empty());
 }
 
-TEST(BinderTest, CrossProductOfTrees) {
+TEST(BinderTest, EachTreeBindsItsOwnSlots) {
   BinderFixture fx("<r><a/><a/><b/></r>",
                    "for $x in //a, $y in //b return $x");
-  EXPECT_EQ(fx.envs.size(), 2u);  // 2 a's × 1 b.
+  ASSERT_EQ(fx.per_tree.size(), 2u);
+  EXPECT_EQ(fx.per_tree[0].slots, std::vector<uint32_t>{0});
+  EXPECT_EQ(fx.per_tree[0].rows.size(), 2u);  // 2 a's.
+  EXPECT_EQ(fx.per_tree[1].slots, std::vector<uint32_t>{1});
+  EXPECT_EQ(fx.per_tree[1].rows.size(), 1u);  // 1 b.
 }
 
 TEST(BinderTest, DedupOnRecursiveEmbeddings) {
-  // The same k is reachable under two nested g's; $k must bind once per
-  // distinct (g, k) pair — and //g//k's k under both g's gives 2 pairs.
+  // The same k is reachable under two nested g's; $k binds the single
+  // distinct k node once.
   BinderFixture fx("<r><g><g><k/></g></g></r>",
                    "for $k in //g//k return $k");
-  // $k binds the single distinct k node once.
-  ASSERT_EQ(fx.envs.size(), 1u);
+  ASSERT_EQ(fx.rows().size(), 1u);
+}
+
+TEST(BinderTest, RowsFollowDocumentOrderOnRecursiveDocuments) {
+  // m(2) lies inside the inner k but precedes the outer k's own m(1):
+  // rows follow the for-loop order, not the order of the k matches.
+  BinderFixture fx("<r><k><k><m/></k><m/></k></r>",
+                   "for $m in //k/m return $m");
+  ASSERT_EQ(fx.rows().size(), 2u);
+  EXPECT_LT(fx.rows()[0][0][0], fx.rows()[1][0][0]);
+}
+
+TEST(BinderTest, NonBlossomSlotMergesItsMatches) {
+  // k is a join endpoint, not a blossom: $l binds the m's under every k.
+  BinderFixture fx("<r><g><k><m/></k><k><m/></k></g></r>",
+                   "for $g in //g let $l := $g//k/m return $l");
+  ASSERT_EQ(fx.rows().size(), 1u);
+  EXPECT_EQ(fx.rows()[0][1].size(), 2u);
 }
 
 TEST(BinderTest, ComputeSlotBindingsMarksKinds) {
@@ -102,33 +138,10 @@ TEST(BinderTest, ComputeSlotBindingsMarksKinds) {
   pattern::SlotId sk = fx.tree.SlotOfVariable("ks");
   ASSERT_NE(sg, pattern::kNoSlot);
   ASSERT_NE(sk, pattern::kNoSlot);
-  EXPECT_EQ(bindings[sg].variable, "g");
+  EXPECT_EQ(bindings[sg].var_slot, 0u);
   EXPECT_FALSE(bindings[sg].is_let);
+  EXPECT_EQ(bindings[sk].var_slot, 1u);
   EXPECT_TRUE(bindings[sk].is_let);
-}
-
-TEST(BinderTest, CrossEnvsMergesDisjointKeys) {
-  std::vector<std::vector<Env>> per_tree(2);
-  Env a1;
-  a1["x"] = {1};
-  Env a2;
-  a2["x"] = {2};
-  per_tree[0] = {a1, a2};
-  Env b1;
-  b1["y"] = {9};
-  per_tree[1] = {b1};
-  auto out = CrossEnvs(per_tree);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].at("x")[0], 1u);
-  EXPECT_EQ(out[0].at("y")[0], 9u);
-  EXPECT_EQ(out[1].at("x")[0], 2u);
-}
-
-TEST(BinderTest, CrossEnvsWithEmptyTreeIsEmpty) {
-  std::vector<std::vector<Env>> per_tree(2);
-  per_tree[0] = {Env{}};
-  per_tree[1] = {};
-  EXPECT_TRUE(CrossEnvs(per_tree).empty());
 }
 
 }  // namespace

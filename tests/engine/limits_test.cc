@@ -7,6 +7,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "util/rng.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
 
@@ -35,6 +36,40 @@ xpath::PathExpr MustParsePath(std::string_view s) {
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.MoveValue();
 }
+
+/// A bibliography of `n` books, ~30% with an author (bench_ablation_flwor's
+/// document for Example 1).
+std::unique_ptr<xml::Document> Bib(size_t n) {
+  auto doc = std::make_unique<xml::Document>();
+  Rng rng(42);
+  doc->BeginElement("bib");
+  for (size_t i = 0; i < n; ++i) {
+    doc->BeginElement("book");
+    doc->BeginElement("title");
+    doc->AddText("title-" + std::to_string(rng.Uniform(n / 2 + 1)));
+    doc->EndElement();
+    if (rng.Chance(0.3)) {
+      doc->BeginElement("author");
+      doc->BeginElement("last");
+      doc->AddText("author-" + std::to_string(rng.Uniform(8)));
+      doc->EndElement();
+      doc->EndElement();
+    }
+    doc->EndElement();
+  }
+  doc->EndElement();
+  EXPECT_TRUE(doc->Finish().ok());
+  return doc;
+}
+
+/// Example 1's book pairs: an n x n cross product of two pattern trees,
+/// filtered by the where-clause.
+constexpr const char* kBookPairs =
+    "<bib>{for $book1 in //book, $book2 in //book "
+    "let $aut1 := $book1/author let $aut2 := $book2/author "
+    "where $book1 << $book2 and not($book1/title = $book2/title) "
+    "and deep-equal($aut1, $aut2) "
+    "return <book-pair>{ $book1/title }{ $book2/title }</book-pair>}</bib>";
 
 // The ISSUE's acceptance scenario: a same-tag-nested D1 query forced onto
 // the naive O(n^2) join runs for seconds unlimited, but a 10ms deadline
@@ -207,6 +242,60 @@ TEST(EngineLimitsTest, CellBudgetTripsAndEngineRecovers) {
   BlossomTreeEngine fresh(doc.get(), unlimited);
   auto expected = fresh.EvaluatePath(MustParsePath("//b1//c2"));
   ASSERT_TRUE(expected.ok());
+}
+
+// The FLWOR cross product is charged one row per tuple as it is formed, so
+// a row budget stops 1,600 x 1,600 book pairs within one guard stride of
+// the budget instead of after building all 2.56M tuples.
+TEST(EngineLimitsTest, FlworRowBudgetStopsWithinOneStride) {
+  auto doc = Bib(1600);
+  EngineOptions options;
+  options.num_threads = 1;
+  options.limits.max_result_rows = 1000;
+  BlossomTreeEngine engine(doc.get(), options);
+  auto r = engine.EvaluateQuery(kBookPairs);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(r.status().message().find("row budget"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_GT(engine.guard().RowsCharged(), 1000u);
+  EXPECT_LE(engine.guard().RowsCharged(), 1000u + 512u);
+}
+
+// The deadline is sampled inside the cross product and the per-tree walk.
+TEST(EngineLimitsTest, FlworDeadlineStopsTheCrossProduct) {
+  auto doc = Bib(1600);
+  EngineOptions options;
+  options.num_threads = 1;
+  options.limits.deadline_millis = 200;
+  BlossomTreeEngine engine(doc.get(), options);
+  Clock::time_point t0 = Clock::now();
+  auto r = engine.EvaluateQuery(kBookPairs);
+  uint64_t millis = MillisSince(t0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(r.status().message().find("deadline"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_LT(millis, 300u);
+}
+
+// Limits that are not hit leave the answer alone: a row budget of exactly
+// the cross product's size does not trip.
+TEST(EngineLimitsTest, FlworUnhitLimitsMatchUnlimitedRun) {
+  auto doc = Bib(200);
+  EngineOptions options;
+  options.num_threads = 1;
+  BlossomTreeEngine unlimited(doc.get(), options);
+  auto expected = unlimited.EvaluateQuery(kBookPairs);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(unlimited.guard().RowsCharged(), 200u * 200u);
+
+  options.limits.max_result_rows = 200 * 200;
+  options.limits.deadline_millis = 60'000;
+  BlossomTreeEngine limited(doc.get(), options);
+  auto r = limited.EvaluateQuery(kBookPairs);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, *expected);
 }
 
 }  // namespace

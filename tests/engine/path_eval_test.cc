@@ -94,8 +94,8 @@ TEST(PathEvalTest, VariableStart) {
   auto p = xpath::ParsePath("$v/t");
   ASSERT_TRUE(p.ok());
   PathEvaluator ev(doc.get());
-  Env env;
-  env["v"] = {3};  // Second a.
+  p->var_slot = 0;  // As flwor::ParseQuery resolves it under one binding.
+  Env env = {std::vector<xml::NodeId>{3}};  // Second a.
   auto r = ev.EvaluateWith(*p, env, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 2u);

@@ -16,15 +16,19 @@ std::unique_ptr<xml::Document> Parse(std::string_view s) {
   return r.MoveValue();
 }
 
-/// Parses a query "for $x in //x where <CLAUSE> return $x" and extracts the
-/// where expression.
+/// Tuple slots of $x and $y in WhereFixture's query.
+constexpr size_t kX = 0;
+constexpr size_t kY = 1;
+
+/// Parses a query "for $x in //q, $y in //q where <CLAUSE> return $x" and
+/// extracts the where expression.
 struct WhereFixture {
   std::unique_ptr<flwor::Expr> expr;
   const flwor::BoolExpr* where = nullptr;
 
   explicit WhereFixture(const std::string& clause) {
-    auto r = flwor::ParseQuery("for $q in //q where " + clause +
-                               " return $q");
+    auto r = flwor::ParseQuery("for $x in //q, $y in //q where " + clause +
+                               " return $x");
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (r.ok()) {
       expr = r.MoveValue();
@@ -43,34 +47,34 @@ bool Eval(const xml::Document& doc, const flwor::BoolExpr& where,
 
 TEST(WhereEvalTest, DocOrderComparisons) {
   auto doc = Parse("<r><a/><b/></r>");
-  Env env;
-  env["x"] = {1};
-  env["y"] = {2};
+  Env env(2);
+  env[kX] = {1};
+  env[kY] = {2};
   WhereFixture lt("$x << $y");
   EXPECT_TRUE(Eval(*doc, *lt.where, env));
   WhereFixture gt("$x >> $y");
   EXPECT_FALSE(Eval(*doc, *gt.where, env));
   // Empty operand → false.
-  env["y"] = {};
+  env[kY] = {};
   EXPECT_FALSE(Eval(*doc, *lt.where, env));
 }
 
 TEST(WhereEvalTest, IsIdentity) {
   auto doc = Parse("<r><a/><a/></r>");
-  Env env;
-  env["x"] = {1};
-  env["y"] = {1};
+  Env env(2);
+  env[kX] = {1};
+  env[kY] = {1};
   WhereFixture is("$x is $y");
   EXPECT_TRUE(Eval(*doc, *is.where, env));
-  env["y"] = {2};
+  env[kY] = {2};
   EXPECT_FALSE(Eval(*doc, *is.where, env));
 }
 
 TEST(WhereEvalTest, GeneralEqOverPaths) {
   auto doc = Parse("<r><g><v>1</v><v>2</v></g><g><v>2</v></g></r>");
-  Env env;
-  env["x"] = {1};  // First g.
-  env["y"] = {6};  // Second g (nodes: r=0 g=1 v=2 t=3 v=4 t=5 g=6 ...).
+  Env env(2);
+  env[kX] = {1};  // First g.
+  env[kY] = {6};  // Second g (nodes: r=0 g=1 v=2 t=3 v=4 t=5 g=6 ...).
   WhereFixture eq("$x/v = $y/v");
   EXPECT_TRUE(Eval(*doc, *eq.where, env));  // 2 = 2.
   WhereFixture neq("$x/v != $y/v");
@@ -79,8 +83,8 @@ TEST(WhereEvalTest, GeneralEqOverPaths) {
 
 TEST(WhereEvalTest, LiteralComparisons) {
   auto doc = Parse("<r><g><v>7</v></g></r>");
-  Env env;
-  env["x"] = {1};
+  Env env(2);
+  env[kX] = {1};
   WhereFixture eq("$x/v = 7");
   EXPECT_TRUE(Eval(*doc, *eq.where, env));
   WhereFixture eq2("$x/v = \"7\"");
@@ -93,23 +97,23 @@ TEST(WhereEvalTest, DeepEqualOnSequences) {
   auto doc = Parse(
       "<r><g><a><n>k</n></a></g><g><a><n>k</n></a></g><g/></r>");
   auto gs = doc->TagIndex(doc->tags().Lookup("g"));
-  Env env;
-  env["x"] = {gs[0]};
-  env["y"] = {gs[1]};
+  Env env(2);
+  env[kX] = {gs[0]};
+  env[kY] = {gs[1]};
   WhereFixture de("deep-equal($x/a, $y/a)");
   EXPECT_TRUE(Eval(*doc, *de.where, env));
-  env["y"] = {gs[2]};
+  env[kY] = {gs[2]};
   EXPECT_FALSE(Eval(*doc, *de.where, env));
   // Both empty → deep-equal((), ()) is true (Example 2's key case).
-  env["x"] = {gs[2]};
+  env[kX] = {gs[2]};
   EXPECT_TRUE(Eval(*doc, *de.where, env));
 }
 
 TEST(WhereEvalTest, BooleanConnectives) {
   auto doc = Parse("<r><a/><b/></r>");
-  Env env;
-  env["x"] = {1};
-  env["y"] = {2};
+  Env env(2);
+  env[kX] = {1};
+  env[kY] = {2};
   WhereFixture both("$x << $y and $x is $x");
   EXPECT_TRUE(Eval(*doc, *both.where, env));
   WhereFixture either("$x >> $y or $x << $y");
@@ -123,13 +127,13 @@ TEST(WhereEvalTest, BooleanConnectives) {
 TEST(WhereEvalTest, ExistsAndEmpty) {
   auto doc = Parse("<r><g><v/></g><g/></r>");
   auto gs = doc->TagIndex(doc->tags().Lookup("g"));
-  Env env;
-  env["x"] = {gs[0]};
+  Env env(2);
+  env[kX] = {gs[0]};
   WhereFixture ex("exists($x/v)");
   EXPECT_TRUE(Eval(*doc, *ex.where, env));
   WhereFixture em("empty($x/v)");
   EXPECT_FALSE(Eval(*doc, *em.where, env));
-  env["x"] = {gs[1]};
+  env[kX] = {gs[1]};
   EXPECT_FALSE(Eval(*doc, *ex.where, env));
   EXPECT_TRUE(Eval(*doc, *em.where, env));
 }
@@ -137,11 +141,11 @@ TEST(WhereEvalTest, ExistsAndEmpty) {
 TEST(WhereEvalTest, CountComparisons) {
   auto doc = Parse("<r><g><v/><v/></g><g><v/></g></r>");
   auto gs = doc->TagIndex(doc->tags().Lookup("g"));
-  Env env;
-  env["x"] = {gs[0]};
+  Env env(2);
+  env[kX] = {gs[0]};
   WhereFixture two("count($x/v) = 2");
   EXPECT_TRUE(Eval(*doc, *two.where, env));
-  env["x"] = {gs[1]};
+  env[kX] = {gs[1]};
   EXPECT_FALSE(Eval(*doc, *two.where, env));
   WhereFixture pair("count($x/v) = count($x/v)");
   EXPECT_TRUE(Eval(*doc, *pair.where, env));
@@ -166,9 +170,9 @@ TEST(WhereEvalTest, EndToEndExistsAndCountInQueries) {
 
 TEST(WhereEvalTest, ErrorsOnNonSingletonDocOrder) {
   auto doc = Parse("<r><a/><a/><b/></r>");
-  Env env;
-  env["x"] = {1, 2};
-  env["y"] = {3};
+  Env env(2);
+  env[kX] = {1, 2};
+  env[kY] = {3};
   WhereFixture lt("$x << $y");
   PathEvaluator ev(doc.get());
   auto r = EvalWhere(*lt.where, env, *doc, &ev);
@@ -176,11 +180,12 @@ TEST(WhereEvalTest, ErrorsOnNonSingletonDocOrder) {
 }
 
 TEST(WhereEvalTest, UnboundVariableErrors) {
-  auto doc = Parse("<r/>");
-  WhereFixture eq("$missing = 1");
-  PathEvaluator ev(doc.get());
-  auto r = EvalWhere(*eq.where, Env{}, *doc, &ev);
-  EXPECT_FALSE(r.ok());
+  // An unbound operand is a static error of the parse, whatever the data.
+  auto r = flwor::ParseQuery("for $x in //q where $missing = 1 return $x");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("unbound variable $missing"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -191,6 +191,41 @@ TEST(FlworParserTest, ErrorMissingReturn) {
   EXPECT_FALSE(ParseQuery("for $x in //a").ok());
 }
 
+TEST(FlworParserTest, ResolvesVariablesToSlots) {
+  // Each binding takes the next slot (outer FLWORs included); a reference
+  // reads the innermost binding of its name, so the second $a shadows the
+  // first from the binding after it on.
+  auto e = Parse(
+      "for $a in //g for $a in $a/k let $b := $a/m "
+      "order by $b return <o>{for $c in $b/x where $c = $a return $a}</o>");
+  ASSERT_NE(e, nullptr);
+  const Flwor& f = *e->flwor;
+  ASSERT_EQ(f.bindings.size(), 3u);
+  EXPECT_EQ(f.bindings[0].var_slot, 0u);
+  EXPECT_EQ(f.bindings[1].var_slot, 1u);
+  EXPECT_EQ(f.bindings[1].path.var_slot, 0u);
+  EXPECT_EQ(f.bindings[2].var_slot, 2u);
+  EXPECT_EQ(f.bindings[2].path.var_slot, 1u);
+  EXPECT_EQ(f.order_by->var_slot, 2u);
+  const Flwor& inner = *f.ret->ctor->items[0].expr->flwor;
+  EXPECT_EQ(inner.bindings[0].var_slot, 3u);
+  EXPECT_EQ(inner.bindings[0].path.var_slot, 2u);
+  EXPECT_EQ(inner.where->left.path.var_slot, 3u);
+  EXPECT_EQ(inner.where->right.path.var_slot, 1u);
+  EXPECT_EQ(inner.ret->path.var_slot, 1u);
+  // A FLWOR's variables leave scope after its return expression.
+  auto sibling = Parse(
+      "<r>{for $a in //g return $a}{for $b in //h return $b}</r>");
+  ASSERT_NE(sibling, nullptr);
+  EXPECT_EQ(sibling->ctor->items[1].expr->flwor->bindings[0].var_slot, 0u);
+  EXPECT_EQ(ParseQuery("<r>{for $a in //g return $a}{$a}</r>").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(FlworParserTest, ErrorVariableInPredicate) {
+  EXPECT_FALSE(ParseQuery("for $a in //g return //k[$a]").ok());
+}
+
 TEST(FlworParserTest, ErrorMissingIn) {
   EXPECT_FALSE(ParseQuery("for $x //a return $x").ok());
 }

@@ -133,6 +133,24 @@ TEST_P(PropertyTest, RandomQueriesAgreeWithOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest, ::testing::Range(0, 20));
 
+/// Runs `query` through the BlossomTree engine at 1 and 4 intra-query
+/// threads; both must return the navigational baseline's bytes.
+void ExpectFlworMatchesOracle(const xml::Document& doc,
+                              const std::string& query) {
+  baseline::NavigationalEvaluator nav(&doc);
+  auto want = nav.EvaluateQuery(query);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  for (unsigned threads : {1u, 4u}) {
+    engine::EngineOptions options;
+    options.num_threads = threads;
+    engine::BlossomTreeEngine engine(&doc, options);
+    auto got = engine.EvaluateQuery(query);
+    ASSERT_TRUE(got.ok()) << "threads=" << threads << ": "
+                          << got.status().ToString();
+    EXPECT_EQ(*got, *want) << "threads=" << threads;
+  }
+}
+
 /// Random FLWOR queries: for/let bindings over random paths with simple
 /// where-clauses — BlossomTree engine vs the navigational baseline.
 class FlworPropertyTest : public ::testing::TestWithParam<int> {};
@@ -159,13 +177,76 @@ TEST_P(FlworPropertyTest, RandomFlworsAgree) {
               ") return <p/>";
     }
     SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " query=" + query);
-    engine::BlossomTreeEngine engine(doc.get());
-    baseline::NavigationalEvaluator nav(doc.get());
-    auto r1 = engine.EvaluateQuery(query);
-    auto r2 = nav.EvaluateQuery(query);
-    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-    EXPECT_EQ(*r1, *r2);
+    ExpectFlworMatchesOracle(*doc, query);
+  }
+}
+
+/// Shapes beyond the three above: literal where-clauses, let plus where,
+/// three pattern trees (also with interleaved slots), nested FLWORs over an
+/// outer variable, same-FLWOR rebinding, order by, and paths through
+/// non-blossom join endpoints. RandomDoc nests its five tags freely
+/// (`<a><a>…</a></a>`), so the binder's dedup and ordering run.
+TEST_P(FlworPropertyTest, WidenedShapesAgree) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 130363 + 11);
+  auto doc = RandomDoc(&rng, 60 + rng.Uniform(60));
+  static const char* kTags[] = {"a", "b", "c", "d", "e"};
+  for (int qi = 0; qi < 8; ++qi) {
+    std::string t1 = kTags[rng.Uniform(5)];
+    std::string t2 = kTags[rng.Uniform(5)];
+    std::string t3 = kTags[rng.Uniform(5)];
+    // RandomDoc's text values are "0".."3"; "4" matches nothing.
+    std::string lit = "\"" + std::to_string(rng.Uniform(5)) + "\"";
+    std::string op = rng.Chance(0.5) ? " = " : " != ";
+    std::string query;
+    switch (rng.Uniform(11)) {
+      case 0:
+        query = "for $x in //" + t1 + " where $x/" + t2 + op + lit +
+                " return <o>{ $x/" + t2 + " }</o>";
+        break;
+      case 1:
+        query = "for $x in //" + t1 + " let $y := $x/" + t2 + " where $y" +
+                op + lit + " or count($y) = " +
+                std::to_string(rng.Uniform(3)) + " return <o>{ $y }</o>";
+        break;
+      case 2:
+        query = "for $x in //" + t1 + ", $y in //" + t2 + ", $z in //" + t3 +
+                " where $x << $y and $y << $z return <o>{ $z }</o>";
+        break;
+      case 3:
+        query = "for $x in //" + t1 + ", $y in //" + t2 + ", $z in $x/" + t3 +
+                " where $y/" + t3 + op + "$z return <o>{ $y }{ $z }</o>";
+        break;
+      case 4:
+        query = "for $x in //" + t1 + " return <o>{ for $y in $x/" + t2 +
+                " where $y" + op + lit + " return $y }</o>";
+        break;
+      case 5:
+        query = "for $x in //" + t1 + " for $x in $x//" + t2 +
+                " return $x";
+        break;
+      case 6:
+        query = "for $x in //" + t1 + " let $x := $x/" + t2 +
+                " return <n>{ $x }</n>";
+        break;
+      case 7:
+        query = "for $x in //" + t1 + " order by $x/" + t2 +
+                (rng.Chance(0.5) ? " descending" : "") +
+                " return <o>{ $x/" + t2 + " }</o>";
+        break;
+      case 8:
+        query = "for $x in //" + t1 + "//" + t2 + " return $x";
+        break;
+      case 9:
+        query = "for $x in //" + t1 + "/" + t2 + ", $y in $x/" + t3 +
+                " return <o>{ $y }</o>";
+        break;
+      default:
+        query = "let $y := //" + t1 + (rng.Chance(0.5) ? "//" : "/") + t2 +
+                " return <o>{ $y }</o>";
+        break;
+    }
+    SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " query=" + query);
+    ExpectFlworMatchesOracle(*doc, query);
   }
 }
 
