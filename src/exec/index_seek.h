@@ -34,7 +34,7 @@ class IndexSeekOperator : public NestedListOperator {
   /// \param candidates NodeIds to probe, ascending document order; the
   ///        planner's access-path choice (empty = provably-empty NoK).
   /// \param guard optional per-query resource guard, sampled every ~512
-  ///        probes and charged for every emitted NestedList cell.
+  ///        probes.
   /// \param store optional paged store backing `doc`: probed candidates are
   ///        touched through it so block-read counters see the seek's
   ///        access pattern.
@@ -67,9 +67,6 @@ class IndexSeekOperator : public NestedListOperator {
   void FillBatch(Batch* out, size_t max_rows) override;
 
  private:
-  /// Probes candidates until one matches into `*out`; false at the end.
-  bool NextMatch(nestedlist::NestedList* out);
-
   const xml::Document* doc_;
   NokMatcher matcher_;
   std::vector<xml::NodeId> candidates_;
@@ -78,11 +75,8 @@ class IndexSeekOperator : public NestedListOperator {
   xml::NodeId range_end_;
 
   uint64_t probed_ = 0;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
   uint64_t value_cmps_ = 0;
 
-  util::ResourceGuard* guard_;
   const storage::NodeStore* store_;
   storage::ScanCursor io_cursor_;
 };

@@ -22,13 +22,13 @@ PipelinedDescJoin::PipelinedDescJoin(const xml::Document* doc,
                                      std::unique_ptr<NestedListOperator> inner,
                                      SlotId from_slot, EdgeMode mode,
                                      util::ResourceGuard* guard)
-    : doc_(doc),
+    : NestedListOperator(guard),
+      doc_(doc),
       tree_(tree),
       outer_(std::move(outer)),
       inner_(std::move(inner)),
       from_slot_(from_slot),
       mode_(mode),
-      guard_(guard),
       outer_rows_(outer_.get()),
       inner_rows_(inner_.get()) {
   inner_top_ = inner_->top_slots()[0];
@@ -97,7 +97,7 @@ void PipelinedDescJoin::FillBatch(Batch* out, size_t max_rows) {
   while (out->rows.size() < max_rows && outer_rows_.Next(&m, max_rows)) {
     // Batch boundary (DESIGN.md §9): one guard check per outer tuple — the
     // children sample their own guards inside longer stretches of work.
-    if (guard_ != nullptr && !guard_->Check()) return;
+    if (guard() != nullptr && !guard()->Check()) return;
     nestedlist::ForEachEntryMutable(*tree_, outer_->top_slots(), &m,
                                     from_slot_, [&](Entry* e) {
                                       if (e->IsPlaceholder()) return;
@@ -108,25 +108,13 @@ void PipelinedDescJoin::FillBatch(Batch* out, size_t max_rows) {
                                       from_slot_, child_index_)) {
       continue;
     }
-    uint64_t cells = CountCells(m);
-    // Charge before counting: a budget trip on this row means the
-    // consumer never receives it, so matches/cells must not include it.
-    if (guard_ != nullptr &&
-        !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
-      return;
-    }
-    ++matches_emitted_;
-    cells_emitted_ += cells;
     out->rows.push_back(std::move(m));
   }
 }
 
 ExecStats PipelinedDescJoin::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos();
+  ExecStats s = NestedListOperator::Stats();
   s.comparisons = merge_comparisons_;
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
   // The §4.2 memory requirement: peak inner entries buffered awaiting their
   // containing outer entry, costed at the fixed per-entry footprint.
   s.peak_buffer_bytes = peak_buffered_ * sizeof(Entry);
@@ -148,14 +136,14 @@ BoundedNestedLoopJoin::BoundedNestedLoopJoin(
     std::unique_ptr<NestedListOperator> outer,
     std::unique_ptr<NestedListOperator> inner, SlotId from_slot, EdgeMode mode,
     bool bounded, util::ResourceGuard* guard)
-    : doc_(doc),
+    : NestedListOperator(guard),
+      doc_(doc),
       tree_(tree),
       outer_(std::move(outer)),
       inner_(std::move(inner)),
       from_slot_(from_slot),
       mode_(mode),
       bounded_(bounded),
-      guard_(guard),
       outer_rows_(outer_.get()) {
   inner_top_ = inner_->top_slots()[0];
   child_index_ = nestedlist::ChildIndex(*tree, from_slot, inner_top_);
@@ -167,7 +155,7 @@ void BoundedNestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
     // One check per outer tuple; each inner re-scan below is a governed
     // NokScan that samples the guard itself, so even the naive variant's
     // whole-document re-scans observe a trip within ~512 nodes.
-    if (guard_ != nullptr && !guard_->Check()) return;
+    if (guard() != nullptr && !guard()->Check()) return;
     nestedlist::ForEachEntryMutable(
         *tree_, outer_->top_slots(), &m, from_slot_, [&](Entry* e) {
           if (e->IsPlaceholder()) return;
@@ -197,23 +185,12 @@ void BoundedNestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
                                       from_slot_, child_index_)) {
       continue;
     }
-    uint64_t cells = CountCells(m);
-    // Charge before counting (see PipelinedDescJoin::FillBatch).
-    if (guard_ != nullptr &&
-        !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
-      return;
-    }
-    ++matches_emitted_;
-    cells_emitted_ += cells;
     out->rows.push_back(std::move(m));
   }
 }
 
 ExecStats BoundedNestedLoopJoin::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos();
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
+  ExecStats s = NestedListOperator::Stats();
   s.rescans = inner_rescans_;
   return s;
 }
@@ -228,12 +205,12 @@ NestedLoopJoin::NestedLoopJoin(
     std::unique_ptr<NestedListOperator> right, std::vector<bool> owns_left,
     std::function<bool(const NestedList&, const NestedList&)> pred,
     util::ResourceGuard* guard)
-    : tops_(std::move(tops)),
+    : NestedListOperator(guard),
+      tops_(std::move(tops)),
       left_(std::move(left)),
       right_(std::move(right)),
       owns_left_(std::move(owns_left)),
       pred_(std::move(pred)),
-      guard_(guard),
       left_rows_(left_.get()) {}
 
 void NestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
@@ -253,9 +230,9 @@ void NestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
     }
     // This join is quadratic: sample the clock every ~1k predicate
     // evaluations, with a cheap tripped probe in between.
-    if (guard_ != nullptr &&
-        (guard_->Tripped() ||
-         ((pred_calls_ & 0x3FF) == 0x3FF && !guard_->Check()))) {
+    if (guard() != nullptr &&
+        (guard()->Tripped() ||
+         ((pred_calls_ & 0x3FF) == 0x3FF && !guard()->Check()))) {
       return;
     }
     const NestedList& r = right_mat_[right_pos_++];
@@ -267,25 +244,13 @@ void NestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
     bool hit = pred_(cur_left_, r);
     value_cmps_ += ValueComparisonCount() - cmp_before;
     if (!hit) continue;
-    NestedList combined = nestedlist::Combine(cur_left_, r, owns_left_);
-    uint64_t cells = CountCells(combined);
-    // Charge before counting (see PipelinedDescJoin::FillBatch).
-    if (guard_ != nullptr &&
-        !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
-      return;
-    }
-    ++matches_emitted_;
-    cells_emitted_ += cells;
-    out->rows.push_back(std::move(combined));
+    out->rows.push_back(nestedlist::Combine(cur_left_, r, owns_left_));
   }
 }
 
 ExecStats NestedLoopJoin::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos();
+  ExecStats s = NestedListOperator::Stats();
   s.comparisons = pred_calls_ + value_cmps_;
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
   return s;
 }
 
@@ -318,18 +283,8 @@ void FrameOperator::FillBatch(Batch* out, size_t max_rows) {
         framed.tops.push_back(std::move(g));
       }
     }
-    ++matches_emitted_;
-    cells_emitted_ += CountCells(framed);
     out->rows.push_back(std::move(framed));
   }
-}
-
-ExecStats FrameOperator::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos();
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
-  return s;
 }
 
 void FrameOperator::Rewind() { input_->Rewind(); }

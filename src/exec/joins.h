@@ -29,7 +29,7 @@ class PipelinedDescJoin : public NestedListOperator {
   /// \param mode f: outer entries without any inner match are pruned
   ///        (cascading); l: they are kept with an empty group.
   /// \param guard optional per-query resource guard, checked once per outer
-  ///        tuple and charged for emitted cells (DESIGN.md §9).
+  ///        tuple (DESIGN.md §9).
   PipelinedDescJoin(const xml::Document* doc,
                     const pattern::BlossomTree* tree,
                     std::unique_ptr<NestedListOperator> outer,
@@ -79,7 +79,6 @@ class PipelinedDescJoin : public NestedListOperator {
   pattern::SlotId inner_top_;
   size_t child_index_;
   pattern::EdgeMode mode_;
-  util::ResourceGuard* guard_;
   BatchReader outer_rows_;
   BatchReader inner_rows_;
 
@@ -92,8 +91,6 @@ class PipelinedDescJoin : public NestedListOperator {
   size_t inner_head_ = 0;
   size_t peak_buffered_ = 0;
 
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
   uint64_t merge_comparisons_ = 0;
 };
 
@@ -109,7 +106,7 @@ class BoundedNestedLoopJoin : public NestedListOperator {
   ///        ablation bench compares against).
   /// \param guard optional per-query resource guard, checked once per outer
   ///        tuple (the inner re-scan is governed by the inner operator's
-  ///        own guard) and charged for emitted cells.
+  ///        own guard).
   BoundedNestedLoopJoin(const xml::Document* doc,
                         const pattern::BlossomTree* tree,
                         std::unique_ptr<NestedListOperator> outer,
@@ -154,13 +151,10 @@ class BoundedNestedLoopJoin : public NestedListOperator {
   size_t child_index_;
   pattern::EdgeMode mode_;
   bool bounded_;
-  util::ResourceGuard* guard_;
   BatchReader outer_rows_;
   /// Reused across the per-entry inner re-scans.
   Batch inner_batch_;
   uint64_t inner_rescans_ = 0;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
 };
 
 /// \brief Naive nested-loop join (paper §4.3) for the predicates that are
@@ -176,7 +170,7 @@ class NestedLoopJoin : public NestedListOperator {
   /// \param pred predicate over a (left, right) pair.
   /// \param guard optional per-query resource guard, sampled every ~1k
   ///        predicate evaluations (this join is quadratic, so per-pair
-  ///        clock samples would dominate) and charged for emitted cells.
+  ///        clock samples would dominate).
   NestedLoopJoin(
       std::vector<pattern::SlotId> tops,
       std::unique_ptr<NestedListOperator> left,
@@ -212,7 +206,6 @@ class NestedLoopJoin : public NestedListOperator {
   std::function<bool(const nestedlist::NestedList&,
                      const nestedlist::NestedList&)>
       pred_;
-  util::ResourceGuard* guard_;
 
   BatchReader left_rows_;
   bool left_valid_ = false;
@@ -223,14 +216,13 @@ class NestedLoopJoin : public NestedListOperator {
 
   uint64_t pred_calls_ = 0;
   uint64_t value_cmps_ = 0;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
 };
 
 /// \brief Re-frames a NoK-local stream into a larger slot context: emitted
 /// lists get `frame_tops` with the input's single top group placed at
 /// `position` and placeholder entries elsewhere (paper §3.3's "initial
-/// NestedList ... placeholders are filled out in the result").
+/// NestedList ... placeholders are filled out in the result"). It has no
+/// guard: its input already charged every row it re-frames.
 class FrameOperator : public NestedListOperator {
  public:
   FrameOperator(const pattern::BlossomTree* tree,
@@ -243,7 +235,6 @@ class FrameOperator : public NestedListOperator {
   void Rewind() override;
 
   const char* Name() const override { return "Frame"; }
-  ExecStats Stats() const override;
   size_t NumChildren() const override { return 1; }
   const NestedListOperator* Child(size_t) const override {
     return input_.get();
@@ -260,8 +251,6 @@ class FrameOperator : public NestedListOperator {
   size_t position_;
   std::unique_ptr<NestedListOperator> input_;
   Batch in_;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
 };
 
 }  // namespace exec

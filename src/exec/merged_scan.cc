@@ -134,7 +134,7 @@ uint64_t MergedNokScan::MatchWork() const {
 
 std::unique_ptr<MaterializedOperator> MergedNokScan::MakeOperator(size_t i) {
   return std::make_unique<MaterializedOperator>(
-      matchers_[i]->top_slots(), results_[i]);
+      matchers_[i]->top_slots(), results_[i], guard_);
 }
 
 }  // namespace exec

@@ -11,12 +11,16 @@ namespace blossomtree {
 namespace exec {
 
 /// \brief A materialized NestedList stream (used as the per-NoK output view
-/// of the merged scan, and generally handy for tests/plans).
+/// of the merged scan, and generally handy for tests/plans). Rows are
+/// charged to `guard` at handout, like every operator's (DESIGN.md §9).
 class MaterializedOperator : public NestedListOperator {
  public:
   MaterializedOperator(std::vector<pattern::SlotId> tops,
-                       std::vector<nestedlist::NestedList> lists)
-      : tops_(std::move(tops)), lists_(std::move(lists)) {}
+                       std::vector<nestedlist::NestedList> lists,
+                       util::ResourceGuard* guard = nullptr)
+      : NestedListOperator(guard),
+        tops_(std::move(tops)),
+        lists_(std::move(lists)) {}
 
   const std::vector<pattern::SlotId>& top_slots() const override {
     return tops_;
@@ -24,24 +28,11 @@ class MaterializedOperator : public NestedListOperator {
   void Rewind() override { pos_ = 0; }
 
   const char* Name() const override { return "Materialized"; }
-  ExecStats Stats() const override {
-    ExecStats s = base_stats_;
-    s.wall_nanos += wall_nanos();
-    s.matches += matches_emitted_;
-    s.nl_cells += cells_emitted_;
-    return s;
-  }
-
-  /// \brief Pre-paid stats of the producer that materialized this stream
-  /// (e.g. a merged scan's per-NoK attribution), folded into Stats().
-  void set_base_stats(const ExecStats& s) { base_stats_ = s; }
 
  protected:
   void FillBatch(Batch* out, size_t max_rows) override {
     while (out->rows.size() < max_rows && pos_ < lists_.size()) {
       out->rows.push_back(lists_[pos_++]);
-      ++matches_emitted_;
-      cells_emitted_ += CountCells(out->rows.back());
     }
   }
 
@@ -49,9 +40,6 @@ class MaterializedOperator : public NestedListOperator {
   std::vector<pattern::SlotId> tops_;
   std::vector<nestedlist::NestedList> lists_;
   size_t pos_ = 0;
-  ExecStats base_stats_;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
 };
 
 /// \brief Merged NoK evaluation (paper §4.2 "merging NoK operators"): runs
@@ -66,7 +54,8 @@ class MergedNokScan {
   /// \param guard optional per-query resource guard; the shared pass
   ///        samples it every ~512 nodes and stops scanning once tripped
   ///        (the partial materialization is then discarded by the caller,
-  ///        which must check guard->status()).
+  ///        which must check guard->status()). The per-NoK views charge
+  ///        it for every row they hand out.
   /// \param exec execution knobs: when every root tag is concrete, the
   ///        pass runs one SIMD candidate sweep per distinct root tag
   ///        (`exec.simd` picks the kernel backend) instead of the per-node
@@ -89,7 +78,8 @@ class MergedNokScan {
 
   size_t NumNoks() const { return matchers_.size(); }
 
-  /// \brief Stream view over NoK i's matches (valid after Run()).
+  /// \brief Stream view over NoK i's matches (valid after Run()), governed
+  /// by the scan's guard.
   std::unique_ptr<MaterializedOperator> MakeOperator(size_t i);
 
   /// \brief Counters of the one shared pass (DESIGN.md §8): the scan cost

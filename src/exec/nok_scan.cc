@@ -238,7 +238,8 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
                                  NokResultCache* cache,
                                  const storage::NodeStore* store,
                                  ExecOptions exec)
-    : doc_(doc),
+    : NestedListOperator(guard),
+      doc_(doc),
       tree_(tree),
       nok_(nok),
       matcher_(doc, tree, nok),
@@ -247,7 +248,6 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
                      ? 0
                      : static_cast<xml::NodeId>(doc->NumNodes() - 1)),
       pool_(pool),
-      guard_(guard),
       cache_(cache),
       store_(store),
       exec_(exec) {
@@ -261,7 +261,7 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
   // compare; value comparisons and match work only start after it
   // passes), so counters match a per-node pass bitwise. Wildcard and
   // attribute roots take ScanRange's per-node body; virtual roots match
-  // once, outside the scan.
+  // once, in its one-node branch.
   const pattern::Vertex& rootv = tree->vertex(nok->root);
   kernel_eligible_ = !virtual_root_ && !rootv.MatchesAnyTag() &&
                      !rootv.tag.empty() && rootv.tag[0] != '@';
@@ -299,32 +299,6 @@ bool NokScanOperator::CacheEligible() const {
          static_cast<size_t>(range_end_) + 1 >= doc_->NumNodes();
 }
 
-bool NokScanOperator::ChargeAndCount(const nestedlist::NestedList& nl) {
-  uint64_t cells = CountCells(nl);
-  // Charge *before* counting: when the budget trips on this row the
-  // consumer never receives it, and matches/cells must reflect what was
-  // actually delivered (the mid-stream-cancellation stats audit).
-  if (guard_ != nullptr &&
-      !guard_->ChargeCells(cells, cells * sizeof(nestedlist::Entry))) {
-    return false;
-  }
-  ++matches_emitted_;
-  cells_emitted_ += cells;
-  return true;
-}
-
-bool NokScanOperator::HandOutBuffered(nestedlist::NestedList* out) {
-  // A trip during materialization leaves a partial buffer: end the stream
-  // instead of handing out a truncated prefix as if complete.
-  if (guard_ != nullptr && guard_->Tripped()) return false;
-  if (buffer_pos_ >= buffer_.size()) return false;
-  *out = std::move(buffer_[buffer_pos_++]);
-  // Cell charging happens at handout (main thread, identical order at
-  // every thread count and on cache hits) so the budget verdict is
-  // deterministic.
-  return ChargeAndCount(*out);
-}
-
 std::shared_ptr<const CachedNokScan> NokScanOperator::ProbeCache(
     const NokCacheKey& key) {
   std::shared_ptr<const CachedNokScan> hit = cache_->Get(key);
@@ -335,7 +309,7 @@ std::shared_ptr<const CachedNokScan> NokScanOperator::ProbeCache(
 void NokScanOperator::FillCache(
     const NokCacheKey& key,
     const std::vector<nestedlist::NestedList>& matches) {
-  if (guard_ != nullptr && guard_->Tripped()) return;
+  if (guard() != nullptr && guard()->Tripped()) return;
   util::TraceSpan span("cache", "result.fill");
   auto entry = std::make_shared<CachedNokScan>();
   entry->matches = matches;
@@ -380,18 +354,30 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
                                 uint64_t* scanned, uint64_t* vcmps,
                                 std::vector<nestedlist::NestedList>* out)
     const {
+  util::ResourceGuard* g = guard();
+  nestedlist::NestedList nl;
+  if (virtual_root_) {
+    // "~" is a one-node range, whatever [begin, end] says.
+    if (g != nullptr && (g->Tripped() || !g->Check())) return false;
+    ++*scanned;
+    uint64_t cmp_before = ValueComparisonCount();
+    bool matched = m->MatchAt(kVirtualRootNode, &nl);
+    *vcmps += ValueComparisonCount() - cmp_before;
+    if (g != nullptr && g->Tripped()) return false;
+    if (matched) out->push_back(std::move(nl));
+    return true;
+  }
   size_t total = doc_->NumNodes();
   if (total == 0 || begin > end) return true;
   if (static_cast<size_t>(end) >= total) {
     end = static_cast<xml::NodeId>(total - 1);
   }
   std::vector<xml::NodeId> candidates;
-  nestedlist::NestedList nl;
   for (xml::NodeId x = begin;;) {
     // Chunk-top guard sample. Check() never mutates a counter, so the
     // cadence leaves untripped-run counters unchanged; only trip *timing*
     // depends on it (results are discarded on a trip).
-    if (guard_ != nullptr && (guard_->Tripped() || !guard_->Check())) {
+    if (g != nullptr && (g->Tripped() || !g->Check())) {
       return false;
     }
     xml::NodeId chunk_end = end;
@@ -405,11 +391,11 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
       *scanned += chunk_end - x + 1;
       for (xml::NodeId c : candidates) {
         if (m->RootTest(c) && m->MatchAt(c, &nl) &&
-            (guard_ == nullptr || !guard_->Tripped())) {
+            (g == nullptr || !g->Tripped())) {
           out->push_back(std::move(nl));
           nl = nestedlist::NestedList();
         }
-        if (guard_ != nullptr && guard_->Tripped()) {
+        if (g != nullptr && g->Tripped()) {
           *vcmps += ValueComparisonCount() - cmp_before;
           return false;
         }
@@ -421,11 +407,11 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
         ++*scanned;
         if (store_ != nullptr) store_->Get(c, io);
         if (m->RootTest(c) && m->MatchAt(c, &nl) &&
-            (guard_ == nullptr || !guard_->Tripped())) {
+            (g == nullptr || !g->Tripped())) {
           out->push_back(std::move(nl));
           nl = nestedlist::NestedList();
         }
-        if (guard_ != nullptr && guard_->Tripped()) {
+        if (g != nullptr && g->Tripped()) {
           *vcmps += ValueComparisonCount() - cmp_before;
           return false;
         }
@@ -438,122 +424,82 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
   return true;
 }
 
-void NokScanOperator::RunSerialCachedScan() {
-  buffer_.clear();
-  buffer_pos_ = 0;
-  NokCacheKey key{doc_->generation(), canonical_nok_, range_begin_,
-                  range_end_};
-  {
-    util::TraceSpan span("cache", "result.lookup");
-    if (std::shared_ptr<const CachedNokScan> hit = ProbeCache(key)) {
-      // Deep copy: buffered matches are handed out by move, and the cached
-      // master must stay intact for the next hit.
-      buffer_ = hit->matches;
-      buffered_ = true;
-      return;
-    }
-  }
-  // Cold: the chunked driver, run eagerly into the buffer.
-  ScanRange(&matcher_, cursor_, range_end_, &io_cursor_, &nodes_scanned_,
-            &value_cmps_, &buffer_);
-  buffered_ = true;
-  FillCache(key, buffer_);
-}
-
-void NokScanOperator::RunVirtualCachedScan() {
-  buffer_.clear();
-  buffer_pos_ = 0;
-  NokCacheKey key{doc_->generation(), canonical_nok_, range_begin_,
-                  range_end_};
-  {
-    util::TraceSpan span("cache", "result.lookup");
-    if (std::shared_ptr<const CachedNokScan> hit = ProbeCache(key)) {
-      buffer_ = hit->matches;
-      buffered_ = true;
-      return;
-    }
-  }
-  ++nodes_scanned_;
-  uint64_t cmp_before = ValueComparisonCount();
-  nestedlist::NestedList nl;
-  bool matched = matcher_.MatchAt(kVirtualRootNode, &nl);
-  value_cmps_ += ValueComparisonCount() - cmp_before;
-  if (matched && (guard_ == nullptr || !guard_->Tripped())) {
-    buffer_.push_back(std::move(nl));
-  }
-  buffered_ = true;
-  FillCache(key, buffer_);
-}
-
-void NokScanOperator::RunParallelScan() {
+void NokScanOperator::RunMaterializedScan() {
   util::TraceSpan span(
-      "exec", util::Tracer::Get().enabled() ? Label() + ".parallel"
+      "exec", util::Tracer::Get().enabled() ? Label() + ".materialize"
                                             : std::string());
-  std::vector<storage::NodeRange> parts =
-      store_ != nullptr ? store_->Partition(pool_->NumThreads())
-                        : storage::PartitionSubtrees(*doc_, pool_->NumThreads());
-  partitions_used_ = parts.size();
+  std::vector<storage::NodeRange> parts;
+  if (ParallelEligible()) {
+    parts = store_ != nullptr
+                ? store_->Partition(pool_->NumThreads())
+                : storage::PartitionSubtrees(*doc_, pool_->NumThreads());
+    partitions_used_ = parts.size();
+  } else {
+    parts.push_back(storage::NodeRange{range_begin_, range_end_});
+  }
   std::vector<std::vector<nestedlist::NestedList>> results(parts.size());
   std::vector<uint64_t> scanned(parts.size(), 0);
   std::vector<uint64_t> work(parts.size(), 0);
   std::vector<uint64_t> vcmp(parts.size(), 0);
   // Per-partition cache probe (main thread): hit partitions replay their
-  // stored matches; only the misses go to the pool. Partition ranges are a
-  // pure function of (document, thread count), so a warm run at the same
-  // thread count hits every key, and any hit replays exactly what a cold
-  // scan of that range produced — concatenation stays byte-identical.
+  // stored matches; only the misses scan. Partition ranges are a pure
+  // function of (document, thread count), so a warm run at the same thread
+  // count hits every key, and any hit replays exactly what a cold scan of
+  // that range produced — concatenation stays byte-identical.
   std::vector<std::shared_ptr<const CachedNokScan>> hits(parts.size());
-  std::vector<size_t> missing;
-  if (CacheEligible()) {
-    util::TraceSpan span("cache", "result.lookup");
+  bool cached = CacheEligible();
+  if (cached) {
+    util::TraceSpan lookup("cache", "result.lookup");
     for (size_t i = 0; i < parts.size(); ++i) {
       hits[i] = ProbeCache(NokCacheKey{doc_->generation(), canonical_nok_,
                                        parts[i].begin, parts[i].end});
-      if (hits[i] == nullptr) missing.push_back(i);
     }
-  } else {
-    missing.resize(parts.size());
-    for (size_t i = 0; i < parts.size(); ++i) missing[i] = i;
   }
-  pool_->ParallelFor(
-      missing.size(),
-      [&](size_t mi) {
-        size_t i = missing[mi];
-        util::TraceSpan part_span(
-            "exec", util::Tracer::Get().enabled()
-                        ? "partition[" + std::to_string(i) + "] nodes [" +
-                              std::to_string(parts[i].begin) + "," +
-                              std::to_string(parts[i].end) + "]"
-                        : std::string());
-        // A private matcher per partition: constraint checks are read-only
-        // on the shared document, and counters stay thread-local. One
-        // partition runs entirely on one worker, so the thread-local
-        // value-comparison delta below is exactly this partition's
-        // comparisons.
-        NokMatcher m(doc_, tree_, nok_);
-        m.set_guard(guard_);
-        // Private I/O cursor per partition: block pins and read counts stay
-        // local to this worker, so the aggregate equals the sum of
-        // partition read counts at every thread count and interleaving.
-        storage::ScanCursor io;
-        ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i],
-                  &vcmp[i], &results[i]);
-        work[i] = m.MatchWork();
-      },
-      guard_);
+  std::vector<size_t> missing;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (hits[i] == nullptr) missing.push_back(i);
+  }
+  auto scan = [&](size_t mi) {
+    size_t i = missing[mi];
+    util::TraceSpan part_span(
+        "exec", util::Tracer::Get().enabled()
+                    ? "partition[" + std::to_string(i) + "] nodes [" +
+                          std::to_string(parts[i].begin) + "," +
+                          std::to_string(parts[i].end) + "]"
+                    : std::string());
+    // A private matcher per partition: constraint checks are read-only on
+    // the shared document, and counters stay thread-local. One partition
+    // runs entirely on one thread, so the thread-local value-comparison
+    // delta is exactly this partition's comparisons.
+    NokMatcher m(doc_, tree_, nok_);
+    m.set_guard(guard());
+    // Private I/O cursor per partition: block pins and read counts stay
+    // local to this thread, so the aggregate equals the sum of partition
+    // read counts at every thread count and interleaving.
+    storage::ScanCursor io;
+    ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i], &vcmp[i],
+              &results[i]);
+    work[i] = m.MatchWork();
+  };
+  if (parts.size() == 1) {
+    if (!missing.empty()) scan(0);
+  } else {
+    pool_->ParallelFor(missing.size(), scan, guard());
+  }
   // Fill the cache for every partition scanned cold (complete scans only;
   // FillCache refuses after a trip).
-  if (CacheEligible()) {
+  if (cached) {
     for (size_t i : missing) {
       FillCache(NokCacheKey{doc_->generation(), canonical_nok_,
                             parts[i].begin, parts[i].end},
                 results[i]);
     }
   }
-  buffer_.clear();
   // Deterministic merge point (DESIGN.md §8): per-partition counters fold
   // in partition order, matching the result concatenation. Hit partitions
-  // contribute no scan work — they replay a deep copy of their entry.
+  // contribute no scan work — they replay a deep copy of their entry (the
+  // buffer hands rows out by move; the cached master must stay intact).
+  buffer_.clear();
   for (size_t i = 0; i < parts.size(); ++i) {
     nodes_scanned_ += scanned[i];
     parallel_work_ += work[i];
@@ -570,75 +516,52 @@ void NokScanOperator::RunParallelScan() {
   buffered_ = true;
 }
 
-void NokScanOperator::FillBatch(Batch* out, size_t max_rows) {
-  nestedlist::NestedList nl;
-  while (out->rows.size() < max_rows && NextMatch(&nl)) {
-    out->rows.push_back(std::move(nl));
-    nl = nestedlist::NestedList();
-  }
-}
-
-bool NokScanOperator::NextMatch(nestedlist::NestedList* out) {
-  if (virtual_root_) {
-    if (CacheEligible()) {
-      if (!buffered_) RunVirtualCachedScan();
-      return HandOutBuffered(out);
-    }
-    if (virtual_done_) return false;
-    virtual_done_ = true;
-    ++nodes_scanned_;
-    uint64_t cmp_before = ValueComparisonCount();
-    bool matched = matcher_.MatchAt(kVirtualRootNode, out);
-    value_cmps_ += ValueComparisonCount() - cmp_before;
-    if (matched) {
-      ++matches_emitted_;
-      cells_emitted_ += CountCells(*out);
-    }
-    return matched;
-  }
-  if (ParallelEligible()) {
-    if (!buffered_) RunParallelScan();
-    return HandOutBuffered(out);
-  }
-  if (CacheEligible()) {
-    if (!buffered_) RunSerialCachedScan();
-    return HandOutBuffered(out);
-  }
-  // Lazy serial driver: scan chunk by chunk into the buffer until it
-  // holds a match, then hand matches out in document order.
-  while (buffer_pos_ >= buffer_.size()) {
-    buffer_.clear();
-    buffer_pos_ = 0;
+bool NokScanOperator::ScanNextChunk() {
+  buffer_.clear();
+  buffer_pos_ = 0;
+  while (buffer_.empty()) {
     if (cursor_ > range_end_ ||
-        static_cast<size_t>(cursor_) >= doc_->NumNodes()) {
+        (!virtual_root_ && static_cast<size_t>(cursor_) >= doc_->NumNodes())) {
       return false;
     }
+    // "~" is one node however wide the range: one step covers it.
     xml::NodeId chunk_end = range_end_;
-    if (chunk_end - cursor_ >= kScanChunk) {
+    if (!virtual_root_ && chunk_end - cursor_ >= kScanChunk) {
       chunk_end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
     }
     bool ok = ScanRange(&matcher_, cursor_, chunk_end, &io_cursor_,
                         &nodes_scanned_, &value_cmps_, &buffer_);
     cursor_ = chunk_end + 1;
-    if (!ok) return false;
+    if (!ok) {
+      buffer_.clear();
+      return false;
+    }
   }
-  return HandOutBuffered(out);
+  return true;
+}
+
+void NokScanOperator::FillBatch(Batch* out, size_t max_rows) {
+  if (!buffered_ && (CacheEligible() || ParallelEligible())) {
+    RunMaterializedScan();
+  }
+  while (out->rows.size() < max_rows) {
+    if (buffer_pos_ == buffer_.size() && (buffered_ || !ScanNextChunk())) {
+      return;
+    }
+    out->rows.push_back(std::move(buffer_[buffer_pos_++]));
+  }
 }
 
 ExecStats NokScanOperator::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos();
+  ExecStats s = NestedListOperator::Stats();
   s.nodes_scanned = nodes_scanned_;
   s.comparisons = MatchWork() + value_cmps_;
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
   s.result_cache = cache_probes_;
   return s;
 }
 
 void NokScanOperator::Rewind() {
   cursor_ = range_begin_;
-  virtual_done_ = false;
   // The buffer hands entries out by move, so a rewound scan recomputes.
   buffered_ = false;
   buffer_.clear();

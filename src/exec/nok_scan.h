@@ -83,25 +83,32 @@ class NokMatcher {
 
 /// \brief Sequential-scan driver (paper §3.3's "sequential scan of the XML
 /// tree against the blossom tree"): tries the NoK at every node in document
-/// order and emits one NestedList per match, as a pull iterator.
+/// order and emits one NestedList per match, as a pull iterator. A "~"-rooted
+/// NoK is a one-node range: one MatchAt(kVirtualRootNode) per scan.
 ///
-/// With a thread pool the full-document scan runs in *parallel mode*: the
-/// document is split at top-level subtree boundaries
-/// (storage::PartitionSubtrees), one private NokMatcher matches each
-/// partition's node range, and the per-partition match lists are
-/// concatenated in partition order. Partition ranges ascend in NodeId (=
-/// Dewey/document order), and every match is local to its partition, so the
-/// concatenation is bitwise-identical to the serial scan's output stream
-/// (Theorem 1; DESIGN.md §7). Range-restricted scans (the BNLJ inner side)
-/// always use the serial path.
+/// Two drivers produce the stream:
+///  - the *lazy* chunk loop (uncached serial scans) scans ≤kScanChunk nodes
+///    at a time, only as far as the consumer pulls;
+///  - the *materializing* driver (cache- or parallel-eligible scans) splits
+///    the range into partitions — storage::PartitionSubtrees at the pool's
+///    thread count in parallel mode, else the one whole range — probes each
+///    partition in the result cache, scans the misses (across the pool, or
+///    inline for one partition), fills the cache and concatenates in
+///    partition order.
+/// Partition ranges ascend in NodeId (= Dewey/document order), and every
+/// match is local to its partition, so the concatenation is bitwise-
+/// identical to the lazy driver's stream (Theorem 1; DESIGN.md §7).
+/// Range-restricted scans (the BNLJ inner side) always take the lazy path.
+/// Neither driver charges or counts its output: GetNextBatch does, at
+/// handout, for both (DESIGN.md §9).
 class NokScanOperator : public NestedListOperator {
  public:
   /// \param pool optional worker pool; nullptr (or a restricted range)
   ///        selects the exact serial scan.
   /// \param guard optional per-query resource guard, sampled at batch
-  ///        boundaries (every ~512 nodes, per partition in parallel mode)
-  ///        and charged for every emitted NestedList cell; once tripped the
-  ///        stream ends early and the caller must check guard->status().
+  ///        boundaries (every ~512 nodes, per partition in parallel mode);
+  ///        once tripped the stream ends early and the caller must check
+  ///        guard->status().
   /// \param cache optional NoK sub-result cache (DESIGN.md §11): full-range
   ///        scans probe it by (document generation, canonical NoK, range)
   ///        and replay a hit's materialized matches without scanning;
@@ -148,10 +155,10 @@ class NokScanOperator : public NestedListOperator {
 
   const char* Name() const override { return "NokScan"; }
 
-  /// \brief Counters (DESIGN.md §8): serial scans accumulate as the stream
-  /// is consumed; parallel scans merge per-partition thread-local counts in
-  /// partition order at materialization, and count matches/cells on
-  /// handout. After Finish() both paths report identical totals.
+  /// \brief Counters (DESIGN.md §8): the lazy driver accumulates scan work
+  /// as the stream is consumed; the materializing driver merges
+  /// per-partition counts in partition order. After Finish() both report
+  /// identical totals.
   ExecStats Stats() const override;
 
  protected:
@@ -164,15 +171,16 @@ class NokScanOperator : public NestedListOperator {
   /// this stride (DESIGN.md §16).
   static constexpr size_t kScanChunk = 512;
 
-  /// Produces the next match into `*out`; false at end of stream.
-  bool NextMatch(nestedlist::NestedList* out);
+  /// Lazy driver: refills the buffer with the next chunk(s) of the range
+  /// until it holds a match; false at the end of the range or on a trip.
+  bool ScanNextChunk();
 
   /// Scans nodes [begin, end] with matcher `m`, touching `store_` through
   /// `io`, bulk-counting scanned nodes / value comparisons into *scanned /
   /// *vcmps and appending matches to *out. Chunked: the guard is sampled at
   /// every ≤kScanChunk-node chunk top; Check() never mutates counters, and
-  /// a tripped run discards its results. Returns false iff the guard
-  /// tripped mid-scan.
+  /// a tripped run discards its results. A "~"-rooted NoK ignores the range
+  /// and matches once. Returns false iff the guard tripped mid-scan.
   bool ScanRange(NokMatcher* m, xml::NodeId begin, xml::NodeId end,
                  storage::ScanCursor* io, uint64_t* scanned, uint64_t* vcmps,
                  std::vector<nestedlist::NestedList>* out) const;
@@ -185,12 +193,6 @@ class NokScanOperator : public NestedListOperator {
                         storage::ScanCursor* io,
                         std::vector<xml::NodeId>* out) const;
 
-  /// Charges the guard for an about-to-be-emitted match, then counts it.
-  /// Counting after a *successful* charge keeps matches/cells stats in sync
-  /// with what the consumer actually received when a budget trips on the
-  /// final row (the stats audit fix; regression-tested in batch_exec_test).
-  bool ChargeAndCount(const nestedlist::NestedList& nl);
-
   /// True when the pending scan may run partitioned: a pool is attached and
   /// the range covers the whole document (the BNLJ's restricted inner
   /// re-scans stay serial — their ranges are single subtrees).
@@ -200,23 +202,11 @@ class NokScanOperator : public NestedListOperator {
   /// attached and the range covers the whole finished document.
   bool CacheEligible() const;
 
-  /// Materializes all matches of the full-document scan via one matcher per
-  /// partition, concatenated in partition (= document) order. With a cache,
-  /// hit partitions replay their stored matches and only miss partitions
-  /// scan (each complete miss fills its entry).
-  void RunParallelScan();
-
-  /// Cached serial path: probes the whole-range key, scanning eagerly into
-  /// the buffer on a miss (then filling the cache). Emits the same stream,
-  /// counters, and guard charges as the lazy chunked driver.
-  void RunSerialCachedScan();
-
-  /// Cached virtual-root path ("~" NoKs match at most once per document).
-  void RunVirtualCachedScan();
-
-  /// Hands out the next buffered match: move, count, charge (the same
-  /// deterministic main-thread charging as the parallel handout).
-  bool HandOutBuffered(nestedlist::NestedList* out);
+  /// Materializing driver: fills the buffer with every match of the range,
+  /// one partition per pool thread in parallel mode, else one partition.
+  /// With a cache, hit partitions replay their stored matches and only miss
+  /// partitions scan (each complete miss fills its entry).
+  void RunMaterializedScan();
 
   /// Looks `key` up in the result cache, counting the hit or miss.
   std::shared_ptr<const CachedNokScan> ProbeCache(const NokCacheKey& key);
@@ -231,21 +221,17 @@ class NokScanOperator : public NestedListOperator {
   const pattern::NokTree* nok_;
   NokMatcher matcher_;
   bool virtual_root_;
-  bool virtual_done_ = false;
   xml::NodeId cursor_ = 0;
   xml::NodeId range_begin_ = 0;
   xml::NodeId range_end_;
   uint64_t nodes_scanned_ = 0;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
   uint64_t value_cmps_ = 0;
   CacheProbes cache_probes_;
 
   util::ThreadPool* pool_;
-  util::ResourceGuard* guard_;
-  /// Match buffer, handed out by move: the parallel scan and both cached
-  /// paths materialize their full stream here (`buffered_`), the lazy
-  /// serial driver one chunk at a time.
+  /// Match buffer, handed out by move: the materializing driver fills it
+  /// with the whole stream (`buffered_`), the lazy driver one chunk at a
+  /// time.
   bool buffered_ = false;
   std::vector<nestedlist::NestedList> buffer_;
   size_t buffer_pos_ = 0;

@@ -8,7 +8,30 @@ size_t NestedListOperator::GetNextBatch(Batch* out, size_t max_rows) {
   util::TraceSpan span("exec", TraceName(*this));
   out->rows.clear();
   FillBatch(out, ClampBatchRows(max_rows));
-  return out->rows.size();
+  // The one emission point: charge each row before counting it, so a row
+  // that trips the budget is neither delivered nor counted, and
+  // matches/nl_cells always equal what the consumer received.
+  size_t delivered = 0;
+  for (const nestedlist::NestedList& row : out->rows) {
+    uint64_t cells = CountCells(row);
+    if (guard_ != nullptr &&
+        !guard_->ChargeCells(cells, cells * sizeof(nestedlist::Entry))) {
+      break;
+    }
+    ++delivered;
+    cells_delivered_ += cells;
+  }
+  out->rows.resize(delivered);
+  rows_delivered_ += delivered;
+  return delivered;
+}
+
+ExecStats NestedListOperator::Stats() const {
+  ExecStats s;
+  s.wall_nanos = wall_nanos_;
+  s.matches = rows_delivered_;
+  s.nl_cells = cells_delivered_;
+  return s;
 }
 
 void NestedListOperator::Finish() {

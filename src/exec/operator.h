@@ -8,6 +8,7 @@
 #include "exec/exec_stats.h"
 #include "nestedlist/nested_list.h"
 #include "pattern/blossom_tree.h"
+#include "util/resource_guard.h"
 #include "util/trace.h"
 #include "xml/document.h"
 
@@ -18,6 +19,11 @@ namespace exec {
 /// compose GetNext streams; pipelined joins consume them without
 /// materialization). The one production call is GetNextBatch, which hands
 /// over up to a batch of rows per call (DESIGN.md §16).
+///
+/// GetNextBatch is also the one emission point (DESIGN.md §8, §9): every
+/// row an operator hands over is charged to its guard there, then counted
+/// in the base-class `matches`/`nl_cells` totals. Subclasses only produce
+/// rows; none charges or counts its own output.
 ///
 /// Every operator additionally exposes the observability surface of
 /// DESIGN.md §8: a name/label, ExecStats counters, and child links so
@@ -30,9 +36,12 @@ class NestedListOperator {
   virtual const std::vector<pattern::SlotId>& top_slots() const = 0;
 
   /// \brief Clears `out` and refills it with up to `max_rows` NestedLists
-  /// (clamped to [1, kMaxBatchRows]). Returns the number produced; 0 ⟺
-  /// end of stream. The operator's wall timer and trace span cover each
-  /// call once, however many rows it produces.
+  /// (clamped to [1, kMaxBatchRows]). Returns the number delivered; 0 ⟺
+  /// end of stream. Each filled row is charged to the guard in order, and
+  /// the batch is cut at the first refused charge: a row that trips the
+  /// budget is never delivered and never counted. The operator's wall
+  /// timer and trace span cover each call once, however many rows it
+  /// produces.
   size_t GetNextBatch(Batch* out, size_t max_rows);
 
   /// \brief Restarts the stream from the beginning.
@@ -54,8 +63,9 @@ class NestedListOperator {
 
   /// \brief Execution counters accumulated so far. Profile collectors call
   /// Finish() first so lazily-consumed streams report run-to-completion
-  /// totals (identical across thread counts).
-  virtual ExecStats Stats() const { return ExecStats{}; }
+  /// totals (identical across thread counts). The base fills `wall_nanos`,
+  /// `matches` and `nl_cells`; overrides add their own counters to it.
+  virtual ExecStats Stats() const;
 
   /// \brief Runs this operator's stream to completion without emitting to a
   /// consumer, then finishes its children. EXPLAIN ANALYZE semantics: after
@@ -86,18 +96,29 @@ class NestedListOperator {
   void set_estimated_rows(double rows) { estimated_rows_ = rows; }
 
  protected:
+  /// \param guard optional per-query resource guard (DESIGN.md §9):
+  ///        GetNextBatch charges every delivered row's cells to it. An
+  ///        operator that only re-shapes rows already charged below it
+  ///        (Frame) passes none.
+  explicit NestedListOperator(util::ResourceGuard* guard = nullptr)
+      : guard_(guard) {}
+
   /// \brief The operator's fill loop: appends up to `max_rows` (already
   /// clamped) rows to the empty `out->rows`. Appending none ends the
   /// stream.
   virtual void FillBatch(Batch* out, size_t max_rows) = 0;
 
-  /// \brief Wall time spent inside GetNextBatch, children included.
-  uint64_t wall_nanos() const { return wall_nanos_; }
+  /// \brief The guard passed at construction (nullptr = ungoverned), for
+  /// the batch-boundary checks inside FillBatch.
+  util::ResourceGuard* guard() const { return guard_; }
 
  private:
+  util::ResourceGuard* guard_;
   std::string label_;
   double estimated_rows_ = -1.0;
   uint64_t wall_nanos_ = 0;
+  uint64_t rows_delivered_ = 0;
+  uint64_t cells_delivered_ = 0;
 };
 
 /// \brief Row-at-a-time view of a child's batch stream, for consumers

@@ -156,31 +156,23 @@ std::vector<NokAccessPath> ChooseAccessPaths(
 class TreePlanner {
  public:
   TreePlanner(const xml::Document* doc, const pattern::BlossomTree* tree,
-              const Decomposition* decomp, JoinStrategy strategy,
+              const Decomposition* decomp, const PlanOptions& options,
               exec::MergedNokScan* merged,
               const std::vector<int>* merged_index,
               const std::vector<NokAccessPath>* access,
               PatternTreePlan* plan,
-              bool* used_pipelined, bool* used_bnlj,
-              util::ThreadPool* pool, util::ResourceGuard* guard,
-              const CostModel* cost, exec::NokResultCache* result_cache,
-              const storage::NodeStore* store, exec::ExecOptions exec)
+              bool* used_pipelined, bool* used_bnlj, const CostModel* cost)
       : doc_(doc),
         tree_(tree),
         decomp_(decomp),
-        strategy_(strategy),
+        options_(options),
         merged_(merged),
         merged_index_(merged_index),
         access_(access),
         plan_(plan),
         used_pipelined_(used_pipelined),
         used_bnlj_(used_bnlj),
-        pool_(pool),
-        guard_(guard),
-        cost_(cost),
-        result_cache_(result_cache),
-        store_(store),
-        exec_(exec) {}
+        cost_(cost) {}
 
   /// True when matches of `v`'s tag can never nest — the precondition for
   /// the pipelined join's merge discipline (Theorem 2 holds per tag: a
@@ -200,7 +192,7 @@ class TreePlanner {
   /// Per-connection strategy under kAuto (paper §5: the optimizer chooses
   /// using its knowledge of document recursion — here per tag).
   JoinStrategy Pick(const Connection& c, uint32_t outer_nok) const {
-    if (strategy_ != JoinStrategy::kAuto) return strategy_;
+    if (options_.strategy != JoinStrategy::kAuto) return options_.strategy;
     bool safe = NonNesting(decomp_->noks[outer_nok].root) && NonNesting(c.from);
     return safe ? JoinStrategy::kPipelined
                 : JoinStrategy::kBoundedNestedLoop;
@@ -219,8 +211,8 @@ class TreePlanner {
     const NokAccessPath& ap = (*access_)[nok_index];
     if (ap.kind != NokAccessPath::Kind::kScan) {
       auto seek = std::make_unique<exec::IndexSeekOperator>(
-          doc_, tree_, &decomp_->noks[nok_index], ap.candidates, guard_,
-          store_);
+          doc_, tree_, &decomp_->noks[nok_index], ap.candidates,
+          options_.guard, options_.store);
       plan_->seeks.push_back(seek.get());
       std::string label = "IndexSeek(" + NokLabel(nok_index) + ")";
       seek->set_label(label);
@@ -238,15 +230,16 @@ class TreePlanner {
       plan_->explain += "MergedNokView(" + NokLabel(nok_index) + ")\n";
     } else {
       auto scan = std::make_unique<NokScanOperator>(
-          doc_, tree_, &decomp_->noks[nok_index], pool_, guard_,
-          result_cache_, store_, exec_);
+          doc_, tree_, &decomp_->noks[nok_index], options_.pool,
+          options_.guard, options_.result_cache, options_.store,
+          options_.exec);
       plan_->scans.push_back(scan.get());
       scan->set_label("NokScan(" + NokLabel(nok_index) + ")");
       Indent(depth);
       plan_->explain += "NokScan(" + NokLabel(nok_index) + ")";
-      if (pool_ != nullptr && pool_->NumThreads() > 1) {
-        plan_->explain +=
-            " [parallel x" + std::to_string(pool_->NumThreads()) + "]";
+      if (options_.pool != nullptr && options_.pool->NumThreads() > 1) {
+        plan_->explain += " [parallel x" +
+                          std::to_string(options_.pool->NumThreads()) + "]";
       }
       plan_->explain += "\n";
       op = std::move(scan);
@@ -283,11 +276,12 @@ class TreePlanner {
       if (join == JoinStrategy::kPipelined) {
         op = std::make_unique<exec::PipelinedDescJoin>(
             doc_, tree_, std::move(op), std::move(inner), from_slot, c.mode,
-            guard_);
+            options_.guard);
       } else {
         op = std::make_unique<exec::BoundedNestedLoopJoin>(
             doc_, tree_, std::move(op), std::move(inner), from_slot, c.mode,
-            /*bounded=*/join != JoinStrategy::kNaiveNestedLoop, guard_);
+            /*bounded=*/join != JoinStrategy::kNaiveNestedLoop,
+            options_.guard);
       }
       op->set_label(std::move(join_label));
       if (cost_ != nullptr) {
@@ -327,19 +321,14 @@ class TreePlanner {
   const xml::Document* doc_;
   const pattern::BlossomTree* tree_;
   const Decomposition* decomp_;
-  JoinStrategy strategy_;
+  const PlanOptions& options_;
   exec::MergedNokScan* merged_;
   const std::vector<int>* merged_index_;
   const std::vector<NokAccessPath>* access_;
   PatternTreePlan* plan_;
   bool* used_pipelined_;
   bool* used_bnlj_;
-  util::ThreadPool* pool_;
-  util::ResourceGuard* guard_;
   const CostModel* cost_;
-  exec::NokResultCache* result_cache_;
-  const storage::NodeStore* store_;
-  exec::ExecOptions exec_;
 };
 
 }  // namespace
@@ -500,11 +489,9 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   }
   for (uint32_t base : bases) {
     PatternTreePlan tp;
-    TreePlanner builder(doc, tree, &plan.decomposition, strategy,
+    TreePlanner builder(doc, tree, &plan.decomposition, options,
                         merged.get(), &merged_index, &access, &tp,
-                        &used_pipelined, &used_bnlj, options.pool,
-                        options.guard, cost.get(), options.result_cache,
-                        options.store, options.exec);
+                        &used_pipelined, &used_bnlj, cost.get());
     BT_ASSIGN_OR_RETURN(tp.root, builder.Build(base, 1));
     tp.tops = tp.root->top_slots();
     plan.trees.push_back(std::move(tp));

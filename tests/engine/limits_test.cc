@@ -244,6 +244,41 @@ TEST(EngineLimitsTest, CellBudgetTripsAndEngineRecovers) {
   ASSERT_TRUE(expected.ok());
 }
 
+// Every NoK scan driver is charged at the one emission point, so a small
+// cell budget binds on each of them: the "~"-rooted NoK with the result
+// cache off and on at 1 and 4 threads, and the merged single-pass scan.
+TEST(EngineLimitsTest, CellBudgetBindsOnEveryDriver) {
+  datagen::GenOptions g;
+  g.scale = 0.05;
+  auto doc = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, g);
+  auto expect_exhausted = [&](const EngineOptions& options, const char* q) {
+    BlossomTreeEngine engine(doc.get(), options);
+    auto r = engine.EvaluatePath(MustParsePath(q));
+    ASSERT_FALSE(r.ok()) << q << " threads=" << options.num_threads
+                         << " cache=" << options.result_cache.enabled
+                         << " merged=" << options.plan.merge_nok_scans;
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted) << q;
+    EXPECT_GT(engine.guard().CellsCharged(), 100u) << q;
+  };
+  for (unsigned threads : {1u, 4u}) {
+    for (bool cache : {false, true}) {
+      EngineOptions options;
+      options.num_threads = threads;
+      options.result_cache.enabled = cache;
+      options.limits.max_nl_cells = 100;
+      expect_exhausted(options, "/dblp/article/title");
+    }
+  }
+  for (const char* q : {"//article/title", "//www//url"}) {
+    EngineOptions options;
+    options.num_threads = 1;
+    options.plan.strategy = opt::JoinStrategy::kPipelined;
+    options.plan.merge_nok_scans = true;
+    options.limits.max_nl_cells = 100;
+    expect_exhausted(options, q);
+  }
+}
+
 // The FLWOR cross product is charged one row per tuple as it is formed, so
 // a row budget stops 1,600 x 1,600 book pairs within one guard stride of
 // the budget instead of after building all 2.56M tuples.

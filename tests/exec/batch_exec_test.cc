@@ -10,7 +10,10 @@
 //    boundary (±1 row around each batch edge) must leave
 //    matches/nl_cells equal to what the consumer actually received — the
 //    count-before-charge audit fix — and Finish() normalization must stay
-//    safe on tripped plans.
+//    safe on tripped plans;
+//  - one emission point: an unlimited drain charges the same cells whichever
+//    NoK scan driver (lazy, materializing, cached, partitioned, virtual
+//    root, merged pass) produced the rows.
 
 #include <gtest/gtest.h>
 
@@ -23,11 +26,13 @@
 #include "engine/path_eval.h"
 #include "exec/exec_stats.h"
 #include "exec/nok_scan.h"
+#include "exec/result_cache.h"
 #include "opt/planner.h"
 #include "pattern/builder.h"
 #include "pattern/decompose.h"
 #include "util/json.h"
 #include "util/resource_guard.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "workload/queries.h"
 #include "xml/parser.h"
@@ -301,58 +306,77 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
   // trip land on a different row, covering every batch boundary ±1 row for
   // every tested batch size. The audit invariant: matches/nl_cells must
   // equal the rows/cells the consumer received — the row that tripped the
-  // budget was never delivered, so it must not be counted.
+  // budget was never delivered, so it must not be counted. Inputs: the
+  // separate-scan //a//b plan, the same plan over the merged pass, and a
+  // virtual-root path (one row, from the "~"-rooted NoK).
   auto doc = xml::ParseDocument(
                  "<r><a><b/></a><a><b/><b/></a><a/><a><b/></a><a><b/><b/>"
                  "<b/></a><a><b/></a><a><b/></a><a><b/><b/></a></r>")
                  .MoveValue();
-  auto path = xpath::ParsePath("//a//b");
-  auto tree = pattern::BuildFromPath(*path);
-  ASSERT_TRUE(tree.ok());
+  struct Input {
+    const char* query;
+    bool merge_nok_scans;
+  };
+  for (const Input& in : {Input{"//a//b", false}, Input{"//a//b", true},
+                          Input{"/r/a//b", false}}) {
+    SCOPED_TRACE(std::string(in.query) +
+                 (in.merge_nok_scans ? " (merged)" : ""));
+    auto path = xpath::ParsePath(in.query);
+    auto tree = pattern::BuildFromPath(*path);
+    ASSERT_TRUE(tree.ok());
+    auto plan_options = [&](util::ResourceGuard* guard) {
+      opt::PlanOptions po = PipelinedPlan(guard);
+      po.merge_nok_scans = in.merge_nok_scans;
+      return po;
+    };
 
-  // Total charge of an untripped run: every operator in the plan charges
-  // its emissions, so the budget sweep must cover the *cumulative* charge,
-  // not just the root's delivered cells.
-  util::ResourceGuard unlimited;
-  unlimited.Arm();
-  auto full = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan(&unlimited));
-  ASSERT_TRUE(full.ok());
-  GovernedDrain total = DrainGoverned(full->trees[0].root.get(), 64);
-  ASSERT_GT(total.rows, 4u);
-  const uint64_t total_charge = unlimited.CellsCharged();
-  ASSERT_GE(total_charge, total.cells);
+    // Total charge of an untripped run: every operator in the plan charges
+    // its emissions, so the budget sweep must cover the *cumulative* charge,
+    // not just the root's delivered cells.
+    util::ResourceGuard unlimited;
+    unlimited.Arm();
+    auto full = opt::PlanQuery(doc.get(), &*tree, plan_options(&unlimited));
+    ASSERT_TRUE(full.ok());
+    GovernedDrain total = DrainGoverned(full->trees[0].root.get(), 64);
+    // A "~"-rooted plan delivers one row, so the sweep's breadth is pinned
+    // on the cumulative charge rather than on the delivered rows.
+    ASSERT_GT(total.rows, 0u);
+    const uint64_t total_charge = unlimited.CellsCharged();
+    ASSERT_GT(total_charge, 4u);
+    ASSERT_GE(total_charge, total.cells);
 
-  for (bool simd : {true, false}) {
-    for (size_t batch_rows : {1u, 7u, 64u}) {
-      for (uint64_t budget = 0; budget <= total_charge; ++budget) {
-        util::QueryLimits limits;
-        limits.max_nl_cells = budget;
-        util::ResourceGuard guard(limits);
-        guard.Arm();
-        opt::PlanOptions po = PipelinedPlan(&guard);
-        po.exec.simd = simd;
-        auto plan = opt::PlanQuery(doc.get(), &*tree, po);
-        ASSERT_TRUE(plan.ok());
-        NestedListOperator* root = plan->trees[0].root.get();
-        GovernedDrain got = DrainGoverned(root, batch_rows);
-        EXPECT_LE(got.cells, budget);
-        EXPECT_EQ(guard.Tripped(), budget < total_charge)
-            << "budget=" << budget;
-        // Finish() on a tripped plan must be safe and must not inflate the
-        // handout counters past what was delivered.
-        plan->FinishAll();
-        ExecStats s = plan->trees[0].root->Stats();
-        EXPECT_EQ(s.matches, got.rows)
-            << "simd=" << simd << " batch_rows=" << batch_rows
-            << " budget=" << budget;
-        EXPECT_EQ(s.nl_cells, got.cells)
-            << "simd=" << simd << " batch_rows=" << batch_rows
-            << " budget=" << budget;
-        if (budget < total_charge) {
-          EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
-        } else {
-          EXPECT_EQ(got.rows, total.rows);
-          EXPECT_TRUE(guard.status().ok());
+    for (bool simd : {true, false}) {
+      for (size_t batch_rows : {1u, 7u, 64u}) {
+        for (uint64_t budget = 0; budget <= total_charge; ++budget) {
+          util::QueryLimits limits;
+          limits.max_nl_cells = budget;
+          util::ResourceGuard guard(limits);
+          guard.Arm();
+          opt::PlanOptions po = plan_options(&guard);
+          po.exec.simd = simd;
+          auto plan = opt::PlanQuery(doc.get(), &*tree, po);
+          ASSERT_TRUE(plan.ok());
+          NestedListOperator* root = plan->trees[0].root.get();
+          GovernedDrain got = DrainGoverned(root, batch_rows);
+          EXPECT_LE(got.cells, budget);
+          EXPECT_EQ(guard.Tripped(), budget < total_charge)
+              << "budget=" << budget;
+          // Finish() on a tripped plan must be safe and must not inflate
+          // the handout counters past what was delivered.
+          plan->FinishAll();
+          ExecStats s = plan->trees[0].root->Stats();
+          EXPECT_EQ(s.matches, got.rows)
+              << "simd=" << simd << " batch_rows=" << batch_rows
+              << " budget=" << budget;
+          EXPECT_EQ(s.nl_cells, got.cells)
+              << "simd=" << simd << " batch_rows=" << batch_rows
+              << " budget=" << budget;
+          if (budget < total_charge) {
+            EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
+          } else {
+            EXPECT_EQ(got.rows, total.rows);
+            EXPECT_TRUE(guard.status().ok());
+          }
         }
       }
     }
@@ -393,6 +417,65 @@ TEST(BatchExecTest, ScanStatsMatchDeliveryUnderRowBudgetTrips) {
           << "simd=" << simd << " budget=" << budget;
       EXPECT_EQ(guard.Tripped(), budget < total);
     }
+  }
+}
+
+// -- One emission point: charging does not depend on the driver --------------
+
+/// Cells an unlimited drain of `query`'s plan charges to its guard.
+uint64_t UnlimitedCharge(const xml::Document* doc, const char* query,
+                         opt::PlanOptions po) {
+  auto path = xpath::ParsePath(query);
+  auto tree = pattern::BuildFromPath(*path);
+  EXPECT_TRUE(tree.ok()) << query;
+  if (!tree.ok()) return 0;
+  util::ResourceGuard guard;
+  guard.Arm();
+  po.guard = &guard;
+  auto plan = opt::PlanQuery(doc, &*tree, po);
+  EXPECT_TRUE(plan.ok()) << query;
+  if (!plan.ok()) return 0;
+  Drain(plan->trees[0].root.get(), po.exec.batch_rows);
+  EXPECT_TRUE(guard.status().ok()) << query;
+  return guard.CellsCharged();
+}
+
+TEST(BatchExecTest, CellChargeIndependentOfDriver) {
+  // Every NoK scan driver hands its rows over through GetNextBatch, which
+  // charges them: the lazy chunk loop, the materializing driver (cold
+  // fill, warm replay, partitioned), the "~"-rooted one-node range and the
+  // merged pass must all charge an unlimited drain the same cells.
+  std::string xml = "<r>";
+  for (int i = 0; i < 300; ++i) {
+    xml += i % 3 == 0 ? "<a><b/><c/></a>" : "<a><c><b/></c><b/></a>";
+  }
+  xml += "</r>";
+  auto doc = xml::ParseDocument(xml).MoveValue();
+  for (const char* q : {"/r/a/b", "//a/b"}) {
+    const uint64_t ref = UnlimitedCharge(doc.get(), q, {});
+    EXPECT_GT(ref, 0u) << q;
+    for (size_t threads : {1u, 4u}) {
+      util::ThreadPool pool(threads);
+      util::CacheOptions co;
+      co.enabled = true;
+      NokResultCache cache(co);
+      for (const char* state : {"none", "cold", "warm"}) {
+        opt::PlanOptions po;
+        po.pool = threads > 1 ? &pool : nullptr;
+        po.result_cache = std::string(state) == "none" ? nullptr : &cache;
+        EXPECT_EQ(UnlimitedCharge(doc.get(), q, po), ref)
+            << q << " threads=" << threads << " cache=" << state;
+      }
+      EXPECT_GT(cache.Stats().hits, 0u) << q << " threads=" << threads;
+    }
+  }
+  const uint64_t separate = UnlimitedCharge(doc.get(), "//a//b", {});
+  EXPECT_GT(separate, 0u);
+  for (bool merge : {false, true}) {
+    opt::PlanOptions po = PipelinedPlan();
+    po.merge_nok_scans = merge;
+    EXPECT_EQ(UnlimitedCharge(doc.get(), "//a//b", po), separate)
+        << "merge_nok_scans=" << merge;
   }
 }
 

@@ -1,18 +1,23 @@
 // Property-based testing: random documents × random path queries, with the
 // navigational evaluator as the oracle. Every strategy (BNLJ always;
 // pipelined + merged scan on non-recursive documents; TwigStack when the
-// query is in its class) must return the oracle's node set.
+// query is in its class) must return the oracle's node set, and every plan
+// configuration must charge its NestedList cells the same way at every
+// thread count and cache state, so a cell budget binds exactly.
 
 #include <gtest/gtest.h>
 
 #include "baseline/navigational.h"
 #include "engine/engine.h"
+#include "exec/result_cache.h"
 #include "exec/twig_semijoin.h"
 #include "exec/twigstack.h"
 #include "opt/planner.h"
 #include "pattern/builder.h"
 #include "storage/succinct.h"
+#include "util/resource_guard.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xpath/parser.h"
@@ -47,13 +52,14 @@ std::unique_ptr<xml::Document> RandomDoc(Rng* rng, size_t target_nodes) {
 }
 
 /// Random path query over the same alphabet: 1-4 steps, mixed axes,
-/// occasional predicates (existence, value, position).
+/// occasional predicates (existence, value, position). A leading "/" roots
+/// the path at the document node, which plans a "~"-rooted NoK.
 std::string RandomQuery(Rng* rng) {
   static const char* kTags[] = {"a", "b", "c", "d", "e", "r", "*"};
   std::string q;
   size_t steps = 1 + rng->Uniform(4);
   for (size_t i = 0; i < steps; ++i) {
-    q += (i == 0 || rng->Chance(0.6)) ? "//" : "/";
+    q += rng->Chance(i == 0 ? 0.7 : 0.6) ? "//" : "/";
     q += kTags[rng->Uniform(7)];
     if (rng->Chance(0.3)) {
       double r = rng->NextDouble();
@@ -70,11 +76,79 @@ std::string RandomQuery(Rng* rng) {
   return q;
 }
 
+/// One governed EvaluatePathQuery run: its result and the cells it charged.
+struct GovernedRun {
+  Result<std::vector<xml::NodeId>> result;
+  uint64_t cells = 0;
+};
+
+GovernedRun RunGoverned(const xml::Document* doc,
+                        const pattern::BlossomTree& tree, opt::PlanOptions o,
+                        uint64_t max_nl_cells) {
+  util::QueryLimits limits;
+  limits.max_nl_cells = max_nl_cells;
+  util::ResourceGuard guard(limits);
+  guard.Arm();
+  o.guard = &guard;
+  GovernedRun run{opt::EvaluatePathQuery(doc, &tree, o), 0};
+  run.cells = guard.CellsCharged();
+  return run;
+}
+
+/// The cell-budget property of one plan configuration: the charge C of an
+/// unlimited run is the same serially and on `pool`, with no, a cold and a
+/// warm result cache; a budget of C - 1 trips, and a budget of C returns the
+/// oracle's nodes. `config` labels the configuration in failures.
+void ExpectChargeBindsExactly(const xml::Document* doc,
+                              const pattern::BlossomTree& tree,
+                              const opt::PlanOptions& base,
+                              util::ThreadPool* pool,
+                              const std::vector<xml::NodeId>& oracle,
+                              const char* config) {
+  constexpr uint64_t kUnlimited = util::QueryLimits::kUnlimited;
+  GovernedRun ref = RunGoverned(doc, tree, base, kUnlimited);
+  ASSERT_TRUE(ref.result.ok()) << config << ": "
+                               << ref.result.status().ToString();
+  EXPECT_EQ(*ref.result, oracle) << config;
+  const uint64_t charge = ref.cells;
+  util::ThreadPool* pools[] = {nullptr, pool};
+  for (util::ThreadPool* p : pools) {
+    util::CacheOptions co;
+    co.enabled = true;
+    exec::NokResultCache cache(co);
+    exec::NokResultCache* caches[] = {nullptr, &cache, &cache};  // Cold, warm.
+    for (exec::NokResultCache* c : caches) {
+      opt::PlanOptions o = base;
+      o.pool = p;
+      o.result_cache = c;
+      GovernedRun run = RunGoverned(doc, tree, o, kUnlimited);
+      ASSERT_TRUE(run.result.ok()) << config;
+      EXPECT_EQ(*run.result, oracle) << config;
+      EXPECT_EQ(run.cells, charge)
+          << config << " parallel=" << (p != nullptr)
+          << " cache=" << (c == nullptr ? "none" : "cold/warm");
+    }
+    opt::PlanOptions o = base;
+    o.pool = p;
+    if (charge > 0) {
+      GovernedRun tight = RunGoverned(doc, tree, o, charge - 1);
+      ASSERT_FALSE(tight.result.ok()) << config << " budget=" << charge - 1;
+      EXPECT_EQ(tight.result.status().code(), StatusCode::kResourceExhausted)
+          << config;
+    }
+    GovernedRun exact = RunGoverned(doc, tree, o, charge);
+    ASSERT_TRUE(exact.result.ok()) << config << " budget=" << charge << ": "
+                                   << exact.result.status().ToString();
+    EXPECT_EQ(*exact.result, oracle) << config << " budget=" << charge;
+  }
+}
+
 class PropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PropertyTest, RandomQueriesAgreeWithOracle) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 13);
   auto doc = RandomDoc(&rng, 120 + rng.Uniform(150));
+  util::ThreadPool pool(4);
   for (int qi = 0; qi < 12; ++qi) {
     std::string query = RandomQuery(&rng);
     SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " query=" + query +
@@ -91,22 +165,15 @@ TEST_P(PropertyTest, RandomQueriesAgreeWithOracle) {
     {
       opt::PlanOptions o;
       o.strategy = opt::JoinStrategy::kBoundedNestedLoop;
-      auto got = opt::EvaluatePathQuery(doc.get(), &*tree, o);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *oracle) << "BNLJ";
+      ExpectChargeBindsExactly(doc.get(), *tree, o, &pool, *oracle, "BNLJ");
     }
-    {
-      auto got = opt::EvaluatePathQuery(doc.get(), &*tree);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *oracle) << "auto";
-    }
+    ExpectChargeBindsExactly(doc.get(), *tree, {}, &pool, *oracle, "auto");
     if (!doc->IsRecursive()) {
       opt::PlanOptions o;
       o.strategy = opt::JoinStrategy::kPipelined;
       o.merge_nok_scans = true;
-      auto got = opt::EvaluatePathQuery(doc.get(), &*tree, o);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *oracle) << "PL+merged";
+      ExpectChargeBindsExactly(doc.get(), *tree, o, &pool, *oracle,
+                               "PL+merged");
     }
     {
       exec::TwigStack ts(doc.get(), &*tree);
