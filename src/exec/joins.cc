@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "exec/kernels.h"
-#include "exec/value_ops.h"
 #include "nestedlist/ops.h"
 
 namespace blossomtree {
@@ -199,95 +198,6 @@ void BoundedNestedLoopJoin::Rewind() {
   outer_->Rewind();
   outer_rows_.Reset();
 }
-
-NestedLoopJoin::NestedLoopJoin(
-    std::vector<SlotId> tops, std::unique_ptr<NestedListOperator> left,
-    std::unique_ptr<NestedListOperator> right, std::vector<bool> owns_left,
-    std::function<bool(const NestedList&, const NestedList&)> pred,
-    util::ResourceGuard* guard)
-    : NestedListOperator(guard),
-      tops_(std::move(tops)),
-      left_(std::move(left)),
-      right_(std::move(right)),
-      owns_left_(std::move(owns_left)),
-      pred_(std::move(pred)),
-      left_rows_(left_.get()) {}
-
-void NestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
-  if (!right_materialized_) {
-    right_mat_ = Drain(right_.get(), max_rows);
-    right_materialized_ = true;
-  }
-  while (out->rows.size() < max_rows) {
-    if (!left_valid_) {
-      if (!left_rows_.Next(&cur_left_, max_rows)) return;
-      left_valid_ = true;
-      right_pos_ = 0;
-    }
-    if (right_pos_ == right_mat_.size()) {
-      left_valid_ = false;
-      continue;
-    }
-    // This join is quadratic: sample the clock every ~1k predicate
-    // evaluations, with a cheap tripped probe in between.
-    if (guard() != nullptr &&
-        (guard()->Tripped() ||
-         ((pred_calls_ & 0x3FF) == 0x3FF && !guard()->Check()))) {
-      return;
-    }
-    const NestedList& r = right_mat_[right_pos_++];
-    // Value comparisons inside the predicate (general compares,
-    // deep-equal prefilters) run on this thread: attribute the
-    // thread-local delta here (DESIGN.md §8).
-    uint64_t cmp_before = ValueComparisonCount();
-    ++pred_calls_;
-    bool hit = pred_(cur_left_, r);
-    value_cmps_ += ValueComparisonCount() - cmp_before;
-    if (!hit) continue;
-    out->rows.push_back(nestedlist::Combine(cur_left_, r, owns_left_));
-  }
-}
-
-ExecStats NestedLoopJoin::Stats() const {
-  ExecStats s = NestedListOperator::Stats();
-  s.comparisons = pred_calls_ + value_cmps_;
-  return s;
-}
-
-void NestedLoopJoin::Rewind() {
-  left_->Rewind();
-  left_rows_.Reset();
-  left_valid_ = false;
-  right_pos_ = 0;
-}
-
-FrameOperator::FrameOperator(const pattern::BlossomTree* tree,
-                             std::vector<SlotId> frame_tops, size_t position,
-                             std::unique_ptr<NestedListOperator> input)
-    : tree_(tree),
-      frame_tops_(std::move(frame_tops)),
-      position_(position),
-      input_(std::move(input)) {}
-
-void FrameOperator::FillBatch(Batch* out, size_t max_rows) {
-  input_->GetNextBatch(&in_, max_rows);
-  for (NestedList& in : in_.rows) {
-    NestedList framed;
-    framed.tops.reserve(frame_tops_.size());
-    for (size_t i = 0; i < frame_tops_.size(); ++i) {
-      if (i == position_) {
-        framed.tops.push_back(std::move(in.tops[0]));
-      } else {
-        Group g;
-        g.push_back(nestedlist::MakePlaceholderEntry(*tree_, frame_tops_[i]));
-        framed.tops.push_back(std::move(g));
-      }
-    }
-    out->rows.push_back(std::move(framed));
-  }
-}
-
-void FrameOperator::Rewind() { input_->Rewind(); }
 
 }  // namespace exec
 }  // namespace blossomtree

@@ -1,7 +1,6 @@
 #ifndef BLOSSOMTREE_EXEC_JOINS_H_
 #define BLOSSOMTREE_EXEC_JOINS_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -155,102 +154,6 @@ class BoundedNestedLoopJoin : public NestedListOperator {
   /// Reused across the per-entry inner re-scans.
   Batch inner_batch_;
   uint64_t inner_rescans_ = 0;
-};
-
-/// \brief Naive nested-loop join (paper §4.3) for the predicates that are
-/// not order-preserving (`<<`, value joins, deep-equal): evaluates `pred`
-/// on every pair from the two sequences and emits the Combined NestedList
-/// for matching pairs (paper Example 4/5).
-class NestedLoopJoin : public NestedListOperator {
- public:
-  /// \param tops the combined top-slot context (usually the global tree's
-  ///        top_slots()); both inputs must already be framed over it.
-  /// \param owns_left owns_left[i] == true iff top group i comes from the
-  ///        left input.
-  /// \param pred predicate over a (left, right) pair.
-  /// \param guard optional per-query resource guard, sampled every ~1k
-  ///        predicate evaluations (this join is quadratic, so per-pair
-  ///        clock samples would dominate).
-  NestedLoopJoin(
-      std::vector<pattern::SlotId> tops,
-      std::unique_ptr<NestedListOperator> left,
-      std::unique_ptr<NestedListOperator> right, std::vector<bool> owns_left,
-      std::function<bool(const nestedlist::NestedList&,
-                         const nestedlist::NestedList&)>
-          pred,
-      util::ResourceGuard* guard = nullptr);
-
-  const std::vector<pattern::SlotId>& top_slots() const override {
-    return tops_;
-  }
-  void Rewind() override;
-
-  const char* Name() const override { return "NestedLoopJoin"; }
-  ExecStats Stats() const override;
-  size_t NumChildren() const override { return 2; }
-  const NestedListOperator* Child(size_t i) const override {
-    return i == 0 ? left_.get() : right_.get();
-  }
-  NestedListOperator* MutableChild(size_t i) override {
-    return i == 0 ? left_.get() : right_.get();
-  }
-
- protected:
-  void FillBatch(Batch* out, size_t max_rows) override;
-
- private:
-  std::vector<pattern::SlotId> tops_;
-  std::unique_ptr<NestedListOperator> left_;
-  std::unique_ptr<NestedListOperator> right_;
-  std::vector<bool> owns_left_;
-  std::function<bool(const nestedlist::NestedList&,
-                     const nestedlist::NestedList&)>
-      pred_;
-
-  BatchReader left_rows_;
-  bool left_valid_ = false;
-  nestedlist::NestedList cur_left_;
-  std::vector<nestedlist::NestedList> right_mat_;
-  bool right_materialized_ = false;
-  size_t right_pos_ = 0;
-
-  uint64_t pred_calls_ = 0;
-  uint64_t value_cmps_ = 0;
-};
-
-/// \brief Re-frames a NoK-local stream into a larger slot context: emitted
-/// lists get `frame_tops` with the input's single top group placed at
-/// `position` and placeholder entries elsewhere (paper §3.3's "initial
-/// NestedList ... placeholders are filled out in the result"). It has no
-/// guard: its input already charged every row it re-frames.
-class FrameOperator : public NestedListOperator {
- public:
-  FrameOperator(const pattern::BlossomTree* tree,
-                std::vector<pattern::SlotId> frame_tops, size_t position,
-                std::unique_ptr<NestedListOperator> input);
-
-  const std::vector<pattern::SlotId>& top_slots() const override {
-    return frame_tops_;
-  }
-  void Rewind() override;
-
-  const char* Name() const override { return "Frame"; }
-  size_t NumChildren() const override { return 1; }
-  const NestedListOperator* Child(size_t) const override {
-    return input_.get();
-  }
-  NestedListOperator* MutableChild(size_t) override { return input_.get(); }
-
- protected:
-  /// One framed row per input row: pulls one input batch of `max_rows`.
-  void FillBatch(Batch* out, size_t max_rows) override;
-
- private:
-  const pattern::BlossomTree* tree_;
-  std::vector<pattern::SlotId> frame_tops_;
-  size_t position_;
-  std::unique_ptr<NestedListOperator> input_;
-  Batch in_;
 };
 
 }  // namespace exec

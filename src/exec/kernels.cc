@@ -51,13 +51,6 @@ KernelBackend EffectiveKernelBackend(bool allow_simd) {
 
 namespace {
 
-void FilterTagEqScalar(const xml::TagId* tags, size_t n, xml::TagId target,
-                       xml::NodeId base, std::vector<xml::NodeId>* out) {
-  for (size_t i = 0; i < n; ++i) {
-    if (tags[i] == target) out->push_back(base + static_cast<xml::NodeId>(i));
-  }
-}
-
 void FilterTagEqRecordsScalar(const xml::PackedNodeRecord* records, size_t n,
                               xml::TagId target, xml::NodeId base,
                               std::vector<xml::NodeId>* out) {
@@ -74,23 +67,6 @@ void FilterTagEqRecordsScalar(const xml::PackedNodeRecord* records, size_t n,
 }
 
 #if defined(BLOSSOMTREE_KERNELS_SSE2)
-
-void FilterTagEqSse2(const xml::TagId* tags, size_t n, xml::TagId target,
-                     xml::NodeId base, std::vector<xml::NodeId>* out) {
-  const __m128i want = _mm_set1_epi32(static_cast<int>(target));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + i));
-    int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, want)));
-    while (mask != 0) {
-      int bit = __builtin_ctz(static_cast<unsigned>(mask));
-      out->push_back(base + static_cast<xml::NodeId>(i + bit));
-      mask &= mask - 1;
-    }
-  }
-  FilterTagEqScalar(tags + i, n - i, target,
-                    base + static_cast<xml::NodeId>(i), out);
-}
 
 void FilterTagEqRecordsSse2(const xml::PackedNodeRecord* records, size_t n,
                             xml::TagId target, xml::NodeId base,
@@ -122,24 +98,6 @@ void FilterTagEqRecordsSse2(const xml::PackedNodeRecord* records, size_t n,
 
 #elif defined(BLOSSOMTREE_KERNELS_NEON)
 
-void FilterTagEqNeon(const xml::TagId* tags, size_t n, xml::TagId target,
-                     xml::NodeId base, std::vector<xml::NodeId>* out) {
-  const uint32x4_t want = vdupq_n_u32(target);
-  size_t i = 0;
-  uint32_t lanes[4];
-  for (; i + 4 <= n; i += 4) {
-    uint32x4_t eq = vceqq_u32(vld1q_u32(tags + i), want);
-    vst1q_u32(lanes, eq);
-    for (int bit = 0; bit < 4; ++bit) {
-      if (lanes[bit] != 0) {
-        out->push_back(base + static_cast<xml::NodeId>(i + bit));
-      }
-    }
-  }
-  FilterTagEqScalar(tags + i, n - i, target,
-                    base + static_cast<xml::NodeId>(i), out);
-}
-
 void FilterTagEqRecordsNeon(const xml::PackedNodeRecord* records, size_t n,
                             xml::TagId target, xml::NodeId base,
                             std::vector<xml::NodeId>* out) {
@@ -165,25 +123,6 @@ void FilterTagEqRecordsNeon(const xml::PackedNodeRecord* records, size_t n,
 #endif
 
 }  // namespace
-
-void FilterTagEq(const xml::TagId* tags, size_t n, xml::TagId target,
-                 xml::NodeId base, bool allow_simd,
-                 std::vector<xml::NodeId>* out) {
-  switch (EffectiveKernelBackend(allow_simd)) {
-#if defined(BLOSSOMTREE_KERNELS_SSE2)
-    case KernelBackend::kSse2:
-      FilterTagEqSse2(tags, n, target, base, out);
-      return;
-#elif defined(BLOSSOMTREE_KERNELS_NEON)
-    case KernelBackend::kNeon:
-      FilterTagEqNeon(tags, n, target, base, out);
-      return;
-#endif
-    default:
-      FilterTagEqScalar(tags, n, target, base, out);
-      return;
-  }
-}
 
 void FilterTagEqRecords(const xml::PackedNodeRecord* records, size_t n,
                         xml::TagId target, xml::NodeId base, bool allow_simd,

@@ -36,18 +36,12 @@ bool ForceScalarKernels();
 /// scalar.
 KernelBackend EffectiveKernelBackend(bool allow_simd);
 
-/// \brief Appends `base + i` for every i in [0, n) with tags[i] == target,
-/// in ascending order. The stride-4 tag-id scan over a built document's
-/// contiguous tag array.
-void FilterTagEq(const xml::TagId* tags, size_t n, xml::TagId target,
-                 xml::NodeId base, bool allow_simd,
-                 std::vector<xml::NodeId>* out);
-
 /// \brief Appends `base + i` for every i in [0, n) with
-/// records[i].tag == target, in ascending order. The stride-16 tag-id
-/// scan over a PackedNodeRecord stream (external documents, DiskStore
-/// blocks). Uses unaligned loads only: BTSX2 sections are 16-byte
-/// aligned, but heap/pread fallback buffers need not be.
+/// records[i].tag == target, in ascending order. The one tag-id scan: a
+/// stride-16 pass over a PackedNodeRecord stream (any Document's
+/// Records(), a store's blocks). Uses unaligned loads only: BTSX2
+/// sections are 16-byte aligned, but heap/pread fallback buffers need not
+/// be.
 void FilterTagEqRecords(const xml::PackedNodeRecord* records, size_t n,
                         xml::TagId target, xml::NodeId base, bool allow_simd,
                         std::vector<xml::NodeId>* out);

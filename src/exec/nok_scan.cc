@@ -339,14 +339,9 @@ void NokScanOperator::GatherCandidates(xml::NodeId first, xml::NodeId last,
     return;
   }
   if (target_tag_ == xml::kNullTag) return;
-  size_t count = static_cast<size_t>(last - first) + 1;
-  if (const xml::PackedNodeRecord* recs = doc_->ExternalRecords()) {
-    FilterTagEqRecords(recs + first, count, target_tag_, first, exec_.simd,
-                       out);
-  } else {
-    FilterTagEq(doc_->TagArray() + first, count, target_tag_, first,
-                exec_.simd, out);
-  }
+  FilterTagEqRecords(doc_->Records().data() + first,
+                     static_cast<size_t>(last - first) + 1, target_tag_,
+                     first, exec_.simd, out);
 }
 
 bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,

@@ -97,9 +97,7 @@ class NestedListOperator {
 
  protected:
   /// \param guard optional per-query resource guard (DESIGN.md §9):
-  ///        GetNextBatch charges every delivered row's cells to it. An
-  ///        operator that only re-shapes rows already charged below it
-  ///        (Frame) passes none.
+  ///        GetNextBatch charges every delivered row's cells to it.
   explicit NestedListOperator(util::ResourceGuard* guard = nullptr)
       : guard_(guard) {}
 

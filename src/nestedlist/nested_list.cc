@@ -5,26 +5,6 @@
 namespace blossomtree {
 namespace nestedlist {
 
-Entry MakePlaceholderEntry(const pattern::BlossomTree& tree,
-                           pattern::SlotId slot) {
-  Entry e;
-  e.node = xml::kNullNode;
-  e.groups.resize(tree.slot(slot).children.size());
-  return e;
-}
-
-NestedList MakePlaceholder(const pattern::BlossomTree& tree,
-                           const std::vector<pattern::SlotId>& top_slots) {
-  NestedList out;
-  out.tops.reserve(top_slots.size());
-  for (pattern::SlotId s : top_slots) {
-    Group g;
-    g.push_back(MakePlaceholderEntry(tree, s));
-    out.tops.push_back(std::move(g));
-  }
-  return out;
-}
-
 std::string OccurrenceLabeler::operator()(xml::NodeId n) const {
   if (!doc_->IsElement(n)) return "#text";
   const std::string& tag = doc_->TagName(n);

@@ -43,16 +43,6 @@ struct NestedList {
   std::vector<Group> tops;
 };
 
-/// \brief Creates a placeholder entry for `slot`: an unfilled node with one
-/// empty group per child slot (rendered "((),())" in the paper's notation).
-Entry MakePlaceholderEntry(const pattern::BlossomTree& tree,
-                           pattern::SlotId slot);
-
-/// \brief Creates a NestedList over `top_slots` where every top group holds
-/// a single placeholder entry — the "initial NestedList" of paper §3.3.
-NestedList MakePlaceholder(const pattern::BlossomTree& tree,
-                           const std::vector<pattern::SlotId>& top_slots);
-
 /// \brief Labels nodes with the paper's t_i convention: the i-th occurrence
 /// of tag t in document order is "t" + i (e.g. "b2").
 class OccurrenceLabeler {

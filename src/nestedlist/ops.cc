@@ -194,15 +194,5 @@ bool EnforceMandatory(const BlossomTree& tree,
   return ok || !top_mandatory;
 }
 
-NestedList Combine(const NestedList& left, const NestedList& right,
-                   const std::vector<bool>& owns_left) {
-  NestedList out;
-  out.tops.reserve(owns_left.size());
-  for (size_t i = 0; i < owns_left.size(); ++i) {
-    out.tops.push_back(owns_left[i] ? left.tops[i] : right.tops[i]);
-  }
-  return out;
-}
-
 }  // namespace nestedlist
 }  // namespace blossomtree

@@ -70,12 +70,6 @@ bool EnforceMandatory(const pattern::BlossomTree& tree,
                       NestedList* list, pattern::SlotId target,
                       size_t child_index);
 
-/// \brief ⋈: combines two NestedLists over the same top-slot context whose
-/// filled slots are disjoint; `owns_left[i]` says which side provides top
-/// group i (paper Example 4: the join "fills out the placeholders").
-NestedList Combine(const NestedList& left, const NestedList& right,
-                   const std::vector<bool>& owns_left);
-
 /// \brief Returns the chain of slots from a member of `tops` down to
 /// `target` (inclusive), or empty if unreachable.
 std::vector<pattern::SlotId> SlotChain(

@@ -44,11 +44,6 @@ Status Corpus::Add(const std::string& name,
     return Status::InvalidArgument(
         "corpus: document must be non-null and Finish()ed before Add");
   }
-  // Freeze the lazily built tag index once, before the document is shared:
-  // join-based operators and the cost model all read it, and building it
-  // here keeps the first concurrent queries from contending on the
-  // call_once inside Document::TagIndex.
-  doc->TagIndex(0);
   auto entry = std::make_shared<CorpusDocument>(name, std::move(doc));
   std::lock_guard<std::mutex> lock(mu_);
   docs_[name] = std::move(entry);

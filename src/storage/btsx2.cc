@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace blossomtree {
@@ -55,6 +57,14 @@ Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("BTSX2: " + what);
 }
 
+/// The raw bytes of `count` fixed-width entries starting at `p`.
+template <typename T>
+std::string_view SectionBytes(const T* p, size_t count) {
+  static_assert(std::has_unique_object_representations_v<T>,
+                "sections are written byte-for-byte, padding-free");
+  return {reinterpret_cast<const char*>(p), count * sizeof(T)};
+}
+
 }  // namespace
 
 xml::ExternalLayout Btsx2View::ToLayout() const {
@@ -82,99 +92,43 @@ xml::ExternalLayout Btsx2View::ToLayout() const {
 }
 
 Result<std::string> EncodeBtsx2(const xml::Document& doc) {
+  if constexpr (std::endian::native != std::endian::little) {
+    return Status::Unsupported(
+        "BTSX2: writing the packed layout requires a little-endian host");
+  }
   if (doc.generation() == 0) {
     return Status::InvalidArgument(
         "BTSX2: document must be Finish()ed before encoding");
   }
-  const size_t num_nodes = doc.NumNodes();
-  if (num_nodes >= static_cast<size_t>(kU32Max)) {
-    return Status::InvalidArgument("BTSX2: too many nodes for 32-bit ids");
-  }
-
-  // Section bodies, assembled in one document-order pass. The text pool
-  // interleaves text-node payloads with attribute strings; offsets are
-  // recorded as the pool grows, so everything stays a single pass.
+  // A finished document already holds every section in the file's layout
+  // (Finish() refused anything past the 32-bit limits); only the tag
+  // dictionary is re-serialized.
+  const xml::ExternalLayout& v = doc.Layout();
   std::string tag_dict;
   for (xml::TagId t = 0; t < doc.tags().size(); ++t) {
     const std::string& name = doc.tags().Name(t);
     PutU32(&tag_dict, static_cast<uint32_t>(name.size()));
     tag_dict.append(name);
   }
-
-  std::string records;
-  std::string parent;
-  std::string text_spans;
-  std::string text_pool;
-  std::string attr_owners;
-  std::string attrs;
-  uint32_t num_text_spans = 0;
-  uint32_t num_attrs = 0;
-  uint32_t num_attr_owners = 0;
-  for (xml::NodeId n = 0; n < num_nodes; ++n) {
-    bool elem = doc.IsElement(n);
-    uint32_t text_ref = kU32Max;
-    if (!elem) {
-      std::string_view text = doc.Text(n);
-      text_ref = num_text_spans++;
-      PutU32(&text_spans, static_cast<uint32_t>(text_pool.size()));
-      PutU32(&text_spans, static_cast<uint32_t>(text.size()));
-      text_pool.append(text);
-    }
-    PutU32(&records, elem ? doc.Tag(n) : xml::kNullTag);
-    PutU32(&records, doc.SubtreeEnd(n));
-    PutU32(&records, doc.Level(n));
-    PutU32(&records, text_ref);
-    PutU32(&parent, doc.Parent(n));
-    if (elem) {
-      auto node_attrs = doc.Attributes(n);
-      if (!node_attrs.empty()) {
-        ++num_attr_owners;
-        PutU32(&attr_owners, n);
-        PutU32(&attr_owners, num_attrs);
-        PutU32(&attr_owners,
-               num_attrs + static_cast<uint32_t>(node_attrs.size()));
-        for (const auto& [name, value] : node_attrs) {
-          PutU32(&attrs, static_cast<uint32_t>(text_pool.size()));
-          PutU32(&attrs, static_cast<uint32_t>(name.size()));
-          text_pool.append(name);
-          PutU32(&attrs, static_cast<uint32_t>(text_pool.size()));
-          PutU32(&attrs, static_cast<uint32_t>(value.size()));
-          text_pool.append(value);
-          ++num_attrs;
-        }
-      }
-    }
-    if (text_pool.size() > static_cast<size_t>(kU32Max)) {
-      return Status::InvalidArgument(
-          "BTSX2: text pool exceeds 32-bit offsets");
-    }
-  }
-
-  std::string tag_recursion;
-  std::string tag_stream_offsets;
-  std::string tag_streams;
-  uint64_t stream_off = 0;
-  PutU64(&tag_stream_offsets, 0);
-  for (xml::TagId t = 0; t < doc.tags().size(); ++t) {
-    PutU32(&tag_recursion, doc.TagRecursionDegree(t));
-    auto index = doc.TagIndex(t);
-    for (xml::NodeId n : index) PutU32(&tag_streams, n);
-    stream_off += index.size();
-    PutU64(&tag_stream_offsets, stream_off);
-  }
+  const std::string_view sections[kBtsx2NumSections] = {
+      tag_dict,
+      SectionBytes(v.records, v.num_nodes),
+      SectionBytes(v.parent, v.num_nodes),
+      SectionBytes(v.text_spans, v.num_text_spans),
+      std::string_view(v.text_pool, v.text_pool_bytes),
+      SectionBytes(v.attr_owners, v.num_attr_owners),
+      SectionBytes(v.attrs, v.num_attrs),
+      SectionBytes(v.tag_recursion, v.num_tags),
+      SectionBytes(v.tag_stream_offsets, v.num_tags + 1),
+      SectionBytes(v.tag_streams, v.num_elements)};
 
   // Lay the sections out 16-byte aligned and assemble the header.
-  const std::string* sections[kBtsx2NumSections] = {
-      &tag_dict, &records,      &parent,
-      &text_spans, &text_pool,  &attr_owners,
-      &attrs,    &tag_recursion, &tag_stream_offsets,
-      &tag_streams};
   uint64_t offsets[kBtsx2NumSections];
   uint64_t pos = kBtsx2HeaderBytes;
   for (size_t i = 0; i < kBtsx2NumSections; ++i) {
     pos = Align16(pos);
     offsets[i] = pos;
-    pos += sections[i]->size();
+    pos += sections[i].size();
   }
 
   std::string out;
@@ -183,23 +137,23 @@ Result<std::string> EncodeBtsx2(const xml::Document& doc) {
   PutU32(&out, kBtsx2Version);
   PutU32(&out, kBtsx2EndianProbe);
   PutU64(&out, doc.generation());
-  PutU64(&out, num_nodes);
-  PutU64(&out, doc.NumElements());
-  PutU64(&out, doc.tags().size());
-  PutU64(&out, num_text_spans);
-  PutU64(&out, num_attr_owners);
-  PutU64(&out, num_attrs);
+  PutU64(&out, v.num_nodes);
+  PutU64(&out, v.num_elements);
+  PutU64(&out, v.num_tags);
+  PutU64(&out, v.num_text_spans);
+  PutU64(&out, v.num_attr_owners);
+  PutU64(&out, v.num_attrs);
   PutU32(&out, doc.MaxDepth());
   PutU32(&out, doc.MaxRecursionDegree());
   PutF64(&out, doc.AvgDepth());
   for (size_t i = 0; i < kBtsx2NumSections; ++i) {
     PutU64(&out, offsets[i]);
-    PutU64(&out, sections[i]->size());
+    PutU64(&out, sections[i].size());
   }
   out.resize(kBtsx2HeaderBytes, '\0');
   for (size_t i = 0; i < kBtsx2NumSections; ++i) {
     out.resize(static_cast<size_t>(offsets[i]), '\0');
-    out.append(*sections[i]);
+    out.append(sections[i]);
   }
   return out;
 }

@@ -15,7 +15,7 @@ namespace storage {
 /// BTSX v2: the out-of-core successor of the v1 succinct encoding
 /// (storage/succinct.h). Where v1 persists a *compressed* event stream that
 /// must be decoded node-by-node into a fresh Document (O(parse) on open),
-/// v2 persists the *decoded paged layout* itself — the fixed-width
+/// v2 persists the Document's own packed layout — the fixed-width
 /// NodeRecord stream plus every side table the engine reads — so a file
 /// can be mmap'd and served directly (O(open)). See DESIGN.md §13.
 ///
@@ -94,9 +94,10 @@ struct Btsx2View {
   xml::ExternalLayout ToLayout() const;
 };
 
-/// \brief Serializes a finished document into BTSX v2 bytes. Fails
-/// (InvalidArgument) on documents whose text pool or node count exceeds
-/// the format's 32-bit offsets, and on unfinished documents.
+/// \brief Serializes a finished document into BTSX v2 bytes: the header
+/// and tag dictionary, then the document's own sections byte-for-byte
+/// (Document::Finish() already refused anything past the format's 32-bit
+/// ids and offsets). Fails (InvalidArgument) on unfinished documents.
 Result<std::string> EncodeBtsx2(const xml::Document& doc);
 
 /// \brief Writes the BTSX v2 encoding to `path` (the `btingest` backend).

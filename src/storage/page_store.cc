@@ -43,24 +43,9 @@ std::vector<NodeRange> PageStore::Partition(size_t max_partitions) const {
   return GroupSubtreeCuts(cuts, records_.size(), max_partitions);
 }
 
-PageStore::PageStore(const xml::Document& doc, size_t page_bytes) {
-  generation_ = doc.generation();
-  nodes_per_page_ = page_bytes / sizeof(NodeRecord);
-  if (nodes_per_page_ == 0) nodes_per_page_ = 1;
-  records_.reserve(doc.NumNodes());
-  uint32_t text_ref = 0;
-  for (xml::NodeId n = 0; n < doc.NumNodes(); ++n) {
-    NodeRecord r;
-    r.tag = doc.IsElement(n) ? doc.Tag(n) : xml::kNullTag;
-    r.subtree_end = doc.SubtreeEnd(n);
-    r.level = doc.Level(n);
-    // Text refs number the text nodes in document order — the same
-    // numbering the BTSX v2 writer persists, so records from a PageStore
-    // and a DiskStore over the same document are bit-identical.
-    r.text_ref =
-        doc.IsElement(n) ? static_cast<uint32_t>(-1) : text_ref++;
-    records_.push_back(r);
-  }
+PageStore::PageStore(const xml::Document& doc, size_t page_bytes)
+    : records_(doc.Records()), generation_(doc.generation()) {
+  nodes_per_page_ = std::max<size_t>(page_bytes / sizeof(NodeRecord), 1);
   num_pages_ = (records_.size() + nodes_per_page_ - 1) / nodes_per_page_;
 }
 

@@ -42,7 +42,8 @@ std::vector<NodeRange> PartitionSubtrees(const xml::Document& doc,
 /// "current page" slot.
 class PageStore : public NodeStore {
  public:
-  /// \brief Builds the store from a finished document.
+  /// \brief Serves `doc`'s own record stream (no copy): the document must
+  /// outlive the store and take no further appends.
   /// \param page_bytes page size in bytes (default 4 KiB).
   explicit PageStore(const xml::Document& doc, size_t page_bytes = 4096);
 
@@ -99,7 +100,7 @@ class PageStore : public NodeStore {
     return page;
   }
 
-  std::vector<NodeRecord> records_;
+  std::span<const NodeRecord> records_;  ///< The document's Records().
   size_t nodes_per_page_;
   size_t num_pages_;
   mutable std::atomic<uint64_t> page_reads_{0};

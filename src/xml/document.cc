@@ -16,6 +16,9 @@ uint64_t NextGeneration() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// text_ref of an element record.
+constexpr uint32_t kNoTextRef = static_cast<uint32_t>(-1);
+
 }  // namespace
 
 TagId TagDictionary::Intern(std::string_view name) {
@@ -32,86 +35,98 @@ TagId TagDictionary::Lookup(std::string_view name) const {
   return it == ids_.end() ? kNullTag : it->second;
 }
 
-NodeId Document::BeginElement(std::string_view name) {
-  NodeId id = static_cast<NodeId>(kind_.size());
-  kind_.push_back(NodeKind::kElement);
-  tag_.push_back(tags_.Intern(name));
+NodeId Document::AppendNode(TagId tag, uint32_t text_ref) {
+  NodeId id = static_cast<NodeId>(records_.size());
   NodeId parent = open_stack_.empty() ? kNullNode : open_stack_.back();
+  uint32_t level = parent == kNullNode ? 0 : records_[parent].level + 1;
+  records_.push_back(PackedNodeRecord{tag, id, level, text_ref});
   parent_.push_back(parent);
-  first_child_.push_back(kNullNode);
-  last_child_.push_back(kNullNode);
-  next_sibling_.push_back(kNullNode);
-  subtree_end_.push_back(id);
-  level_.push_back(parent == kNullNode ? 0 : level_[parent] + 1);
-  text_span_.emplace_back(0, 0);
-  if (parent != kNullNode) {
-    if (first_child_[parent] == kNullNode) {
-      first_child_[parent] = id;
-    } else {
-      next_sibling_[last_child_[parent]] = id;
-    }
-    last_child_[parent] = id;
-  }
+  return id;
+}
+
+void Document::PointViewAtOwned() {
+  view_.num_nodes = records_.size();
+  view_.records = records_.data();
+  view_.parent = parent_.data();
+  view_.text_spans = text_spans_.data();
+  view_.num_text_spans = text_spans_.size();
+  view_.text_pool = text_pool_.data();
+  view_.text_pool_bytes = text_pool_.size();
+  view_.attr_owners = attr_owners_.data();
+  view_.num_attr_owners = attr_owners_.size();
+  view_.attrs = attrs_.data();
+  view_.num_attrs = attrs_.size();
+  view_.tag_recursion = tag_recursion_.data();
+  view_.tag_stream_offsets = tag_stream_offsets_.data();
+  view_.tag_streams = tag_streams_.data();
+}
+
+NodeId Document::BeginElement(std::string_view name) {
+  NodeId id = AppendNode(tags_.Intern(name), kNoTextRef);
   open_stack_.push_back(id);
+  PointViewAtOwned();
   return id;
 }
 
 void Document::AddAttribute(std::string_view name, std::string_view value) {
+  // Attribute strings go into the pool right behind their element's record,
+  // interleaved in node order with the text payloads.
   NodeId owner = open_stack_.back();
-  uint32_t name_off = static_cast<uint32_t>(text_pool_.size());
-  text_pool_.append(name);
-  uint32_t value_off = static_cast<uint32_t>(text_pool_.size());
-  text_pool_.append(value);
-  Attribute a{name_off, static_cast<uint32_t>(name.size()), value_off,
-              static_cast<uint32_t>(value.size())};
-  auto it = attr_range_.find(owner);
-  if (it == attr_range_.end()) {
-    uint32_t idx = static_cast<uint32_t>(attrs_.size());
-    attrs_.push_back(a);
-    attr_range_.emplace(owner, std::make_pair(idx, idx + 1));
-  } else {
-    // Attributes of one element are added contiguously by the builder.
-    attrs_.push_back(a);
-    it->second.second = static_cast<uint32_t>(attrs_.size());
+  uint32_t index = static_cast<uint32_t>(attrs_.size());
+  if (attr_owners_.empty() || attr_owners_.back().node != owner) {
+    attr_owners_.push_back(ExternalAttrOwner{owner, index, index});
   }
+  Attribute a;
+  a.name_offset = static_cast<uint32_t>(text_pool_.size());
+  a.name_len = static_cast<uint32_t>(name.size());
+  text_pool_.append(name);
+  a.value_offset = static_cast<uint32_t>(text_pool_.size());
+  a.value_len = static_cast<uint32_t>(value.size());
+  text_pool_.append(value);
+  attrs_.push_back(a);
+  attr_owners_.back().last = index + 1;
+  PointViewAtOwned();
 }
 
 NodeId Document::AddText(std::string_view text) {
-  NodeId id = static_cast<NodeId>(kind_.size());
-  kind_.push_back(NodeKind::kText);
-  tag_.push_back(kNullTag);
-  NodeId parent = open_stack_.empty() ? kNullNode : open_stack_.back();
-  parent_.push_back(parent);
-  first_child_.push_back(kNullNode);
-  last_child_.push_back(kNullNode);
-  next_sibling_.push_back(kNullNode);
-  subtree_end_.push_back(id);
-  level_.push_back(parent == kNullNode ? 0 : level_[parent] + 1);
-  uint32_t off = static_cast<uint32_t>(text_pool_.size());
+  uint32_t ref = static_cast<uint32_t>(text_spans_.size());
+  text_spans_.push_back(ExternalTextSpan{
+      static_cast<uint32_t>(text_pool_.size()),
+      static_cast<uint32_t>(text.size())});
   text_pool_.append(text);
-  text_span_.emplace_back(off, static_cast<uint32_t>(text.size()));
-  if (parent != kNullNode) {
-    if (first_child_[parent] == kNullNode) {
-      first_child_[parent] = id;
-    } else {
-      next_sibling_[last_child_[parent]] = id;
-    }
-    last_child_[parent] = id;
-  }
+  NodeId id = AppendNode(kNullTag, ref);
+  PointViewAtOwned();
   return id;
 }
 
 void Document::EndElement() {
   NodeId id = open_stack_.back();
   open_stack_.pop_back();
-  subtree_end_[id] = static_cast<NodeId>(kind_.size() - 1);
+  records_[id].subtree_end = static_cast<NodeId>(records_.size() - 1);
 }
 
 Status Document::Finish() {
   if (!open_stack_.empty()) {
     return Status::Internal("Document::Finish with unclosed elements");
   }
+  // The builder stores ids and pool offsets in 32 bits; refuse a document
+  // that outgrew them rather than serve truncated offsets.
+  if (records_.size() >= static_cast<size_t>(kNullNode)) {
+    return Status::InvalidArgument("Document: too many nodes for 32-bit ids");
+  }
+  if (text_pool_.size() > static_cast<size_t>(kNoTextRef)) {
+    return Status::InvalidArgument(
+        "Document: text pool exceeds 32-bit offsets");
+  }
+  for (size_t i = 1; i < attr_owners_.size(); ++i) {
+    if (attr_owners_[i].node <= attr_owners_[i - 1].node) {
+      return Status::Internal(
+          "Document::Finish with an element's attributes split around "
+          "another element's");
+    }
+  }
   ComputeStats();
+  PointViewAtOwned();
   // Process-wide, never reused: identical bytes re-parsed into a new
   // Document get a new generation, which is what invalidates NoK result
   // cache entries keyed to the old object (DESIGN.md §11).
@@ -120,7 +135,7 @@ Status Document::Finish() {
 }
 
 Status Document::AdoptExternal(ExternalLayout layout) {
-  if (!kind_.empty() || generation_ != 0 || ext_.records != nullptr) {
+  if (!records_.empty() || generation_ != 0) {
     return Status::Internal("AdoptExternal on a non-empty document");
   }
   if (layout.num_nodes > 0 &&
@@ -146,27 +161,20 @@ Status Document::AdoptExternal(ExternalLayout layout) {
     return Status::InvalidArgument(
         "AdoptExternal: duplicate names in tag dictionary");
   }
-  num_elements_ = layout.num_elements;
-  max_depth_ = layout.max_depth;
-  avg_depth_ = layout.avg_depth;
-  max_recursion_ = layout.max_recursion;
-  ext_ = std::move(layout);
+  view_ = std::move(layout);
+  view_.num_tags = tags_.size();
   // Names now live in tags_; keep the layout copy from doubling memory.
-  ext_.tag_names.clear();
-  ext_.tag_names.shrink_to_fit();
+  view_.tag_names.clear();
+  view_.tag_names.shrink_to_fit();
   generation_ = NextGeneration();
   return Status::OK();
 }
 
 std::string_view Document::Text(NodeId n) const {
-  if (ext_.records != nullptr) {
-    uint32_t ref = ext_.records[n].text_ref;
-    if (ref == static_cast<uint32_t>(-1)) return {};
-    const ExternalTextSpan& span = ext_.text_spans[ref];
-    return std::string_view(ext_.text_pool + span.offset, span.length);
-  }
-  const auto& span = text_span_[n];
-  return std::string_view(text_pool_).substr(span.first, span.second);
+  uint32_t ref = view_.records[n].text_ref;
+  if (ref == kNoTextRef) return {};
+  const ExternalTextSpan& span = view_.text_spans[ref];
+  return std::string_view(view_.text_pool + span.offset, span.length);
 }
 
 std::string Document::StringValue(NodeId n) const {
@@ -182,37 +190,21 @@ std::string Document::StringValue(NodeId n) const {
   return out;
 }
 
-const ExternalAttrOwner* Document::FindExternalAttrs(NodeId n) const {
-  const ExternalAttrOwner* begin = ext_.attr_owners;
-  const ExternalAttrOwner* end = begin + ext_.num_attr_owners;
+std::span<const Attribute> Document::AttributesOf(NodeId n) const {
+  const ExternalAttrOwner* begin = view_.attr_owners;
+  const ExternalAttrOwner* end = begin + view_.num_attr_owners;
   const ExternalAttrOwner* it = std::lower_bound(
       begin, end, n,
       [](const ExternalAttrOwner& o, NodeId node) { return o.node < node; });
-  return (it != end && it->node == n) ? it : nullptr;
+  if (it == end || it->node != n) return {};
+  return {view_.attrs + it->first, static_cast<size_t>(it->last - it->first)};
 }
 
 std::vector<std::pair<std::string_view, std::string_view>>
 Document::Attributes(NodeId n) const {
   std::vector<std::pair<std::string_view, std::string_view>> out;
-  uint32_t first = 0;
-  uint32_t last = 0;
-  std::string_view pool;
-  if (ext_.records != nullptr) {
-    const ExternalAttrOwner* owner = FindExternalAttrs(n);
-    if (owner == nullptr) return out;
-    first = owner->first;
-    last = owner->last;
-    pool = std::string_view(ext_.text_pool, ext_.text_pool_bytes);
-  } else {
-    auto it = attr_range_.find(n);
-    if (it == attr_range_.end()) return out;
-    first = it->second.first;
-    last = it->second.second;
-    pool = std::string_view(text_pool_);
-  }
-  const Attribute* attrs = ext_.records != nullptr ? ext_.attrs : attrs_.data();
-  for (uint32_t i = first; i < last; ++i) {
-    const Attribute& a = attrs[i];
+  std::string_view pool(view_.text_pool, view_.text_pool_bytes);
+  for (const Attribute& a : AttributesOf(n)) {
     out.emplace_back(pool.substr(a.name_offset, a.name_len),
                      pool.substr(a.value_offset, a.value_len));
   }
@@ -221,25 +213,8 @@ Document::Attributes(NodeId n) const {
 
 bool Document::AttributeValue(NodeId n, std::string_view name,
                               std::string_view* value) const {
-  uint32_t first = 0;
-  uint32_t last = 0;
-  std::string_view pool;
-  if (ext_.records != nullptr) {
-    const ExternalAttrOwner* owner = FindExternalAttrs(n);
-    if (owner == nullptr) return false;
-    first = owner->first;
-    last = owner->last;
-    pool = std::string_view(ext_.text_pool, ext_.text_pool_bytes);
-  } else {
-    auto it = attr_range_.find(n);
-    if (it == attr_range_.end()) return false;
-    first = it->second.first;
-    last = it->second.second;
-    pool = std::string_view(text_pool_);
-  }
-  const Attribute* attrs = ext_.records != nullptr ? ext_.attrs : attrs_.data();
-  for (uint32_t i = first; i < last; ++i) {
-    const Attribute& a = attrs[i];
+  std::string_view pool(view_.text_pool, view_.text_pool_bytes);
+  for (const Attribute& a : AttributesOf(n)) {
     if (pool.substr(a.name_offset, a.name_len) == name) {
       *value = pool.substr(a.value_offset, a.value_len);
       return true;
@@ -249,55 +224,61 @@ bool Document::AttributeValue(NodeId n, std::string_view name,
 }
 
 std::span<const NodeId> Document::TagIndex(TagId t) const {
-  if (ext_.records != nullptr) {
-    // Zero-copy view over the persisted per-tag stream — no build pass.
-    if (t == kNullTag || t >= tags_.size()) return {};
-    uint64_t begin = ext_.tag_stream_offsets[t];
-    uint64_t end = ext_.tag_stream_offsets[t + 1];
-    return {ext_.tag_streams + begin, static_cast<size_t>(end - begin)};
-  }
-  // Built at most once even under concurrent callers: documents are shared
-  // read-only across a service's concurrent queries, and the pre-PR 6
-  // unguarded lazy build was a data race in that regime.
-  std::call_once(tag_index_once_, [this] {
-    tag_index_.assign(tags_.size(), {});
-    for (NodeId n = 0; n < kind_.size(); ++n) {
-      if (kind_[n] == NodeKind::kElement) tag_index_[tag_[n]].push_back(n);
-    }
-  });
-  if (t == kNullTag || t >= tag_index_.size()) return {};
-  return tag_index_[t];
+  if (t >= view_.num_tags) return {};
+  uint64_t begin = view_.tag_stream_offsets[t];
+  uint64_t end = view_.tag_stream_offsets[t + 1];
+  return {view_.tag_streams + begin, static_cast<size_t>(end - begin)};
 }
 
 void Document::ComputeStats() {
-  num_elements_ = 0;
-  max_depth_ = 0;
-  max_recursion_ = 0;
+  size_t num_elements = 0;
+  uint32_t max_depth = 0;
+  uint32_t max_recursion = 0;
   uint64_t depth_sum = 0;
   // Same-tag nesting degree via a DFS with per-tag counters: the ancestor
   // chain of node n is exactly the elements a with a <= n <= SubtreeEnd(a),
-  // which we track with an explicit stack during the linear scan.
+  // which we track with an explicit stack during the linear scan. The same
+  // pass counts each tag's elements, which sizes the per-tag streams.
   std::vector<NodeId> stack;
   std::vector<uint32_t> tag_depth(tags_.size(), 0);
   tag_recursion_.assign(tags_.size(), 0);
-  for (NodeId n = 0; n < kind_.size(); ++n) {
-    while (!stack.empty() && subtree_end_[stack.back()] < n) {
-      --tag_depth[tag_[stack.back()]];
+  tag_stream_offsets_.assign(tags_.size() + 1, 0);
+  for (NodeId n = 0; n < records_.size(); ++n) {
+    while (!stack.empty() && records_[stack.back()].subtree_end < n) {
+      --tag_depth[records_[stack.back()].tag];
       stack.pop_back();
     }
-    if (kind_[n] != NodeKind::kElement) continue;
-    ++num_elements_;
-    uint32_t depth = level_[n] + 1;  // Table 1 counts the root as depth 1.
+    TagId tag = records_[n].tag;
+    if (tag == kNullTag) continue;
+    ++num_elements;
+    ++tag_stream_offsets_[tag + 1];
+    uint32_t depth = records_[n].level + 1;  // Table 1: the root is depth 1.
     depth_sum += depth;
-    max_depth_ = std::max(max_depth_, depth);
-    uint32_t deg = ++tag_depth[tag_[n]];
-    max_recursion_ = std::max(max_recursion_, deg);
-    tag_recursion_[tag_[n]] = std::max(tag_recursion_[tag_[n]], deg);
+    max_depth = std::max(max_depth, depth);
+    uint32_t deg = ++tag_depth[tag];
+    max_recursion = std::max(max_recursion, deg);
+    tag_recursion_[tag] = std::max(tag_recursion_[tag], deg);
     stack.push_back(n);
   }
-  avg_depth_ = num_elements_ == 0
-                   ? 0.0
-                   : static_cast<double>(depth_sum) / num_elements_;
+  // Counts → prefix offsets; then one counting pass places every element in
+  // its tag's stream, in document order.
+  for (size_t t = 0; t < tags_.size(); ++t) {
+    tag_stream_offsets_[t + 1] += tag_stream_offsets_[t];
+  }
+  tag_streams_.resize(num_elements);
+  std::vector<uint64_t> next(tag_stream_offsets_.begin(),
+                             tag_stream_offsets_.end() - 1);
+  for (NodeId n = 0; n < records_.size(); ++n) {
+    TagId tag = records_[n].tag;
+    if (tag != kNullTag) tag_streams_[next[tag]++] = n;
+  }
+  view_.num_tags = tags_.size();
+  view_.num_elements = num_elements;
+  view_.max_depth = max_depth;
+  view_.max_recursion = max_recursion;
+  view_.avg_depth = num_elements == 0
+                        ? 0.0
+                        : static_cast<double>(depth_sum) / num_elements;
 }
 
 uint32_t SiblingRank(const Document& doc, NodeId n, std::string_view tag) {
@@ -311,14 +292,6 @@ uint32_t SiblingRank(const Document& doc, NodeId n, std::string_view tag) {
     if (c == n) return rank;
   }
   return rank;
-}
-
-size_t Document::StructureBytes() const {
-  if (ext_.records != nullptr) {
-    return ext_.num_nodes * (sizeof(PackedNodeRecord) + sizeof(NodeId));
-  }
-  return kind_.size() * (sizeof(NodeKind) + sizeof(TagId) + 4 * sizeof(NodeId) +
-                         sizeof(uint32_t));
 }
 
 }  // namespace xml

@@ -2,7 +2,6 @@
 #define BLOSSOMTREE_XML_DOCUMENT_H_
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -61,11 +60,11 @@ struct Attribute {
   uint32_t value_len;
 };
 
-/// \brief One fixed-width node record of the *external* document layout
-/// (the decoded paged form the BTSX v2 file persists; see DESIGN.md §13):
-/// everything the structural accessors need, 16 bytes per node in document
-/// order. First-child / next-sibling are derived from subtree extents, so
-/// no tree pointers are stored.
+/// \brief One fixed-width node record of the document layout (the packed
+/// form the BTSX v2 file persists; see DESIGN.md §13): everything the
+/// structural accessors need, 16 bytes per node in document order.
+/// First-child / next-sibling are derived from subtree extents, so no tree
+/// pointers are stored.
 struct PackedNodeRecord {
   TagId tag;           ///< kNullTag for text nodes.
   NodeId subtree_end;  ///< Largest NodeId in this node's subtree.
@@ -76,16 +75,16 @@ static_assert(sizeof(PackedNodeRecord) == 16, "on-disk record is 16 bytes");
 static_assert(std::is_trivially_copyable_v<PackedNodeRecord>,
               "records are memcpy'd out of mapped files");
 
-/// \brief (offset, length) of one text node's payload in the external text
-/// pool; one entry per text node, indexed by PackedNodeRecord::text_ref.
+/// \brief (offset, length) of one text node's payload in the text pool;
+/// one entry per text node, indexed by PackedNodeRecord::text_ref.
 struct ExternalTextSpan {
   uint32_t offset;
   uint32_t length;
 };
 static_assert(sizeof(ExternalTextSpan) == 8, "on-disk text span is 8 bytes");
 
-/// \brief Attribute ownership of the external layout: element `node` owns
-/// attrs [first, last). Sorted by `node` for binary search.
+/// \brief Attribute ownership: element `node` owns attrs [first, last).
+/// Sorted by `node` for binary search.
 struct ExternalAttrOwner {
   NodeId node;
   uint32_t first;
@@ -93,9 +92,11 @@ struct ExternalAttrOwner {
 };
 static_assert(sizeof(ExternalAttrOwner) == 12, "on-disk owner is 12 bytes");
 
-/// \brief A complete externally owned document image — the BTSX v2 mapped
-/// layout. All pointers are *borrowed*: they must outlive the Document that
-/// adopts them (storage::DiskStore owns both the mapping and the Document).
+/// \brief The sections of one document image in the BTSX v2 layout — the
+/// view every Document reads through. All pointers are *borrowed*: a built
+/// Document points them at its own vectors, an adopted one at an external
+/// image that must outlive it (storage::DiskStore owns both the mapping and
+/// the Document).
 ///
 /// AdoptExternal trusts these arrays to be internally consistent (record
 /// extents nested, spans inside the pool, streams sorted); callers mapping
@@ -112,8 +113,11 @@ struct ExternalLayout {
   size_t num_attr_owners = 0;
   const Attribute* attrs = nullptr;
   size_t num_attrs = 0;
-  const uint32_t* tag_recursion = nullptr;       ///< One per tag.
-  const uint64_t* tag_stream_offsets = nullptr;  ///< tag count + 1 entries.
+  /// Tags the three per-tag arrays cover; 0 until they exist (a built
+  /// document fills them in Finish()).
+  size_t num_tags = 0;
+  const uint32_t* tag_recursion = nullptr;       ///< num_tags entries.
+  const uint64_t* tag_stream_offsets = nullptr;  ///< num_tags + 1 entries.
   const NodeId* tag_streams = nullptr;           ///< num_elements entries.
   /// Tag dictionary in TagId order (interned on adopt).
   std::vector<std::string> tag_names;
@@ -124,14 +128,14 @@ struct ExternalLayout {
   uint32_t max_recursion = 0;
 };
 
-/// \brief An XML document in structure-of-arrays layout.
+/// \brief An XML document in the packed BTSX v2 layout (DESIGN.md §13).
 ///
-/// Each node carries:
-///  - its kind and tag id (elements) or text payload (text nodes),
-///  - tree pointers (parent / first child / next sibling),
-///  - its region label: `start` = its own NodeId (preorder rank),
-///    `end` = the largest NodeId in its subtree, `level` = depth from the
-///    root (root is level 0).
+/// Each node is one PackedNodeRecord plus a parent id, in document
+/// (preorder) order: its tag id (kNullTag for text nodes), its region label
+/// — `start` = its own NodeId (preorder rank), `end` = the largest NodeId in
+/// its subtree, `level` = depth from the root (root is level 0) — and, for a
+/// text node, the index of its span in the text pool. Attribute tables and
+/// per-tag node streams sit beside the records.
 ///
 /// Region labels make the classic structural predicates O(1):
 ///  - `IsAncestor(a, d)`  ⇔  a < d && d <= end(a)
@@ -139,22 +143,32 @@ struct ExternalLayout {
 ///
 /// Documents come into existence one of two ways:
 ///  - *built* in document order via BeginElement/AddText/EndElement (the
-///    parser and the data generators) and frozen by Finish(), or
+///    parser and the data generators), which append straight into owned
+///    vectors of the layout's sections, and frozen by Finish(), which adds
+///    the statistics and the per-tag streams; or
 ///  - *adopted* from an external BTSX v2 image via AdoptExternal(): the
-///    structural arrays stay in the (typically mmap'd) image and every
-///    accessor reads them zero-copy, so opening is O(open), not O(parse).
-/// Either way the document is immutable afterwards and the engine cannot
-/// tell the two apart.
+///    sections stay in the (typically mmap'd) image, so opening is
+///    O(open), not O(parse).
+/// Either way every accessor reads through one ExternalLayout view, the
+/// document is immutable afterwards, and the engine cannot tell the two
+/// apart. Because the view points into the document's own vectors, a
+/// Document can be neither copied nor moved.
 class Document {
  public:
   Document() = default;
+  Document(const Document&) = delete;
+  Document& operator=(const Document&) = delete;
+  Document(Document&&) = delete;
+  Document& operator=(Document&&) = delete;
 
   // -- Construction (document order) ----------------------------------------
 
   /// \brief Opens a new element with tag `name`; returns its NodeId.
   NodeId BeginElement(std::string_view name);
 
-  /// \brief Adds an attribute to the most recently opened element.
+  /// \brief Adds an attribute to the most recently opened element. The
+  /// parser adds them right after BeginElement; Finish() rejects an
+  /// element whose attributes are split around another element's.
   void AddAttribute(std::string_view name, std::string_view value);
 
   /// \brief Adds a text node under the currently open element.
@@ -163,8 +177,9 @@ class Document {
   /// \brief Closes the most recently opened element.
   void EndElement();
 
-  /// \brief Verifies the builder stack is empty and finalizes statistics.
-  /// Also stamps the document's generation (below).
+  /// \brief Verifies the builder stack is empty and the document fits the
+  /// layout's 32-bit node ids and pool offsets, then computes statistics
+  /// and per-tag streams. Also stamps the document's generation (below).
   Status Finish();
 
   /// \brief Adopts an external (disk-resident) image instead of building:
@@ -174,9 +189,6 @@ class Document {
   /// process generation — reopening the same file twice yields two
   /// generations, exactly like re-parsing the same bytes does.
   Status AdoptExternal(ExternalLayout layout);
-
-  /// \brief True when backed by an adopted external image.
-  bool external() const { return ext_.records != nullptr; }
 
   /// \brief Process-unique generation stamp, assigned by Finish() (or
   /// AdoptExternal()) from a monotonically increasing process-wide counter
@@ -189,63 +201,48 @@ class Document {
 
   // -- Structure accessors ---------------------------------------------------
 
-  size_t NumNodes() const {
-    return ext_.records != nullptr ? ext_.num_nodes : kind_.size();
-  }
+  size_t NumNodes() const { return view_.num_nodes; }
   bool empty() const { return NumNodes() == 0; }
 
   /// \brief The document root element (first node), or kNullNode if empty.
   NodeId Root() const { return empty() ? kNullNode : 0; }
 
   NodeKind Kind(NodeId n) const {
-    if (ext_.records != nullptr) {
-      return ext_.records[n].tag == kNullTag ? NodeKind::kText
-                                             : NodeKind::kElement;
-    }
-    return kind_[n];
+    return view_.records[n].tag == kNullTag ? NodeKind::kText
+                                            : NodeKind::kElement;
   }
   bool IsElement(NodeId n) const { return Kind(n) == NodeKind::kElement; }
 
   /// \brief Tag id of an element node; kNullTag for text nodes.
-  TagId Tag(NodeId n) const {
-    return ext_.records != nullptr ? ext_.records[n].tag : tag_[n];
-  }
+  TagId Tag(NodeId n) const { return view_.records[n].tag; }
 
   /// \brief Tag name of an element node.
   const std::string& TagName(NodeId n) const { return tags_.Name(Tag(n)); }
 
-  NodeId Parent(NodeId n) const {
-    return ext_.records != nullptr ? ext_.parent[n] : parent_[n];
-  }
+  NodeId Parent(NodeId n) const { return view_.parent[n]; }
 
-  /// \brief First child in document order. The external path derives it
-  /// from the subtree extent (the paper's succinct-navigation identity:
-  /// a non-leaf's first child is the next node in preorder).
+  /// \brief First child in document order, derived from the subtree extent
+  /// (the paper's succinct-navigation identity: a non-leaf's first child is
+  /// the next node in preorder). An element still open in the builder has
+  /// no extent yet, so it reports no children until EndElement().
   NodeId FirstChild(NodeId n) const {
-    if (ext_.records == nullptr) return first_child_[n];
-    return ext_.records[n].subtree_end > n ? n + 1 : kNullNode;
+    return view_.records[n].subtree_end > n ? n + 1 : kNullNode;
   }
 
-  /// \brief Next sibling in document order; derived on the external path
-  /// (the node just past this subtree, iff it sits at the same level).
+  /// \brief Next sibling in document order: the node just past this
+  /// subtree, iff it sits at the same level.
   NodeId NextSibling(NodeId n) const {
-    if (ext_.records == nullptr) return next_sibling_[n];
-    NodeId next = ext_.records[n].subtree_end + 1;
-    if (next >= ext_.num_nodes) return kNullNode;
-    return ext_.records[next].level == ext_.records[n].level ? next
-                                                             : kNullNode;
+    NodeId next = view_.records[n].subtree_end + 1;
+    if (next >= view_.num_nodes) return kNullNode;
+    return view_.records[next].level == view_.records[n].level ? next
+                                                               : kNullNode;
   }
 
   /// \brief Largest NodeId inside n's subtree (n itself if leaf).
-  NodeId SubtreeEnd(NodeId n) const {
-    return ext_.records != nullptr ? ext_.records[n].subtree_end
-                                   : subtree_end_[n];
-  }
+  NodeId SubtreeEnd(NodeId n) const { return view_.records[n].subtree_end; }
 
   /// \brief Depth of n; the root has level 0.
-  uint32_t Level(NodeId n) const {
-    return ext_.records != nullptr ? ext_.records[n].level : level_[n];
-  }
+  uint32_t Level(NodeId n) const { return view_.records[n].level; }
 
   /// \brief True iff `anc` is a proper ancestor of `desc`.
   bool IsAncestor(NodeId anc, NodeId desc) const {
@@ -273,107 +270,83 @@ class Document {
                       std::string_view* value) const;
 
   const TagDictionary& tags() const { return tags_; }
-  TagDictionary& mutable_tags() { return tags_; }
 
-  /// \brief Contiguous per-node tag array of a *built* document (kNullTag
-  /// at text nodes), or nullptr for external documents — the stride-4
-  /// input of the exec::FilterTagEq scan kernel.
-  const TagId* TagArray() const {
-    return ext_.records != nullptr ? nullptr : tag_.data();
+  /// \brief The view every accessor reads: all sections of the layout,
+  /// owned or mapped — what storage::EncodeBtsx2 writes out.
+  const ExternalLayout& Layout() const { return view_; }
+
+  /// \brief The record stream, one PackedNodeRecord per node in document
+  /// order — the stride-16 input of the exec::FilterTagEqRecords scan
+  /// kernel and the records storage::PageStore serves.
+  std::span<const PackedNodeRecord> Records() const {
+    return {view_.records, view_.num_nodes};
   }
-
-  /// \brief Adopted record stream of an *external* document, or nullptr
-  /// for built documents — the stride-16 input of the
-  /// exec::FilterTagEqRecords scan kernel.
-  const PackedNodeRecord* ExternalRecords() const { return ext_.records; }
 
   /// \brief All element nodes with tag id `t`, in document order.
   ///
   /// This is the "tag-name index" required by the join-based approaches
-  /// (TwigStack, structural merge join). Built lazily on first use, at
-  /// most once (std::call_once), so concurrent queries over one shared
-  /// document — the service::Corpus regime — may all call this without
-  /// external locking. External documents return a zero-copy span over the
-  /// per-tag node-id streams persisted in the BTSX v2 file: no build pass
-  /// at all, which is most of what makes opening O(open).
+  /// (TwigStack, structural merge join): a zero-copy span over the per-tag
+  /// node-id streams, which Finish() builds and a BTSX v2 file persists.
+  /// Empty before Finish().
   std::span<const NodeId> TagIndex(TagId t) const;
 
   // -- Statistics (valid after Finish) ---------------------------------------
 
   /// \brief Number of element nodes.
-  size_t NumElements() const { return num_elements_; }
+  size_t NumElements() const { return view_.num_elements; }
   /// \brief Maximum element depth (root = 1), matching Table 1's convention.
-  uint32_t MaxDepth() const { return max_depth_; }
+  uint32_t MaxDepth() const { return view_.max_depth; }
   /// \brief Average element depth.
-  double AvgDepth() const { return avg_depth_; }
+  double AvgDepth() const { return view_.avg_depth; }
   /// \brief Maximum same-tag nesting degree over all tags: 1 means
   /// non-recursive (no element is a descendant of a same-tag element).
-  uint32_t MaxRecursionDegree() const { return max_recursion_; }
+  uint32_t MaxRecursionDegree() const { return view_.max_recursion; }
   /// \brief True iff some element has a same-tag proper ancestor.
-  bool IsRecursive() const { return max_recursion_ > 1; }
+  bool IsRecursive() const { return MaxRecursionDegree() > 1; }
   /// \brief Per-tag nesting degree: 1 = elements of this tag never nest.
   /// The optimizer's fine-grained rule uses this — pipelined //-joins are
   /// order-preserving whenever the *outer* tag does not nest, even if the
   /// document is recursive elsewhere.
   uint32_t TagRecursionDegree(TagId t) const {
-    if (ext_.records != nullptr) {
-      return t < tags_.size() ? ext_.tag_recursion[t] : 0;
-    }
-    return t < tag_recursion_.size() ? tag_recursion_[t] : 0;
+    return t < view_.num_tags ? view_.tag_recursion[t] : 0;
   }
-  /// \brief Approximate in-memory size of the structural arrays in bytes
-  /// (for an external document: of the mapped arrays it views).
-  size_t StructureBytes() const;
-  /// \brief Total bytes of text payload.
-  size_t TextBytes() const {
-    return ext_.records != nullptr ? ext_.text_pool_bytes : text_pool_.size();
+  /// \brief Size of the structural arrays (records and parent ids) in
+  /// bytes: 20 per node.
+  size_t StructureBytes() const {
+    return view_.num_nodes * (sizeof(PackedNodeRecord) + sizeof(NodeId));
   }
+  /// \brief Total bytes of text payload (attribute strings included).
+  size_t TextBytes() const { return view_.text_pool_bytes; }
 
  private:
+  /// Appends one record (and its parent id) under the open element.
+  NodeId AppendNode(TagId tag, uint32_t text_ref);
+  /// Points the view at the owned vectors; called after every append, as
+  /// any append may reallocate.
+  void PointViewAtOwned();
+  /// Fills the statistics, per-tag recursion degrees and per-tag streams.
   void ComputeStats();
-
-  /// Binary-searches the external attr-owner table; nullptr when `n` owns
-  /// no attributes.
-  const ExternalAttrOwner* FindExternalAttrs(NodeId n) const;
+  /// Binary-searches the attr-owner table; empty when `n` owns none.
+  std::span<const Attribute> AttributesOf(NodeId n) const;
 
   TagDictionary tags_;
-  std::vector<NodeKind> kind_;
-  std::vector<TagId> tag_;
+
+  // Owned sections of a built document (all empty for an adopted one).
+  std::vector<PackedNodeRecord> records_;
   std::vector<NodeId> parent_;
-  std::vector<NodeId> first_child_;
-  std::vector<NodeId> last_child_;  // builder-only helper
-  std::vector<NodeId> next_sibling_;
-  std::vector<NodeId> subtree_end_;
-  std::vector<uint32_t> level_;
-
-  // Text payloads: (offset, len) into text_pool_.
-  std::vector<std::pair<uint32_t, uint32_t>> text_span_;
+  std::vector<ExternalTextSpan> text_spans_;
   std::string text_pool_;
-
-  // Attributes, grouped per element: element -> [first, last) in attrs_.
-  std::unordered_map<NodeId, std::pair<uint32_t, uint32_t>> attr_range_;
+  std::vector<ExternalAttrOwner> attr_owners_;
   std::vector<Attribute> attrs_;
-
-  std::vector<NodeId> open_stack_;
-
-  // Stats.
-  size_t num_elements_ = 0;
-  uint32_t max_depth_ = 0;
-  double avg_depth_ = 0;
-  uint32_t max_recursion_ = 0;
   std::vector<uint32_t> tag_recursion_;
+  std::vector<uint64_t> tag_stream_offsets_;
+  std::vector<NodeId> tag_streams_;
 
-  // Adopted external image; records == nullptr for built documents. Every
-  // accessor branches on that pointer, keeping the built path's codegen
-  // (one test + the original load) essentially unchanged.
-  ExternalLayout ext_;
+  std::vector<NodeId> open_stack_;  ///< Builder-only: open elements.
 
-  // Lazy per-tag document-order index, built under tag_index_once_ (the
-  // call_once makes Document non-copyable, which it semantically always
-  // was: nothing may copy a finished document's identity/generation).
-  // External documents never build it — their index is in the file.
-  mutable std::vector<std::vector<NodeId>> tag_index_;
-  mutable std::once_flag tag_index_once_;
+  /// What every accessor reads: the owned sections above, or an adopted
+  /// image.
+  ExternalLayout view_;
 
   uint64_t generation_ = 0;  ///< Stamped by Finish(); 0 = unfinished.
 };

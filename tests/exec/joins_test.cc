@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/value_ops.h"
-#include "flwor/parser.h"
 #include "nestedlist/ops.h"
 #include "pattern/builder.h"
 #include "pattern/decompose.h"
@@ -15,166 +13,15 @@ namespace exec {
 namespace {
 
 using nestedlist::NestedList;
-using nestedlist::OccurrenceLabeler;
 using pattern::BlossomTree;
 using pattern::Decompose;
 using pattern::Decomposition;
 using pattern::SlotId;
-using pattern::VertexId;
 
 std::unique_ptr<xml::Document> Parse(std::string_view s) {
   auto r = xml::ParseDocument(s);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.MoveValue();
-}
-
-/// The paper's Example 2 bibliography document (whitespace trimmed).
-constexpr const char* kBibXml =
-    "<bib>"
-    "<book><title>Maximum Security</title></book>"
-    "<book><title>The Art of Computer Programming</title>"
-    "<author><last>Knuth</last><first>Donald</first></author></book>"
-    "<book><title>Terrorist Hunter</title></book>"
-    "<book><title>TeX Book</title>"
-    "<author><last>Knuth</last><first>Donald</first></author></book>"
-    "</bib>";
-
-constexpr const char* kExample1Query = R"(
-  for $book1 in doc("bib.xml")//book,
-      $book2 in doc("bib.xml")//book
-  let $aut1 := $book1/author
-  let $aut2 := $book2/author
-  where $book1 << $book2
-    and not($book1/title = $book2/title)
-    and deep-equal($aut1, $aut2)
-  return <book-pair>{ $book1/title }{ $book2/title }</book-pair>
-)";
-
-struct Example1Fixture {
-  std::unique_ptr<xml::Document> doc;
-  BlossomTree tree;
-  Decomposition decomp;
-  int nok_book1 = -1;
-  int nok_book2 = -1;
-  SlotId s_book1, s_book2, s_aut1, s_aut2, s_t1, s_t2;
-
-  Example1Fixture() : doc(Parse(kBibXml)) {
-    auto e = flwor::ParseQuery(kExample1Query);
-    EXPECT_TRUE(e.ok()) << e.status().ToString();
-    auto tr = pattern::BuildFromQuery(**e);
-    EXPECT_TRUE(tr.ok()) << tr.status().ToString();
-    tree = tr.MoveValue();
-    decomp = Decompose(tree);
-    VertexId b1 = tree.VertexOfVariable("book1");
-    VertexId b2 = tree.VertexOfVariable("book2");
-    for (size_t i = 0; i < decomp.noks.size(); ++i) {
-      if (decomp.noks[i].root == b1) nok_book1 = static_cast<int>(i);
-      if (decomp.noks[i].root == b2) nok_book2 = static_cast<int>(i);
-    }
-    s_book1 = tree.SlotOfVariable("book1");
-    s_book2 = tree.SlotOfVariable("book2");
-    s_aut1 = tree.SlotOfVariable("aut1");
-    s_aut2 = tree.SlotOfVariable("aut2");
-    s_t1 = TitleSlot(s_book1);
-    s_t2 = TitleSlot(s_book2);
-  }
-
-  SlotId TitleSlot(SlotId book) const {
-    for (SlotId c : tree.slot(book).children) {
-      if (tree.vertex(tree.slot(c).vertex).tag == "title") return c;
-    }
-    return pattern::kNoSlot;
-  }
-
-  std::unique_ptr<NestedListOperator> FramedScan(int nok, size_t position) {
-    auto scan = std::make_unique<NokScanOperator>(doc.get(), &tree,
-                                                  &decomp.noks[nok]);
-    return std::make_unique<FrameOperator>(
-        &tree, tree.top_slots(), position, std::move(scan));
-  }
-
-  /// The paper abbreviates tags to their first letter (b1, t1, a1).
-  std::function<std::string(xml::NodeId)> AbbrevLabeler() const {
-    const xml::Document* d = doc.get();
-    return [d](xml::NodeId n) {
-      OccurrenceLabeler full(d);
-      std::string s = full(n);
-      const std::string& tag = d->TagName(n);
-      return tag.substr(0, 1) + s.substr(tag.size());
-    };
-  }
-};
-
-TEST(NestedLoopJoinTest, Example4NoKOutputsMatchPaper) {
-  Example1Fixture fx;
-  ASSERT_GE(fx.nok_book1, 0);
-  ASSERT_GE(fx.nok_book2, 0);
-  auto op = fx.FramedScan(fx.nok_book1, 0);
-  auto label = fx.AbbrevLabeler();
-  std::vector<std::string> rendered;
-  for (const NestedList& nl : Drain(op.get())) {
-    rendered.push_back(nestedlist::ToString(nl, label));
-  }
-  // Paper Example 4 (the NoK emits (book,(author),(title)) frames; the
-  // second top group is the book2 placeholder).
-  ASSERT_EQ(rendered.size(), 4u);
-  EXPECT_EQ(rendered[0], "((b1,(),(t1)),((),()))");
-  EXPECT_EQ(rendered[1], "((b2,(a1),(t2)),((),()))");
-  EXPECT_EQ(rendered[2], "((b3,(),(t3)),((),()))");
-  EXPECT_EQ(rendered[3], "((b4,(a2),(t4)),((),()))");
-}
-
-TEST(NestedLoopJoinTest, Example4JoinResultMatchesPaper) {
-  Example1Fixture fx;
-  const auto& tops = fx.tree.top_slots();
-  auto pred = [&](const NestedList& l, const NestedList& r) {
-    auto b1 = nestedlist::Project(fx.tree, tops, l, fx.s_book1);
-    auto b2 = nestedlist::Project(fx.tree, tops, r, fx.s_book2);
-    auto t1 = nestedlist::Project(fx.tree, tops, l, fx.s_t1);
-    auto t2 = nestedlist::Project(fx.tree, tops, r, fx.s_t2);
-    auto a1 = nestedlist::Project(fx.tree, tops, l, fx.s_aut1);
-    auto a2 = nestedlist::Project(fx.tree, tops, r, fx.s_aut2);
-    if (b1.empty() || b2.empty() || !(b1[0] < b2[0])) return false;
-    if (GeneralCompare(*fx.doc, t1, xpath::CompareOp::kEq, t2)) return false;
-    return DeepEqualSequences(*fx.doc, a1, a2);
-  };
-  NestedLoopJoin join(std::vector<SlotId>(tops),
-                      fx.FramedScan(fx.nok_book1, 0),
-                      fx.FramedScan(fx.nok_book2, 1), {true, false}, pred);
-  auto label = fx.AbbrevLabeler();
-  std::vector<std::string> rendered;
-  for (const NestedList& nl : Drain(&join)) {
-    rendered.push_back(nestedlist::ToString(nl, label));
-  }
-  // Paper Example 4's final result (canonical group order: author, title).
-  ASSERT_EQ(rendered.size(), 2u);
-  EXPECT_EQ(rendered[0], "((b1,(),(t1)),(b3,(),(t3)))");
-  EXPECT_EQ(rendered[1], "((b2,(a1),(t2)),(b4,(a2),(t4)))");
-}
-
-TEST(NestedLoopJoinTest, Example5DocOrderCounterexample) {
-  // Paper Example 5: the <<-join is not order preserving: the projection on
-  // the book2 Dewey ID over the join result is [b2,b3,b4,b3,b4,b4].
-  Example1Fixture fx;
-  const auto& tops = fx.tree.top_slots();
-  auto pred = [&](const NestedList& l, const NestedList& r) {
-    auto b1 = nestedlist::Project(fx.tree, tops, l, fx.s_book1);
-    auto b2 = nestedlist::Project(fx.tree, tops, r, fx.s_book2);
-    return !b1.empty() && !b2.empty() && b1[0] < b2[0];
-  };
-  NestedLoopJoin join(std::vector<SlotId>(tops),
-                      fx.FramedScan(fx.nok_book1, 0),
-                      fx.FramedScan(fx.nok_book2, 1), {true, false}, pred);
-  std::vector<NestedList> results = Drain(&join);
-  ASSERT_EQ(results.size(), 6u);
-  auto proj = nestedlist::ProjectSequence(fx.tree, tops, results, fx.s_book2);
-  OccurrenceLabeler label(fx.doc.get());
-  std::vector<std::string> labels;
-  for (xml::NodeId n : proj) labels.push_back(label(n));
-  EXPECT_EQ(labels, std::vector<std::string>(
-                        {"book2", "book3", "book4", "book3", "book4",
-                         "book4"}));
-  EXPECT_FALSE(std::is_sorted(proj.begin(), proj.end()));
 }
 
 // -- Pipelined //-join ---------------------------------------------------------

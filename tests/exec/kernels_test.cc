@@ -1,8 +1,8 @@
 // Parity of the SIMD inner-loop kernels (DESIGN.md §16) with their scalar
-// references: FilterTagEq / FilterTagEqRecords must emit the identical
-// candidate list under every backend, on every alignment (including
-// deliberately misaligned record buffers), and CountLessEq must agree with
-// std::upper_bound on arbitrary sorted inputs.
+// references: FilterTagEqRecords must emit the identical candidate list
+// under every backend, at every vector-boundary length and on every
+// alignment (including deliberately misaligned record buffers), and
+// CountLessEq must agree with std::upper_bound on arbitrary sorted inputs.
 
 #include <gtest/gtest.h>
 
@@ -52,35 +52,11 @@ TEST(KernelsTest, BackendSelection) {
   EXPECT_STREQ(KernelBackendName(KernelBackend::kScalar), "scalar");
 }
 
-TEST(KernelsTest, FilterTagEqMatchesReferenceAtEveryLength) {
-  Rng rng(41);
-  // Lengths straddle every vector-width boundary: 0..4 lanes plus tails.
-  for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u,
-                   64u, 100u, 511u, 512u, 513u, 4096u}) {
-    std::vector<xml::TagId> tags = RandomTags(&rng, n, 5);
-    for (xml::TagId target : {xml::TagId{0}, xml::TagId{3}, xml::kNullTag,
-                              xml::TagId{999}}) {
-      std::vector<xml::NodeId> expected = ReferenceFilter(tags, target, 10);
-      for (bool simd : {false, true}) {
-        std::vector<xml::NodeId> got;
-        FilterTagEq(tags.data(), n, target, 10, simd, &got);
-        EXPECT_EQ(got, expected) << "n=" << n << " target=" << target
-                                 << " simd=" << simd;
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, FilterTagEqAppendsWithoutClearing) {
-  std::vector<xml::TagId> tags = {1, 2, 1};
-  std::vector<xml::NodeId> got = {777};
-  FilterTagEq(tags.data(), tags.size(), 1, 0, true, &got);
-  EXPECT_EQ(got, (std::vector<xml::NodeId>{777, 0, 2}));
-}
-
-TEST(KernelsTest, FilterTagEqRecordsMatchesTagArrayKernel) {
+TEST(KernelsTest, FilterTagEqRecordsMatchesReferenceAtEveryLength) {
   Rng rng(43);
-  for (size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 13u, 16u, 64u, 200u, 1000u}) {
+  // Lengths straddle every vector-width boundary: 0..4 lanes plus tails.
+  for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u, 15u, 16u, 17u,
+                   31u, 64u, 100u, 200u, 511u, 512u, 513u, 1000u, 4096u}) {
     std::vector<xml::TagId> tags = RandomTags(&rng, n, 7);
     std::vector<xml::PackedNodeRecord> recs(n);
     for (size_t i = 0; i < n; ++i) {
@@ -89,15 +65,26 @@ TEST(KernelsTest, FilterTagEqRecordsMatchesTagArrayKernel) {
       recs[i].level = static_cast<uint32_t>(rng.Uniform(32));
       recs[i].text_ref = UINT32_MAX;
     }
-    for (xml::TagId target : {xml::TagId{0}, xml::TagId{6}, xml::kNullTag}) {
-      std::vector<xml::NodeId> expected = ReferenceFilter(tags, target, 5);
+    for (xml::TagId target : {xml::TagId{0}, xml::TagId{3}, xml::TagId{6},
+                              xml::kNullTag, xml::TagId{999}}) {
+      std::vector<xml::NodeId> expected = ReferenceFilter(tags, target, 10);
       for (bool simd : {false, true}) {
         std::vector<xml::NodeId> got;
-        FilterTagEqRecords(recs.data(), n, target, 5, simd, &got);
+        FilterTagEqRecords(recs.data(), n, target, 10, simd, &got);
         EXPECT_EQ(got, expected) << "n=" << n << " target=" << target
                                  << " simd=" << simd;
       }
     }
+  }
+}
+
+TEST(KernelsTest, FilterTagEqRecordsAppendsWithoutClearing) {
+  std::vector<xml::PackedNodeRecord> recs = {
+      {1, 0, 0, UINT32_MAX}, {2, 1, 1, UINT32_MAX}, {1, 2, 1, UINT32_MAX}};
+  for (bool simd : {false, true}) {
+    std::vector<xml::NodeId> got = {777};
+    FilterTagEqRecords(recs.data(), recs.size(), 1, 0, simd, &got);
+    EXPECT_EQ(got, (std::vector<xml::NodeId>{777, 0, 2})) << "simd=" << simd;
   }
 }
 

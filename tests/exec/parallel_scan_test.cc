@@ -123,8 +123,8 @@ struct JoinFixture {
 
   explicit JoinFixture(uint64_t seed) {
     Rng rng(seed);
-    // Built in place: Document is pinned in memory (non-movable) since its
-    // lazy tag index went behind a std::once_flag.
+    // Built in place: Document is pinned in memory (non-movable), as its
+    // layout view points into its own vectors.
     doc = std::make_unique<xml::Document>();
     // ~200 nodes, fanout up to 4, depth up to 6, one tag so ancestor and
     // descendant lists overlap heavily.

@@ -82,17 +82,6 @@ TEST(NestedListTest, Figure4Serialization) {
             "(a1,[(b1,()),(b2,[(d1),(d2)]),(b3,(d3))],[(c1),(c2)])");
 }
 
-TEST(NestedListTest, PlaceholderSerialization) {
-  BlossomTree t = Example3Pattern();
-  auto doc = Figure3Document();
-  // Placeholder entry for slot a has two empty child groups.
-  Entry p = MakePlaceholderEntry(t, 0);
-  OccurrenceLabeler label(doc.get());
-  EXPECT_EQ(EntryToString(p, label), "((),())");
-  NestedList ph = MakePlaceholder(t, {0});
-  EXPECT_EQ(ToString(ph, label), "((),())");
-}
-
 TEST(NestedListTest, ProjectionExample) {
   // Paper §3.3: π_{1.1}(t) = [b1, b2, b3].
   BlossomTree t = Example3Pattern();
@@ -179,21 +168,6 @@ TEST(NestedListTest, EnforceMandatoryPrunesEntriesWithEmptyGroup) {
   ASSERT_TRUE(EnforceMandatory(t2, {0}, &list, b_slot, 0));
   auto nodes = Project(t2, {0}, list, b_slot);
   EXPECT_EQ(nodes, std::vector<xml::NodeId>({3, 7}));
-}
-
-TEST(NestedListTest, CombineFillsPlaceholders) {
-  BlossomTree t = Example3Pattern();
-  NestedList filled = Figure4List();
-  NestedList ph = MakePlaceholder(t, {0});
-  // Pretend two top groups: left owns 0.
-  NestedList l;
-  l.tops = {filled.tops[0], ph.tops[0]};
-  NestedList r;
-  r.tops = {ph.tops[0], filled.tops[0]};
-  NestedList combined = Combine(l, r, {true, false});
-  EXPECT_EQ(combined.tops[0].size(), 1u);
-  EXPECT_FALSE(combined.tops[0][0].IsPlaceholder());
-  EXPECT_FALSE(combined.tops[1][0].IsPlaceholder());
 }
 
 TEST(NestedListTest, SlotChainAndChildIndex) {

@@ -87,7 +87,10 @@ TEST(DiskStoreTest, OpensAndServesFacade) {
   auto store = DiskStore::Open(path, opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_NE((*store)->document(), nullptr);
-  EXPECT_TRUE((*store)->document()->external());
+  // Zero-copy adopt: the facade's records are the store's mapped records.
+  ScanCursor cursor;
+  EXPECT_EQ((*store)->document()->Records().data(),
+            (*store)->NextBlock(0, 0, &cursor).data());
   ExpectFacadeParity(*doc, *(*store)->document());
   // The on-disk stamp is the ingest-time generation; the adopted facade
   // carries a fresh one (cache identities never collide across opens).

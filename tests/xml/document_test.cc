@@ -167,6 +167,70 @@ TEST(DocumentTest, SiblingRank) {
   EXPECT_EQ(xml::SiblingRank(*doc, 0, "r"), 1u);
 }
 
+TEST(DocumentTest, ReadsBeforeFinishSeeTheBuiltPrefix) {
+  Document doc;
+  NodeId a = doc.BeginElement("a");
+  doc.AddAttribute("k", "v");
+  NodeId t = doc.AddText("hi");
+  NodeId b = doc.BeginElement("b");
+  EXPECT_EQ(doc.NumNodes(), 3u);
+  EXPECT_EQ(doc.TagName(b), "b");
+  EXPECT_EQ(doc.Parent(b), a);
+  EXPECT_EQ(doc.Level(b), 1u);
+  EXPECT_EQ(doc.Text(t), "hi");
+  std::string_view v;
+  EXPECT_TRUE(doc.AttributeValue(a, "k", &v));
+  EXPECT_EQ(v, "v");
+  // Statistics and per-tag streams only exist once finished.
+  EXPECT_TRUE(doc.TagIndex(doc.tags().Lookup("a")).empty());
+  EXPECT_EQ(doc.TagRecursionDegree(doc.tags().Lookup("a")), 0u);
+  doc.EndElement();
+  doc.EndElement();
+  EXPECT_EQ(doc.SubtreeEnd(a), b);
+  ASSERT_TRUE(doc.Finish().ok());
+  EXPECT_EQ(doc.TagIndex(doc.tags().Lookup("b")).size(), 1u);
+  EXPECT_EQ(doc.StructureBytes(), 3 * 20u);
+}
+
+TEST(DocumentTest, AttributesAfterAChildStayWithTheirElement) {
+  Document doc;
+  NodeId a = doc.BeginElement("a");
+  doc.AddAttribute("x", "1");
+  doc.AddText("t");
+  doc.BeginElement("b");
+  doc.EndElement();
+  doc.AddAttribute("y", "2");
+  doc.EndElement();
+  ASSERT_TRUE(doc.Finish().ok());
+  auto attrs = doc.Attributes(a);
+  ASSERT_EQ(attrs.size(), 2u);
+  EXPECT_EQ(attrs[1].first, "y");
+  EXPECT_EQ(attrs[1].second, "2");
+  EXPECT_TRUE(doc.Attributes(2).empty());
+}
+
+TEST(DocumentTest, FinishRejectsAttributesSplitAroundAnotherElements) {
+  Document doc;
+  doc.BeginElement("a");
+  doc.AddAttribute("x", "1");
+  doc.BeginElement("b");
+  doc.AddAttribute("y", "2");
+  doc.EndElement();
+  doc.AddAttribute("z", "3");
+  doc.EndElement();
+  EXPECT_FALSE(doc.Finish().ok());
+}
+
+TEST(DocumentTest, AdoptExternalRejectsABuiltDocument) {
+  Document doc;
+  doc.BeginElement("a");
+  doc.EndElement();
+  ExternalLayout layout;
+  EXPECT_FALSE(doc.AdoptExternal(layout).ok());
+  ASSERT_TRUE(doc.Finish().ok());
+  EXPECT_FALSE(doc.AdoptExternal(layout).ok());
+}
+
 TEST(DocumentTest, EmptyDocumentAccessors) {
   Document doc;
   EXPECT_TRUE(doc.empty());
