@@ -1,6 +1,7 @@
 #include "engine/binder.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/trace.h"
 
@@ -29,25 +30,26 @@ std::vector<SlotBinding> ComputeSlotBindings(const pattern::BlossomTree& tree,
 
 namespace {
 
-/// One pattern tree's binding walk. Pending work is a stack of (slot,
-/// groups) items; a walk that empties it emits the tree's slots of the
-/// scratch tuple as one row.
+/// One pattern tree's binding walk over the drained lists' arena. Pending
+/// work is a stack of (slot, groups) items, a group being an entry range of
+/// the arena; a walk that empties it emits the tree's slots of the scratch
+/// tuple as one row.
 struct Expander {
   struct Item {
     SlotId slot;
-    std::vector<const Group*> groups;
+    std::vector<Group> groups;
   };
 
-  Status Run(const std::vector<SlotId>& tops,
-             const std::vector<NestedList>& lists) {
+  Status Run(const std::vector<SlotId>& tops) {
     for (SlotId top : tops) CollectVars(top);
     std::sort(out->slots.begin(), out->slots.end());
     // The tops behave as the children of a non-blossom root whose matches
     // are the lists.
     for (size_t t = 0; t < tops.size(); ++t) {
       Item item{tops[t], {}};
-      for (const NestedList& nl : lists) {
-        if (t < nl.tops.size()) item.groups.push_back(&nl.tops[t]);
+      for (NestedList nl : lists) {
+        std::span<const Group> list_tops = nl.tops();
+        if (t < list_tops.size()) item.groups.push_back(list_tops[t]);
       }
       pending.push_back(std::move(item));
     }
@@ -77,10 +79,8 @@ struct Expander {
     Item item = std::move(pending.back());
     pending.pop_back();
     std::vector<const Entry*> matches;
-    for (const Group* g : item.groups) {
-      for (const Entry& e : *g) {
-        if (!e.IsPlaceholder()) matches.push_back(&e);
-      }
+    for (Group g : item.groups) {
+      for (const Entry& e : lists.EntriesOf(g)) matches.push_back(&e);
     }
     const SlotBinding& sb = bindings[item.slot];
     Status st;
@@ -117,7 +117,7 @@ struct Expander {
     for (size_t i = 0; i < kids.size(); ++i) {
       Item child{kids[i], {}};
       for (const Entry* e : matches) {
-        if (i < e->groups.size()) child.groups.push_back(&e->groups[i]);
+        if (i < e->num_groups) child.groups.push_back(lists.GroupsOf(*e)[i]);
       }
       pending.push_back(std::move(child));
     }
@@ -127,6 +127,7 @@ struct Expander {
   }
 
   const pattern::BlossomTree& tree;
+  const nestedlist::Arena& lists;
   const std::vector<SlotBinding>& bindings;
   util::ResourceGuard* guard;
   TreeTuples* out;
@@ -139,14 +140,14 @@ struct Expander {
 
 Status EnumerateBindings(const pattern::BlossomTree& tree,
                          const std::vector<SlotId>& tops,
-                         const std::vector<NestedList>& lists,
+                         const nestedlist::Arena& lists,
                          const std::vector<SlotBinding>& bindings,
                          size_t num_vars, util::ResourceGuard* guard,
                          TreeTuples* out) {
   util::TraceSpan span("engine", "bind");
   *out = TreeTuples{};
-  Expander expander{tree, bindings, guard, out, Env(num_vars), {}, 0};
-  return expander.Run(tops, lists);
+  Expander expander{tree, lists, bindings, guard, out, Env(num_vars), {}, 0};
+  return expander.Run(tops);
 }
 
 }  // namespace engine

@@ -49,7 +49,7 @@ struct TreeTuples {
 /// order of the FLWOR's nested loops. `guard` is checked every 512 rows.
 Status EnumerateBindings(const pattern::BlossomTree& tree,
                          const std::vector<pattern::SlotId>& tops,
-                         const std::vector<nestedlist::NestedList>& lists,
+                         const nestedlist::Arena& lists,
                          const std::vector<SlotBinding>& bindings,
                          size_t num_vars, util::ResourceGuard* guard,
                          TreeTuples* out);

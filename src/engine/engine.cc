@@ -311,7 +311,7 @@ Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
   // Per pattern tree: drain the plan, bind its own slots.
   std::vector<TreeTuples> per_tree;
   for (opt::PatternTreePlan& tp : plan.trees) {
-    std::vector<nestedlist::NestedList> lists =
+    nestedlist::Arena lists =
         exec::Drain(tp.root.get(), options_.plan.exec.batch_rows);
     if (guard_.Tripped()) return guard_.status();
     BT_RETURN_NOT_OK(EnumerateBindings(

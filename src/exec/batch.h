@@ -2,6 +2,7 @@
 #define BLOSSOMTREE_EXEC_BATCH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "nestedlist/nested_list.h"
@@ -10,15 +11,48 @@ namespace blossomtree {
 namespace exec {
 
 /// \brief Fixed-capacity unit of exchange between operators (DESIGN.md
-/// §16). GetNextBatch clears `rows` and refills it on each call; ownership
-/// of the rows passes to the consumer, which may move them out. Reusing one
-/// Batch across calls amortizes the vector allocation.
+/// §16): up to a batch of NestedLists in one Figure 6 arena. A producer
+/// either builds its rows in `own` or lends rows [first, first + count) of
+/// an arena it holds (a lazy scan's chunk, a frozen result-cache
+/// partition), so a cache hit reaches the consumer without a copy. The rows
+/// stay valid until the producer's next GetNextBatch or Rewind; a consumer
+/// that keeps them longer copies them out (Arena::AppendRow). Reusing one
+/// Batch across calls keeps `own`'s capacity.
 struct Batch {
-  std::vector<nestedlist::NestedList> rows;
+  nestedlist::Arena own;
+  const nestedlist::Arena* lent = nullptr;
+  uint32_t first = 0;
+  uint32_t count = 0;
 
-  bool empty() const { return rows.empty(); }
-  size_t size() const { return rows.size(); }
-  void clear() { rows.clear(); }
+  const nestedlist::Arena& arena() const {
+    return lent != nullptr ? *lent : own;
+  }
+  bool empty() const { return count == 0; }
+  size_t size() const { return count; }
+  nestedlist::NestedList operator[](size_t i) const {
+    return arena()[first + i];
+  }
+  nestedlist::Arena::Iterator begin() const {
+    return nestedlist::Arena::Iterator(&arena(), first);
+  }
+  nestedlist::Arena::Iterator end() const {
+    return nestedlist::Arena::Iterator(&arena(), first + count);
+  }
+
+  /// \brief Hands out rows [first, first + count) of `arena` instead of
+  /// `own`'s.
+  void Lend(const nestedlist::Arena* arena, uint32_t first_row,
+            uint32_t num_rows) {
+    lent = arena;
+    first = first_row;
+    count = num_rows;
+  }
+  void clear() {
+    own.clear();
+    lent = nullptr;
+    first = 0;
+    count = 0;
+  }
 };
 
 /// \brief Execution-core knobs, plumbed planner→operators through
@@ -28,8 +62,8 @@ struct Batch {
 /// either kernel backend (DESIGN.md §16).
 struct ExecOptions {
   /// Rows per exchanged batch, clamped to [1, 4096] by operators. A
-  /// NestedList row is a few pointers, so the default 64 rows keeps one
-  /// batch within 1–4 KB.
+  /// NestedList row is a 20-byte index record plus its cells, so the
+  /// default 64 rows keeps one batch within a few KB.
   size_t batch_rows = 64;
   /// Allow the compiled SIMD kernel backend; false forces the scalar
   /// fallback (same effect as BLOSSOMTREE_FORCE_SCALAR_KERNELS=1).

@@ -15,14 +15,6 @@ void AppendCounter(std::string* out, const char* name, uint64_t v) {
   out->append(std::to_string(v));
 }
 
-uint64_t CountEntryCells(const nestedlist::Entry& e) {
-  uint64_t total = 1;
-  for (const nestedlist::Group& g : e.groups) {
-    for (const nestedlist::Entry& c : g) total += CountEntryCells(c);
-  }
-  return total;
-}
-
 }  // namespace
 
 std::string ExecStats::Counters() const {
@@ -47,14 +39,6 @@ std::string ExecStats::Summary() const {
   out += time_buf;
   out += "ms";
   return out;
-}
-
-uint64_t CountCells(const nestedlist::NestedList& list) {
-  uint64_t total = 0;
-  for (const nestedlist::Group& g : list.tops) {
-    for (const nestedlist::Entry& e : g) total += CountEntryCells(e);
-  }
-  return total;
 }
 
 }  // namespace exec

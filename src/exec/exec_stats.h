@@ -69,9 +69,12 @@ struct ExecStats {
   std::string Summary() const;
 };
 
-/// \brief Counts the entries (cells) of a NestedList, recursively — the
-/// paper's memory metric for materialized intermediate results.
-uint64_t CountCells(const nestedlist::NestedList& list);
+/// \brief The entries (cells) of a NestedList — the paper's memory metric
+/// for materialized intermediate results. A row owns exactly its cells'
+/// run of the arena, so this is an array length.
+inline uint64_t CountCells(const nestedlist::NestedList& list) {
+  return list.cells();
+}
 
 /// \brief Accumulates wall time into a sink for the enclosing scope.
 class ScopedTimer {

@@ -26,8 +26,7 @@ IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
 
 void IndexSeekOperator::FillBatch(Batch* out, size_t max_rows) {
   util::ResourceGuard* g = guard();
-  nestedlist::NestedList nl;
-  while (out->rows.size() < max_rows && pos_ < candidates_.size() &&
+  while (out->own.size() < max_rows && pos_ < candidates_.size() &&
          candidates_[pos_] <= range_end_) {
     if (g != nullptr &&
         (g->Tripped() || ((probed_ & 0x1FF) == 0x1FF && !g->Check()))) {
@@ -37,12 +36,8 @@ void IndexSeekOperator::FillBatch(Batch* out, size_t max_rows) {
     ++probed_;
     if (store_ != nullptr) store_->Get(x, &io_cursor_);
     uint64_t cmp_before = ValueComparisonCount();
-    bool matched = matcher_.RootTest(x) && matcher_.MatchAt(x, &nl);
+    if (matcher_.RootTest(x)) matcher_.MatchAt(x, &out->own);
     value_cmps_ += ValueComparisonCount() - cmp_before;
-    if (matched) {
-      out->rows.push_back(std::move(nl));
-      nl = nestedlist::NestedList();
-    }
   }
 }
 

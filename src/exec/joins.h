@@ -7,6 +7,7 @@
 #include "exec/batch.h"
 #include "exec/nok_scan.h"
 #include "exec/operator.h"
+#include "nestedlist/ops.h"
 #include "util/resource_guard.h"
 
 namespace blossomtree {
@@ -19,9 +20,11 @@ namespace exec {
 /// Correct only when projections are document-order preserving, i.e. on
 /// non-recursive documents (Theorem 2); the optimizer enforces that
 /// precondition. No intermediate results are materialized: the join holds
-/// one in-flight inner run plus one staged batch per child. Inner rows move
-/// from the staged batch into the run one at a time, so PeakBuffered()
-/// measures the §4.2 run alone.
+/// one in-flight inner run plus one staged batch per child. The run is the
+/// current inner row's top group, read in place in the staged batch, so
+/// PeakBuffered() measures the §4.2 run alone. Each output row is the outer
+/// row rewritten into the output batch's arena with the run's entries
+/// copied into the grafted group.
 class PipelinedDescJoin : public NestedListOperator {
  public:
   /// \param from_slot the outer slot the cut //-edge leaves from.
@@ -63,29 +66,33 @@ class PipelinedDescJoin : public NestedListOperator {
   void FillBatch(Batch* out, size_t max_rows) override;
 
  private:
-  /// Moves the next inner row's entries into the run, pulling a staged
-  /// batch of `batch_rows` when needed; false at the end of the inner.
+  /// Makes the next inner row the run, pulling a staged batch of
+  /// `batch_rows` when needed; false at the end of the inner.
   bool FetchInner(size_t batch_rows);
-  /// Merges buffered inner entries into `e`'s child group (the paper
-  /// GetNext lines 7-9), fetching more inner as the buffer drains.
-  void MergeInto(nestedlist::Entry* e, size_t batch_rows);
+  /// Grafts the run's entries inside `node`'s subtree into the group being
+  /// written to `dst` (the paper GetNext lines 7-9), fetching more inner
+  /// as the run drains.
+  void MergeInto(xml::NodeId node, nestedlist::Arena* dst, size_t batch_rows);
 
   const xml::Document* doc_;
-  const pattern::BlossomTree* tree_;
   std::unique_ptr<NestedListOperator> outer_;
   std::unique_ptr<NestedListOperator> inner_;
-  pattern::SlotId from_slot_;
-  pattern::SlotId inner_top_;
-  size_t child_index_;
+  /// The grafted group: the inner top slot's index among from_slot's
+  /// child slots.
+  uint32_t child_index_;
   pattern::EdgeMode mode_;
+  /// Where from_slot's entries sit in an outer row, resolved once.
+  nestedlist::SlotPath path_;
+  nestedlist::RowWriter writer_;
   BatchReader outer_rows_;
   BatchReader inner_rows_;
 
-  /// Buffered inner run: entries [inner_head_, inner_buf_.size()) are
-  /// live, with their region labels mirrored in inner_nodes_ so the merge
-  /// can binary-search a flat sorted NodeId array (the CountLessEq
-  /// containment test) without touching the entries.
-  std::vector<nestedlist::Entry> inner_buf_;
+  /// The inner run: entries [inner_head_, inner_nodes_.size()) of
+  /// `inner_row_`'s top group are live, with their region labels mirrored
+  /// in inner_nodes_ so the merge can binary-search a flat sorted NodeId
+  /// array (the CountLessEq containment test) without touching the
+  /// entries.
+  nestedlist::NestedList inner_row_;
   std::vector<xml::NodeId> inner_nodes_;
   size_t inner_head_ = 0;
   size_t peak_buffered_ = 0;
@@ -142,14 +149,16 @@ class BoundedNestedLoopJoin : public NestedListOperator {
 
  private:
   const xml::Document* doc_;
-  const pattern::BlossomTree* tree_;
   std::unique_ptr<NestedListOperator> outer_;
   std::unique_ptr<NestedListOperator> inner_;
-  pattern::SlotId from_slot_;
-  pattern::SlotId inner_top_;
-  size_t child_index_;
+  /// The grafted group: the inner top slot's index among from_slot's
+  /// child slots.
+  uint32_t child_index_;
   pattern::EdgeMode mode_;
   bool bounded_;
+  /// Where from_slot's entries sit in an outer row, resolved once.
+  nestedlist::SlotPath path_;
+  nestedlist::RowWriter writer_;
   BatchReader outer_rows_;
   /// Reused across the per-entry inner re-scans.
   Batch inner_batch_;

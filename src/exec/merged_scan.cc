@@ -19,7 +19,9 @@ MergedNokScan::MergedNokScan(const xml::Document* doc,
     match_any_.push_back(root.MatchesAnyTag() || root.IsVirtualRoot());
     root_tag_.push_back(root.tag);
   }
-  results_.resize(matchers_.size());
+  for (size_t i = 0; i < matchers_.size(); ++i) {
+    results_.push_back(std::make_shared<nestedlist::Arena>());
+  }
 }
 
 void MergedNokScan::Run() {
@@ -31,10 +33,7 @@ void MergedNokScan::Run() {
   // Virtual-root NoKs fire once, before the node scan.
   for (size_t i = 0; i < matchers_.size(); ++i) {
     if (!virtual_root_[i]) continue;
-    nestedlist::NestedList nl;
-    if (matchers_[i]->MatchAt(kVirtualRootNode, &nl)) {
-      results_[i].push_back(std::move(nl));
-    }
+    matchers_[i]->MatchAt(kVirtualRootNode, results_[i].get());
   }
   // Dispatch table: which matchers can start at a given tag. Match-any
   // roots ("*", and defensively any other non-concrete root tag such as
@@ -58,15 +57,13 @@ void MergedNokScan::Run() {
   // One shared pass: each node is fetched once, the NoKs whose root can
   // match it are probed.
   auto probe = [&](size_t i, xml::NodeId x) {
-    if (!matchers_[i]->RootTest(x)) return;
-    nestedlist::NestedList nl;
-    if (matchers_[i]->MatchAt(x, &nl)) {
-      results_[i].push_back(std::move(nl));
+    if (matchers_[i]->RootTest(x)) {
+      matchers_[i]->MatchAt(x, results_[i].get());
     }
   };
   if (wildcard.empty()) {
     // All roots concrete: one SIMD candidate sweep per distinct root tag
-    // replaces the per-node dispatch loop. Per-NoK result vectors are
+    // replaces the per-node dispatch loop. Per-NoK result arenas are
     // filled in ascending NodeId (each sweep's candidates ascend) and the
     // probes re-verify every candidate, so streams and untripped-run
     // counters match the per-node pass bitwise — the only nodes it spends
@@ -115,8 +112,9 @@ ExecStats MergedNokScan::ScanStats() const {
   s.nodes_scanned = nodes_scanned_;
   s.comparisons = MatchWork() + value_cmps_;
   for (const auto& lists : results_) {
-    s.matches += lists.size();
-    for (const auto& nl : lists) s.nl_cells += CountCells(nl);
+    s.matches += lists->size();
+    // Each row owns exactly its cells, so the entry array is their count.
+    s.nl_cells += lists->entries.size();
   }
   return s;
 }

@@ -1,6 +1,7 @@
 #ifndef BLOSSOMTREE_EXEC_MERGED_SCAN_H_
 #define BLOSSOMTREE_EXEC_MERGED_SCAN_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -10,13 +11,13 @@
 namespace blossomtree {
 namespace exec {
 
-/// \brief A materialized NestedList stream (used as the per-NoK output view
-/// of the merged scan, and generally handy for tests/plans). Rows are
-/// charged to `guard` at handout, like every operator's (DESIGN.md §9).
+/// \brief A stream over a frozen arena of NestedLists (the per-NoK output
+/// view of the merged scan): lends its rows batch by batch, charged to
+/// `guard` at handout like every operator's (DESIGN.md §9).
 class MaterializedOperator : public NestedListOperator {
  public:
   MaterializedOperator(std::vector<pattern::SlotId> tops,
-                       std::vector<nestedlist::NestedList> lists,
+                       std::shared_ptr<const nestedlist::Arena> lists,
                        util::ResourceGuard* guard = nullptr)
       : NestedListOperator(guard),
         tops_(std::move(tops)),
@@ -31,15 +32,16 @@ class MaterializedOperator : public NestedListOperator {
 
  protected:
   void FillBatch(Batch* out, size_t max_rows) override {
-    while (out->rows.size() < max_rows && pos_ < lists_.size()) {
-      out->rows.push_back(lists_[pos_++]);
-    }
+    uint32_t n = static_cast<uint32_t>(
+        std::min<size_t>(max_rows, lists_->size() - pos_));
+    if (n > 0) out->Lend(lists_.get(), pos_, n);
+    pos_ += n;
   }
 
  private:
   std::vector<pattern::SlotId> tops_;
-  std::vector<nestedlist::NestedList> lists_;
-  size_t pos_ = 0;
+  std::shared_ptr<const nestedlist::Arena> lists_;
+  uint32_t pos_ = 0;
 };
 
 /// \brief Merged NoK evaluation (paper §4.2 "merging NoK operators"): runs
@@ -94,7 +96,8 @@ class MergedNokScan {
   std::vector<bool> virtual_root_;
   std::vector<bool> match_any_;
   std::vector<std::string> root_tag_;
-  std::vector<std::vector<nestedlist::NestedList>> results_;
+  /// Per NoK, its matches in document order (frozen after Run()).
+  std::vector<std::shared_ptr<nestedlist::Arena>> results_;
   uint64_t nodes_scanned_ = 0;
   uint64_t value_cmps_ = 0;
   uint64_t wall_nanos_ = 0;

@@ -1,7 +1,6 @@
 #include "exec/nok_scan.h"
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
 #include <span>
 
@@ -32,6 +31,18 @@ NokMatcher::NokMatcher(const xml::Document* doc,
     local_of[v] = static_cast<uint32_t>(locals_.size());
     LocalVertex lv;
     lv.vertex = v;
+    // Resolve the tag test once: the per-child test is then an id compare.
+    const pattern::Vertex& vx = tree->vertex(v);
+    if (vx.IsVirtualRoot()) {
+      lv.test = TagTest::kVirtualRoot;
+    } else if (vx.MatchesAnyTag()) {
+      lv.test = TagTest::kAny;
+    } else if (!vx.tag.empty() && vx.tag[0] == '@') {
+      lv.test = TagTest::kAttribute;
+      lv.attribute = vx.tag.substr(1);
+    } else {
+      lv.tag = doc->tags().Lookup(vx.tag);
+    }
     locals_.push_back(std::move(lv));
   }
   for (LocalVertex& lv : locals_) {
@@ -61,6 +72,8 @@ NokMatcher::NokMatcher(const xml::Document* doc,
       // Map each child-contributed slot to its index in the global child
       // layout of this vertex's slot.
       SlotId my_slot = tree->SlotOfVertex(lv.vertex);
+      lv.num_child_slots =
+          static_cast<uint32_t>(tree->slot(my_slot).children.size());
       for (uint32_t c : lv.local_children) {
         for (SlotId s : locals_[c].next_slots) {
           lv.child_slot_index.push_back(
@@ -68,19 +81,30 @@ NokMatcher::NokMatcher(const xml::Document* doc,
         }
       }
     }
+    uint32_t flat = 0;
+    for (uint32_t c : lv.local_children) {
+      lv.acc_begin.push_back(flat);
+      flat += static_cast<uint32_t>(locals_[c].next_slots.size());
+    }
+    lv.acc.resize(flat);
+    lv.matched.resize(lv.local_children.size());
+    lv.tag_count.resize(lv.local_children.size());
   }
   top_slots_ = locals_[0].next_slots;
+  top_acc_.resize(top_slots_.size());
 }
 
-bool NokMatcher::TagOk(const pattern::Vertex& v, xml::NodeId x) const {
-  if (v.IsVirtualRoot()) return x == kVirtualRootNode;
+bool NokMatcher::TagOk(const LocalVertex& lv, xml::NodeId x) const {
+  if (lv.test == TagTest::kVirtualRoot) return x == kVirtualRootNode;
   if (x == kVirtualRootNode) return false;
-  if (!doc_->IsElement(x)) return false;
-  return v.MatchesAnyTag() || doc_->TagName(x) == v.tag;
+  if (lv.test == TagTest::kAny) return doc_->IsElement(x);
+  // Text nodes carry kNullTag, so an absent tag (kNullTag) must not match.
+  return lv.tag != xml::kNullTag && doc_->Tag(x) == lv.tag;
 }
 
-bool NokMatcher::ConstraintsOk(const pattern::Vertex& v, xml::NodeId x) const {
-  if (!TagOk(v, x)) return false;
+bool NokMatcher::ConstraintsOk(const LocalVertex& lv, xml::NodeId x) const {
+  if (!TagOk(lv, x)) return false;
+  const pattern::Vertex& v = tree_->vertex(lv.vertex);
   if (v.value && x != kVirtualRootNode) {
     if (!CompareValues(doc_->StringValue(x), v.value->op, v.value->literal)) {
       return false;
@@ -90,10 +114,10 @@ bool NokMatcher::ConstraintsOk(const pattern::Vertex& v, xml::NodeId x) const {
 }
 
 bool NokMatcher::RootTest(xml::NodeId x) const {
-  return ConstraintsOk(tree_->vertex(locals_[0].vertex), x);
+  return ConstraintsOk(locals_[0], x);
 }
 
-bool NokMatcher::MatchAt(xml::NodeId x, nestedlist::NestedList* out) {
+bool NokMatcher::MatchAt(xml::NodeId x, nestedlist::Arena* out) {
   // Positional predicate on the NoK root (e.g. //book[2] after the cut):
   // positions count among same-parent siblings matching the tag test.
   const pattern::Vertex& root = tree_->vertex(locals_[0].vertex);
@@ -103,14 +127,35 @@ bool NokMatcher::MatchAt(xml::NodeId x, nestedlist::NestedList* out) {
       return false;
     }
   }
-  std::vector<Group> groups;
-  if (!MatchVertex(0, x, &groups)) return false;
-  out->tops = std::move(groups);
+  arena_ = out;
+  const nestedlist::Arena::Mark start = out->GetMark();
+  for (std::vector<Entry>& acc : top_acc_) acc.clear();
+  if (!MatchVertex(0, x, top_acc_.data())) return false;
+  group_scratch_.clear();
+  for (const std::vector<Entry>& acc : top_acc_) {
+    group_scratch_.push_back(out->PlaceGroup(acc));
+  }
+  out->PlaceRow(group_scratch_, start);
   return true;
 }
 
+Entry NokMatcher::CloseEntry(const LocalVertex& lv, xml::NodeId x) {
+  // One group per child slot, in the global child-slot layout; each is the
+  // concatenation of the accumulators mapped to it (slots the NoK does not
+  // reach, e.g. across a cut //-edge, stay empty for a join to fill).
+  group_scratch_.assign(lv.num_child_slots, Group{});
+  for (uint32_t c = 0; c < lv.num_child_slots; ++c) {
+    const uint32_t begin = static_cast<uint32_t>(arena_->entries.size());
+    for (size_t f = 0; f < lv.acc.size(); ++f) {
+      if (lv.child_slot_index[f] == c) arena_->PlaceGroup(lv.acc[f]);
+    }
+    group_scratch_[c] = {begin, static_cast<uint32_t>(arena_->entries.size())};
+  }
+  return arena_->PlaceEntry(x, group_scratch_);
+}
+
 bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
-                             std::vector<Group>* out_groups) {
+                             std::vector<Entry>* dst) {
   ++match_work_;
   // Guard sample (DESIGN.md §9): a full Check (clock + token) every ~1k
   // work units keeps deadline detection prompt even when one match recurses
@@ -119,57 +164,50 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
   if (guard_ != nullptr && (match_work_ & 0x3FF) == 0 && !guard_->Check()) {
     return false;
   }
-  const LocalVertex& lv = locals_[local_index];
+  LocalVertex& lv = locals_[local_index];
+  if (!ConstraintsOk(lv, x)) return false;
   const pattern::Vertex& vx = tree_->vertex(lv.vertex);
-  if (!ConstraintsOk(vx, x)) return false;
 
   // Accumulate matches per local child (each child contributes a fixed
   // number of slot groups). Attribute children are constraints evaluated
-  // directly on x.
-  size_t n_children = lv.local_children.size();
-  std::vector<std::vector<Group>> acc(n_children);
-  std::vector<bool> matched(n_children, false);
-  std::vector<int> tag_count(n_children, 0);
-  for (size_t k = 0; k < n_children; ++k) {
-    acc[k].resize(locals_[lv.local_children[k]].next_slots.size());
-  }
+  // directly on x. Children place their own subtrees in the arena; what
+  // they hand up waits here until this vertex closes.
+  const nestedlist::Arena::Mark undo = arena_->GetMark();
+  const size_t n_children = lv.local_children.size();
+  for (std::vector<Entry>& acc : lv.acc) acc.clear();
+  std::fill(lv.matched.begin(), lv.matched.end(), 0);
+  std::fill(lv.tag_count.begin(), lv.tag_count.end(), 0);
 
   auto try_child = [&](size_t k, xml::NodeId u) {
     const LocalVertex& s = locals_[lv.local_children[k]];
     const pattern::Vertex& sv = tree_->vertex(s.vertex);
     ++match_work_;
-    if (!TagOk(sv, u)) return;
+    if (!TagOk(s, u)) return;
     if (sv.position > 0) {
-      ++tag_count[k];
-      if (tag_count[k] != sv.position) return;
+      ++lv.tag_count[k];
+      if (lv.tag_count[k] != sv.position) return;
     }
-    std::vector<Group> sub;
-    if (!MatchVertex(lv.local_children[k], u, &sub)) return;
-    matched[k] = true;
-    for (size_t g = 0; g < sub.size(); ++g) {
-      acc[k][g].insert(acc[k][g].end(),
-                       std::make_move_iterator(sub[g].begin()),
-                       std::make_move_iterator(sub[g].end()));
+    if (!MatchVertex(lv.local_children[k], u,
+                     lv.acc.data() + lv.acc_begin[k])) {
+      return;
     }
+    lv.matched[k] = 1;
   };
 
   for (size_t k = 0; k < n_children; ++k) {
     const LocalVertex& s = locals_[lv.local_children[k]];
     const pattern::Vertex& sv = tree_->vertex(s.vertex);
-    if (!sv.tag.empty() && sv.tag[0] == '@') {
+    if (s.test == TagTest::kAttribute) {
       // Attribute constraint: check presence (and value) on x itself.
       std::string_view value;
       if (x != kVirtualRootNode &&
-          doc_->AttributeValue(x, sv.tag.substr(1), &value)) {
+          doc_->AttributeValue(x, s.attribute, &value)) {
         if (!sv.value ||
             CompareValues(value, sv.value->op, sv.value->literal)) {
-          matched[k] = true;
+          lv.matched[k] = 1;
           if (sv.returning) {
-            Entry e;
-            e.node = x;  // Attribute matches surface their owner element.
-            e.groups.resize(
-                tree_->slot(tree_->SlotOfVertex(s.vertex)).children.size());
-            acc[k][0].push_back(std::move(e));
+            // Attribute matches surface their owner element.
+            lv.acc[lv.acc_begin[k]].push_back(CloseEntry(s, x));
           }
         }
       }
@@ -199,32 +237,18 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
   for (size_t k = 0; k < n_children; ++k) {
     const pattern::Vertex& sv =
         tree_->vertex(locals_[lv.local_children[k]].vertex);
-    if (sv.mode == EdgeMode::kFor && !matched[k]) return false;
+    if (sv.mode == EdgeMode::kFor && !lv.matched[k]) {
+      arena_->Truncate(undo);
+      return false;
+    }
   }
 
-  // Assemble this vertex's contribution.
-  out_groups->clear();
+  // Hand this vertex's contribution up.
   if (vx.returning) {
-    SlotId my_slot = tree_->SlotOfVertex(lv.vertex);
-    Entry e;
-    e.node = x;
-    e.groups.resize(tree_->slot(my_slot).children.size());
-    size_t flat = 0;
-    for (size_t k = 0; k < n_children; ++k) {
-      for (size_t g = 0; g < acc[k].size(); ++g, ++flat) {
-        Group& dst = e.groups[lv.child_slot_index[flat]];
-        dst.insert(dst.end(), std::make_move_iterator(acc[k][g].begin()),
-                   std::make_move_iterator(acc[k][g].end()));
-      }
-    }
-    Group mine;
-    mine.push_back(std::move(e));
-    out_groups->push_back(std::move(mine));
+    dst[0].push_back(CloseEntry(lv, x));
   } else {
-    for (size_t k = 0; k < n_children; ++k) {
-      for (Group& g : acc[k]) {
-        out_groups->push_back(std::move(g));
-      }
+    for (size_t f = 0; f < lv.acc.size(); ++f) {
+      dst[f].insert(dst[f].end(), lv.acc[f].begin(), lv.acc[f].end());
     }
   }
   return true;
@@ -257,7 +281,7 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
   }
   // Kernel candidate prefiltering needs a concrete element root tag: the
   // prefilter `tag_id(x) == target` then selects exactly the nodes on
-  // which RootTest would spend any counted work (TagOk is a free string
+  // which RootTest would spend any counted work (TagOk is a free tag-id
   // compare; value comparisons and match work only start after it
   // passes), so counters match a per-node pass bitwise. Wildcard and
   // attribute roots take ScanRange's per-node body; virtual roots match
@@ -275,11 +299,7 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
 void NokScanOperator::SetRange(xml::NodeId begin, xml::NodeId end) {
   range_begin_ = begin;
   range_end_ = end;
-  cursor_ = begin;
-  buffered_ = false;
-  buffer_.clear();
-  buffer_pos_ = 0;
-  io_cursor_ = storage::ScanCursor();
+  Rewind();
 }
 
 bool NokScanOperator::ParallelEligible() const {
@@ -299,24 +319,18 @@ bool NokScanOperator::CacheEligible() const {
          static_cast<size_t>(range_end_) + 1 >= doc_->NumNodes();
 }
 
-std::shared_ptr<const CachedNokScan> NokScanOperator::ProbeCache(
+std::shared_ptr<const nestedlist::Arena> NokScanOperator::ProbeCache(
     const NokCacheKey& key) {
-  std::shared_ptr<const CachedNokScan> hit = cache_->Get(key);
+  std::shared_ptr<const nestedlist::Arena> hit = cache_->Get(key);
   cache_probes_.Count(hit != nullptr);
   return hit;
 }
 
 void NokScanOperator::FillCache(
-    const NokCacheKey& key,
-    const std::vector<nestedlist::NestedList>& matches) {
+    const NokCacheKey& key, std::shared_ptr<const nestedlist::Arena> matches) {
   if (guard() != nullptr && guard()->Tripped()) return;
   util::TraceSpan span("cache", "result.fill");
-  auto entry = std::make_shared<CachedNokScan>();
-  entry->matches = matches;
-  for (const nestedlist::NestedList& nl : matches) {
-    entry->cells += CountCells(nl);
-  }
-  cache_->Put(key, std::move(entry));
+  cache_->Put(key, std::move(matches));
 }
 
 void NokScanOperator::GatherCandidates(xml::NodeId first, xml::NodeId last,
@@ -347,20 +361,16 @@ void NokScanOperator::GatherCandidates(xml::NodeId first, xml::NodeId last,
 bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
                                 xml::NodeId end, storage::ScanCursor* io,
                                 uint64_t* scanned, uint64_t* vcmps,
-                                std::vector<nestedlist::NestedList>* out)
-    const {
+                                nestedlist::Arena* out) const {
   util::ResourceGuard* g = guard();
-  nestedlist::NestedList nl;
   if (virtual_root_) {
     // "~" is a one-node range, whatever [begin, end] says.
     if (g != nullptr && (g->Tripped() || !g->Check())) return false;
     ++*scanned;
     uint64_t cmp_before = ValueComparisonCount();
-    bool matched = m->MatchAt(kVirtualRootNode, &nl);
+    m->MatchAt(kVirtualRootNode, out);
     *vcmps += ValueComparisonCount() - cmp_before;
-    if (g != nullptr && g->Tripped()) return false;
-    if (matched) out->push_back(std::move(nl));
-    return true;
+    return g == nullptr || !g->Tripped();
   }
   size_t total = doc_->NumNodes();
   if (total == 0 || begin > end) return true;
@@ -385,11 +395,7 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
       GatherCandidates(x, chunk_end, io, &candidates);
       *scanned += chunk_end - x + 1;
       for (xml::NodeId c : candidates) {
-        if (m->RootTest(c) && m->MatchAt(c, &nl) &&
-            (g == nullptr || !g->Tripped())) {
-          out->push_back(std::move(nl));
-          nl = nestedlist::NestedList();
-        }
+        if (m->RootTest(c)) m->MatchAt(c, out);
         if (g != nullptr && g->Tripped()) {
           *vcmps += ValueComparisonCount() - cmp_before;
           return false;
@@ -401,11 +407,7 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
       for (xml::NodeId c = x; c <= chunk_end; ++c) {
         ++*scanned;
         if (store_ != nullptr) store_->Get(c, io);
-        if (m->RootTest(c) && m->MatchAt(c, &nl) &&
-            (g == nullptr || !g->Tripped())) {
-          out->push_back(std::move(nl));
-          nl = nestedlist::NestedList();
-        }
+        if (m->RootTest(c)) m->MatchAt(c, out);
         if (g != nullptr && g->Tripped()) {
           *vcmps += ValueComparisonCount() - cmp_before;
           return false;
@@ -432,27 +434,33 @@ void NokScanOperator::RunMaterializedScan() {
   } else {
     parts.push_back(storage::NodeRange{range_begin_, range_end_});
   }
-  std::vector<std::vector<nestedlist::NestedList>> results(parts.size());
+  parts_.assign(parts.size(), nullptr);
   std::vector<uint64_t> scanned(parts.size(), 0);
   std::vector<uint64_t> work(parts.size(), 0);
   std::vector<uint64_t> vcmp(parts.size(), 0);
-  // Per-partition cache probe (main thread): hit partitions replay their
-  // stored matches; only the misses scan. Partition ranges are a pure
+  // Per-partition cache probe (main thread): hit partitions take the
+  // cached frozen arena; only the misses scan. Partition ranges are a pure
   // function of (document, thread count), so a warm run at the same thread
-  // count hits every key, and any hit replays exactly what a cold scan of
+  // count hits every key, and any hit holds exactly what a cold scan of
   // that range produced — concatenation stays byte-identical.
-  std::vector<std::shared_ptr<const CachedNokScan>> hits(parts.size());
   bool cached = CacheEligible();
   if (cached) {
     util::TraceSpan lookup("cache", "result.lookup");
     for (size_t i = 0; i < parts.size(); ++i) {
-      hits[i] = ProbeCache(NokCacheKey{doc_->generation(), canonical_nok_,
-                                       parts[i].begin, parts[i].end});
+      parts_[i] = ProbeCache(NokCacheKey{doc_->generation(), canonical_nok_,
+                                         parts[i].begin, parts[i].end});
     }
   }
+  // Each miss scans into its own arena, made here: the pool skips the
+  // remaining tasks once the guard trips, and a skipped partition must
+  // still lend (zero) rows.
   std::vector<size_t> missing;
+  std::vector<std::shared_ptr<nestedlist::Arena>> fresh(parts.size());
   for (size_t i = 0; i < parts.size(); ++i) {
-    if (hits[i] == nullptr) missing.push_back(i);
+    if (parts_[i] != nullptr) continue;
+    missing.push_back(i);
+    fresh[i] = std::make_shared<nestedlist::Arena>();
+    parts_[i] = fresh[i];
   }
   auto scan = [&](size_t mi) {
     size_t i = missing[mi];
@@ -472,8 +480,10 @@ void NokScanOperator::RunMaterializedScan() {
     // local to this thread, so the aggregate equals the sum of partition
     // read counts at every thread count and interleaving.
     storage::ScanCursor io;
-    ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i], &vcmp[i],
-              &results[i]);
+    if (!ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i],
+                   &vcmp[i], fresh[i].get())) {
+      fresh[i]->clear();  // A tripped run discards its results.
+    }
     work[i] = m.MatchWork();
   };
   if (parts.size() == 1) {
@@ -481,43 +491,36 @@ void NokScanOperator::RunMaterializedScan() {
   } else {
     pool_->ParallelFor(missing.size(), scan, guard());
   }
-  // Fill the cache for every partition scanned cold (complete scans only;
-  // FillCache refuses after a trip).
+  // Share every partition scanned cold with the cache (complete scans
+  // only; FillCache refuses after a trip). From here on the arenas are
+  // frozen: the cache and this scan read them, nobody writes them.
   if (cached) {
     for (size_t i : missing) {
       FillCache(NokCacheKey{doc_->generation(), canonical_nok_,
                             parts[i].begin, parts[i].end},
-                results[i]);
+                parts_[i]);
     }
   }
   // Deterministic merge point (DESIGN.md §8): per-partition counters fold
-  // in partition order, matching the result concatenation. Hit partitions
-  // contribute no scan work — they replay a deep copy of their entry (the
-  // buffer hands rows out by move; the cached master must stay intact).
-  buffer_.clear();
+  // in partition order, matching the lending order. Hit partitions
+  // contribute no scan work.
   for (size_t i = 0; i < parts.size(); ++i) {
     nodes_scanned_ += scanned[i];
     parallel_work_ += work[i];
     value_cmps_ += vcmp[i];
-    if (hits[i] != nullptr) {
-      buffer_.insert(buffer_.end(), hits[i]->matches.begin(),
-                     hits[i]->matches.end());
-    } else {
-      std::move(results[i].begin(), results[i].end(),
-                std::back_inserter(buffer_));
-    }
   }
-  buffer_pos_ = 0;
+  part_ = 0;
+  part_pos_ = 0;
   buffered_ = true;
 }
 
-bool NokScanOperator::ScanNextChunk() {
-  buffer_.clear();
-  buffer_pos_ = 0;
-  while (buffer_.empty()) {
+bool NokScanOperator::ScanNextChunk(size_t want) {
+  chunk_.clear();
+  chunk_pos_ = 0;
+  while (chunk_.size() < want) {
     if (cursor_ > range_end_ ||
         (!virtual_root_ && static_cast<size_t>(cursor_) >= doc_->NumNodes())) {
-      return false;
+      break;
     }
     // "~" is one node however wide the range: one step covers it.
     xml::NodeId chunk_end = range_end_;
@@ -525,26 +528,38 @@ bool NokScanOperator::ScanNextChunk() {
       chunk_end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
     }
     bool ok = ScanRange(&matcher_, cursor_, chunk_end, &io_cursor_,
-                        &nodes_scanned_, &value_cmps_, &buffer_);
+                        &nodes_scanned_, &value_cmps_, &chunk_);
     cursor_ = chunk_end + 1;
     if (!ok) {
-      buffer_.clear();
+      chunk_.clear();
       return false;
     }
   }
-  return true;
+  return !chunk_.empty();
 }
 
 void NokScanOperator::FillBatch(Batch* out, size_t max_rows) {
   if (!buffered_ && (CacheEligible() || ParallelEligible())) {
     RunMaterializedScan();
   }
-  while (out->rows.size() < max_rows) {
-    if (buffer_pos_ == buffer_.size() && (buffered_ || !ScanNextChunk())) {
-      return;
+  if (buffered_) {
+    while (part_ < parts_.size() && part_pos_ == parts_[part_]->size()) {
+      ++part_;
+      part_pos_ = 0;
     }
-    out->rows.push_back(std::move(buffer_[buffer_pos_++]));
+    if (part_ == parts_.size()) return;
+    const nestedlist::Arena* part = parts_[part_].get();
+    uint32_t n = static_cast<uint32_t>(
+        std::min<size_t>(max_rows, part->size() - part_pos_));
+    out->Lend(part, part_pos_, n);
+    part_pos_ += n;
+    return;
   }
+  if (chunk_pos_ == chunk_.size() && !ScanNextChunk(max_rows)) return;
+  uint32_t n = static_cast<uint32_t>(
+      std::min<size_t>(max_rows, chunk_.size() - chunk_pos_));
+  out->Lend(&chunk_, chunk_pos_, n);
+  chunk_pos_ += n;
 }
 
 ExecStats NokScanOperator::Stats() const {
@@ -557,10 +572,12 @@ ExecStats NokScanOperator::Stats() const {
 
 void NokScanOperator::Rewind() {
   cursor_ = range_begin_;
-  // The buffer hands entries out by move, so a rewound scan recomputes.
+  // A rewound scan recomputes (or re-probes the cache), so its counters
+  // accumulate as a second pass would.
   buffered_ = false;
-  buffer_.clear();
-  buffer_pos_ = 0;
+  parts_.clear();
+  chunk_.clear();
+  chunk_pos_ = 0;
   io_cursor_ = storage::ScanCursor();
 }
 

@@ -2,9 +2,9 @@
 #define BLOSSOMTREE_EXEC_NOK_SCAN_H_
 
 #include <cstdint>
-#include <vector>
-
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "exec/batch.h"
 #include "exec/operator.h"
@@ -27,19 +27,22 @@ constexpr xml::NodeId kVirtualRootNode = static_cast<xml::NodeId>(-2);
 /// \brief NoK pattern-tree matcher (paper Algorithm 2): matches one NoK
 /// pattern tree (local axes only) against the subtree rooted at a given
 /// XML node, building the NestedList groups for every returning node in
-/// one depth-first pass.
+/// one depth-first pass, straight into a Figure 6 arena. Each pattern
+/// vertex has at most one active frame, so the per-child accumulators live
+/// on the vertex and are reused from match to match.
 class NokMatcher {
  public:
   NokMatcher(const xml::Document* doc, const pattern::BlossomTree* tree,
              const pattern::NokTree* nok);
 
   /// \brief The NoK's local top slots: the slots its output NestedLists'
-  /// `tops` are aligned with.
+  /// top groups are aligned with.
   const std::vector<pattern::SlotId>& top_slots() const { return top_slots_; }
 
   /// \brief Attempts to match the NoK rooted at `x` (kVirtualRootNode for a
-  /// "~"-rooted NoK). On success fills `out` and returns true.
-  bool MatchAt(xml::NodeId x, nestedlist::NestedList* out);
+  /// "~"-rooted NoK). On success appends one row to `out` and returns true;
+  /// on failure `out` is left as it was.
+  bool MatchAt(xml::NodeId x, nestedlist::Arena* out);
 
   /// \brief True if `x` can possibly match the NoK root (tag + value test);
   /// the scan driver uses this as a cheap prefilter.
@@ -56,8 +59,19 @@ class NokMatcher {
   void set_guard(util::ResourceGuard* guard) { guard_ = guard; }
 
  private:
+  /// How a vertex's tag test is decided, resolved once at construction.
+  enum class TagTest : uint8_t {
+    kTag,          ///< Tag id equality (kNullTag: absent, matches nothing).
+    kAny,          ///< "*": any element.
+    kVirtualRoot,  ///< "~": only the virtual document root.
+    kAttribute,    ///< "@name": a constraint on the parent's node.
+  };
+
   struct LocalVertex {
     pattern::VertexId vertex;
+    TagTest test = TagTest::kTag;
+    xml::TagId tag = xml::kNullTag;
+    std::string attribute;  ///< kAttribute: the name without "@".
     std::vector<uint32_t> local_children;  ///< Indices into locals_.
     /// Slots this vertex contributes upward: [slot(v)] if returning, else
     /// the concatenation over local children.
@@ -65,12 +79,28 @@ class NokMatcher {
     /// For returning vertices: for each local child's next slot, its index
     /// within slot(v).children (global child-slot layout).
     std::vector<size_t> child_slot_index;
+    /// Groups per entry: slot(v).children.size() for returning vertices.
+    uint32_t num_child_slots = 0;
+    /// Per local child: its first accumulator (children contribute
+    /// next_slots.size() accumulators each, concatenated).
+    std::vector<uint32_t> acc_begin;
+
+    // Scratch of the vertex's one active MatchVertex frame.
+    /// Finished entries per contributed child slot, in document order.
+    std::vector<std::vector<nestedlist::Entry>> acc;
+    std::vector<uint8_t> matched;  ///< Per local child.
+    std::vector<int> tag_count;    ///< Per local child (positional tests).
   };
 
-  bool ConstraintsOk(const pattern::Vertex& v, xml::NodeId x) const;
-  bool TagOk(const pattern::Vertex& v, xml::NodeId x) const;
+  bool TagOk(const LocalVertex& lv, xml::NodeId x) const;
+  bool ConstraintsOk(const LocalVertex& lv, xml::NodeId x) const;
+  /// Matches local vertex `local_index` at `x`. On success appends its
+  /// contribution to dst[0 .. next_slots.size()); on failure writes
+  /// nothing and leaves the arena as it found it.
   bool MatchVertex(uint32_t local_index, xml::NodeId x,
-                   std::vector<nestedlist::Group>* out_groups);
+                   std::vector<nestedlist::Entry>* dst);
+  /// Places `lv`'s accumulated child groups and returns its entry for `x`.
+  nestedlist::Entry CloseEntry(const LocalVertex& lv, xml::NodeId x);
 
   const xml::Document* doc_;
   const pattern::BlossomTree* tree_;
@@ -79,6 +109,11 @@ class NokMatcher {
   std::vector<pattern::SlotId> top_slots_;
   uint64_t match_work_ = 0;
   util::ResourceGuard* guard_ = nullptr;
+  /// The arena the current MatchAt writes into.
+  nestedlist::Arena* arena_ = nullptr;
+  /// The root's contribution: one accumulator per top slot.
+  std::vector<std::vector<nestedlist::Entry>> top_acc_;
+  std::vector<nestedlist::Group> group_scratch_;
 };
 
 /// \brief Sequential-scan driver (paper §3.3's "sequential scan of the XML
@@ -87,20 +122,23 @@ class NokMatcher {
 /// NoK is a one-node range: one MatchAt(kVirtualRootNode) per scan.
 ///
 /// Two drivers produce the stream:
-///  - the *lazy* chunk loop (uncached serial scans) scans ≤kScanChunk nodes
-///    at a time, only as far as the consumer pulls;
+///  - the *lazy* chunk loop (uncached serial scans) scans ≤kScanChunk-node
+///    chunks, only until it holds the rows the consumer asked for;
 ///  - the *materializing* driver (cache- or parallel-eligible scans) splits
 ///    the range into partitions — storage::PartitionSubtrees at the pool's
 ///    thread count in parallel mode, else the one whole range — probes each
 ///    partition in the result cache, scans the misses (across the pool, or
-///    inline for one partition), fills the cache and concatenates in
-///    partition order.
+///    inline for one partition) into one arena each, shares those with the
+///    cache and streams the arenas in partition order.
 /// Partition ranges ascend in NodeId (= Dewey/document order), and every
-/// match is local to its partition, so the concatenation is bitwise-
-/// identical to the lazy driver's stream (Theorem 1; DESIGN.md §7).
+/// match is local to its partition, so the partition-ordered stream is
+/// bitwise-identical to the lazy driver's (Theorem 1; DESIGN.md §7).
 /// Range-restricted scans (the BNLJ inner side) always take the lazy path.
-/// Neither driver charges or counts its output: GetNextBatch does, at
-/// handout, for both (DESIGN.md §9).
+/// Both drivers lend their rows to the batch instead of copying them: the
+/// lazy one from its chunk arena, the materializing one from each
+/// partition's frozen arena — the very arena the result cache holds, so a
+/// hit replays with no copy at all. Neither driver charges or counts its
+/// output: GetNextBatch does, at handout, for both (DESIGN.md §9).
 class NokScanOperator : public NestedListOperator {
  public:
   /// \param pool optional worker pool; nullptr (or a restricted range)
@@ -111,8 +149,8 @@ class NokScanOperator : public NestedListOperator {
   ///        guard->status().
   /// \param cache optional NoK sub-result cache (DESIGN.md §11): full-range
   ///        scans probe it by (document generation, canonical NoK, range)
-  ///        and replay a hit's materialized matches without scanning;
-  ///        complete cold scans fill it. Range-restricted scans (the BNLJ
+  ///        and lend a hit's frozen arena without scanning; complete cold
+  ///        scans share theirs with it. Range-restricted scans (the BNLJ
   ///        inner side) bypass it. nullptr = the exact uncached scan.
   /// \param store optional paged node store backing `doc` (an in-RAM
   ///        PageStore or an out-of-core DiskStore): the scan drivers touch
@@ -171,9 +209,10 @@ class NokScanOperator : public NestedListOperator {
   /// this stride (DESIGN.md §16).
   static constexpr size_t kScanChunk = 512;
 
-  /// Lazy driver: refills the buffer with the next chunk(s) of the range
-  /// until it holds a match; false at the end of the range or on a trip.
-  bool ScanNextChunk();
+  /// Lazy driver: refills the chunk arena with the next chunk(s) of the
+  /// range until it holds `want` rows or the range ends; false if it holds
+  /// none (end of range, or a trip).
+  bool ScanNextChunk(size_t want);
 
   /// Scans nodes [begin, end] with matcher `m`, touching `store_` through
   /// `io`, bulk-counting scanned nodes / value comparisons into *scanned /
@@ -183,7 +222,7 @@ class NokScanOperator : public NestedListOperator {
   /// and matches once. Returns false iff the guard tripped mid-scan.
   bool ScanRange(NokMatcher* m, xml::NodeId begin, xml::NodeId end,
                  storage::ScanCursor* io, uint64_t* scanned, uint64_t* vcmps,
-                 std::vector<nestedlist::NestedList>* out) const;
+                 nestedlist::Arena* out) const;
 
   /// Collects NodeIds in [first, last] whose tag id equals target_tag_
   /// (the SIMD kernels; scalar fallback when exec_.simd is off). Touches
@@ -202,19 +241,19 @@ class NokScanOperator : public NestedListOperator {
   /// attached and the range covers the whole finished document.
   bool CacheEligible() const;
 
-  /// Materializing driver: fills the buffer with every match of the range,
-  /// one partition per pool thread in parallel mode, else one partition.
-  /// With a cache, hit partitions replay their stored matches and only miss
-  /// partitions scan (each complete miss fills its entry).
+  /// Materializing driver: freezes every match of the range into one arena
+  /// per partition (one per pool thread in parallel mode, else one). With a
+  /// cache, hit partitions take the cached arena and only miss partitions
+  /// scan (each complete miss shares its arena with the cache).
   void RunMaterializedScan();
 
   /// Looks `key` up in the result cache, counting the hit or miss.
-  std::shared_ptr<const CachedNokScan> ProbeCache(const NokCacheKey& key);
+  std::shared_ptr<const nestedlist::Arena> ProbeCache(const NokCacheKey& key);
 
-  /// Stores a complete match list under `key` unless the guard tripped
-  /// mid-scan (a partial list must never be cached).
+  /// Shares a complete partition arena with the cache under `key` unless
+  /// the guard tripped mid-scan (a partial list must never be cached).
   void FillCache(const NokCacheKey& key,
-                 const std::vector<nestedlist::NestedList>& matches);
+                 std::shared_ptr<const nestedlist::Arena> matches);
 
   const xml::Document* doc_;
   const pattern::BlossomTree* tree_;
@@ -229,12 +268,16 @@ class NokScanOperator : public NestedListOperator {
   CacheProbes cache_probes_;
 
   util::ThreadPool* pool_;
-  /// Match buffer, handed out by move: the materializing driver fills it
-  /// with the whole stream (`buffered_`), the lazy driver one chunk at a
-  /// time.
+  /// Lazy driver: the rows of the current chunk(s), lent out from
+  /// `chunk_pos_` on.
+  nestedlist::Arena chunk_;
+  uint32_t chunk_pos_ = 0;
+  /// Materializing driver (`buffered_`): the frozen partition arenas in
+  /// partition order, lent out from row `part_pos_` of `parts_[part_]`.
   bool buffered_ = false;
-  std::vector<nestedlist::NestedList> buffer_;
-  size_t buffer_pos_ = 0;
+  std::vector<std::shared_ptr<const nestedlist::Arena>> parts_;
+  size_t part_ = 0;
+  uint32_t part_pos_ = 0;
   uint64_t parallel_work_ = 0;
   size_t partitions_used_ = 0;
 

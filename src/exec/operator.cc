@@ -6,22 +6,24 @@ namespace exec {
 size_t NestedListOperator::GetNextBatch(Batch* out, size_t max_rows) {
   ScopedTimer timer(&wall_nanos_);
   util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
+  out->clear();
   FillBatch(out, ClampBatchRows(max_rows));
+  if (out->lent == nullptr) {
+    out->count = static_cast<uint32_t>(out->own.size());
+  }
   // The one emission point: charge each row before counting it, so a row
   // that trips the budget is neither delivered nor counted, and
   // matches/nl_cells always equal what the consumer received.
-  size_t delivered = 0;
-  for (const nestedlist::NestedList& row : out->rows) {
-    uint64_t cells = CountCells(row);
+  uint32_t delivered = 0;
+  for (; delivered < out->count; ++delivered) {
+    uint64_t cells = (*out)[delivered].cells();
     if (guard_ != nullptr &&
-        !guard_->ChargeCells(cells, cells * sizeof(nestedlist::Entry))) {
+        !guard_->ChargeCells(cells, cells * nestedlist::kCellBytes)) {
       break;
     }
-    ++delivered;
     cells_delivered_ += cells;
   }
-  out->rows.resize(delivered);
+  out->count = delivered;
   rows_delivered_ += delivered;
   return delivered;
 }
@@ -41,13 +43,11 @@ void NestedListOperator::Finish() {
   for (size_t i = 0; i < NumChildren(); ++i) MutableChild(i)->Finish();
 }
 
-std::vector<nestedlist::NestedList> Drain(NestedListOperator* op,
-                                          size_t batch_rows) {
-  std::vector<nestedlist::NestedList> out;
+nestedlist::Arena Drain(NestedListOperator* op, size_t batch_rows) {
+  nestedlist::Arena out;
   Batch batch;
   while (op->GetNextBatch(&batch, batch_rows) > 0) {
-    out.insert(out.end(), std::make_move_iterator(batch.rows.begin()),
-               std::make_move_iterator(batch.rows.end()));
+    for (nestedlist::NestedList row : batch) out.AppendRow(row);
   }
   return out;
 }

@@ -101,9 +101,9 @@ class NestedListOperator {
   explicit NestedListOperator(util::ResourceGuard* guard = nullptr)
       : guard_(guard) {}
 
-  /// \brief The operator's fill loop: appends up to `max_rows` (already
-  /// clamped) rows to the empty `out->rows`. Appending none ends the
-  /// stream.
+  /// \brief The operator's fill loop: builds up to `max_rows` (already
+  /// clamped) rows in the empty `out->own`, or lends up to that many rows
+  /// of an arena it holds (Batch::Lend). Producing none ends the stream.
   virtual void FillBatch(Batch* out, size_t max_rows) = 0;
 
   /// \brief The guard passed at construction (nullptr = ungoverned), for
@@ -126,19 +126,19 @@ class BatchReader {
  public:
   explicit BatchReader(NestedListOperator* op) : op_(op) {}
 
-  /// \brief Moves the next row into `*out`, refilling the staged batch
+  /// \brief Points `*out` at the next row, refilling the staged batch
   /// with up to `batch_rows` rows when it is drained; false at end of
-  /// stream. Once the child reports end, later calls return false without
-  /// pulling again.
+  /// stream. The row stays valid until the next call. Once the child
+  /// reports end, later calls return false without pulling again.
   bool Next(nestedlist::NestedList* out, size_t batch_rows) {
-    if (pos_ == batch_.rows.size()) {
+    if (pos_ == batch_.size()) {
       pos_ = 0;
       if (done_ || op_->GetNextBatch(&batch_, batch_rows) == 0) {
         done_ = true;
         return false;
       }
     }
-    *out = std::move(batch_.rows[pos_++]);
+    *out = batch_[pos_++];
     return true;
   }
 
@@ -163,10 +163,10 @@ inline std::string TraceName(const NestedListOperator& op) {
   return util::Tracer::Get().enabled() ? op.Label() : std::string();
 }
 
-/// \brief Drains an operator into a materialized sequence, pulling
-/// `batch_rows` rows per call (pass the plan's `exec.batch_rows`).
-std::vector<nestedlist::NestedList> Drain(
-    NestedListOperator* op, size_t batch_rows = ExecOptions{}.batch_rows);
+/// \brief Drains an operator into one arena, pulling `batch_rows` rows per
+/// call (pass the plan's `exec.batch_rows`).
+nestedlist::Arena Drain(NestedListOperator* op,
+                        size_t batch_rows = ExecOptions{}.batch_rows);
 
 }  // namespace exec
 }  // namespace blossomtree

@@ -13,12 +13,9 @@ size_t NokCacheKeyHash::operator()(const NokCacheKey& k) const {
   return static_cast<size_t>(h);
 }
 
-uint64_t CachedNokScanBytes(const NokCacheKey& key, const CachedNokScan& scan) {
-  // The same per-cell footprint the ResourceGuard charges at handout, plus
-  // per-list and key overheads; approximate by design (DESIGN.md §9).
-  return scan.cells * sizeof(nestedlist::Entry) +
-         scan.matches.size() * sizeof(nestedlist::NestedList) +
-         key.nok.size() + 64;
+uint64_t CachedNokScanBytes(const NokCacheKey& key,
+                            const nestedlist::Arena& matches) {
+  return matches.Bytes() + key.nok.size() + 64;
 }
 
 }  // namespace exec

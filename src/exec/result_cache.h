@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "nestedlist/nested_list.h"
 #include "util/cache.h"
@@ -34,40 +33,40 @@ struct NokCacheKeyHash {
   size_t operator()(const NokCacheKey& k) const;
 };
 
-/// \brief The complete, in-document-order match stream of one NoK scan over
-/// one node range. `matches` is exactly what the cold scan's iterator hands
-/// out, so replaying a hit is byte-identical to rescanning.
-struct CachedNokScan {
-  std::vector<nestedlist::NestedList> matches;
-  uint64_t cells = 0;  ///< Total NestedList cells across all matches.
-};
-
-/// \brief Approximate in-memory footprint charged to the cache budget.
-uint64_t CachedNokScanBytes(const NokCacheKey& key, const CachedNokScan& scan);
+/// \brief Exact bytes an entry is charged to the cache budget: the frozen
+/// arena's arrays (from element counts, so equal contents always cost the
+/// same) plus the key and a fixed per-entry overhead (DESIGN.md §11).
+uint64_t CachedNokScanBytes(const NokCacheKey& key,
+                            const nestedlist::Arena& matches);
 
 /// \brief The NoK sub-result cache: maps (generation, NoK fingerprint,
-/// range) to materialized match lists. Shared by every NokScanOperator of
-/// an engine; thread-safe (parallel partitions of one scan probe and fill
-/// it concurrently).
+/// range) to the complete, in-document-order match stream of that scan,
+/// frozen in one arena — exactly the rows the cold scan handed out, so a
+/// hit lends them as they are and replaying is byte-identical to
+/// rescanning. Shared by every NokScanOperator of an engine; thread-safe
+/// (parallel partitions of one scan probe and fill it concurrently, and any
+/// number of scans read one frozen arena at once).
 class NokResultCache {
  public:
   explicit NokResultCache(const util::CacheOptions& options)
       : cache_(options) {}
 
-  std::shared_ptr<const CachedNokScan> Get(const NokCacheKey& key) {
+  std::shared_ptr<const nestedlist::Arena> Get(const NokCacheKey& key) {
     return cache_.Get(key);
   }
 
-  void Put(const NokCacheKey& key, std::shared_ptr<const CachedNokScan> scan) {
-    uint64_t bytes = CachedNokScanBytes(key, *scan);
-    cache_.Put(key, std::move(scan), bytes);
+  void Put(const NokCacheKey& key,
+           std::shared_ptr<const nestedlist::Arena> matches) {
+    uint64_t bytes = CachedNokScanBytes(key, *matches);
+    cache_.Put(key, std::move(matches), bytes);
   }
 
   void Clear() { cache_.Clear(); }
   util::CacheStats Stats() const { return cache_.Stats(); }
 
  private:
-  util::ShardedLruCache<NokCacheKey, CachedNokScan, NokCacheKeyHash> cache_;
+  util::ShardedLruCache<NokCacheKey, nestedlist::Arena, NokCacheKeyHash>
+      cache_;
 };
 
 }  // namespace exec

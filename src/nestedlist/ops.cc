@@ -1,7 +1,6 @@
 #include "nestedlist/ops.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace blossomtree {
 namespace nestedlist {
@@ -32,166 +31,118 @@ size_t ChildIndex(const BlossomTree& tree, SlotId parent, SlotId child) {
   return static_cast<size_t>(it - kids.begin());
 }
 
+SlotPath PathTo(const BlossomTree& tree, const std::vector<SlotId>& tops,
+                SlotId target) {
+  SlotPath path;
+  std::vector<SlotId> chain = SlotChain(tree, tops, target);
+  if (chain.empty()) return path;
+  path.valid = true;
+  path.top = static_cast<uint32_t>(
+      std::find(tops.begin(), tops.end(), chain[0]) - tops.begin());
+  for (size_t d = 0; d < chain.size(); ++d) {
+    if (d > 0) {
+      path.child.push_back(
+          static_cast<uint32_t>(ChildIndex(tree, chain[d - 1], chain[d])));
+    }
+    path.mandatory.push_back(tree.slot(chain[d]).mode == EdgeMode::kFor);
+  }
+  return path;
+}
+
 namespace {
 
-/// Walks `group` down the slot chain, calling fn on entries at the end.
-void VisitConst(const BlossomTree& tree, const Group& group,
-                const std::vector<SlotId>& chain, size_t depth,
-                const std::function<void(const Entry&)>& fn) {
-  if (depth + 1 == chain.size()) {
-    for (const Entry& e : group) fn(e);
+void ProjectGroup(const Arena& a, Group g, const SlotPath& path, size_t depth,
+                  std::vector<xml::NodeId>* out) {
+  if (depth == path.child.size()) {
+    for (uint32_t i = g.begin; i < g.end; ++i) {
+      out->push_back(a.entries[i].node);
+    }
     return;
   }
-  size_t idx = ChildIndex(tree, chain[depth], chain[depth + 1]);
-  for (const Entry& e : group) {
-    if (idx < e.groups.size()) {
-      VisitConst(tree, e.groups[idx], chain, depth + 1, fn);
+  const uint32_t c = path.child[depth];
+  for (uint32_t i = g.begin; i < g.end; ++i) {
+    const Entry& e = a.entries[i];
+    if (c < e.num_groups) {
+      ProjectGroup(a, a.groups[e.first_group + c], path, depth + 1, out);
     }
   }
-}
-
-void VisitMutable(const BlossomTree& tree, Group* group,
-                  const std::vector<SlotId>& chain, size_t depth,
-                  const std::function<void(Entry*)>& fn) {
-  if (depth + 1 == chain.size()) {
-    for (Entry& e : *group) fn(&e);
-    return;
-  }
-  size_t idx = ChildIndex(tree, chain[depth], chain[depth + 1]);
-  for (Entry& e : *group) {
-    if (idx < e.groups.size()) {
-      VisitMutable(tree, &e.groups[idx], chain, depth + 1, fn);
-    }
-  }
-}
-
-/// Removes entries at the chain end for which `keep` is false; then removes
-/// ancestors whose mandatory group at the pruned child became empty.
-/// Returns false iff `group` itself became empty while the edge into
-/// chain[depth] is mandatory.
-bool PruneRec(const BlossomTree& tree, Group* group,
-              const std::vector<SlotId>& chain, size_t depth,
-              const std::function<bool(const Entry&)>& keep) {
-  if (depth + 1 == chain.size()) {
-    group->erase(std::remove_if(group->begin(), group->end(),
-                                [&](const Entry& e) { return !keep(e); }),
-                 group->end());
-  } else {
-    size_t idx = ChildIndex(tree, chain[depth], chain[depth + 1]);
-    bool child_mandatory =
-        tree.slot(chain[depth + 1]).mode == EdgeMode::kFor;
-    group->erase(
-        std::remove_if(group->begin(), group->end(),
-                       [&](Entry& e) {
-                         if (idx >= e.groups.size()) return false;
-                         bool ok = PruneRec(tree, &e.groups[idx], chain,
-                                            depth + 1, keep);
-                         // A placeholder frame never fails mandatory checks:
-                         // its slots are simply not filled yet.
-                         if (e.IsPlaceholder()) return false;
-                         return child_mandatory && !ok;
-                       }),
-        group->end());
-  }
-  return !group->empty();
 }
 
 }  // namespace
 
-void ForEachEntry(const BlossomTree& tree, const std::vector<SlotId>& tops,
-                  const NestedList& list, SlotId target,
-                  const std::function<void(const Entry&)>& fn) {
-  std::vector<SlotId> chain = SlotChain(tree, tops, target);
-  if (chain.empty()) return;
-  size_t top_index = static_cast<size_t>(
-      std::find(tops.begin(), tops.end(), chain[0]) - tops.begin());
-  if (top_index >= list.tops.size()) return;
-  VisitConst(tree, list.tops[top_index], chain, 0, fn);
-}
-
-void ForEachEntryMutable(const BlossomTree& tree,
-                         const std::vector<SlotId>& tops, NestedList* list,
-                         SlotId target,
-                         const std::function<void(Entry*)>& fn) {
-  std::vector<SlotId> chain = SlotChain(tree, tops, target);
-  if (chain.empty()) return;
-  size_t top_index = static_cast<size_t>(
-      std::find(tops.begin(), tops.end(), chain[0]) - tops.begin());
-  if (top_index >= list->tops.size()) return;
-  VisitMutable(tree, &list->tops[top_index], chain, 0, fn);
+void AppendProjection(const NestedList& list, const SlotPath& path,
+                      std::vector<xml::NodeId>* out) {
+  if (!path.valid) return;
+  std::span<const Group> tops = list.tops();
+  if (path.top >= tops.size()) return;
+  ProjectGroup(list.arena(), tops[path.top], path, 0, out);
 }
 
 std::vector<xml::NodeId> Project(const BlossomTree& tree,
                                  const std::vector<SlotId>& tops,
                                  const NestedList& list, SlotId target) {
   std::vector<xml::NodeId> out;
-  ForEachEntry(tree, tops, list, target, [&](const Entry& e) {
-    if (!e.IsPlaceholder()) out.push_back(e.node);
-  });
+  AppendProjection(list, PathTo(tree, tops, target), &out);
   return out;
 }
 
 std::vector<xml::NodeId> ProjectSequence(const BlossomTree& tree,
                                          const std::vector<SlotId>& tops,
-                                         const std::vector<NestedList>& lists,
-                                         SlotId target) {
+                                         const Arena& lists, SlotId target) {
   std::vector<xml::NodeId> out;
-  for (const NestedList& l : lists) {
-    auto part = Project(tree, tops, l, target);
-    out.insert(out.end(), part.begin(), part.end());
-  }
+  SlotPath path = PathTo(tree, tops, target);
+  for (NestedList l : lists) AppendProjection(l, path, &out);
   return out;
 }
 
-bool Select(const BlossomTree& tree, const std::vector<SlotId>& tops,
-            NestedList* list, SlotId target,
-            const std::function<bool(xml::NodeId, size_t)>& pred) {
-  std::vector<SlotId> chain = SlotChain(tree, tops, target);
-  if (chain.empty()) return false;
-  size_t top_index = static_cast<size_t>(
-      std::find(tops.begin(), tops.end(), chain[0]) - tops.begin());
-  if (top_index >= list->tops.size()) return false;
+Entry RowWriter::CopyEntry(const Arena& src, Entry e, Arena* dst) {
+  const size_t gmark = group_stack_.size();
+  for (uint32_t j = 0; j < e.num_groups; ++j) {
+    group_stack_.push_back(CopyGroup(src, src.groups[e.first_group + j], dst));
+  }
+  return PlaceStagedGroups(e.node, gmark, dst);
+}
 
-  // Positions are 1-based over the whole projected list (paper's
-  // σ_{position(1.1)=2} example), so number entries before pruning.
-  size_t counter = 0;
-  std::unordered_map<const Entry*, size_t> positions;
-  VisitConst(tree, list->tops[top_index], chain, 0,
-             [&](const Entry& e) { positions.emplace(&e, ++counter); });
+Group RowWriter::CopyGroup(const Arena& src, Group g, Arena* dst) {
+  const size_t mark = entry_stack_.size();
+  for (uint32_t i = g.begin; i < g.end; ++i) {
+    entry_stack_.push_back(CopyEntry(src, src.entries[i], dst));
+  }
+  return PlaceStaged(mark, dst);
+}
 
-  auto keep = [&](const Entry& e) {
-    auto it = positions.find(&e);
-    if (it == positions.end()) return true;
-    return e.IsPlaceholder() || pred(e.node, it->second);
-  };
-  bool ok = PruneRec(tree, &list->tops[top_index], chain, 0, keep);
-  bool top_mandatory = tree.slot(chain[0]).mode == EdgeMode::kFor;
-  return ok || !top_mandatory;
+Group RowWriter::PlaceStaged(size_t mark, Arena* dst) {
+  Group g = dst->PlaceGroup(
+      {entry_stack_.data() + mark, entry_stack_.size() - mark});
+  entry_stack_.resize(mark);
+  return g;
+}
+
+Entry RowWriter::PlaceStagedGroups(xml::NodeId node, size_t mark,
+                                   Arena* dst) {
+  Entry e = dst->PlaceEntry(
+      node, {group_stack_.data() + mark, group_stack_.size() - mark});
+  group_stack_.resize(mark);
+  return e;
 }
 
 bool SelectPosition(const BlossomTree& tree, const std::vector<SlotId>& tops,
-                    NestedList* list, SlotId target, size_t position) {
-  return Select(tree, tops, list, target,
+                    Arena* lists, size_t row, SlotId target,
+                    size_t position) {
+  return Select(tree, tops, lists, row, target,
                 [position](xml::NodeId, size_t pos) {
                   return pos == position;
                 });
 }
 
 bool EnforceMandatory(const BlossomTree& tree,
-                      const std::vector<SlotId>& tops, NestedList* list,
-                      SlotId target, size_t child_index) {
-  std::vector<SlotId> chain = SlotChain(tree, tops, target);
-  if (chain.empty()) return false;
-  size_t top_index = static_cast<size_t>(
-      std::find(tops.begin(), tops.end(), chain[0]) - tops.begin());
-  if (top_index >= list->tops.size()) return false;
+                      const std::vector<SlotId>& tops, Arena* lists,
+                      size_t row, SlotId target, size_t child_index) {
   auto keep = [&](const Entry& e) {
-    return e.IsPlaceholder() || child_index >= e.groups.size() ||
-           !e.groups[child_index].empty();
+    return child_index >= e.num_groups ||
+           !lists->groups[e.first_group + child_index].empty();
   };
-  bool ok = PruneRec(tree, &list->tops[top_index], chain, 0, keep);
-  bool top_mandatory = tree.slot(chain[0]).mode == EdgeMode::kFor;
-  return ok || !top_mandatory;
+  return internal::PruneRow(tree, tops, lists, row, target, keep);
 }
 
 }  // namespace nestedlist

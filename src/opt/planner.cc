@@ -523,12 +523,13 @@ Result<std::vector<xml::NodeId>> DrainPathPlan(QueryPlan* plan,
   PatternTreePlan& tp = plan->trees[0];
   std::vector<xml::NodeId> out;
   // Batch-at-a-time drain (DESIGN.md §16): one virtual call and one trace
-  // span per batch.
+  // span per batch; the result slot's path is resolved once, and each row
+  // is projected by walking its arena offsets.
+  const nestedlist::SlotPath path = nestedlist::PathTo(tree, tp.tops, result);
   exec::Batch batch;
   while (tp.root->GetNextBatch(&batch, options.exec.batch_rows) > 0) {
-    for (const nestedlist::NestedList& nl : batch.rows) {
-      auto part = nestedlist::Project(tree, tp.tops, nl, result);
-      out.insert(out.end(), part.begin(), part.end());
+    for (nestedlist::NestedList nl : batch) {
+      nestedlist::AppendProjection(nl, path, &out);
     }
   }
   // Operators end their streams early when the guard trips; distinguish

@@ -69,7 +69,7 @@ std::string CanonicalNok(const BlossomTree& tree, const NokTree& nok) {
 }
 
 uint64_t FingerprintHash(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis.
+  uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis.
   for (unsigned char c : s) {
     h ^= c;
     h *= 1099511628211ull;  // FNV prime.

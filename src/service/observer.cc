@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "pattern/fingerprint.h"
 #include "util/json.h"
 #include "util/trace.h"
 
@@ -61,12 +62,7 @@ bool HasLabelPrefix(const std::string& label, std::string_view prefix) {
 }  // namespace
 
 uint64_t FingerprintQuery(std::string_view query) {
-  uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis.
-  for (char c : query) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV-1a prime.
-  }
-  return h;
+  return pattern::FingerprintHash(query);
 }
 
 WorkCounters WorkCounters::FromProfile(const engine::QueryProfile& profile) {

@@ -18,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/datagen.h"
@@ -30,6 +32,8 @@
 #include "opt/planner.h"
 #include "pattern/builder.h"
 #include "pattern/decompose.h"
+#include "pattern/fingerprint.h"
+#include "storage/page_store.h"
 #include "util/json.h"
 #include "util/resource_guard.h"
 #include "util/thread_pool.h"
@@ -107,13 +111,13 @@ std::string DrainBatched(NestedListOperator* op, const xml::Document& doc,
   std::string out;
   Batch batch;
   while (op->GetNextBatch(&batch, batch_rows) > 0) {
-    EXPECT_LE(batch.rows.size(), ClampBatchRows(batch_rows));
-    for (const NestedList& nl : batch.rows) {
+    EXPECT_LE(batch.size(), ClampBatchRows(batch_rows));
+    for (NestedList nl : batch) {
       out += nestedlist::ToString(nl, label);
       out += '\n';
     }
   }
-  EXPECT_TRUE(batch.rows.empty());  // 0 return clears the batch.
+  EXPECT_TRUE(batch.empty());  // 0 return clears the batch.
   return out;
 }
 
@@ -165,7 +169,7 @@ TEST(BatchExecTest, PlanRootStreamIdenticalAcrossBatchSizes) {
     Batch batch;
     for (size_t call = 0; root->GetNextBatch(&batch, call % 2 ? 3 : 1) > 0;
          ++call) {
-      for (const NestedList& b : batch.rows) {
+      for (NestedList b : batch) {
         mixed += nestedlist::ToString(b, label);
         mixed += '\n';
       }
@@ -293,7 +297,7 @@ GovernedDrain DrainGoverned(NestedListOperator* root, size_t batch_rows) {
   GovernedDrain got;
   Batch batch;
   while (root->GetNextBatch(&batch, batch_rows) > 0) {
-    for (const NestedList& nl : batch.rows) {
+    for (NestedList nl : batch) {
       ++got.rows;
       got.cells += CountCells(nl);
     }
@@ -476,6 +480,95 @@ TEST(BatchExecTest, CellChargeIndependentOfDriver) {
     po.merge_nok_scans = merge;
     EXPECT_EQ(UnlimitedCharge(doc.get(), "//a//b", po), separate)
         << "merge_nok_scans=" << merge;
+  }
+}
+
+// -- Result-cache hits share the frozen arena ---------------------------------
+
+/// Drains a fresh NokScanOperator over `nok` (optionally pooled and cached)
+/// and renders its stream.
+std::string DrainScan(const xml::Document& doc, const pattern::BlossomTree& t,
+                      const pattern::NokTree* nok, util::ThreadPool* pool,
+                      NokResultCache* cache) {
+  NokScanOperator scan(&doc, &t, nok, pool, nullptr, cache);
+  return DrainBatched(&scan, doc, 64);
+}
+
+TEST(BatchExecTest, CacheHitSharesFrozenArena) {
+  // A result-cache hit lends the cached arena itself: the warm scan's
+  // batches point into the entry the cache holds (no entry is copied), the
+  // scan holds that entry while it streams it, and the replayed stream is
+  // byte-identical to a cold, uncached scan. Then four threads replay the
+  // same frozen arenas at once (the concurrent-readers case TSan checks).
+  std::string xml = "<r>";
+  for (int i = 0; i < 300; ++i) {
+    xml += i % 3 == 0 ? "<a><b/><c/></a>" : "<a><c><b/></c><b/></a>";
+  }
+  xml += "</r>";
+  auto doc = xml::ParseDocument(xml).MoveValue();
+  auto path = xpath::ParsePath("//a/b");
+  auto tree = pattern::BuildFromPath(*path);
+  ASSERT_TRUE(tree.ok());
+  pattern::Decomposition d = pattern::Decompose(*tree);
+  const pattern::NokTree* nok = &d.noks.back();
+  const std::string expected = DrainScan(*doc, *tree, nok, nullptr, nullptr);
+  ASSERT_FALSE(expected.empty());
+
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    util::ThreadPool* p = threads > 1 ? &pool : nullptr;
+    util::CacheOptions co;
+    co.enabled = true;
+    NokResultCache cache(co);
+    EXPECT_EQ(DrainScan(*doc, *tree, nok, p, &cache), expected);  // Cold.
+
+    // The first partition's entry, as the scan keys it.
+    std::vector<storage::NodeRange> parts;
+    if (threads > 1) {
+      parts = storage::PartitionSubtrees(*doc, threads);
+    } else {
+      parts.push_back({0, static_cast<xml::NodeId>(doc->NumNodes() - 1)});
+    }
+    NokCacheKey key{doc->generation(), pattern::CanonicalNok(*tree, *nok),
+                    parts[0].begin, parts[0].end};
+    std::shared_ptr<const nestedlist::Arena> held = cache.Get(key);
+    ASSERT_NE(held, nullptr);
+    ASSERT_FALSE(held->empty());
+    // The entry is charged the arena's exact size, from element counts.
+    const uint64_t exact = held->entries.size() * sizeof(nestedlist::Entry) +
+                           held->groups.size() * sizeof(nestedlist::Group) +
+                           held->rows.size() * sizeof(nestedlist::Row);
+    EXPECT_EQ(held->Bytes(), exact);
+    EXPECT_EQ(CachedNokScanBytes(key, *held), exact + key.nok.size() + 64);
+    if (parts.size() == 1) {
+      EXPECT_EQ(cache.Stats().bytes, CachedNokScanBytes(key, *held));
+    }
+    const long holders = held.use_count();
+    const size_t entries = held->entries.size();
+    {
+      NokScanOperator warm(doc.get(), &*tree, nok, p, nullptr, &cache);
+      Batch batch;
+      ASSERT_GT(warm.GetNextBatch(&batch, 64), 0u);
+      EXPECT_EQ(&batch.arena(), held.get());  // Lent, not copied.
+      EXPECT_GT(held.use_count(), holders);   // The scan shares the entry.
+      EXPECT_EQ(warm.Stats().nodes_scanned, 0u);
+    }
+    EXPECT_EQ(held.use_count(), holders);
+    EXPECT_EQ(held->entries.size(), entries);  // Frozen.
+    EXPECT_EQ(DrainScan(*doc, *tree, nok, p, &cache), expected);  // Warm.
+
+    // Concurrent readers of the same frozen arenas.
+    std::vector<std::string> got(4);
+    std::vector<std::thread> readers;
+    for (size_t i = 0; i < got.size(); ++i) {
+      readers.emplace_back([&, i] {
+        got[i] = DrainScan(*doc, *tree, nok, nullptr, &cache);
+      });
+    }
+    for (std::thread& t : readers) t.join();
+    for (const std::string& g : got) EXPECT_EQ(g, expected);
+    EXPECT_EQ(held->entries.size(), entries);
   }
 }
 

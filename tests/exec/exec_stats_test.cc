@@ -71,7 +71,7 @@ TEST(ExecStatsTest, NokScanExactCountersOnHandBuiltDocument) {
   pattern::BlossomTree tree = TreeFor("//b");
   auto plan = opt::PlanQuery(doc.get(), &tree);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  std::vector<nestedlist::NestedList> lists =
+  nestedlist::Arena lists =
       Drain(plan->trees[0].root.get());
   EXPECT_EQ(lists.size(), 3u);
   ASSERT_EQ(plan->trees[0].scans.size(), 1u);

@@ -65,7 +65,7 @@ TEST(PipelinedDescJoinTest, GraftsDescendants) {
                                                  &fx.decomp.noks[nb]);
   PipelinedDescJoin join(fx.doc.get(), &fx.tree, std::move(outer),
                          std::move(inner), sa, pattern::EdgeMode::kFor);
-  std::vector<NestedList> results = Drain(&join);
+  nestedlist::Arena results = Drain(&join);
   // a2 (only c child) is pruned by the mandatory //-edge.
   ASSERT_EQ(results.size(), 2u);
   SlotId sb = fx.tree.SlotOfVariable("result");
@@ -87,7 +87,7 @@ TEST(PipelinedDescJoinTest, OptionalModeKeepsEmptyOuter) {
                                                  &fx.decomp.noks[nb]);
   PipelinedDescJoin join(fx.doc.get(), &fx.tree, std::move(outer),
                          std::move(inner), sa, pattern::EdgeMode::kLet);
-  std::vector<NestedList> results = Drain(&join);
+  nestedlist::Arena results = Drain(&join);
   EXPECT_EQ(results.size(), 2u);  // Both a's kept.
 }
 
@@ -104,13 +104,89 @@ TEST(PipelinedDescJoinTest, InnerBeforeOuterIsDiscarded) {
       std::make_unique<NokScanOperator>(fx.doc.get(), &fx.tree,
                                         &fx.decomp.noks[nb]),
       sa, pattern::EdgeMode::kFor);
-  std::vector<NestedList> results = Drain(&join);
+  nestedlist::Arena results = Drain(&join);
   ASSERT_EQ(results.size(), 1u);
   SlotId sb = fx.tree.SlotOfVariable("result");
   auto bs =
       nestedlist::ProjectSequence(fx.tree, join.top_slots(), results, sb);
   ASSERT_EQ(bs.size(), 1u);
   EXPECT_EQ(bs[0], 3u);  // The nested b, not the leading one.
+}
+
+// -- Graft then EnforceMandatory, rendered ------------------------------------
+
+/// The paper's Example 2 bibliography (the document of Example 4).
+constexpr const char* kBibXml =
+    "<bib>"
+    "<book><title>Maximum Security</title></book>"
+    "<book><title>The Art of Computer Programming</title>"
+    "<author><last>Knuth</last><first>Donald</first></author></book>"
+    "<book><title>Terrorist Hunter</title></book>"
+    "<book><title>TeX Book</title>"
+    "<author><last>Knuth</last><first>Donald</first></author></book>"
+    "</bib>";
+
+/// Renders every row of a drained stream, one per line.
+std::string Render(const nestedlist::Arena& rows, const xml::Document& doc) {
+  nestedlist::OccurrenceLabeler label(&doc);
+  std::string out;
+  for (NestedList nl : rows) out += nestedlist::ToString(nl, label) + "\n";
+  return out;
+}
+
+TEST(GraftTest, Example4GraftThenEnforceMandatoryRenders) {
+  // Both //-joins graft //last under each book. An l-mode join keeps every
+  // book; applying EnforceMandatory to its rows afterwards keeps exactly
+  // the rows (and renderings) the f-mode join writes directly, which prunes
+  // while it grafts.
+  DescJoinFixture fx(kBibXml, "//book//last");
+  SlotId s_book = fx.tree.SlotOfDewey(pattern::DeweyId({1}));
+  int nb = fx.NokRootedAt("book");
+  int nl = fx.NokRootedAt("last");
+  ASSERT_GE(nb, 0);
+  ASSERT_GE(nl, 0);
+  auto make_join = [&](bool pipelined, pattern::EdgeMode mode) {
+    auto outer = std::make_unique<NokScanOperator>(fx.doc.get(), &fx.tree,
+                                                   &fx.decomp.noks[nb]);
+    auto inner = std::make_unique<NokScanOperator>(fx.doc.get(), &fx.tree,
+                                                   &fx.decomp.noks[nl]);
+    std::unique_ptr<NestedListOperator> join;
+    if (pipelined) {
+      join = std::make_unique<PipelinedDescJoin>(
+          fx.doc.get(), &fx.tree, std::move(outer), std::move(inner), s_book,
+          mode);
+    } else {
+      join = std::make_unique<BoundedNestedLoopJoin>(
+          fx.doc.get(), &fx.tree, std::move(outer), std::move(inner), s_book,
+          mode);
+    }
+    return join;
+  };
+  for (bool pipelined : {true, false}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "bnlj");
+    auto all = make_join(pipelined, pattern::EdgeMode::kLet);
+    nestedlist::Arena kept = Drain(all.get());
+    EXPECT_EQ(Render(kept, *fx.doc),
+              "(book1,())\n(book2,(last1))\n(book3,())\n(book4,(last2))\n");
+    auto mandatory = make_join(pipelined, pattern::EdgeMode::kFor);
+    nestedlist::Arena pruned = Drain(mandatory.get());
+    EXPECT_EQ(Render(pruned, *fx.doc), "(book2,(last1))\n(book4,(last2))\n");
+
+    const std::vector<SlotId>& tops = all->top_slots();
+    size_t child = nestedlist::ChildIndex(fx.tree, s_book,
+                                          mandatory->Child(1)->top_slots()[0]);
+    nestedlist::Arena enforced;
+    for (size_t r = 0; r < kept.size(); ++r) {
+      if (nestedlist::EnforceMandatory(fx.tree, tops, &kept, r, s_book,
+                                       child)) {
+        enforced.AppendRow(kept[r]);
+      }
+    }
+    EXPECT_EQ(Render(enforced, *fx.doc), Render(pruned, *fx.doc));
+    for (size_t r = 0; r < pruned.size(); ++r) {
+      EXPECT_EQ(enforced[r].cells(), pruned[r].cells());
+    }
+  }
 }
 
 // -- Bounded nested-loop join --------------------------------------------------

@@ -51,17 +51,19 @@ TEST(MergedScanTest, MatchesSeparateScans) {
   for (size_t i = 0; i < noks.size(); ++i) {
     auto merged_op = merged.MakeOperator(i);
     NokScanOperator separate(fx.doc.get(), &fx.tree, noks[i]);
-    std::vector<nestedlist::NestedList> ra = Drain(merged_op.get());
-    std::vector<nestedlist::NestedList> rb = Drain(&separate);
+    nestedlist::Arena ra = Drain(merged_op.get());
+    nestedlist::Arena rb = Drain(&separate);
     ASSERT_EQ(ra.size(), rb.size());
     for (size_t row = 0; row < ra.size(); ++row) {
       const nestedlist::NestedList& a = ra[row];
       const nestedlist::NestedList& b = rb[row];
-      ASSERT_EQ(a.tops.size(), b.tops.size());
-      for (size_t t = 0; t < a.tops.size(); ++t) {
-        ASSERT_EQ(a.tops[t].size(), b.tops[t].size());
-        for (size_t e = 0; e < a.tops[t].size(); ++e) {
-          EXPECT_EQ(a.tops[t][e].node, b.tops[t][e].node);
+      ASSERT_EQ(a.tops().size(), b.tops().size());
+      for (size_t t = 0; t < a.tops().size(); ++t) {
+        auto ea = a.entries(a.tops()[t]);
+        auto eb = b.entries(b.tops()[t]);
+        ASSERT_EQ(ea.size(), eb.size());
+        for (size_t e = 0; e < ea.size(); ++e) {
+          EXPECT_EQ(ea[e].node, eb[e].node);
         }
       }
     }
@@ -117,17 +119,19 @@ TEST(MergedScanTest, MatchAnyRootsMatchSerialReference) {
     for (size_t i = 0; i < noks.size(); ++i) {
       auto merged_op = merged.MakeOperator(i);
       NokScanOperator separate(fx.doc.get(), &fx.tree, noks[i]);
-      std::vector<nestedlist::NestedList> ra = Drain(merged_op.get());
-      std::vector<nestedlist::NestedList> rb = Drain(&separate);
+      nestedlist::Arena ra = Drain(merged_op.get());
+      nestedlist::Arena rb = Drain(&separate);
       ASSERT_EQ(ra.size(), rb.size()) << query << " nok " << i;
       for (size_t row = 0; row < ra.size(); ++row) {
         const nestedlist::NestedList& a = ra[row];
         const nestedlist::NestedList& b = rb[row];
-        ASSERT_EQ(a.tops.size(), b.tops.size()) << query;
-        for (size_t t = 0; t < a.tops.size(); ++t) {
-          ASSERT_EQ(a.tops[t].size(), b.tops[t].size()) << query;
-          for (size_t e = 0; e < a.tops[t].size(); ++e) {
-            EXPECT_EQ(a.tops[t][e].node, b.tops[t][e].node) << query;
+        ASSERT_EQ(a.tops().size(), b.tops().size()) << query;
+        for (size_t t = 0; t < a.tops().size(); ++t) {
+          auto ea = a.entries(a.tops()[t]);
+          auto eb = b.entries(b.tops()[t]);
+          ASSERT_EQ(ea.size(), eb.size()) << query;
+          for (size_t e = 0; e < ea.size(); ++e) {
+            EXPECT_EQ(ea[e].node, eb[e].node) << query;
           }
         }
       }

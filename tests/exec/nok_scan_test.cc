@@ -44,7 +44,7 @@ TEST(NokScanTest, ReproducesExample3Figure4) {
   Decomposition d = Decompose(t);
   ASSERT_EQ(d.noks.size(), 1u);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_EQ(rows.size(), 1u);
   const NestedList& out = rows[0];
   OccurrenceLabeler label(doc.get());
@@ -58,7 +58,7 @@ TEST(NokScanTest, MandatoryChildFailsMatch) {
   BlossomTree t = Example3Pattern();
   Decomposition d = Decompose(t);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_EQ(rows.size(), 1u);
   const NestedList& out = rows[0];
   std::vector<SlotId> tops(scan.top_slots());
@@ -72,7 +72,7 @@ TEST(NokScanTest, OptionalChildrenMayBeMissing) {
   BlossomTree t = Example3Pattern();
   Decomposition d = Decompose(t);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_FALSE(rows.empty());
   const NestedList& out = rows[0];
   OccurrenceLabeler label(doc.get());
@@ -111,7 +111,7 @@ TEST(NokScanTest, VirtualRootAnchorsAbsolutePaths) {
   Decomposition d = Decompose(*tr);
   ASSERT_EQ(d.noks.size(), 1u);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_EQ(rows.size(), 1u);
   const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
@@ -140,7 +140,7 @@ TEST(NokScanTest, ValueConstraint) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_FALSE(rows.empty());
   const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
@@ -157,7 +157,7 @@ TEST(NokScanTest, NumericValueConstraint) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_FALSE(rows.empty());  // "07" == 7 numerically.
   const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
@@ -173,7 +173,7 @@ TEST(NokScanTest, PositionPredicate) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_FALSE(rows.empty());
   const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
@@ -190,7 +190,7 @@ TEST(NokScanTest, WildcardStep) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_FALSE(rows.empty());
   const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
@@ -206,7 +206,7 @@ TEST(NokScanTest, ExistencePredicateSubtree) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_FALSE(rows.empty());
   const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
@@ -228,7 +228,7 @@ TEST(NokScanTest, FollowingSiblingAxis) {
   Decomposition d = Decompose(t);
   ASSERT_EQ(d.noks.size(), 1u);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_FALSE(rows.empty());
   const NestedList& out = rows[0];
   auto nodes =
@@ -255,7 +255,7 @@ TEST(NokScanTest, AttributeValueConstraint) {
   ASSERT_TRUE(tr.ok());
   Decomposition d = Decompose(*tr);
   NokScanOperator scan(doc.get(), &*tr, &d.noks[0]);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_FALSE(rows.empty());
   const NestedList& out = rows[0];
   auto nodes = nestedlist::Project(*tr, scan.top_slots(), out,
@@ -273,7 +273,7 @@ TEST(NokScanTest, SetRangeBoundsTheScan) {
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
   // Restrict to the second a's subtree (nodes 3..4).
   scan.SetRange(3, 4);
-  std::vector<NestedList> rows = Drain(&scan);
+  nestedlist::Arena rows = Drain(&scan);
   ASSERT_EQ(rows.size(), 1u);
   const NestedList& out = rows[0];
   auto as = nestedlist::Project(t, scan.top_slots(), out, 0);

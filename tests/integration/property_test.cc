@@ -198,6 +198,68 @@ TEST_P(PropertyTest, RandomQueriesAgreeWithOracle) {
   }
 }
 
+/// Reference cell count: every entry reachable from the row's top groups,
+/// walked group by group.
+uint64_t ReachableCells(const nestedlist::NestedList& nl) {
+  uint64_t cells = 0;
+  std::vector<nestedlist::Group> pending(nl.tops().begin(), nl.tops().end());
+  while (!pending.empty()) {
+    nestedlist::Group g = pending.back();
+    pending.pop_back();
+    for (const nestedlist::Entry& e : nl.entries(g)) {
+      ++cells;
+      for (nestedlist::Group c : nl.groups(e)) pending.push_back(c);
+    }
+  }
+  return cells;
+}
+
+TEST_P(PropertyTest, CellCountIsReachableEntries) {
+  // CountCells is the row's entry-run length. Every producer (scans cold
+  // and cached, serial and partitioned, merged passes, both //-joins with
+  // their graft-and-prune rewrite) must leave each row owning exactly the
+  // entries its groups reach, so that length equals a recursive count.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 7);
+  auto doc = RandomDoc(&rng, 120 + rng.Uniform(150));
+  util::ThreadPool pool(4);
+  util::CacheOptions co;
+  co.enabled = true;
+  exec::NokResultCache cache(co);
+  for (int qi = 0; qi < 8; ++qi) {
+    std::string query = RandomQuery(&rng);
+    SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " query=" + query);
+    auto path = xpath::ParsePath(query);
+    ASSERT_TRUE(path.ok()) << path.status().ToString();
+    auto tree = pattern::BuildFromPath(*path);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    std::vector<opt::PlanOptions> configs(4);
+    configs[0].strategy = opt::JoinStrategy::kBoundedNestedLoop;
+    configs[2].pool = &pool;
+    configs[2].result_cache = &cache;
+    configs[3].pool = &pool;
+    configs[3].result_cache = &cache;  // Warm.
+    if (!doc->IsRecursive()) {
+      configs[1].strategy = opt::JoinStrategy::kPipelined;
+      configs[1].merge_nok_scans = true;
+    }
+    for (const opt::PlanOptions& o : configs) {
+      auto plan = opt::PlanQuery(doc.get(), &*tree, o);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      for (opt::PatternTreePlan& tp : plan->trees) {
+        exec::Batch batch;
+        uint64_t delivered = 0;
+        while (tp.root->GetNextBatch(&batch, 7) > 0) {
+          for (nestedlist::NestedList nl : batch) {
+            EXPECT_EQ(exec::CountCells(nl), ReachableCells(nl));
+            delivered += exec::CountCells(nl);
+          }
+        }
+        EXPECT_EQ(tp.root->Stats().nl_cells, delivered);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest, ::testing::Range(0, 20));
 
 /// Runs `query` through the BlossomTree engine at 1 and 4 intra-query

@@ -434,9 +434,10 @@ TEST(DiskStoreTest, MapRejectsMisalignedImage) {
   auto doc = Parse("<a><b>text</b><c x=\"1\"/></a>");
   auto encoded = EncodeBtsx2(*doc);
   ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-  auto raw = std::make_unique<char[]>(encoded->size() + 16);
+  // Up to 15 bytes of alignment slack, plus the one-byte shift below.
+  auto raw = std::make_unique<char[]>(encoded->size() + 17);
   char* aligned = raw.get();
-  aligned += 16 - reinterpret_cast<uintptr_t>(aligned) % 16;
+  aligned += (16 - reinterpret_cast<uintptr_t>(aligned) % 16) % 16;
   ASSERT_EQ(reinterpret_cast<uintptr_t>(aligned) % 16, 0u);
   std::memcpy(aligned, encoded->data(), encoded->size());
   EXPECT_TRUE(MapBtsx2(std::string_view(aligned, encoded->size())).ok());
