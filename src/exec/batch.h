@@ -11,48 +11,39 @@ namespace blossomtree {
 namespace exec {
 
 /// \brief Fixed-capacity unit of exchange between operators (DESIGN.md
-/// §16): up to a batch of NestedLists in one Figure 6 arena. A producer
-/// either builds its rows in `own` or lends rows [first, first + count) of
-/// an arena it holds (a lazy scan's chunk, a frozen result-cache
-/// partition), so a cache hit reaches the consumer without a copy. The rows
-/// stay valid until the producer's next GetNextBatch or Rewind; a consumer
-/// that keeps them longer copies them out (Arena::AppendRow). Reusing one
-/// Batch across calls keeps `own`'s capacity.
+/// §16): a view of up to a batch of NestedLists, rows [first, first +
+/// count) of one Figure 6 arena the producer holds (a lazy scan's chunk, a
+/// frozen result-cache partition, a join's output arena), so a cache hit
+/// reaches the consumer without a copy. The rows stay valid until the
+/// producer's next GetNextBatch or Rewind; a consumer that keeps them
+/// longer copies them out (Arena::AppendRow).
 struct Batch {
-  nestedlist::Arena own;
-  const nestedlist::Arena* lent = nullptr;
+  const nestedlist::Arena* source = nullptr;
   uint32_t first = 0;
   uint32_t count = 0;
 
-  const nestedlist::Arena& arena() const {
-    return lent != nullptr ? *lent : own;
-  }
+  const nestedlist::Arena& arena() const { return *source; }
   bool empty() const { return count == 0; }
   size_t size() const { return count; }
   nestedlist::NestedList operator[](size_t i) const {
-    return arena()[first + i];
+    return (*source)[first + i];
   }
   nestedlist::Arena::Iterator begin() const {
-    return nestedlist::Arena::Iterator(&arena(), first);
+    return nestedlist::Arena::Iterator(source, first);
   }
   nestedlist::Arena::Iterator end() const {
-    return nestedlist::Arena::Iterator(&arena(), first + count);
+    return nestedlist::Arena::Iterator(source, first + count);
   }
 
-  /// \brief Hands out rows [first, first + count) of `arena` instead of
-  /// `own`'s.
+  /// \brief Points the batch at rows [first_row, first_row + num_rows) of
+  /// `arena`.
   void Lend(const nestedlist::Arena* arena, uint32_t first_row,
             uint32_t num_rows) {
-    lent = arena;
+    source = arena;
     first = first_row;
     count = num_rows;
   }
-  void clear() {
-    own.clear();
-    lent = nullptr;
-    first = 0;
-    count = 0;
-  }
+  void clear() { Lend(nullptr, 0, 0); }
 };
 
 /// \brief Execution-core knobs, plumbed planner→operators through

@@ -26,19 +26,21 @@ IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
 
 void IndexSeekOperator::FillBatch(Batch* out, size_t max_rows) {
   util::ResourceGuard* g = guard();
-  while (out->own.size() < max_rows && pos_ < candidates_.size() &&
+  out_.clear();
+  while (out_.size() < max_rows && pos_ < candidates_.size() &&
          candidates_[pos_] <= range_end_) {
     if (g != nullptr &&
         (g->Tripped() || ((probed_ & 0x1FF) == 0x1FF && !g->Check()))) {
-      return;
+      break;
     }
     xml::NodeId x = candidates_[pos_++];
     ++probed_;
     if (store_ != nullptr) store_->Get(x, &io_cursor_);
     uint64_t cmp_before = ValueComparisonCount();
-    if (matcher_.RootTest(x)) matcher_.MatchAt(x, &out->own);
+    if (matcher_.RootTest(x)) matcher_.MatchAt(x, &out_);
     value_cmps_ += ValueComparisonCount() - cmp_before;
   }
+  out->Lend(&out_, 0, static_cast<uint32_t>(out_.size()));
 }
 
 void IndexSeekOperator::Rewind() {

@@ -69,6 +69,8 @@ class IndexSeekOperator : public NestedListOperator {
  private:
   const xml::Document* doc_;
   NokMatcher matcher_;
+  /// The current batch's rows, lent to the consumer.
+  nestedlist::Arena out_;
   std::vector<xml::NodeId> candidates_;
   size_t pos_ = 0;
   xml::NodeId range_begin_ = 0;

@@ -106,15 +106,17 @@ void PipelinedDescJoin::MergeInto(xml::NodeId node, nestedlist::Arena* dst,
 }
 
 void PipelinedDescJoin::FillBatch(Batch* out, size_t max_rows) {
-  auto merge = [&](xml::NodeId node) { MergeInto(node, &out->own, max_rows); };
+  out_.clear();
+  auto merge = [&](xml::NodeId node) { MergeInto(node, &out_, max_rows); };
   NestedList m;
-  while (out->own.size() < max_rows && outer_rows_.Next(&m, max_rows)) {
+  while (out_.size() < max_rows && outer_rows_.Next(&m, max_rows)) {
     // Batch boundary (DESIGN.md §9): one guard check per outer tuple — the
     // children sample their own guards inside longer stretches of work.
-    if (guard() != nullptr && !guard()->Check()) return;
+    if (guard() != nullptr && !guard()->Check()) break;
     GraftRow(&writer_, m, path_, child_index_, mode_ == EdgeMode::kFor,
-             &out->own, merge);
+             &out_, merge);
   }
+  out->Lend(&out_, 0, static_cast<uint32_t>(out_.size()));
 }
 
 ExecStats PipelinedDescJoin::Stats() const {
@@ -153,6 +155,7 @@ BoundedNestedLoopJoin::BoundedNestedLoopJoin(
 }
 
 void BoundedNestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
+  out_.clear();
   NestedList m;
   // The piggybacked (p1, p2] range of §4.3: the inner NoK scans only
   // within the outer match's subtree. The unbounded variant re-scans
@@ -167,19 +170,20 @@ void BoundedNestedLoopJoin::FillBatch(Batch* out, size_t max_rows) {
       for (NestedList nl : inner_batch_) {
         for (const Entry& ie : nl.entries(nl.tops()[0])) {
           if (!bounded_ && !(ie.node > node && ie.node <= end)) continue;
-          writer_.Stage(writer_.CopyEntry(nl.arena(), ie, &out->own));
+          writer_.Stage(writer_.CopyEntry(nl.arena(), ie, &out_));
         }
       }
     }
   };
-  while (out->own.size() < max_rows && outer_rows_.Next(&m, max_rows)) {
+  while (out_.size() < max_rows && outer_rows_.Next(&m, max_rows)) {
     // One check per outer tuple; each inner re-scan is a governed NokScan
     // that samples the guard itself, so even the naive variant's
     // whole-document re-scans observe a trip within ~512 nodes.
-    if (guard() != nullptr && !guard()->Check()) return;
+    if (guard() != nullptr && !guard()->Check()) break;
     GraftRow(&writer_, m, path_, child_index_, mode_ == EdgeMode::kFor,
-             &out->own, graft);
+             &out_, graft);
   }
+  out->Lend(&out_, 0, static_cast<uint32_t>(out_.size()));
 }
 
 ExecStats BoundedNestedLoopJoin::Stats() const {

@@ -23,7 +23,7 @@ namespace exec {
 /// one in-flight inner run plus one staged batch per child. The run is the
 /// current inner row's top group, read in place in the staged batch, so
 /// PeakBuffered() measures the §4.2 run alone. Each output row is the outer
-/// row rewritten into the output batch's arena with the run's entries
+/// row rewritten into the join's output arena with the run's entries
 /// copied into the grafted group.
 class PipelinedDescJoin : public NestedListOperator {
  public:
@@ -84,6 +84,8 @@ class PipelinedDescJoin : public NestedListOperator {
   /// Where from_slot's entries sit in an outer row, resolved once.
   nestedlist::SlotPath path_;
   nestedlist::RowWriter writer_;
+  /// The current batch's rows, lent to the consumer.
+  nestedlist::Arena out_;
   BatchReader outer_rows_;
   BatchReader inner_rows_;
 
@@ -159,6 +161,8 @@ class BoundedNestedLoopJoin : public NestedListOperator {
   /// Where from_slot's entries sit in an outer row, resolved once.
   nestedlist::SlotPath path_;
   nestedlist::RowWriter writer_;
+  /// The current batch's rows, lent to the consumer.
+  nestedlist::Arena out_;
   BatchReader outer_rows_;
   /// Reused across the per-entry inner re-scans.
   Batch inner_batch_;

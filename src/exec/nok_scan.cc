@@ -483,6 +483,9 @@ void NokScanOperator::RunMaterializedScan() {
     if (!ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i],
                    &vcmp[i], fresh[i].get())) {
       fresh[i]->clear();  // A tripped run discards its results.
+    } else if (cached) {
+      // The cache charges Bytes(); hold no more than that.
+      fresh[i]->ShrinkToFit();
     }
     work[i] = m.MatchWork();
   };

@@ -8,9 +8,6 @@ size_t NestedListOperator::GetNextBatch(Batch* out, size_t max_rows) {
   util::TraceSpan span("exec", TraceName(*this));
   out->clear();
   FillBatch(out, ClampBatchRows(max_rows));
-  if (out->lent == nullptr) {
-    out->count = static_cast<uint32_t>(out->own.size());
-  }
   // The one emission point: charge each row before counting it, so a row
   // that trips the budget is neither delivered nor counted, and
   // matches/nl_cells always equal what the consumer received.

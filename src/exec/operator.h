@@ -101,9 +101,9 @@ class NestedListOperator {
   explicit NestedListOperator(util::ResourceGuard* guard = nullptr)
       : guard_(guard) {}
 
-  /// \brief The operator's fill loop: builds up to `max_rows` (already
-  /// clamped) rows in the empty `out->own`, or lends up to that many rows
-  /// of an arena it holds (Batch::Lend). Producing none ends the stream.
+  /// \brief The operator's fill loop: lends the empty `out` up to
+  /// `max_rows` (already clamped) rows of an arena it holds (Batch::Lend).
+  /// Producing none ends the stream.
   virtual void FillBatch(Batch* out, size_t max_rows) = 0;
 
   /// \brief The guard passed at construction (nullptr = ungoverned), for

@@ -35,7 +35,8 @@ struct NokCacheKeyHash {
 
 /// \brief Exact bytes an entry is charged to the cache budget: the frozen
 /// arena's arrays (from element counts, so equal contents always cost the
-/// same) plus the key and a fixed per-entry overhead (DESIGN.md §11).
+/// same; the scan shrinks them to fit before Put, so they also hold no
+/// more) plus the key and a fixed per-entry overhead (DESIGN.md §11).
 uint64_t CachedNokScanBytes(const NokCacheKey& key,
                             const nestedlist::Arena& matches);
 

@@ -13,8 +13,8 @@ void Arena::AppendRow(const NestedList& list) {
   // Unsigned shifts: an index i of the row moves to i + shift (mod 2^32).
   const uint32_t entry_shift = entry_base - r.first_entry;
   const uint32_t group_shift = group_base - r.first_group;
-  entries.reserve(entry_base + r.num_entries);
-  groups.reserve(group_base + r.num_groups);
+  // No exact reserve per row: it would reallocate on every append and make
+  // draining N rows one at a time quadratic; push_back grows geometrically.
   for (uint32_t i = 0; i < r.num_entries; ++i) {
     Entry e = src.entries[r.first_entry + i];
     e.first_group += group_shift;

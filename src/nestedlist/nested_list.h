@@ -114,6 +114,14 @@ class Arena {
            rows.size() * sizeof(Row);
   }
 
+  /// \brief Drops the spare capacity doubling left, so an arena kept for
+  /// long (a result-cache entry) holds what Bytes() reports.
+  void ShrinkToFit() {
+    entries.shrink_to_fit();
+    groups.shrink_to_fit();
+    rows.shrink_to_fit();
+  }
+
   void clear() {
     entries.clear();
     groups.clear();

@@ -76,10 +76,10 @@ constexpr const char* kBookPairs =
 // returns kResourceExhausted promptly — the guard is sampled inside the
 // joins and scans, not just between queries.
 TEST(EngineLimitsTest, DeadlineExceededPromptlyOnLongQuery) {
-  // ~2200 nodes: the naive join's full-document re-scans make the
-  // unlimited run a few seconds, so the 10ms deadline interrupts it six
-  // orders of magnitude before completion.
-  auto doc = RecursiveDoc(/*scale=*/0.015);
+  // ~2900 nodes: the naive join's full-document re-scans make the
+  // unlimited run a few seconds, so the 10ms deadline interrupts it long
+  // before completion.
+  auto doc = RecursiveDoc(/*scale=*/0.02);
   xpath::PathExpr path = MustParsePath("//b1//c2//b1");
 
   EngineOptions slow;

@@ -541,6 +541,10 @@ TEST(BatchExecTest, CacheHitSharesFrozenArena) {
                            held->rows.size() * sizeof(nestedlist::Row);
     EXPECT_EQ(held->Bytes(), exact);
     EXPECT_EQ(CachedNokScanBytes(key, *held), exact + key.nok.size() + 64);
+    // ...and holds no more: the scan shrank it to fit before caching it.
+    EXPECT_EQ(held->entries.capacity(), held->entries.size());
+    EXPECT_EQ(held->groups.capacity(), held->groups.size());
+    EXPECT_EQ(held->rows.capacity(), held->rows.size());
     if (parts.size() == 1) {
       EXPECT_EQ(cache.Stats().bytes, CachedNokScanBytes(key, *held));
     }

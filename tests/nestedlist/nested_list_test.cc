@@ -212,6 +212,26 @@ TEST(NestedListTest, AppendRowCopiesIntoAnyArena) {
   EXPECT_EQ(src.entries.size(), 18u);
 }
 
+TEST(NestedListTest, AppendRowGrowsGeometrically) {
+  // Draining appends rows one at a time; each append must not reallocate
+  // the arrays, or draining N rows copies O(N^2) entries.
+  Arena src = Figure4List();
+  Arena dst;
+  size_t reallocations = 0;
+  const Entry* data = nullptr;
+  for (int i = 0; i < 4096; ++i) {
+    dst.AppendRow(src[0]);
+    if (dst.entries.data() != data) {
+      ++reallocations;
+      data = dst.entries.data();
+    }
+  }
+  ASSERT_EQ(dst.size(), 4096u);
+  EXPECT_EQ(dst.entries.size(), 4096u * 9);
+  // Doubling from 9 entries to 36,864 takes about 13 steps.
+  EXPECT_LE(reallocations, 20u);
+}
+
 TEST(NestedListTest, RewrittenRowRendersWhatPruningLeaves) {
   // EnforceMandatory rewrites the row at the arena's end: the rendering is
   // the pruned list, and the row owns only the cells it still reaches.
