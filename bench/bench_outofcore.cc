@@ -1,22 +1,12 @@
 // Out-of-core serving benchmark (DESIGN.md §13): ingests a generated d5
-// corpus into a BTSX v2 file, reopens it through a mapped DiskStore and a
-// pread DiskStore whose block cache budget is deliberately a quarter of the
-// record section — so the corpus cannot be fully cached — and enforces
-// three invariants before the counter diff in CI:
+// corpus into a BTSX v2 file, reopens it through a mapped DiskStore, and
+// enforces two invariants before the counter diff in CI:
 //
 //   1. Byte-identity: every query answered from disk at 1/2/4 threads is
 //      byte-identical to the in-RAM engine on the original document.
-//   2. Residency: the mapped store keeps no block ledger (its block cache
-//      never inserts — the OS page cache owns mapped residency) and its
-//      measured residency (mincore) never exceeds the file. The pread
-//      store, which owns every record read, scans every record with its
-//      cached bytes at or under the budget after every block, and must
-//      evict — proving the budget bounds a corpus larger than itself.
-//   3. Store parity: a sequential scan through the DiskStore returns
-//      bit-identical NodeRecords to a PageStore over the same document at
-//      the same granularity, with identical read counts (NumPages) and
-//      identical partition decisions; the pread mode (no mapping, explicit
-//      block I/O) agrees record-for-record too.
+//   2. Residency: the mapped store keeps no block ledger (the OS page
+//      cache owns mapped residency) and its measured residency (mincore)
+//      never exceeds the file.
 //
 // Exit status is non-zero on any violation. The BENCH_outofcore.json
 // artifact pins the per-operator work counters of the disk-served plans:
@@ -25,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +25,6 @@
 #include "engine/engine.h"
 #include "storage/btsx2.h"
 #include "storage/disk_store.h"
-#include "storage/page_store.h"
 
 using blossomtree::bench::BenchFlags;
 using blossomtree::bench::ParseFlags;
@@ -90,17 +78,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Budget: a quarter of the record section, so a full pread scan must
-  // evict. Small blocks keep the block count meaningful at bench scale.
+  // Small blocks keep the block count meaningful at bench scale.
   blossomtree::storage::DiskStoreOptions opts;
   opts.block_bytes = 4096;
-  auto probe = blossomtree::storage::DiskStore::Open(path, opts);
-  if (!probe.ok()) {
-    std::printf("open failed: %s\n", probe.status().ToString().c_str());
-    return 1;
-  }
-  opts.cache_budget_bytes = (*probe)->RecordBytes() / 4;
-  probe->reset();
   auto store = blossomtree::storage::DiskStore::Open(path, opts);
   if (!store.ok()) {
     std::printf("open failed: %s\n", store.status().ToString().c_str());
@@ -108,18 +88,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Out-of-core corpus: %s, %zu nodes, file %.1f KiB, records %.1f KiB, "
-      "cache budget %.1f KiB (%zu blocks of %zu B)\n\n",
+      "Out-of-core corpus: %s, %zu nodes, file %.1f KiB, records %.1f KiB "
+      "(%zu blocks of %zu B)\n\n",
       DatasetName(Dataset::kD5Dblp), (*store)->NumNodes(),
       (*store)->FileBytes() / 1024.0, (*store)->RecordBytes() / 1024.0,
-      (*store)->budget_bytes() / 1024.0, (*store)->NumPages(),
-      (size_t)4096);
+      (*store)->NumBlocks(), (size_t)4096);
 
   bool ok = true;
-  if ((*store)->budget_bytes() >= (*store)->RecordBytes()) {
-    std::printf("FAIL: budget does not constrain the record section\n");
-    ok = false;
-  }
 
   ProfileSink sink("outofcore");
   sink.AddDatasetLabel(DatasetName(Dataset::kD5Dblp));
@@ -174,12 +149,12 @@ int main(int argc, char** argv) {
             TimeSeconds([&] { rr = ram.EvaluateQuery(q.text); }));
         if (!rr.ok() || *rr != *ref_r) identical = false;
 
-        (*store)->ResetCounters();
+        uint64_t reads_before = (*store)->PageReads();
         blossomtree::Result<std::string> dr = std::string{};
         disk_samples.push_back(
             TimeSeconds([&] { dr = disk.EvaluateQuery(q.text); }));
         if (!dr.ok() || *dr != *ref_r) identical = false;
-        block_reads = (*store)->PageReads();
+        block_reads = (*store)->PageReads() - reads_before;
       }
       ok = ok && identical;
       std::printf("  %-3s %7u %11.3f %11.3f %9llu %s\n", q.id, t,
@@ -208,86 +183,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // Store parity: DiskStore vs PageStore at the same granularity.
-  {
-    blossomtree::storage::PageStore pages(*doc, /*page_bytes=*/4096);
-    blossomtree::storage::ScanCursor dc;
-    blossomtree::storage::ScanCursor pc;
-    for (blossomtree::xml::NodeId n = 0; n < (*store)->NumNodes(); ++n) {
-      blossomtree::storage::NodeRecord a = (*store)->Get(n, &dc);
-      blossomtree::storage::NodeRecord b = pages.Get(n, &pc);
-      if (std::memcmp(&a, &b, sizeof a) != 0) {
-        std::printf("FAIL: record mismatch vs PageStore at node %u\n", n);
-        ok = false;
-        break;
-      }
-    }
-    if (dc.reads != pc.reads || dc.reads != (*store)->NumPages()) {
-      std::printf("FAIL: sequential scan reads %llu (disk) vs %llu (page), "
-                  "expected %zu\n",
-                  (unsigned long long)dc.reads, (unsigned long long)pc.reads,
-                  (*store)->NumPages());
-      ok = false;
-    }
-    for (size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
-      if ((*store)->Partition(k) != pages.Partition(k)) {
-        std::printf("FAIL: partition mismatch vs PageStore at k=%zu\n", k);
-        ok = false;
-      }
-    }
-  }
-
-  // Pread mode: explicit block I/O, no mapping, scan API only. It owns
-  // every record read, so here the quarter-of-records budget is real: a
-  // full scan stays under it after every block and must evict.
-  {
-    blossomtree::storage::DiskStoreOptions po = opts;
-    po.use_mmap = false;
-    auto pread = blossomtree::storage::DiskStore::Open(path, po);
-    if (!pread.ok()) {
-      std::printf("FAIL: pread open: %s\n",
-                  pread.status().ToString().c_str());
-      ok = false;
-    } else {
-      blossomtree::storage::ScanCursor mc;
-      blossomtree::storage::ScanCursor rc;
-      uint64_t checked_reads = 0;
-      for (blossomtree::xml::NodeId n = 0; n < (*pread)->NumNodes(); ++n) {
-        blossomtree::storage::NodeRecord a = (*store)->Get(n, &mc);
-        blossomtree::storage::NodeRecord b = (*pread)->Get(n, &rc);
-        if (std::memcmp(&a, &b, sizeof a) != 0) {
-          std::printf("FAIL: pread record mismatch at node %u\n", n);
-          ok = false;
-          break;
-        }
-        if (rc.reads != checked_reads) {
-          checked_reads = rc.reads;
-          auto ps = (*pread)->BlockCacheStats();
-          if (ps.bytes > (*pread)->budget_bytes()) {
-            std::printf("FAIL: pread cache %llu bytes over budget %llu\n",
-                        (unsigned long long)ps.bytes,
-                        (unsigned long long)(*pread)->budget_bytes());
-            ok = false;
-            break;
-          }
-        }
-      }
-      auto ps = (*pread)->BlockCacheStats();
-      std::printf("Pread store: %llu hits, %llu misses, %llu evictions, "
-                  "%llu bytes cached (budget %llu)\n",
-                  (unsigned long long)ps.hits,
-                  (unsigned long long)ps.misses,
-                  (unsigned long long)ps.evictions,
-                  (unsigned long long)ps.bytes,
-                  (unsigned long long)(*pread)->budget_bytes());
-      if (ps.evictions == 0) {
-        std::printf("FAIL: no pread evictions — the corpus fit in the "
-                    "budget\n");
-        ok = false;
-      }
-    }
-  }
-
   sink.WriteAndReport();
   std::remove(path.c_str());
 
@@ -296,6 +191,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("OK: disk-served results byte-identical at every thread "
-              "count, pread cache stayed under budget\n");
+              "count, no block ledger, residency within the file\n");
   return 0;
 }

@@ -12,7 +12,7 @@ IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
                                      const pattern::NokTree* nok,
                                      std::vector<xml::NodeId> candidates,
                                      util::ResourceGuard* guard,
-                                     const storage::NodeStore* store)
+                                     const storage::DiskStore* store)
     : NestedListOperator(guard),
       doc_(doc),
       matcher_(doc, tree, nok),
@@ -35,7 +35,7 @@ void IndexSeekOperator::FillBatch(Batch* out, size_t max_rows) {
     }
     xml::NodeId x = candidates_[pos_++];
     ++probed_;
-    if (store_ != nullptr) store_->Get(x, &io_cursor_);
+    if (store_ != nullptr) store_->Touch(x, x, &io_cursor_);
     uint64_t cmp_before = ValueComparisonCount();
     if (matcher_.RootTest(x)) matcher_.MatchAt(x, &out_);
     value_cmps_ += ValueComparisonCount() - cmp_before;
@@ -47,7 +47,7 @@ void IndexSeekOperator::Rewind() {
   pos_ = static_cast<size_t>(
       std::lower_bound(candidates_.begin(), candidates_.end(), range_begin_) -
       candidates_.begin());
-  io_cursor_ = storage::ScanCursor();
+  io_cursor_ = storage::BlockCursor();
 }
 
 void IndexSeekOperator::Restrict(xml::NodeId begin, xml::NodeId end) {

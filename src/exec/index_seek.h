@@ -5,7 +5,7 @@
 
 #include "exec/nok_scan.h"
 #include "exec/operator.h"
-#include "storage/node_store.h"
+#include "storage/disk_store.h"
 #include "util/resource_guard.h"
 #include "xml/document.h"
 
@@ -35,15 +35,15 @@ class IndexSeekOperator : public NestedListOperator {
   ///        planner's access-path choice (empty = provably-empty NoK).
   /// \param guard optional per-query resource guard, sampled every ~512
   ///        probes.
-  /// \param store optional paged store backing `doc`: probed candidates are
-  ///        touched through it so block-read counters see the seek's
-  ///        access pattern.
+  /// \param store optional DiskStore whose image `doc` is: probed
+  ///        candidates count their blocks through it, so block-read
+  ///        counters see the seek's access pattern.
   IndexSeekOperator(const xml::Document* doc,
                     const pattern::BlossomTree* tree,
                     const pattern::NokTree* nok,
                     std::vector<xml::NodeId> candidates,
                     util::ResourceGuard* guard = nullptr,
-                    const storage::NodeStore* store = nullptr);
+                    const storage::DiskStore* store = nullptr);
 
   const std::vector<pattern::SlotId>& top_slots() const override {
     return matcher_.top_slots();
@@ -79,8 +79,8 @@ class IndexSeekOperator : public NestedListOperator {
   uint64_t probed_ = 0;
   uint64_t value_cmps_ = 0;
 
-  const storage::NodeStore* store_;
-  storage::ScanCursor io_cursor_;
+  const storage::DiskStore* store_;
+  storage::BlockCursor io_cursor_;
 };
 
 }  // namespace exec

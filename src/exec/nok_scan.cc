@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 
 #include "exec/kernels.h"
 #include "exec/value_ops.h"
@@ -260,7 +259,7 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
                                  util::ThreadPool* pool,
                                  util::ResourceGuard* guard,
                                  NokResultCache* cache,
-                                 const storage::NodeStore* store,
+                                 const storage::DiskStore* store,
                                  ExecOptions exec)
     : NestedListOperator(guard),
       doc_(doc),
@@ -334,24 +333,9 @@ void NokScanOperator::FillCache(
 }
 
 void NokScanOperator::GatherCandidates(xml::NodeId first, xml::NodeId last,
-                                       storage::ScanCursor* io,
+                                       storage::BlockCursor* io,
                                        std::vector<xml::NodeId>* out) const {
-  if (store_ != nullptr) {
-    // Block-at-a-time through the store: NextBlock counts one read per
-    // block entered — exactly what sequential per-node Gets count — and
-    // the kernel filters each resident block in place.
-    for (xml::NodeId n = first; n <= last;) {
-      std::span<const storage::NodeRecord> block =
-          store_->NextBlock(n, last, io);
-      if (target_tag_ != xml::kNullTag) {
-        FilterTagEqRecords(block.data(), block.size(), target_tag_, n,
-                           exec_.simd, out);
-      }
-      if (block.size() >= static_cast<size_t>(last - n) + 1) break;
-      n += static_cast<xml::NodeId>(block.size());
-    }
-    return;
-  }
+  if (store_ != nullptr) store_->Touch(first, last, io);
   if (target_tag_ == xml::kNullTag) return;
   FilterTagEqRecords(doc_->Records().data() + first,
                      static_cast<size_t>(last - first) + 1, target_tag_,
@@ -359,7 +343,7 @@ void NokScanOperator::GatherCandidates(xml::NodeId first, xml::NodeId last,
 }
 
 bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
-                                xml::NodeId end, storage::ScanCursor* io,
+                                xml::NodeId end, storage::BlockCursor* io,
                                 uint64_t* scanned, uint64_t* vcmps,
                                 nestedlist::Arena* out) const {
   util::ResourceGuard* g = guard();
@@ -406,7 +390,7 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
       // (wildcard / attribute roots).
       for (xml::NodeId c = x; c <= chunk_end; ++c) {
         ++*scanned;
-        if (store_ != nullptr) store_->Get(c, io);
+        if (store_ != nullptr) store_->Touch(c, c, io);
         if (m->RootTest(c)) m->MatchAt(c, out);
         if (g != nullptr && g->Tripped()) {
           *vcmps += ValueComparisonCount() - cmp_before;
@@ -427,9 +411,7 @@ void NokScanOperator::RunMaterializedScan() {
                                             : std::string());
   std::vector<storage::NodeRange> parts;
   if (ParallelEligible()) {
-    parts = store_ != nullptr
-                ? store_->Partition(pool_->NumThreads())
-                : storage::PartitionSubtrees(*doc_, pool_->NumThreads());
+    parts = storage::PartitionSubtrees(*doc_, pool_->NumThreads());
     partitions_used_ = parts.size();
   } else {
     parts.push_back(storage::NodeRange{range_begin_, range_end_});
@@ -476,10 +458,9 @@ void NokScanOperator::RunMaterializedScan() {
     // delta is exactly this partition's comparisons.
     NokMatcher m(doc_, tree_, nok_);
     m.set_guard(guard());
-    // Private I/O cursor per partition: block pins and read counts stay
-    // local to this thread, so the aggregate equals the sum of partition
-    // read counts at every thread count and interleaving.
-    storage::ScanCursor io;
+    // Private block cursor per partition: the aggregate equals the sum of
+    // partition read counts at every thread count and interleaving.
+    storage::BlockCursor io;
     if (!ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i],
                    &vcmp[i], fresh[i].get())) {
       fresh[i]->clear();  // A tripped run discards its results.
@@ -581,7 +562,7 @@ void NokScanOperator::Rewind() {
   parts_.clear();
   chunk_.clear();
   chunk_pos_ = 0;
-  io_cursor_ = storage::ScanCursor();
+  io_cursor_ = storage::BlockCursor();
 }
 
 }  // namespace exec

@@ -11,8 +11,8 @@
 #include "exec/result_cache.h"
 #include "nestedlist/nested_list.h"
 #include "pattern/decompose.h"
-#include "storage/node_store.h"
-#include "storage/page_store.h"
+#include "storage/disk_store.h"
+#include "storage/partition.h"
 #include "util/resource_guard.h"
 #include "util/thread_pool.h"
 #include "xml/document.h"
@@ -152,12 +152,10 @@ class NokScanOperator : public NestedListOperator {
   ///        and lend a hit's frozen arena without scanning; complete cold
   ///        scans share theirs with it. Range-restricted scans (the BNLJ
   ///        inner side) bypass it. nullptr = the exact uncached scan.
-  /// \param store optional paged node store backing `doc` (an in-RAM
-  ///        PageStore or an out-of-core DiskStore): the scan drivers touch
-  ///        every visited node through it with a per-scan cursor, so
-  ///        page/block-read counts reflect the scan's real access
+  /// \param store optional DiskStore whose image `doc` is: the scan drivers
+  ///        count the blocks of the ids they visit through a per-scan
+  ///        cursor, so block-read counts reflect the scan's real access
   ///        pattern — deterministically, independent of concurrent readers.
-  ///        Partitioning also goes through the store when attached.
   /// \param exec execution knobs (DESIGN.md §16); `exec.simd` picks the
   ///        kernel backend of the tag-id candidate prefilter.
   NokScanOperator(const xml::Document* doc, const pattern::BlossomTree* tree,
@@ -165,7 +163,7 @@ class NokScanOperator : public NestedListOperator {
                   util::ThreadPool* pool = nullptr,
                   util::ResourceGuard* guard = nullptr,
                   NokResultCache* cache = nullptr,
-                  const storage::NodeStore* store = nullptr,
+                  const storage::DiskStore* store = nullptr,
                   ExecOptions exec = {});
 
   const std::vector<pattern::SlotId>& top_slots() const override {
@@ -214,22 +212,22 @@ class NokScanOperator : public NestedListOperator {
   /// none (end of range, or a trip).
   bool ScanNextChunk(size_t want);
 
-  /// Scans nodes [begin, end] with matcher `m`, touching `store_` through
-  /// `io`, bulk-counting scanned nodes / value comparisons into *scanned /
-  /// *vcmps and appending matches to *out. Chunked: the guard is sampled at
-  /// every ≤kScanChunk-node chunk top; Check() never mutates counters, and
-  /// a tripped run discards its results. A "~"-rooted NoK ignores the range
-  /// and matches once. Returns false iff the guard tripped mid-scan.
+  /// Scans nodes [begin, end] with matcher `m`, counting `store_` block
+  /// reads through `io`, bulk-counting scanned nodes / value comparisons
+  /// into *scanned / *vcmps and appending matches to *out. Chunked: the
+  /// guard is sampled at every ≤kScanChunk-node chunk top; Check() never
+  /// mutates counters, and a tripped run discards its results. A
+  /// "~"-rooted NoK ignores the range and matches once. Returns false iff
+  /// the guard tripped mid-scan.
   bool ScanRange(NokMatcher* m, xml::NodeId begin, xml::NodeId end,
-                 storage::ScanCursor* io, uint64_t* scanned, uint64_t* vcmps,
+                 storage::BlockCursor* io, uint64_t* scanned, uint64_t* vcmps,
                  nestedlist::Arena* out) const;
 
   /// Collects NodeIds in [first, last] whose tag id equals target_tag_
-  /// (the SIMD kernels; scalar fallback when exec_.simd is off). Touches
-  /// the store block-at-a-time through `io` with the same read accounting
-  /// as per-node Gets.
+  /// (the SIMD kernels; scalar fallback when exec_.simd is off), counting
+  /// every block of [first, last] through `io`.
   void GatherCandidates(xml::NodeId first, xml::NodeId last,
-                        storage::ScanCursor* io,
+                        storage::BlockCursor* io,
                         std::vector<xml::NodeId>* out) const;
 
   /// True when the pending scan may run partitioned: a pool is attached and
@@ -286,10 +284,10 @@ class NokScanOperator : public NestedListOperator {
   /// is attached): the pattern half of every cache key this scan uses.
   std::string canonical_nok_;
 
-  /// Optional paged store behind the document; the serial drivers thread
-  /// `io_cursor_` through it (parallel partitions use private cursors).
-  const storage::NodeStore* store_;
-  storage::ScanCursor io_cursor_;
+  /// Optional DiskStore behind the document; the serial drivers count
+  /// through `io_cursor_` (parallel partitions use private cursors).
+  const storage::DiskStore* store_;
+  storage::BlockCursor io_cursor_;
 
   ExecOptions exec_;
   /// Root tag id for kernel candidate prefiltering; kNullTag when the tag

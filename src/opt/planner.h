@@ -58,13 +58,12 @@ struct PlanOptions {
   /// scanning and fills it after a complete cold scan. nullptr = uncached
   /// (the exact pre-cache behavior, counters included).
   exec::NokResultCache* result_cache = nullptr;
-  /// Paged node store backing `doc` (borrowed, not owned): an in-RAM
-  /// storage::PageStore or an out-of-core storage::DiskStore. When set,
-  /// every NoK scan in the plan touches visited nodes through it (per-scan
-  /// cursors), so page/block-read counters reflect the query's real
-  /// access pattern; scan partitioning also goes through the
-  /// store. nullptr = scans run purely over the document.
-  const storage::NodeStore* store = nullptr;
+  /// The DiskStore whose image `doc` is (borrowed, not owned). When set,
+  /// every NoK scan and index seek in the plan counts the blocks of the
+  /// ids it visits through it (per-scan cursors), so block-read counters
+  /// reflect the query's real access pattern. It changes no result and no
+  /// other counter. nullptr = no block accounting (in-RAM documents).
+  const storage::DiskStore* store = nullptr;
   /// Structural index over `doc` (borrowed, not owned; DESIGN.md §14): when
   /// set and structurally matching the document, the planner costs an
   /// index-seek access path against the sequential scan per NoK root using

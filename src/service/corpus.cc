@@ -17,14 +17,6 @@ CorpusDocument::CorpusDocument(std::string name,
       disk_(std::move(disk)),
       generation_(disk_->generation()) {}
 
-const storage::NodeStore& CorpusDocument::store() const {
-  if (disk_ != nullptr) return *disk_;
-  std::call_once(store_once_, [this] {
-    store_ = std::make_unique<storage::PageStore>(*doc_);
-  });
-  return *store_;
-}
-
 Corpus::Corpus(CorpusOptions options) {
   if (options.plan_cache.enabled) {
     plan_cache_ = std::make_unique<engine::PlanCache>(options.plan_cache);
@@ -55,15 +47,8 @@ Status Corpus::AddDisk(const std::string& name, const std::string& path,
   if (name.empty()) {
     return Status::InvalidArgument("corpus: document name must be non-empty");
   }
-  if (!options.use_mmap) {
-    return Status::InvalidArgument(
-        "corpus: disk documents need the mapped mode (pread mode has no "
-        "document facade to query)");
-  }
   BT_ASSIGN_OR_RETURN(std::unique_ptr<storage::DiskStore> disk,
                       storage::DiskStore::Open(path, options));
-  // The facade's tag index is a zero-copy span over the persisted per-tag
-  // streams — nothing to pre-build here, unlike Add().
   auto entry = std::make_shared<CorpusDocument>(name, std::move(disk));
   std::lock_guard<std::mutex> lock(mu_);
   docs_[name] = std::move(entry);

@@ -10,8 +10,6 @@
 #include "engine/plan_cache.h"
 #include "exec/result_cache.h"
 #include "storage/disk_store.h"
-#include "storage/node_store.h"
-#include "storage/page_store.h"
 #include "util/cache.h"
 #include "util/status.h"
 #include "xml/document.h"
@@ -25,15 +23,13 @@ namespace service {
 /// concurrent Evict or Replace.
 ///
 /// The document is immutable (xml::Document is frozen by Finish()), so
-/// concurrent queries share it without locks; the lazily built PageStore is
-/// constructed at most once under a std::once_flag.
+/// concurrent queries share it without locks.
 class CorpusDocument {
  public:
   CorpusDocument(std::string name, std::unique_ptr<xml::Document> doc);
 
   /// \brief Disk-backed variant: the document is the DiskStore's zero-copy
-  /// facade over its mapped BTSX v2 image (never null; Corpus::AddDisk
-  /// rejects pread-mode stores, which have no facade).
+  /// facade over its mapped BTSX v2 image.
   CorpusDocument(std::string name, std::unique_ptr<storage::DiskStore> disk);
 
   const std::string& name() const { return name_; }
@@ -51,11 +47,10 @@ class CorpusDocument {
   /// than an in-RAM build.
   bool disk_backed() const { return disk_ != nullptr; }
 
-  /// \brief The shared paged node store for this document: the DiskStore
-  /// itself for disk-backed entries, else an in-RAM PageStore built on
-  /// first use. Thread-safe; the store's own counters are atomic and
-  /// per-scan state lives in caller cursors.
-  const storage::NodeStore& store() const;
+  /// \brief The DiskStore of a disk-backed entry; call only when
+  /// disk_backed(). Kept only for the benchmark harness, which reads it:
+  /// disk() is the one accessor everything else uses.
+  const storage::DiskStore& store() const { return *disk_; }
 
   /// \brief The DiskStore behind a disk-backed entry — the observability
   /// plane samples its measured residency (DESIGN.md §15). nullptr for
@@ -75,8 +70,6 @@ class CorpusDocument {
   std::unique_ptr<xml::Document> doc_;
   std::unique_ptr<storage::DiskStore> disk_;
   uint64_t generation_ = 0;
-  mutable std::once_flag store_once_;
-  mutable std::unique_ptr<storage::PageStore> store_;
 };
 
 /// \brief Corpus-wide knobs: the shared cache budgets (DESIGN.md §12).
@@ -118,8 +111,6 @@ class Corpus {
   /// storage/disk_store.h) and its zero-copy document facade serves queries
   /// exactly like an in-RAM build — byte-identical results, fresh
   /// generation for cache identity.
-  /// `options.use_mmap` must be true: the scan-only pread mode has no
-  /// document facade to run queries over.
   Status AddDisk(const std::string& name, const std::string& path,
                  storage::DiskStoreOptions options = {});
 

@@ -242,12 +242,9 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
   eo.collect_metrics = observe;
   eo.shared_plan_cache = corpus_->plan_cache();
   eo.plan.result_cache = corpus_->result_cache();
-  // Scans of disk-backed documents touch nodes through the DiskStore so
-  // its block-read counters see them; in-RAM documents keep the plain
-  // document scan (their PageStore stays lazy, bench-only).
-  if (ticket->doc_->disk_backed()) {
-    eo.plan.store = &ticket->doc_->store();
-  }
+  // Scans and seeks of a disk-backed document count their blocks through
+  // its DiskStore; in-RAM documents have none (disk() is null).
+  eo.plan.store = ticket->doc_->disk();
   // The `.btsi` structural index the corpus loaded with the document (if
   // any): plans cost index seeks against scans per NoK and short-circuit
   // provably-empty patterns. Access paths never change results.

@@ -291,7 +291,6 @@ Result<Btsx2View> MapBtsx2(std::string_view image) {
       reinterpret_cast<const uint64_t*>(p + offs[kSecTagStreamOffsets]);
   view.tag_streams =
       reinterpret_cast<const xml::NodeId*>(p + offs[kSecTagStreams]);
-  view.records_offset = offs[kSecRecords];
   view.records_bytes = sizes[kSecRecords];
 
   // Tag-stream prefix offsets: monotone and exhaustive. O(#tags), so still
@@ -347,7 +346,7 @@ Status ValidateBtsx2Deep(const Btsx2View& v) {
     }
     if (r.tag == xml::kNullTag) {
       // Text node: a leaf whose text_ref numbers text nodes in document
-      // order (the invariant PageStore mirrors).
+      // order.
       if (r.subtree_end != id) return Corrupt("text node with children");
       if (r.text_ref != text_refs || r.text_ref >= v.num_text_spans) {
         return Corrupt("text ref out of order");

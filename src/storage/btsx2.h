@@ -84,9 +84,7 @@ struct Btsx2View {
   const xml::NodeId* tag_streams = nullptr;
   std::vector<std::string> tag_names;
 
-  /// Byte extent of the record section within the image (DiskStore reads
-  /// records block-at-a-time through it).
-  uint64_t records_offset = 0;
+  /// Byte size of the record section.
   uint64_t records_bytes = 0;
 
   /// \brief Borrows this view's arrays as a Document external layout

@@ -277,7 +277,7 @@ class Document {
 
   /// \brief The record stream, one PackedNodeRecord per node in document
   /// order — the stride-16 input of the exec::FilterTagEqRecords scan
-  /// kernel and the records storage::PageStore serves.
+  /// kernel and what storage::PartitionSubtrees walks.
   std::span<const PackedNodeRecord> Records() const {
     return {view_.records, view_.num_nodes};
   }

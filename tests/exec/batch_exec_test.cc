@@ -33,7 +33,7 @@
 #include "pattern/builder.h"
 #include "pattern/decompose.h"
 #include "pattern/fingerprint.h"
-#include "storage/page_store.h"
+#include "storage/partition.h"
 #include "util/json.h"
 #include "util/resource_guard.h"
 #include "util/thread_pool.h"

@@ -92,17 +92,6 @@ TEST(ServiceCorpusTest, ReplaceBumpsGenerationAndKeepsOldHandleAlive) {
   EXPECT_EQ(old_handle->doc()->NumElements(), 7u);
 }
 
-TEST(ServiceCorpusTest, SharedPageStoreIsBuiltOnceAndCarriesGeneration) {
-  Corpus corpus;
-  ASSERT_TRUE(corpus.Add("lib", LibraryDoc()).ok());
-  auto doc = corpus.Get("lib");
-  const storage::NodeStore& s1 = doc->store();
-  const storage::NodeStore& s2 = doc->store();
-  EXPECT_EQ(&s1, &s2);
-  EXPECT_EQ(s1.generation(), doc->generation());
-  EXPECT_EQ(s1.NumNodes(), doc->doc()->NumNodes());
-}
-
 TEST(ServiceCorpusTest, CachesAreOffByDefaultAndOnWhenConfigured) {
   Corpus plain;
   EXPECT_EQ(plain.plan_cache(), nullptr);
@@ -131,8 +120,9 @@ TEST(ServiceCorpusTest, AddDiskServesBtsx2WithoutParsing) {
   EXPECT_EQ(doc->doc()->NumNodes(), ram->NumNodes());
   EXPECT_EQ(doc->generation(), doc->doc()->generation());
   EXPECT_NE(doc->generation(), 0u);
-  // The store() substrate is the DiskStore itself.
-  EXPECT_EQ(doc->store().NumNodes(), ram->NumNodes());
+  // store() is the DiskStore itself.
+  EXPECT_EQ(&doc->store(), doc->disk());
+  EXPECT_EQ(doc->disk()->NumNodes(), ram->NumNodes());
 
   QueryService svc(&corpus, {});
   auto session = svc.CreateSession("tenant-a");
@@ -170,16 +160,10 @@ TEST(DeepResultTest, DiskImageOfA200000DeepChainAnswersThroughTheService) {
   EXPECT_TRUE(*got == expected) << got->size() << " vs " << expected.size();
 }
 
-TEST(ServiceCorpusTest, AddDiskRejectsMissingFileAndPreadMode) {
+TEST(ServiceCorpusTest, AddDiskRejectsMissingFile) {
   Corpus corpus;
   EXPECT_FALSE(corpus.AddDisk("x", "/nonexistent/f.btsx2").ok());
-  auto ram = LibraryDoc();
-  std::string path = ::testing::TempDir() + "/bt_service_pread.btsx2";
-  ASSERT_TRUE(storage::WriteBtsx2(*ram, path).ok());
-  storage::DiskStoreOptions opts;
-  opts.use_mmap = false;  // No document facade: nothing to query.
-  EXPECT_FALSE(corpus.AddDisk("x", path, opts).ok());
-  std::remove(path.c_str());
+  EXPECT_EQ(corpus.size(), 0u);
 }
 
 TEST(ServiceDiskTest, MappedCorpusWithTinyBudgetMatchesRam) {

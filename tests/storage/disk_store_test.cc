@@ -6,14 +6,16 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "index/btsi.h"
+#include "index/structural_index.h"
+#include "opt/planner.h"
 #include "storage/btsx2.h"
-#include "storage/page_store.h"
+#include "storage/partition.h"
 #include "util/thread_pool.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -34,6 +36,21 @@ std::string WriteTemp(const xml::Document& doc, const std::string& tag) {
   Status st = WriteBtsx2(doc, path);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return path;
+}
+
+/// WriteTemp plus the `.btsi` structural-index sidecar next to the file.
+std::string WriteTempWithSidecar(const xml::Document& doc,
+                                 const std::string& tag) {
+  std::string path = WriteTemp(doc, tag);
+  Status st = index::WriteBtsi(*index::StructuralIndex::Build(doc),
+                               index::BtsiSidecarPath(path));
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return path;
+}
+
+void RemoveWithSidecar(const std::string& path) {
+  std::remove(index::BtsiSidecarPath(path).c_str());
+  std::remove(path.c_str());
 }
 
 /// Exhaustive facade comparison: every accessor the engine reads, at every
@@ -87,10 +104,7 @@ TEST(DiskStoreTest, OpensAndServesFacade) {
   auto store = DiskStore::Open(path, opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_NE((*store)->document(), nullptr);
-  // Zero-copy adopt: the facade's records are the store's mapped records.
-  ScanCursor cursor;
-  EXPECT_EQ((*store)->document()->Records().data(),
-            (*store)->NextBlock(0, 0, &cursor).data());
+  EXPECT_EQ((*store)->NumNodes(), doc->NumNodes());
   ExpectFacadeParity(*doc, *(*store)->document());
   // The on-disk stamp is the ingest-time generation; the adopted facade
   // carries a fresh one (cache identities never collide across opens).
@@ -151,122 +165,12 @@ TEST(DiskStoreTest, QueriesAreByteIdenticalToRam) {
   std::remove(path.c_str());
 }
 
-TEST(DiskStoreTest, RecordsMatchPageStoreBitForBit) {
-  datagen::GenOptions o;
-  o.scale = 0.02;
-  auto doc = datagen::GenerateDataset(datagen::Dataset::kD1Recursive, o);
-  std::string path = WriteTemp(*doc, "records");
-  DiskStoreOptions opts;
-  opts.block_bytes = 4096;
-  auto store = DiskStore::Open(path, opts);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  PageStore pages(*doc, /*page_bytes=*/4096);
-  ASSERT_EQ((*store)->NumNodes(), pages.NumNodes());
-  ASSERT_EQ((*store)->NumPages(), pages.NumPages());
-  ASSERT_EQ((*store)->NodesPerPage(), pages.NodesPerPage());
-  ScanCursor dc;
-  ScanCursor pc;
-  for (xml::NodeId n = 0; n < pages.NumNodes(); ++n) {
-    NodeRecord a = (*store)->Get(n, &dc);
-    NodeRecord b = pages.Get(n, &pc);
-    ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "node " << n;
-  }
-  // Identical access pattern at identical granularity: identical reads.
-  EXPECT_EQ(dc.reads, pc.reads);
-  EXPECT_EQ(dc.reads, (*store)->NumPages());
-  // Partitioning decisions go through the same subtree-cut grouping.
-  for (size_t k : {1u, 2u, 4u, 7u}) {
-    auto dparts = (*store)->Partition(k);
-    auto pparts = pages.Partition(k);
-    ASSERT_EQ(dparts.size(), pparts.size()) << "k=" << k;
-    for (size_t i = 0; i < pparts.size(); ++i) {
-      EXPECT_TRUE(dparts[i] == pparts[i]) << "k=" << k << " part " << i;
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DiskStoreTest, PreadModeServesScansWithoutMapping) {
-  datagen::GenOptions o;
-  o.scale = 0.02;
-  auto doc = datagen::GenerateDataset(datagen::Dataset::kD2Address, o);
-  std::string path = WriteTemp(*doc, "pread");
-  DiskStoreOptions opts;
-  opts.use_mmap = false;
-  opts.block_bytes = 4096;
-  auto store = DiskStore::Open(path, opts);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->document(), nullptr);
-  EXPECT_FALSE((*store)->mmap_backed());
-  // The scan API still serves exact records, block by block.
-  PageStore pages(*doc, 4096);
-  ScanCursor dc;
-  ScanCursor pc;
-  for (xml::NodeId n = 0; n < pages.NumNodes(); ++n) {
-    NodeRecord a = (*store)->Get(n, &dc);
-    NodeRecord b = pages.Get(n, &pc);
-    ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "node " << n;
-  }
-  // Derived navigation works straight off the record stream.
-  ScanCursor nav;
-  for (xml::NodeId n = 0; n < doc->NumNodes(); ++n) {
-    ASSERT_EQ((*store)->FirstChild(n, &nav), doc->FirstChild(n));
-    ASSERT_EQ((*store)->NextSibling(n, &nav), doc->NextSibling(n));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DiskStoreTest, BlockCacheRespectsBudget) {
-  datagen::GenOptions o;
-  o.scale = 0.05;
-  auto doc = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, o);
-  std::string path = WriteTemp(*doc, "budget");
-  DiskStoreOptions opts;
-  opts.use_mmap = false;  // pread mode: cached blocks are real heap bytes.
-  opts.block_bytes = 4096;
-  // A budget far below the record section: eviction must kick in.
-  opts.cache_budget_bytes = 4 * 4096;
-  auto store = DiskStore::Open(path, opts);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_GT((*store)->RecordBytes(), opts.cache_budget_bytes);
-  ScanCursor cur;
-  for (xml::NodeId n = 0; n < (*store)->NumNodes(); ++n) {
-    (*store)->Get(n, &cur);
-    util::CacheStats stats = (*store)->BlockCacheStats();
-    ASSERT_LE(stats.bytes, (*store)->budget_bytes());
-  }
-  util::CacheStats stats = (*store)->BlockCacheStats();
-  EXPECT_GT(stats.evictions, 0u);
-  // One sequential pass over more blocks than fit: every block was read.
-  EXPECT_EQ(cur.reads, (*store)->NumPages());
-  std::remove(path.c_str());
-}
-
-TEST(DiskStoreTest, ProgressesWithBudgetSmallerThanOneBlock) {
-  auto doc = Parse("<a><b/><b/><b/><b/></a>");
-  std::string path = WriteTemp(*doc, "tiny_budget");
-  DiskStoreOptions opts;
-  opts.use_mmap = false;
-  opts.cache_budget_bytes = 1;  // Nothing can stay resident.
-  auto store = DiskStore::Open(path, opts);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ScanCursor cur;
-  for (xml::NodeId n = 0; n < (*store)->NumNodes(); ++n) {
-    NodeRecord r = (*store)->Get(n, &cur);
-    EXPECT_EQ(r.subtree_end, doc->SubtreeEnd(n));
-  }
-  std::remove(path.c_str());
-}
-
 TEST(DiskStoreTest, OpenRejectsMissingAndGarbageFiles) {
   EXPECT_FALSE(DiskStore::Open("/nonexistent/corpus.btsx2").ok());
 
   std::string path = ::testing::TempDir() + "/bt_disk_garbage.btsx2";
   std::ofstream(path, std::ios::binary) << "this is not a BTSX2 file";
   EXPECT_FALSE(DiskStore::Open(path).ok());
-  DiskStoreOptions pread;
-  pread.use_mmap = false;
-  EXPECT_FALSE(DiskStore::Open(path, pread).ok());
   std::remove(path.c_str());
 }
 
@@ -317,116 +221,6 @@ TEST(DiskStoreTest, EmptyDocumentRoundTrips) {
   std::remove(path.c_str());
 }
 
-/// Drains [begin, end] through NextBlock spans, asserting every span stays
-/// inside the range and inside one block, and that every record matches the
-/// in-RAM document. Returns the cursor's block reads.
-uint64_t DrainRangeBatched(const NodeStore& store, const xml::Document& doc,
-                           xml::NodeId begin, xml::NodeId end) {
-  ScanCursor cur;
-  size_t npp = store.NodesPerPage();
-  xml::NodeId n = begin;
-  while (n <= end) {
-    std::span<const NodeRecord> block = store.NextBlock(n, end, &cur);
-    EXPECT_GE(block.size(), 1u);
-    EXPECT_LE(n + block.size() - 1, end);
-    // A span never crosses its block boundary.
-    EXPECT_EQ(n / npp, (n + block.size() - 1) / npp);
-    for (size_t i = 0; i < block.size(); ++i) {
-      xml::NodeId id = n + static_cast<xml::NodeId>(i);
-      EXPECT_EQ(block[i].subtree_end, doc.SubtreeEnd(id)) << "node " << id;
-      EXPECT_EQ(block[i].level, doc.Level(id)) << "node " << id;
-    }
-    n += static_cast<xml::NodeId>(block.size());
-  }
-  return cur.reads;
-}
-
-TEST(DiskStoreTest, NextBlockBoundarySweepPreadVsMmap) {
-  // Satellite (b): ranges ending one record before / on / one record after
-  // every block boundary — including a final partial block — must serve
-  // exact records with exactly ceil(range / nodes_per_block) block reads,
-  // identically in pread mode, mmap mode, and the in-RAM PageStore. The
-  // final short block in particular must be entered (and counted) once.
-  datagen::GenOptions o;
-  o.scale = 0.02;
-  auto doc = datagen::GenerateDataset(datagen::Dataset::kD2Address, o);
-  std::string path = WriteTemp(*doc, "boundary");
-  DiskStoreOptions mopts;
-  mopts.block_bytes = 4096;
-  auto mstore = DiskStore::Open(path, mopts);
-  ASSERT_TRUE(mstore.ok()) << mstore.status().ToString();
-  DiskStoreOptions popts;
-  popts.use_mmap = false;
-  popts.block_bytes = 4096;
-  auto pstore = DiskStore::Open(path, popts);
-  ASSERT_TRUE(pstore.ok()) << pstore.status().ToString();
-  PageStore pages(*doc, 4096);
-
-  const xml::NodeId total = static_cast<xml::NodeId>(doc->NumNodes());
-  const size_t npp = pages.NodesPerPage();
-  ASSERT_EQ((*mstore)->NodesPerPage(), npp);
-  ASSERT_EQ((*pstore)->NodesPerPage(), npp);
-  // More than one block, and a final block that is genuinely short.
-  ASSERT_GT((*mstore)->NumPages(), 2u);
-  ASSERT_NE(total % npp, 0u);
-
-  std::vector<xml::NodeId> edges;
-  for (xml::NodeId b = static_cast<xml::NodeId>(npp); b < total;
-       b += static_cast<xml::NodeId>(npp)) {
-    edges.push_back(b - 1);  // Last record of a block.
-    edges.push_back(b);      // First record of the next.
-    if (b + 1 < total) edges.push_back(b + 1);
-  }
-  edges.push_back(total - 1);  // End of the final short block.
-  for (xml::NodeId end : edges) {
-    uint64_t expected_reads = end / npp + 1;  // Blocks 0..end/npp, once each.
-    EXPECT_EQ(DrainRangeBatched(**mstore, *doc, 0, end), expected_reads)
-        << "mmap end=" << end;
-    EXPECT_EQ(DrainRangeBatched(**pstore, *doc, 0, end), expected_reads)
-        << "pread end=" << end;
-    EXPECT_EQ(DrainRangeBatched(pages, *doc, 0, end), expected_reads)
-        << "pages end=" << end;
-    // Mid-range starts around the same edge: begin inside a block.
-    xml::NodeId begin = end / 2;
-    uint64_t mid_reads = end / npp - begin / npp + 1;
-    EXPECT_EQ(DrainRangeBatched(**mstore, *doc, begin, end), mid_reads);
-    EXPECT_EQ(DrainRangeBatched(**pstore, *doc, begin, end), mid_reads);
-    EXPECT_EQ(DrainRangeBatched(pages, *doc, begin, end), mid_reads);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DiskStoreTest, PartitionBoundariesInsideFinalBlockScanExactly) {
-  // Partition ranges cut wherever subtree boundaries fall — including
-  // inside the final short block. Scanning each range batched must count
-  // the same block reads as a Get-per-node scan of the same range, and
-  // partitioning itself must count nothing (a planning walk, not scan I/O).
-  datagen::GenOptions o;
-  o.scale = 0.02;
-  auto doc = datagen::GenerateDataset(datagen::Dataset::kD3Catalog, o);
-  std::string path = WriteTemp(*doc, "partition_blocks");
-  for (bool use_mmap : {true, false}) {
-    DiskStoreOptions opts;
-    opts.use_mmap = use_mmap;
-    opts.block_bytes = 4096;
-    auto store = DiskStore::Open(path, opts);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    (*store)->ResetCounters();
-    auto parts = (*store)->Partition(4);
-    EXPECT_EQ((*store)->PageReads(), 0u) << "use_mmap=" << use_mmap;
-    ASSERT_FALSE(parts.empty());
-    for (const NodeRange& r : parts) {
-      uint64_t batched = DrainRangeBatched(**store, *doc, r.begin, r.end);
-      ScanCursor one;
-      for (xml::NodeId n = r.begin; n <= r.end; ++n) (*store)->Get(n, &one);
-      EXPECT_EQ(batched, one.reads)
-          << "use_mmap=" << use_mmap << " range [" << r.begin << ", "
-          << r.end << "]";
-    }
-  }
-  std::remove(path.c_str());
-}
-
 TEST(DiskStoreTest, MapRejectsMisalignedImage) {
   // Satellite (c): the BTSX2 mapper serves typed section views, so it must
   // refuse an image whose base is not 16-byte aligned instead of handing
@@ -448,71 +242,132 @@ TEST(DiskStoreTest, MapRejectsMisalignedImage) {
   EXPECT_FALSE(r.ok());
 }
 
-/// Four threads scan the whole store at once, each through its own cursor;
-/// every record must match the PageStore and every scan must count exactly
-/// one pass of block reads.
-void ExpectConcurrentScansMatch(const xml::Document& doc,
-                                const DiskStore& store) {
-  PageStore pages(doc, 4096);
-  util::ThreadPool pool(4);
-  std::vector<int> ok(4, 0);
-  std::vector<uint64_t> reads(4, 0);
-  pool.ParallelFor(4, [&](size_t t) {
-    ScanCursor cur;
-    ScanCursor pc;
-    bool good = true;
-    for (xml::NodeId n = 0; n < store.NumNodes(); ++n) {
-      NodeRecord a = store.Get(n, &cur);
-      NodeRecord b = pages.Get(n, &pc);
-      if (std::memcmp(&a, &b, sizeof a) != 0) good = false;
-    }
-    ok[t] = good ? 1 : 0;
-    reads[t] = cur.reads;
-  });
-  for (size_t t = 0; t < 4; ++t) {
-    EXPECT_EQ(ok[t], 1) << "thread " << t;
-    // Per-scan read accounting is interleaving-independent: every reader
-    // pays exactly one pass regardless of who else is scanning.
-    EXPECT_EQ(reads[t], store.NumPages()) << "thread " << t;
-  }
-}
 
-TEST(DiskStoreTest, ConcurrentScansSeeIdenticalRecords) {
+TEST(DiskStoreTest, TouchCountsEachBlockEnteredOnce) {
+  // Ranges ending one record before / on / one record after every block
+  // boundary — including a final short block — count exactly the blocks
+  // they span, whether touched as one range or one id at a time.
   datagen::GenOptions o;
-  o.scale = 0.03;
-  auto doc = datagen::GenerateDataset(datagen::Dataset::kD4Treebank, o);
-  std::string path = WriteTemp(*doc, "concurrent");
+  o.scale = 0.02;
+  auto doc = datagen::GenerateDataset(datagen::Dataset::kD2Address, o);
+  std::string path = WriteTemp(*doc, "boundary");
   DiskStoreOptions opts;
-  opts.use_mmap = false;
   opts.block_bytes = 4096;
-  opts.cache_budget_bytes = 8 * 4096;  // Force churn under contention.
   auto store = DiskStore::Open(path, opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ExpectConcurrentScansMatch(*doc, **store);
+  const DiskStore& s = **store;
+  const xml::NodeId total = static_cast<xml::NodeId>(s.NumNodes());
+  const size_t npb = s.NodesPerBlock();
+  ASSERT_EQ(npb, 4096 / sizeof(xml::PackedNodeRecord));
+  // More than one block, and a final block that is genuinely short.
+  ASSERT_GT(s.NumBlocks(), 2u);
+  ASSERT_NE(total % npb, 0u);
+
+  auto reads = [&](xml::NodeId begin, xml::NodeId end, bool per_id) {
+    BlockCursor cur;
+    uint64_t before = s.PageReads();
+    if (per_id) {
+      for (xml::NodeId n = begin; n <= end; ++n) s.Touch(n, n, &cur);
+    } else {
+      s.Touch(begin, end, &cur);
+    }
+    return s.PageReads() - before;
+  };
+  std::vector<xml::NodeId> edges;
+  for (xml::NodeId b = static_cast<xml::NodeId>(npb); b < total;
+       b += static_cast<xml::NodeId>(npb)) {
+    edges.push_back(b - 1);  // Last record of a block.
+    edges.push_back(b);      // First record of the next.
+    if (b + 1 < total) edges.push_back(b + 1);
+  }
+  edges.push_back(total - 1);  // End of the final short block.
+  for (xml::NodeId end : edges) {
+    uint64_t expected = end / npb + 1;  // Blocks 0..end/npb, once each.
+    EXPECT_EQ(reads(0, end, false), expected) << "end=" << end;
+    EXPECT_EQ(reads(0, end, true), expected) << "end=" << end;
+    // Mid-range starts around the same edge: begin inside a block.
+    xml::NodeId begin = end / 2;
+    uint64_t mid = end / npb - begin / npb + 1;
+    EXPECT_EQ(reads(begin, end, false), mid) << "end=" << end;
+    EXPECT_EQ(reads(begin, end, true), mid) << "end=" << end;
+  }
+  // A cursor already on a block does not pay for it again; a jump back
+  // to a block it left does.
+  BlockCursor cur;
+  uint64_t before = s.PageReads();
+  s.Touch(0, 0, &cur);
+  s.Touch(1, static_cast<xml::NodeId>(npb - 1), &cur);
+  EXPECT_EQ(s.PageReads() - before, 1u);
+  s.Touch(static_cast<xml::NodeId>(npb), static_cast<xml::NodeId>(npb), &cur);
+  s.Touch(0, 0, &cur);
+  EXPECT_EQ(s.PageReads() - before, 3u);
   std::remove(path.c_str());
 }
 
 TEST(DiskStoreTest, ConcurrentMappedScansSeeIdenticalRecords) {
-  // The mapped twin: readers share the image with no pin and no cache.
+  // Four threads share one mapped store with its `.btsi` sidecar. Each runs
+  // index seeks, sequential scans and a full per-id sweep through its own
+  // engines and cursors: every answer matches the in-RAM build, and the
+  // block reads add up to exactly four serial runs, however they
+  // interleave.
   datagen::GenOptions o;
   o.scale = 0.03;
-  auto doc = datagen::GenerateDataset(datagen::Dataset::kD4Treebank, o);
-  std::string path = WriteTemp(*doc, "concurrent_mapped");
+  auto doc = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, o);
+  std::string path = WriteTempWithSidecar(*doc, "concurrent_mapped");
   DiskStoreOptions opts;
   opts.block_bytes = 4096;
-  opts.cache_budget_bytes = 1;
   auto store = DiskStore::Open(path, opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_NE((*store)->document(), nullptr);
-  ExpectConcurrentScansMatch(*doc, **store);
-  EXPECT_EQ((*store)->PageReads(), 4 * (*store)->NumPages());
-  std::remove(path.c_str());
+  const DiskStore& s = **store;
+  ASSERT_NE(s.index(), nullptr);
+  const std::vector<std::string> queries = {
+      "//year[. = \"index omega\"]",                   // Value-index seek.
+      "//mastersthesis[school = \"node tree\"]/author",  // Value-index seek.
+      "//*[year]/title",                                // Wildcard: a scan.
+      "for $a in //article where exists($a/year) return "
+      "<hit>{$a/title}</hit>",
+  };
+  std::vector<std::string> expected;
+  for (const std::string& q : queries) {
+    engine::BlossomTreeEngine ram(doc.get());
+    auto r = ram.EvaluateQuery(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected.push_back(*r);
+  }
+  // One reader's work; true iff every answer matched.
+  auto run = [&] {
+    bool good = true;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      engine::EngineOptions eo;
+      eo.num_threads = 1;
+      eo.plan.store = &s;
+      eo.plan.index = s.index();
+      engine::BlossomTreeEngine disk(s.document(), eo);
+      auto r = disk.EvaluateQuery(queries[i]);
+      good = good && r.ok() && *r == expected[i];
+    }
+    BlockCursor cur;
+    for (xml::NodeId n = 0; n < s.NumNodes(); ++n) s.Touch(n, n, &cur);
+    return good;
+  };
+  uint64_t before = s.PageReads();
+  ASSERT_TRUE(run());
+  const uint64_t serial = s.PageReads() - before;
+  ASSERT_GT(serial, s.NumBlocks());
+
+  util::ThreadPool pool(4);
+  std::vector<int> ok(4, 0);
+  before = s.PageReads();
+  pool.ParallelFor(4, [&](size_t t) { ok[t] = run() ? 1 : 0; });
+  for (size_t t = 0; t < 4; ++t) EXPECT_EQ(ok[t], 1) << "thread " << t;
+  EXPECT_EQ(s.PageReads() - before, 4 * serial);
+  RemoveWithSidecar(path);
 }
 
 TEST(DiskStoreTest, MappedReadsKeepNoBlockLedger) {
   // A mapped store serves record reads straight from the image: a budget
   // of one byte changes nothing — not the records, not the read
-  // accounting, not the partitions — and no block cache is ever touched.
+  // accounting, not the partitions — and no block cache exists.
   datagen::GenOptions o;
   o.scale = 0.02;
   auto doc = datagen::GenerateDataset(datagen::Dataset::kD1Recursive, o);
@@ -522,49 +377,27 @@ TEST(DiskStoreTest, MappedReadsKeepNoBlockLedger) {
   opts.cache_budget_bytes = 1;
   auto store = DiskStore::Open(path, opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_NE((*store)->document(), nullptr);
-  PageStore pages(*doc, /*page_bytes=*/4096);
-  ASSERT_EQ((*store)->NumPages(), pages.NumPages());
-  ASSERT_GT((*store)->NumPages(), 2u);
+  const DiskStore& s = **store;
+  ASSERT_GT(s.NumBlocks(), 2u);
+  ExpectFacadeParity(*doc, *s.document());
 
-  ScanCursor dc;
-  ScanCursor pc;
-  for (xml::NodeId n = 0; n < pages.NumNodes(); ++n) {
-    NodeRecord a = (*store)->Get(n, &dc);
-    NodeRecord b = pages.Get(n, &pc);
-    ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "node " << n;
-  }
-  EXPECT_EQ(dc.reads, (*store)->NumPages());
-  EXPECT_EQ(dc.reads, pc.reads);
-  EXPECT_EQ(dc.pin, nullptr);
-
-  ScanCursor bc;
-  ScanCursor pbc;
-  const xml::NodeId last = static_cast<xml::NodeId>(pages.NumNodes() - 1);
-  for (xml::NodeId n = 0; n <= last;) {
-    std::span<const NodeRecord> disk = (*store)->NextBlock(n, last, &bc);
-    std::span<const NodeRecord> page = pages.NextBlock(n, last, &pbc);
-    ASSERT_EQ(disk.size(), page.size()) << "node " << n;
-    ASSERT_EQ(std::memcmp(disk.data(), page.data(),
-                          disk.size() * sizeof(NodeRecord)),
-              0)
-        << "node " << n;
-    n += static_cast<xml::NodeId>(disk.size());
-  }
-  EXPECT_EQ(bc.reads, (*store)->NumPages());
-  EXPECT_EQ(bc.reads, pbc.reads);
+  BlockCursor cur;
+  uint64_t before = s.PageReads();
+  for (xml::NodeId n = 0; n < s.NumNodes(); ++n) s.Touch(n, n, &cur);
+  EXPECT_EQ(s.PageReads() - before, s.NumBlocks());
 
   for (size_t k : {1u, 2u, 4u}) {
-    EXPECT_TRUE((*store)->Partition(k) == pages.Partition(k)) << "k=" << k;
+    EXPECT_EQ(PartitionSubtrees(*s.document(), k), PartitionSubtrees(*doc, k))
+        << "k=" << k;
   }
-  util::CacheStats stats = (*store)->BlockCacheStats();
+  util::CacheStats stats = s.BlockCacheStats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.insertions, 0u);
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_LE((*store)->ResidentBytes(), (*store)->FileBytes());
+  EXPECT_LE(s.ResidentBytes(), s.FileBytes());
   std::remove(path.c_str());
 }
 
@@ -584,18 +417,80 @@ TEST(DiskStoreTest, ResidentBytesMeasuresEachMode) {
   } else {
     EXPECT_EQ((*mapped)->ResidentBytes(), (*mapped)->FileBytes());
   }
-
-  DiskStoreOptions popts;
-  popts.use_mmap = false;
-  popts.block_bytes = 4096;
-  auto pread = DiskStore::Open(path, popts);
-  ASSERT_TRUE(pread.ok()) << pread.status().ToString();
-  EXPECT_EQ((*pread)->ResidentBytes(), 0u);
-  ScanCursor cur;
-  (*pread)->Get(0, &cur);
-  EXPECT_EQ((*pread)->ResidentBytes(), (*pread)->BlockCacheStats().bytes);
-  EXPECT_EQ((*pread)->ResidentBytes(), 4096u);
   std::remove(path.c_str());
+}
+
+/// Block reads one engine query pays on a mapped store, pinned to exact
+/// values: a block read is a transition of NodeId / nodes_per_block along
+/// the ids a scan or seek visits, with one private cursor per serial scan,
+/// per parallel partition and per seek (reset when a BNLJ inner re-scans).
+TEST(DiskStoreTest, EngineBlockReadsArePinned) {
+  struct Case {
+    datagen::Dataset dataset;
+    const char* query;
+    bool bnlj;  ///< Force the bounded nested-loop join (restricted re-scans).
+    uint64_t reads[2][2];  ///< [sidecar][1 thread, 4 threads]
+  };
+  const Case cases[] = {
+      {datagen::Dataset::kD5Dblp, "//year[. = \"index omega\"]", false,
+       {{116, 119}, {5, 5}}},
+      {datagen::Dataset::kD5Dblp,
+       "//mastersthesis[school = \"node tree\"]/author", false,
+       {{116, 119}, {49, 49}}},
+      {datagen::Dataset::kD5Dblp, "//phdthesis/editor", false,
+       {{116, 119}, {0, 0}}},
+      {datagen::Dataset::kD5Dblp, "//article/title", false,
+       {{116, 119}, {115, 115}}},
+      {datagen::Dataset::kD5Dblp,
+       "for $a in //inproceedings, $b in $a//author return <hit>{$b}</hit>",
+       true, {{738, 741}, {712, 712}}},
+      {datagen::Dataset::kD3Catalog, "//*[ISBN]/title", false,
+       {{21, 24}, {21, 24}}},
+  };
+  for (datagen::Dataset d :
+       {datagen::Dataset::kD5Dblp, datagen::Dataset::kD3Catalog}) {
+    datagen::GenOptions o;
+    o.scale = 0.05;
+    auto doc = datagen::GenerateDataset(d, o);
+    std::string path =
+        WriteTemp(*doc, std::string("pinned_") + datagen::DatasetName(d));
+    ASSERT_TRUE(index::WriteBtsi(*index::StructuralIndex::Build(*doc),
+                                 index::BtsiSidecarPath(path))
+                    .ok());
+    for (int sidecar : {0, 1}) {
+      DiskStoreOptions opts;
+      opts.block_bytes = 4096;
+      opts.load_index = sidecar == 1;
+      auto store = DiskStore::Open(path, opts);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      ASSERT_EQ((*store)->index() != nullptr, sidecar == 1);
+      for (const Case& c : cases) {
+        if (c.dataset != d) continue;
+        engine::EngineOptions ro;
+        ro.num_threads = 1;
+        engine::BlossomTreeEngine ram(doc.get(), ro);
+        auto expected = ram.EvaluateQuery(c.query);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        for (int t : {0, 1}) {
+          engine::EngineOptions eo;
+          eo.num_threads = t == 0 ? 1 : 4;
+          eo.plan.store = store->get();
+          eo.plan.index = (*store)->index();
+          if (c.bnlj) eo.plan.strategy = opt::JoinStrategy::kBoundedNestedLoop;
+          engine::BlossomTreeEngine disk((*store)->document(), eo);
+          uint64_t before = (*store)->PageReads();
+          auto got = disk.EvaluateQuery(c.query);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(*got, *expected) << c.query;
+          EXPECT_EQ((*store)->PageReads() - before, c.reads[sidecar][t])
+              << c.query << " sidecar=" << sidecar
+              << " threads=" << eo.num_threads;
+        }
+      }
+    }
+    std::remove(index::BtsiSidecarPath(path).c_str());
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

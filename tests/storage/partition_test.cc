@@ -1,7 +1,17 @@
+#include "storage/partition.h"
+
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <string>
+
 #include "datagen/datagen.h"
-#include "storage/page_store.h"
+#include "storage/btsx2.h"
+#include "storage/disk_store.h"
 #include "xml/parser.h"
 
 namespace blossomtree {
@@ -107,17 +117,96 @@ TEST(PartitionTest, GeneratedDatasetsTileCorrectly) {
   }
 }
 
-TEST(PartitionTest, PageStorePartitionMatchesDocumentPartition) {
+TEST(PartitionTest, WalkCutsMatchNavigationCuts) {
+  // The record walk's cuts are the root plus its children in the order
+  // FirstChild/NextSibling visit them. With one partition per node, every
+  // cut starts its own range, so the range starts are exactly the cuts.
   for (datagen::Dataset d : datagen::AllDatasets()) {
     datagen::GenOptions o;
     o.scale = 0.02;
     auto doc = datagen::GenerateDataset(d, o);
-    PageStore store(*doc);
+    std::vector<xml::NodeId> cuts = {doc->Root()};
+    for (xml::NodeId c = doc->FirstChild(doc->Root()); c != xml::kNullNode;
+         c = doc->NextSibling(c)) {
+      cuts.push_back(c);
+    }
+    std::vector<xml::NodeId> starts;
+    for (const NodeRange& r : PartitionSubtrees(*doc, doc->NumNodes())) {
+      starts.push_back(r.begin);
+    }
+    EXPECT_EQ(starts, cuts) << datagen::DatasetName(d);
     for (size_t k : {1, 2, 4, 8}) {
-      EXPECT_EQ(store.Partition(k), PartitionSubtrees(*doc, k))
+      EXPECT_EQ(PartitionSubtrees(*doc, k),
+                GroupSubtreeCuts(cuts, doc->NumNodes(), k))
           << datagen::DatasetName(d) << " k=" << k;
     }
   }
+}
+
+TEST(PartitionTest, EmptyUnfinishedDocumentIsSafe) {
+  xml::Document doc;  // Empty (e.g. a failed parse left nothing behind).
+  EXPECT_TRUE(PartitionSubtrees(doc, 4).empty());
+}
+
+TEST(PartitionTest, UnterminatedDocumentStaysInBounds) {
+  // A document abandoned mid-build (BeginElement without EndElement) can
+  // carry a root subtree_end pointing past the record array; the walk must
+  // stop instead of indexing out of bounds.
+  xml::Document doc;
+  doc.BeginElement("a");
+  doc.BeginElement("b");
+  std::vector<NodeRange> ranges = PartitionSubtrees(doc, 4);
+  ASSERT_FALSE(ranges.empty());
+  for (const NodeRange& r : ranges) {
+    EXPECT_LE(r.begin, r.end);
+    EXPECT_LT(r.end, doc.NumNodes());  // Ranges are inclusive.
+  }
+}
+
+TEST(PartitionTest, SingleNodeDocumentIsCoveredOnce) {
+  auto doc = Doc("<a/>");
+  size_t covered = 0;
+  for (const NodeRange& r : PartitionSubtrees(*doc, 4)) covered += r.size();
+  EXPECT_EQ(covered, 1u);
+}
+
+TEST(PartitionTest, BackwardSubtreeEndInMappedImageStaysInBounds) {
+  // A mapped image is only header-validated by default, so its records can
+  // say anything. Point the first top-level child's subtree_end back at
+  // the root: following it as NextSibling would revisit that child
+  // forever, and the walk must stop in bounds instead.
+  auto doc = Doc("<r><a><x/></a><b/><c/></r>");
+  auto encoded = EncodeBtsx2(*doc);
+  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+  uint64_t records = 0;  // Section table: (offset, size) pairs from byte 88.
+  std::memcpy(&records, encoded->data() + 88 + kSecRecords * 16,
+              sizeof records);
+  xml::NodeId backwards = 0;
+  std::memcpy(encoded->data() + records + 1 * sizeof(xml::PackedNodeRecord) +
+                  offsetof(xml::PackedNodeRecord, subtree_end),
+              &backwards, sizeof backwards);
+  std::string path = ::testing::TempDir() + "/bt_partition_backwards.btsx2";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << *encoded;
+
+  auto store = DiskStore::Open(path);  // No full_validation.
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const xml::Document& image = *(*store)->document();
+  ASSERT_EQ(image.SubtreeEnd(1), 0u);
+  ASSERT_EQ(image.NextSibling(1), 1u);  // The loop a navigation walk hits.
+  for (size_t k : {1, 2, 4, 8}) {
+    std::vector<NodeRange> ranges = PartitionSubtrees(image, k);
+    ASSERT_FALSE(ranges.empty()) << "k=" << k;
+    EXPECT_EQ(ranges.front().begin, 0u);
+    EXPECT_EQ(ranges.back().end, image.NumNodes() - 1);
+    for (size_t i = 1; i < ranges.size(); ++i) {
+      EXPECT_EQ(ranges[i].begin, ranges[i - 1].end + 1) << "k=" << k;
+    }
+  }
+  // Deep validation refuses the same image outright.
+  DiskStoreOptions strict;
+  strict.full_validation = true;
+  EXPECT_FALSE(DiskStore::Open(path, strict).ok());
+  std::remove(path.c_str());
 }
 
 }  // namespace

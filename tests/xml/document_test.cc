@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "datagen/datagen.h"
 #include "xml/parser.h"
 
 namespace blossomtree {
@@ -237,6 +240,42 @@ TEST(DocumentTest, EmptyDocumentAccessors) {
   EXPECT_EQ(doc.Root(), kNullNode);
   ASSERT_TRUE(doc.Finish().ok());
   EXPECT_EQ(doc.NumElements(), 0u);
+}
+
+/// FirstChild / NextSibling are derived from subtree extents and levels;
+/// checks them at every node against the tree the Parent() array spells out.
+void ExpectNavigationMatchesParents(const Document& doc, const char* what) {
+  std::vector<NodeId> first_child(doc.NumNodes(), kNullNode);
+  std::vector<NodeId> next_sibling(doc.NumNodes(), kNullNode);
+  std::vector<NodeId> last_child(doc.NumNodes(), kNullNode);
+  for (NodeId n = 1; n < doc.NumNodes(); ++n) {
+    NodeId p = doc.Parent(n);
+    if (first_child[p] == kNullNode) first_child[p] = n;
+    if (last_child[p] != kNullNode) next_sibling[last_child[p]] = n;
+    last_child[p] = n;
+  }
+  for (NodeId n = 0; n < doc.NumNodes(); ++n) {
+    ASSERT_EQ(doc.FirstChild(n), first_child[n]) << what << " node " << n;
+    ASSERT_EQ(doc.NextSibling(n), next_sibling[n]) << what << " node " << n;
+  }
+}
+
+TEST(DocumentTest, NavigationMatchesParents) {
+  ExpectNavigationMatchesParents(*Parse("<a><b><d/><e/></b><c/></a>"),
+                                 "elements");
+}
+
+TEST(DocumentTest, NavigationWithTextNodes) {
+  ExpectNavigationMatchesParents(*Parse("<a><b>t1</b>t2<c/></a>"), "text");
+}
+
+TEST(DocumentTest, NavigationMatchesParentsOnGeneratedData) {
+  for (datagen::Dataset d : datagen::AllDatasets()) {
+    datagen::GenOptions o;
+    o.scale = 0.01;
+    ExpectNavigationMatchesParents(*datagen::GenerateDataset(d, o),
+                                   datagen::DatasetName(d));
+  }
 }
 
 }  // namespace
