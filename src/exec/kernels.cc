@@ -55,9 +55,9 @@ void FilterTagEqRecordsScalar(const xml::PackedNodeRecord* records, size_t n,
                               xml::TagId target, xml::NodeId base,
                               std::vector<xml::NodeId>* out) {
   for (size_t i = 0; i < n; ++i) {
-    // memcpy load: the record stream may sit in an unaligned heap/pread
-    // buffer (DESIGN.md §16); never dereference a possibly-misaligned
-    // uint32_t directly.
+    // memcpy load: the record stream need not be 16-byte aligned
+    // (DESIGN.md §16); never dereference a possibly-misaligned uint32_t
+    // directly.
     xml::TagId tag;
     std::memcpy(&tag, reinterpret_cast<const char*>(records) +
                           i * sizeof(xml::PackedNodeRecord),

@@ -39,9 +39,9 @@ KernelBackend EffectiveKernelBackend(bool allow_simd);
 /// \brief Appends `base + i` for every i in [0, n) with
 /// records[i].tag == target, in ascending order. The one tag-id scan: a
 /// stride-16 pass over a PackedNodeRecord stream (any Document's
-/// Records(), a store's blocks). Uses unaligned loads only: BTSX2
-/// sections are 16-byte aligned, but heap/pread fallback buffers need not
-/// be.
+/// Records()). Uses unaligned loads only: BTSX2 sections are 16-byte
+/// aligned, but records built in RAM and the kernel tests' deliberately
+/// misaligned buffers need not be.
 void FilterTagEqRecords(const xml::PackedNodeRecord* records, size_t n,
                         xml::TagId target, xml::NodeId base, bool allow_simd,
                         std::vector<xml::NodeId>* out);

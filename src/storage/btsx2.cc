@@ -180,7 +180,7 @@ Result<Btsx2View> MapBtsx2(std::string_view image) {
   // The section-offset alignment checks below are relative to the image
   // base; the typed views handed out only stay aligned if the base itself
   // is 16-byte aligned. mmap'd images always are (page-aligned) and the
-  // heap/pread fallbacks allocate with operator new[]; reject anything
+  // heap fallback allocates with operator new[]; reject anything
   // else cleanly instead of handing out misaligned typed pointers (UB).
   if (reinterpret_cast<uintptr_t>(p) % 16 != 0) {
     return Corrupt("image base not 16-byte aligned");

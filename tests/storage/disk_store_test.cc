@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -104,8 +107,31 @@ TEST(DiskStoreTest, OpensAndServesFacade) {
   auto store = DiskStore::Open(path, opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_NE((*store)->document(), nullptr);
-  EXPECT_EQ((*store)->NumNodes(), doc->NumNodes());
-  ExpectFacadeParity(*doc, *(*store)->document());
+  const xml::Document& adopted = *(*store)->document();
+  ExpectFacadeParity(*doc, adopted);
+  // Zero-copy adoption: the record view and a tag stream both point into
+  // the one image, so their byte distance is the distance on disk. Copies
+  // into owned vectors would land in unrelated allocations. Section table:
+  // (offset, size) pairs from header byte 88.
+  std::ifstream in(path, std::ios::binary);
+  std::string file((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  auto section_offset = [&](size_t sec) {
+    uint64_t off = 0;
+    std::memcpy(&off, file.data() + 88 + sec * 16, sizeof off);
+    return off;
+  };
+  uint64_t tag0_entry = 0;  // Prefix offset of tag 0's stream, in NodeIds.
+  std::memcpy(&tag0_entry, file.data() + section_offset(kSecTagStreamOffsets),
+              sizeof tag0_entry);
+  ASSERT_FALSE(adopted.TagIndex(0).empty());
+  const char* records =
+      reinterpret_cast<const char*>(adopted.Records().data());
+  const char* tag0 = reinterpret_cast<const char*>(adopted.TagIndex(0).data());
+  EXPECT_EQ(tag0 - records,
+            static_cast<std::ptrdiff_t>(section_offset(kSecTagStreams) +
+                                        tag0_entry * sizeof(xml::NodeId) -
+                                        section_offset(kSecRecords)));
   // The on-disk stamp is the ingest-time generation; the adopted facade
   // carries a fresh one (cache identities never collide across opens).
   EXPECT_EQ((*store)->on_disk_generation(), doc->generation());
