@@ -68,15 +68,26 @@ double Median(std::vector<double> xs) {
   return n % 2 == 1 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2.0;
 }
 
-blossomtree::engine::EngineOptions CachedOptions(unsigned threads,
-                                                 bool collect_profile) {
-  blossomtree::engine::EngineOptions opts;
-  opts.num_threads = threads;
-  opts.collect_profile = collect_profile;
-  opts.plan_cache.enabled = true;
-  opts.result_cache.enabled = true;
-  return opts;
-}
+/// An engine that borrows a plan cache and a NoK result cache of its own,
+/// so every fresh instance starts cold.
+struct CachedEngine {
+  CachedEngine(const blossomtree::xml::Document* doc, unsigned threads,
+               bool collect_profile)
+      : engine(doc, [&] {
+          blossomtree::engine::EngineOptions opts;
+          opts.num_threads = threads;
+          opts.collect_profile = collect_profile;
+          opts.plan_cache = &plans;
+          opts.plan.result_cache = &results;
+          return opts;
+        }()) {}
+
+  blossomtree::engine::PlanCache plans{blossomtree::util::CacheOptions{}};
+  blossomtree::exec::NokResultCache results{
+      blossomtree::util::CacheOptions{}};
+  /// Declared after the caches it borrows.
+  blossomtree::engine::BlossomTreeEngine engine;
+};
 
 }  // namespace
 
@@ -145,16 +156,15 @@ int main(int argc, char** argv) {
     // profiles keep the sink entries deterministic (counters are
     // thread-count independent by the DESIGN.md §10 contract anyway).
     {
-      blossomtree::engine::BlossomTreeEngine prof(doc.get(),
-                                                  CachedOptions(1, true));
+      CachedEngine prof(doc.get(), 1, true);
       auto profile_run = [&]() -> bool {
-        if (q.is_flwor) return prof.EvaluateQuery(q.text).ok();
-        return prof.EvaluatePath(path).ok();
+        if (q.is_flwor) return prof.engine.EvaluateQuery(q.text).ok();
+        return prof.engine.EvaluatePath(path).ok();
       };
       if (profile_run()) {
-        std::string cold_profile = prof.LastProfile().ToJson();
+        std::string cold_profile = prof.engine.LastProfile().ToJson();
         if (profile_run()) {
-          std::string warm_profile = prof.LastProfile().ToJson();
+          std::string warm_profile = prof.engine.LastProfile().ToJson();
           std::string context = "\"dataset\": \"" +
                                 std::string(DatasetName(Dataset::kD5Dblp)) +
                                 "\", \"id\": \"" + q.id + "\"";
@@ -187,15 +197,14 @@ int main(int argc, char** argv) {
         return seconds;
       };
 
-      // Cold latency: median of first-runs on fresh engines (the caches
-      // are engine-owned, so every fresh engine starts empty).
+      // Cold latency: median of first-runs on fresh engines (each borrows
+      // caches of its own, so every fresh engine starts empty).
       constexpr int kColdSamples = 5;
       std::vector<double> cold_samples;
-      std::unique_ptr<blossomtree::engine::BlossomTreeEngine> eng;
+      std::unique_ptr<CachedEngine> eng;
       for (int i = 0; i < kColdSamples; ++i) {
-        eng = std::make_unique<blossomtree::engine::BlossomTreeEngine>(
-            doc.get(), CachedOptions(t, false));
-        cold_samples.push_back(run_once(*eng));
+        eng = std::make_unique<CachedEngine>(doc.get(), t, false);
+        cold_samples.push_back(run_once(eng->engine));
       }
       double cold_s = Median(cold_samples);
 
@@ -203,7 +212,7 @@ int main(int argc, char** argv) {
       // caches the cold run above just primed.
       std::vector<double> warm_samples;
       for (int run = 0; run < flags.runs; ++run) {
-        warm_samples.push_back(run_once(*eng));
+        warm_samples.push_back(run_once(eng->engine));
       }
       double warm_s = Median(warm_samples);
 

@@ -1,13 +1,12 @@
-// btquery — command-line query driver over XML or succinct (.btsx) files.
+// btquery — command-line query driver over XML files and BTSX v2 images.
 //
 // Usage:
-//   btquery [options] <file.xml|file.btsx> <query>
+//   btquery [options] <file.xml|file.btsx2> <query>
 //   options:
 //     --engine=blossom|nav     evaluation engine (default blossom)
 //     --strategy=auto|pl|nl    //-join strategy for blossom plans
 //     --explain                print the physical plan
 //     --advise                 print the cost model's recommendation
-//     --save-btsx=<path>       save the parsed document in succinct form
 //     --trace=<path>           record a query-lifecycle trace and export it
 //                              as Chrome trace_event JSON (load the file in
 //                              chrome://tracing or https://ui.perfetto.dev)
@@ -15,6 +14,12 @@
 //                              latency histogram summaries after the query
 //
 // The query may be a path expression or a full FLWOR expression.
+//
+// A `.btsx2` file (written by `btingest`) is opened through
+// storage::DiskStore, the mapped zero-copy path the query service serves
+// disk documents from: the blossom engine plans with the store, and with its
+// `.btsi` structural index when a valid sidecar loaded, so `--explain` shows
+// the plan the service would run. Any other file is parsed as XML.
 
 #include <cstdio>
 #include <cstring>
@@ -25,7 +30,7 @@
 #include "flwor/parser.h"
 #include "opt/cost_model.h"
 #include "pattern/builder.h"
-#include "storage/succinct.h"
+#include "storage/disk_store.h"
 #include "util/trace.h"
 #include "xml/parser.h"
 
@@ -38,6 +43,11 @@ bool EndsWith(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
+int LoadFailed(const Status& status) {
+  std::fprintf(stderr, "load failed: %s\n", status.ToString().c_str());
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -47,7 +57,6 @@ int main(int argc, char** argv) {
   bool advise = false;
   bool metrics = false;
   std::string trace_path;
-  std::string save_btsx;
   std::string file;
   std::string query;
 
@@ -61,8 +70,6 @@ int main(int argc, char** argv) {
       explain = true;
     } else if (std::strcmp(arg, "--advise") == 0) {
       advise = true;
-    } else if (std::strncmp(arg, "--save-btsx=", 12) == 0) {
-      save_btsx = arg + 12;
     } else if (std::strncmp(arg, "--trace=", 8) == 0) {
       trace_path = arg + 8;
     } else if (std::strcmp(arg, "--metrics") == 0) {
@@ -79,32 +86,31 @@ int main(int argc, char** argv) {
   if (file.empty() || query.empty()) {
     std::fprintf(stderr,
                  "usage: btquery [--engine=blossom|nav] [--strategy=auto|pl|"
-                 "nl] [--explain] [--advise] [--save-btsx=p] [--trace=p] "
-                 "[--metrics] <file> <query>\n");
+                 "nl] [--explain] [--advise] [--trace=p] [--metrics] "
+                 "<file.xml|file.btsx2> <query>\n");
     return 2;
   }
 
-  // Load the document (succinct or XML by extension).
-  Result<std::unique_ptr<xml::Document>> loaded =
-      EndsWith(file, ".btsx") ? storage::LoadDocument(file)
-                              : xml::ParseDocumentFile(file);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 loaded.status().ToString().c_str());
-    return 1;
+  // Load the document: map a BTSX v2 image, or parse XML. `doc` views
+  // whichever owner below holds it.
+  std::unique_ptr<storage::DiskStore> store;
+  std::unique_ptr<xml::Document> parsed_doc;
+  if (EndsWith(file, ".btsx2")) {
+    auto opened = storage::DiskStore::Open(file);
+    if (!opened.ok()) return LoadFailed(opened.status());
+    store = opened.MoveValue();
+  } else {
+    auto parsed_file = xml::ParseDocumentFile(file);
+    if (!parsed_file.ok()) return LoadFailed(parsed_file.status());
+    parsed_doc = parsed_file.MoveValue();
   }
-  auto doc = loaded.MoveValue();
-  std::fprintf(stderr, "loaded %zu nodes (%s)\n", doc->NumNodes(),
-               doc->IsRecursive() ? "recursive" : "non-recursive");
-
-  if (!save_btsx.empty()) {
-    Status st = storage::SaveDocument(*doc, save_btsx);
-    if (!st.ok()) {
-      std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "saved succinct form to %s\n", save_btsx.c_str());
-  }
+  const xml::Document* doc =
+      store != nullptr ? store->document() : parsed_doc.get();
+  std::fprintf(stderr, "loaded %zu nodes (%s)%s\n", doc->NumNodes(),
+               doc->IsRecursive() ? "recursive" : "non-recursive",
+               store == nullptr           ? ""
+               : store->index() != nullptr ? ", mapped with .btsi index"
+                                           : ", mapped");
 
   auto parsed = flwor::ParseQuery(query);
   if (!parsed.ok()) {
@@ -127,15 +133,19 @@ int main(int argc, char** argv) {
   } else if (strategy == "nl") {
     opts.plan.strategy = opt::JoinStrategy::kBoundedNestedLoop;
   }
+  if (store != nullptr) {
+    opts.plan.store = store.get();
+    opts.plan.index = store->index();
+  }
   opts.trace = !trace_path.empty();
   opts.collect_metrics = metrics;
 
   Result<std::string> result("");
   if (engine_name == "nav") {
-    baseline::NavigationalEvaluator nav(doc.get());
+    baseline::NavigationalEvaluator nav(doc);
     result = nav.EvaluateToXml(**parsed);
   } else {
-    engine::BlossomTreeEngine engine(doc.get(), opts);
+    engine::BlossomTreeEngine engine(doc, opts);
     result = engine.EvaluateToXml(**parsed);
     if (explain) {
       std::fprintf(stderr, "plan:\n%s", engine.LastExplain().c_str());

@@ -1,13 +1,14 @@
 // Repeated queries: the multi-level query caches (DESIGN.md §11).
 //
 // Dashboards, template expansion, and API backends evaluate the same
-// handful of queries against the same document over and over. With
-// EngineOptions::plan_cache and ::result_cache enabled (both are OFF by
-// default), the first execution pays the full parse → compile → scan
-// pipeline; repeats skip the parse (level-1 plan cache), the BlossomTree
-// compilation (level-2, keyed on a whitespace-insensitive canonical form),
-// and the NoK document scans (sub-result cache), while producing
-// byte-identical results.
+// handful of queries against the same document over and over. An engine
+// that borrows a plan cache (EngineOptions::plan_cache) and a NoK result
+// cache (EngineOptions::plan.result_cache) — both null by default, and
+// shareable by any number of engines — pays the full parse → compile → scan
+// pipeline only on the first execution; repeats skip the parse (level-1
+// plan cache), the BlossomTree compilation (level-2, keyed on a
+// whitespace-insensitive canonical form), and the NoK document scans
+// (sub-result cache), while producing byte-identical results.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -18,6 +19,8 @@
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "engine/plan_cache.h"
+#include "exec/result_cache.h"
 #include "util/cache.h"
 
 using namespace blossomtree;
@@ -48,11 +51,17 @@ int main() {
   gen.scale = 0.05;
   auto doc = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, gen);
 
+  // query text / canonical form -> plan
+  engine::PlanCache plan_cache(util::CacheOptions{});
+  // (doc generation, NoK, range) -> matches, LRU past an 8 MiB byte budget
+  util::CacheOptions result_budget;
+  result_budget.max_bytes = 8 << 20;
+  exec::NokResultCache result_cache(result_budget);
+
   engine::EngineOptions opts;
-  opts.plan_cache.enabled = true;           // query text / canonical form -> plan
-  opts.result_cache.enabled = true;         // (doc generation, NoK, range) -> matches
-  opts.result_cache.max_bytes = 8 << 20;    // byte budget; LRU past this
-  opts.collect_metrics = true;              // surfaces cache.* counters
+  opts.plan_cache = &plan_cache;
+  opts.plan.result_cache = &result_cache;
+  opts.collect_metrics = true;  // surfaces cache.* counters
   engine::BlossomTreeEngine engine(doc.get(), opts);
 
   const char* query =
@@ -84,8 +93,8 @@ int main() {
               *cold == *warm ? "yes" : "NO (bug!)");
 
   std::printf("cache stats after two executions:\n");
-  PrintStats("plan cache", engine.plan_cache()->Stats());
-  PrintStats("result cache", engine.result_cache()->Stats());
+  PrintStats("plan cache", plan_cache.Stats());
+  PrintStats("result cache", result_cache.Stats());
 
   // The same numbers flow into the deterministic metrics registry as
   // cache.plan.* / cache.result.* when collect_metrics is on.

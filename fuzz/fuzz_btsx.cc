@@ -1,9 +1,8 @@
-// libFuzzer harness for the BTSX file family's decoders: any input must
+// libFuzzer harness for the persisted formats' decoders: any input must
 // either decode into a well-formed document (or structural index) or fail
-// with a clean Status — never crash, throw, leak, or trip ASan/UBSan.
-// Inputs that decode must re-encode stably (decode → encode → decode
-// reproduces the same serialization), and a v2 image that passes deep
-// validation must adopt into a document whose serialization round-trips.
+// with a clean Status — never crash, throw, leak, or trip ASan/UBSan. A
+// BTSX v2 image that passes deep validation must adopt into a document that
+// serializes, and an accepted BTSI image must re-encode byte-identically.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -12,24 +11,12 @@
 #include "index/btsi.h"
 #include "index/structural_index.h"
 #include "storage/btsx2.h"
-#include "storage/succinct.h"
 #include "xml/document.h"
 #include "xml/serializer.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size > (1u << 20)) return 0;  // Spend the budget on structure.
   std::string_view input(reinterpret_cast<const char*>(data), size);
-
-  // BTSX v1: succinct event stream.
-  auto v1 = blossomtree::storage::DecodeSuccinct(input);
-  if (v1.ok()) {
-    std::string first = blossomtree::xml::Serialize(**v1);
-    auto again = blossomtree::storage::DecodeSuccinct(
-        blossomtree::storage::EncodeSuccinct(**v1));
-    if (!again.ok() || blossomtree::xml::Serialize(**again) != first) {
-      __builtin_trap();  // Round-trip instability is a bug.
-    }
-  }
 
   // BTSX v2: paged layout. MapBtsx2 is the O(header) gate; ValidateBtsx2Deep
   // is the O(n) backstop a DiskStore runs for untrusted files.

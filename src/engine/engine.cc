@@ -28,19 +28,6 @@ BlossomTreeEngine::BlossomTreeEngine(const xml::Document* doc,
     pool_ = std::make_unique<util::ThreadPool>(threads);
     options_.plan.pool = pool_.get();
   }
-  if (options_.shared_plan_cache != nullptr) {
-    // Borrowed corpus-scope cache (DESIGN.md §12): shared across engines,
-    // so this engine creates none of its own.
-    active_plan_cache_ = options_.shared_plan_cache;
-  } else if (options_.plan_cache.enabled) {
-    plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache);
-    active_plan_cache_ = plan_cache_.get();
-  }
-  if (options_.result_cache.enabled && options_.plan.result_cache == nullptr) {
-    result_cache_ = std::make_unique<exec::NokResultCache>(
-        options_.result_cache);
-    options_.plan.result_cache = result_cache_.get();
-  }
   // Tracing is process-wide (spans land in per-thread rings regardless of
   // which engine issued them); any engine asking for it turns it on. An
   // already-running capture is left alone — Enable() restarts the capture,
@@ -80,9 +67,9 @@ Result<std::string> BlossomTreeEngine::EvaluateQuery(std::string_view query) {
   // parser entirely (and records no query.parse_ns sample — there was no
   // parse). Parse failures are never cached: the error re-surfaces each time.
   std::shared_ptr<const flwor::Expr> expr;
-  if (active_plan_cache_ != nullptr) {
+  if (options_.plan_cache != nullptr) {
     util::TraceSpan lookup("cache", "plan.parsed.lookup");
-    expr = active_plan_cache_->GetParsed(std::string(query));
+    expr = options_.plan_cache->GetParsed(std::string(query));
     last_profile_.plan_cache.Count(expr != nullptr);
   }
   if (expr == nullptr) {
@@ -98,8 +85,8 @@ Result<std::string> BlossomTreeEngine::EvaluateQuery(std::string_view query) {
           ->Record(util::NanosSince(parse_start));
     }
     expr = std::shared_ptr<const flwor::Expr>(parsed.MoveValue());
-    if (active_plan_cache_ != nullptr) {
-      active_plan_cache_->PutParsed(std::string(query), expr);
+    if (options_.plan_cache != nullptr) {
+      options_.plan_cache->PutParsed(std::string(query), expr);
     }
   }
   return RunToXml(*expr);
@@ -149,9 +136,9 @@ void BlossomTreeEngine::EndQuery(const char* done_counter,
     metrics_.GetCounter("exec.comparisons")->Add(total.comparisons);
     metrics_.GetCounter("exec.nl_cells")->Add(total.nl_cells);
   }
-  if (active_plan_cache_ != nullptr) {
+  if (options_.plan_cache != nullptr) {
     AddCacheMetrics(&metrics_, "cache.plan", last_profile_.plan_cache,
-                    active_plan_cache_->Stats());
+                    options_.plan_cache->Stats());
   }
   if (options_.plan.result_cache != nullptr) {
     AddCacheMetrics(&metrics_, "cache.result", total.result_cache,
@@ -173,10 +160,10 @@ Result<std::vector<xml::NodeId>> BlossomTreeEngine::EvalPathPlan(
   // produces no compiled artifact and is never cached.
   std::shared_ptr<const CompiledFlwor> compiled;
   std::string key;
-  if (active_plan_cache_ != nullptr) {
+  if (options_.plan_cache != nullptr) {
     key = CanonicalPathKey(path);
     util::TraceSpan lookup("cache", "plan.path.lookup");
-    compiled = active_plan_cache_->GetCompiled(key);
+    compiled = options_.plan_cache->GetCompiled(key);
     last_profile_.plan_cache.Count(compiled != nullptr);
   }
   if (compiled == nullptr) {
@@ -184,19 +171,22 @@ Result<std::vector<xml::NodeId>> BlossomTreeEngine::EvalPathPlan(
     if (!built.ok()) {
       if (built.status().code() == StatusCode::kUnsupported) {
         // Constructs outside the BlossomTree subset (e.g. reverse axes)
-        // degrade gracefully to navigational evaluation.
+        // degrade gracefully to navigational evaluation, whose matches are
+        // charged as result rows like the plan's below.
         PathEvaluator ev(doc_);
         last_explain_ =
             "navigational fallback (" + built.status().message() + ")\n";
-        return ev.Evaluate(path);
+        BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> out, ev.Evaluate(path));
+        if (!guard_.ChargeRows(out.size())) return guard_.status();
+        return out;
       }
       return built.status();
     }
     auto fresh = std::make_shared<CompiledFlwor>();
     fresh->tree = built.MoveValue();
     fresh->decomposition = pattern::Decompose(fresh->tree);
-    if (active_plan_cache_ != nullptr) {
-      active_plan_cache_->PutCompiled(key, fresh);
+    if (options_.plan_cache != nullptr) {
+      options_.plan_cache->PutCompiled(key, fresh);
     }
     compiled = std::move(fresh);
   }
@@ -278,11 +268,11 @@ Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
   // decomposition + slot bindings. Build failures (e.g. kUnsupported, which
   // FlworTuples' caller turns into the naive fallback) are never cached.
   std::string key;
-  if (active_plan_cache_ != nullptr) {
+  if (options_.plan_cache != nullptr) {
     key = CanonicalFlworKey(flwor);
     util::TraceSpan lookup("cache", "plan.flwor.lookup");
     std::shared_ptr<const CompiledFlwor> hit =
-        active_plan_cache_->GetCompiled(key);
+        options_.plan_cache->GetCompiled(key);
     last_profile_.plan_cache.Count(hit != nullptr);
     if (hit != nullptr) return hit;
   }
@@ -292,8 +282,8 @@ Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
   BT_ASSIGN_OR_RETURN(compiled->tree, pattern::BuildFromFlwor(flwor));
   compiled->decomposition = pattern::Decompose(compiled->tree);
   compiled->bindings = ComputeSlotBindings(compiled->tree, flwor);
-  if (active_plan_cache_ != nullptr) {
-    active_plan_cache_->PutCompiled(key, compiled);
+  if (options_.plan_cache != nullptr) {
+    options_.plan_cache->PutCompiled(key, compiled);
   }
   return std::shared_ptr<const CompiledFlwor>(std::move(compiled));
 }
@@ -402,7 +392,11 @@ Result<std::vector<Env>> NaiveFlworTuples(const flwor::Flwor& flwor,
                                           PathEvaluator* evaluator,
                                           util::ResourceGuard* guard) {
   std::vector<Env> tuples = {base_env};
-  for (const flwor::Binding& b : flwor.bindings) {
+  for (size_t i = 0; i < flwor.bindings.size(); ++i) {
+    const flwor::Binding& b = flwor.bindings[i];
+    // The last binding forms complete tuples: each is charged as a result
+    // row as it is formed, before the where filter, as FlworTuples does.
+    const bool complete = i + 1 == flwor.bindings.size() && guard != nullptr;
     std::vector<Env> next;
     for (const Env& t : tuples) {
       // Each iteration re-runs a full path evaluation, so one guard sample
@@ -416,11 +410,13 @@ Result<std::vector<Env>> NaiveFlworTuples(const flwor::Flwor& flwor,
       // after the enclosing scope's.
       assert(b.var_slot == t.size());
       if (b.kind == flwor::Binding::Kind::kLet) {
+        if (complete && !guard->ChargeRows(1)) return guard->status();
         Env env = t;
         env.push_back(std::move(nodes));
         next.push_back(std::move(env));
       } else {
         for (xml::NodeId n : nodes) {
+          if (complete && !guard->ChargeRows(1)) return guard->status();
           Env env = t;
           env.push_back({n});
           next.push_back(std::move(env));

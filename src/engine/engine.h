@@ -10,10 +10,8 @@
 #include "engine/path_eval.h"
 #include "engine/plan_cache.h"
 #include "engine/query_profile.h"
-#include "exec/result_cache.h"
 #include "flwor/ast.h"
 #include "opt/planner.h"
-#include "util/cache.h"
 #include "util/metrics.h"
 #include "util/resource_guard.h"
 #include "util/status.h"
@@ -59,26 +57,15 @@ struct EngineOptions {
   /// (kCancelled for Cancel()) instead of a truncated result. Defaults are
   /// unlimited, which preserves the exact ungoverned behavior.
   util::QueryLimits limits;
-  /// Plan cache (DESIGN.md §11): query text → parsed AST and canonical
-  /// FLWOR/path fingerprint → compiled BlossomTree + decomposition +
-  /// bindings. OFF by default — with it off every code path, counter, and
-  /// profile is bitwise-identical to the pre-cache engine. Caching never
-  /// changes results: cached artifacts are pure functions of the query.
-  util::CacheOptions plan_cache;
-  /// NoK sub-result cache (DESIGN.md §11): (document generation, canonical
-  /// NoK, node range) → materialized match NestedLists, shared by every
-  /// full-document NoK scan the engine plans. OFF by default. A hit replays
-  /// exactly what a cold scan of the same range would emit, so results stay
-  /// byte-identical at every thread count.
-  util::CacheOptions result_cache;
-  /// Corpus-scope plan cache (DESIGN.md §12), borrowed and shared across
-  /// engines: when non-null the engine uses it instead of creating its own
-  /// from `plan_cache` above (which is then ignored). Compiled plans are
-  /// pure functions of the query text, so sharing one cache across every
-  /// session and document of a service is sound; PlanCache is thread-safe.
-  /// The corpus-scope NoK result cache has no separate knob — it rides the
-  /// existing borrowed `plan.result_cache` pointer the same way.
-  PlanCache* shared_plan_cache = nullptr;
+  /// Plan cache (DESIGN.md §11, §12), borrowed: query text → parsed AST and
+  /// canonical FLWOR/path fingerprint → compiled BlossomTree +
+  /// decomposition + bindings. nullptr (the default) = no plan caching;
+  /// every code path, counter and profile is then bitwise-identical to the
+  /// pre-cache engine. Cached artifacts are pure functions of the query
+  /// text, so one thread-safe cache may serve every engine, session and
+  /// document of a service. The NoK sub-result cache is borrowed the same
+  /// way, through `plan.result_cache`.
+  PlanCache* plan_cache = nullptr;
 };
 
 /// \brief End-to-end query evaluation via BlossomTree pattern matching:
@@ -139,14 +126,6 @@ class BlossomTreeEngine {
   util::MetricsRegistry& metrics() { return metrics_; }
   const util::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// \brief The effective plan cache (owned or shared); nullptr when
-  /// caching is off.
-  PlanCache* plan_cache() { return active_plan_cache_; }
-
-  /// \brief The effective NoK sub-result cache (owned or shared); nullptr
-  /// when caching is off.
-  exec::NokResultCache* result_cache() { return options_.plan.result_cache; }
-
  private:
   /// EvaluatePath minus the guard arming: used for top-level paths and for
   /// paths nested inside an already-armed evaluation (re-arming would
@@ -190,15 +169,6 @@ class BlossomTreeEngine {
   /// Engine-owned metrics: deterministic counters plus latency histograms
   /// (DESIGN.md §10). Snapshotted into QueryProfile when collect_metrics.
   util::MetricsRegistry metrics_;
-  /// Owned caches (DESIGN.md §11), created only when the corresponding
-  /// EngineOptions knob is enabled and no shared instance was borrowed;
-  /// options_.plan.result_cache borrows result_cache_ so every planned NoK
-  /// scan shares it.
-  std::unique_ptr<PlanCache> plan_cache_;
-  std::unique_ptr<exec::NokResultCache> result_cache_;
-  /// The cache every lookup goes through: the borrowed corpus-scope cache
-  /// when EngineOptions::shared_plan_cache is set, else plan_cache_.get().
-  PlanCache* active_plan_cache_ = nullptr;
   std::string last_explain_;
   QueryProfile last_profile_;
 };

@@ -240,7 +240,7 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
   // count), so forcing it on preserves the service's determinism contract.
   const bool observe = observer_->enabled();
   eo.collect_metrics = observe;
-  eo.shared_plan_cache = corpus_->plan_cache();
+  eo.plan_cache = corpus_->plan_cache();
   eo.plan.result_cache = corpus_->result_cache();
   // Scans and seeks of a disk-backed document count their blocks through
   // its DiskStore; in-RAM documents have none (disk() is null).

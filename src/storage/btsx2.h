@@ -12,12 +12,10 @@
 namespace blossomtree {
 namespace storage {
 
-/// BTSX v2: the out-of-core successor of the v1 succinct encoding
-/// (storage/succinct.h). Where v1 persists a *compressed* event stream that
-/// must be decoded node-by-node into a fresh Document (O(parse) on open),
-/// v2 persists the Document's own packed layout — the fixed-width
-/// NodeRecord stream plus every side table the engine reads — so a file
-/// can be mmap'd and served directly (O(open)). See DESIGN.md §13.
+/// BTSX v2, the one persisted document format: it stores the Document's
+/// own packed layout — the fixed-width NodeRecord stream plus every side
+/// table the engine reads — so a file can be mmap'd and served directly
+/// (O(open)), with no decode into a fresh Document. See DESIGN.md §13.
 ///
 /// Layout (all integers little-endian, fixed width; sections 16-byte
 /// aligned so typed pointers into the mapping are well-aligned):

@@ -16,11 +16,12 @@
 namespace blossomtree {
 namespace util {
 
-/// \brief Configuration knob for one cache level (EngineOptions::plan_cache
-/// / EngineOptions::result_cache). Disabled by default so every existing
-/// counter, profile, and perf-gate baseline stays bitwise-identical unless a
-/// caller opts in (DESIGN.md §11).
+/// \brief Configuration of one cache (DESIGN.md §11): its byte budget and
+/// shard count.
 struct CacheOptions {
+  /// Read only by service::CorpusOptions, which builds a corpus cache when
+  /// set. Disabled by default so every existing counter, profile, and
+  /// perf-gate baseline stays bitwise-identical unless a caller opts in.
   bool enabled = false;
   /// Byte budget for the cache's entries (approximate, charged through a
   /// util::ResourceGuard byte budget). Inserting past the budget evicts

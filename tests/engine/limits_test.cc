@@ -7,6 +7,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "exec/result_cache.h"
 #include "util/rng.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
@@ -255,16 +256,17 @@ TEST(EngineLimitsTest, CellBudgetBindsOnEveryDriver) {
     BlossomTreeEngine engine(doc.get(), options);
     auto r = engine.EvaluatePath(MustParsePath(q));
     ASSERT_FALSE(r.ok()) << q << " threads=" << options.num_threads
-                         << " cache=" << options.result_cache.enabled
+                         << " cache=" << (options.plan.result_cache != nullptr)
                          << " merged=" << options.plan.merge_nok_scans;
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted) << q;
     EXPECT_GT(engine.guard().CellsCharged(), 100u) << q;
   };
   for (unsigned threads : {1u, 4u}) {
     for (bool cache : {false, true}) {
+      exec::NokResultCache results(util::CacheOptions{});
       EngineOptions options;
       options.num_threads = threads;
-      options.result_cache.enabled = cache;
+      options.plan.result_cache = cache ? &results : nullptr;
       options.limits.max_nl_cells = 100;
       expect_exhausted(options, "/dblp/article/title");
     }
@@ -331,6 +333,51 @@ TEST(EngineLimitsTest, FlworUnhitLimitsMatchUnlimitedRun) {
   auto r = limited.EvaluateQuery(kBookPairs);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(*r, *expected);
+}
+
+// The row budget binds where the engine leaves the BlossomTree plan too: a
+// path outside the pattern subset (a reverse axis) is charged its matches
+// like a planned path, and a nested FLWOR over an outer variable is charged
+// each tuple as it is formed. A budget that suffices changes nothing.
+TEST(EngineLimitsTest, RowBudgetBindsOnNavigationalFallbacks) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 40; ++i) xml += "<a><b/><b/></a>";
+  xml += "</r>";
+  auto parsed = xml::ParseDocument(xml);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto doc = parsed.MoveValue();
+  struct Shape {
+    const char* query;
+    uint64_t budget;  // Far below what the unlimited run charges.
+  };
+  for (const Shape& shape :
+       {Shape{"//b/parent::a", 5},
+        Shape{"for $x in //a[1] return <r>{for $a in //b, $b in //b "
+              "where $a = $x/b return $b}</r>",
+              100}}) {
+    SCOPED_TRACE(shape.query);
+    EngineOptions options;
+    options.num_threads = 1;
+    BlossomTreeEngine unlimited(doc.get(), options);
+    auto expected = unlimited.EvaluateQuery(shape.query);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    const uint64_t charged = unlimited.guard().RowsCharged();
+    ASSERT_GT(charged, shape.budget);
+
+    options.limits.max_result_rows = shape.budget;
+    BlossomTreeEngine limited(doc.get(), options);
+    auto r = limited.EvaluateQuery(shape.query);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(r.status().message().find("row budget"), std::string::npos)
+        << r.status().ToString();
+
+    options.limits.max_result_rows = charged;
+    BlossomTreeEngine enough(doc.get(), options);
+    auto same = enough.EvaluateQuery(shape.query);
+    ASSERT_TRUE(same.ok()) << same.status().ToString();
+    EXPECT_EQ(*same, *expected);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "exec/result_cache.h"
 #include "flwor/parser.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
@@ -71,17 +72,17 @@ TEST(PlanCacheTest, HitsOnRepeatedQuery) {
   auto doc = ParseDoc(
       "<bib><book><title>A</title><year>2003</year></book>"
       "<book><title>B</title><year>1999</year></book></bib>");
+  PlanCache plans(util::CacheOptions{});
   EngineOptions opts;
   opts.num_threads = 1;
-  opts.plan_cache.enabled = true;
+  opts.plan_cache = &plans;
   BlossomTreeEngine eng(doc.get(), opts);
-  ASSERT_NE(eng.plan_cache(), nullptr);
 
   const char* q = "for $b in //book where $b/year = \"2003\" "
                   "return <hit>{$b/title}</hit>";
   auto cold = eng.EvaluateQuery(q);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  util::CacheStats after_cold = eng.plan_cache()->Stats();
+  util::CacheStats after_cold = plans.Stats();
   EXPECT_EQ(after_cold.hits, 0u);
   EXPECT_GE(after_cold.misses, 2u);  // Parsed level + compiled level.
   EXPECT_GE(after_cold.entries, 2u);
@@ -89,7 +90,7 @@ TEST(PlanCacheTest, HitsOnRepeatedQuery) {
   auto warm = eng.EvaluateQuery(q);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(*warm, *cold);
-  util::CacheStats after_warm = eng.plan_cache()->Stats();
+  util::CacheStats after_warm = plans.Stats();
   EXPECT_GE(after_warm.hits, after_cold.hits + 2);  // Text hit + FLWOR hit.
   EXPECT_EQ(after_warm.misses, after_cold.misses);
 
@@ -100,35 +101,38 @@ TEST(PlanCacheTest, HitsOnRepeatedQuery) {
       "return <hit>{$b/title}</hit>");
   ASSERT_TRUE(variant.ok());
   EXPECT_EQ(*variant, *cold);
-  util::CacheStats after_variant = eng.plan_cache()->Stats();
+  util::CacheStats after_variant = plans.Stats();
   EXPECT_GE(after_variant.hits, after_warm.hits + 1);
 }
 
 TEST(PlanCacheTest, PathPlansAreCached) {
   auto doc = ParseDoc("<bib><book><title>A</title></book></bib>");
+  PlanCache plans(util::CacheOptions{});
   EngineOptions opts;
   opts.num_threads = 1;
-  opts.plan_cache.enabled = true;
+  opts.plan_cache = &plans;
   BlossomTreeEngine eng(doc.get(), opts);
   auto path = xpath::ParsePath("//book/title");
   ASSERT_TRUE(path.ok());
   auto cold = eng.EvaluatePath(*path);
   ASSERT_TRUE(cold.ok());
-  util::CacheStats after_cold = eng.plan_cache()->Stats();
+  util::CacheStats after_cold = plans.Stats();
   EXPECT_EQ(after_cold.hits, 0u);
   auto warm = eng.EvaluatePath(*path);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(*warm, *cold);
-  EXPECT_GE(eng.plan_cache()->Stats().hits, 1u);
+  EXPECT_GE(plans.Stats().hits, 1u);
 }
 
 TEST(PlanCacheTest, EvictsUnderTinyBudget) {
   auto doc = ParseDoc("<bib><book><title>A</title></book></bib>");
+  util::CacheOptions budget;
+  budget.max_bytes = 2048;  // A handful of compiled plans at most.
+  budget.shards = 1;
+  PlanCache plans(budget);
   EngineOptions opts;
   opts.num_threads = 1;
-  opts.plan_cache.enabled = true;
-  opts.plan_cache.max_bytes = 2048;  // A handful of compiled plans at most.
-  opts.plan_cache.shards = 1;
+  opts.plan_cache = &plans;
   BlossomTreeEngine eng(doc.get(), opts);
   for (int i = 0; i < 64; ++i) {
     std::string q = "for $x in //book return <e" + std::to_string(i) +
@@ -136,7 +140,7 @@ TEST(PlanCacheTest, EvictsUnderTinyBudget) {
     auto r = eng.EvaluateQuery(q);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  util::CacheStats s = eng.plan_cache()->Stats();
+  util::CacheStats s = plans.Stats();
   EXPECT_GT(s.evictions, 0u);
   EXPECT_LE(s.bytes, 2048u);
   EXPECT_LT(s.entries, 64u);
@@ -147,24 +151,24 @@ TEST(ResultCacheTest, HitsSkipRescanning) {
   o.scale = 0.01;
   o.seed = 7;
   auto doc = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, o);
+  exec::NokResultCache results(util::CacheOptions{});
   EngineOptions opts;
   opts.num_threads = 1;
-  opts.result_cache.enabled = true;
+  opts.plan.result_cache = &results;
   BlossomTreeEngine eng(doc.get(), opts);
-  ASSERT_NE(eng.result_cache(), nullptr);
   auto path = xpath::ParsePath("//article/title");
   ASSERT_TRUE(path.ok());
 
   auto cold = eng.EvaluatePath(*path);
   ASSERT_TRUE(cold.ok());
-  util::CacheStats after_cold = eng.result_cache()->Stats();
+  util::CacheStats after_cold = results.Stats();
   EXPECT_EQ(after_cold.hits, 0u);
   EXPECT_GT(after_cold.entries, 0u);
 
   auto warm = eng.EvaluatePath(*path);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(*warm, *cold);
-  util::CacheStats after_warm = eng.result_cache()->Stats();
+  util::CacheStats after_warm = results.Stats();
   EXPECT_GT(after_warm.hits, 0u);
   EXPECT_EQ(after_warm.misses, after_cold.misses);
 }
@@ -180,16 +184,13 @@ TEST(ResultCacheTest, DocumentGenerationInvalidates) {
   ASSERT_NE(doc2->generation(), 0u);
   ASSERT_NE(doc1->generation(), doc2->generation());
 
-  util::CacheOptions cache_opts;
-  cache_opts.enabled = true;
-  exec::NokResultCache shared(cache_opts);
+  exec::NokResultCache shared(util::CacheOptions{});
   auto path = xpath::ParsePath("//book/title");
   ASSERT_TRUE(path.ok());
 
   EngineOptions opts;
   opts.num_threads = 1;
-  opts.result_cache.enabled = true;
-  opts.plan.result_cache = &shared;  // Injected: both engines share it.
+  opts.plan.result_cache = &shared;  // Both engines borrow it.
 
   BlossomTreeEngine eng1(doc1.get(), opts);
   auto r1 = eng1.EvaluatePath(*path);
@@ -219,11 +220,13 @@ TEST(ResultCacheTest, ByteBudgetEvictionUnderPressure) {
   o.scale = 0.02;
   o.seed = 7;
   auto doc = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, o);
+  util::CacheOptions budget;
+  budget.max_bytes = 4096;  // Far below one article scan's cells.
+  budget.shards = 2;
+  exec::NokResultCache results(budget);
   EngineOptions opts;
   opts.num_threads = 1;
-  opts.result_cache.enabled = true;
-  opts.result_cache.max_bytes = 4096;  // Far below one article scan's cells.
-  opts.result_cache.shards = 2;
+  opts.plan.result_cache = &results;
   BlossomTreeEngine eng(doc.get(), opts);
 
   // Uncached reference for correctness under eviction churn.
@@ -245,7 +248,7 @@ TEST(ResultCacheTest, ByteBudgetEvictionUnderPressure) {
       EXPECT_EQ(*got, *expected) << p;
     }
   }
-  util::CacheStats s = eng.result_cache()->Stats();
+  util::CacheStats s = results.Stats();
   EXPECT_LE(s.bytes, 4096u);
   // Either entries were evicted to make room, or every scan was too big to
   // cache at all — both keep the budget; the churn must not corrupt results.
@@ -268,10 +271,12 @@ TEST(ResultCacheTest, CachedRunsBitwiseIdenticalAcrossThreadCounts) {
     auto expected = ref.EvaluateQuery(q);
     ASSERT_TRUE(expected.ok()) << q;
     for (unsigned t : {1u, 2u, 4u}) {
+      PlanCache plans(util::CacheOptions{});
+      exec::NokResultCache results(util::CacheOptions{});
       EngineOptions opts;
       opts.num_threads = t;
-      opts.plan_cache.enabled = true;
-      opts.result_cache.enabled = true;
+      opts.plan_cache = &plans;
+      opts.plan.result_cache = &results;
       BlossomTreeEngine eng(doc.get(), opts);
       auto cold = eng.EvaluateQuery(q);
       ASSERT_TRUE(cold.ok()) << q << " threads=" << t;
@@ -280,7 +285,7 @@ TEST(ResultCacheTest, CachedRunsBitwiseIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(warm.ok()) << q << " threads=" << t;
       EXPECT_EQ(*warm, *expected) << q << " warm, threads=" << t;
       if (t > 1) {
-        EXPECT_GT(eng.result_cache()->Stats().hits, 0u) << q;
+        EXPECT_GT(results.Stats().hits, 0u) << q;
       }
     }
   }
@@ -298,11 +303,13 @@ TEST(CacheMetricsTest, CountersAppearOnlyWhenCachesEnabled) {
   ASSERT_TRUE(plain.EvaluatePath(*path).ok());
   EXPECT_EQ(plain.metrics().CountersText().find("cache."), std::string::npos);
 
+  PlanCache plans(util::CacheOptions{});
+  exec::NokResultCache results(util::CacheOptions{});
   EngineOptions on;
   on.num_threads = 1;
   on.collect_metrics = true;
-  on.plan_cache.enabled = true;
-  on.result_cache.enabled = true;
+  on.plan_cache = &plans;
+  on.plan.result_cache = &results;
   BlossomTreeEngine cached(doc.get(), on);
   ASSERT_TRUE(cached.EvaluatePath(*path).ok());
   ASSERT_TRUE(cached.EvaluatePath(*path).ok());
@@ -311,35 +318,10 @@ TEST(CacheMetricsTest, CountersAppearOnlyWhenCachesEnabled) {
   EXPECT_NE(text.find("cache.result.hits"), std::string::npos) << text;
 }
 
-TEST(CacheMetricsTest, DisabledCachesLeaveCounterSurfaceIdentical) {
-  // EngineOptions with default-initialized cache knobs must produce the
-  // exact counter text of an engine that predates the caches — the perf
-  // gate's baselines pin this.
-  auto doc = ParseDoc(
-      "<bib><book><title>A</title><year>2003</year></book></bib>");
-  const char* q = "for $b in //book return $b/title";
-  EngineOptions a;
-  a.num_threads = 1;
-  a.collect_metrics = true;
-  BlossomTreeEngine e1(doc.get(), a);
-  ASSERT_TRUE(e1.EvaluateQuery(q).ok());
-
-  EngineOptions b;
-  b.num_threads = 1;
-  b.collect_metrics = true;
-  b.plan_cache = util::CacheOptions{};   // Explicitly default: disabled.
-  b.result_cache = util::CacheOptions{};
-  BlossomTreeEngine e2(doc.get(), b);
-  ASSERT_TRUE(e2.EvaluateQuery(q).ok());
-  EXPECT_EQ(e1.metrics().CountersText(), e2.metrics().CountersText());
-  EXPECT_EQ(e1.plan_cache(), nullptr);
-  EXPECT_EQ(e1.result_cache(), nullptr);
-}
-
-TEST(CacheProbeCountTest, RegistryCountsEqualOwnedCacheStats) {
-  // An engine that owns its caches is their only client, so the hits and
-  // misses it counts at its lookups add up to the caches' own counters —
-  // at every thread count (parallel scans probe once per partition).
+TEST(CacheProbeCountTest, RegistryCountsEqualSoleClientCacheStats) {
+  // An engine that is its caches' only client counts at its lookups hits
+  // and misses that add up to the caches' own counters — at every thread
+  // count (parallel scans probe once per partition).
   auto doc = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, {0.01, 7});
   const char* queries[] = {
       "//article/title",
@@ -349,16 +331,18 @@ TEST(CacheProbeCountTest, RegistryCountsEqualOwnedCacheStats) {
       "<r>{//article/title}{//phdthesis/author}</r>",
   };
   for (unsigned threads : {1u, 4u}) {
+    PlanCache plans(util::CacheOptions{});
+    exec::NokResultCache results(util::CacheOptions{});
     EngineOptions opts;
     opts.num_threads = threads;
     opts.collect_metrics = true;
-    opts.plan_cache.enabled = true;
-    opts.result_cache.enabled = true;
+    opts.plan_cache = &plans;
+    opts.plan.result_cache = &results;
     BlossomTreeEngine eng(doc.get(), opts);
     for (const char* q : queries) ASSERT_TRUE(eng.EvaluateQuery(q).ok()) << q;
     std::map<std::string, uint64_t> c = eng.metrics().CounterValues();
-    util::CacheStats plan = eng.plan_cache()->Stats();
-    util::CacheStats result = eng.result_cache()->Stats();
+    util::CacheStats plan = plans.Stats();
+    util::CacheStats result = results.Stats();
     EXPECT_EQ(c["cache.plan.hits"], plan.hits) << threads;
     EXPECT_EQ(c["cache.plan.misses"], plan.misses) << threads;
     EXPECT_EQ(c["cache.result.hits"], result.hits) << threads;

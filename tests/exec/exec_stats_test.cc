@@ -13,7 +13,6 @@
 #include "exec/operator.h"
 #include "opt/planner.h"
 #include "pattern/builder.h"
-#include "storage/tag_stream.h"
 #include "util/thread_pool.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
@@ -80,18 +79,6 @@ TEST(ExecStatsTest, NokScanExactCountersOnHandBuiltDocument) {
   EXPECT_EQ(s.matches, 3u);
   EXPECT_EQ(s.nl_cells, 3u);  // One single-entry top group per match.
   EXPECT_GE(s.comparisons, 3u);  // At least the root tests that matched.
-}
-
-TEST(ExecStatsTest, TagStreamConsumedMatchesIndexSizes) {
-  auto doc = Parse("<a><b/><c/><b><d/><d/></b><c/><b><d/></b></a>");
-  for (const char* tag : {"b", "c", "d"}) {
-    xml::TagId t = doc->tags().Lookup(tag);
-    ASSERT_NE(t, xml::kNullTag);
-    storage::TagStream stream(doc.get(), t);
-    while (!stream.AtEnd()) stream.Advance();
-    EXPECT_EQ(stream.Consumed(), doc->TagIndex(t).size()) << tag;
-    EXPECT_EQ(stream.Consumed(), stream.size()) << tag;
-  }
 }
 
 TEST(ExecStatsTest, JoinOperatorCountersOnHandBuiltDocument) {

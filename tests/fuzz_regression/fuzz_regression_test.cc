@@ -15,7 +15,7 @@
 #include "index/btsi.h"
 #include "index/structural_index.h"
 #include "storage/btsx2.h"
-#include "storage/succinct.h"
+#include "storage/disk_store.h"
 #include "util/resource_guard.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -94,21 +94,14 @@ TEST(FuzzRegressionTest, ReplayAllFlworInputs) {
   }
 }
 
-// Mirror of fuzz_btsx.cc: every input through the BTSX family's decoders.
-// Inputs that decode must re-encode stably; v2 images that pass deep
-// validation must adopt and serialize; accepted .btsi index images must
-// re-encode byte-identically (the decoder pins the canonical layout).
+// Mirror of fuzz_btsx.cc: every input through the persisted formats'
+// decoders. v2 images that pass deep validation must adopt and serialize;
+// accepted .btsi index images must re-encode byte-identically (the decoder
+// pins the canonical layout).
 TEST(FuzzRegressionTest, ReplayAllBtsxInputs) {
   for (const fs::path& p : InputsIn("btsx")) {
     SCOPED_TRACE(p.filename().string());
     std::string input = ReadFile(p);
-    auto v1 = storage::DecodeSuccinct(input);
-    if (v1.ok()) {
-      std::string first = xml::Serialize(**v1);
-      auto again = storage::DecodeSuccinct(storage::EncodeSuccinct(**v1));
-      ASSERT_TRUE(again.ok());
-      EXPECT_EQ(xml::Serialize(**again), first);
-    }
     auto v2 = storage::MapBtsx2(input);
     if (v2.ok() && storage::ValidateBtsx2Deep(*v2).ok()) {
       xml::Document adopted;
@@ -124,35 +117,28 @@ TEST(FuzzRegressionTest, ReplayAllBtsxInputs) {
   }
 }
 
-// The v1 decoder once accepted arbitrary bytes after the event payloads,
-// so a corrupt or concatenated file round-tripped silently as a prefix
-// document.
-TEST(FuzzRegressionTest, BtsxTrailingGarbageRejected) {
-  auto r = storage::DecodeSuccinct(
-      ReadFile(fs::path(BLOSSOMTREE_FUZZ_DIR) /
-               "regressions/btsx/v1_trailing_garbage.btsx"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-// A 2^64-ish tag count once reached vector::reserve and threw
-// std::length_error instead of returning a Status.
-TEST(FuzzRegressionTest, BtsxHostileTagCountRejected) {
-  auto r = storage::DecodeSuccinct(
-      ReadFile(fs::path(BLOSSOMTREE_FUZZ_DIR) /
-               "regressions/btsx/v1_hostile_tag_count.btsx"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-// (num_events + 3) / 4 once overflowed for a 64-bit event count, passing
-// the bounds check with a tiny byte length.
-TEST(FuzzRegressionTest, BtsxEventCountOverflowRejected) {
-  auto r = storage::DecodeSuccinct(
-      ReadFile(fs::path(BLOSSOMTREE_FUZZ_DIR) /
-               "regressions/btsx/v1_event_count_overflow.btsx"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+// Files in the retired BTSX v1 event-stream format (each once crashed or
+// fooled the v1 decoder) are hostile input to every remaining reader: the
+// v2 mapper, the BTSI decoder, and DiskStore::Open, the path `btquery`
+// takes, must each reject them cleanly.
+TEST(FuzzRegressionTest, RetiredV1FilesRejected) {
+  size_t seen = 0;
+  for (const fs::path& p : InputsIn("btsx")) {
+    if (p.filename().string().rfind("v1_", 0) != 0) continue;
+    SCOPED_TRACE(p.filename().string());
+    ++seen;
+    std::string input = ReadFile(p);
+    auto v2 = storage::MapBtsx2(input);
+    ASSERT_FALSE(v2.ok());
+    EXPECT_EQ(v2.status().code(), StatusCode::kInvalidArgument);
+    auto idx = index::DecodeBtsi(input);
+    ASSERT_FALSE(idx.ok());
+    EXPECT_EQ(idx.status().code(), StatusCode::kInvalidArgument);
+    auto store = storage::DiskStore::Open(p.string());
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(seen, 3u);
 }
 
 // MapBtsx2 once ignored bytes after the last section, accepting

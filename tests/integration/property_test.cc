@@ -14,7 +14,7 @@
 #include "exec/twigstack.h"
 #include "opt/planner.h"
 #include "pattern/builder.h"
-#include "storage/succinct.h"
+#include "storage/btsx2.h"
 #include "util/resource_guard.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -382,8 +382,8 @@ TEST_P(FlworPropertyTest, WidenedShapesAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FlworPropertyTest, ::testing::Range(0, 12));
 
 /// Fuzz-lite robustness: byte-mutated XML never crashes the parser, and
-/// whatever still parses serializes to a re-parsable document; the succinct
-/// codec round-trips every random document.
+/// whatever still parses serializes to a re-parsable document; every random
+/// document round-trips through a BTSX v2 image.
 class RobustnessTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RobustnessTest, MutatedXmlNeverCrashes) {
@@ -412,13 +412,17 @@ TEST_P(RobustnessTest, MutatedXmlNeverCrashes) {
   }
 }
 
-TEST_P(RobustnessTest, SuccinctRoundTripOnRandomDocs) {
+TEST_P(RobustnessTest, Btsx2RoundTripOnRandomDocs) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 65537 + 11);
   auto doc = RandomDoc(&rng, 50 + rng.Uniform(200));
-  std::string encoded = storage::EncodeSuccinct(*doc);
-  auto decoded = storage::DecodeSuccinct(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(xml::Serialize(**decoded), xml::Serialize(*doc));
+  auto encoded = storage::EncodeBtsx2(*doc);
+  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+  auto view = storage::MapBtsx2(*encoded);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  ASSERT_TRUE(storage::ValidateBtsx2Deep(*view).ok());
+  xml::Document adopted;
+  ASSERT_TRUE(adopted.AdoptExternal(view->ToLayout()).ok());
+  EXPECT_EQ(xml::Serialize(adopted), xml::Serialize(*doc));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RobustnessTest, ::testing::Range(0, 10));

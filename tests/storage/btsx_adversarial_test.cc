@@ -1,8 +1,8 @@
-// Adversarial decode suite for both BTSX generations (satellite of the
-// out-of-core PR): hostile inputs — truncations at every byte offset,
-// oversized varint lengths, trailing bytes, unbalanced event streams,
-// concatenated files — must produce clean InvalidArgument errors, never
-// crashes, hangs, or silently wrong documents.
+// Adversarial decode suite for the persisted formats (BTSX v2 images and
+// their BTSI index sidecars): hostile inputs — truncations at every byte
+// offset, header and body corruption, trailing bytes, concatenated files —
+// must produce clean InvalidArgument errors, never crashes, hangs, or
+// silently wrong documents.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,6 @@
 #include "index/structural_index.h"
 #include "storage/btsx2.h"
 #include "storage/disk_store.h"
-#include "storage/succinct.h"
-#include "util/varint.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -27,103 +25,6 @@ std::unique_ptr<xml::Document> Parse(std::string_view s) {
   auto r = xml::ParseDocument(s);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.MoveValue();
-}
-
-// -- BTSX v1 (succinct event stream) -----------------------------------------
-
-TEST(BtsxAdversarialTest, V1TruncationAtEveryOffset) {
-  auto doc = Parse("<a k=\"v\"><b>text</b><c/><b>more</b></a>");
-  std::string encoded = EncodeSuccinct(*doc);
-  for (size_t len = 0; len < encoded.size(); ++len) {
-    auto r = DecodeSuccinct(std::string_view(encoded).substr(0, len));
-    ASSERT_FALSE(r.ok()) << "prefix of " << len << " bytes decoded";
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
-TEST(BtsxAdversarialTest, V1TrailingGarbageRejected) {
-  auto doc = Parse("<a><b>x</b></a>");
-  std::string encoded = EncodeSuccinct(*doc);
-  // Regression: the decoder used to stop at event exhaustion and silently
-  // ignore anything after the payload.
-  using namespace std::string_literals;
-  for (const std::string& tail : {"\x00"s, "Z"s, "garbage-bytes"s}) {
-    auto r = DecodeSuccinct(encoded + tail);
-    ASSERT_FALSE(r.ok()) << "tail of " << tail.size() << " bytes accepted";
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
-TEST(BtsxAdversarialTest, V1ConcatenatedFilesRejected) {
-  auto doc = Parse("<a><b/></a>");
-  std::string encoded = EncodeSuccinct(*doc);
-  EXPECT_FALSE(DecodeSuccinct(encoded + encoded).ok());
-}
-
-TEST(BtsxAdversarialTest, V1HostileVarintLengths) {
-  // Magic + version, then a tag count far past any plausible allocation —
-  // the decoder must fail on exhausted input, not attempt the reserve.
-  std::string hostile = "BTSX";
-  PutVarint(&hostile, 1);                      // version
-  PutVarint(&hostile, 0xFFFFFFFFFFFFFFFFull);  // num_tags
-  EXPECT_FALSE(DecodeSuccinct(hostile).ok());
-
-  // A tag whose length prefix runs past the buffer.
-  std::string bad_name = "BTSX";
-  PutVarint(&bad_name, 1);
-  PutVarint(&bad_name, 1);          // one tag
-  PutVarint(&bad_name, 1u << 30);   // name length: 1 GiB
-  bad_name += "abc";
-  EXPECT_FALSE(DecodeSuccinct(bad_name).ok());
-
-  // An event count far beyond the bytes that follow.
-  std::string truncated_events = "BTSX";
-  PutVarint(&truncated_events, 1);
-  PutVarint(&truncated_events, 0);                     // no tags
-  PutVarint(&truncated_events, 0xFFFFFFFFull);         // events
-  EXPECT_FALSE(DecodeSuccinct(truncated_events).ok());
-}
-
-TEST(BtsxAdversarialTest, V1UnbalancedEventStreams) {
-  // Open without close: depth stays positive at the end.
-  std::string open_only = "BTSX";
-  PutVarint(&open_only, 1);
-  PutVarint(&open_only, 1);
-  PutLengthPrefixed(&open_only, "a");
-  PutVarint(&open_only, 1);     // one event
-  open_only.push_back(0);       // kOpen
-  PutVarint(&open_only, 0);     // tag 0
-  PutVarint(&open_only, 0);     // no attrs
-  EXPECT_FALSE(DecodeSuccinct(open_only).ok());
-
-  // Close without open: depth would go negative.
-  std::string close_only = "BTSX";
-  PutVarint(&close_only, 1);
-  PutVarint(&close_only, 0);
-  PutVarint(&close_only, 1);    // one event
-  close_only.push_back(2);      // kClose
-  EXPECT_FALSE(DecodeSuccinct(close_only).ok());
-}
-
-TEST(BtsxAdversarialTest, V1ByteFlipsNeverCrash) {
-  auto doc = Parse("<r><a x=\"1\">t</a><b/><a>u</a></r>");
-  std::string encoded = EncodeSuccinct(*doc);
-  std::string original = xml::Serialize(*doc);
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    for (uint8_t flip : {0x01, 0x80, 0xFF}) {
-      std::string corrupt = encoded;
-      corrupt[i] = static_cast<char>(corrupt[i] ^ flip);
-      auto r = DecodeSuccinct(corrupt);
-      // Either a clean error or a well-formed (possibly different)
-      // document; round-tripping whatever decoded must be stable.
-      if (r.ok()) {
-        std::string reserialized = xml::Serialize(**r);
-        auto again = DecodeSuccinct(EncodeSuccinct(**r));
-        ASSERT_TRUE(again.ok());
-        EXPECT_EQ(xml::Serialize(**again), reserialized);
-      }
-    }
-  }
 }
 
 // -- BTSX v2 (paged layout) ---------------------------------------------------
