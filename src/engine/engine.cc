@@ -8,6 +8,7 @@
 #include "engine/binder.h"
 #include "engine/where_eval.h"
 #include "exec/operator.h"
+#include "exec/value_ops.h"
 #include "flwor/parser.h"
 #include "pattern/builder.h"
 #include "pattern/decompose.h"
@@ -279,7 +280,8 @@ Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
   // Only env-free FLWORs are compiled, so their slots start at 0.
   assert(flwor.bindings.empty() || flwor.bindings.front().var_slot == 0);
   auto compiled = std::make_shared<CompiledFlwor>();
-  BT_ASSIGN_OR_RETURN(compiled->tree, pattern::BuildFromFlwor(flwor));
+  BT_ASSIGN_OR_RETURN(compiled->tree,
+                      pattern::BuildFromFlwor(flwor, &compiled->residual));
   compiled->decomposition = pattern::Decompose(compiled->tree);
   compiled->bindings = ComputeSlotBindings(compiled->tree, flwor);
   if (options_.plan_cache != nullptr) {
@@ -297,7 +299,24 @@ Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
   BT_ASSIGN_OR_RETURN(opt::QueryPlan plan,
                       opt::PlanQuery(doc_, &tree, options_.plan,
                                      &compiled->decomposition));
+  // The where conjuncts the pattern does not enforce, in this AST; the
+  // explanation ends with them.
   last_explain_ = plan.Explain();
+  last_explain_ += "residual where: ";
+  std::vector<const flwor::BoolExpr*> residual;
+  if (compiled->residual.empty()) {
+    last_explain_ += "none";
+  } else {
+    std::vector<const flwor::BoolExpr*> conjuncts =
+        flwor::Conjuncts(*flwor.where);
+    for (uint32_t i : compiled->residual) {
+      assert(i < conjuncts.size());
+      if (!residual.empty()) last_explain_ += " and ";
+      residual.push_back(conjuncts[i]);
+      last_explain_ += flwor::BoolExprToString(*conjuncts[i]);
+    }
+  }
+  last_explain_ += "\n";
   // Per pattern tree: drain the plan, bind its own slots.
   std::vector<TreeTuples> per_tree;
   for (opt::PatternTreePlan& tp : plan.trees) {
@@ -312,7 +331,7 @@ Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
   // Crossing edges (<<, value joins, deep-equal) are evaluated by the
   // naive nested loop over the per-tree rows (paper §4.3): the first tree
   // outermost, each tuple charged as it is formed and filtered by the
-  // where-clause at once, so only survivors are held.
+  // residual where conjuncts at once, so only survivors are held.
   Env tuple(flwor.bindings.size());
   std::vector<Env> kept;
   PathEvaluator ev(doc_);
@@ -321,9 +340,8 @@ Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
     if (t == per_tree.size()) {
       if (!guard_.ChargeRows(1)) return guard_.status();
       if ((++formed & 0x1FF) == 0 && !guard_.Check()) return guard_.status();
-      if (flwor.where != nullptr) {
-        BT_ASSIGN_OR_RETURN(bool ok,
-                            EvalWhere(*flwor.where, tuple, *doc_, &ev));
+      for (const flwor::BoolExpr* conjunct : residual) {
+        BT_ASSIGN_OR_RETURN(bool ok, EvalWhere(*conjunct, tuple, *doc_, &ev));
         if (!ok) return Status::OK();
       }
       kept.push_back(tuple);
@@ -372,8 +390,11 @@ Status OrderTuples(const flwor::Flwor& flwor, PathEvaluator* evaluator,
   for (Env& t : *tuples) {
     BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
                         evaluator->EvaluateWith(*flwor.order_by, t, {}));
+    // A key ending in an attribute step sorts on the attribute's value.
     keyed.emplace_back(
-        nodes.empty() ? "" : evaluator->doc()->StringValue(nodes[0]),
+        nodes.empty() ? ""
+                      : exec::OperandValue(*evaluator->doc(), nodes[0],
+                                           FinalAttribute(*flwor.order_by)),
         std::move(t));
   }
   std::stable_sort(keyed.begin(), keyed.end(),

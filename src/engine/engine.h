@@ -183,8 +183,8 @@ Result<std::vector<Env>> NaiveFlworTuples(const flwor::Flwor& flwor,
                                           PathEvaluator* evaluator,
                                           util::ResourceGuard* guard = nullptr);
 
-/// \brief Stable-sorts `tuples` on the string value of the first node of
-/// the FLWOR's `order by` key (no-op without one).
+/// \brief Stable-sorts `tuples` on the atomized value (exec::OperandValue)
+/// of the first node of the FLWOR's `order by` key (no-op without one).
 Status OrderTuples(const flwor::Flwor& flwor, PathEvaluator* evaluator,
                    std::vector<Env>* tuples);
 

@@ -21,6 +21,14 @@ void SortDedup(std::vector<xml::NodeId>* nodes) {
 
 }  // namespace
 
+std::string_view FinalAttribute(const xpath::PathExpr& path) {
+  if (path.steps.empty() ||
+      path.steps.back().axis != xpath::Axis::kAttribute) {
+    return {};
+  }
+  return path.steps.back().name;
+}
+
 Result<std::vector<xml::NodeId>> PathEvaluator::Evaluate(
     const xpath::PathExpr& path) {
   return EvaluateWith(path, /*env=*/{}, {});
@@ -225,7 +233,8 @@ Result<bool> PathEvaluator::EvalPredicate(const xpath::Predicate& pred,
     return !nodes.empty();
   }
   // Value comparison (general comparison semantics: some item matches).
-  return exec::GeneralCompareLiteral(*doc_, nodes, pred.op, pred.literal);
+  return exec::GeneralCompareLiteral(*doc_, nodes, pred.op, pred.literal,
+                                     FinalAttribute(*pred.path));
 }
 
 void PathEvaluator::CollectDescendants(xml::NodeId n, const std::string& tag,

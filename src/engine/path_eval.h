@@ -19,6 +19,12 @@ namespace engine {
 /// Figure 2).
 using Env = std::vector<std::vector<xml::NodeId>>;
 
+/// \brief The attribute name `path`'s last step selects, or empty if that
+/// step is not an attribute step. Attribute steps surface their owner
+/// element, so a comparison on such a path compares this attribute's value
+/// (exec::OperandValue), as the NoK matcher does.
+std::string_view FinalAttribute(const xpath::PathExpr& path);
+
 /// \brief Navigational XPath evaluation over the DOM: every step traverses
 /// the tree directly, with no indexes and no sharing — the per-step
 /// semantics a navigational engine (the paper's X-Hive comparator) uses.

@@ -206,7 +206,8 @@ std::shared_ptr<const CompiledFlwor> PlanCache::GetCompiled(
 void PlanCache::PutCompiled(const std::string& key,
                             std::shared_ptr<const CompiledFlwor> compiled) {
   uint64_t bytes = TreeBytes(compiled->tree, compiled->decomposition) +
-                   compiled->bindings.size() * 48 + key.size();
+                   compiled->bindings.size() * 48 +
+                   compiled->residual.size() * 4 + key.size();
   compiled_.Put(key, std::move(compiled), bytes);
 }
 

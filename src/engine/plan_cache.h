@@ -15,16 +15,21 @@ namespace blossomtree {
 namespace engine {
 
 /// \brief A compiled query short of physical operators: the finalized
-/// BlossomTree, its NoK decomposition (Algorithm 1), and the per-slot
-/// binding metadata FlworTuples expands (empty for an absolute path query,
-/// whose result pattern::BuildFromPath binds to the "result" variable).
-/// All three are pure functions of the AST, so they are shared read-only
-/// across repeat executions (physical operators are rebuilt per query —
-/// they are stateful iterators).
+/// BlossomTree, its NoK decomposition (Algorithm 1), the per-slot binding
+/// metadata FlworTuples expands (empty for an absolute path query, whose
+/// result pattern::BuildFromPath binds to the "result" variable), and the
+/// residual where-clause. All are pure functions of the AST, so they are
+/// shared read-only across repeat executions (physical operators are
+/// rebuilt per query — they are stateful iterators).
 struct CompiledFlwor {
   pattern::BlossomTree tree;
   pattern::Decomposition decomposition;
   std::vector<SlotBinding> bindings;
+  /// Positions, in flwor::Conjuncts order, of the where conjuncts the tree
+  /// does not enforce (pattern::BuildFromFlwor). Positions rather than
+  /// pointers: every text that shares this entry has its own AST, and
+  /// equal canonical keys give equal conjunct lists.
+  std::vector<uint32_t> residual;
 };
 
 /// \brief The engine's plan cache (DESIGN.md §11): two levels over

@@ -60,13 +60,19 @@ Result<bool> EvalCompare(const flwor::BoolExpr& expr, const Env& env,
       if (l_lit && r_lit) {
         return exec::CompareValues(l_str, op, r_str);
       }
+      // Operand paths ending in an attribute step compare the attribute's
+      // value, not its owner element's.
       if (l_lit) {
-        return exec::GeneralCompareLiteral(doc, rhs, op, l_str);
+        return exec::GeneralCompareLiteral(doc, rhs, op, l_str,
+                                           FinalAttribute(expr.right.path));
       }
       if (r_lit) {
-        return exec::GeneralCompareLiteral(doc, lhs, op, r_str);
+        return exec::GeneralCompareLiteral(doc, lhs, op, r_str,
+                                           FinalAttribute(expr.left.path));
       }
-      return exec::GeneralCompare(doc, lhs, op, rhs);
+      return exec::GeneralCompare(doc, lhs, op, rhs,
+                                  FinalAttribute(expr.left.path),
+                                  FinalAttribute(expr.right.path));
     }
     case flwor::WhereOp::kDocBefore:
     case flwor::WhereOp::kDocAfter: {

@@ -55,6 +55,14 @@ bool ComparePrepared(bool left_numeric, double ln, std::string_view left,
 
 uint64_t ValueComparisonCount() { return value_comparisons; }
 
+std::string OperandValue(const xml::Document& doc, xml::NodeId n,
+                         std::string_view attribute) {
+  if (attribute.empty()) return doc.StringValue(n);
+  std::string_view value;
+  doc.AttributeValue(n, attribute, &value);
+  return std::string(value);
+}
+
 bool CompareValues(std::string_view left, xpath::CompareOp op,
                    std::string_view right) {
   ++value_comparisons;
@@ -68,7 +76,9 @@ bool CompareValues(std::string_view left, xpath::CompareOp op,
 bool GeneralCompare(const xml::Document& doc,
                     std::span<const xml::NodeId> left,
                     xpath::CompareOp op,
-                    std::span<const xml::NodeId> right) {
+                    std::span<const xml::NodeId> right,
+                    std::string_view left_attribute,
+                    std::string_view right_attribute) {
   if (left.empty() || right.empty()) return false;
   // Materialize and parse each right-side value once. The inner loop used
   // to rebuild doc.StringValue(r) (and re-parse it) for every left node —
@@ -84,7 +94,7 @@ bool GeneralCompare(const xml::Document& doc,
   rights.reserve(right.size());
   for (xml::NodeId r : right) {
     RightValue rv;
-    rv.text = doc.StringValue(r);
+    rv.text = OperandValue(doc, r, right_attribute);
     rv.numeric = ParseDouble(rv.text, &rv.num);
     rights.push_back(std::move(rv));
   }
@@ -109,7 +119,7 @@ bool GeneralCompare(const xml::Document& doc,
     }
   }
   for (xml::NodeId l : left) {
-    std::string lv = doc.StringValue(l);
+    std::string lv = OperandValue(doc, l, left_attribute);
     double ln = 0;
     bool l_num = ParseDouble(lv, &ln);
     if (dict) {
@@ -135,11 +145,12 @@ bool GeneralCompare(const xml::Document& doc,
 
 bool GeneralCompareLiteral(const xml::Document& doc,
                            std::span<const xml::NodeId> left,
-                           xpath::CompareOp op, std::string_view literal) {
+                           xpath::CompareOp op, std::string_view literal,
+                           std::string_view attribute) {
   double rn = 0;
   bool r_num = ParseDouble(literal, &rn);
   for (xml::NodeId l : left) {
-    std::string lv = doc.StringValue(l);
+    std::string lv = OperandValue(doc, l, attribute);
     double ln = 0;
     bool l_num = ParseDouble(lv, &ln);
     ++value_comparisons;

@@ -25,18 +25,29 @@ uint64_t ValueComparisonCount();
 bool CompareValues(std::string_view left, xpath::CompareOp op,
                    std::string_view right);
 
+/// \brief The atomized value of node `n` of a comparison operand. An
+/// operand path ending in an attribute step (`$a/@x`) yields the attributes'
+/// owner elements; pass that step's name as `attribute` to get the
+/// attribute's value. Empty `attribute`: `n`'s string value.
+std::string OperandValue(const xml::Document& doc, xml::NodeId n,
+                         std::string_view attribute);
+
 /// \brief XQuery general comparison over node sequences: true iff some pair
-/// of items satisfies `op` on their string values (untyped-data semantics).
+/// of items satisfies `op` on their atomized values (untyped-data
+/// semantics; see OperandValue for `left_attribute`/`right_attribute`).
 /// `left`/`right` are nodes of `doc`; literals are handled by the overload.
 bool GeneralCompare(const xml::Document& doc,
                     std::span<const xml::NodeId> left,
                     xpath::CompareOp op,
-                    std::span<const xml::NodeId> right);
+                    std::span<const xml::NodeId> right,
+                    std::string_view left_attribute = {},
+                    std::string_view right_attribute = {});
 
 /// \brief General comparison of a node sequence against a literal.
 bool GeneralCompareLiteral(const xml::Document& doc,
                            std::span<const xml::NodeId> left,
-                           xpath::CompareOp op, std::string_view literal);
+                           xpath::CompareOp op, std::string_view literal,
+                           std::string_view attribute = {});
 
 /// \brief fn:deep-equal on two subtrees: same tag, same attribute set, and
 /// pairwise deep-equal children; text compared exactly.

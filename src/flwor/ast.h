@@ -59,6 +59,16 @@ struct BoolExpr {
   Operand right;
 };
 
+/// \brief The top-level conjuncts of a where-clause, left to right: the
+/// leaves of its `and` tree (nested `and`s flattened; `or`, `not(...)` and
+/// comparisons are leaves). Two where-clauses with equal canonical keys
+/// (engine::CanonicalFlworKey) have equal conjunct lists position by
+/// position, which is how a compiled plan names its residual conjuncts.
+std::vector<const BoolExpr*> Conjuncts(const BoolExpr& where);
+
+/// \brief Renders a where-clause in the query surface syntax (EXPLAIN).
+std::string BoolExprToString(const BoolExpr& expr);
+
 struct Expr;
 
 /// \brief A piece of element-constructor content: literal text, an embedded

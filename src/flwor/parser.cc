@@ -10,26 +10,6 @@
 namespace blossomtree {
 namespace flwor {
 
-const char* WhereOpToString(WhereOp op) {
-  switch (op) {
-    case WhereOp::kDocBefore:
-      return "<<";
-    case WhereOp::kDocAfter:
-      return ">>";
-    case WhereOp::kEq:
-      return "=";
-    case WhereOp::kNeq:
-      return "!=";
-    case WhereOp::kIs:
-      return "is";
-    case WhereOp::kDeepEqual:
-      return "deep-equal";
-    case WhereOp::kExists:
-      return "exists";
-  }
-  return "?";
-}
-
 namespace {
 
 bool IsWordChar(char c) {

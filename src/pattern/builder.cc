@@ -10,7 +10,8 @@ namespace {
 
 class Builder {
  public:
-  Result<BlossomTree> FromFlwor(const flwor::Flwor& flwor) {
+  Result<BlossomTree> FromFlwor(const flwor::Flwor& flwor,
+                                std::vector<uint32_t>* residual) {
     for (const flwor::Binding& b : flwor.bindings) {
       EdgeMode mode = b.kind == flwor::Binding::Kind::kLet ? EdgeMode::kLet
                                                            : EdgeMode::kFor;
@@ -37,7 +38,13 @@ class Builder {
       vars_[b.var_slot] = v;
     }
     if (flwor.where != nullptr) {
-      BT_RETURN_NOT_OK(AddWhere(*flwor.where, /*negated=*/false));
+      std::vector<const flwor::BoolExpr*> conjuncts =
+          flwor::Conjuncts(*flwor.where);
+      for (uint32_t i = 0; i < conjuncts.size(); ++i) {
+        if (PushConjunct(*conjuncts[i])) continue;
+        if (residual != nullptr) residual->push_back(i);
+        BT_RETURN_NOT_OK(AddWhere(*conjuncts[i], /*negated=*/false));
+      }
     }
     return Finish();
   }
@@ -173,11 +180,112 @@ class Builder {
     return Status::OK();
   }
 
-  /// Walks the where-clause; conjunction components that are (possibly
-  /// negated) comparisons between variable-rooted paths become crossing
-  /// edges. Components the formalism does not cover (or-branches,
-  /// literal comparisons) are simply not represented as edges — the engine
-  /// re-evaluates the full where-clause on candidate tuples.
+  /// Turns a top-level where conjunct into the vertex constraint a step
+  /// predicate would build, when the pattern can enforce it alone:
+  ///  - `$v/p = "lit"` / `$v/p != "lit"` (the literal on either side)
+  ///    becomes the f-mode branch of `[p op "lit"]` under $v's vertex; a
+  ///    zero-step `$v op "lit"` constrains that vertex itself;
+  ///  - `exists($v/p)` becomes the existential f-mode branch of `[p]`.
+  /// `$v` must be for-bound in this FLWOR: a for-bound variable holds one
+  /// node, so "some node of $v/p satisfies op" is exactly the branch's
+  /// existential match. Returns false, changing nothing, for any other
+  /// conjunct, and for one whose literal would land on a vertex that
+  /// already has a value constraint (`$v/b[. = "1"] = "2"`); the engine
+  /// then evaluates it on each tuple.
+  bool PushConjunct(const flwor::BoolExpr& c) {
+    using flwor::Operand;
+    if (c.kind != flwor::BoolExpr::Kind::kCompare) return false;
+    const Operand* operand = &c.left;
+    const std::string* literal = nullptr;
+    switch (c.op) {
+      case flwor::WhereOp::kExists:
+        break;
+      case flwor::WhereOp::kEq:
+      case flwor::WhereOp::kNeq:
+        if (c.right.kind == Operand::Kind::kLiteral) {
+          literal = &c.right.literal;
+        } else if (c.left.kind == Operand::Kind::kLiteral) {
+          literal = &c.left.literal;
+          operand = &c.right;
+        } else {
+          return false;
+        }
+        break;
+      default:
+        return false;
+    }
+    if (operand->kind != Operand::Kind::kPath) return false;
+    const xpath::PathExpr& path = operand->path;
+    if (path.start != xpath::PathExpr::StartKind::kVariable) return false;
+    Result<VertexId> var = VariableVertex(path);
+    // A binding's vertex carries its clause's edge mode: kFor iff for-bound.
+    if (!var.ok() || tree_.vertex(*var).mode != EdgeMode::kFor) return false;
+    VertexId anchor = *var;
+    const std::string& anchor_tag = tree_.vertex(anchor).tag;
+    if (!anchor_tag.empty() && anchor_tag[0] == '@') return false;
+    if (!PushableSteps(path, /*in_predicate=*/false)) return false;
+    // Extend refuses some predicate shapes (two value constraints on one
+    // vertex), and the literal must not replace a constraint the operand's
+    // own predicates or the binding put on its target: extend a copy and
+    // keep it only if both hold.
+    BlossomTree before = tree_;
+    Result<VertexId> target =
+        Extend(anchor, path, 0, EdgeMode::kFor, /*reuse=*/false);
+    if (!target.ok() || (literal != nullptr && tree_.vertex(*target).value)) {
+      tree_ = std::move(before);
+      return false;
+    }
+    if (literal != nullptr) {
+      xpath::CompareOp op = c.op == flwor::WhereOp::kEq
+                                ? xpath::CompareOp::kEq
+                                : xpath::CompareOp::kNeq;
+      tree_.mutable_vertex(*target).value = ValueConstraint{op, *literal};
+    }
+    return true;
+  }
+
+  /// Whether `path`'s steps, and the paths of their predicates, build a
+  /// branch the NoK matcher evaluates as the navigational evaluator does:
+  /// child and descendant steps, an attribute step only last and without
+  /// predicates (the matcher checks an attribute vertex on its owner and
+  /// never descends below it), and, inside predicates, the bare `.` with
+  /// no positional predicate. Named self steps are left to the evaluator
+  /// (the builder keeps no name test on them), as are reverse and
+  /// following axes, which Extend cannot place in a pattern.
+  static bool PushableSteps(const xpath::PathExpr& path, bool in_predicate) {
+    for (size_t i = 0; i < path.steps.size(); ++i) {
+      const xpath::Step& step = path.steps[i];
+      switch (step.axis) {
+        case xpath::Axis::kChild:
+        case xpath::Axis::kDescendant:
+          break;
+        case xpath::Axis::kAttribute:
+          if (i + 1 != path.steps.size() || !step.predicates.empty()) {
+            return false;
+          }
+          break;
+        case xpath::Axis::kSelf:
+          if (!in_predicate || !step.name.empty()) return false;
+          break;
+        default:
+          return false;
+      }
+      for (const xpath::Predicate& pred : step.predicates) {
+        if (pred.kind == xpath::Predicate::Kind::kPosition) {
+          if (step.axis == xpath::Axis::kSelf) return false;
+          continue;
+        }
+        if (!PushableSteps(*pred.path, /*in_predicate=*/true)) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Walks a residual where conjunct; (possibly negated) comparisons
+  /// between variable-rooted paths inside it become crossing edges. Nothing
+  /// else is represented: or-branches, literal and count comparisons that
+  /// PushConjunct did not take, and exists() stay with the engine, which
+  /// evaluates every residual conjunct on each candidate tuple.
   Status AddWhere(const flwor::BoolExpr& expr, bool negated) {
     using flwor::BoolExpr;
     switch (expr.kind) {
@@ -194,16 +302,18 @@ class Builder {
       case BoolExpr::Kind::kCompare:
         break;
     }
-    if (expr.left.kind != flwor::Operand::Kind::kPath ||
-        expr.right.kind != flwor::Operand::Kind::kPath) {
-      return Status::OK();  // Literal comparison: residual.
+    if (expr.op == flwor::WhereOp::kExists ||
+        expr.left.kind != flwor::Operand::Kind::kPath ||
+        expr.right.kind != flwor::Operand::Kind::kPath ||
+        !VariableVertex(expr.left.path).ok() ||
+        !VariableVertex(expr.right.path).ok()) {
+      // Unary, literal or count comparison, or an operand that is not
+      // rooted at a variable of this FLWOR: no edge.
+      return Status::OK();
     }
     auto lv = OperandVertex(expr.left.path);
     auto rv = OperandVertex(expr.right.path);
-    if (!lv.ok() || !rv.ok()) {
-      // Unresolvable operand (e.g. absolute path in where): residual.
-      return Status::OK();
-    }
+    if (!lv.ok() || !rv.ok()) return Status::OK();
     VertexId left = *lv;
     VertexId right = *rv;
     CrossKind kind;
@@ -272,9 +382,10 @@ const flwor::Flwor* FindFlwor(const flwor::Expr& expr) {
 
 }  // namespace
 
-Result<BlossomTree> BuildFromFlwor(const flwor::Flwor& flwor) {
+Result<BlossomTree> BuildFromFlwor(const flwor::Flwor& flwor,
+                                   std::vector<uint32_t>* residual) {
   Builder b;
-  return b.FromFlwor(flwor);
+  return b.FromFlwor(flwor, residual);
 }
 
 Result<BlossomTree> BuildFromPath(const xpath::PathExpr& path) {

@@ -24,11 +24,21 @@ namespace pattern {
 ///    "l" (optional);
 ///  - step predicates become non-returning subtrees ([p] existence) or
 ///    value constraints ([p = "v"]) and positional constraints ([i]);
-///  - where-clause comparisons between variables become crossing edges
-///    (negation via not(...) is preserved on the edge);
+///  - top-level where conjuncts `$v/p = "lit"`, `$v/p != "lit"` and
+///    `exists($v/p)` on a for-bound `$v` become the constraints the step
+///    predicates `[p = "lit"]` / `[p]` build under `$v`'s vertex, so the
+///    scan enforces them (DESIGN.md §6);
+///  - the other conjuncts' comparisons between variables become crossing
+///    edges (negation via not(...) is preserved on the edge);
 ///  - binding variables, crossing-edge endpoints, and endpoints of global
 ///    (//) tree edges are marked returning, then Dewey IDs are assigned.
-Result<BlossomTree> BuildFromFlwor(const flwor::Flwor& flwor);
+///
+/// `residual`, when given, receives the positions (in flwor::Conjuncts
+/// order) of the where conjuncts the tree does not enforce, ascending. The
+/// tree's matches satisfy every other conjunct; the caller evaluates these
+/// on each tuple.
+Result<BlossomTree> BuildFromFlwor(const flwor::Flwor& flwor,
+                                   std::vector<uint32_t>* residual = nullptr);
 
 /// \brief Translates a standalone path expression (the Table 2/3 query
 /// workloads) into a finalized BlossomTree whose result vertex is bound to

@@ -71,6 +71,18 @@ TEST(PathEvalTest, ValuePredicate) {
   EXPECT_EQ(doc->StringValue(out[0]), "y");
 }
 
+// An attribute step surfaces its owner element, but a comparison on it
+// compares the attribute's value, as the NoK matcher does: the owner's text
+// must not decide `[@x = "v"]`.
+TEST(PathEvalTest, AttributeValuePredicateComparesTheAttribute) {
+  // Nodes: r=0, a=1, "w"=2, a=3, "v"=4 (attributes are out of band).
+  auto doc = Parse(R"(<r><a x="v">w</a><a x="w">v</a></r>)");
+  EXPECT_EQ(Eval(*doc, "//a[@x = \"v\"]"), (std::vector<xml::NodeId>{1}));
+  EXPECT_EQ(Eval(*doc, "//a[@x != \"v\"]"), (std::vector<xml::NodeId>{3}));
+  EXPECT_EQ(Eval(*doc, "/r[a/@x = \"w\"]").size(), 1u);
+  EXPECT_TRUE(Eval(*doc, "//a[@y = \"v\"]").empty());
+}
+
 TEST(PathEvalTest, SelfValuePredicate) {
   auto doc = Parse("<r><k>x</k><k>y</k></r>");
   EXPECT_EQ(Eval(*doc, "//k[. = \"x\"]").size(), 1u);

@@ -168,6 +168,52 @@ TEST(WhereEvalTest, EndToEndExistsAndCountInQueries) {
   EXPECT_EQ(*r3, "<two/>");
 }
 
+// Operands ending in an attribute step compare the attribute's value, not
+// the owner element's text, in literal comparisons and in joins alike.
+TEST(WhereEvalTest, AttributeOperandsCompareTheAttributeValue) {
+  // Nodes: r=0, q=1, "w"=2, q=3, "v"=4 (attributes are out of band).
+  auto doc = Parse(R"(<r><q x="v">w</q><q x="w">v</q></r>)");
+  Env env(2);
+  env[kX] = {1};
+  env[kY] = {3};
+  WhereFixture lit("$x/@x = \"v\"");
+  EXPECT_TRUE(Eval(*doc, *lit.where, env));
+  WhereFixture lit_left("\"v\" = $y/@x");
+  EXPECT_FALSE(Eval(*doc, *lit_left.where, env));
+  WhereFixture neq("$y/@x != \"w\"");
+  EXPECT_FALSE(Eval(*doc, *neq.where, env));
+  // Attribute "v" of $x against the text "v" of $y, then against $y's
+  // attribute "w".
+  WhereFixture to_text("$x/@x = $y");
+  EXPECT_TRUE(Eval(*doc, *to_text.where, env));
+  WhereFixture to_attr("$x/@x = $y/@x");
+  EXPECT_FALSE(Eval(*doc, *to_attr.where, env));
+
+  // The navigational oracle and the BlossomTree engine agree end to end.
+  const char* query = "for $a in //q where $a/@x = \"v\" return $a";
+  PathEvaluator ev(doc.get());
+  auto parsed = flwor::ParseQuery(query);
+  ASSERT_TRUE(parsed.ok());
+  auto tuples = NaiveFlworTuples(*(*parsed)->flwor, {}, &ev);
+  ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+  ASSERT_EQ(tuples->size(), 1u);
+  EXPECT_EQ((*tuples)[0][0], (std::vector<xml::NodeId>{1}));
+  BlossomTreeEngine engine(doc.get());
+  auto got = engine.EvaluateQuery(query);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, R"(<q x="v">w</q>)");
+}
+
+// An order-by key ending in an attribute step sorts on the attribute's
+// value; elements without the attribute sort first (empty key).
+TEST(WhereEvalTest, OrderByAttributeSortsOnItsValue) {
+  auto doc = Parse(R"(<r><q x="w">a</q><q>c</q><q x="v">b</q></r>)");
+  BlossomTreeEngine engine(doc.get());
+  auto got = engine.EvaluateQuery("for $a in //q order by $a/@x return $a");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, R"(<q>c</q><q x="v">b</q><q x="w">a</q>)");
+}
+
 TEST(WhereEvalTest, ErrorsOnNonSingletonDocOrder) {
   auto doc = Parse("<r><a/><a/><b/></r>");
   Env env(2);

@@ -26,8 +26,11 @@ namespace blossomtree {
 namespace {
 
 /// Random tree generator: small tag alphabet to force recursion and dense
-/// matches; some nodes carry text for value predicates.
-std::unique_ptr<xml::Document> RandomDoc(Rng* rng, size_t target_nodes) {
+/// matches; some nodes carry text for value predicates. With `attributes`,
+/// some elements also carry an attribute `k` valued "0".."3" (the variant
+/// draws extra random numbers, so it is a different document for a seed).
+std::unique_ptr<xml::Document> RandomDoc(Rng* rng, size_t target_nodes,
+                                         bool attributes = false) {
   static const char* kTags[] = {"a", "b", "c", "d", "e"};
   auto doc = std::make_unique<xml::Document>();
   size_t budget = target_nodes;
@@ -35,6 +38,9 @@ std::unique_ptr<xml::Document> RandomDoc(Rng* rng, size_t target_nodes) {
     if (budget == 0) return;
     --budget;
     doc->BeginElement(kTags[rng->Uniform(5)]);
+    if (attributes && rng->Chance(0.4)) {
+      doc->AddAttribute("k", std::to_string(rng->Uniform(4)));
+    }
     if (rng->Chance(0.2)) {
       doc->AddText(std::to_string(rng->Uniform(4)));
     }
@@ -263,20 +269,30 @@ TEST_P(PropertyTest, CellCountIsReachableEntries) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest, ::testing::Range(0, 20));
 
 /// Runs `query` through the BlossomTree engine at 1 and 4 intra-query
-/// threads; both must return the navigational baseline's bytes.
+/// threads, without a result cache and twice through `shared` (cold or
+/// warm, depending on what earlier queries left in it); every run must
+/// return the navigational baseline's bytes. Share `shared` across a
+/// document's queries, so a constrained pattern meets the entries of the
+/// patterns before it.
 void ExpectFlworMatchesOracle(const xml::Document& doc,
-                              const std::string& query) {
+                              const std::string& query,
+                              exec::NokResultCache* shared) {
   baseline::NavigationalEvaluator nav(&doc);
   auto want = nav.EvaluateQuery(query);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   for (unsigned threads : {1u, 4u}) {
-    engine::EngineOptions options;
-    options.num_threads = threads;
-    engine::BlossomTreeEngine engine(&doc, options);
-    auto got = engine.EvaluateQuery(query);
-    ASSERT_TRUE(got.ok()) << "threads=" << threads << ": "
-                          << got.status().ToString();
-    EXPECT_EQ(*got, *want) << "threads=" << threads;
+    for (exec::NokResultCache* cache : {(exec::NokResultCache*)nullptr,
+                                        shared, shared}) {
+      engine::EngineOptions options;
+      options.num_threads = threads;
+      options.plan.result_cache = cache;
+      engine::BlossomTreeEngine engine(&doc, options);
+      auto got = engine.EvaluateQuery(query);
+      ASSERT_TRUE(got.ok()) << "threads=" << threads << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(*got, *want) << "threads=" << threads
+                             << " cache=" << (cache != nullptr);
+    }
   }
 }
 
@@ -287,6 +303,7 @@ class FlworPropertyTest : public ::testing::TestWithParam<int> {};
 TEST_P(FlworPropertyTest, RandomFlworsAgree) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 7);
   auto doc = RandomDoc(&rng, 60 + rng.Uniform(60));
+  exec::NokResultCache cache(util::CacheOptions{});
   static const char* kTags[] = {"a", "b", "c", "d", "e"};
   for (int qi = 0; qi < 6; ++qi) {
     std::string t1 = kTags[rng.Uniform(5)];
@@ -306,7 +323,7 @@ TEST_P(FlworPropertyTest, RandomFlworsAgree) {
               ") return <p/>";
     }
     SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " query=" + query);
-    ExpectFlworMatchesOracle(*doc, query);
+    ExpectFlworMatchesOracle(*doc, query, &cache);
   }
 }
 
@@ -318,6 +335,7 @@ TEST_P(FlworPropertyTest, RandomFlworsAgree) {
 TEST_P(FlworPropertyTest, WidenedShapesAgree) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 130363 + 11);
   auto doc = RandomDoc(&rng, 60 + rng.Uniform(60));
+  exec::NokResultCache cache(util::CacheOptions{});
   static const char* kTags[] = {"a", "b", "c", "d", "e"};
   for (int qi = 0; qi < 8; ++qi) {
     std::string t1 = kTags[rng.Uniform(5)];
@@ -375,7 +393,123 @@ TEST_P(FlworPropertyTest, WidenedShapesAgree) {
         break;
     }
     SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " query=" + query);
-    ExpectFlworMatchesOracle(*doc, query);
+    ExpectFlworMatchesOracle(*doc, query, &cache);
+  }
+}
+
+/// Where shapes around the conjuncts the builder pushes into the pattern
+/// (`$v/p op "lit"`, `exists($v/p)`) and the ones it must leave residual:
+/// multi-step and descendant operands, the literal on the left, a literal
+/// next to a `<<` edge, under not(...) and or, a zero-step `$x op lit`,
+/// numeric-canonical literals, let-bound operands, and attribute operands
+/// on an attribute-bearing document.
+TEST_P(FlworPropertyTest, WhereLiteralShapesAgree) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 201247 + 3);
+  auto doc = RandomDoc(&rng, 60 + rng.Uniform(60));
+  auto attr_doc = RandomDoc(&rng, 60 + rng.Uniform(60), /*attributes=*/true);
+  exec::NokResultCache cache(util::CacheOptions{});
+  exec::NokResultCache attr_cache(util::CacheOptions{});
+  static const char* kTags[] = {"a", "b", "c", "d", "e"};
+  // RandomDoc's values are "0".."3"; "01" and "1.0" equal "1" numerically,
+  // and "4" matches nothing.
+  static const char* kLiterals[] = {"0", "1", "2", "3", "4", "01", "1.0"};
+  for (int qi = 0; qi < 16; ++qi) {
+    std::string t1 = kTags[rng.Uniform(5)];
+    std::string t2 = kTags[rng.Uniform(5)];
+    std::string t3 = kTags[rng.Uniform(5)];
+    std::string lit = std::string("\"") + kLiterals[rng.Uniform(7)] + "\"";
+    std::string lit2 = std::string("\"") + kLiterals[rng.Uniform(7)] + "\"";
+    std::string op = rng.Chance(0.5) ? " = " : " != ";
+    const xml::Document* target = doc.get();
+    exec::NokResultCache* target_cache = &cache;
+    std::string query;
+    switch (rng.Uniform(17)) {
+      case 0:
+        query = "for $x in //" + t1 + " where $x/" + t2 + "/" + t3 + op +
+                lit + " return <o>{ $x/" + t2 + " }</o>";
+        break;
+      case 1:
+        query = "for $x in //" + t1 + " where " + lit + op + "$x/" + t2 +
+                " return $x";
+        break;
+      case 2:
+        query = "for $x in //" + t1 + ", $y in //" + t2 + " where $x << $y" +
+                " and $y/" + t3 + op + lit + " return <o>{ $x }{ $y }</o>";
+        break;
+      case 3:
+        query = "for $x in //" + t1 + " where not($x/" + t2 + op + lit +
+                ") return $x";
+        break;
+      case 4:
+        query = "for $x in //" + t1 + " where $x/" + t2 + op + lit +
+                " or $x/" + t3 + " = " + lit2 + " return $x";
+        break;
+      case 5:
+        query = "for $x in //" + t1 + "/" + t2 + " where $x" + op + lit +
+                " return <o>{ $x }</o>";
+        break;
+      case 6:
+        query = "for $x in //" + t1 + " where $x//" + t2 + op + lit +
+                " and exists($x/" + t3 + ") return $x";
+        break;
+      case 7:
+        query = "for $x in //" + t1 + ", $y in $x/" + t2 + " where $y" + op +
+                lit + " and $x/" + t3 + " = " + lit2 +
+                " return <o>{ $y }</o>";
+        break;
+      case 8:
+        query = "for $x in //" + t1 + " let $y := $x/" + t2 + " where $y" +
+                op + lit + " and $x/" + t3 + op + lit2 +
+                " return <o>{ $y }</o>";
+        break;
+      case 9:
+        query = "for $x in //" + t1 + " where exists($x//" + t2 +
+                ") and not(exists($x/" + t3 + ")) return $x";
+        break;
+      case 10:
+        target = attr_doc.get();
+        target_cache = &attr_cache;
+        query = "for $x in //" + t1 + " where $x/@k" + op + lit +
+                " return $x";
+        break;
+      case 11:
+        // The binding's predicate compares the attribute too.
+        target = attr_doc.get();
+        target_cache = &attr_cache;
+        query = "for $x in //" + t1 + "[@k = " + lit2 + "], $y in $x/" + t2 +
+                " where $y/@k" + op + lit + " return <o>{ $y }</o>";
+        break;
+      case 12:
+        // $x's vertex already carries the binding's value constraint.
+        query = "for $x in //" + t1 + "[. = " + lit2 + "] where $x" + op +
+                lit + " return $x";
+        break;
+      case 13:
+        // The operand's own predicate already constrains its target.
+        query = "for $x in //" + t1 + " where $x/" + t2 + "[. = " + lit2 +
+                "]" + op + lit + " return $x";
+        break;
+      case 14:
+        // Predicates the pattern cannot hold stay residual: a named self
+        // step, a reverse axis.
+        query = "for $x in //" + t1 + " where $x/*[self::" + t2 + "]" + op +
+                lit + " return $x";
+        break;
+      case 15:
+        query = "for $x in //" + t1 + " where $x/" + t2 + op + lit +
+                " and $x/" + t3 + "[parent::" + t2 + "] = " + lit2 +
+                " return $x";
+        break;
+      default:
+        target = attr_doc.get();
+        target_cache = &attr_cache;
+        query = "for $x in //" + t1 + ", $y in //" + t2 + " where " + lit +
+                " = $x/" + t3 + "/@k and $x/@k" + op + "$y/@k" +
+                " return <o>{ $x }{ $y }</o>";
+        break;
+    }
+    SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " query=" + query);
+    ExpectFlworMatchesOracle(*target, query, target_cache);
   }
 }
 

@@ -28,6 +28,17 @@ BlossomTree FromQuery(std::string_view q) {
   return t.MoveValue();
 }
 
+/// The residual conjunct positions BuildFromFlwor reports for `q`.
+std::vector<uint32_t> Residual(std::string_view q) {
+  auto e = flwor::ParseQuery(q);
+  EXPECT_TRUE(e.ok()) << e.status().ToString();
+  if (!e.ok()) return {99};
+  std::vector<uint32_t> residual;
+  auto t = BuildFromFlwor(*(*e)->flwor, &residual);
+  EXPECT_TRUE(t.ok()) << q << ": " << t.status().ToString();
+  return residual;
+}
+
 TEST(BuilderTest, SimplePath) {
   BlossomTree t = FromPath("/a/b");
   // Vertices: ~, a, b.
@@ -41,6 +52,76 @@ TEST(BuilderTest, SimplePath) {
   // Only b is returning.
   EXPECT_EQ(t.NumSlots(), 1u);
   EXPECT_EQ(t.slot(t.SlotOfVertex(b)).dewey.ToString(), "1");
+}
+
+// Top-level `$v/p op "lit"` and `exists($v/p)` conjuncts on a for-bound $v
+// leave the residual where-clause; every other conjunct stays.
+TEST(BuilderTest, WhereConjunctsPushedIntoThePattern) {
+  struct Case {
+    const char* query;
+    std::vector<uint32_t> residual;
+  };
+  const Case cases[] = {
+      {"for $b in //book where $b/title = \"x\" return $b", {}},
+      {"for $b in //book where \"x\" != $b/a/b return $b", {}},
+      {"for $b in //book where $b//c = \"x\" return $b", {}},
+      {"for $b in //book where $b = \"7\" return $b", {}},
+      {"for $b in //book where exists($b/year) return $b", {}},
+      {"for $b in //book where $b/@id = \"7\" return $b", {}},
+      {"for $a in //a, $b in //b where $a << $b and $b/c = \"1\" and "
+       "$a/d = $b/d return $b",
+       {0, 2}},
+      {"for $b in //book where not($b/title = \"x\") return $b", {0}},
+      {"for $b in //book where empty($b/title) return $b", {0}},
+      {"for $b in //book where $b/title = \"x\" or $b/y = \"1\" return $b",
+       {0}},
+      {"for $b in //book where count($b/author) = 2 return $b", {0}},
+      {"for $b in //book let $t := $b/title where $t = \"x\" return $b",
+       {0}},
+      {"for $b in //book where //title = \"x\" and $b/y = \"1\" return $b",
+       {0}},
+      // The binding's own value constraint leaves no room on $b's vertex.
+      {"for $b in //book[. = \"y\"] where $b = \"x\" return $b", {0}},
+      {"for $b in //book/@id where $b = \"x\" return $b", {0}},
+      {"for $b in //book where $b/parent::a = \"x\" return $b", {0}},
+      {"for $b in //book where $b/@id/x = \"x\" return $b", {0}},
+      {"for $b in //book where $b/self::x = \"x\" return $b", {0}},
+      // The operand's predicates: a constraint on its target leaves no room
+      // for the literal, and named self steps and reverse axes have no
+      // pattern form. Predicates below the target are pushed with it.
+      {"for $b in //book where $b/t[. = \"y\"] = \"x\" return $b", {0}},
+      {"for $b in //book where $b/*[self::t] = \"x\" return $b", {0}},
+      {"for $b in //book where $b/t[parent::book] = \"x\" return $b", {0}},
+      {"for $b in //book where exists($b/t[.//c/parent::d]) return $b", {0}},
+      {"for $b in //book where exists($b/t[. = \"1\"][. = \"2\"]) "
+       "return $b",
+       {0}},
+      {"for $b in //book where $b/t[c = \"y\"][.//d] = \"x\" and "
+       "exists($b/t[. = \"1\"]) return $b",
+       {}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(Residual(c.query), c.residual) << c.query;
+  }
+  // A conjunct left residual adds no vertex, also after a failed attempt.
+  const char* refused[] = {
+      "for $b in //book where $b/t[. = \"y\"] = \"x\" return $b",
+      "for $b in //book where $b/t[parent::book] = \"x\" return $b",
+  };
+  for (const char* q : refused) {
+    EXPECT_EQ(FromQuery(q).NumVertices(), 2u) << q;  // ~, book.
+  }
+  // The pushed conjunct is the predicate's value constraint, mandatory.
+  BlossomTree t = FromQuery(
+      "for $b in //book where \"x\" != $b/title return $b");
+  ASSERT_EQ(t.NumVertices(), 3u);  // ~, book, title.
+  const Vertex& title = t.vertex(2);
+  EXPECT_EQ(title.tag, "title");
+  EXPECT_EQ(title.mode, EdgeMode::kFor);
+  EXPECT_FALSE(title.returning);
+  ASSERT_TRUE(title.value.has_value());
+  EXPECT_EQ(title.value->op, xpath::CompareOp::kNeq);
+  EXPECT_EQ(title.value->literal, "x");
 }
 
 TEST(BuilderTest, DescendantEdgesMarkEndpointsReturning) {
