@@ -49,6 +49,31 @@ void BM_SerializeXml(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeXml);
 
+// Result serialization as a query's drain ends: AppendSubtree of each node
+// of a d5 (scale 1.0) result set into one output string. Arg 0 is
+// //article/title (many small subtrees), arg 1 //www[//url] (record
+// subtrees with attributes).
+void BM_SerializeResults(benchmark::State& state) {
+  static const std::unique_ptr<xml::Document> doc =
+      BenchDoc(datagen::Dataset::kD5Dblp, 1.0);
+  const char* query = state.range(0) == 0 ? "//article/title" : "//www[//url]";
+  baseline::NavigationalEvaluator nav(doc.get());
+  std::vector<xml::NodeId> nodes =
+      nav.EvaluatePath(xpath::ParsePath(query).MoveValue()).MoveValue();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string out;
+    for (xml::NodeId n : nodes) xml::AppendSubtree(*doc, n, &out);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out);
+  }
+  std::string label = query;
+  state.SetLabel(label + ", " + std::to_string(nodes.size()) + " nodes");
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_SerializeResults)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_NokScan(benchmark::State& state) {
   auto doc = BenchDoc(datagen::Dataset::kD5Dblp, 0.05);
   auto path = xpath::ParsePath("//proceedings[editor]").MoveValue();

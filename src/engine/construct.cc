@@ -18,7 +18,7 @@ void ResultBuilder::BeginElement(std::string_view name) {
   CloseStartTag();
   out_.push_back('<');
   out_.append(name);
-  open_.emplace_back(name);
+  open_.push_back(name);
   start_tag_open_ = true;
 }
 
@@ -28,13 +28,13 @@ void ResultBuilder::AddAttribute(std::string_view name,
   out_.push_back(' ');
   out_.append(name);
   out_.append("=\"");
-  out_.append(XmlEscape(value));
+  AppendXmlEscaped(value, &out_);
   out_.push_back('"');
 }
 
 void ResultBuilder::AddText(std::string_view text) {
   CloseStartTag();
-  out_.append(XmlEscape(text));
+  AppendXmlEscaped(text, &out_);
 }
 
 void ResultBuilder::EndElement() {

@@ -19,6 +19,8 @@ class ResultBuilder {
  public:
   explicit ResultBuilder(const xml::Document* source);
 
+  /// \brief Opens element `name`, which must outlive the builder (the
+  /// engines pass constructor names from the query AST).
   void BeginElement(std::string_view name);
   /// \brief Valid directly after BeginElement (or another AddAttribute);
   /// elsewhere there is no open start tag and the attribute is dropped.
@@ -38,7 +40,7 @@ class ResultBuilder {
 
   const xml::Document* source_;
   std::string out_;
-  std::vector<std::string> open_;  // Names of the open elements.
+  std::vector<std::string_view> open_;  // Names of the open elements.
   bool start_tag_open_ = false;
 };
 

@@ -42,6 +42,7 @@ NokMatcher::NokMatcher(const xml::Document* doc,
     } else {
       lv.tag = doc->tags().Lookup(vx.tag);
     }
+    if (vx.value) lv.value.emplace(vx.value->op, vx.value->literal);
     locals_.push_back(std::move(lv));
   }
   for (LocalVertex& lv : locals_) {
@@ -103,13 +104,7 @@ bool NokMatcher::TagOk(const LocalVertex& lv, xml::NodeId x) const {
 
 bool NokMatcher::ConstraintsOk(const LocalVertex& lv, xml::NodeId x) const {
   if (!TagOk(lv, x)) return false;
-  const pattern::Vertex& v = tree_->vertex(lv.vertex);
-  if (v.value && x != kVirtualRootNode) {
-    if (!CompareValues(doc_->StringValue(x), v.value->op, v.value->literal)) {
-      return false;
-    }
-  }
-  return true;
+  return !lv.value || x == kVirtualRootNode || lv.value->MatchesNode(*doc_, x);
 }
 
 bool NokMatcher::RootTest(xml::NodeId x) const {
@@ -201,8 +196,7 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
       std::string_view value;
       if (x != kVirtualRootNode &&
           doc_->AttributeValue(x, s.attribute, &value)) {
-        if (!sv.value ||
-            CompareValues(value, sv.value->op, sv.value->literal)) {
+        if (!s.value || s.value->Matches(value)) {
           lv.matched[k] = 1;
           if (sv.returning) {
             // Attribute matches surface their owner element.

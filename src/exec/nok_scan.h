@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "exec/batch.h"
 #include "exec/operator.h"
 #include "exec/result_cache.h"
+#include "exec/value_ops.h"
 #include "nestedlist/nested_list.h"
 #include "pattern/decompose.h"
 #include "storage/disk_store.h"
@@ -72,6 +74,8 @@ class NokMatcher {
     TagTest test = TagTest::kTag;
     xml::TagId tag = xml::kNullTag;
     std::string attribute;  ///< kAttribute: the name without "@".
+    /// The vertex's value constraint, its literal parsed once.
+    std::optional<LiteralTest> value;
     std::vector<uint32_t> local_children;  ///< Indices into locals_.
     /// Slots this vertex contributes upward: [slot(v)] if returning, else
     /// the concatenation over local children.

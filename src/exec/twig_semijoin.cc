@@ -71,12 +71,10 @@ std::vector<xml::NodeId> TwigSemijoin::Candidates(VertexId v) {
     out = std::move(rooted);
   }
   if (vx.value) {
+    LiteralTest value(vx.value->op, vx.value->literal);
     std::vector<xml::NodeId> filtered;
     for (xml::NodeId n : out) {
-      if (CompareValues(doc_->StringValue(n), vx.value->op,
-                        vx.value->literal)) {
-        filtered.push_back(n);
-      }
+      if (value.MatchesNode(*doc_, n)) filtered.push_back(n);
     }
     out = std::move(filtered);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "exec/value_ops.h"
 #include "util/trace.h"
@@ -87,12 +88,11 @@ void TwigStack::BuildStreams() {
     // The query root connected to "~" by '/' must be the document root.
     bool must_be_doc_root =
         q.parent < 0 && vx.axis == xpath::Axis::kChild;
+    std::optional<LiteralTest> value;
+    if (vx.value) value.emplace(vx.value->op, vx.value->literal);
     for (xml::NodeId n : nodes) {
       if (must_be_doc_root && doc_->Level(n) != 0) continue;
-      if (vx.value && !CompareValues(doc_->StringValue(n), vx.value->op,
-                                     vx.value->literal)) {
-        continue;
-      }
+      if (value && !value->MatchesNode(*doc_, n)) continue;
       q.stream.push_back(n);
     }
   }

@@ -73,6 +73,23 @@ bool CompareValues(std::string_view left, xpath::CompareOp op,
   return ComparePrepared(l_num, ln, left, op, r_num, rn, right);
 }
 
+LiteralTest::LiteralTest(xpath::CompareOp op, std::string_view literal)
+    : op_(op), literal_(literal) {
+  numeric_ = ParseDouble(literal_, &num_);
+}
+
+bool LiteralTest::Matches(std::string_view value) const {
+  ++value_comparisons;
+  double num = 0;
+  bool numeric = ParseDouble(value, &num);
+  return ComparePrepared(numeric, num, value, op_, numeric_, num_, literal_);
+}
+
+bool LiteralTest::MatchesNode(const xml::Document& doc, xml::NodeId n) const {
+  std::string scratch;
+  return Matches(doc.StringValueView(n, &scratch));
+}
+
 bool GeneralCompare(const xml::Document& doc,
                     std::span<const xml::NodeId> left,
                     xpath::CompareOp op,

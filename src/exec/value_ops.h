@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -24,6 +25,26 @@ uint64_t ValueComparisonCount();
 /// comparison when both parse as numbers, string comparison otherwise.
 bool CompareValues(std::string_view left, xpath::CompareOp op,
                    std::string_view right);
+
+/// \brief A vertex value constraint (`op literal`) with the literal parsed
+/// once, when a matcher is built, instead of on every candidate.
+class LiteralTest {
+ public:
+  LiteralTest(xpath::CompareOp op, std::string_view literal);
+
+  /// \brief CompareValues(value, op, literal), with the same single tick.
+  bool Matches(std::string_view value) const;
+
+  /// \brief Matches(doc.StringValue(n)), reading the text in place when n's
+  /// subtree holds at most one text node (a leaf's value, the common case).
+  bool MatchesNode(const xml::Document& doc, xml::NodeId n) const;
+
+ private:
+  xpath::CompareOp op_;
+  std::string literal_;
+  double num_ = 0;  ///< The literal's number, if `numeric_`.
+  bool numeric_ = false;
+};
 
 /// \brief The atomized value of node `n` of a comparison operand. An
 /// operand path ending in an attribute step (`$a/@x`) yields the attributes'

@@ -108,10 +108,14 @@ class Builder {
   }
 
   /// Extends the pattern from `anchor` along path.steps[first_step..];
-  /// returns the terminal vertex.
+  /// returns the terminal vertex. `anchor_owned`: the anchor was added for
+  /// the step whose predicate `path` is, so a self step may narrow its name
+  /// test (see SelfTest); a variable's vertex or a reused one is shared.
   Result<VertexId> Extend(VertexId anchor, const xpath::PathExpr& path,
-                          size_t first_step, EdgeMode mode, bool reuse) {
+                          size_t first_step, EdgeMode mode, bool reuse,
+                          bool anchor_owned = false) {
     VertexId cur = anchor;
+    bool owned = anchor_owned;
     for (size_t i = first_step; i < path.steps.size(); ++i) {
       const xpath::Step& step = path.steps[i];
       if (xpath::IsNavigationalOnlyAxis(step.axis)) {
@@ -120,8 +124,9 @@ class Builder {
             "' cannot appear in a BlossomTree; evaluate navigationally");
       }
       if (step.axis == xpath::Axis::kSelf) {
-        // "." — stay on the current vertex; predicates apply to it.
-        BT_RETURN_NOT_OK(ApplyPredicates(cur, step));
+        // Stay on the current vertex; predicates apply to it.
+        BT_RETURN_NOT_OK(SelfTest(cur, step, owned));
+        BT_RETURN_NOT_OK(ApplyPredicates(cur, step, owned));
         continue;
       }
       std::string tag = step.axis == xpath::Axis::kAttribute
@@ -141,16 +146,48 @@ class Builder {
           }
         }
       }
-      if (next == kNoVertex) {
+      owned = next == kNoVertex;
+      if (owned) {
         next = tree_.AddChild(cur, tag, step.axis, mode);
-        BT_RETURN_NOT_OK(ApplyPredicates(next, step));
+        BT_RETURN_NOT_OK(ApplyPredicates(next, step, /*owned=*/true));
       }
       cur = next;
     }
     return cur;
   }
 
-  Status ApplyPredicates(VertexId v, const xpath::Step& step) {
+  /// A self step's test on vertex `v`: "." and "*" keep every node `v`
+  /// matches, as does the name `v` already tests for. A named test narrows
+  /// an owned "*" vertex without a positional predicate to that name. Any
+  /// other test the pattern cannot express, and the navigator answers.
+  Status SelfTest(VertexId v, const xpath::Step& step, bool owned) {
+    Vertex& vx = tree_.mutable_vertex(v);
+    for (const xpath::Predicate& pred : step.predicates) {
+      if (pred.kind == xpath::Predicate::Kind::kPosition) {
+        return Status::Unsupported("position predicate on self step");
+      }
+    }
+    if (step.name.empty()) return Status::OK();
+    bool element_vertex = !vx.IsVirtualRoot() && vx.tag[0] != '@';
+    if (element_vertex && (step.name == "*" || vx.tag == step.name)) {
+      return Status::OK();
+    }
+    if (owned && vx.MatchesAnyTag() && vx.position == 0) {
+      vx.tag = step.name;
+      return Status::OK();
+    }
+    return Status::Unsupported("self::" + step.name + " on '" + vx.tag + "'");
+  }
+
+  Status ApplyPredicates(VertexId v, const xpath::Step& step, bool owned) {
+    for (const xpath::Predicate& pred : step.predicates) {
+      // Positions count among the step's own name test (xml::SiblingRank),
+      // so no self test may narrow the vertex they count on.
+      if (pred.kind == xpath::Predicate::Kind::kPosition) owned = false;
+    }
+    auto branch = [&](const xpath::PathExpr& path) {
+      return Extend(v, path, 0, EdgeMode::kFor, /*reuse=*/false, owned);
+    };
     for (const xpath::Predicate& pred : step.predicates) {
       switch (pred.kind) {
         case xpath::Predicate::Kind::kPosition:
@@ -159,14 +196,11 @@ class Builder {
         case xpath::Predicate::Kind::kExists: {
           // Existential subtree: mandatory for this vertex to match, never
           // returning.
-          auto r = Extend(v, *pred.path, 0, EdgeMode::kFor, /*reuse=*/false);
-          BT_RETURN_NOT_OK(r.status());
+          BT_RETURN_NOT_OK(branch(*pred.path).status());
           break;
         }
         case xpath::Predicate::Kind::kValueCompare: {
-          BT_ASSIGN_OR_RETURN(
-              VertexId target,
-              Extend(v, *pred.path, 0, EdgeMode::kFor, /*reuse=*/false));
+          BT_ASSIGN_OR_RETURN(VertexId target, branch(*pred.path));
           Vertex& tv = tree_.mutable_vertex(target);
           if (tv.value) {
             return Status::Unsupported(
@@ -249,9 +283,9 @@ class Builder {
   /// child and descendant steps, an attribute step only last and without
   /// predicates (the matcher checks an attribute vertex on its owner and
   /// never descends below it), and, inside predicates, the bare `.` with
-  /// no positional predicate. Named self steps are left to the evaluator
-  /// (the builder keeps no name test on them), as are reverse and
-  /// following axes, which Extend cannot place in a pattern.
+  /// no positional predicate. Named self steps are left to the evaluator,
+  /// as are reverse and following axes, which Extend cannot place in a
+  /// pattern.
   static bool PushableSteps(const xpath::PathExpr& path, bool in_predicate) {
     for (size_t i = 0; i < path.steps.size(); ++i) {
       const xpath::Step& step = path.steps[i];

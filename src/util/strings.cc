@@ -51,31 +51,34 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::string XmlEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
+void AppendXmlEscaped(std::string_view s, std::string* out) {
+  size_t run = 0;  // Start of the pending unescaped run.
+  for (size_t i = 0; i < s.size(); ++i) {
+    std::string_view entity;
+    switch (s[i]) {
       case '&':
-        out += "&amp;";
+        entity = "&amp;";
         break;
       case '<':
-        out += "&lt;";
+        entity = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        entity = "&gt;";
         break;
       case '"':
-        out += "&quot;";
+        entity = "&quot;";
         break;
       case '\'':
-        out += "&apos;";
+        entity = "&apos;";
         break;
       default:
-        out += c;
+        continue;
     }
+    out->append(s.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
-  return out;
+  out->append(s.data() + run, s.size() - run);
 }
 
 long long ParseNonNegativeInt(std::string_view s) {

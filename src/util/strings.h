@@ -19,8 +19,9 @@ bool IsAllWhitespace(std::string_view s);
 /// \brief Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// \brief Escapes &, <, >, ", ' for inclusion in XML text/attributes.
-std::string XmlEscape(std::string_view s);
+/// \brief Appends `s` to `*out` with &, <, >, ", ' escaped for inclusion in
+/// XML text/attributes, copying the runs between escapable characters whole.
+void AppendXmlEscaped(std::string_view s, std::string* out);
 
 /// \brief Parses a non-negative decimal integer; returns -1 on failure.
 long long ParseNonNegativeInt(std::string_view s);

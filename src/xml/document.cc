@@ -190,6 +190,22 @@ std::string Document::StringValue(NodeId n) const {
   return out;
 }
 
+std::string_view Document::StringValueView(NodeId n,
+                                           std::string* scratch) const {
+  NodeId end = SubtreeEnd(n);
+  NodeId first = n;
+  while (first <= end && IsElement(first)) ++first;
+  if (first > end) return {};
+  NodeId next = first + 1;
+  while (next <= end && IsElement(next)) ++next;
+  if (next > end) return Text(first);
+  scratch->assign(Text(first));
+  for (NodeId i = next; i <= end; ++i) {
+    if (!IsElement(i)) scratch->append(Text(i));
+  }
+  return *scratch;
+}
+
 std::span<const Attribute> Document::AttributesOf(NodeId n) const {
   const ExternalAttrOwner* begin = view_.attr_owners;
   const ExternalAttrOwner* end = begin + view_.num_attr_owners;

@@ -260,6 +260,11 @@ class Document {
   /// \brief Concatenation of all descendant text (XPath string-value).
   std::string StringValue(NodeId n) const;
 
+  /// \brief StringValue(n) as a view: of the text itself when n's subtree
+  /// holds at most one text node, else of the concatenation, which is built
+  /// in `*scratch`.
+  std::string_view StringValueView(NodeId n, std::string* scratch) const;
+
   /// \brief Attributes of an element, as (name, value) views.
   std::vector<std::pair<std::string_view, std::string_view>> Attributes(
       NodeId n) const;

@@ -14,9 +14,11 @@ struct SerializeOptions {
   bool indent = false;
 };
 
-/// \brief Appends the subtree rooted at `n` to `out` as XML text. Iterative
-/// (explicit stack): document depth never grows the call stack, so
-/// pathologically deep documents serialize instead of overflowing.
+/// \brief Appends the subtree rooted at `n` to `out` as XML text: one walk
+/// over the ids n..SubtreeEnd(n) in document order, with end tags due on an
+/// explicit stack of open elements, so document depth never grows the call
+/// stack and pathologically deep documents serialize instead of overflowing.
+/// Text and attribute values are escaped straight into `out`.
 void AppendSubtree(const Document& doc, NodeId n, std::string* out,
                    const SerializeOptions& options = {});
 

@@ -8,6 +8,7 @@
 #include "flwor/parser.h"
 #include "util/json.h"
 #include "xml/parser.h"
+#include "xml/serializer.h"
 #include "xpath/parser.h"
 
 namespace blossomtree {
@@ -295,6 +296,48 @@ TEST(EngineTest, EnginesAgreeOnFlworSuite) {
     ASSERT_TRUE(r2.ok()) << q << ": " << r2.status().ToString();
     EXPECT_EQ(*r1, *r2) << q;
   }
+}
+
+/// Checks that the engine answers path `query` with the bytes of
+/// `PathEvaluator`'s nodes, and plans it as a BlossomTree iff `planned`
+/// (else it takes the navigational fallback).
+void ExpectPathEvaluatorBytes(const xml::Document& doc, const char* query,
+                              bool planned) {
+  SCOPED_TRACE(query);
+  auto path = xpath::ParsePath(query);
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  PathEvaluator ev(&doc);
+  auto nodes = ev.Evaluate(*path);
+  ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
+  std::string expected;
+  for (xml::NodeId n : *nodes) xml::AppendSubtree(doc, n, &expected);
+  BlossomTreeEngine engine(&doc);
+  auto got = engine.EvaluateQuery(query);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, expected);
+  std::string explain = engine.LastExplain();
+  bool fallback = explain.rfind("navigational fallback", 0) == 0;
+  EXPECT_EQ(fallback, !planned) << explain;
+}
+
+// Self steps keep their name test on the pattern path: the engine's bytes
+// equal the navigational evaluator's for "self::a", "self::*" and ".", and
+// a shape the pattern cannot express falls back to that evaluator.
+TEST(EngineTest, SelfStepsMatchThePathEvaluator) {
+  auto doc = Parse("<r><a><b>1</b></a><c><b>1</b><a>t</a></c><a/>x</r>");
+  ExpectPathEvaluatorBytes(*doc, "//*[self::a]", true);
+  ExpectPathEvaluatorBytes(*doc, "//*/self::a", true);
+  ExpectPathEvaluatorBytes(*doc, "//*[self::a = \"t\"]", true);
+  ExpectPathEvaluatorBytes(*doc, "//c/*[self::a]", true);
+  ExpectPathEvaluatorBytes(*doc, "//a[self::a]", true);
+  ExpectPathEvaluatorBytes(*doc, "//*[self::*]", true);
+  ExpectPathEvaluatorBytes(*doc, "//*[self::*]/b", true);
+  ExpectPathEvaluatorBytes(*doc, "//b[.]", true);
+  ExpectPathEvaluatorBytes(*doc, "//*[. = \"1\"]", true);
+  ExpectPathEvaluatorBytes(*doc, "//*[self::a][1]", false);
+  ExpectPathEvaluatorBytes(*doc, "//*[1][self::a]", false);
+  ExpectPathEvaluatorBytes(*doc, "//b[self::a]", false);
+  ExpectPathEvaluatorBytes(*doc, "//*[b/self::a]", false);
 }
 
 }  // namespace

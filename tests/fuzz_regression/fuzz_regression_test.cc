@@ -66,12 +66,25 @@ TEST(FuzzRegressionTest, CorpusIsNonEmpty) {
 }
 
 // Every input must come back with a Status — OK or error — and never crash.
+// An accepted document must survive serialize → parse → serialize with the
+// same bytes, flat and indented (as fuzz_xml_parser.cc checks).
 TEST(FuzzRegressionTest, ReplayAllXmlInputs) {
   for (const fs::path& p : InputsIn("xml")) {
     SCOPED_TRACE(p.filename().string());
     auto doc = xml::ParseDocument(ReadFile(p), XmlFuzzOptions());
-    if (doc.ok()) {
-      EXPECT_GE(doc.value()->NumNodes(), 1u);
+    if (!doc.ok()) continue;
+    EXPECT_GE(doc.value()->NumNodes(), 1u);
+    // Escaping and indentation may grow the text past the input limit.
+    xml::ParseOptions reparse;
+    reparse.max_depth = XmlFuzzOptions().max_depth;
+    for (bool indent : {false, true}) {
+      SCOPED_TRACE(indent ? "indented" : "flat");
+      xml::SerializeOptions opts;
+      opts.indent = indent;
+      std::string once = xml::Serialize(*doc.value(), opts);
+      auto again = xml::ParseDocument(once, reparse);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(xml::Serialize(*again.value(), opts), once);
     }
   }
 }

@@ -175,6 +175,50 @@ TEST(BuilderTest, SelfValuePredicate) {
   EXPECT_EQ(t.vertex(a).value->literal, "Smith");
 }
 
+/// The result vertex `path` builds, after checking it is the only vertex
+/// besides the virtual root.
+Vertex ResultVertex(std::string_view path) {
+  BlossomTree t = FromPath(path);
+  EXPECT_EQ(t.NumVertices(), 2u) << path;
+  return t.vertex(t.VertexOfVariable("result"));
+}
+
+StatusCode PathBuildCode(std::string_view path) {
+  auto p = xpath::ParsePath(path);
+  EXPECT_TRUE(p.ok()) << path << ": " << p.status().ToString();
+  return p.ok() ? BuildFromPath(*p).status().code() : StatusCode::kOk;
+}
+
+// A self step's name test stays on the vertex it filters: a named test
+// narrows a "*" vertex of its own step and is a no-op on a vertex of that
+// tag, as are "self::*" and "."; any other shape is left to the navigator.
+TEST(BuilderTest, SelfStepNameTests) {
+  EXPECT_EQ(ResultVertex("//*[self::a]").tag, "a");
+  EXPECT_EQ(ResultVertex("//*/self::a").tag, "a");
+  EXPECT_EQ(ResultVertex("//a[self::a]").tag, "a");
+  EXPECT_EQ(ResultVertex("//a/self::*").tag, "a");
+  EXPECT_EQ(ResultVertex("//*[self::*]").tag, "*");
+  EXPECT_EQ(ResultVertex("//*[.]").tag, "*");
+  EXPECT_EQ(ResultVertex("//*[self::a = \"1\"]").tag, "a");
+  Vertex second_a = ResultVertex("//a[self::a][2]");
+  EXPECT_EQ(second_a.tag, "a");
+  EXPECT_EQ(second_a.position, 2);
+  // Positions count among all elements (xml::SiblingRank on "*"), so a
+  // positional predicate pins the "*" test: `*[self::a][2]` is not `a[2]`.
+  EXPECT_EQ(PathBuildCode("//*[self::a][2]"), StatusCode::kUnsupported);
+  EXPECT_EQ(PathBuildCode("//*[2][self::a]"), StatusCode::kUnsupported);
+  EXPECT_EQ(PathBuildCode("//*[2]/self::a"), StatusCode::kUnsupported);
+  EXPECT_EQ(PathBuildCode("//a/self::*[1]"), StatusCode::kUnsupported);
+  EXPECT_EQ(PathBuildCode("//b[self::a]"), StatusCode::kUnsupported);
+  EXPECT_EQ(PathBuildCode("//*[b/self::a]"), StatusCode::kUnsupported);
+  EXPECT_EQ(PathBuildCode("/self::a"), StatusCode::kUnsupported);
+  EXPECT_EQ(PathBuildCode("//@k/self::a"), StatusCode::kUnsupported);
+  // A variable's vertex is shared with its binding: never narrowed.
+  auto e = flwor::ParseQuery("for $x in //*, $y in $x/self::a return $y");
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(BuildFromQuery(**e).status().code(), StatusCode::kUnsupported);
+}
+
 TEST(BuilderTest, PositionPredicate) {
   BlossomTree t = FromPath("//book[2]");
   VertexId b = t.VertexOfVariable("result");

@@ -52,9 +52,17 @@ TEST(StringsTest, Join) {
   EXPECT_EQ(Join({"x"}, "."), "x");
 }
 
-TEST(StringsTest, XmlEscape) {
-  EXPECT_EQ(XmlEscape("a<b>&\"'"), "a&lt;b&gt;&amp;&quot;&apos;");
-  EXPECT_EQ(XmlEscape("plain"), "plain");
+TEST(StringsTest, AppendXmlEscaped) {
+  auto escaped = [](std::string_view s) {
+    std::string out = "[";
+    AppendXmlEscaped(s, &out);
+    return out;
+  };
+  EXPECT_EQ(escaped("a<b>&\"'"), "[a&lt;b&gt;&amp;&quot;&apos;");
+  EXPECT_EQ(escaped("plain"), "[plain");
+  EXPECT_EQ(escaped(""), "[");
+  EXPECT_EQ(escaped("<<x&&"), "[&lt;&lt;x&amp;&amp;");
+  EXPECT_EQ(escaped("tail>"), "[tail&gt;");
 }
 
 TEST(StringsTest, ParseNonNegativeInt) {
