@@ -6,7 +6,6 @@
 namespace blossomtree {
 namespace baseline {
 
-using engine::Env;
 using engine::PathEvaluator;
 using engine::ResultBuilder;
 
@@ -28,44 +27,35 @@ Result<std::string> NavigationalEvaluator::EvaluateQuery(
 Result<std::string> NavigationalEvaluator::EvaluateToXml(
     const flwor::Expr& expr) {
   ResultBuilder out(doc_);
-  BT_RETURN_NOT_OK(EvalExpr(expr, Env{}, &out));
+  BT_RETURN_NOT_OK(EvalExpr(expr, engine::Tuple{}, &out));
   return out.ToXml();
 }
 
 Status NavigationalEvaluator::EvalExpr(const flwor::Expr& expr,
-                                       const Env& env, ResultBuilder* out) {
+                                       engine::Tuple tuple,
+                                       ResultBuilder* out) {
   switch (expr.kind) {
     case flwor::Expr::Kind::kPath: {
       PathEvaluator ev(doc_);
       BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                          ev.EvaluateWith(expr.path, env, {}));
+                          ev.EvaluateWith(expr.path, tuple, {}));
       nodes_visited_ += ev.NodesVisited();
       for (xml::NodeId n : nodes) out->CopyNode(n);
       return Status::OK();
     }
-    case flwor::Expr::Kind::kConstructor: {
-      out->BeginElement(expr.ctor->name);
-      for (const auto& [name, value] : expr.ctor->attributes) {
-        out->AddAttribute(name, value);
-      }
-      for (const flwor::ConstructorItem& item : expr.ctor->items) {
-        if (item.kind == flwor::ConstructorItem::Kind::kText) {
-          out->AddText(item.text);
-        } else {
-          BT_RETURN_NOT_OK(EvalExpr(*item.expr, env, out));
-        }
-      }
-      out->EndElement();
-      return Status::OK();
-    }
+    case flwor::Expr::Kind::kConstructor:
+      return out->Construct(*expr.ctor, [&](const flwor::Expr& item) {
+        return EvalExpr(item, tuple, out);
+      });
     case flwor::Expr::Kind::kFlwor: {
       PathEvaluator ev(doc_);
-      BT_ASSIGN_OR_RETURN(std::vector<Env> tuples,
-                          engine::NaiveFlworTuples(*expr.flwor, env, &ev));
-      BT_RETURN_NOT_OK(engine::OrderTuples(*expr.flwor, &ev, &tuples));
+      BT_ASSIGN_OR_RETURN(engine::TupleTable tuples,
+                          engine::NaiveFlworTuples(*expr.flwor, tuple, &ev));
+      BT_ASSIGN_OR_RETURN(std::vector<uint32_t> order,
+                          engine::OrderTuples(*expr.flwor, &ev, tuples));
       nodes_visited_ += ev.NodesVisited();
-      for (const Env& t : tuples) {
-        BT_RETURN_NOT_OK(EvalExpr(*expr.flwor->ret, t, out));
+      for (uint32_t r : order) {
+        BT_RETURN_NOT_OK(EvalExpr(*expr.flwor->ret, tuples.Row(r), out));
       }
       return Status::OK();
     }

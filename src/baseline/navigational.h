@@ -36,7 +36,7 @@ class NavigationalEvaluator {
   uint64_t NodesVisited() const { return nodes_visited_; }
 
  private:
-  Status EvalExpr(const flwor::Expr& expr, const engine::Env& env,
+  Status EvalExpr(const flwor::Expr& expr, engine::Tuple tuple,
                   engine::ResultBuilder* out);
 
   const xml::Document* doc_;

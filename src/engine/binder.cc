@@ -1,7 +1,6 @@
 #include "engine/binder.h"
 
 #include <algorithm>
-#include <span>
 
 #include "util/trace.h"
 
@@ -21,9 +20,8 @@ std::vector<SlotBinding> ComputeSlotBindings(const pattern::BlossomTree& tree,
   for (SlotId s = 0; s < tree.NumSlots(); ++s) {
     uint32_t var = tree.vertex(tree.slot(s).vertex).var_slot;
     if (var == xpath::kNoVarSlot) continue;
-    out[s].var_slot = var;
-    out[s].is_let =
-        flwor.bindings[var - first].kind == flwor::Binding::Kind::kLet;
+    out[s] = {var,
+              flwor.bindings[var - first].kind == flwor::Binding::Kind::kLet};
   }
   return out;
 }
@@ -35,28 +33,23 @@ namespace {
 /// the arena; a walk that empties it emits the tree's slots of the scratch
 /// tuple as one row.
 struct Expander {
-  struct Item {
-    SlotId slot;
-    std::vector<Group> groups;
-  };
+  struct Item { SlotId slot; std::vector<Group> groups; };
 
-  Status Run(const std::vector<SlotId>& tops) {
+  Status Run(const std::vector<SlotId>& tops, size_t num_vars) {
+    runs.resize(num_vars);
     for (SlotId top : tops) CollectVars(top);
     std::sort(out->slots.begin(), out->slots.end());
+    out->rows = TupleTable{out->slots.size()};
     // The tops behave as the children of a non-blossom root whose matches
     // are the lists.
     for (size_t t = 0; t < tops.size(); ++t) {
-      Item item{tops[t], {}};
+      Item& item = pending.emplace_back(Item{tops[t], {}});
       for (NestedList nl : lists) {
-        std::span<const Group> list_tops = nl.tops();
-        if (t < list_tops.size()) item.groups.push_back(list_tops[t]);
+        if (t < nl.tops().size()) item.groups.push_back(nl.tops()[t]);
       }
-      pending.push_back(std::move(item));
     }
     BT_RETURN_NOT_OK(Walk());
-    std::sort(out->rows.begin(), out->rows.end());
-    out->rows.erase(std::unique(out->rows.begin(), out->rows.end()),
-                    out->rows.end());
+    out->rows = out->rows.SortedDistinct();
     return Status::OK();
   }
 
@@ -72,8 +65,11 @@ struct Expander {
       if ((++emitted & 0x1FF) == 0 && !guard->Check()) {
         return guard->status();
       }
-      Env& row = out->rows.emplace_back();
-      for (uint32_t var : out->slots) row.push_back(scratch[var]);
+      for (uint32_t var : out->slots) {
+        out->rows.Push({pool.data() + runs[var].first,
+                        pool.data() + runs[var].second});
+      }
+      out->rows.EndRow();
       return Status::OK();
     }
     Item item = std::move(pending.back());
@@ -83,6 +79,7 @@ struct Expander {
       for (const Entry& e : lists.EntriesOf(g)) matches.push_back(&e);
     }
     const SlotBinding& sb = bindings[item.slot];
+    const size_t mark = pool.size();  // This level's runs start here.
     Status st;
     if (sb.var_slot == xpath::kNoVarSlot) {
       // Non-blossom slot: no branching; its children see every match's
@@ -91,35 +88,35 @@ struct Expander {
     } else if (sb.is_let) {
       // let-binding: the whole (possibly empty) sequence, in document
       // order; groups merged through a non-blossom slot can repeat nodes.
-      std::vector<xml::NodeId>& seq = scratch[sb.var_slot];
-      seq.clear();
-      for (const Entry* e : matches) seq.push_back(e->node);
-      std::sort(seq.begin(), seq.end());
-      seq.erase(std::unique(seq.begin(), seq.end()), seq.end());
+      for (const Entry* e : matches) pool.push_back(e->node);
+      std::sort(pool.begin() + mark, pool.end());
+      pool.erase(std::unique(pool.begin() + mark, pool.end()), pool.end());
+      runs[sb.var_slot] = {mark, pool.size()};
       st = Walk();
     } else {
       // for-binding: one branch per match; no match, no tuple.
+      runs[sb.var_slot] = {mark, mark + 1};
+      pool.push_back(xml::kNullNode);
       for (const Entry* e : matches) {
-        scratch[sb.var_slot].assign(1, e->node);
+        pool[mark] = e->node;  // Deeper runs start past it.
         st = Descend(item.slot, {e});
         if (!st.ok()) break;
       }
     }
+    pool.resize(mark);
     pending.push_back(std::move(item));
     return st;
   }
 
-  /// Walks on with each child slot of `s` queued over its groups in
-  /// `matches`.
+  /// Walks on with each child slot of `s` queued over its `matches`' groups.
   Status Descend(SlotId s, const std::vector<const Entry*>& matches) {
     size_t mark = pending.size();
     const std::vector<SlotId>& kids = tree.slot(s).children;
     for (size_t i = 0; i < kids.size(); ++i) {
-      Item child{kids[i], {}};
+      Item& child = pending.emplace_back(Item{kids[i], {}});
       for (const Entry* e : matches) {
         if (i < e->num_groups) child.groups.push_back(lists.GroupsOf(*e)[i]);
       }
-      pending.push_back(std::move(child));
     }
     Status st = Walk();
     pending.resize(mark);
@@ -131,7 +128,10 @@ struct Expander {
   const std::vector<SlotBinding>& bindings;
   util::ResourceGuard* guard;
   TreeTuples* out;
-  Env scratch;  ///< Sized to every slot in scope; this tree writes its own.
+  /// The scratch tuple: slot `v` binds `pool[runs[v].first, .second)`, a
+  /// run pushed as the walk descends and popped as it backtracks.
+  std::vector<std::pair<size_t, size_t>> runs = {};
+  std::vector<xml::NodeId> pool = {};
   std::vector<Item> pending = {};
   uint64_t emitted = 0;
 };
@@ -146,8 +146,8 @@ Status EnumerateBindings(const pattern::BlossomTree& tree,
                          TreeTuples* out) {
   util::TraceSpan span("engine", "bind");
   *out = TreeTuples{};
-  Expander expander{tree, lists, bindings, guard, out, Env(num_vars), {}, 0};
-  return expander.Run(tops);
+  Expander expander{tree, lists, bindings, guard, out};
+  return expander.Run(tops, num_vars);
 }
 
 }  // namespace engine

@@ -26,16 +26,16 @@ struct SlotBinding {
 std::vector<SlotBinding> ComputeSlotBindings(const pattern::BlossomTree& tree,
                                              const flwor::Flwor& flwor);
 
-/// \brief One pattern tree's bindings: `rows[i][j]` is the node sequence
-/// row `i` binds to tuple slot `slots[j]`.
+/// \brief One pattern tree's bindings: `rows.Slot(i, j)` is the node
+/// sequence row `i` binds to tuple slot `slots[j]`.
 struct TreeTuples {
   std::vector<uint32_t> slots;  ///< The tree's own tuple slots, ascending.
-  std::vector<Env> rows;        ///< Distinct, in ascending order.
+  TupleTable rows;              ///< Distinct, in ascending order.
 };
 
 /// \brief The variable-binding step of Figure 2 (NestedList → tuples) for
 /// one pattern tree, as one backtracking walk that writes slots into a
-/// scratch tuple:
+/// scratch tuple (a stack of node runs):
 ///  - a for-bound blossom branches per match;
 ///  - a let-bound blossom binds its whole group, possibly empty, as one
 ///    document-ordered sequence;
@@ -46,7 +46,8 @@ struct TreeTuples {
 ///
 /// Rows are deduplicated (path expressions bind node *sets*, so a node
 /// reachable through two embeddings binds once) and sorted, which is the
-/// order of the FLWOR's nested loops. `guard` is checked every 512 rows.
+/// order of the FLWOR's nested loops: one sort of row indexes, then one
+/// compaction. `guard` is checked every 512 rows.
 Status EnumerateBindings(const pattern::BlossomTree& tree,
                          const std::vector<pattern::SlotId>& tops,
                          const nestedlist::Arena& lists,

@@ -50,6 +50,22 @@ void ResultBuilder::EndElement() {
   open_.pop_back();
 }
 
+Status ResultBuilder::Construct(
+    const flwor::Constructor& ctor,
+    const std::function<Status(const flwor::Expr&)>& eval) {
+  BeginElement(ctor.name);
+  for (const auto& [name, value] : ctor.attributes) AddAttribute(name, value);
+  for (const flwor::ConstructorItem& item : ctor.items) {
+    if (item.kind == flwor::ConstructorItem::Kind::kText) {
+      AddText(item.text);
+    } else {
+      BT_RETURN_NOT_OK(eval(*item.expr));
+    }
+  }
+  EndElement();
+  return Status::OK();
+}
+
 void ResultBuilder::CopyNode(xml::NodeId n) {
   CloseStartTag();
   xml::AppendSubtree(*source_, n, &out_);

@@ -1,10 +1,12 @@
 #ifndef BLOSSOMTREE_ENGINE_CONSTRUCT_H_
 #define BLOSSOMTREE_ENGINE_CONSTRUCT_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "flwor/ast.h"
 #include "util/status.h"
 #include "xml/document.h"
 
@@ -12,9 +14,9 @@ namespace blossomtree {
 namespace engine {
 
 /// \brief Builds the query result: a sequence of constructed elements /
-/// copied source subtrees (the paper's "construction" arrow out of Env in
-/// Figure 2), written straight to XML text as the calls arrive, with
-/// xml::Serialize's bytes. One-shot: build, then ToXml().
+/// copied source subtrees (the paper's "construction" arrow out of the
+/// tuples in Figure 2), written straight to XML text as the calls arrive,
+/// with xml::Serialize's bytes. One-shot: build, then ToXml().
 class ResultBuilder {
  public:
   explicit ResultBuilder(const xml::Document* source);
@@ -27,6 +29,11 @@ class ResultBuilder {
   void AddAttribute(std::string_view name, std::string_view value);
   void AddText(std::string_view text);
   void EndElement();
+
+  /// \brief Writes element constructor `ctor`: its attributes and text
+  /// items directly, each enclosed expression through `eval`.
+  Status Construct(const flwor::Constructor& ctor,
+                   const std::function<Status(const flwor::Expr&)>& eval);
 
   /// \brief Appends the subtree of source node `n` at the current position.
   void CopyNode(xml::NodeId n);

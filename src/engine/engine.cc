@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <functional>
+#include <numeric>
 
 #include "engine/binder.h"
 #include "engine/where_eval.h"
@@ -104,7 +104,7 @@ Result<std::string> BlossomTreeEngine::RunToXml(const flwor::Expr& expr) {
   auto start = std::chrono::steady_clock::now();
   guard_.Arm();  // The deadline clock starts here, not at construction.
   ResultBuilder out(doc_);
-  Status status = EvalExpr(expr, Env{}, &out);
+  Status status = EvalExpr(expr, Tuple{}, &out);
   if (status.ok() && guard_.Tripped()) status = guard_.status();
   Result<std::string> xml = status.ok() ? out.ToXml() : status;
   EndQuery(xml.ok() ? "engine.queries" : nullptr, start);
@@ -208,12 +208,12 @@ void BlossomTreeEngine::CollectProfile(opt::QueryPlan* plan,
   last_profile_.AddPlan(BuildQueryProfile(plan, label, EffectiveThreads()));
 }
 
-Status BlossomTreeEngine::EvalExpr(const flwor::Expr& expr, const Env& env,
+Status BlossomTreeEngine::EvalExpr(const flwor::Expr& expr, Tuple tuple,
                                    ResultBuilder* out) {
   switch (expr.kind) {
     case flwor::Expr::Kind::kPath: {
       std::vector<xml::NodeId> nodes;
-      if (env.empty() &&
+      if (tuple.width() == 0 &&
           expr.path.start == xpath::PathExpr::StartKind::kRoot) {
         // Free-standing absolute path: use the BlossomTree plan. The guard
         // is already armed by the top-level entry point — EvaluatePath
@@ -222,45 +222,35 @@ Status BlossomTreeEngine::EvalExpr(const flwor::Expr& expr, const Env& env,
       } else {
         // Variable-/context-rooted paths are evaluated from the bindings.
         PathEvaluator ev(doc_);
-        BT_ASSIGN_OR_RETURN(nodes, ev.EvaluateWith(expr.path, env, {}));
+        BT_ASSIGN_OR_RETURN(nodes, ev.EvaluateWith(expr.path, tuple, {}));
       }
       for (xml::NodeId n : nodes) out->CopyNode(n);
       return Status::OK();
     }
-    case flwor::Expr::Kind::kConstructor: {
-      out->BeginElement(expr.ctor->name);
-      for (const auto& [name, value] : expr.ctor->attributes) {
-        out->AddAttribute(name, value);
-      }
-      for (const flwor::ConstructorItem& item : expr.ctor->items) {
-        if (item.kind == flwor::ConstructorItem::Kind::kText) {
-          out->AddText(item.text);
-        } else {
-          BT_RETURN_NOT_OK(EvalExpr(*item.expr, env, out));
-        }
-      }
-      out->EndElement();
-      return Status::OK();
-    }
+    case flwor::Expr::Kind::kConstructor:
+      return out->Construct(*expr.ctor, [&](const flwor::Expr& item) {
+        return EvalExpr(item, tuple, out);
+      });
     case flwor::Expr::Kind::kFlwor:
-      return EvalFlwor(*expr.flwor, env, out);
+      return EvalFlwor(*expr.flwor, tuple, out);
   }
   return Status::Internal("unhandled expression kind");
 }
 
-Status BlossomTreeEngine::EvalFlwor(const flwor::Flwor& flwor, const Env& env,
+Status BlossomTreeEngine::EvalFlwor(const flwor::Flwor& flwor, Tuple tuple,
                                     ResultBuilder* out) {
-  Result<std::vector<Env>> tuples =
-      env.empty() ? FlworTuples(flwor)
-                  : Status::Unsupported("nested FLWOR with free variables");
+  Result<TupleTable> tuples =
+      tuple.width() == 0
+          ? FlworTuples(flwor)
+          : Status::Unsupported("nested FLWOR with free variables");
   if (!tuples.ok() && tuples.status().code() == StatusCode::kUnsupported) {
     // Bindings outside the BlossomTree subset (e.g. reverse axes) and
     // nested FLWORs under outer bindings: per-iteration evaluation.
     PathEvaluator ev(doc_);
-    tuples = NaiveFlworTuples(flwor, env, &ev, &guard_);
+    tuples = NaiveFlworTuples(flwor, tuple, &ev, &guard_);
   }
   BT_RETURN_NOT_OK(tuples.status());
-  return EmitTuples(flwor, tuples.MoveValue(), out);
+  return EmitTuples(flwor, *tuples, out);
 }
 
 Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
@@ -290,7 +280,7 @@ Result<std::shared_ptr<const CompiledFlwor>> BlossomTreeEngine::CompileFlwor(
   return std::shared_ptr<const CompiledFlwor>(std::move(compiled));
 }
 
-Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
+Result<TupleTable> BlossomTreeEngine::FlworTuples(
     const flwor::Flwor& flwor) {
   util::TraceSpan span("engine", "flwor-tuples");
   BT_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledFlwor> compiled,
@@ -301,161 +291,161 @@ Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
                                      &compiled->decomposition));
   // The where conjuncts the pattern does not enforce, in this AST; the
   // explanation ends with them.
-  last_explain_ = plan.Explain();
-  last_explain_ += "residual where: ";
   std::vector<const flwor::BoolExpr*> residual;
-  if (compiled->residual.empty()) {
-    last_explain_ += "none";
-  } else {
+  std::string listed;
+  if (!compiled->residual.empty()) {
     std::vector<const flwor::BoolExpr*> conjuncts =
         flwor::Conjuncts(*flwor.where);
     for (uint32_t i : compiled->residual) {
-      assert(i < conjuncts.size());
-      if (!residual.empty()) last_explain_ += " and ";
-      residual.push_back(conjuncts[i]);
-      last_explain_ += flwor::BoolExprToString(*conjuncts[i]);
+      residual.push_back(conjuncts.at(i));
+      listed += (listed.empty() ? "" : " and ") +
+                flwor::BoolExprToString(*conjuncts[i]);
     }
   }
-  last_explain_ += "\n";
-  // Per pattern tree: drain the plan, bind its own slots.
+  last_explain_ = plan.Explain() + "residual where: " +
+                  (listed.empty() ? "none" : listed) + "\n";
+  // Per pattern tree: drain the plan, bind its own slots. `owner[s]` is
+  // the tree and column that bind tuple slot s.
   std::vector<TreeTuples> per_tree;
+  std::vector<std::pair<size_t, size_t>> owner(flwor.bindings.size());
   for (opt::PatternTreePlan& tp : plan.trees) {
     nestedlist::Arena lists =
         exec::Drain(tp.root.get(), options_.plan.exec.batch_rows);
     if (guard_.Tripped()) return guard_.status();
-    BT_RETURN_NOT_OK(EnumerateBindings(
-        tree, tp.tops, lists, compiled->bindings, flwor.bindings.size(),
-        &guard_, &per_tree.emplace_back()));
+    TreeTuples& tt = per_tree.emplace_back();
+    BT_RETURN_NOT_OK(EnumerateBindings(tree, tp.tops, lists,
+                                       compiled->bindings,
+                                       flwor.bindings.size(), &guard_, &tt));
+    for (size_t j = 0; j < tt.slots.size(); ++j) {
+      owner[tt.slots[j]] = {per_tree.size() - 1, j};
+    }
   }
   CollectProfile(&plan, "flwor");
   // Crossing edges (<<, value joins, deep-equal) are evaluated by the
-  // naive nested loop over the per-tree rows (paper §4.3): the first tree
-  // outermost, each tuple charged as it is formed and filtered by the
-  // residual where conjuncts at once, so only survivors are held.
-  Env tuple(flwor.bindings.size());
-  std::vector<Env> kept;
+  // naive nested loop over the per-tree rows (paper §4.3), `row[t]` being
+  // tree t's: the first tree outermost, each tuple charged as it is formed
+  // and filtered by the residual where conjuncts at once, so only
+  // survivors are held.
+  std::vector<size_t> row(per_tree.size(), 0);
+  TupleTable kept{flwor.bindings.size()};
   PathEvaluator ev(doc_);
   uint64_t formed = 0;
-  std::function<Status(size_t)> join = [&](size_t t) -> Status {
-    if (t == per_tree.size()) {
-      if (!guard_.ChargeRows(1)) return guard_.status();
-      if ((++formed & 0x1FF) == 0 && !guard_.Check()) return guard_.status();
-      for (const flwor::BoolExpr* conjunct : residual) {
-        BT_ASSIGN_OR_RETURN(bool ok, EvalWhere(*conjunct, tuple, *doc_, &ev));
-        if (!ok) return Status::OK();
-      }
-      kept.push_back(tuple);
-      return Status::OK();
+  bool more = std::all_of(
+      per_tree.begin(), per_tree.end(),
+      [](const TreeTuples& tt) { return tt.rows.rows > 0; });
+  while (more) {
+    if (!guard_.ChargeRows(1)) return guard_.status();
+    if ((++formed & 0x1FF) == 0 && !guard_.Check()) return guard_.status();
+    for (auto [t, j] : owner) kept.Push(per_tree[t].rows.Slot(row[t], j));
+    kept.EndRow();
+    bool pass = true;
+    for (size_t c = 0; pass && c < residual.size(); ++c) {
+      BT_ASSIGN_OR_RETURN(pass, EvalWhere(*residual[c], kept.Row(kept.rows - 1),
+                                          *doc_, &ev));
     }
-    const TreeTuples& tt = per_tree[t];
-    for (const Env& row : tt.rows) {
-      for (size_t j = 0; j < tt.slots.size(); ++j) tuple[tt.slots[j]] = row[j];
-      BT_RETURN_NOT_OK(join(t + 1));
+    if (!pass) kept.PopRow();
+    // The next combination, the last tree innermost.
+    more = false;
+    for (size_t t = per_tree.size(); !more && t-- > 0;) {
+      more = ++row[t] < per_tree[t].rows.rows;
+      if (!more) row[t] = 0;
     }
-    return Status::OK();
-  };
-  BT_RETURN_NOT_OK(join(0));
+  }
   // The FLWOR's own loop order is ascending slots; trees whose slots
   // interleave (`for $a in //a, $b in //b, $c in $a/c`) leave the nested
-  // loop out of it.
-  if (!std::is_sorted(kept.begin(), kept.end())) {
-    std::sort(kept.begin(), kept.end());
+  // loop out of it, and a permutation of the rows restores it.
+  for (size_t r = 1; r < kept.rows; ++r) {
+    if (kept.Compare(r - 1, r) > 0) return kept.SortedDistinct();
   }
   return kept;
 }
 
 Status BlossomTreeEngine::EmitTuples(const flwor::Flwor& flwor,
-                                     std::vector<Env> tuples,
+                                     const TupleTable& tuples,
                                      ResultBuilder* out) {
   util::TraceSpan span("engine", "emit");
   if (options_.collect_metrics) {
-    metrics_.GetCounter("engine.flwor_tuples")
-        ->Add(static_cast<uint64_t>(tuples.size()));
+    metrics_.GetCounter("engine.flwor_tuples")->Add(tuples.rows);
   }
   PathEvaluator ev(doc_);
-  BT_RETURN_NOT_OK(OrderTuples(flwor, &ev, &tuples));
+  BT_ASSIGN_OR_RETURN(std::vector<uint32_t> order,
+                      OrderTuples(flwor, &ev, tuples));
   uint64_t emitted = 0;
-  for (const Env& t : tuples) {
+  for (uint32_t r : order) {
     if ((++emitted & 0xFF) == 0 && !guard_.Check()) return guard_.status();
-    BT_RETURN_NOT_OK(EvalExpr(*flwor.ret, t, out));
+    BT_RETURN_NOT_OK(EvalExpr(*flwor.ret, tuples.Row(r), out));
   }
   return Status::OK();
 }
 
-Status OrderTuples(const flwor::Flwor& flwor, PathEvaluator* evaluator,
-                   std::vector<Env>* tuples) {
-  if (!flwor.order_by.has_value()) return Status::OK();
-  std::vector<std::pair<std::string, Env>> keyed;
-  keyed.reserve(tuples->size());
-  for (Env& t : *tuples) {
-    BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                        evaluator->EvaluateWith(*flwor.order_by, t, {}));
-    // A key ending in an attribute step sorts on the attribute's value.
-    keyed.emplace_back(
-        nodes.empty() ? ""
-                      : exec::OperandValue(*evaluator->doc(), nodes[0],
-                                           FinalAttribute(*flwor.order_by)),
-        std::move(t));
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [&](const auto& a, const auto& b) {
-                     return flwor.order_descending ? a.first > b.first
-                                                   : a.first < b.first;
-                   });
-  for (size_t i = 0; i < keyed.size(); ++i) {
-    (*tuples)[i] = std::move(keyed[i].second);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<Env>> NaiveFlworTuples(const flwor::Flwor& flwor,
-                                          const Env& base_env,
+Result<std::vector<uint32_t>> OrderTuples(const flwor::Flwor& flwor,
                                           PathEvaluator* evaluator,
-                                          util::ResourceGuard* guard) {
-  std::vector<Env> tuples = {base_env};
+                                          const TupleTable& tuples) {
+  std::vector<uint32_t> order(tuples.rows);
+  std::iota(order.begin(), order.end(), 0u);
+  if (!flwor.order_by.has_value()) return order;
+  std::vector<std::string> keys;
+  for (uint32_t r : order) {
+    BT_ASSIGN_OR_RETURN(
+        std::vector<xml::NodeId> nodes,
+        evaluator->EvaluateWith(*flwor.order_by, tuples.Row(r), {}));
+    // A key ending in an attribute step sorts on the attribute's value.
+    keys.push_back(nodes.empty()
+                       ? ""
+                       : exec::OperandValue(*evaluator->doc(), nodes[0],
+                                            FinalAttribute(*flwor.order_by)));
+  }
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return flwor.order_descending ? keys[a] > keys[b] : keys[a] < keys[b];
+  });
+  return order;
+}
+
+Result<TupleTable> NaiveFlworTuples(const flwor::Flwor& flwor, Tuple base,
+                                    PathEvaluator* evaluator,
+                                    util::ResourceGuard* guard) {
+  TupleTable tuples{base.width()};
+  tuples.PushTuple(base);
+  tuples.EndRow();
   for (size_t i = 0; i < flwor.bindings.size(); ++i) {
     const flwor::Binding& b = flwor.bindings[i];
+    const bool let = b.kind == flwor::Binding::Kind::kLet;
     // The last binding forms complete tuples: each is charged as a result
     // row as it is formed, before the where filter, as FlworTuples does.
     const bool complete = i + 1 == flwor.bindings.size() && guard != nullptr;
-    std::vector<Env> next;
-    for (const Env& t : tuples) {
+    // Each binding appends its slot: bindings take consecutive slots
+    // after the enclosing scope's.
+    assert(b.var_slot == tuples.width);
+    TupleTable next{tuples.width + 1};
+    for (size_t r = 0; r < tuples.rows; ++r) {
       // Each iteration re-runs a full path evaluation, so one guard sample
       // per iteration is already amortized.
       if (guard != nullptr && !guard->Check()) return guard->status();
       // The path expression is re-evaluated for every iteration of the
       // enclosing loop — the inefficiency BlossomTree eliminates.
       BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                          evaluator->EvaluateWith(b.path, t, {}));
-      // Each binding appends its slot: bindings take consecutive slots
-      // after the enclosing scope's.
-      assert(b.var_slot == t.size());
-      if (b.kind == flwor::Binding::Kind::kLet) {
+                          evaluator->EvaluateWith(b.path, tuples.Row(r), {}));
+      std::span<const xml::NodeId> bound(nodes);
+      // A let binds the whole sequence once, a for each node in turn.
+      for (size_t k = 0; k < (let ? 1 : nodes.size()); ++k) {
         if (complete && !guard->ChargeRows(1)) return guard->status();
-        Env env = t;
-        env.push_back(std::move(nodes));
-        next.push_back(std::move(env));
-      } else {
-        for (xml::NodeId n : nodes) {
-          if (complete && !guard->ChargeRows(1)) return guard->status();
-          Env env = t;
-          env.push_back({n});
-          next.push_back(std::move(env));
-        }
+        next.PushTuple(tuples.Row(r));
+        next.Push(let ? bound : bound.subspan(k, 1));
+        next.EndRow();
       }
     }
     tuples = std::move(next);
   }
-  if (flwor.where != nullptr) {
-    std::vector<Env> kept;
-    for (Env& t : tuples) {
-      BT_ASSIGN_OR_RETURN(
-          bool ok, EvalWhere(*flwor.where, t, *evaluator->doc(), evaluator));
-      if (ok) kept.push_back(std::move(t));
-    }
-    tuples = std::move(kept);
+  if (flwor.where == nullptr) return tuples;
+  TupleTable kept{tuples.width};
+  for (size_t r = 0; r < tuples.rows; ++r) {
+    BT_ASSIGN_OR_RETURN(bool ok, EvalWhere(*flwor.where, tuples.Row(r),
+                                           *evaluator->doc(), evaluator));
+    if (!ok) continue;
+    kept.PushTuple(tuples.Row(r));
+    kept.EndRow();
   }
-  return tuples;
+  return kept;
 }
 
 }  // namespace engine

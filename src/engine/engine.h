@@ -70,9 +70,11 @@ struct EngineOptions {
 
 /// \brief End-to-end query evaluation via BlossomTree pattern matching:
 /// FLWOR → BlossomTree → NoK decomposition → (merged) NoK scans +
-/// structural joins → NestedLists → per-tree variable binding into
-/// slot-indexed tuples (Env) → nested-loop join across trees with the where
-/// filter → ordering → result construction.
+/// structural joins → NestedLists → per-tree variable binding into one
+/// TupleTable per tree (a row per tuple; one offsets array into one node
+/// pool) → nested-loop join across trees into one output table with the
+/// where filter → ordering (a permutation of row indexes) → result
+/// construction.
 class BlossomTreeEngine {
  public:
   explicit BlossomTreeEngine(const xml::Document* doc,
@@ -140,15 +142,14 @@ class BlossomTreeEngine {
   /// `start`. No-op unless collect_metrics.
   void EndQuery(const char* done_counter,
                 std::chrono::steady_clock::time_point start);
-  Status EvalExpr(const flwor::Expr& expr, const Env& env,
-                  ResultBuilder* out);
-  Status EvalFlwor(const flwor::Flwor& flwor, const Env& env,
+  Status EvalExpr(const flwor::Expr& expr, Tuple tuple, ResultBuilder* out);
+  Status EvalFlwor(const flwor::Flwor& flwor, Tuple tuple,
                    ResultBuilder* out);
   /// Tuples of an env-free FLWOR that satisfy its where-clause, in the
   /// FLWOR's loop order. Each tuple of the cross product is charged as a
   /// result row as it is formed; only survivors are held.
-  Result<std::vector<Env>> FlworTuples(const flwor::Flwor& flwor);
-  Status EmitTuples(const flwor::Flwor& flwor, std::vector<Env> tuples,
+  Result<TupleTable> FlworTuples(const flwor::Flwor& flwor);
+  Status EmitTuples(const flwor::Flwor& flwor, const TupleTable& tuples,
                     ResultBuilder* out);
   /// Finishes the executed plan and adds its rows to last_profile_ (no-op
   /// unless collect_profile or collect_metrics).
@@ -176,17 +177,19 @@ class BlossomTreeEngine {
 /// \brief FLWOR tuple enumeration by naive per-iteration path evaluation —
 /// the semantics-following strategy the paper's introduction warns about.
 /// Used by the navigational baseline and for nested FLWORs with free
-/// variables. Each binding appends its slot to `base_env`, whose size is
-/// the number of variables in the FLWOR's enclosing scope.
-Result<std::vector<Env>> NaiveFlworTuples(const flwor::Flwor& flwor,
-                                          const Env& base_env,
-                                          PathEvaluator* evaluator,
-                                          util::ResourceGuard* guard = nullptr);
+/// variables. Each binding level's table extends the one before by its
+/// slot, starting from `base`, whose width is the number of variables in
+/// the FLWOR's enclosing scope.
+Result<TupleTable> NaiveFlworTuples(const flwor::Flwor& flwor, Tuple base,
+                                    PathEvaluator* evaluator,
+                                    util::ResourceGuard* guard = nullptr);
 
-/// \brief Stable-sorts `tuples` on the atomized value (exec::OperandValue)
-/// of the first node of the FLWOR's `order by` key (no-op without one).
-Status OrderTuples(const flwor::Flwor& flwor, PathEvaluator* evaluator,
-                   std::vector<Env>* tuples);
+/// \brief The row indexes of `tuples` stable-sorted on the atomized value
+/// (exec::OperandValue) of the first node of the FLWOR's `order by` key,
+/// each key computed once (all rows in order without one).
+Result<std::vector<uint32_t>> OrderTuples(const flwor::Flwor& flwor,
+                                          PathEvaluator* evaluator,
+                                          const TupleTable& tuples);
 
 }  // namespace engine
 }  // namespace blossomtree

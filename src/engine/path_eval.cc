@@ -1,6 +1,7 @@
 #include "engine/path_eval.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "exec/value_ops.h"
 
@@ -8,6 +9,10 @@ namespace blossomtree {
 namespace engine {
 
 namespace {
+
+/// The context an absolute path starts from: the node above the document
+/// root element. Only the child and descendant axes leave it.
+constexpr xml::NodeId kVirtualRoot = static_cast<xml::NodeId>(-2);
 
 bool TagTest(const xml::Document& doc, xml::NodeId n, const std::string& tag) {
   if (!doc.IsElement(n)) return false;
@@ -29,78 +34,57 @@ std::string_view FinalAttribute(const xpath::PathExpr& path) {
   return path.steps.back().name;
 }
 
+TupleTable TupleTable::SortedDistinct() const {
+  std::vector<uint32_t> order(rows);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return Compare(a, b) < 0; });
+  TupleTable out{width};
+  out.offsets.reserve(offsets.size());
+  out.nodes.reserve(nodes.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i > 0 && Compare(order[i - 1], order[i]) == 0) continue;
+    out.PushTuple(Row(order[i]));
+    out.EndRow();
+  }
+  return out;
+}
+
 Result<std::vector<xml::NodeId>> PathEvaluator::Evaluate(
     const xpath::PathExpr& path) {
-  return EvaluateWith(path, /*env=*/{}, {});
+  return EvaluateWith(path, Tuple{}, {});
 }
 
 Result<std::vector<xml::NodeId>> PathEvaluator::EvaluateWith(
-    const xpath::PathExpr& path, const Env& env,
+    const xpath::PathExpr& path, Tuple tuple,
     const std::vector<xml::NodeId>& context) {
+  std::span<const xml::NodeId> start = context;
   switch (path.start) {
     case xpath::PathExpr::StartKind::kRoot:
-      // The "virtual root" context: the first step's child axis reaches the
+      // From the virtual root: the first step's child axis reaches the
       // document root element, '//' reaches every element.
       if (path.steps.empty()) {
         return Status::InvalidArgument("absolute path with no steps");
       }
       if (doc_->empty()) return std::vector<xml::NodeId>{};
-      {
-        const xpath::Step& s0 = path.steps[0];
-        std::vector<xml::NodeId> first;
-        ++nodes_visited_;
-        if (s0.axis == xpath::Axis::kChild) {
-          if (TagTest(*doc_, doc_->Root(), s0.name)) {
-            first.push_back(doc_->Root());
-          }
-        } else if (s0.axis == xpath::Axis::kDescendant) {
-          CollectDescendants(doc_->Root(), s0.name, &first);
-          if (TagTest(*doc_, doc_->Root(), s0.name)) {
-            first.insert(first.begin(), doc_->Root());
-          }
-        } else {
-          return Status::Unsupported("absolute path must start with / or //");
-        }
-        // Apply the first step's predicates.
-        std::vector<xml::NodeId> kept;
-        for (xml::NodeId n : first) {
-          bool ok = true;
-          for (const xpath::Predicate& p : s0.predicates) {
-            if (p.kind == xpath::Predicate::Kind::kPosition) {
-              if (SiblingRank(*doc_, n, s0.name) !=
-                  static_cast<uint32_t>(p.position)) {
-                ok = false;
-                break;
-              }
-              continue;
-            }
-            BT_ASSIGN_OR_RETURN(bool pv, EvalPredicate(p, n));
-            if (!pv) {
-              ok = false;
-              break;
-            }
-          }
-          if (ok) kept.push_back(n);
-        }
-        return EvaluateSteps(path.steps, 1, kept);
+      if (path.steps[0].axis != xpath::Axis::kChild &&
+          path.steps[0].axis != xpath::Axis::kDescendant) {
+        return Status::Unsupported("absolute path must start with / or //");
       }
+      start = {&kVirtualRoot, 1};
+      break;
     case xpath::PathExpr::StartKind::kVariable:
-      if (path.var_slot >= env.size()) {
+      if (path.var_slot >= tuple.width()) {
         return Status::InvalidArgument("unbound variable $" + path.variable);
       }
-      return EvaluateSteps(path.steps, 0, env[path.var_slot]);
+      start = tuple.Slot(path.var_slot);
+      break;
     case xpath::PathExpr::StartKind::kContext:
       break;
   }
-  return EvaluateSteps(path.steps, 0, context);
-}
-
-Result<std::vector<xml::NodeId>> PathEvaluator::EvaluateSteps(
-    const std::vector<xpath::Step>& steps, size_t first,
-    const std::vector<xml::NodeId>& context) {
-  std::vector<xml::NodeId> cur = context;
-  for (size_t i = first; i < steps.size(); ++i) {
-    BT_ASSIGN_OR_RETURN(cur, ApplyStep(steps[i], cur));
+  std::vector<xml::NodeId> cur(start.begin(), start.end());
+  for (const xpath::Step& step : path.steps) {
+    BT_ASSIGN_OR_RETURN(cur, ApplyStep(step, cur));
   }
   return cur;
 }
@@ -109,23 +93,6 @@ Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
     const xpath::Step& step, const std::vector<xml::NodeId>& context) {
   std::vector<xml::NodeId> out;
   for (xml::NodeId ctx : context) {
-    if (step.axis == xpath::Axis::kSelf) {
-      ++nodes_visited_;
-      if (!step.name.empty() && !TagTest(*doc_, ctx, step.name)) continue;
-      bool ok = true;
-      for (const xpath::Predicate& p : step.predicates) {
-        if (p.kind == xpath::Predicate::Kind::kPosition) {
-          return Status::Unsupported("position predicate on self step");
-        }
-        BT_ASSIGN_OR_RETURN(bool pv, EvalPredicate(p, ctx));
-        if (!pv) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) out.push_back(ctx);
-      continue;
-    }
     if (step.axis == xpath::Axis::kAttribute) {
       // Attribute steps surface the owning element when the attribute
       // exists (matching the pattern engine's convention; see DESIGN.md).
@@ -137,7 +104,20 @@ Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
     // Candidate nodes by axis.
     std::vector<xml::NodeId> candidates;
     switch (step.axis) {
+      case xpath::Axis::kSelf:
+        ++nodes_visited_;
+        if (step.name.empty() || TagTest(*doc_, ctx, step.name)) {
+          candidates.push_back(ctx);
+        }
+        break;
       case xpath::Axis::kChild:
+        if (ctx == kVirtualRoot) {  // Its one child: the root element.
+          ++nodes_visited_;
+          if (TagTest(*doc_, doc_->Root(), step.name)) {
+            candidates.push_back(doc_->Root());
+          }
+          break;
+        }
         for (xml::NodeId c = doc_->FirstChild(ctx); c != xml::kNullNode;
              c = doc_->NextSibling(c)) {
           ++nodes_visited_;
@@ -197,6 +177,9 @@ Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
       bool ok = true;
       for (const xpath::Predicate& p : step.predicates) {
         if (p.kind == xpath::Predicate::Kind::kPosition) {
+          if (step.axis == xpath::Axis::kSelf) {
+            return Status::Unsupported("position predicate on self step");
+          }
           // Positions count per parent for / and // steps (XPath: the
           // predicate binds to the child step), and along the axis for
           // following-sibling and the reverse axes.
@@ -228,7 +211,7 @@ Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
 Result<bool> PathEvaluator::EvalPredicate(const xpath::Predicate& pred,
                                           xml::NodeId node) {
   BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                      EvaluateWith(*pred.path, /*env=*/{}, {node}));
+                      EvaluateWith(*pred.path, Tuple{}, {node}));
   if (pred.kind == xpath::Predicate::Kind::kExists) {
     return !nodes.empty();
   }
@@ -239,8 +222,10 @@ Result<bool> PathEvaluator::EvalPredicate(const xpath::Predicate& pred,
 
 void PathEvaluator::CollectDescendants(xml::NodeId n, const std::string& tag,
                                        std::vector<xml::NodeId>* out) {
-  xml::NodeId end = doc_->SubtreeEnd(n);
-  for (xml::NodeId i = n + 1; i <= end && i < doc_->NumNodes(); ++i) {
+  // The virtual root's descendants: the root element and its subtree.
+  xml::NodeId end = doc_->SubtreeEnd(n == kVirtualRoot ? doc_->Root() : n);
+  for (xml::NodeId i = n == kVirtualRoot ? doc_->Root() : n + 1;
+       i <= end && i < doc_->NumNodes(); ++i) {
     ++nodes_visited_;
     if (TagTest(*doc_, i, tag)) out->push_back(i);
   }

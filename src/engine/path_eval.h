@@ -1,7 +1,10 @@
 #ifndef BLOSSOMTREE_ENGINE_PATH_EVAL_H_
 #define BLOSSOMTREE_ENGINE_PATH_EVAL_H_
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,12 +15,75 @@
 namespace blossomtree {
 namespace engine {
 
-/// \brief A variable tuple, indexed by the slots flwor::ParseQuery resolved
-/// (Binding::var_slot, PathExpr::var_slot): `env[s]` is the node sequence
-/// bound to slot `s` (singleton for for-bound variables, any length for
-/// let-bound ones). This is the paper's `Env` abstract data type (§3.2,
-/// Figure 2).
-using Env = std::vector<std::vector<xml::NodeId>>;
+struct TupleTable;
+
+/// \brief One FLWOR tuple: row `row` of `table`, or the empty tuple (no
+/// slots in scope) when `table` is null.
+struct Tuple {
+  const TupleTable* table = nullptr;
+  size_t row = 0;
+
+  size_t width() const;
+  /// \brief The node sequence bound to slot `s` (< width()).
+  std::span<const xml::NodeId> Slot(size_t s) const;
+};
+
+/// \brief FLWOR tuples, the variable environments of the paper's binding
+/// step (§3.2, Figure 2), as one table. Row `r` binds tuple slot `s` (a
+/// slot flwor::ParseQuery resolved: Binding::var_slot, PathExpr::var_slot)
+/// to `nodes[offsets[r·width+s] .. offsets[r·width+s+1])`: one node for a
+/// for-bound variable, any number (0 too) for a let-bound one. All rows
+/// and slots share the one offsets array and the one node pool. A row is
+/// written slot by slot (Push), then closed (EndRow).
+struct TupleTable {
+  size_t width = 0;                     ///< Slots per row.
+  size_t rows = 0;                      ///< Closed rows.
+  std::vector<uint32_t> offsets = {0};  ///< rows·width + 1 entries.
+  std::vector<xml::NodeId> nodes = {};
+
+  Tuple Row(size_t r) const { return Tuple{this, r}; }
+  std::span<const xml::NodeId> Slot(size_t r, size_t s) const {
+    const uint32_t* o = offsets.data() + r * width + s;
+    return {nodes.data() + o[0], nodes.data() + o[1]};
+  }
+  /// \brief Appends `run` as the next slot of the row being written.
+  void Push(std::span<const xml::NodeId> run) {
+    nodes.insert(nodes.end(), run.begin(), run.end());
+    offsets.push_back(static_cast<uint32_t>(nodes.size()));
+  }
+  /// \brief Pushes every slot of `t`, a tuple of another table.
+  void PushTuple(Tuple t) {
+    for (size_t s = 0; s < t.width(); ++s) Push(t.Slot(s));
+  }
+  void EndRow() { ++rows; }
+  /// \brief Drops the last closed row.
+  void PopRow() {
+    offsets.resize(--rows * width + 1);
+    nodes.resize(offsets.back());
+  }
+  /// \brief Orders rows `a` and `b` slot by slot, each slot's sequence
+  /// lexicographically: the order of the FLWOR's nested loops.
+  std::strong_ordering Compare(size_t a, size_t b) const {
+    for (size_t s = 0; s < width; ++s) {
+      std::span<const xml::NodeId> x = Slot(a, s);
+      std::span<const xml::NodeId> y = Slot(b, s);
+      auto c = std::lexicographical_compare_three_way(x.begin(), x.end(),
+                                                      y.begin(), y.end());
+      if (c != 0) return c;
+    }
+    return std::strong_ordering::equal;
+  }
+  /// \brief The distinct rows in ascending Compare order: one sort of row
+  /// indexes, then one compaction.
+  TupleTable SortedDistinct() const;
+};
+
+inline size_t Tuple::width() const {
+  return table == nullptr ? 0 : table->width;
+}
+inline std::span<const xml::NodeId> Tuple::Slot(size_t s) const {
+  return table->Slot(row, s);
+}
 
 /// \brief The attribute name `path`'s last step selects, or empty if that
 /// step is not an attribute step. Attribute steps surface their owner
@@ -40,15 +106,10 @@ class PathEvaluator {
   Result<std::vector<xml::NodeId>> Evaluate(const xpath::PathExpr& path);
 
   /// \brief Evaluates a path whose start may be a variable (read from
-  /// `env[path.var_slot]`; kInvalidArgument if that slot is not in `env`,
-  /// e.g. for a path parsed without a FLWOR) or the context node(s).
+  /// `tuple.Slot(path.var_slot)`; kInvalidArgument if that slot is not in
+  /// `tuple`, e.g. for a path parsed without a FLWOR) or the context node(s).
   Result<std::vector<xml::NodeId>> EvaluateWith(
-      const xpath::PathExpr& path, const Env& env,
-      const std::vector<xml::NodeId>& context);
-
-  /// \brief Evaluates path steps from a set of context nodes.
-  Result<std::vector<xml::NodeId>> EvaluateSteps(
-      const std::vector<xpath::Step>& steps, size_t first,
+      const xpath::PathExpr& path, Tuple tuple,
       const std::vector<xml::NodeId>& context);
 
   /// \brief Tree nodes touched (the navigational work metric).

@@ -1,5 +1,8 @@
 #include "engine/where_eval.h"
 
+#include <optional>
+#include <string>
+
 #include "exec/value_ops.h"
 
 namespace blossomtree {
@@ -7,30 +10,27 @@ namespace engine {
 
 namespace {
 
-/// Evaluates one operand to a node sequence; literals yield an empty node
-/// list plus `*literal_out` set.
-Result<std::vector<xml::NodeId>> EvalOperand(const flwor::Operand& op,
-                                             const Env& env,
-                                             PathEvaluator* evaluator,
-                                             bool* is_literal,
-                                             std::string* literal_out) {
+/// One comparison operand: a node sequence, or an atomic value (a literal,
+/// or the size of a count()'s sequence).
+struct Operand {
+  std::vector<xml::NodeId> nodes;
+  std::optional<std::string> value;
+};
+
+Result<Operand> EvalOperand(const flwor::Operand& op, Tuple tuple,
+                            PathEvaluator* evaluator) {
   if (op.kind == flwor::Operand::Kind::kLiteral) {
-    *is_literal = true;
-    *literal_out = op.literal;
-    return std::vector<xml::NodeId>{};
+    return Operand{{}, op.literal};
   }
+  BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
+                      evaluator->EvaluateWith(op.path, tuple, {}));
   if (op.kind == flwor::Operand::Kind::kCount) {
-    BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                        evaluator->EvaluateWith(op.path, env, {}));
-    *is_literal = true;
-    *literal_out = std::to_string(nodes.size());
-    return std::vector<xml::NodeId>{};
+    return Operand{{}, std::to_string(nodes.size())};
   }
-  *is_literal = false;
-  return evaluator->EvaluateWith(op.path, env, {});
+  return Operand{std::move(nodes), std::nullopt};
 }
 
-Result<bool> EvalCompare(const flwor::BoolExpr& expr, const Env& env,
+Result<bool> EvalCompare(const flwor::BoolExpr& expr, Tuple tuple,
                          const xml::Document& doc,
                          PathEvaluator* evaluator) {
   if (expr.op == flwor::WhereOp::kExists) {
@@ -38,100 +38,81 @@ Result<bool> EvalCompare(const flwor::BoolExpr& expr, const Env& env,
       return Status::InvalidArgument("exists() requires a path operand");
     }
     BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                        evaluator->EvaluateWith(expr.left.path, env, {}));
+                        evaluator->EvaluateWith(expr.left.path, tuple, {}));
     return !nodes.empty();
   }
-  bool l_lit = false;
-  bool r_lit = false;
-  std::string l_str;
-  std::string r_str;
-  BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> lhs,
-                      EvalOperand(expr.left, env, evaluator, &l_lit, &l_str));
-  BT_ASSIGN_OR_RETURN(
-      std::vector<xml::NodeId> rhs,
-      EvalOperand(expr.right, env, evaluator, &r_lit, &r_str));
-
-  switch (expr.op) {
-    case flwor::WhereOp::kEq:
-    case flwor::WhereOp::kNeq: {
-      xpath::CompareOp op = expr.op == flwor::WhereOp::kEq
-                                ? xpath::CompareOp::kEq
-                                : xpath::CompareOp::kNeq;
-      if (l_lit && r_lit) {
-        return exec::CompareValues(l_str, op, r_str);
-      }
-      // Operand paths ending in an attribute step compare the attribute's
-      // value, not its owner element's.
-      if (l_lit) {
-        return exec::GeneralCompareLiteral(doc, rhs, op, l_str,
-                                           FinalAttribute(expr.right.path));
-      }
-      if (r_lit) {
-        return exec::GeneralCompareLiteral(doc, lhs, op, r_str,
-                                           FinalAttribute(expr.left.path));
-      }
-      return exec::GeneralCompare(doc, lhs, op, rhs,
-                                  FinalAttribute(expr.left.path),
-                                  FinalAttribute(expr.right.path));
+  BT_ASSIGN_OR_RETURN(Operand l, EvalOperand(expr.left, tuple, evaluator));
+  BT_ASSIGN_OR_RETURN(Operand r, EvalOperand(expr.right, tuple, evaluator));
+  if (expr.op == flwor::WhereOp::kEq || expr.op == flwor::WhereOp::kNeq) {
+    xpath::CompareOp op = expr.op == flwor::WhereOp::kEq
+                              ? xpath::CompareOp::kEq
+                              : xpath::CompareOp::kNeq;
+    if (l.value && r.value) return exec::CompareValues(*l.value, op, *r.value);
+    // Operand paths ending in an attribute step compare the attribute's
+    // value, not its owner element's.
+    if (l.value) {
+      return exec::GeneralCompareLiteral(doc, r.nodes, op, *l.value,
+                                         FinalAttribute(expr.right.path));
     }
-    case flwor::WhereOp::kDocBefore:
-    case flwor::WhereOp::kDocAfter: {
-      if (l_lit || r_lit) {
-        return Status::InvalidArgument("'<<' requires node operands");
-      }
-      if (lhs.empty() || rhs.empty()) return false;
-      if (lhs.size() != 1 || rhs.size() != 1) {
-        return Status::InvalidArgument("'<<' requires singleton operands");
-      }
-      return expr.op == flwor::WhereOp::kDocBefore ? lhs[0] < rhs[0]
-                                                   : lhs[0] > rhs[0];
+    if (r.value) {
+      return exec::GeneralCompareLiteral(doc, l.nodes, op, *r.value,
+                                         FinalAttribute(expr.left.path));
     }
-    case flwor::WhereOp::kIs: {
-      if (l_lit || r_lit) {
-        return Status::InvalidArgument("'is' requires node operands");
-      }
-      if (lhs.empty() || rhs.empty()) return false;
-      if (lhs.size() != 1 || rhs.size() != 1) {
-        return Status::InvalidArgument("'is' requires singleton operands");
-      }
-      return lhs[0] == rhs[0];
-    }
-    case flwor::WhereOp::kDeepEqual: {
-      if (l_lit || r_lit) {
-        return Status::InvalidArgument("deep-equal requires node operands");
-      }
-      return exec::DeepEqualSequences(doc, lhs, rhs);
-    }
-    case flwor::WhereOp::kExists:
-      break;  // Handled above.
+    return exec::GeneralCompare(doc, l.nodes, op, r.nodes,
+                                FinalAttribute(expr.left.path),
+                                FinalAttribute(expr.right.path));
   }
-  return Status::Internal("unhandled comparison operator");
+  // The node operators: `<<`/`>>` and `is` on singletons, deep-equal on
+  // whole sequences.
+  const std::string name = expr.op == flwor::WhereOp::kDeepEqual ? "deep-equal"
+                           : expr.op == flwor::WhereOp::kIs      ? "'is'"
+                                                                 : "'<<'";
+  if (l.value || r.value) {
+    return Status::InvalidArgument(name + " requires node operands");
+  }
+  if (expr.op == flwor::WhereOp::kDeepEqual) {
+    return exec::DeepEqualSequences(doc, l.nodes, r.nodes);
+  }
+  if (l.nodes.empty() || r.nodes.empty()) return false;
+  if (l.nodes.size() != 1 || r.nodes.size() != 1) {
+    return Status::InvalidArgument(name + " requires singleton operands");
+  }
+  switch (expr.op) {
+    case flwor::WhereOp::kDocBefore:
+      return l.nodes[0] < r.nodes[0];
+    case flwor::WhereOp::kDocAfter:
+      return l.nodes[0] > r.nodes[0];
+    case flwor::WhereOp::kIs:
+      return l.nodes[0] == r.nodes[0];
+    default:
+      return Status::Internal("unhandled comparison operator");
+  }
 }
 
 }  // namespace
 
-Result<bool> EvalWhere(const flwor::BoolExpr& expr, const Env& env,
+Result<bool> EvalWhere(const flwor::BoolExpr& expr, Tuple tuple,
                        const xml::Document& doc, PathEvaluator* evaluator) {
   switch (expr.kind) {
     case flwor::BoolExpr::Kind::kAnd:
       for (const auto& c : expr.children) {
-        BT_ASSIGN_OR_RETURN(bool v, EvalWhere(*c, env, doc, evaluator));
+        BT_ASSIGN_OR_RETURN(bool v, EvalWhere(*c, tuple, doc, evaluator));
         if (!v) return false;
       }
       return true;
     case flwor::BoolExpr::Kind::kOr:
       for (const auto& c : expr.children) {
-        BT_ASSIGN_OR_RETURN(bool v, EvalWhere(*c, env, doc, evaluator));
+        BT_ASSIGN_OR_RETURN(bool v, EvalWhere(*c, tuple, doc, evaluator));
         if (v) return true;
       }
       return false;
     case flwor::BoolExpr::Kind::kNot: {
       BT_ASSIGN_OR_RETURN(bool v,
-                          EvalWhere(*expr.children[0], env, doc, evaluator));
+                          EvalWhere(*expr.children[0], tuple, doc, evaluator));
       return !v;
     }
     case flwor::BoolExpr::Kind::kCompare:
-      return EvalCompare(expr, env, doc, evaluator);
+      return EvalCompare(expr, tuple, doc, evaluator);
   }
   return Status::Internal("unhandled boolean kind");
 }

@@ -8,15 +8,15 @@
 namespace blossomtree {
 namespace engine {
 
-/// \brief Evaluates a where-clause boolean expression under a variable
-/// environment. Operand paths are evaluated navigationally from the bound
-/// nodes; comparison semantics:
+/// \brief Evaluates a where-clause boolean expression on one FLWOR tuple.
+/// Operand paths are evaluated navigationally from the bound nodes;
+/// comparison semantics:
 ///  - `=` / `!=`: XQuery general comparison (some pair satisfies the op);
 ///  - `<<` / `>>`: document order on singleton nodes (empty → false);
 ///  - `is`: node identity on singletons;
 ///  - `deep-equal`: sequence deep equality (deep-equal((),()) is true,
 ///    which Example 2 of the paper relies on).
-Result<bool> EvalWhere(const flwor::BoolExpr& expr, const Env& env,
+Result<bool> EvalWhere(const flwor::BoolExpr& expr, Tuple tuple,
                        const xml::Document& doc, PathEvaluator* evaluator);
 
 }  // namespace engine

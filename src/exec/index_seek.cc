@@ -36,9 +36,7 @@ void IndexSeekOperator::FillBatch(Batch* out, size_t max_rows) {
     xml::NodeId x = candidates_[pos_++];
     ++probed_;
     if (store_ != nullptr) store_->Touch(x, x, &io_cursor_);
-    uint64_t cmp_before = ValueComparisonCount();
     if (matcher_.RootTest(x)) matcher_.MatchAt(x, &out_);
-    value_cmps_ += ValueComparisonCount() - cmp_before;
   }
   out->Lend(&out_, 0, static_cast<uint32_t>(out_.size()));
 }
@@ -59,7 +57,7 @@ ExecStats IndexSeekOperator::Stats() const {
   ExecStats s = NestedListOperator::Stats();
   s.nodes_scanned = probed_;
   s.index_entries = probed_;
-  s.comparisons = matcher_.MatchWork() + value_cmps_;
+  s.comparisons = matcher_.MatchWork();
   return s;
 }
 

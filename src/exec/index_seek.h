@@ -77,7 +77,6 @@ class IndexSeekOperator : public NestedListOperator {
   xml::NodeId range_end_;
 
   uint64_t probed_ = 0;
-  uint64_t value_cmps_ = 0;
 
   const storage::DiskStore* store_;
   storage::BlockCursor io_cursor_;

@@ -29,7 +29,6 @@ void MergedNokScan::Run() {
   ran_ = true;
   ScopedTimer timer(&wall_nanos_);
   util::TraceSpan span("exec", "MergedNokScan.run");
-  uint64_t cmp_before = ValueComparisonCount();
   // Virtual-root NoKs fire once, before the node scan.
   for (size_t i = 0; i < matchers_.size(); ++i) {
     if (!virtual_root_[i]) continue;
@@ -103,14 +102,13 @@ void MergedNokScan::Run() {
       for (size_t i : wildcard) probe(i, x);
     }
   }
-  value_cmps_ += ValueComparisonCount() - cmp_before;
 }
 
 ExecStats MergedNokScan::ScanStats() const {
   ExecStats s;
   s.wall_nanos = wall_nanos_;
   s.nodes_scanned = nodes_scanned_;
-  s.comparisons = MatchWork() + value_cmps_;
+  s.comparisons = MatchWork();
   for (const auto& lists : results_) {
     s.matches += lists->size();
     // Each row owns exactly its cells, so the entry array is their count.

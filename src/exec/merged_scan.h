@@ -99,7 +99,6 @@ class MergedNokScan {
   /// Per NoK, its matches in document order (frozen after Run()).
   std::vector<std::shared_ptr<nestedlist::Arena>> results_;
   uint64_t nodes_scanned_ = 0;
-  uint64_t value_cmps_ = 0;
   uint64_t wall_nanos_ = 0;
   bool ran_ = false;
 };

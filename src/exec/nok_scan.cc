@@ -102,12 +102,14 @@ bool NokMatcher::TagOk(const LocalVertex& lv, xml::NodeId x) const {
   return lv.tag != xml::kNullTag && doc_->Tag(x) == lv.tag;
 }
 
-bool NokMatcher::ConstraintsOk(const LocalVertex& lv, xml::NodeId x) const {
+bool NokMatcher::ConstraintsOk(const LocalVertex& lv, xml::NodeId x) {
   if (!TagOk(lv, x)) return false;
-  return !lv.value || x == kVirtualRootNode || lv.value->MatchesNode(*doc_, x);
+  if (!lv.value || x == kVirtualRootNode) return true;
+  ++value_tests_;
+  return lv.value->MatchesNode(*doc_, x);
 }
 
-bool NokMatcher::RootTest(xml::NodeId x) const {
+bool NokMatcher::RootTest(xml::NodeId x) {
   return ConstraintsOk(locals_[0], x);
 }
 
@@ -196,6 +198,7 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
       std::string_view value;
       if (x != kVirtualRootNode &&
           doc_->AttributeValue(x, s.attribute, &value)) {
+        if (s.value) ++value_tests_;
         if (!s.value || s.value->Matches(value)) {
           lv.matched[k] = 1;
           if (sv.returning) {
@@ -338,16 +341,14 @@ void NokScanOperator::GatherCandidates(xml::NodeId first, xml::NodeId last,
 
 bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
                                 xml::NodeId end, storage::BlockCursor* io,
-                                uint64_t* scanned, uint64_t* vcmps,
+                                uint64_t* scanned,
                                 nestedlist::Arena* out) const {
   util::ResourceGuard* g = guard();
   if (virtual_root_) {
     // "~" is a one-node range, whatever [begin, end] says.
     if (g != nullptr && (g->Tripped() || !g->Check())) return false;
     ++*scanned;
-    uint64_t cmp_before = ValueComparisonCount();
     m->MatchAt(kVirtualRootNode, out);
-    *vcmps += ValueComparisonCount() - cmp_before;
     return g == nullptr || !g->Tripped();
   }
   size_t total = doc_->NumNodes();
@@ -367,17 +368,13 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
     if (chunk_end - x >= kScanChunk) {
       chunk_end = x + static_cast<xml::NodeId>(kScanChunk) - 1;
     }
-    uint64_t cmp_before = ValueComparisonCount();
     if (kernel_eligible_) {
       candidates.clear();
       GatherCandidates(x, chunk_end, io, &candidates);
       *scanned += chunk_end - x + 1;
       for (xml::NodeId c : candidates) {
         if (m->RootTest(c)) m->MatchAt(c, out);
-        if (g != nullptr && g->Tripped()) {
-          *vcmps += ValueComparisonCount() - cmp_before;
-          return false;
-        }
+        if (g != nullptr && g->Tripped()) return false;
       }
     } else {
       // Per-node body for roots the prefilter cannot represent
@@ -386,13 +383,9 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
         ++*scanned;
         if (store_ != nullptr) store_->Touch(c, c, io);
         if (m->RootTest(c)) m->MatchAt(c, out);
-        if (g != nullptr && g->Tripped()) {
-          *vcmps += ValueComparisonCount() - cmp_before;
-          return false;
-        }
+        if (g != nullptr && g->Tripped()) return false;
       }
     }
-    *vcmps += ValueComparisonCount() - cmp_before;
     if (chunk_end == end) break;
     x = chunk_end + 1;
   }
@@ -413,7 +406,6 @@ void NokScanOperator::RunMaterializedScan() {
   parts_.assign(parts.size(), nullptr);
   std::vector<uint64_t> scanned(parts.size(), 0);
   std::vector<uint64_t> work(parts.size(), 0);
-  std::vector<uint64_t> vcmp(parts.size(), 0);
   // Per-partition cache probe (main thread): hit partitions take the
   // cached frozen arena; only the misses scan. Partition ranges are a pure
   // function of (document, thread count), so a warm run at the same thread
@@ -447,16 +439,15 @@ void NokScanOperator::RunMaterializedScan() {
                           std::to_string(parts[i].end) + "]"
                     : std::string());
     // A private matcher per partition: constraint checks are read-only on
-    // the shared document, and counters stay thread-local. One partition
-    // runs entirely on one thread, so the thread-local value-comparison
-    // delta is exactly this partition's comparisons.
+    // the shared document, and its work counter (value comparisons
+    // included) is this partition's alone.
     NokMatcher m(doc_, tree_, nok_);
     m.set_guard(guard());
     // Private block cursor per partition: the aggregate equals the sum of
     // partition read counts at every thread count and interleaving.
     storage::BlockCursor io;
     if (!ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i],
-                   &vcmp[i], fresh[i].get())) {
+                   fresh[i].get())) {
       fresh[i]->clear();  // A tripped run discards its results.
     } else if (cached) {
       // The cache charges Bytes(); hold no more than that.
@@ -485,7 +476,6 @@ void NokScanOperator::RunMaterializedScan() {
   for (size_t i = 0; i < parts.size(); ++i) {
     nodes_scanned_ += scanned[i];
     parallel_work_ += work[i];
-    value_cmps_ += vcmp[i];
   }
   part_ = 0;
   part_pos_ = 0;
@@ -506,7 +496,7 @@ bool NokScanOperator::ScanNextChunk(size_t want) {
       chunk_end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
     }
     bool ok = ScanRange(&matcher_, cursor_, chunk_end, &io_cursor_,
-                        &nodes_scanned_, &value_cmps_, &chunk_);
+                        &nodes_scanned_, &chunk_);
     cursor_ = chunk_end + 1;
     if (!ok) {
       chunk_.clear();
@@ -543,7 +533,7 @@ void NokScanOperator::FillBatch(Batch* out, size_t max_rows) {
 ExecStats NokScanOperator::Stats() const {
   ExecStats s = NestedListOperator::Stats();
   s.nodes_scanned = nodes_scanned_;
-  s.comparisons = MatchWork() + value_cmps_;
+  s.comparisons = MatchWork();
   s.result_cache = cache_probes_;
   return s;
 }

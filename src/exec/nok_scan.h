@@ -48,11 +48,11 @@ class NokMatcher {
 
   /// \brief True if `x` can possibly match the NoK root (tag + value test);
   /// the scan driver uses this as a cheap prefilter.
-  bool RootTest(xml::NodeId x) const;
+  bool RootTest(xml::NodeId x);
 
-  /// \brief Pattern-vertex/node constraint checks performed so far (a
-  /// work metric for the ablation benches).
-  uint64_t MatchWork() const { return match_work_; }
+  /// \brief Pattern-vertex/node constraint checks performed so far, value
+  /// comparisons included: the matcher's ExecStats::comparisons.
+  uint64_t MatchWork() const { return match_work_ + value_tests_; }
 
   /// \brief Attaches a resource guard: MatchVertex samples it every ~1k
   /// work units (DESIGN.md §9) so a deadline fires even inside one deep
@@ -97,7 +97,7 @@ class NokMatcher {
   };
 
   bool TagOk(const LocalVertex& lv, xml::NodeId x) const;
-  bool ConstraintsOk(const LocalVertex& lv, xml::NodeId x) const;
+  bool ConstraintsOk(const LocalVertex& lv, xml::NodeId x);
   /// Matches local vertex `local_index` at `x`. On success appends its
   /// contribution to dst[0 .. next_slots.size()); on failure writes
   /// nothing and leaves the arena as it found it.
@@ -112,6 +112,7 @@ class NokMatcher {
   std::vector<LocalVertex> locals_;  ///< locals_[0] is the NoK root.
   std::vector<pattern::SlotId> top_slots_;
   uint64_t match_work_ = 0;
+  uint64_t value_tests_ = 0;  ///< LiteralTest calls.
   util::ResourceGuard* guard_ = nullptr;
   /// The arena the current MatchAt writes into.
   nestedlist::Arena* arena_ = nullptr;
@@ -217,14 +218,13 @@ class NokScanOperator : public NestedListOperator {
   bool ScanNextChunk(size_t want);
 
   /// Scans nodes [begin, end] with matcher `m`, counting `store_` block
-  /// reads through `io`, bulk-counting scanned nodes / value comparisons
-  /// into *scanned / *vcmps and appending matches to *out. Chunked: the
-  /// guard is sampled at every ≤kScanChunk-node chunk top; Check() never
-  /// mutates counters, and a tripped run discards its results. A
-  /// "~"-rooted NoK ignores the range and matches once. Returns false iff
-  /// the guard tripped mid-scan.
+  /// reads through `io`, bulk-counting scanned nodes into *scanned and
+  /// appending matches to *out. Chunked: the guard is sampled at every
+  /// ≤kScanChunk-node chunk top; Check() never mutates counters, and a
+  /// tripped run discards its results. A "~"-rooted NoK ignores the range
+  /// and matches once. Returns false iff the guard tripped mid-scan.
   bool ScanRange(NokMatcher* m, xml::NodeId begin, xml::NodeId end,
-                 storage::BlockCursor* io, uint64_t* scanned, uint64_t* vcmps,
+                 storage::BlockCursor* io, uint64_t* scanned,
                  nestedlist::Arena* out) const;
 
   /// Collects NodeIds in [first, last] whose tag id equals target_tag_
@@ -266,7 +266,6 @@ class NokScanOperator : public NestedListOperator {
   xml::NodeId range_begin_ = 0;
   xml::NodeId range_end_;
   uint64_t nodes_scanned_ = 0;
-  uint64_t value_cmps_ = 0;
   CacheProbes cache_probes_;
 
   util::ThreadPool* pool_;

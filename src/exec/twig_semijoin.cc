@@ -76,6 +76,7 @@ std::vector<xml::NodeId> TwigSemijoin::Candidates(VertexId v) {
     for (xml::NodeId n : out) {
       if (value.MatchesNode(*doc_, n)) filtered.push_back(n);
     }
+    stats_.value_cmps += out.size();
     out = std::move(filtered);
   }
   stats_.candidates_loaded += out.size();
@@ -123,9 +124,6 @@ Status TwigSemijoin::Run(VertexId result_vertex,
                          std::vector<xml::NodeId>* result) {
   ScopedTimer timer(&stats_.wall_nanos);
   util::TraceSpan span("exec", "TwigSemijoin.run");
-  // Candidate value filters run on this thread (the per-edge joins do no
-  // value comparisons), so one delta around the whole run attributes them.
-  uint64_t cmp_before = ValueComparisonCount();
   if (tree_->roots().size() != 1) {
     return Status::Unsupported("semijoin requires a single pattern tree");
   }
@@ -147,7 +145,6 @@ Status TwigSemijoin::Run(VertexId result_vertex,
   // elimination).
   BT_RETURN_NOT_OK(BottomUp(qroot));
   TopDown(qroot);
-  stats_.value_cmps += ValueComparisonCount() - cmp_before;
   // A trip anywhere above leaves partial candidate lists: surface the
   // guard's status instead of a truncated result.
   if (guard_ != nullptr && guard_->Tripped()) return guard_->status();

@@ -92,7 +92,10 @@ void TwigStack::BuildStreams() {
     if (vx.value) value.emplace(vx.value->op, vx.value->literal);
     for (xml::NodeId n : nodes) {
       if (must_be_doc_root && doc_->Level(n) != 0) continue;
-      if (value && !value->MatchesNode(*doc_, n)) continue;
+      if (value) {
+        ++stats_.value_cmps;
+        if (!value->MatchesNode(*doc_, n)) continue;
+      }
       q.stream.push_back(n);
     }
   }
@@ -331,9 +334,6 @@ Status TwigStack::Run(VertexId result_vertex,
                       std::vector<xml::NodeId>* result) {
   ScopedTimer timer(&stats_.wall_nanos);
   util::TraceSpan span("exec", "TwigStack.run");
-  // Stream value filters run serially on this thread: one delta attributes
-  // them (DESIGN.md §8).
-  uint64_t cmp_before = ValueComparisonCount();
   BT_RETURN_NOT_OK(BuildQueryTree());
   BuildStreams();
 
@@ -372,7 +372,6 @@ Status TwigStack::Run(VertexId result_vertex,
   }
 
   MergePhase(result_vertex, result);
-  stats_.value_cmps += ValueComparisonCount() - cmp_before;
   return Status::OK();
 }
 

@@ -11,7 +11,6 @@ namespace blossomtree {
 namespace exec {
 
 namespace {
-thread_local uint64_t value_comparisons = 0;
 
 /// One XPath value comparison over pre-parsed operands: numeric when both
 /// sides parse as doubles, string collation otherwise.
@@ -53,8 +52,6 @@ bool ComparePrepared(bool left_numeric, double ln, std::string_view left,
 }
 }  // namespace
 
-uint64_t ValueComparisonCount() { return value_comparisons; }
-
 std::string OperandValue(const xml::Document& doc, xml::NodeId n,
                          std::string_view attribute) {
   if (attribute.empty()) return doc.StringValue(n);
@@ -65,7 +62,6 @@ std::string OperandValue(const xml::Document& doc, xml::NodeId n,
 
 bool CompareValues(std::string_view left, xpath::CompareOp op,
                    std::string_view right) {
-  ++value_comparisons;
   double ln = 0;
   double rn = 0;
   bool l_num = ParseDouble(left, &ln);
@@ -79,7 +75,6 @@ LiteralTest::LiteralTest(xpath::CompareOp op, std::string_view literal)
 }
 
 bool LiteralTest::Matches(std::string_view value) const {
-  ++value_comparisons;
   double num = 0;
   bool numeric = ParseDouble(value, &num);
   return ComparePrepared(numeric, num, value, op_, numeric_, num_, literal_);
@@ -119,8 +114,8 @@ bool GeneralCompare(const xml::Document& doc,
   // the quadratic loop compares 4-byte codes instead of re-walking string
   // bytes per (l, r) pair. Exact for =/!= because two strings are equal iff
   // their codes are (numeric-vs-numeric pairs keep the numeric compare, as
-  // before); ordering ops still need real collation. Same ticks, same
-  // early-return pair.
+  // before); ordering ops still need real collation. Same early-return
+  // pair.
   constexpr uint32_t kNoId = static_cast<uint32_t>(-1);
   const bool dict =
       (op == xpath::CompareOp::kEq || op == xpath::CompareOp::kNeq) &&
@@ -143,15 +138,12 @@ bool GeneralCompare(const xml::Document& doc,
       auto it = dict_ids.find(std::string_view(lv));
       uint32_t l_id = it == dict_ids.end() ? kNoId : it->second;
       for (const RightValue& rv : rights) {
-        ++value_comparisons;
         bool eq = (l_num && rv.numeric) ? ln == rv.num : l_id == rv.id;
         if (op == xpath::CompareOp::kEq ? eq : !eq) return true;
       }
       continue;
     }
     for (const RightValue& rv : rights) {
-      // Counter parity with CompareValues: one tick per (l, r) pair tried.
-      ++value_comparisons;
       if (ComparePrepared(l_num, ln, lv, op, rv.numeric, rv.num, rv.text)) {
         return true;
       }
@@ -170,7 +162,6 @@ bool GeneralCompareLiteral(const xml::Document& doc,
     std::string lv = OperandValue(doc, l, attribute);
     double ln = 0;
     bool l_num = ParseDouble(lv, &ln);
-    ++value_comparisons;
     if (ComparePrepared(l_num, ln, lv, op, r_num, rn, literal)) return true;
   }
   return false;

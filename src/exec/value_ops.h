@@ -13,26 +13,19 @@
 namespace blossomtree {
 namespace exec {
 
-/// \brief Monotone per-thread count of CompareValues invocations. Operators
-/// attribute comparisons to themselves by taking a before/after delta
-/// around the work they drive on the current thread; parallel scans take
-/// the delta inside each partition task (one partition runs entirely on one
-/// worker), then merge the per-partition deltas in partition order — the
-/// deterministic accumulation rule of DESIGN.md §8.
-uint64_t ValueComparisonCount();
-
 /// \brief Compares two atomized values with XPath semantics: numeric
 /// comparison when both parse as numbers, string comparison otherwise.
 bool CompareValues(std::string_view left, xpath::CompareOp op,
                    std::string_view right);
 
 /// \brief A vertex value constraint (`op literal`) with the literal parsed
-/// once, when a matcher is built, instead of on every candidate.
+/// once, when a matcher is built, instead of on every candidate. Its
+/// callers count the tests they make (ExecStats::comparisons).
 class LiteralTest {
  public:
   LiteralTest(xpath::CompareOp op, std::string_view literal);
 
-  /// \brief CompareValues(value, op, literal), with the same single tick.
+  /// \brief CompareValues(value, op, literal).
   bool Matches(std::string_view value) const;
 
   /// \brief Matches(doc.StringValue(n)), reading the text in place when n's

@@ -1,6 +1,7 @@
 #include "opt/planner.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "exec/joins.h"
@@ -118,35 +119,32 @@ std::vector<NokAccessPath> ChooseAccessPaths(
     }
     // Candidate set: an exact value-index equality run when the root
     // carries an answerable `= literal` predicate, else the tag's posting
-    // list. Both are provable supersets of the NoK's match roots.
-    std::vector<xml::NodeId> candidates;
-    std::string source;
+    // list. Both are provable supersets of the NoK's match roots. The
+    // posting list is copied only once a seek is chosen.
+    index::EqualitySeek eq;
     if (root.value && root.value->op == xpath::CompareOp::kEq) {
-      index::EqualitySeek seek = index->SeekEquality(t, root.value->literal);
-      if (seek.usable) {
-        candidates = std::move(seek.nodes);
-        source = "value-eq";
-      }
+      eq = index->SeekEquality(t, root.value->literal);
     }
-    if (source.empty()) {
-      auto postings = index->Postings(t);
-      candidates.reserve(postings.size());
-      for (const index::PostingEntry& e : postings) {
-        candidates.push_back(e.node);
-      }
-      source = "postings";
-    }
+    std::span<const index::PostingEntry> postings = index->Postings(t);
+    size_t count = eq.usable ? eq.nodes.size() : postings.size();
     // Seek cost: each probe verifies one candidate subtree (~avg_subtree
     // node visits). Scan cost: one root test per document node. Real
     // cardinalities on both sides — no fixed selectivity guess.
     double probe = 1.0 + index->Stats(t).avg_subtree;
-    double seek_cost = static_cast<double>(candidates.size()) * probe;
+    double seek_cost = static_cast<double>(count) * probe;
     double scan_cost = static_cast<double>(doc->NumNodes());
     if (seek_cost < scan_cost) {
       ap.kind = NokAccessPath::Kind::kSeek;
-      ap.candidates = std::move(candidates);
-      ap.detail =
-          source + ", " + std::to_string(ap.candidates.size()) + " candidates";
+      if (eq.usable) {
+        ap.candidates = std::move(eq.nodes);
+      } else {
+        ap.candidates.reserve(count);
+        for (const index::PostingEntry& e : postings) {
+          ap.candidates.push_back(e.node);
+        }
+      }
+      ap.detail = std::string(eq.usable ? "value-eq" : "postings") + ", " +
+                  std::to_string(count) + " candidates";
     }
   }
   return out;

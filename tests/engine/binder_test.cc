@@ -47,52 +47,52 @@ struct BinderFixture {
   }
 
   /// Rows of a single-tree query.
-  const std::vector<Env>& rows() const { return per_tree.at(0).rows; }
+  const TupleTable& rows() const { return per_tree.at(0).rows; }
 };
 
 TEST(BinderTest, ForBindingBranchesPerMatch) {
   BinderFixture fx("<r><k>1</k><k>2</k></r>", "for $x in //k return $x");
-  ASSERT_EQ(fx.rows().size(), 2u);
+  ASSERT_EQ(fx.rows().rows, 2u);
   EXPECT_EQ(fx.per_tree[0].slots, std::vector<uint32_t>{0});
-  for (const Env& e : fx.rows()) {
-    ASSERT_EQ(e.size(), 1u);
-    EXPECT_EQ(e[0].size(), 1u);
+  ASSERT_EQ(fx.rows().width, 1u);
+  for (size_t r = 0; r < fx.rows().rows; ++r) {
+    EXPECT_EQ(fx.rows().Slot(r, 0).size(), 1u);
   }
 }
 
 TEST(BinderTest, LetBindingCollectsSequence) {
   BinderFixture fx("<r><g><k/><k/></g></r>",
                    "for $g in //g let $ks := $g/k return $g");
-  ASSERT_EQ(fx.rows().size(), 1u);
-  EXPECT_EQ(fx.rows()[0][1].size(), 2u);
+  ASSERT_EQ(fx.rows().rows, 1u);
+  EXPECT_EQ(fx.rows().Slot(0, 1).size(), 2u);
 }
 
 TEST(BinderTest, LetOverEmptyBindsEmptySequence) {
   BinderFixture fx("<r><g/></r>", "for $g in //g let $ks := $g/k return $g");
-  ASSERT_EQ(fx.rows().size(), 1u);
-  EXPECT_TRUE(fx.rows()[0][1].empty());
+  ASSERT_EQ(fx.rows().rows, 1u);
+  EXPECT_TRUE(fx.rows().Slot(0, 1).empty());
 }
 
 TEST(BinderTest, LetOverAbsolutePathBindsOnce) {
   // One tuple holding every match, not one tuple per match.
   BinderFixture fx("<r><k/><k/><k/></r>", "let $ks := //k return $ks");
-  ASSERT_EQ(fx.rows().size(), 1u);
-  EXPECT_EQ(fx.rows()[0][0].size(), 3u);
+  ASSERT_EQ(fx.rows().rows, 1u);
+  EXPECT_EQ(fx.rows().Slot(0, 0).size(), 3u);
   BinderFixture none("<r/>", "let $ks := //k return $ks");
-  ASSERT_EQ(none.rows().size(), 1u);
-  EXPECT_TRUE(none.rows()[0][0].empty());
+  ASSERT_EQ(none.rows().rows, 1u);
+  EXPECT_TRUE(none.rows().Slot(0, 0).empty());
 }
 
 TEST(BinderTest, NestedForMultiplies) {
   BinderFixture fx("<r><g><k/><k/></g><g><k/></g></r>",
                    "for $g in //g for $k in $g/k return $k");
   // (g1,k1),(g1,k2),(g2,k3).
-  ASSERT_EQ(fx.rows().size(), 3u);
+  ASSERT_EQ(fx.rows().rows, 3u);
 }
 
 TEST(BinderTest, ForOverEmptyYieldsNoTuples) {
   BinderFixture fx("<r><g/></r>", "for $g in //g for $k in $g/k return $k");
-  EXPECT_TRUE(fx.rows().empty());
+  EXPECT_EQ(fx.rows().rows, 0u);
 }
 
 TEST(BinderTest, EachTreeBindsItsOwnSlots) {
@@ -100,9 +100,9 @@ TEST(BinderTest, EachTreeBindsItsOwnSlots) {
                    "for $x in //a, $y in //b return $x");
   ASSERT_EQ(fx.per_tree.size(), 2u);
   EXPECT_EQ(fx.per_tree[0].slots, std::vector<uint32_t>{0});
-  EXPECT_EQ(fx.per_tree[0].rows.size(), 2u);  // 2 a's.
+  EXPECT_EQ(fx.per_tree[0].rows.rows, 2u);  // 2 a's.
   EXPECT_EQ(fx.per_tree[1].slots, std::vector<uint32_t>{1});
-  EXPECT_EQ(fx.per_tree[1].rows.size(), 1u);  // 1 b.
+  EXPECT_EQ(fx.per_tree[1].rows.rows, 1u);  // 1 b.
 }
 
 TEST(BinderTest, DedupOnRecursiveEmbeddings) {
@@ -110,7 +110,7 @@ TEST(BinderTest, DedupOnRecursiveEmbeddings) {
   // distinct k node once.
   BinderFixture fx("<r><g><g><k/></g></g></r>",
                    "for $k in //g//k return $k");
-  ASSERT_EQ(fx.rows().size(), 1u);
+  ASSERT_EQ(fx.rows().rows, 1u);
 }
 
 TEST(BinderTest, RowsFollowDocumentOrderOnRecursiveDocuments) {
@@ -118,16 +118,16 @@ TEST(BinderTest, RowsFollowDocumentOrderOnRecursiveDocuments) {
   // rows follow the for-loop order, not the order of the k matches.
   BinderFixture fx("<r><k><k><m/></k><m/></k></r>",
                    "for $m in //k/m return $m");
-  ASSERT_EQ(fx.rows().size(), 2u);
-  EXPECT_LT(fx.rows()[0][0][0], fx.rows()[1][0][0]);
+  ASSERT_EQ(fx.rows().rows, 2u);
+  EXPECT_LT(fx.rows().Slot(0, 0)[0], fx.rows().Slot(1, 0)[0]);
 }
 
 TEST(BinderTest, NonBlossomSlotMergesItsMatches) {
   // k is a join endpoint, not a blossom: $l binds the m's under every k.
   BinderFixture fx("<r><g><k><m/></k><k><m/></k></g></r>",
                    "for $g in //g let $l := $g//k/m return $l");
-  ASSERT_EQ(fx.rows().size(), 1u);
-  EXPECT_EQ(fx.rows()[0][1].size(), 2u);
+  ASSERT_EQ(fx.rows().rows, 1u);
+  EXPECT_EQ(fx.rows().Slot(0, 1).size(), 2u);
 }
 
 TEST(BinderTest, ComputeSlotBindingsMarksKinds) {

@@ -298,6 +298,74 @@ TEST(EngineTest, EnginesAgreeOnFlworSuite) {
   }
 }
 
+/// Checks that both engines answer `query` on `xml` with exactly
+/// `expected`. These bytes are written out by hand, not taken from the
+/// navigational engine: both engines hold FLWOR tuples in the same
+/// TupleTable, so a fault in the table would agree with itself.
+void ExpectPinnedBytes(const char* xml, const char* query,
+                       const char* expected) {
+  SCOPED_TRACE(query);
+  auto doc = Parse(xml);
+  BlossomTreeEngine engine(doc.get());
+  auto got = engine.EvaluateQuery(query);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, expected);
+  baseline::NavigationalEvaluator nav(doc.get());
+  auto nav_got = nav.EvaluateQuery(query);
+  ASSERT_TRUE(nav_got.ok()) << nav_got.status().ToString();
+  EXPECT_EQ(*nav_got, expected);
+}
+
+// $a and $c form one pattern tree, $b another, so the nested loop runs
+// (a, c) outside b; the rows are put back in the FLWOR's (a, b, c) order.
+TEST(EngineTest, PinnedInterleavedSlots) {
+  ExpectPinnedBytes(
+      "<r><a><c>1</c><c>2</c></a><b>x</b><a><c>3</c></a><b>y</b></r>",
+      "for $a in //a, $b in //b, $c in $a/c return <t>{ $c }{ $b }</t>",
+      "<t><c>1</c><b>x</b></t><t><c>2</c><b>x</b></t>"
+      "<t><c>1</c><b>y</b></t><t><c>2</c><b>y</b></t>"
+      "<t><c>3</c><b>x</b></t><t><c>3</c><b>y</b></t>");
+}
+
+// The let slot sits between two for slots; on the second g it binds the
+// empty sequence, a zero-length run in the middle of the row.
+TEST(EngineTest, PinnedEmptyLetBesideFor) {
+  ExpectPinnedBytes(
+      "<r><g><k>1</k></g><g/><h>y</h><h>z</h></r>",
+      "for $g in //g let $ks := $g/k for $h in //h "
+      "return <n>{ $ks }{ $h }</n>",
+      "<n><k>1</k><h>y</h></n><n><k>1</k><h>z</h></n>"
+      "<n><h>y</h></n><n><h>z</h></n>");
+}
+
+// Tied keys keep their document order under a descending sort.
+TEST(EngineTest, PinnedDescendingOrderIsStable) {
+  ExpectPinnedBytes(
+      R"(<r><k v="2">a</k><k v="1">b</k><k v="2">c</k><k v="1">d</k></r>)",
+      "for $x in //k order by $x/@v descending return $x",
+      R"(<k v="2">a</k><k v="2">c</k><k v="1">b</k><k v="1">d</k>)");
+}
+
+// The inner FLWOR iterates the outer let's sequence, empty on the second
+// g, from a base tuple of the outer table.
+TEST(EngineTest, PinnedNestedFlworOverOuterLet) {
+  ExpectPinnedBytes(
+      "<r><g><k>1</k><k>2</k></g><g/></r>",
+      "for $g in //g let $ks := $g/k "
+      "return <o>{ for $k in $ks return <i>{ $k }</i> }</o>",
+      "<o><i><k>1</k></i><i><k>2</k></i></o><o/>");
+}
+
+// k lies under both g's: two embeddings of //g//k bind it, one row holds
+// it. Bound per g, it appears once for each.
+TEST(EngineTest, PinnedRecursiveEmbeddingsBindOnce) {
+  const char* xml = "<r><g><g><k>1</k></g></g></r>";
+  ExpectPinnedBytes(xml, "for $k in //g//k return <v>{ $k }</v>",
+                    "<v><k>1</k></v>");
+  ExpectPinnedBytes(xml, "for $g in //g let $k := $g//k return <n>{ $k }</n>",
+                    "<n><k>1</k></n><n><k>1</k></n>");
+}
+
 /// Checks that the engine answers path `query` with the bytes of
 /// `PathEvaluator`'s nodes, and plans it as a BlossomTree iff `planned`
 /// (else it takes the navigational fallback).

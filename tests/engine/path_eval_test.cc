@@ -107,8 +107,10 @@ TEST(PathEvalTest, VariableStart) {
   ASSERT_TRUE(p.ok());
   PathEvaluator ev(doc.get());
   p->var_slot = 0;  // As flwor::ParseQuery resolves it under one binding.
-  Env env = {std::vector<xml::NodeId>{3}};  // Second a.
-  auto r = ev.EvaluateWith(*p, env, {});
+  TupleTable tuples{1};
+  tuples.Push(std::vector<xml::NodeId>{3});  // Second a.
+  tuples.EndRow();
+  auto r = ev.EvaluateWith(*p, tuples.Row(0), {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 2u);
 }
@@ -118,8 +120,7 @@ TEST(PathEvalTest, UnboundVariableErrors) {
   auto p = xpath::ParsePath("$v/t");
   ASSERT_TRUE(p.ok());
   PathEvaluator ev(doc.get());
-  Env env;
-  auto r = ev.EvaluateWith(*p, env, {});
+  auto r = ev.EvaluateWith(*p, Tuple{}, {});
   EXPECT_FALSE(r.ok());
 }
 

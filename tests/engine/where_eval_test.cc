@@ -37,17 +37,28 @@ struct WhereFixture {
   }
 };
 
+/// Node sequences per tuple slot, written as one row of a TupleTable.
+using Slots = std::vector<std::vector<xml::NodeId>>;
+
+TupleTable OneRow(const Slots& slots) {
+  TupleTable table{slots.size()};
+  for (const std::vector<xml::NodeId>& run : slots) table.Push(run);
+  table.EndRow();
+  return table;
+}
+
 bool Eval(const xml::Document& doc, const flwor::BoolExpr& where,
-          const Env& env) {
+          const Slots& env) {
   PathEvaluator ev(&doc);
-  auto r = EvalWhere(where, env, doc, &ev);
+  TupleTable table = OneRow(env);
+  auto r = EvalWhere(where, table.Row(0), doc, &ev);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() && *r;
 }
 
 TEST(WhereEvalTest, DocOrderComparisons) {
   auto doc = Parse("<r><a/><b/></r>");
-  Env env(2);
+  Slots env(2);
   env[kX] = {1};
   env[kY] = {2};
   WhereFixture lt("$x << $y");
@@ -61,7 +72,7 @@ TEST(WhereEvalTest, DocOrderComparisons) {
 
 TEST(WhereEvalTest, IsIdentity) {
   auto doc = Parse("<r><a/><a/></r>");
-  Env env(2);
+  Slots env(2);
   env[kX] = {1};
   env[kY] = {1};
   WhereFixture is("$x is $y");
@@ -72,7 +83,7 @@ TEST(WhereEvalTest, IsIdentity) {
 
 TEST(WhereEvalTest, GeneralEqOverPaths) {
   auto doc = Parse("<r><g><v>1</v><v>2</v></g><g><v>2</v></g></r>");
-  Env env(2);
+  Slots env(2);
   env[kX] = {1};  // First g.
   env[kY] = {6};  // Second g (nodes: r=0 g=1 v=2 t=3 v=4 t=5 g=6 ...).
   WhereFixture eq("$x/v = $y/v");
@@ -83,7 +94,7 @@ TEST(WhereEvalTest, GeneralEqOverPaths) {
 
 TEST(WhereEvalTest, LiteralComparisons) {
   auto doc = Parse("<r><g><v>7</v></g></r>");
-  Env env(2);
+  Slots env(2);
   env[kX] = {1};
   WhereFixture eq("$x/v = 7");
   EXPECT_TRUE(Eval(*doc, *eq.where, env));
@@ -97,7 +108,7 @@ TEST(WhereEvalTest, DeepEqualOnSequences) {
   auto doc = Parse(
       "<r><g><a><n>k</n></a></g><g><a><n>k</n></a></g><g/></r>");
   auto gs = doc->TagIndex(doc->tags().Lookup("g"));
-  Env env(2);
+  Slots env(2);
   env[kX] = {gs[0]};
   env[kY] = {gs[1]};
   WhereFixture de("deep-equal($x/a, $y/a)");
@@ -111,7 +122,7 @@ TEST(WhereEvalTest, DeepEqualOnSequences) {
 
 TEST(WhereEvalTest, BooleanConnectives) {
   auto doc = Parse("<r><a/><b/></r>");
-  Env env(2);
+  Slots env(2);
   env[kX] = {1};
   env[kY] = {2};
   WhereFixture both("$x << $y and $x is $x");
@@ -127,7 +138,7 @@ TEST(WhereEvalTest, BooleanConnectives) {
 TEST(WhereEvalTest, ExistsAndEmpty) {
   auto doc = Parse("<r><g><v/></g><g/></r>");
   auto gs = doc->TagIndex(doc->tags().Lookup("g"));
-  Env env(2);
+  Slots env(2);
   env[kX] = {gs[0]};
   WhereFixture ex("exists($x/v)");
   EXPECT_TRUE(Eval(*doc, *ex.where, env));
@@ -141,7 +152,7 @@ TEST(WhereEvalTest, ExistsAndEmpty) {
 TEST(WhereEvalTest, CountComparisons) {
   auto doc = Parse("<r><g><v/><v/></g><g><v/></g></r>");
   auto gs = doc->TagIndex(doc->tags().Lookup("g"));
-  Env env(2);
+  Slots env(2);
   env[kX] = {gs[0]};
   WhereFixture two("count($x/v) = 2");
   EXPECT_TRUE(Eval(*doc, *two.where, env));
@@ -173,7 +184,7 @@ TEST(WhereEvalTest, EndToEndExistsAndCountInQueries) {
 TEST(WhereEvalTest, AttributeOperandsCompareTheAttributeValue) {
   // Nodes: r=0, q=1, "w"=2, q=3, "v"=4 (attributes are out of band).
   auto doc = Parse(R"(<r><q x="v">w</q><q x="w">v</q></r>)");
-  Env env(2);
+  Slots env(2);
   env[kX] = {1};
   env[kY] = {3};
   WhereFixture lit("$x/@x = \"v\"");
@@ -194,10 +205,12 @@ TEST(WhereEvalTest, AttributeOperandsCompareTheAttributeValue) {
   PathEvaluator ev(doc.get());
   auto parsed = flwor::ParseQuery(query);
   ASSERT_TRUE(parsed.ok());
-  auto tuples = NaiveFlworTuples(*(*parsed)->flwor, {}, &ev);
+  auto tuples = NaiveFlworTuples(*(*parsed)->flwor, Tuple{}, &ev);
   ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
-  ASSERT_EQ(tuples->size(), 1u);
-  EXPECT_EQ((*tuples)[0][0], (std::vector<xml::NodeId>{1}));
+  ASSERT_EQ(tuples->rows, 1u);
+  std::span<const xml::NodeId> bound = tuples->Slot(0, 0);
+  EXPECT_EQ(std::vector<xml::NodeId>(bound.begin(), bound.end()),
+            (std::vector<xml::NodeId>{1}));
   BlossomTreeEngine engine(doc.get());
   auto got = engine.EvaluateQuery(query);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -216,12 +229,13 @@ TEST(WhereEvalTest, OrderByAttributeSortsOnItsValue) {
 
 TEST(WhereEvalTest, ErrorsOnNonSingletonDocOrder) {
   auto doc = Parse("<r><a/><a/><b/></r>");
-  Env env(2);
+  Slots env(2);
   env[kX] = {1, 2};
   env[kY] = {3};
   WhereFixture lt("$x << $y");
   PathEvaluator ev(doc.get());
-  auto r = EvalWhere(*lt.where, env, *doc, &ev);
+  TupleTable table = OneRow(env);
+  auto r = EvalWhere(*lt.where, table.Row(0), *doc, &ev);
   EXPECT_FALSE(r.ok());
 }
 
