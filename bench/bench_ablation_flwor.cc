@@ -31,7 +31,6 @@
 using blossomtree::Rng;
 using blossomtree::bench::BenchFlags;
 using blossomtree::bench::ParseFlags;
-using blossomtree::bench::TimeCell;
 using blossomtree::bench::TimeSeconds;
 
 namespace {
@@ -146,9 +145,11 @@ int main(int argc, char** argv) {
   BenchFlags flags = ParseFlags(argc, argv, /*default_scale=*/1.0);
   std::printf(
       "Ablation: FLWOR evaluation — BlossomTree (BT) vs per-iteration\n"
-      "navigational re-evaluation (NAV), Example-1-style query\n\n");
+      "navigational re-evaluation (NAV), Example-1-style query, best of %d "
+      "runs\n\n",
+      flags.runs);
   std::printf("%-8s | %-28s | %10s %10s | %12s\n", "#books", "query",
-              "BT s", "NAV s", "NAV visits");
+              "BT ms", "NAV ms", "NAV visits");
 
   struct Q {
     const char* name;
@@ -167,17 +168,18 @@ int main(int argc, char** argv) {
     for (const Q& q : queries) {
       std::optional<std::string> bt_result;
       std::optional<std::string> nav_result;
-      double bt_s = TimeSeconds([&] { bt_result = RunBt(*doc, q.text); });
+      double bt_ms =
+          BestMillis([&] { bt_result = RunBt(*doc, q.text); }, flags.runs);
       uint64_t nav_visits = 0;
-      double nav_s = TimeSeconds(
-          [&] { nav_result = RunNav(*doc, q.text, &nav_visits); });
+      double nav_ms = BestMillis(
+          [&] { nav_result = RunNav(*doc, q.text, &nav_visits); },
+          flags.runs);
       if (!bt_result || !nav_result || *bt_result != *nav_result) {
         std::printf("!! engines disagree on %s at n=%zu\n", q.name, scaled);
         ++disagreements;
       }
-      std::printf("%-8zu | %-28s | %10s %10s | %12llu\n", scaled, q.name,
-                  TimeCell(bt_s).c_str(), TimeCell(nav_s).c_str(),
-                  static_cast<unsigned long long>(nav_visits));
+      std::printf("%-8zu | %-28s | %10.3f %10.3f | %12llu\n", scaled, q.name,
+                  bt_ms, nav_ms, static_cast<unsigned long long>(nav_visits));
       // Untimed re-run with profile collection: the engine's own
       // per-operator breakdown for the artifact.
       blossomtree::engine::EngineOptions eo;
@@ -185,7 +187,7 @@ int main(int argc, char** argv) {
       blossomtree::engine::BlossomTreeEngine profiled(doc.get(), eo);
       if (profiled.EvaluateQuery(q.text).ok()) {
         blossomtree::bench::LatencyHistogram latency;
-        latency.RecordSeconds(bt_s);
+        latency.RecordSeconds(bt_ms / 1e3);
         sink.Add("{\"books\": " + std::to_string(scaled) +
                  ", \"query\": \"" + std::string(q.name) + "\", " +
                  latency.JsonField() +

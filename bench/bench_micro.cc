@@ -5,15 +5,23 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "baseline/navigational.h"
 #include "bench_profile.h"
 #include "bench_util.h"
 #include "datagen/datagen.h"
+#include "engine/construct.h"
 #include "exec/structural_join.h"
 #include "exec/twigstack.h"
+#include "index/btsi.h"
+#include "index/structural_index.h"
 #include "nestedlist/ops.h"
 #include "opt/planner.h"
 #include "pattern/builder.h"
+#include "storage/btsx2.h"
+#include "storage/disk_store.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xpath/parser.h"
@@ -49,10 +57,10 @@ void BM_SerializeXml(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeXml);
 
-// Result serialization as a query's drain ends: AppendSubtree of each node
-// of a d5 (scale 1.0) result set into one output string. Arg 0 is
-// //article/title (many small subtrees), arg 1 //www[//url] (record
-// subtrees with attributes).
+// Result serialization as a query's drain ends: each node of a d5 (scale
+// 1.0) result set copied through one engine::ResultBuilder, as path queries
+// write their results. Arg 0 is //article/title (many small subtrees), arg 1
+// //www[//url] (record subtrees with attributes).
 void BM_SerializeResults(benchmark::State& state) {
   static const std::unique_ptr<xml::Document> doc =
       BenchDoc(datagen::Dataset::kD5Dblp, 1.0);
@@ -62,8 +70,9 @@ void BM_SerializeResults(benchmark::State& state) {
       nav.EvaluatePath(xpath::ParsePath(query).MoveValue()).MoveValue();
   size_t bytes = 0;
   for (auto _ : state) {
-    std::string out;
-    for (xml::NodeId n : nodes) xml::AppendSubtree(*doc, n, &out);
+    engine::ResultBuilder builder(doc.get());
+    for (xml::NodeId n : nodes) builder.CopyNode(n);
+    std::string out = builder.ToXml().MoveValue();
     bytes = out.size();
     benchmark::DoNotOptimize(out);
   }
@@ -73,6 +82,58 @@ void BM_SerializeResults(benchmark::State& state) {
                           static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_SerializeResults)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// A d5 (scale 1.0) image written with its .btsi sidecar and opened mapped,
+/// as the service opens an indexed disk corpus. The files are unlinked once
+/// open: the mapping and the loaded index outlive them.
+const storage::DiskStore& MappedD5() {
+  static const std::unique_ptr<storage::DiskStore> store = [] {
+    auto doc = BenchDoc(datagen::Dataset::kD5Dblp, 1.0);
+    const std::string path = "bench_micro_tmp_d5.btsx2";
+    const std::string sidecar = index::BtsiSidecarPath(path);
+    Status st = storage::WriteBtsx2(*doc, path);
+    if (st.ok()) {
+      st = index::WriteBtsi(*index::StructuralIndex::Build(*doc), sidecar);
+    }
+    auto opened = storage::DiskStore::Open(path);
+    std::remove(path.c_str());
+    std::remove(sidecar.c_str());
+    if (!st.ok() || !opened.ok() || (*opened)->index() == nullptr) {
+      std::fprintf(stderr, "mapped d5 image: %s\n",
+                   (st.ok() ? opened.status() : st).ToString().c_str());
+      std::abort();
+    }
+    return opened.MoveValue();
+  }();
+  return *store;
+}
+
+// The drain alone of two broad reads as an indexed disk corpus runs them:
+// plans over MappedD5() with its index (both NoKs seek), drained by
+// opt::DrainPathPlan. Planning is outside the timed region. Arg 0 is
+// //article/title, arg 1 //inproceedings[ee]/booktitle.
+void BM_SeekDrain(benchmark::State& state) {
+  const storage::DiskStore& store = MappedD5();
+  const char* query = state.range(0) == 0 ? "//article/title"
+                                          : "//inproceedings[ee]/booktitle";
+  auto tree =
+      pattern::BuildFromPath(xpath::ParsePath(query).MoveValue()).MoveValue();
+  opt::PlanOptions po;
+  po.store = &store;
+  po.index = store.index();
+  size_t results = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto plan = opt::PlanQuery(store.document(), &tree, po).MoveValue();
+    state.ResumeTiming();
+    auto nodes = opt::DrainPathPlan(&plan, po).MoveValue();
+    results = nodes.size();
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.SetLabel(std::string(query) + ", " + std::to_string(results) +
+                 " results");
+}
+BENCHMARK(BM_SeekDrain)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_NokScan(benchmark::State& state) {
   auto doc = BenchDoc(datagen::Dataset::kD5Dblp, 0.05);

@@ -1,12 +1,12 @@
 #include "engine/construct.h"
 
 #include "util/strings.h"
-#include "xml/serializer.h"
 
 namespace blossomtree {
 namespace engine {
 
-ResultBuilder::ResultBuilder(const xml::Document* source) : source_(source) {}
+ResultBuilder::ResultBuilder(const xml::Document* source)
+    : writer_(source) {}
 
 void ResultBuilder::CloseStartTag() {
   if (!start_tag_open_) return;
@@ -68,7 +68,7 @@ Status ResultBuilder::Construct(
 
 void ResultBuilder::CopyNode(xml::NodeId n) {
   CloseStartTag();
-  xml::AppendSubtree(*source_, n, &out_);
+  writer_.Append(n, &out_);
 }
 
 Result<std::string> ResultBuilder::ToXml() {

@@ -9,6 +9,7 @@
 #include "flwor/ast.h"
 #include "util/status.h"
 #include "xml/document.h"
+#include "xml/serializer.h"
 
 namespace blossomtree {
 namespace engine {
@@ -45,7 +46,8 @@ class ResultBuilder {
   /// Ends a start tag still open for attributes: its element has content.
   void CloseStartTag();
 
-  const xml::Document* source_;
+  /// One serialization walk for every copied node of the result.
+  xml::SubtreeWriter writer_;
   std::string out_;
   std::vector<std::string_view> open_;  // Names of the open elements.
   bool start_tag_open_ = false;

@@ -30,8 +30,12 @@ NokMatcher::NokMatcher(const xml::Document* doc,
     local_of[v] = static_cast<uint32_t>(locals_.size());
     LocalVertex lv;
     lv.vertex = v;
-    // Resolve the tag test once: the per-child test is then an id compare.
     const pattern::Vertex& vx = tree->vertex(v);
+    lv.position = vx.position;
+    lv.mode = vx.mode;
+    lv.returning = vx.returning;
+    lv.axis = vx.axis;
+    // Resolve the tag test once: the per-child test is then an id compare.
     if (vx.IsVirtualRoot()) {
       lv.test = TagTest::kVirtualRoot;
     } else if (vx.MatchesAnyTag()) {
@@ -58,8 +62,7 @@ NokMatcher::NokMatcher(const xml::Document* doc,
   // parents, so iterate in reverse).
   for (size_t i = locals_.size(); i-- > 0;) {
     LocalVertex& lv = locals_[i];
-    const pattern::Vertex& vx = tree->vertex(lv.vertex);
-    if (vx.returning) {
+    if (lv.returning) {
       lv.next_slots.push_back(tree->SlotOfVertex(lv.vertex));
     } else {
       for (uint32_t c : lv.local_children) {
@@ -68,7 +71,7 @@ NokMatcher::NokMatcher(const xml::Document* doc,
                              locals_[c].next_slots.end());
       }
     }
-    if (vx.returning) {
+    if (lv.returning) {
       // Map each child-contributed slot to its index in the global child
       // layout of this vertex's slot.
       SlotId my_slot = tree->SlotOfVertex(lv.vertex);
@@ -102,24 +105,22 @@ bool NokMatcher::TagOk(const LocalVertex& lv, xml::NodeId x) const {
   return lv.tag != xml::kNullTag && doc_->Tag(x) == lv.tag;
 }
 
-bool NokMatcher::ConstraintsOk(const LocalVertex& lv, xml::NodeId x) {
-  if (!TagOk(lv, x)) return false;
+bool NokMatcher::ValueOk(const LocalVertex& lv, xml::NodeId x) {
   if (!lv.value || x == kVirtualRootNode) return true;
   ++value_tests_;
   return lv.value->MatchesNode(*doc_, x);
 }
 
 bool NokMatcher::RootTest(xml::NodeId x) {
-  return ConstraintsOk(locals_[0], x);
+  return TagOk(locals_[0], x) && ValueOk(locals_[0], x);
 }
 
 bool NokMatcher::MatchAt(xml::NodeId x, nestedlist::Arena* out) {
   // Positional predicate on the NoK root (e.g. //book[2] after the cut):
   // positions count among same-parent siblings matching the tag test.
-  const pattern::Vertex& root = tree_->vertex(locals_[0].vertex);
-  if (root.position > 0 && x != kVirtualRootNode) {
-    if (xml::SiblingRank(*doc_, x, root.tag) !=
-        static_cast<uint32_t>(root.position)) {
+  if (locals_[0].position > 0 && x != kVirtualRootNode) {
+    if (xml::SiblingRank(*doc_, x, tree_->vertex(locals_[0].vertex).tag) !=
+        static_cast<uint32_t>(locals_[0].position)) {
       return false;
     }
   }
@@ -161,8 +162,18 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
     return false;
   }
   LocalVertex& lv = locals_[local_index];
-  if (!ConstraintsOk(lv, x)) return false;
-  const pattern::Vertex& vx = tree_->vertex(lv.vertex);
+  // The root's tests are MatchAt's precondition and a child's tag test
+  // passed in its parent's try_child: only a child's value test is left.
+  if (local_index != 0 && !ValueOk(lv, x)) return false;
+  if (lv.local_children.empty()) {
+    // A leaf accumulates nothing. A returning one still places an empty
+    // group per child slot: slots past a cut //-edge, which a join fills.
+    if (lv.returning) {
+      dst[0].push_back(lv.num_child_slots == 0 ? arena_->PlaceEntry(x, {})
+                                               : CloseEntry(lv, x));
+    }
+    return true;
+  }
 
   // Accumulate matches per local child (each child contributes a fixed
   // number of slot groups). Attribute children are constraints evaluated
@@ -176,12 +187,11 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
 
   auto try_child = [&](size_t k, xml::NodeId u) {
     const LocalVertex& s = locals_[lv.local_children[k]];
-    const pattern::Vertex& sv = tree_->vertex(s.vertex);
     ++match_work_;
     if (!TagOk(s, u)) return;
-    if (sv.position > 0) {
+    if (s.position > 0) {
       ++lv.tag_count[k];
-      if (lv.tag_count[k] != sv.position) return;
+      if (lv.tag_count[k] != s.position) return;
     }
     if (!MatchVertex(lv.local_children[k], u,
                      lv.acc.data() + lv.acc_begin[k])) {
@@ -192,7 +202,6 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
 
   for (size_t k = 0; k < n_children; ++k) {
     const LocalVertex& s = locals_[lv.local_children[k]];
-    const pattern::Vertex& sv = tree_->vertex(s.vertex);
     if (s.test == TagTest::kAttribute) {
       // Attribute constraint: check presence (and value) on x itself.
       std::string_view value;
@@ -201,7 +210,7 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
         if (s.value) ++value_tests_;
         if (!s.value || s.value->Matches(value)) {
           lv.matched[k] = 1;
-          if (sv.returning) {
+          if (s.returning) {
             // Attribute matches surface their owner element.
             lv.acc[lv.acc_begin[k]].push_back(CloseEntry(s, x));
           }
@@ -209,7 +218,7 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
       }
       continue;
     }
-    if (sv.axis == xpath::Axis::kFollowingSibling) {
+    if (s.axis == xpath::Axis::kFollowingSibling) {
       if (x == kVirtualRootNode) continue;
       for (xml::NodeId u = doc_->NextSibling(x); u != xml::kNullNode;
            u = doc_->NextSibling(u)) {
@@ -231,16 +240,15 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
   // Mandatory (f-mode) children must have matched (Algorithm 2 line 21:
   // unmatched pattern nodes invalidate the partial result).
   for (size_t k = 0; k < n_children; ++k) {
-    const pattern::Vertex& sv =
-        tree_->vertex(locals_[lv.local_children[k]].vertex);
-    if (sv.mode == EdgeMode::kFor && !lv.matched[k]) {
+    if (locals_[lv.local_children[k]].mode == EdgeMode::kFor &&
+        !lv.matched[k]) {
       arena_->Truncate(undo);
       return false;
     }
   }
 
   // Hand this vertex's contribution up.
-  if (vx.returning) {
+  if (lv.returning) {
     dst[0].push_back(CloseEntry(lv, x));
   } else {
     for (size_t f = 0; f < lv.acc.size(); ++f) {

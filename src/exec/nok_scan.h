@@ -44,10 +44,15 @@ class NokMatcher {
   /// \brief Attempts to match the NoK rooted at `x` (kVirtualRootNode for a
   /// "~"-rooted NoK). On success appends one row to `out` and returns true;
   /// on failure `out` is left as it was.
+  ///
+  /// Precondition: RootTest(x) passed. MatchAt does not repeat the root's
+  /// tag and value tests, so each candidate's root literal is compared (and
+  /// counted) once. A "~" root carries no value test, so kVirtualRootNode
+  /// needs no RootTest.
   bool MatchAt(xml::NodeId x, nestedlist::Arena* out);
 
-  /// \brief True if `x` can possibly match the NoK root (tag + value test);
-  /// the scan driver uses this as a cheap prefilter.
+  /// \brief True if `x` can possibly match the NoK root (tag + value test):
+  /// every driver calls it before MatchAt (see there).
   bool RootTest(xml::NodeId x);
 
   /// \brief Pattern-vertex/node constraint checks performed so far, value
@@ -71,6 +76,11 @@ class NokMatcher {
 
   struct LocalVertex {
     pattern::VertexId vertex;
+    // The pattern vertex's fields a match reads, copied at construction.
+    long long position = 0;
+    pattern::EdgeMode mode = pattern::EdgeMode::kFor;
+    bool returning = false;
+    xpath::Axis axis = xpath::Axis::kChild;
     TagTest test = TagTest::kTag;
     xml::TagId tag = xml::kNullTag;
     std::string attribute;  ///< kAttribute: the name without "@".
@@ -97,10 +107,12 @@ class NokMatcher {
   };
 
   bool TagOk(const LocalVertex& lv, xml::NodeId x) const;
-  bool ConstraintsOk(const LocalVertex& lv, xml::NodeId x);
-  /// Matches local vertex `local_index` at `x`. On success appends its
-  /// contribution to dst[0 .. next_slots.size()); on failure writes
-  /// nothing and leaves the arena as it found it.
+  /// The value test alone (counted as a comparison); "~" has none.
+  bool ValueOk(const LocalVertex& lv, xml::NodeId x);
+  /// Matches local vertex `local_index` at `x`, whose tag and value tests
+  /// the caller has passed. On success appends its contribution to
+  /// dst[0 .. next_slots.size()); on failure writes nothing and leaves the
+  /// arena as it found it.
   bool MatchVertex(uint32_t local_index, xml::NodeId x,
                    std::vector<nestedlist::Entry>* dst);
   /// Places `lv`'s accumulated child groups and returns its entry for `x`.

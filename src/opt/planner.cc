@@ -1,6 +1,7 @@
 #include "opt/planner.h"
 
 #include <algorithm>
+#include <functional>
 #include <span>
 #include <unordered_set>
 
@@ -535,8 +536,14 @@ Result<std::vector<xml::NodeId>> DrainPathPlan(QueryPlan* plan,
   if (options.guard != nullptr && options.guard->Tripped()) {
     return options.guard->status();
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  // Projections of a document-ordered stream are already ascending and
+  // distinct (Theorem 1) unless matches nest, as on recursive documents:
+  // one pass checks, and only an out-of-order pair pays for sort + dedup.
+  if (std::adjacent_find(out.begin(), out.end(), std::greater_equal<>()) !=
+      out.end()) {
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
   return out;
 }
 

@@ -83,6 +83,35 @@ bool ResourceGuard::ChargeCells(uint64_t cells, uint64_t bytes) {
   return true;
 }
 
+namespace {
+
+/// Adds `amount` to `counter` if the sum stays within `limit`.
+bool AddWithin(std::atomic<uint64_t>* counter, uint64_t amount,
+               uint64_t limit) {
+  if (limit == QueryLimits::kUnlimited) {
+    counter->fetch_add(amount, std::memory_order_relaxed);
+    return true;
+  }
+  uint64_t cur = counter->load(std::memory_order_relaxed);
+  do {
+    if (cur > limit || amount > limit - cur) return false;
+  } while (!counter->compare_exchange_weak(cur, cur + amount,
+                                           std::memory_order_relaxed));
+  return true;
+}
+
+}  // namespace
+
+bool ResourceGuard::TryChargeCells(uint64_t cells, uint64_t bytes) {
+  if (Tripped()) return false;
+  if (!AddWithin(&cells_, cells, limits_.max_nl_cells)) return false;
+  if (!AddWithin(&bytes_, bytes, limits_.max_nl_bytes)) {
+    cells_.fetch_sub(cells, std::memory_order_relaxed);
+    return false;
+  }
+  return true;
+}
+
 bool ResourceGuard::ChargeRows(uint64_t rows) {
   if (Tripped()) return false;
   if (limits_.max_result_rows != QueryLimits::kUnlimited) {

@@ -120,6 +120,14 @@ class ResourceGuard {
   /// against the budgets. Returns false (and trips) when over budget.
   bool ChargeCells(uint64_t cells, uint64_t bytes);
 
+  /// \brief All-or-nothing ChargeCells for a batch of rows: charges both
+  /// totals and returns true when each fits its budget, else charges
+  /// nothing, leaves the guard untripped and returns false (also once
+  /// tripped). One call replaces a per-row ChargeCells loop whenever the
+  /// whole batch fits; on false the caller charges row by row to find the
+  /// row that trips.
+  bool TryChargeCells(uint64_t cells, uint64_t bytes);
+
   /// \brief Charges emitted result rows. Returns false when over budget.
   bool ChargeRows(uint64_t rows);
 

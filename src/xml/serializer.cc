@@ -10,14 +10,6 @@ namespace xml {
 
 namespace {
 
-/// An element whose end tag is still due: the walk emits it once it passes
-/// `end`, the element's SubtreeEnd.
-struct OpenElement {
-  NodeId end;
-  TagId tag;
-  bool block;  ///< Element-only content: each child on its own line.
-};
-
 /// Whether `n`, an element with children, holds element-only content. Only
 /// that content is indented: injected whitespace around a text child would
 /// become part of the element's text on re-parse.
@@ -35,39 +27,60 @@ void NewLine(size_t depth, std::string* out) {
 
 }  // namespace
 
-void AppendSubtree(const Document& doc, NodeId root, std::string* out,
-                   const SerializeOptions& opts) {
+void SubtreeWriter::SeekOwner(NodeId n) {
+  const ExternalAttrOwner* owners = doc_->Layout().attr_owners;
+  const size_t count = doc_->Layout().num_attr_owners;
+  auto before = [](const ExternalAttrOwner& o, NodeId node) {
+    return o.node < node;
+  };
+  if (owner_ > 0 && owners[owner_ - 1].node >= n) {
+    // `n` precedes the cursor: search the owners behind it.
+    owner_ = std::lower_bound(owners, owners + owner_, n, before) - owners;
+    return;
+  }
+  // Gallop forward: the next root is usually a few owners on.
+  const size_t left = count - owner_;
+  size_t bound = 1;
+  while (bound <= left && owners[owner_ + bound - 1].node < n) bound *= 2;
+  owner_ = std::lower_bound(owners + owner_ + bound / 2,
+                            owners + owner_ + std::min(bound, left), n,
+                            before) -
+           owners;
+}
+
+void SubtreeWriter::Close(std::string* out) {
+  const OpenElement& e = open_.back();
+  if (e.block) NewLine(open_.size() - 1, out);
+  out->append("</");
+  out->append(doc_->tags().Name(e.tag));
+  out->push_back('>');
+  open_.pop_back();
+}
+
+void SubtreeWriter::Append(NodeId root, std::string* out) {
+  const Document& doc = *doc_;
   const ExternalLayout& layout = doc.Layout();
   const char* pool = layout.text_pool;
-  // Attribute owners are sorted by node and the walk visits ids in
-  // ascending order, so one cursor, placed once, finds every owner.
-  const ExternalAttrOwner* owner = layout.attr_owners;
-  const ExternalAttrOwner* owners_end = owner + layout.num_attr_owners;
-  owner = std::lower_bound(
-      owner, owners_end, root,
-      [](const ExternalAttrOwner& o, NodeId node) { return o.node < node; });
-  std::vector<OpenElement> open;
-  auto close = [&] {
-    const OpenElement& e = open.back();
-    if (e.block) NewLine(open.size() - 1, out);
-    out->append("</");
-    out->append(doc.tags().Name(e.tag));
-    out->push_back('>');
-    open.pop_back();
-  };
+  SeekOwner(root);
   const NodeId last = doc.SubtreeEnd(root);
   for (NodeId n = root; n <= last; ++n) {
-    while (!open.empty() && open.back().end < n) close();
-    if (!open.empty() && open.back().block) NewLine(open.size(), out);
+    while (!open_.empty() && open_.back().end < n) Close(out);
+    if (!open_.empty() && open_.back().block) NewLine(open_.size(), out);
     if (!doc.IsElement(n)) {
       AppendXmlEscaped(doc.Text(n), out);
       continue;
     }
     out->push_back('<');
     out->append(doc.TagName(n));
-    while (owner != owners_end && owner->node < n) ++owner;
-    if (owner != owners_end && owner->node == n) {
-      for (uint32_t i = owner->first; i < owner->last; ++i) {
+    // The walk visits ids in ascending order, so the cursor only advances.
+    while (owner_ < layout.num_attr_owners &&
+           layout.attr_owners[owner_].node < n) {
+      ++owner_;
+    }
+    if (owner_ < layout.num_attr_owners &&
+        layout.attr_owners[owner_].node == n) {
+      const ExternalAttrOwner& owner = layout.attr_owners[owner_];
+      for (uint32_t i = owner.first; i < owner.last; ++i) {
         const Attribute& a = layout.attrs[i];
         out->push_back(' ');
         out->append(pool + a.name_offset, a.name_len);
@@ -82,9 +95,14 @@ void AppendSubtree(const Document& doc, NodeId root, std::string* out,
       continue;
     }
     out->push_back('>');
-    open.push_back({end, doc.Tag(n), opts.indent && ElementOnly(doc, n)});
+    open_.push_back({end, doc.Tag(n), options_.indent && ElementOnly(doc, n)});
   }
-  while (!open.empty()) close();
+  while (!open_.empty()) Close(out);
+}
+
+void AppendSubtree(const Document& doc, NodeId n, std::string* out,
+                   const SerializeOptions& options) {
+  SubtreeWriter(&doc, options).Append(n, out);
 }
 
 std::string SerializeSubtree(const Document& doc, NodeId n,

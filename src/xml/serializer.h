@@ -2,6 +2,7 @@
 #define BLOSSOMTREE_XML_SERIALIZER_H_
 
 #include <string>
+#include <vector>
 
 #include "xml/document.h"
 
@@ -14,11 +15,48 @@ struct SerializeOptions {
   bool indent = false;
 };
 
-/// \brief Appends the subtree rooted at `n` to `out` as XML text: one walk
-/// over the ids n..SubtreeEnd(n) in document order, with end tags due on an
-/// explicit stack of open elements, so document depth never grows the call
-/// stack and pathologically deep documents serialize instead of overflowing.
-/// Text and attribute values are escaped straight into `out`.
+/// \brief The serialization walk, kept across the subtrees of one result.
+/// Append(n) walks the ids n..SubtreeEnd(n) in document order, with end
+/// tags due on an explicit stack of open elements, so document depth never
+/// grows the call stack and pathologically deep documents serialize instead
+/// of overflowing. Text and attribute values are escaped straight into the
+/// output. The stack's storage and a cursor into the document's attribute
+/// owners (sorted by node) carry over from one Append to the next: roots in
+/// ascending order move the cursor forward only, and a root before it
+/// (nested roots, a descending `order by`) re-seeks it. The document must
+/// outlive the writer.
+class SubtreeWriter {
+ public:
+  explicit SubtreeWriter(const Document* doc,
+                         const SerializeOptions& options = {})
+      : doc_(doc), options_(options) {}
+
+  /// \brief Appends the subtree rooted at `n` to `out` as XML text.
+  void Append(NodeId n, std::string* out);
+
+ private:
+  /// An element whose end tag is still due: the walk emits it once it
+  /// passes `end`, the element's SubtreeEnd.
+  struct OpenElement {
+    NodeId end;
+    TagId tag;
+    bool block;  ///< Element-only content: each child on its own line.
+  };
+
+  /// Points owner_ at the first attribute owner at or after `n`.
+  void SeekOwner(NodeId n);
+  void Close(std::string* out);
+
+  const Document* doc_;
+  SerializeOptions options_;
+  std::vector<OpenElement> open_;
+  /// Cursor into the attribute owners: every owner before it precedes the
+  /// walk's position.
+  size_t owner_ = 0;
+};
+
+/// \brief Appends the subtree rooted at `n` to `out` as XML text: a
+/// one-shot SubtreeWriter.
 void AppendSubtree(const Document& doc, NodeId n, std::string* out,
                    const SerializeOptions& options = {});
 

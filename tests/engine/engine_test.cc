@@ -366,6 +366,41 @@ TEST(EngineTest, PinnedRecursiveEmbeddingsBindOnce) {
                     "<n><k>1</k></n><n><k>1</k></n>");
 }
 
+// Both engines copy result nodes through ResultBuilder's one serializer
+// walk, whose attribute-owner cursor carries over from node to node. The
+// three cases below move it backwards or skip it forward.
+
+// Nested result roots: each inner a is copied again after the outer a's
+// walk passed it. In the second document an attribute owner (c) follows
+// the inner a inside the outer one, so the cursor must seek back.
+TEST(EngineTest, PinnedNestedRootsWithAttributes) {
+  ExpectPinnedBytes(
+      R"(<r><a k="1"><b/><a k="2">t&amp;</a></a><a k="3"/></r>)", "//a",
+      R"(<a k="1"><b/><a k="2">t&amp;</a></a><a k="2">t&amp;</a>)"
+      R"(<a k="3"/>)");
+  ExpectPinnedBytes(R"(<r><a k="1"><a k="2"/><c j="x"/></a></r>)", "//a",
+                    R"(<a k="1"><a k="2"/><c j="x"/></a><a k="2"/>)");
+}
+
+// A descending order by copies the p's backwards, each past the attribute
+// owners of the one copied before it.
+TEST(EngineTest, PinnedDescendingCopiesPastAttributeOwners) {
+  ExpectPinnedBytes(
+      R"(<r><p id="1"><q x="a"/></p><p id="2"><q x="b"/>v</p><p id="3"/></r>)",
+      "for $p in //p order by $p/@id descending return $p",
+      R"(<p id="3"/><p id="2"><q x="b"/>v</p><p id="1"><q x="a"/></p>)");
+}
+
+// The first result root follows some attribute owners: the cursor skips
+// them, and attaches no owner to a root that has none.
+TEST(EngineTest, PinnedFirstRootAfterAttributeOwners) {
+  const char* xml =
+      R"(<r><s a="1"/><s a="2"><t/></s><u><v w="x">y</v></u><v w="z"/></r>)";
+  ExpectPinnedBytes(xml, "//t", "<t/>");
+  ExpectPinnedBytes(xml, "//u", R"(<u><v w="x">y</v></u>)");
+  ExpectPinnedBytes(xml, "//v", R"(<v w="x">y</v><v w="z"/>)");
+}
+
 /// Checks that the engine answers path `query` with the bytes of
 /// `PathEvaluator`'s nodes, and plans it as a BlossomTree iff `planned`
 /// (else it takes the navigational fallback).

@@ -29,6 +29,7 @@
 #include "exec/exec_stats.h"
 #include "exec/nok_scan.h"
 #include "exec/result_cache.h"
+#include "index/structural_index.h"
 #include "opt/planner.h"
 #include "pattern/builder.h"
 #include "pattern/decompose.h"
@@ -311,26 +312,39 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
   // every tested batch size. The audit invariant: matches/nl_cells must
   // equal the rows/cells the consumer received — the row that tripped the
   // budget was never delivered, so it must not be counted. Inputs: the
-  // separate-scan //a//b plan, the same plan over the merged pass, and a
-  // virtual-root path (one row, from the "~"-rooted NoK).
-  auto doc = xml::ParseDocument(
-                 "<r><a><b/></a><a><b/><b/></a><a/><a><b/></a><a><b/><b/>"
-                 "<b/></a><a><b/></a><a><b/></a><a><b/><b/></a></r>")
-                 .MoveValue();
+  // separate-scan //a//b plan, the same plan over the merged pass, the
+  // same plan over a structural index (both sides seek, as broad reads on
+  // an indexed corpus do), and a virtual-root path (one row, from the
+  // "~"-rooted NoK). The sweep also audits GetNextBatch's per-row fallback:
+  // a batch that fits the budget is charged in one call, and only a batch
+  // that crosses it is cut row by row.
+  std::string text = "<r>";
+  // Filler makes the a/b postings selective enough for the planner to seek.
+  for (int i = 0; i < 64; ++i) text += "<z/>";
+  text +=
+      "<a><b/></a><a><b/><b/></a><a/><a><b/></a><a><b/><b/><b/></a><a><b/>"
+      "</a><a><b/></a><a><b/><b/></a></r>";
+  auto doc = xml::ParseDocument(text).MoveValue();
+  const std::unique_ptr<index::StructuralIndex> idx =
+      index::StructuralIndex::Build(*doc);
   struct Input {
     const char* query;
     bool merge_nok_scans;
+    bool seek;
   };
-  for (const Input& in : {Input{"//a//b", false}, Input{"//a//b", true},
-                          Input{"/r/a//b", false}}) {
+  for (const Input& in :
+       {Input{"//a//b", false, false}, Input{"//a//b", true, false},
+        Input{"//a//b", false, true}, Input{"/r/a//b", false, false}}) {
     SCOPED_TRACE(std::string(in.query) +
-                 (in.merge_nok_scans ? " (merged)" : ""));
+                 (in.merge_nok_scans ? " (merged)" : "") +
+                 (in.seek ? " (index seek)" : ""));
     auto path = xpath::ParsePath(in.query);
     auto tree = pattern::BuildFromPath(*path);
     ASSERT_TRUE(tree.ok());
     auto plan_options = [&](util::ResourceGuard* guard) {
       opt::PlanOptions po = PipelinedPlan(guard);
       po.merge_nok_scans = in.merge_nok_scans;
+      if (in.seek) po.index = idx.get();
       return po;
     };
 
@@ -341,6 +355,13 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
     unlimited.Arm();
     auto full = opt::PlanQuery(doc.get(), &*tree, plan_options(&unlimited));
     ASSERT_TRUE(full.ok());
+    if (in.seek) {
+      const std::string explain = full->Explain();
+      const size_t first = explain.find("IndexSeek(");
+      ASSERT_NE(first, std::string::npos) << explain;
+      ASSERT_NE(explain.find("IndexSeek(", first + 1), std::string::npos)
+          << explain;
+    }
     GovernedDrain total = DrainGoverned(full->trees[0].root.get(), 64);
     // A "~"-rooted plan delivers one row, so the sweep's breadth is pinned
     // on the cumulative charge rather than on the delivered rows.

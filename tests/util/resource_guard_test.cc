@@ -50,6 +50,28 @@ TEST(ResourceGuardTest, ByteBudgetTripsIndependently) {
   EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(ResourceGuardTest, TryChargeCellsCommitsOnlyWhatFits) {
+  QueryLimits limits;
+  limits.max_nl_cells = 10;
+  limits.max_nl_bytes = 320;
+  ResourceGuard guard(limits);
+  guard.Arm();
+  EXPECT_TRUE(guard.TryChargeCells(6, 192));
+  // Over the cell budget, then within it but over the byte budget: neither
+  // charges anything, and neither trips.
+  EXPECT_FALSE(guard.TryChargeCells(5, 160));
+  EXPECT_FALSE(guard.TryChargeCells(4, 160));
+  EXPECT_FALSE(guard.Tripped());
+  EXPECT_EQ(guard.CellsCharged(), 6u);
+  EXPECT_EQ(guard.BytesCharged(), 192u);
+  EXPECT_TRUE(guard.TryChargeCells(4, 128));  // Exactly at both budgets.
+  EXPECT_EQ(guard.CellsCharged(), 10u);
+  EXPECT_FALSE(guard.ChargeCells(1, 32));
+  EXPECT_TRUE(guard.Tripped());
+  // A tripped guard refuses even an empty charge.
+  EXPECT_FALSE(guard.TryChargeCells(0, 0));
+}
+
 TEST(ResourceGuardTest, RowBudgetTrips) {
   QueryLimits limits;
   limits.max_result_rows = 10;
