@@ -26,6 +26,7 @@
 #include "datagen/datagen.h"
 #include "engine/engine.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "xml/document.h"
 
 using blossomtree::Rng;
@@ -102,11 +103,15 @@ constexpr WhereLiteral kWhereLiterals[] = {
      "return <proc>{$p/title}{$p/year}</proc>"},
 };
 
-/// Evaluates `query` through a fresh uncached BlossomTree engine; an error
-/// is reported and yields nullopt.
+/// Evaluates `query` through a fresh uncached serial BlossomTree engine, as
+/// the service runs a query on its slot: a default engine would start and
+/// join a worker pool inside the timed region (printed once, separately).
+/// An error is reported and yields nullopt.
 std::optional<std::string> RunBt(const blossomtree::xml::Document& doc,
                                  const char* query) {
-  blossomtree::engine::BlossomTreeEngine engine(&doc);
+  blossomtree::engine::EngineOptions options;
+  options.num_threads = 1;
+  blossomtree::engine::BlossomTreeEngine engine(&doc, options);
   auto r = engine.EvaluateQuery(query);
   if (!r.ok()) {
     std::printf("!! BT failed on %s: %s\n", query,
@@ -148,6 +153,13 @@ int main(int argc, char** argv) {
       "navigational re-evaluation (NAV), Example-1-style query, best of %d "
       "runs\n\n",
       flags.runs);
+  const size_t pool_threads = blossomtree::util::ThreadPool::DefaultThreads();
+  const double pool_ms = BestMillis(
+      [&] { blossomtree::util::ThreadPool pool(pool_threads); }, flags.runs);
+  std::printf(
+      "BT runs serially (num_threads = 1). A default engine would first\n"
+      "start and join a %zu-thread worker pool: %.3f ms per engine.\n\n",
+      pool_threads, pool_ms);
   std::printf("%-8s | %-28s | %10s %10s | %12s\n", "#books", "query",
               "BT ms", "NAV ms", "NAV visits");
 

@@ -57,9 +57,9 @@ void BM_SerializeXml(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeXml);
 
-// Result serialization as a query's drain ends: each node of a d5 (scale
-// 1.0) result set copied through one engine::ResultBuilder, as path queries
-// write their results. Arg 0 is //article/title (many small subtrees), arg 1
+// Result serialization as a query's drain ends: a d5 (scale 1.0) result
+// set copied through one engine::ResultBuilder::CopyNodes call, as path
+// queries write their results. Arg 0 is //article/title (many small subtrees), arg 1
 // //www[//url] (record subtrees with attributes).
 void BM_SerializeResults(benchmark::State& state) {
   static const std::unique_ptr<xml::Document> doc =
@@ -71,7 +71,7 @@ void BM_SerializeResults(benchmark::State& state) {
   size_t bytes = 0;
   for (auto _ : state) {
     engine::ResultBuilder builder(doc.get());
-    for (xml::NodeId n : nodes) builder.CopyNode(n);
+    builder.CopyNodes(nodes);
     std::string out = builder.ToXml().MoveValue();
     bytes = out.size();
     benchmark::DoNotOptimize(out);
@@ -111,11 +111,13 @@ const storage::DiskStore& MappedD5() {
 // The drain alone of two broad reads as an indexed disk corpus runs them:
 // plans over MappedD5() with its index (both NoKs seek), drained by
 // opt::DrainPathPlan. Planning is outside the timed region. Arg 0 is
-// //article/title, arg 1 //inproceedings[ee]/booktitle.
+// //article/title, arg 1 //inproceedings[ee]/booktitle, arg 2 //www[//url]
+// (an existential // leaf: a probe of the url tag stream).
 void BM_SeekDrain(benchmark::State& state) {
   const storage::DiskStore& store = MappedD5();
-  const char* query = state.range(0) == 0 ? "//article/title"
-                                          : "//inproceedings[ee]/booktitle";
+  static const char* const kQueries[] = {
+      "//article/title", "//inproceedings[ee]/booktitle", "//www[//url]"};
+  const char* query = kQueries[state.range(0)];
   auto tree =
       pattern::BuildFromPath(xpath::ParsePath(query).MoveValue()).MoveValue();
   opt::PlanOptions po;
@@ -133,7 +135,7 @@ void BM_SeekDrain(benchmark::State& state) {
   state.SetLabel(std::string(query) + ", " + std::to_string(results) +
                  " results");
 }
-BENCHMARK(BM_SeekDrain)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SeekDrain)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 void BM_NokScan(benchmark::State& state) {
   auto doc = BenchDoc(datagen::Dataset::kD5Dblp, 0.05);

@@ -71,6 +71,12 @@ void ResultBuilder::CopyNode(xml::NodeId n) {
   writer_.Append(n, &out_);
 }
 
+void ResultBuilder::CopyNodes(std::span<const xml::NodeId> nodes) {
+  if (nodes.empty()) return;
+  CloseStartTag();
+  writer_.AppendAll(nodes, &out_);
+}
+
 Result<std::string> ResultBuilder::ToXml() {
   if (!open_.empty()) {
     return Status::Internal("ResultBuilder::ToXml with unclosed elements");

@@ -2,6 +2,7 @@
 #define BLOSSOMTREE_ENGINE_CONSTRUCT_H_
 
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +39,11 @@ class ResultBuilder {
 
   /// \brief Appends the subtree of source node `n` at the current position.
   void CopyNode(xml::NodeId n);
+
+  /// \brief CopyNode for each of `nodes`, in order, through one batch walk
+  /// (xml::SubtreeWriter::AppendAll). An empty `nodes` writes nothing: an
+  /// open start tag stays open, so `<n>{()}</n>` still gives `<n/>`.
+  void CopyNodes(std::span<const xml::NodeId> nodes);
 
   /// \brief Hands out the constructed top-level sequence (no wrapper).
   Result<std::string> ToXml();

@@ -224,7 +224,7 @@ Status BlossomTreeEngine::EvalExpr(const flwor::Expr& expr, Tuple tuple,
         PathEvaluator ev(doc_);
         BT_ASSIGN_OR_RETURN(nodes, ev.EvaluateWith(expr.path, tuple, {}));
       }
-      for (xml::NodeId n : nodes) out->CopyNode(n);
+      out->CopyNodes(nodes);
       return Status::OK();
     }
     case flwor::Expr::Kind::kConstructor:

@@ -33,6 +33,10 @@ void IndexSeekOperator::FillBatch(Batch* out, size_t max_rows) {
         (g->Tripped() || ((probed_ & 0x1FF) == 0x1FF && !g->Check()))) {
       break;
     }
+    if (pos_ + kPrefetchAhead < candidates_.size()) {
+      doc_->PrefetchRecords(candidates_[pos_ + kPrefetchAhead],
+                            kPrefetchLines);
+    }
     xml::NodeId x = candidates_[pos_++];
     ++probed_;
     if (store_ != nullptr) store_->Touch(x, x, &io_cursor_);

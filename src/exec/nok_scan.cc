@@ -49,6 +49,13 @@ NokMatcher::NokMatcher(const xml::Document* doc,
     if (vx.value) lv.value.emplace(vx.value->op, vx.value->literal);
     locals_.push_back(std::move(lv));
   }
+  for (const pattern::Connection& c : nok->probes) {
+    const pattern::Vertex& to = tree->vertex(c.to);
+    Probe& p = locals_[local_of[c.from]].probes.emplace_back();
+    xml::TagId t = doc->tags().Lookup(to.tag);
+    if (t != xml::kNullTag) p.stream = doc->TagIndex(t);
+    if (to.value) p.value.emplace(to.value->op, to.value->literal);
+  }
   for (LocalVertex& lv : locals_) {
     for (VertexId c : tree->vertex(lv.vertex).children) {
       if (xpath::IsLocalAxis(tree->vertex(c).axis) &&
@@ -111,6 +118,32 @@ bool NokMatcher::ValueOk(const LocalVertex& lv, xml::NodeId x) {
   return lv.value->MatchesNode(*doc_, x);
 }
 
+bool NokMatcher::ProbeOk(Probe* p, xml::NodeId x) {
+  ++match_work_;
+  const xml::NodeId* s = p->stream.data();
+  const size_t n = p->stream.size();
+  if (x < p->last) {
+    // x went back (a nested match, a rewound scan): search behind.
+    p->next = std::upper_bound(s, s + p->next, x) - s;
+  } else {
+    // Gallop forward: the next candidate is usually a few entries on.
+    const size_t left = n - p->next;
+    size_t bound = 1;
+    while (bound <= left && s[p->next + bound - 1] <= x) bound *= 2;
+    p->next = std::upper_bound(s + p->next + bound / 2,
+                               s + p->next + std::min(bound, left), x) -
+              s;
+  }
+  p->last = x;
+  const xml::NodeId end = doc_->SubtreeEnd(x);
+  if (!p->value) return p->next < n && s[p->next] <= end;
+  for (size_t i = p->next; i < n && s[i] <= end; ++i) {
+    ++value_tests_;
+    if (p->value->MatchesNode(*doc_, s[i])) return true;
+  }
+  return false;
+}
+
 bool NokMatcher::RootTest(xml::NodeId x) {
   return TagOk(locals_[0], x) && ValueOk(locals_[0], x);
 }
@@ -165,6 +198,9 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
   // The root's tests are MatchAt's precondition and a child's tag test
   // passed in its parent's try_child: only a child's value test is left.
   if (local_index != 0 && !ValueOk(lv, x)) return false;
+  for (Probe& p : lv.probes) {
+    if (!ProbeOk(&p, x)) return false;
+  }
   if (lv.local_children.empty()) {
     // A leaf accumulates nothing. A returning one still places an empty
     // group per child slot: slots past a cut //-edge, which a join fills.
@@ -380,7 +416,12 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
       candidates.clear();
       GatherCandidates(x, chunk_end, io, &candidates);
       *scanned += chunk_end - x + 1;
-      for (xml::NodeId c : candidates) {
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        if (i + kPrefetchAhead < candidates.size()) {
+          doc_->PrefetchRecords(candidates[i + kPrefetchAhead],
+                                kPrefetchLines);
+        }
+        const xml::NodeId c = candidates[i];
         if (m->RootTest(c)) m->MatchAt(c, out);
         if (g != nullptr && g->Tripped()) return false;
       }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,13 @@ namespace exec {
 /// \brief Sentinel NodeId for the virtual document root "~" (the node above
 /// the root element that anchors absolute paths).
 constexpr xml::NodeId kVirtualRootNode = static_cast<xml::NodeId>(-2);
+
+/// \brief The candidate loops of the index seek and the scan know their
+/// candidate ids in advance: each prefetches the first kPrefetchLines cache
+/// lines of the record run of the candidate kPrefetchAhead places on, so
+/// the matcher's misses overlap (DESIGN.md §16).
+constexpr size_t kPrefetchAhead = 8;
+constexpr int kPrefetchLines = 4;
 
 /// \brief NoK pattern-tree matcher (paper Algorithm 2): matches one NoK
 /// pattern tree (local axes only) against the subtree rooted at a given
@@ -74,6 +82,18 @@ class NokMatcher {
     kAttribute,    ///< "@name": a constraint on the parent's node.
   };
 
+  /// A `//` leaf the planner turned into a test on its parent's node (a
+  /// pattern::NokTree probe): some `tag` element after x and at most
+  /// SubtreeEnd(x) (meeting `value`, if set) must exist. The cursor
+  /// `next` is the upper bound of the last x tested in the tag stream:
+  /// it gallops forward while x ascends and re-seeks when x goes back.
+  struct Probe {
+    std::span<const xml::NodeId> stream;  ///< TagIndex(tag); empty if absent.
+    std::optional<LiteralTest> value;
+    size_t next = 0;
+    xml::NodeId last = 0;
+  };
+
   struct LocalVertex {
     pattern::VertexId vertex;
     // The pattern vertex's fields a match reads, copied at construction.
@@ -90,6 +110,7 @@ class NokMatcher {
     /// Slots this vertex contributes upward: [slot(v)] if returning, else
     /// the concatenation over local children.
     std::vector<pattern::SlotId> next_slots;
+    std::vector<Probe> probes;
     /// For returning vertices: for each local child's next slot, its index
     /// within slot(v).children (global child-slot layout).
     std::vector<size_t> child_slot_index;
@@ -109,6 +130,8 @@ class NokMatcher {
   bool TagOk(const LocalVertex& lv, xml::NodeId x) const;
   /// The value test alone (counted as a comparison); "~" has none.
   bool ValueOk(const LocalVertex& lv, xml::NodeId x);
+  /// Probe `p` at `x` (one comparison, plus one per value test).
+  bool ProbeOk(Probe* p, xml::NodeId x);
   /// Matches local vertex `local_index` at `x`, whose tag and value tests
   /// the caller has passed. On success appends its contribution to
   /// dst[0 .. next_slots.size()); on failure writes nothing and leaves the

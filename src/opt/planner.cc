@@ -41,6 +41,40 @@ bool IsTrivialRootNok(const pattern::BlossomTree& tree,
   return nok.vertices.size() == 1 && tree.vertex(nok.root).IsVirtualRoot();
 }
 
+/// True when connection `c` is an existential `//` leaf: `c.to` is a bare,
+/// unbound, mandatory element leaf (its value constraint allowed), so the
+/// join only asks whether some match lies under each `c.from` — a question
+/// the matcher answers on `c.to`'s tag stream (NokTree::probes).
+bool ProbeEligible(const pattern::BlossomTree& tree, const Connection& c) {
+  const pattern::Vertex& from = tree.vertex(c.from);
+  const pattern::Vertex& to = tree.vertex(c.to);
+  if (from.IsVirtualRoot() || from.tag.empty() || from.tag[0] == '@') {
+    return false;
+  }
+  if (!to.children.empty() || c.mode != pattern::EdgeMode::kFor ||
+      to.position > 0) {
+    return false;
+  }
+  if (to.tag.empty() || to.tag[0] == '@' || to.MatchesAnyTag()) return false;
+  if (!to.variable.empty() || to.var_slot != xpath::kNoVarSlot) return false;
+  for (const pattern::CrossEdge& e : tree.cross_edges()) {
+    if (e.left == c.to || e.right == c.to) return false;
+  }
+  return true;
+}
+
+/// Moves every eligible connection of `d` onto its `from` NoK as a probe;
+/// marks in `probed` the NoKs that leaves unreachable (the probes' `to`).
+void FoldProbes(const pattern::BlossomTree& tree, Decomposition* d,
+                std::vector<bool>* probed) {
+  std::erase_if(d->connections, [&](const Connection& c) {
+    if (!ProbeEligible(tree, c)) return false;
+    d->noks[d->NokOf(c.from)].probes.push_back(c);
+    (*probed)[d->NokOf(c.to)] = true;
+    return true;
+  });
+}
+
 /// NoK-local cardinality estimate: EstimateVertexMatches restricted to the
 /// NoK's own vertices — a bare scan does not enforce the //-connected
 /// subtrees hanging off the NoK, so those children must not filter here.
@@ -91,10 +125,12 @@ struct NokAccessPath {
 /// a structural *proof* of emptiness.
 std::vector<NokAccessPath> ChooseAccessPaths(
     const xml::Document* doc, const pattern::BlossomTree* tree,
-    const Decomposition& d, const index::StructuralIndex* index) {
+    const Decomposition& d, const std::vector<bool>& probed,
+    const index::StructuralIndex* index) {
   std::vector<NokAccessPath> out(d.noks.size());
   if (index == nullptr || !index->Matches(*doc)) return out;
   for (size_t i = 0; i < d.noks.size(); ++i) {
+    if (probed[i]) continue;  // A probe's tag stream: never scanned.
     const pattern::NokTree& nok = d.noks[i];
     const pattern::Vertex& root = tree->vertex(nok.root);
     NokAccessPath& ap = out[i];
@@ -109,6 +145,13 @@ std::vector<NokAccessPath> ChooseAccessPaths(
       ap.detail = "guide: no such path";
       continue;
     }
+    for (const Connection& c : nok.probes) {
+      if (doc->tags().Lookup(tree->vertex(c.to).tag) == xml::kNullTag) {
+        ap.kind = NokAccessPath::Kind::kEmpty;
+        ap.detail = "probe tag absent";
+      }
+    }
+    if (ap.kind == NokAccessPath::Kind::kEmpty) continue;
     if (root.IsVirtualRoot() || root.MatchesAnyTag() || attr_root) {
       continue;  // No posting list to seek ("~" matches at most once).
     }
@@ -243,6 +286,12 @@ class TreePlanner {
       plan_->explain += "\n";
       op = std::move(scan);
     }
+    for (const Connection& c : decomp_->noks[nok_index].probes) {
+      Indent(depth);
+      plan_->explain += "DescendantProbe(" + tree_->vertex(c.from).tag +
+                        " // " + tree_->vertex(c.to).tag + ")\n";
+      if (cost_ != nullptr) est *= ProbeSelectivity(c);
+    }
     if (cost_ != nullptr) op->set_estimated_rows(est);
     for (const Connection& c : decomp_->connections) {
       if (decomp_->NokOf(c.from) != nok_index) continue;
@@ -284,19 +333,8 @@ class TreePlanner {
       }
       op->set_label(std::move(join_label));
       if (cost_ != nullptr) {
-        // A mandatory //-edge keeps the outer entries whose subtree holds
-        // an inner match (containment assumption, as in the cost model);
-        // optional edges never filter.
-        if (c.mode != pattern::EdgeMode::kLet) {
-          double n = std::max(
-              1.0, static_cast<double>(doc_->NumElements()));
-          double inner_est = cost_->EstimateVertexMatches(*tree_, c.to);
-          double scope =
-              tree_->vertex(c.from).IsVirtualRoot()
-                  ? n
-                  : cost_->AvgSubtreeSize(tree_->vertex(c.from).tag);
-          est *= std::min(1.0, inner_est * scope / n);
-        }
+        // Optional edges never filter.
+        if (c.mode != pattern::EdgeMode::kLet) est *= ProbeSelectivity(c);
         op->set_estimated_rows(est);
       }
     }
@@ -304,6 +342,17 @@ class TreePlanner {
   }
 
  private:
+  /// Share of outer entries a mandatory //-edge keeps: those whose subtree
+  /// holds an inner match (containment assumption, as in the cost model).
+  double ProbeSelectivity(const Connection& c) const {
+    double n = std::max(1.0, static_cast<double>(doc_->NumElements()));
+    double inner_est = cost_->EstimateVertexMatches(*tree_, c.to);
+    double scope = tree_->vertex(c.from).IsVirtualRoot()
+                       ? n
+                       : cost_->AvgSubtreeSize(tree_->vertex(c.from).tag);
+    return std::min(1.0, inner_est * scope / n);
+  }
+
   void Indent(int depth) {
     plan_->explain.append(static_cast<size_t>(depth) * 2, ' ');
   }
@@ -386,6 +435,15 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   // statistics (TreePlanner::Pick); forced strategies apply uniformly.
   JoinStrategy strategy = options.strategy;
 
+  // Rule: under kAuto an existential `//` leaf is a probe of its parent's
+  // NoK, not a join (DESIGN.md §14). Forced strategies keep every join, so
+  // Table 3 still measures the paper's operators. Only the plan's copy of
+  // the decomposition changes; the cached one stays Algorithm 1's.
+  std::vector<bool> probed(d.noks.size(), false);
+  if (strategy == JoinStrategy::kAuto) {
+    FoldProbes(*tree, &plan.decomposition, &probed);
+  }
+
   // Find each pattern tree's base NoK: the root NoK itself, or — when the
   // root NoK is the bare virtual root "~" connected by // — its single
   // connection target (the sequential scan subsumes the trivial //-join
@@ -419,7 +477,7 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   // emptiness proofs, decided before the merged scan so indexed NoKs never
   // join (or pay for) the eager merged pass.
   std::vector<NokAccessPath> access =
-      ChooseAccessPaths(doc, tree, d, options.index);
+      ChooseAccessPaths(doc, tree, d, probed, options.index);
 
   // Emptiness composes: a mandatory (kFor) //-edge to a provably-empty
   // inner NoK empties the join, so an empty proof anywhere below the base

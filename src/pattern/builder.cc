@@ -60,14 +60,16 @@ class Builder {
   Result<BlossomTree> Finish() {
     // Mark global-edge endpoints returning: decomposition (Algorithm 1)
     // cuts these edges, and the joins that reconnect the NoK pieces address
-    // their inputs by Dewey ID, so both endpoints need slots.
+    // their inputs by Dewey ID, so both endpoints need slots. The planner
+    // drops the trivial join below the virtual root (the scan subsumes it),
+    // so neither end of a `~//v` edge needs one: a binding or `result`
+    // still marks `v`.
     for (VertexId v = 0; v < tree_.NumVertices(); ++v) {
       const Vertex& vx = tree_.vertex(v);
-      if (vx.parent != kNoVertex && !xpath::IsLocalAxis(vx.axis)) {
+      if (vx.parent != kNoVertex && !xpath::IsLocalAxis(vx.axis) &&
+          !tree_.vertex(vx.parent).IsVirtualRoot()) {
         tree_.MarkReturning(v);
-        if (!tree_.vertex(vx.parent).IsVirtualRoot()) {
-          tree_.MarkReturning(vx.parent);
-        }
+        tree_.MarkReturning(vx.parent);
       }
     }
     for (const CrossEdge& e : tree_.cross_edges()) {

@@ -12,14 +12,6 @@ namespace pattern {
 /// \brief One NoK pattern tree: a maximal fragment of the BlossomTree whose
 /// internal edges are all *local* axes (child / following-sibling), per the
 /// hybrid approach of [22] (paper §2.1).
-struct NokTree {
-  VertexId root = kNoVertex;
-  /// All member vertices (root first, then in DFS order).
-  std::vector<VertexId> vertices;
-
-  bool Contains(VertexId v) const;
-};
-
 /// \brief A global tree edge cut by the decomposition: `from` (inside one
 /// NoK) connects to `to` (the root of another NoK) via a non-local axis.
 struct Connection {
@@ -27,6 +19,19 @@ struct Connection {
   VertexId to;
   xpath::Axis axis;   ///< Always kDescendant in the supported subset.
   EdgeMode mode;      ///< Mandatory (f) or optional (l) join semantics.
+};
+
+struct NokTree {
+  VertexId root = kNoVertex;
+  /// All member vertices (root first, then in DFS order).
+  std::vector<VertexId> vertices;
+  /// Existential `//` leaves the planner took out of the connections
+  /// (opt::PlanQuery, kAuto only): each `from` here matches only if some
+  /// `to`-tagged descendant (meeting `to`'s value constraint) exists. The
+  /// matcher tests them on the tag stream; Decompose leaves this empty.
+  std::vector<Connection> probes;
+
+  bool Contains(VertexId v) const;
 };
 
 /// \brief The result of Algorithm 1: interconnected NoK pattern trees.

@@ -56,6 +56,20 @@ void AppendVertex(const BlossomTree& tree, const NokTree& nok, VertexId v,
     if (nok.Contains(child)) AppendVertex(tree, nok, child, out);
   }
   out->push_back(')');
+  // Probes filter the NoK's matches: a probed NoK and the bare one it came
+  // from emit different streams.
+  for (const Connection& c : nok.probes) {
+    if (c.from != v) continue;
+    const Vertex& to = tree.vertex(c.to);
+    out->append("p{");
+    AppendString(to.tag, out);
+    if (to.value.has_value()) {
+      out->push_back(',');
+      out->append(xpath::CompareOpToString(to.value->op));
+      AppendString(to.value->literal, out);
+    }
+    out->push_back('}');
+  }
 }
 
 }  // namespace

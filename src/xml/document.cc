@@ -16,9 +16,6 @@ uint64_t NextGeneration() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// text_ref of an element record.
-constexpr uint32_t kNoTextRef = static_cast<uint32_t>(-1);
-
 }  // namespace
 
 TagId TagDictionary::Intern(std::string_view name) {

@@ -75,6 +75,9 @@ static_assert(sizeof(PackedNodeRecord) == 16, "on-disk record is 16 bytes");
 static_assert(std::is_trivially_copyable_v<PackedNodeRecord>,
               "records are memcpy'd out of mapped files");
 
+/// \brief PackedNodeRecord::text_ref of an element record.
+constexpr uint32_t kNoTextRef = static_cast<uint32_t>(-1);
+
 /// \brief (offset, length) of one text node's payload in the text pool;
 /// one entry per text node, indexed by PackedNodeRecord::text_ref.
 struct ExternalTextSpan {
@@ -256,6 +259,28 @@ class Document {
 
   /// \brief Text payload of a text node.
   std::string_view Text(NodeId n) const;
+
+  // -- Prefetch hints (DESIGN.md §16): they change no result -----------------
+
+  /// \brief Asks the CPU for the first `lines` cache lines of the record run
+  /// that starts at `n` (n's subtree in document order).
+  void PrefetchRecords(NodeId n, int lines) const {
+    const char* p = reinterpret_cast<const char*>(view_.records + n);
+    for (int i = 0; i < lines; ++i) __builtin_prefetch(p + 64 * i);
+  }
+
+  /// \brief Asks for text node `n`'s span, or, with `payload`, for the
+  /// first line of its bytes in the pool (which reads the span). Element
+  /// nodes are ignored. Reads n's record.
+  void PrefetchText(NodeId n, bool payload) const {
+    const uint32_t ref = view_.records[n].text_ref;
+    if (ref == kNoTextRef) return;
+    if (!payload) {
+      __builtin_prefetch(view_.text_spans + ref);
+    } else {
+      __builtin_prefetch(view_.text_pool + view_.text_spans[ref].offset);
+    }
+  }
 
   /// \brief Concatenation of all descendant text (XPath string-value).
   std::string StringValue(NodeId n) const;

@@ -57,6 +57,27 @@ void SubtreeWriter::Close(std::string* out) {
   open_.pop_back();
 }
 
+void SubtreeWriter::PrefetchFirstText(NodeId n, bool payload) const {
+  const NodeId last = doc_->SubtreeEnd(n);
+  if (last == n) return;
+  NodeId t = n + 1;
+  if (doc_->IsElement(t) && t < last) ++t;
+  doc_->PrefetchText(t, payload);
+}
+
+void SubtreeWriter::AppendAll(std::span<const NodeId> roots,
+                              std::string* out) {
+  const size_t count = roots.size();
+  for (size_t i = 0; i < count; ++i) {
+    if (i + kRecordsAhead < count) {
+      doc_->PrefetchRecords(roots[i + kRecordsAhead], 2);
+    }
+    if (i + kSpanAhead < count) PrefetchFirstText(roots[i + kSpanAhead], false);
+    if (i + kTextAhead < count) PrefetchFirstText(roots[i + kTextAhead], true);
+    Append(roots[i], out);
+  }
+}
+
 void SubtreeWriter::Append(NodeId root, std::string* out) {
   const Document& doc = *doc_;
   const ExternalLayout& layout = doc.Layout();
@@ -64,6 +85,9 @@ void SubtreeWriter::Append(NodeId root, std::string* out) {
   SeekOwner(root);
   const NodeId last = doc.SubtreeEnd(root);
   for (NodeId n = root; n <= last; ++n) {
+    // Large subtrees hold many text nodes: fetch their bytes a few nodes
+    // ahead of the walk.
+    if (n + kTextAhead <= last) doc.PrefetchText(n + kTextAhead, true);
     while (!open_.empty() && open_.back().end < n) Close(out);
     if (!open_.empty() && open_.back().block) NewLine(open_.size(), out);
     if (!doc.IsElement(n)) {

@@ -1,6 +1,7 @@
 #ifndef BLOSSOMTREE_XML_SERIALIZER_H_
 #define BLOSSOMTREE_XML_SERIALIZER_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,23 @@ class SubtreeWriter {
   /// \brief Appends the subtree rooted at `n` to `out` as XML text.
   void Append(NodeId n, std::string* out);
 
+  /// \brief Appends the subtree of every root in `roots`, in order: the
+  /// walk of Append, with its memory misses staged ahead across the roots
+  /// (DESIGN.md §6). Writes the bytes of one Append per root.
+  void AppendAll(std::span<const NodeId> roots, std::string* out);
+
  private:
+  /// Prefetch stages of AppendAll, in roots ahead of the one written: the
+  /// records, then the first text's span, then its bytes, each stage
+  /// reading what the one before fetched.
+  static constexpr size_t kRecordsAhead = 16;
+  static constexpr size_t kSpanAhead = 8;
+  static constexpr size_t kTextAhead = 4;
+
+  /// Prefetches the span (or, with `payload`, the bytes) of the first text
+  /// node among root `n`'s first two descendants, if there is one.
+  void PrefetchFirstText(NodeId n, bool payload) const;
+
   /// An element whose end tag is still due: the walk emits it once it
   /// passes `end`, the element's SubtreeEnd.
   struct OpenElement {

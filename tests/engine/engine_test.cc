@@ -306,10 +306,14 @@ void ExpectPinnedBytes(const char* xml, const char* query,
                        const char* expected) {
   SCOPED_TRACE(query);
   auto doc = Parse(xml);
-  BlossomTreeEngine engine(doc.get());
-  auto got = engine.EvaluateQuery(query);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(*got, expected);
+  for (unsigned threads : {1u, 4u}) {
+    EngineOptions options;
+    options.num_threads = threads;
+    BlossomTreeEngine engine(doc.get(), options);
+    auto got = engine.EvaluateQuery(query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, expected) << "threads=" << threads;
+  }
   baseline::NavigationalEvaluator nav(doc.get());
   auto nav_got = nav.EvaluateQuery(query);
   ASSERT_TRUE(nav_got.ok()) << nav_got.status().ToString();
@@ -364,6 +368,37 @@ TEST(EngineTest, PinnedRecursiveEmbeddingsBindOnce) {
                     "<v><k>1</k></v>");
   ExpectPinnedBytes(xml, "for $g in //g let $k := $g//k return <n>{ $k }</n>",
                     "<n><k>1</k></n><n><k>1</k></n>");
+}
+
+// Existential `//` leaves are tag-stream probes under the default plan
+// (DESIGN.md §14). A tag absent from the document, and a value no entry
+// meets, fail every probe.
+TEST(EngineTest, PinnedProbeTagAbsent) {
+  const char* xml = "<r><a><b>1</b></a></r>";
+  ExpectPinnedBytes(xml, "//a[//zz]", "");
+  ExpectPinnedBytes(xml, "//a[//b = \"9\"]", "");
+  ExpectPinnedBytes(xml, "for $a in //a where exists($a//zz) return $a", "");
+}
+
+// The first a's last descendant is its b; the b after the second a lies
+// just past that a's SubtreeEnd. With a value, the scan of a's b entries
+// passes the b that fails it and stops at the SubtreeEnd.
+TEST(EngineTest, PinnedProbeHitAtSubtreeEnd) {
+  ExpectPinnedBytes("<r><a><c/><x><b/></x></a><a><c/></a><b/></r>",
+                    "//a[//b]", "<a><c/><x><b/></x></a>");
+  ExpectPinnedBytes(
+      "<r><a><b>1</b><b>2</b></a><a><b>1</b></a><b>2</b></r>",
+      "//a[//b = \"2\"]", "<a><b>1</b><b>2</b></a>");
+}
+
+// The probe sits on c, below the NoK root a. The outer a's c (the later
+// one) is probed first, then the inner a's c, which lies before it: the
+// cursor must seek back to find the inner c's b.
+TEST(EngineTest, PinnedProbeReseeksWhenNodeDescends) {
+  ExpectPinnedBytes("<r><a><a><c><b/></c></a><c/></a></r>", "//a[c[//b]]",
+                    "<a><c><b/></c></a>");
+  ExpectPinnedBytes("<r><a><a><c><b/></c></a><c/></a></r>",
+                    "//a[c[//b]][c]", "<a><c><b/></c></a>");
 }
 
 // Both engines copy result nodes through ResultBuilder's one serializer

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/navigational.h"
 #include "datagen/datagen.h"
 #include "engine/engine.h"
 #include "exec/result_cache.h"
@@ -171,6 +172,36 @@ TEST(ResultCacheTest, HitsSkipRescanning) {
   util::CacheStats after_warm = results.Stats();
   EXPECT_GT(after_warm.hits, 0u);
   EXPECT_EQ(after_warm.misses, after_cold.misses);
+}
+
+TEST(ResultCacheTest, ProbedNokKeepsItsOwnEntries) {
+  // The NoK of //www[url][//url]/title holds the vertices of
+  // //www[url]/title plus a probe: on one warm cache each query must still
+  // answer with its own entries, cold and warm, in either order.
+  const char* xml =
+      "<r><www><url>u</url><title>t1</title></www>"
+      "<www><title>t2</title><x><url/></x></www>"
+      "<www><title>t3</title><url/></www><www><title>t4</title></www></r>";
+  auto doc = ParseDoc(xml);
+  exec::NokResultCache shared(util::CacheOptions{});
+  baseline::NavigationalEvaluator nav(doc.get());
+  for (unsigned threads : {1u, 4u}) {
+    EngineOptions opts;
+    opts.num_threads = threads;
+    opts.plan.result_cache = &shared;
+    BlossomTreeEngine eng(doc.get(), opts);
+    for (const char* q :
+         {"//www[url]/title", "//www[url][//url]/title", "//www[url]/title",
+          "//www[//url]/title", "//www[url][//url]/title"}) {
+      auto got = eng.EvaluateQuery(q);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+      EXPECT_EQ(*got, *nav.EvaluateQuery(q)) << q << " threads=" << threads;
+    }
+  }
+  EXPECT_GT(shared.Stats().hits, 0u);
+  BlossomTreeEngine eng(doc.get());
+  EXPECT_EQ(*eng.EvaluateQuery("//www[//url]/title"),
+            "<title>t1</title><title>t2</title><title>t3</title>");
 }
 
 TEST(ResultCacheTest, DocumentGenerationInvalidates) {

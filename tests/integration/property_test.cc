@@ -12,9 +12,12 @@
 #include "exec/result_cache.h"
 #include "exec/twig_semijoin.h"
 #include "exec/twigstack.h"
+#include "index/btsi.h"
+#include "index/structural_index.h"
 #include "opt/planner.h"
 #include "pattern/builder.h"
 #include "storage/btsx2.h"
+#include "storage/disk_store.h"
 #include "util/resource_guard.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -514,6 +517,138 @@ TEST_P(FlworPropertyTest, WhereLiteralShapesAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlworPropertyTest, ::testing::Range(0, 12));
+
+/// Flat document: record tags a/b under the root, field tags c/d under
+/// them, leaf tag e (with text "0".."3") under those. No tag nests in
+/// itself, so the planner pipelines where RandomDoc's recursion makes it
+/// pick the bounded nested loop.
+std::unique_ptr<xml::Document> FlatDoc(Rng* rng, size_t records) {
+  auto doc = std::make_unique<xml::Document>();
+  doc->BeginElement("r");
+  for (size_t i = 0; i < records; ++i) {
+    doc->BeginElement(rng->Chance(0.5) ? "a" : "b");
+    for (size_t f = rng->Uniform(4); f > 0; --f) {
+      doc->BeginElement(rng->Chance(0.5) ? "c" : "d");
+      for (size_t l = rng->Uniform(3); l > 0; --l) {
+        doc->BeginElement("e");
+        doc->AddText(std::to_string(rng->Uniform(4)));
+        doc->EndElement();
+      }
+      doc->EndElement();
+    }
+    doc->EndElement();
+  }
+  doc->EndElement();
+  EXPECT_TRUE(doc->Finish().ok());
+  return doc;
+}
+
+/// Existential `//` leaves, which the default plan evaluates as tag-stream
+/// probes (DESIGN.md §14): bare and value-constrained leaves, two leaves on
+/// one vertex, a leaf under a non-root NoK vertex, and `where exists($v//p)`
+/// — on a recursive and a flat document, each answered from RAM and from a
+/// mapped image with and without its .btsi index, at 1 and 4 threads, with
+/// no, a cold and a warm result cache. Every answer is the navigational
+/// baseline's bytes on the RAM document.
+class ProbePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProbePropertyTest, ExistentialLeavesAgreeEverywhere) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7727 + 29);
+  static const char* kTags[] = {"a", "b", "c", "d", "e"};
+  std::vector<std::string> queries;
+  for (int qi = 0; qi < 8; ++qi) {
+    std::string t1 = kTags[rng.Uniform(5)];
+    std::string t2 = kTags[rng.Uniform(5)];
+    std::string t3 = kTags[rng.Uniform(5)];
+    std::string lit = "\"" + std::to_string(rng.Uniform(5)) + "\"";
+    switch (rng.Uniform(7)) {
+      case 0:
+        queries.push_back("//" + t1 + "[//" + t2 + "]");
+        break;
+      case 1:
+        queries.push_back("//" + t1 + "[//" + t2 + " = " + lit + "]/" + t3);
+        break;
+      case 2:
+        queries.push_back("//" + t1 + "[//" + t2 + "][//" + t3 + "]");
+        break;
+      case 3:
+        queries.push_back("//" + t1 + "[" + t2 + "[//" + t3 + "]]");
+        break;
+      case 4:
+        queries.push_back("for $x in //" + t1 + " where exists($x//" + t2 +
+                          ") return <o>{ $x/" + t3 + " }</o>");
+        break;
+      case 5:
+        queries.push_back("/r/" + t1 + "[//" + t2 + "]//" + t3);
+        break;
+      default:
+        queries.push_back("for $x in //" + t1 + "[//" + t2 + "], $y in $x/" +
+                          t3 + " return $y");
+        break;
+    }
+  }
+  std::unique_ptr<xml::Document> docs[] = {
+      RandomDoc(&rng, 80 + rng.Uniform(80)),
+      FlatDoc(&rng, 20 + rng.Uniform(20))};
+  for (size_t di = 0; di < 2; ++di) {
+    const xml::Document& ram = *docs[di];
+    const std::string path = ::testing::TempDir() + "/bt_probe_" +
+                             std::to_string(GetParam()) + "_" +
+                             std::to_string(di) + ".btsx2";
+    ASSERT_TRUE(storage::WriteBtsx2(ram, path).ok());
+    ASSERT_TRUE(index::WriteBtsi(*index::StructuralIndex::Build(ram),
+                                 index::BtsiSidecarPath(path))
+                    .ok());
+    auto indexed = storage::DiskStore::Open(path);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    ASSERT_NE((*indexed)->index(), nullptr);
+    storage::DiskStoreOptions no_index;
+    no_index.load_index = false;
+    auto bare = storage::DiskStore::Open(path, no_index);
+    ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+    std::remove(path.c_str());
+    std::remove(index::BtsiSidecarPath(path).c_str());
+    struct Access {
+      const char* name;
+      const xml::Document* doc;
+      const storage::DiskStore* store;
+    };
+    const Access accesses[] = {{"ram", &ram, nullptr},
+                               {"mapped", (*bare)->document(), bare->get()},
+                               {"mapped+btsi", (*indexed)->document(),
+                                indexed->get()}};
+    baseline::NavigationalEvaluator nav(&ram);
+    for (const Access& access : accesses) {
+      exec::NokResultCache cache(util::CacheOptions{});
+      for (const std::string& query : queries) {
+        SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " doc=" +
+                     std::to_string(di) + " access=" + access.name +
+                     " query=" + query);
+        auto want = nav.EvaluateQuery(query);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        for (unsigned threads : {1u, 4u}) {
+          for (exec::NokResultCache* c :
+               {(exec::NokResultCache*)nullptr, &cache, &cache}) {
+            engine::EngineOptions options;
+            options.num_threads = threads;
+            options.plan.result_cache = c;
+            options.plan.store = access.store;
+            if (access.store != nullptr) {
+              options.plan.index = access.store->index();
+            }
+            engine::BlossomTreeEngine engine(access.doc, options);
+            auto got = engine.EvaluateQuery(query);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            EXPECT_EQ(*got, *want) << "threads=" << threads
+                                   << " cache=" << (c != nullptr);
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProbePropertyTest, ::testing::Range(0, 8));
 
 /// Fuzz-lite robustness: byte-mutated XML never crashes the parser, and
 /// whatever still parses serializes to a re-parsable document; every random

@@ -182,6 +182,79 @@ TEST(PlannerTest, ValueConstraintQuery) {
   ASSERT_EQ(out.size(), 1u);
 }
 
+TEST(PlannerTest, ExistentialLeafIsProbeOnlyUnderAuto) {
+  // The `//b` branch is a bare, unbound, mandatory leaf: kAuto tests it on
+  // b's tag stream, forced strategies keep the paper's joins (Table 3).
+  auto doc = Parse("<r><a><x><b/></x></a><a><c/></a><b/></r>");
+  pattern::BlossomTree t = Tree("//a[//b]");
+  struct Case {
+    JoinStrategy strategy;
+    const char* line;
+  };
+  for (const Case& c :
+       {Case{JoinStrategy::kAuto, "DescendantProbe(a // b)\n"},
+        Case{JoinStrategy::kPipelined, "PipelinedDescJoin(a // b, f)\n"},
+        Case{JoinStrategy::kBoundedNestedLoop,
+             "BoundedNestedLoopJoin(a // b, f)\n"}}) {
+    PlanOptions o;
+    o.strategy = c.strategy;
+    auto plan = PlanQuery(doc.get(), &t, o);
+    ASSERT_TRUE(plan.ok());
+    const std::string explain = plan->Explain();
+    EXPECT_NE(explain.find(c.line), std::string::npos) << explain;
+    const bool probe = c.strategy == JoinStrategy::kAuto;
+    EXPECT_EQ(explain.find(probe ? "Join(" : "DescendantProbe"),
+              std::string::npos)
+        << explain;
+    EXPECT_EQ(Eval(*doc, "//a[//b]", o), std::vector<xml::NodeId>{1});
+  }
+  // The plan rewrites its own copy: Algorithm 1's decomposition, which the
+  // plan cache holds, keeps the connection.
+  auto plan = PlanQuery(doc.get(), &t);
+  ASSERT_TRUE(plan.ok());
+  pattern::Decomposition d = pattern::Decompose(t);
+  EXPECT_EQ(d.connections.size(), 2u);  // ~ // a, a // b.
+  for (const pattern::NokTree& nok : d.noks) EXPECT_TRUE(nok.probes.empty());
+  EXPECT_EQ(plan->decomposition.connections.size(), 1u);  // ~ // a.
+  auto cached = PlanQuery(doc.get(), &t, {}, &d);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->Explain(), plan->Explain());
+  EXPECT_EQ(d.connections.size(), 2u);
+}
+
+TEST(PlannerTest, IneligibleDescendantBranchesStayJoins) {
+  auto doc = Parse(
+      "<r><a><b><c/></b><b k=\"1\">v</b></a><a><d><b/></d></a></r>");
+  const char* const kJoined[] = {
+      "//a//b",       // The leaf is the result.
+      "//a[//*]",     // Not a concrete element name.
+      "//a[//b[2]]",  // A position.
+      "//a[//b/c]",   // Not a leaf.
+  };
+  for (const char* q : kJoined) {
+    pattern::BlossomTree t = Tree(q);
+    auto plan = PlanQuery(doc.get(), &t);
+    ASSERT_TRUE(plan.ok()) << q;
+    EXPECT_EQ(plan->Explain().find("DescendantProbe"), std::string::npos)
+        << q << "\n" << plan->Explain();
+  }
+  // A value constraint is allowed, and so are two probes on one vertex and
+  // a probe under a non-root vertex of the NoK.
+  for (const char* q :
+       {"//a[//b = \"v\"]", "//a[//b][//c]", "//r[a[//c]]"}) {
+    pattern::BlossomTree t = Tree(q);
+    auto plan = PlanQuery(doc.get(), &t);
+    ASSERT_TRUE(plan.ok()) << q;
+    EXPECT_NE(plan->Explain().find("DescendantProbe"), std::string::npos)
+        << q << "\n" << plan->Explain();
+    EXPECT_EQ(plan->Explain().find("Join("), std::string::npos)
+        << q << "\n" << plan->Explain();
+    PlanOptions nl;
+    nl.strategy = JoinStrategy::kBoundedNestedLoop;
+    EXPECT_EQ(Eval(*doc, q), Eval(*doc, q, nl)) << q;
+  }
+}
+
 TEST(PlannerTest, UnfinalizedTreeRejected) {
   auto doc = Parse("<r/>");
   pattern::BlossomTree t;

@@ -4,6 +4,7 @@
 
 #include "flwor/parser.h"
 #include "pattern/builder.h"
+#include "xpath/parser.h"
 
 namespace blossomtree {
 namespace pattern {
@@ -58,6 +59,29 @@ TEST(FingerprintTest, WhereLiteralMatchesPredicateForm) {
                     "return $p"),
             NokKeys("for $p in //proceedings where $p/publisher = \"y\" "
                     "return $p"));
+}
+
+// A probe filters its NoK's matches (the planner's existential `//` leaves,
+// DESIGN.md §14), so the key names it, its tag and its value constraint.
+TEST(FingerprintTest, ProbesArePartOfTheKey) {
+  auto path = xpath::ParsePath("//www[url][//url = \"x\"]/title");
+  ASSERT_TRUE(path.ok());
+  auto tree = BuildFromPath(*path);
+  ASSERT_TRUE(tree.ok());
+  Decomposition d = Decompose(*tree);
+  const Connection* leaf = nullptr;
+  for (const Connection& c : d.connections) {
+    if (tree->vertex(c.to).tag == "url") leaf = &c;
+  }
+  ASSERT_NE(leaf, nullptr);
+  NokTree bare = d.noks[d.NokOf(leaf->from)];
+  NokTree probed = bare;
+  probed.probes.push_back(*leaf);
+  const std::string bare_key = CanonicalNok(*tree, bare);
+  const std::string probed_key = CanonicalNok(*tree, probed);
+  EXPECT_NE(bare_key, probed_key);
+  EXPECT_NE(probed_key.find("p{3:url,=1:x}"), std::string::npos)
+      << probed_key;
 }
 
 }  // namespace
