@@ -14,11 +14,12 @@
 //   --seed=N    generator seed (default 42)
 //   --verify    re-map the written file and run the full O(n) consistency
 //               check (storage::ValidateBtsx2Deep) before declaring success
-//   --index     also build the structural index (path summary, tag posting
-//               lists, value index; DESIGN.md §14) and write it as the
+//   --index     also build the structural index (path summary, per-tag
+//               statistics, value index; DESIGN.md §14) and write it as the
 //               output's `.btsi` sidecar. Stamped with the corpus file's
 //               generation, so re-ingesting without --index leaves a stale
-//               sidecar that every open correctly ignores.
+//               sidecar that every open correctly ignores; so is a sidecar
+//               of an older layout version, until --index rewrites it.
 //
 // The output stamps the source document's generation as the on-disk
 // version; every open of the file adopts it under a fresh in-process

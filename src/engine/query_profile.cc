@@ -144,7 +144,7 @@ QueryProfile BuildQueryProfile(opt::QueryPlan* plan, std::string query,
                                unsigned threads) {
   QueryProfile profile;
   profile.query = std::move(query);
-  profile.strategy = opt::JoinStrategyToString(plan->chosen);
+  profile.strategy = plan->StrategyName();
   profile.threads = threads;
   plan->FinishAll();
   if (plan->merged_scan != nullptr) {

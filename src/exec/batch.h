@@ -47,18 +47,13 @@ struct Batch {
 };
 
 /// \brief Execution-core knobs, plumbed planner→operators through
-/// `opt::PlanOptions::exec`. `simd=false` routes every kernel through the
-/// portable scalar fallback — the kernel-parity oracle. Results and the
-/// deterministic counter surface are identical for every batch size and
-/// either kernel backend (DESIGN.md §16).
+/// `opt::PlanOptions::exec`. Results and the deterministic counter surface
+/// are identical for every batch size (DESIGN.md §16).
 struct ExecOptions {
   /// Rows per exchanged batch, clamped to [1, 4096] by operators. A
   /// NestedList row is a 20-byte index record plus its cells, so the
   /// default 64 rows keeps one batch within a few KB.
   size_t batch_rows = 64;
-  /// Allow the compiled SIMD kernel backend; false forces the scalar
-  /// fallback (same effect as BLOSSOMTREE_FORCE_SCALAR_KERNELS=1).
-  bool simd = true;
 };
 
 /// \brief Largest batch an operator produces per call.

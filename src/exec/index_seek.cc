@@ -10,18 +10,30 @@ namespace exec {
 IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
                                      const pattern::BlossomTree* tree,
                                      const pattern::NokTree* nok,
-                                     std::vector<xml::NodeId> candidates,
+                                     std::span<const xml::NodeId> candidates,
                                      util::ResourceGuard* guard,
                                      const storage::DiskStore* store)
     : NestedListOperator(guard),
       doc_(doc),
       matcher_(doc, tree, nok),
-      candidates_(std::move(candidates)),
+      candidates_(candidates),
       range_end_(doc->NumNodes() == 0
                      ? 0
                      : static_cast<xml::NodeId>(doc->NumNodes() - 1)),
       store_(store) {
   matcher_.set_guard(guard);
+}
+
+IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
+                                     const pattern::BlossomTree* tree,
+                                     const pattern::NokTree* nok,
+                                     std::vector<xml::NodeId> candidates,
+                                     util::ResourceGuard* guard,
+                                     const storage::DiskStore* store)
+    : IndexSeekOperator(doc, tree, nok, std::span<const xml::NodeId>(), guard,
+                        store) {
+  owned_ = std::move(candidates);
+  candidates_ = owned_;
 }
 
 void IndexSeekOperator::FillBatch(Batch* out, size_t max_rows) {

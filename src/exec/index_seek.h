@@ -1,6 +1,7 @@
 #ifndef BLOSSOMTREE_EXEC_INDEX_SEEK_H_
 #define BLOSSOMTREE_EXEC_INDEX_SEEK_H_
 
+#include <span>
 #include <vector>
 
 #include "exec/nok_scan.h"
@@ -14,9 +15,9 @@ namespace exec {
 
 /// \brief Index-driven NoK access path (DESIGN.md §14): instead of testing
 /// the NoK at every document node, probe only the candidate NodeIds the
-/// planner pulled from a StructuralIndex — a tag posting list, an exact
-/// value-index equality run, or the empty set when the DataGuide proved the
-/// NoK's mandatory paths absent.
+/// planner chose — the root tag's stream (xml::Document::TagIndex,
+/// borrowed), an exact value-index equality run (owned), or the empty set
+/// when the DataGuide proved the NoK's mandatory paths absent.
 ///
 /// Each candidate is re-verified with the full NokMatcher (RootTest +
 /// MatchAt), so a candidate *superset* is always safe; the index layer
@@ -33,11 +34,21 @@ class IndexSeekOperator : public NestedListOperator {
  public:
   /// \param candidates NodeIds to probe, ascending document order; the
   ///        planner's access-path choice (empty = provably-empty NoK).
+  ///        Borrowed: they must outlive the operator, as a tag stream of
+  ///        `doc` does.
   /// \param guard optional per-query resource guard, sampled every ~512
   ///        probes.
   /// \param store optional DiskStore whose image `doc` is: probed
   ///        candidates count their blocks through it, so block-read
   ///        counters see the seek's access pattern.
+  IndexSeekOperator(const xml::Document* doc,
+                    const pattern::BlossomTree* tree,
+                    const pattern::NokTree* nok,
+                    std::span<const xml::NodeId> candidates,
+                    util::ResourceGuard* guard = nullptr,
+                    const storage::DiskStore* store = nullptr);
+
+  /// \brief The same seek over candidates it owns (a value-index run).
   IndexSeekOperator(const xml::Document* doc,
                     const pattern::BlossomTree* tree,
                     const pattern::NokTree* nok,
@@ -71,7 +82,8 @@ class IndexSeekOperator : public NestedListOperator {
   NokMatcher matcher_;
   /// The current batch's rows, lent to the consumer.
   nestedlist::Arena out_;
-  std::vector<xml::NodeId> candidates_;
+  std::vector<xml::NodeId> owned_;  ///< Backs `candidates_` when owned.
+  std::span<const xml::NodeId> candidates_;
   size_t pos_ = 0;
   xml::NodeId range_begin_ = 0;
   xml::NodeId range_end_;

@@ -1,6 +1,5 @@
 #include "exec/merged_scan.h"
 
-#include "exec/kernels.h"
 #include "exec/value_ops.h"
 
 namespace blossomtree {
@@ -9,8 +8,8 @@ namespace exec {
 MergedNokScan::MergedNokScan(const xml::Document* doc,
                              const pattern::BlossomTree* tree,
                              std::vector<const pattern::NokTree*> noks,
-                             util::ResourceGuard* guard, ExecOptions exec)
-    : doc_(doc), guard_(guard), exec_(exec) {
+                             util::ResourceGuard* guard)
+    : doc_(doc), guard_(guard) {
   for (const pattern::NokTree* nok : noks) {
     matchers_.push_back(std::make_unique<NokMatcher>(doc, tree, nok));
     matchers_.back()->set_guard(guard);
@@ -61,22 +60,19 @@ void MergedNokScan::Run() {
     }
   };
   if (wildcard.empty()) {
-    // All roots concrete: one SIMD candidate sweep per distinct root tag
+    // All roots concrete: one walk of each distinct root tag's stream
     // replaces the per-node dispatch loop. Per-NoK result arenas are
-    // filled in ascending NodeId (each sweep's candidates ascend) and the
-    // probes re-verify every candidate, so streams and untripped-run
-    // counters match the per-node pass bitwise — the only nodes it spends
-    // counted work on are exactly these tag-equal candidates.
+    // filled in ascending NodeId (each stream ascends) and the probes
+    // re-verify every candidate, so streams and untripped-run counters
+    // match the per-node pass bitwise — the only nodes it spends counted
+    // work on are exactly these tag-equal candidates. The pass still
+    // counts every node: it is the cost of the one shared scan.
     nodes_scanned_ += doc_->NumNodes();
-    std::vector<xml::NodeId> candidates;
     uint64_t probed = 0;
     bool tripped = false;
     for (xml::TagId t = 0; t < by_tag.size() && !tripped; ++t) {
       if (by_tag[t].empty()) continue;
-      candidates.clear();
-      FilterTagEqRecords(doc_->Records().data(), doc_->NumNodes(), t, 0,
-                         exec_.simd, &candidates);
-      for (xml::NodeId x : candidates) {
+      for (xml::NodeId x : doc_->TagIndex(t)) {
         if (guard_ != nullptr &&
             (guard_->Tripped() ||
              ((probed & 0x1FF) == 0x1FF && !guard_->Check()))) {

@@ -58,15 +58,13 @@ class MergedNokScan {
   ///        (the partial materialization is then discarded by the caller,
   ///        which must check guard->status()). The per-NoK views charge
   ///        it for every row they hand out.
-  /// \param exec execution knobs: when every root tag is concrete, the
-  ///        pass runs one SIMD candidate sweep per distinct root tag
-  ///        (`exec.simd` picks the kernel backend) instead of the per-node
-  ///        dispatch loop — same per-NoK streams and counters (probes
-  ///        re-verify every candidate). Any wildcard root selects the
-  ///        per-node pass.
+  /// When every root tag is concrete, the pass walks each distinct root
+  /// tag's stream (xml::Document::TagIndex) instead of dispatching per
+  /// node — same per-NoK streams and counters (probes re-verify every
+  /// candidate). Any wildcard root selects the per-node pass.
   MergedNokScan(const xml::Document* doc, const pattern::BlossomTree* tree,
                 std::vector<const pattern::NokTree*> noks,
-                util::ResourceGuard* guard = nullptr, ExecOptions exec = {});
+                util::ResourceGuard* guard = nullptr);
 
   /// \brief Performs the single scan, materializing every NoK's matches.
   void Run();
@@ -91,7 +89,6 @@ class MergedNokScan {
  private:
   const xml::Document* doc_;
   util::ResourceGuard* guard_;
-  ExecOptions exec_;
   std::vector<std::unique_ptr<NokMatcher>> matchers_;
   std::vector<bool> virtual_root_;
   std::vector<bool> match_any_;

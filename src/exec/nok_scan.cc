@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "exec/kernels.h"
 #include "exec/value_ops.h"
 #include "nestedlist/ops.h"
 #include "pattern/fingerprint.h"
@@ -300,8 +299,7 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
                                  util::ThreadPool* pool,
                                  util::ResourceGuard* guard,
                                  NokResultCache* cache,
-                                 const storage::DiskStore* store,
-                                 ExecOptions exec)
+                                 const storage::DiskStore* store)
     : NestedListOperator(guard),
       doc_(doc),
       tree_(tree),
@@ -313,26 +311,24 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
                      : static_cast<xml::NodeId>(doc->NumNodes() - 1)),
       pool_(pool),
       cache_(cache),
-      store_(store),
-      exec_(exec) {
+      store_(store) {
   matcher_.set_guard(guard);
   if (cache_ != nullptr) {
     canonical_nok_ = pattern::CanonicalNok(*tree, *nok);
   }
-  // Kernel candidate prefiltering needs a concrete element root tag: the
-  // prefilter `tag_id(x) == target` then selects exactly the nodes on
-  // which RootTest would spend any counted work (TagOk is a free tag-id
-  // compare; value comparisons and match work only start after it
-  // passes), so counters match a per-node pass bitwise. Wildcard and
-  // attribute roots take ScanRange's per-node body; virtual roots match
-  // once, in its one-node branch.
+  // A concrete element root takes its candidates from its tag stream:
+  // they are exactly the nodes on which RootTest would spend any counted
+  // work (TagOk is a free tag-id compare; value comparisons and match work
+  // only start after it passes), so counters match a per-node pass
+  // bitwise. Wildcard and attribute roots take ScanRange's per-node body;
+  // virtual roots match once, in its one-node branch.
   const pattern::Vertex& rootv = tree->vertex(nok->root);
-  kernel_eligible_ = !virtual_root_ && !rootv.MatchesAnyTag() &&
-                     !rootv.tag.empty() && rootv.tag[0] != '@';
-  if (kernel_eligible_) {
-    // A tag absent from the document (Lookup -> kNullTag) means zero
-    // candidates — the correct answer, since no node can pass TagOk.
-    target_tag_ = doc->tags().Lookup(rootv.tag);
+  stream_root_ = !virtual_root_ && !rootv.MatchesAnyTag() &&
+                 !rootv.tag.empty() && rootv.tag[0] != '@';
+  if (stream_root_) {
+    // A tag absent from the document (Lookup -> kNullTag) has an empty
+    // stream — the correct answer, since no node can pass TagOk.
+    root_stream_ = doc->TagIndex(doc->tags().Lookup(rootv.tag));
   }
 }
 
@@ -373,14 +369,12 @@ void NokScanOperator::FillCache(
   cache_->Put(key, std::move(matches));
 }
 
-void NokScanOperator::GatherCandidates(xml::NodeId first, xml::NodeId last,
-                                       storage::BlockCursor* io,
-                                       std::vector<xml::NodeId>* out) const {
-  if (store_ != nullptr) store_->Touch(first, last, io);
-  if (target_tag_ == xml::kNullTag) return;
-  FilterTagEqRecords(doc_->Records().data() + first,
-                     static_cast<size_t>(last - first) + 1, target_tag_,
-                     first, exec_.simd, out);
+std::span<const xml::NodeId> NokScanOperator::GatherCandidates(
+    xml::NodeId first, xml::NodeId last) const {
+  auto begin =
+      std::lower_bound(root_stream_.begin(), root_stream_.end(), first);
+  auto end = std::upper_bound(begin, root_stream_.end(), last);
+  return {begin, end};
 }
 
 bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
@@ -400,7 +394,10 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
   if (static_cast<size_t>(end) >= total) {
     end = static_cast<xml::NodeId>(total - 1);
   }
-  std::vector<xml::NodeId> candidates;
+  // The range's candidates, consumed chunk by chunk from `next`.
+  std::span<const xml::NodeId> candidates;
+  if (stream_root_) candidates = GatherCandidates(begin, end);
+  size_t next = 0;
   for (xml::NodeId x = begin;;) {
     // Chunk-top guard sample. Check() never mutates a counter, so the
     // cadence leaves untripped-run counters unchanged; only trip *timing*
@@ -412,22 +409,24 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
     if (chunk_end - x >= kScanChunk) {
       chunk_end = x + static_cast<xml::NodeId>(kScanChunk) - 1;
     }
-    if (kernel_eligible_) {
-      candidates.clear();
-      GatherCandidates(x, chunk_end, io, &candidates);
+    if (stream_root_) {
+      // The chunk costs a sequential pass over its records, whatever the
+      // candidates.
+      if (store_ != nullptr) store_->Touch(x, chunk_end, io);
       *scanned += chunk_end - x + 1;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (i + kPrefetchAhead < candidates.size()) {
-          doc_->PrefetchRecords(candidates[i + kPrefetchAhead],
+      for (; next < candidates.size() && candidates[next] <= chunk_end;
+           ++next) {
+        if (next + kPrefetchAhead < candidates.size()) {
+          doc_->PrefetchRecords(candidates[next + kPrefetchAhead],
                                 kPrefetchLines);
         }
-        const xml::NodeId c = candidates[i];
+        const xml::NodeId c = candidates[next];
         if (m->RootTest(c)) m->MatchAt(c, out);
         if (g != nullptr && g->Tripped()) return false;
       }
     } else {
-      // Per-node body for roots the prefilter cannot represent
-      // (wildcard / attribute roots).
+      // Per-node body for roots without a tag stream (wildcard /
+      // attribute roots).
       for (xml::NodeId c = x; c <= chunk_end; ++c) {
         ++*scanned;
         if (store_ != nullptr) store_->Touch(c, c, io);

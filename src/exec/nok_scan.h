@@ -159,7 +159,13 @@ class NokMatcher {
 /// \brief Sequential-scan driver (paper §3.3's "sequential scan of the XML
 /// tree against the blossom tree"): tries the NoK at every node in document
 /// order and emits one NestedList per match, as a pull iterator. A "~"-rooted
-/// NoK is a one-node range: one MatchAt(kVirtualRootNode) per scan.
+/// NoK is a one-node range: one MatchAt(kVirtualRootNode) per scan. A
+/// concrete element root can only match a node with its tag, so its
+/// candidates are the slice of the document's tag stream
+/// (xml::Document::TagIndex) inside the range; wildcard and attribute roots
+/// try every node. Either way `nodes_scanned` and the block reads count the
+/// whole range: they are the paper's sequential-scan cost of the range, not
+/// the records the matcher touches.
 ///
 /// Two drivers produce the stream:
 ///  - the *lazy* chunk loop (uncached serial scans) scans ≤kScanChunk-node
@@ -196,15 +202,12 @@ class NokScanOperator : public NestedListOperator {
   ///        count the blocks of the ids they visit through a per-scan
   ///        cursor, so block-read counts reflect the scan's real access
   ///        pattern — deterministically, independent of concurrent readers.
-  /// \param exec execution knobs (DESIGN.md §16); `exec.simd` picks the
-  ///        kernel backend of the tag-id candidate prefilter.
   NokScanOperator(const xml::Document* doc, const pattern::BlossomTree* tree,
                   const pattern::NokTree* nok,
                   util::ThreadPool* pool = nullptr,
                   util::ResourceGuard* guard = nullptr,
                   NokResultCache* cache = nullptr,
-                  const storage::DiskStore* store = nullptr,
-                  ExecOptions exec = {});
+                  const storage::DiskStore* store = nullptr);
 
   const std::vector<pattern::SlotId>& top_slots() const override {
     return matcher_.top_slots();
@@ -242,9 +245,9 @@ class NokScanOperator : public NestedListOperator {
   void FillBatch(Batch* out, size_t max_rows) override;
 
  private:
-  /// Chunk granularity of the batched scan drivers: guard checks, kernel
-  /// candidate prefilters, and bulk nodes_scanned accounting all happen at
-  /// this stride (DESIGN.md §16).
+  /// Chunk granularity of the batched scan drivers: guard checks, block
+  /// reads and bulk nodes_scanned accounting all happen at this stride
+  /// (DESIGN.md §16).
   static constexpr size_t kScanChunk = 512;
 
   /// Lazy driver: refills the chunk arena with the next chunk(s) of the
@@ -262,12 +265,9 @@ class NokScanOperator : public NestedListOperator {
                  storage::BlockCursor* io, uint64_t* scanned,
                  nestedlist::Arena* out) const;
 
-  /// Collects NodeIds in [first, last] whose tag id equals target_tag_
-  /// (the SIMD kernels; scalar fallback when exec_.simd is off), counting
-  /// every block of [first, last] through `io`.
-  void GatherCandidates(xml::NodeId first, xml::NodeId last,
-                        storage::BlockCursor* io,
-                        std::vector<xml::NodeId>* out) const;
+  /// The root's candidates in [first, last]: the slice of its tag stream.
+  std::span<const xml::NodeId> GatherCandidates(xml::NodeId first,
+                                                xml::NodeId last) const;
 
   /// True when the pending scan may run partitioned: a pool is attached and
   /// the range covers the whole document (the BNLJ's restricted inner
@@ -327,13 +327,12 @@ class NokScanOperator : public NestedListOperator {
   const storage::DiskStore* store_;
   storage::BlockCursor io_cursor_;
 
-  ExecOptions exec_;
-  /// Root tag id for kernel candidate prefiltering; kNullTag when the tag
-  /// is absent from the document (zero candidates, hence zero matches).
-  xml::TagId target_tag_ = xml::kNullTag;
-  /// Prefiltering is sound only for a concrete element root: wildcard /
-  /// attribute roots take ScanRange's per-node body.
-  bool kernel_eligible_ = false;
+  /// The root tag's stream, the scan's candidates; empty when the tag is
+  /// absent from the document (zero candidates, hence zero matches).
+  std::span<const xml::NodeId> root_stream_;
+  /// Only a concrete element root has a stream: wildcard / attribute roots
+  /// take ScanRange's per-node body.
+  bool stream_root_ = false;
 };
 
 }  // namespace exec

@@ -78,18 +78,6 @@ Result<std::string> EncodeBtsi(const StructuralIndex& index) {
     PutU64(&guide, g.count);
   }
 
-  std::string posting_offsets;
-  for (uint64_t off : index.raw_posting_offsets()) {
-    PutU64(&posting_offsets, off);
-  }
-
-  std::string postings;
-  for (const PostingEntry& e : index.raw_postings()) {
-    PutU32(&postings, e.node);
-    PutU32(&postings, e.subtree_end);
-    PutU32(&postings, e.level);
-  }
-
   std::string stats;
   for (const TagStats& s : index.raw_stats()) {
     PutF64(&stats, s.avg_subtree);
@@ -117,8 +105,7 @@ Result<std::string> EncodeBtsi(const StructuralIndex& index) {
   }
 
   const std::string* sections[kBtsiNumSections] = {
-      &tag_dict, &guide,    &posting_offsets, &postings,
-      &stats,    &values,   &numerics,        &pool};
+      &tag_dict, &guide, &stats, &values, &numerics, &pool};
   uint64_t offsets[kBtsiNumSections];
   uint64_t pos = kBtsiHeaderBytes;
   for (size_t i = 0; i < kBtsiNumSections; ++i) {
@@ -209,8 +196,6 @@ Result<std::unique_ptr<StructuralIndex>> DecodeBtsi(std::string_view image) {
   const uint64_t expect[kBtsiNumSections] = {
       sizes[kBtsiTagDict],  // free-form, validated by parsing below
       num_guide * 16,
-      (num_tags + 1) * 8,
-      num_elements * 12,
       num_tags * 16,
       num_values * 16,
       num_numerics * 16,
@@ -265,12 +250,15 @@ Result<std::unique_ptr<StructuralIndex>> DecodeBtsi(std::string_view image) {
 
   // Guide: node 0 is the super-root; every other node names an earlier
   // parent and a valid tag, and no parent has two same-tag children (a
-  // path summary keys children by tag).
+  // path summary keys children by tag). Every element lies on exactly one
+  // path, so the counts add up to the element count — the per-tag totals
+  // that size value selectivities.
   std::vector<GuideNode> guide;
   {
     const char* d = p + offs[kBtsiGuide];
     guide.reserve(static_cast<size_t>(num_guide));
     std::unordered_map<uint64_t, bool> seen_child;
+    uint64_t counted = 0;
     for (uint64_t g = 0; g < num_guide; ++g, d += 16) {
       GuideNode node;
       node.tag = GetU32(d);
@@ -284,6 +272,10 @@ Result<std::unique_ptr<StructuralIndex>> DecodeBtsi(std::string_view image) {
         if (node.tag >= num_tags) return Corrupt("guide tag out of range");
         if (node.parent >= g) return Corrupt("guide parent not an ancestor");
         if (node.count == 0) return Corrupt("guide node with zero count");
+        if (node.count > num_elements - counted) {
+          return Corrupt("guide counts exceed the elements");
+        }
+        counted += node.count;
         uint64_t key = (static_cast<uint64_t>(node.parent) << 32) | node.tag;
         if (!seen_child.emplace(key, true).second) {
           return Corrupt("duplicate guide child tag");
@@ -291,49 +283,8 @@ Result<std::unique_ptr<StructuralIndex>> DecodeBtsi(std::string_view image) {
       }
       guide.push_back(std::move(node));
     }
-  }
-
-  // Posting offsets: monotone prefix sums covering every element.
-  std::vector<uint64_t> posting_offsets;
-  {
-    const char* d = p + offs[kBtsiPostingOffsets];
-    posting_offsets.reserve(static_cast<size_t>(num_tags) + 1);
-    for (uint64_t t = 0; t <= num_tags; ++t, d += 8) {
-      posting_offsets.push_back(GetU64(d));
-    }
-    if (posting_offsets.front() != 0 || posting_offsets.back() != num_elements) {
-      return Corrupt("posting offsets do not cover the elements");
-    }
-    for (uint64_t t = 0; t < num_tags; ++t) {
-      if (posting_offsets[t] > posting_offsets[t + 1]) {
-        return Corrupt("posting offsets not monotone");
-      }
-    }
-  }
-
-  // Postings: per-tag strictly ascending NodeIds with sane region labels.
-  std::vector<PostingEntry> postings;
-  {
-    const char* d = p + offs[kBtsiPostings];
-    postings.reserve(static_cast<size_t>(num_elements));
-    for (uint64_t i = 0; i < num_elements; ++i, d += 12) {
-      PostingEntry e;
-      e.node = GetU32(d);
-      e.subtree_end = GetU32(d + 4);
-      e.level = GetU32(d + 8);
-      if (e.node >= num_nodes || e.subtree_end >= num_nodes ||
-          e.subtree_end < e.node || e.level >= num_nodes) {
-        return Corrupt("posting entry out of range");
-      }
-      postings.push_back(e);
-    }
-    for (uint64_t t = 0; t < num_tags; ++t) {
-      for (uint64_t i = posting_offsets[t] + 1; i < posting_offsets[t + 1];
-           ++i) {
-        if (postings[i - 1].node >= postings[i].node) {
-          return Corrupt("posting list not ascending");
-        }
-      }
+    if (counted != num_elements) {
+      return Corrupt("guide counts do not cover the elements");
     }
   }
 
@@ -414,9 +365,8 @@ Result<std::unique_ptr<StructuralIndex>> DecodeBtsi(std::string_view image) {
 
   return StructuralIndex::FromParts(
       generation, num_nodes, num_elements, std::move(tag_names),
-      std::move(guide), std::move(posting_offsets), std::move(postings),
-      std::move(stats), std::move(values), std::move(numerics),
-      std::string(pool, static_cast<size_t>(pool_bytes)));
+      std::move(guide), std::move(stats), std::move(values),
+      std::move(numerics), std::string(pool, static_cast<size_t>(pool_bytes)));
 }
 
 Result<std::unique_ptr<StructuralIndex>> LoadBtsi(const std::string& path) {

@@ -14,8 +14,10 @@ namespace index {
 /// BTSI: the structural-index member of the BTSX file family (DESIGN.md
 /// §14). A `.btsi` file is a *sidecar* of a BTSX v2 corpus file — written
 /// by `btingest --index` next to the `.btsx2`, loaded by storage::DiskStore
-/// on open — carrying the path summary (DataGuide), the per-tag posting
-/// lists, and the sorted value index of index/structural_index.h.
+/// on open — carrying the path summary (DataGuide), the per-tag statistics
+/// and the sorted value index of index/structural_index.h. The per-tag
+/// element streams are not repeated here: the `.btsx2` itself persists
+/// them (xml::Document::TagIndex).
 ///
 /// The format follows the family's 256-byte header discipline: magic,
 /// version, endianness probe, the *source document's generation stamp*
@@ -28,14 +30,16 @@ namespace index {
 ///   0 tag dictionary   u32 length + bytes per name, in TagId order
 ///   1 guide nodes      num_guide × 16 B {tag u32, parent u32, count u64};
 ///                      node 0 is the super-root {kNullTag, kNoGuideNode, 1}
-///   2 posting offsets  (num_tags + 1) × 8 B prefix offsets
-///   3 postings         num_elements × 12 B {node, subtree_end, level}
-///   4 tag stats        num_tags × 16 B {avg_subtree f64, overlong u64}
-///   5 value entries    num_values × 16 B {tag, node, offset, len},
+///   2 tag stats        num_tags × 16 B {avg_subtree f64, overlong u64}
+///   3 value entries    num_values × 16 B {tag, node, offset, len},
 ///                      sorted by (tag, value bytes, node)
-///   6 numeric entries  num_numerics × 16 B {tag u32, node u32, key f64},
+///   4 numeric entries  num_numerics × 16 B {tag u32, node u32, key f64},
 ///                      sorted by (tag, key, node)
-///   7 value pool       concatenated value bytes
+///   5 value pool       concatenated value bytes
+///
+/// Version 1 also carried per-tag posting lists (12 B per element). Its
+/// files are rejected as any unknown version is, so a store opened beside
+/// one runs without an index (scans) until `btingest --index` rewrites it.
 ///
 /// Unlike the `.btsx2` (which is mmap'd and served zero-copy), the decoder
 /// validates and *copies* the image into an owned StructuralIndex: the
@@ -43,20 +47,18 @@ namespace index {
 /// sidecar file unpinned after open.
 
 inline constexpr char kBtsiMagic[8] = {'B', 'T', 'S', 'I', 0, 0, 0, 0};
-inline constexpr uint32_t kBtsiVersion = 1;
+inline constexpr uint32_t kBtsiVersion = 2;
 inline constexpr uint32_t kBtsiEndianProbe = 0x01020304u;
 inline constexpr size_t kBtsiHeaderBytes = 256;
-inline constexpr size_t kBtsiNumSections = 8;
+inline constexpr size_t kBtsiNumSections = 6;
 
 enum BtsiSection : size_t {
   kBtsiTagDict = 0,
   kBtsiGuide = 1,
-  kBtsiPostingOffsets = 2,
-  kBtsiPostings = 3,
-  kBtsiTagStats = 4,
-  kBtsiValueEntries = 5,
-  kBtsiNumericEntries = 6,
-  kBtsiValuePool = 7,
+  kBtsiTagStats = 2,
+  kBtsiValueEntries = 3,
+  kBtsiNumericEntries = 4,
+  kBtsiValuePool = 5,
 };
 
 /// \brief Serializes an index into BTSI bytes.
@@ -66,8 +68,8 @@ Result<std::string> EncodeBtsi(const StructuralIndex& index);
 Status WriteBtsi(const StructuralIndex& index, const std::string& path);
 
 /// \brief Parses and fully validates a BTSI image (header, section table,
-/// dictionary, guide shape, posting monotonicity, value-entry order and
-/// pool bounds), returning an owned index. InvalidArgument on any
+/// dictionary, guide shape, value-entry order and pool bounds), returning
+/// an owned index. InvalidArgument on any
 /// corruption — adversarial inputs must never yield a partially valid
 /// index.
 Result<std::unique_ptr<StructuralIndex>> DecodeBtsi(std::string_view image);

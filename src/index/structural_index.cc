@@ -30,19 +30,14 @@ std::unique_ptr<StructuralIndex> StructuralIndex::Build(
     idx->tag_names_.push_back(doc.tags().Name(t));
   }
 
-  // Postings + per-tag average subtree sizes, from the tag streams.
-  idx->posting_offsets_.assign(num_tags + 1, 0);
-  idx->postings_.reserve(doc.NumElements());
+  // Per-tag average subtree sizes, from the tag streams.
   idx->stats_.assign(num_tags, TagStats{});
   for (xml::TagId t = 0; t < num_tags; ++t) {
     std::span<const xml::NodeId> nodes = doc.TagIndex(t);
     double total = 0;
     for (xml::NodeId n : nodes) {
-      xml::NodeId end = doc.SubtreeEnd(n);
-      idx->postings_.push_back(PostingEntry{n, end, doc.Level(n)});
-      total += static_cast<double>(end - n + 1);
+      total += static_cast<double>(doc.SubtreeEnd(n) - n + 1);
     }
-    idx->posting_offsets_[t + 1] = idx->postings_.size();
     if (!nodes.empty()) {
       idx->stats_[t].avg_subtree = total / static_cast<double>(nodes.size());
     }
@@ -141,7 +136,6 @@ std::unique_ptr<StructuralIndex> StructuralIndex::Build(
 std::unique_ptr<StructuralIndex> StructuralIndex::FromParts(
     uint64_t generation, uint64_t num_nodes, uint64_t num_elements,
     std::vector<std::string> tag_names, std::vector<GuideNode> guide,
-    std::vector<uint64_t> posting_offsets, std::vector<PostingEntry> postings,
     std::vector<TagStats> stats, std::vector<ValueEntry> values,
     std::vector<NumericEntry> numerics, std::string value_pool) {
   auto idx = std::unique_ptr<StructuralIndex>(new StructuralIndex());
@@ -150,8 +144,6 @@ std::unique_ptr<StructuralIndex> StructuralIndex::FromParts(
   idx->num_elements_ = num_elements;
   idx->tag_names_ = std::move(tag_names);
   idx->guide_ = std::move(guide);
-  idx->posting_offsets_ = std::move(posting_offsets);
-  idx->postings_ = std::move(postings);
   idx->stats_ = std::move(stats);
   idx->values_ = std::move(values);
   idx->numerics_ = std::move(numerics);
@@ -181,18 +173,6 @@ bool StructuralIndex::Matches(const xml::Document& doc) const {
     if (doc.tags().Name(t) != tag_names_[t]) return false;
   }
   return true;
-}
-
-std::span<const PostingEntry> StructuralIndex::Postings(xml::TagId t) const {
-  if (t >= tag_names_.size()) return {};
-  return std::span<const PostingEntry>(postings_)
-      .subspan(posting_offsets_[t], posting_offsets_[t + 1] -
-                                        posting_offsets_[t]);
-}
-
-uint64_t StructuralIndex::PostingCount(xml::TagId t) const {
-  if (t >= tag_names_.size()) return 0;
-  return posting_offsets_[t + 1] - posting_offsets_[t];
 }
 
 const TagStats& StructuralIndex::Stats(xml::TagId t) const {
@@ -257,7 +237,13 @@ double StructuralIndex::CountEquality(xml::TagId t,
 
 double StructuralIndex::EstimateValueSelectivity(
     xml::TagId t, xpath::CompareOp op, std::string_view literal) const {
-  double total = static_cast<double>(PostingCount(t));
+  // The tag's element count: every element lies on exactly one guide path.
+  double total = 0;
+  if (t < guide_by_tag_.size()) {
+    for (uint32_t g : guide_by_tag_[t]) {
+      total += static_cast<double>(guide_[g].count);
+    }
+  }
   if (total <= 0) return 1.0;
   switch (op) {
     case xpath::CompareOp::kEq: {

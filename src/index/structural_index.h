@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,16 +13,6 @@
 
 namespace blossomtree {
 namespace index {
-
-/// \brief One entry of a per-tag posting list: the region label of one
-/// element with that tag, in document order. Carrying (SubtreeEnd, level)
-/// alongside the NodeId lets index-driven structural joins run containment
-/// tests without touching the node records at all.
-struct PostingEntry {
-  xml::NodeId node = 0;
-  xml::NodeId subtree_end = 0;
-  uint32_t level = 0;
-};
 
 /// \brief Per-tag statistics persisted with the index so access-path
 /// costing never needs a document pass.
@@ -67,10 +56,13 @@ struct EqualitySeek {
 /// \brief Persistent secondary index over one document (DESIGN.md §14):
 ///  - a path summary (DataGuide) of every distinct root-to-element tag
 ///    path, for provably-empty short-circuits,
-///  - per-tag posting lists of (NodeId, SubtreeEnd, level) region entries,
-///    the substrate of index-driven scans and structural joins,
+///  - per-tag statistics (average subtree size, over-long values) that cost
+///    a seek without a document pass,
 ///  - a sorted value index (byte order + numeric order views) answering
 ///    equality predicates exactly and sizing range predicates.
+/// Where the tag-t elements are is not the index's business: every
+/// document carries its per-tag streams (xml::Document::TagIndex), and a
+/// tag seek reads those.
 ///
 /// Built in one pass by Build(), persisted as a `.btsi` sidecar
 /// (index/btsi.h), and attached to plans through opt::PlanOptions::index.
@@ -79,7 +71,7 @@ struct EqualitySeek {
 class StructuralIndex {
  public:
   /// \brief Builds the index from a finished document (one preorder pass
-  /// plus value/posting sorts).
+  /// plus the value sorts).
   static std::unique_ptr<StructuralIndex> Build(const xml::Document& doc);
 
   // -- Identity --------------------------------------------------------------
@@ -99,13 +91,7 @@ class StructuralIndex {
   /// meaningful against a matching dictionary.
   bool Matches(const xml::Document& doc) const;
 
-  // -- Tag postings ----------------------------------------------------------
-
-  /// \brief Region entries of every element with tag `t`, document order.
-  std::span<const PostingEntry> Postings(xml::TagId t) const;
-
-  /// \brief Posting-list cardinality of `t` (0 for out-of-range ids).
-  uint64_t PostingCount(xml::TagId t) const;
+  // -- Tag statistics --------------------------------------------------------
 
   const TagStats& Stats(xml::TagId t) const;
 
@@ -156,10 +142,6 @@ class StructuralIndex {
     double key;
   };
 
-  const std::vector<PostingEntry>& raw_postings() const { return postings_; }
-  const std::vector<uint64_t>& raw_posting_offsets() const {
-    return posting_offsets_;
-  }
   const std::vector<TagStats>& raw_stats() const { return stats_; }
   const std::vector<ValueEntry>& raw_values() const { return values_; }
   const std::vector<NumericEntry>& raw_numerics() const { return numerics_; }
@@ -170,8 +152,7 @@ class StructuralIndex {
   static std::unique_ptr<StructuralIndex> FromParts(
       uint64_t generation, uint64_t num_nodes, uint64_t num_elements,
       std::vector<std::string> tag_names, std::vector<GuideNode> guide,
-      std::vector<uint64_t> posting_offsets,
-      std::vector<PostingEntry> postings, std::vector<TagStats> stats,
+      std::vector<TagStats> stats,
       std::vector<ValueEntry> values, std::vector<NumericEntry> numerics,
       std::string value_pool);
 
@@ -196,9 +177,7 @@ class StructuralIndex {
   std::vector<GuideNode> guide_;
   std::vector<std::vector<uint32_t>> guide_by_tag_;  ///< Per TagId.
 
-  std::vector<uint64_t> posting_offsets_;  ///< num_tags + 1 prefix offsets.
-  std::vector<PostingEntry> postings_;     ///< num_elements entries.
-  std::vector<TagStats> stats_;            ///< Per TagId.
+  std::vector<TagStats> stats_;  ///< Per TagId.
 
   std::vector<ValueEntry> values_;
   std::vector<NumericEntry> numerics_;

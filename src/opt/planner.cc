@@ -114,15 +114,19 @@ struct NokAccessPath {
             ///< candidates, scan nothing.
   };
   Kind kind = Kind::kScan;
-  std::vector<xml::NodeId> candidates;  ///< For kSeek; empty for kEmpty.
-  std::string detail;                   ///< EXPLAIN annotation.
+  /// For kSeek: the root tag's stream, borrowed from the document...
+  std::span<const xml::NodeId> stream;
+  /// ...unless `by_value`: then an exact value-index equality run.
+  bool by_value = false;
+  std::vector<xml::NodeId> value_run;
+  std::string detail;  ///< EXPLAIN annotation.
 };
 
-/// Costs index-seek against sequential scan per NoK root using the index's
-/// real posting-list cardinalities, and short-circuits NoKs whose mandatory
-/// paths the DataGuide rules out. Every choice is result-preserving: seeks
-/// re-verify candidates with the full matcher, and kEmpty is only chosen on
-/// a structural *proof* of emptiness.
+/// Costs index-seek against sequential scan per NoK root using real
+/// cardinalities (the root tag's stream, or a value-index run), and
+/// short-circuits NoKs whose mandatory paths the DataGuide rules out. Every
+/// choice is result-preserving: seeks re-verify candidates with the full
+/// matcher, and kEmpty is only chosen on a structural *proof* of emptiness.
 std::vector<NokAccessPath> ChooseAccessPaths(
     const xml::Document* doc, const pattern::BlossomTree* tree,
     const Decomposition& d, const std::vector<bool>& probed,
@@ -153,7 +157,7 @@ std::vector<NokAccessPath> ChooseAccessPaths(
     }
     if (ap.kind == NokAccessPath::Kind::kEmpty) continue;
     if (root.IsVirtualRoot() || root.MatchesAnyTag() || attr_root) {
-      continue;  // No posting list to seek ("~" matches at most once).
+      continue;  // No tag stream to seek ("~" matches at most once).
     }
     xml::TagId t = doc->tags().Lookup(root.tag);
     if (t == xml::kNullTag) {
@@ -162,15 +166,14 @@ std::vector<NokAccessPath> ChooseAccessPaths(
       continue;
     }
     // Candidate set: an exact value-index equality run when the root
-    // carries an answerable `= literal` predicate, else the tag's posting
-    // list. Both are provable supersets of the NoK's match roots. The
-    // posting list is copied only once a seek is chosen.
+    // carries an answerable `= literal` predicate, else the tag's stream.
+    // Both are provable supersets of the NoK's match roots.
     index::EqualitySeek eq;
     if (root.value && root.value->op == xpath::CompareOp::kEq) {
       eq = index->SeekEquality(t, root.value->literal);
     }
-    std::span<const index::PostingEntry> postings = index->Postings(t);
-    size_t count = eq.usable ? eq.nodes.size() : postings.size();
+    std::span<const xml::NodeId> stream = doc->TagIndex(t);
+    size_t count = eq.usable ? eq.nodes.size() : stream.size();
     // Seek cost: each probe verifies one candidate subtree (~avg_subtree
     // node visits). Scan cost: one root test per document node. Real
     // cardinalities on both sides — no fixed selectivity guess.
@@ -179,15 +182,13 @@ std::vector<NokAccessPath> ChooseAccessPaths(
     double scan_cost = static_cast<double>(doc->NumNodes());
     if (seek_cost < scan_cost) {
       ap.kind = NokAccessPath::Kind::kSeek;
+      ap.by_value = eq.usable;
       if (eq.usable) {
-        ap.candidates = std::move(eq.nodes);
+        ap.value_run = std::move(eq.nodes);
       } else {
-        ap.candidates.reserve(count);
-        for (const index::PostingEntry& e : postings) {
-          ap.candidates.push_back(e.node);
-        }
+        ap.stream = stream;
       }
-      ap.detail = std::string(eq.usable ? "value-eq" : "postings") + ", " +
+      ap.detail = std::string(eq.usable ? "value-eq" : "tag stream") + ", " +
                   std::to_string(count) + " candidates";
     }
   }
@@ -252,9 +253,15 @@ class TreePlanner {
     }
     const NokAccessPath& ap = (*access_)[nok_index];
     if (ap.kind != NokAccessPath::Kind::kScan) {
-      auto seek = std::make_unique<exec::IndexSeekOperator>(
-          doc_, tree_, &decomp_->noks[nok_index], ap.candidates,
-          options_.guard, options_.store);
+      const pattern::NokTree* nok = &decomp_->noks[nok_index];
+      std::unique_ptr<exec::IndexSeekOperator> seek;
+      if (ap.by_value) {
+        seek = std::make_unique<exec::IndexSeekOperator>(
+            doc_, tree_, nok, ap.value_run, options_.guard, options_.store);
+      } else {
+        seek = std::make_unique<exec::IndexSeekOperator>(
+            doc_, tree_, nok, ap.stream, options_.guard, options_.store);
+      }
       plan_->seeks.push_back(seek.get());
       std::string label = "IndexSeek(" + NokLabel(nok_index) + ")";
       seek->set_label(label);
@@ -273,8 +280,7 @@ class TreePlanner {
     } else {
       auto scan = std::make_unique<NokScanOperator>(
           doc_, tree_, &decomp_->noks[nok_index], options_.pool,
-          options_.guard, options_.result_cache, options_.store,
-          options_.exec);
+          options_.guard, options_.result_cache, options_.store);
       plan_->scans.push_back(scan.get());
       scan->set_label("NokScan(" + NokLabel(nok_index) + ")");
       Indent(depth);
@@ -381,9 +387,13 @@ class TreePlanner {
 
 }  // namespace
 
+const char* QueryPlan::StrategyName() const {
+  return chosen ? JoinStrategyToString(*chosen) : "none";
+}
+
 std::string QueryPlan::Explain() const {
   std::string out = "strategy: ";
-  out += JoinStrategyToString(chosen);
+  out += StrategyName();
   out += "\n";
   for (size_t i = 0; i < trees.size(); ++i) {
     out += "pattern tree " + std::to_string(i) + ":\n";
@@ -497,8 +507,8 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
     };
     std::function<void(uint32_t)> mark_empty = [&](uint32_t n) {
       if (access[n].kind != NokAccessPath::Kind::kEmpty) {
+        access[n] = NokAccessPath{};
         access[n].kind = NokAccessPath::Kind::kEmpty;
-        access[n].candidates.clear();
         access[n].detail = "short-circuit: empty subplan";
       }
       for (const Connection& c : d.connections) {
@@ -525,10 +535,8 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
       noks.push_back(&d.noks[i]);
     }
     if (!noks.empty()) {
-      merged = std::make_unique<exec::MergedNokScan>(doc, tree,
-                                                     std::move(noks),
-                                                     options.guard,
-                                                     options.exec);
+      merged = std::make_unique<exec::MergedNokScan>(
+          doc, tree, std::move(noks), options.guard);
       merged->Run();
       // A trip during the eager merged scan leaves partial match lists;
       // surface it now rather than handing out a truncated plan.
@@ -554,14 +562,15 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
     plan.trees.push_back(std::move(tp));
   }
   plan.merged_scan = std::move(merged);
-  // Summarize: the single strategy used, or kAuto for mixed plans.
+  // Summarize: the single strategy used, kAuto for mixed plans, none for
+  // a plan without a join.
   if (used_pipelined && used_bnlj) {
     plan.chosen = JoinStrategy::kAuto;
   } else if (used_bnlj) {
     plan.chosen = strategy == JoinStrategy::kNaiveNestedLoop
                       ? JoinStrategy::kNaiveNestedLoop
                       : JoinStrategy::kBoundedNestedLoop;
-  } else {
+  } else if (used_pipelined) {
     plan.chosen = JoinStrategy::kPipelined;
   }
   return plan;

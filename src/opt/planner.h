@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,8 @@ struct PlanOptions {
   util::ResourceGuard* guard = nullptr;
   /// Annotate every operator with a CostModel cardinality estimate (for
   /// EXPLAIN ANALYZE's est-vs-actual and the calibration check). Off by
-  /// default: building the model forces tag-index construction, which would
-  /// perturb benchmark timings.
+  /// default: building the model walks every tag stream once (per-tag
+  /// average subtree sizes), which would perturb benchmark timings.
   bool estimate_cardinalities = false;
   /// NoK sub-result cache (borrowed, not owned; DESIGN.md §11): when set,
   /// every full-document NokScanOperator in the plan probes it before
@@ -66,18 +67,18 @@ struct PlanOptions {
   const storage::DiskStore* store = nullptr;
   /// Structural index over `doc` (borrowed, not owned; DESIGN.md §14): when
   /// set and structurally matching the document, the planner costs an
-  /// index-seek access path against the sequential scan per NoK root using
-  /// the index's real posting-list cardinalities, short-circuits NoKs whose
-  /// mandatory paths the DataGuide proves absent to empty streams (zero
-  /// nodes scanned), and feeds the value index's selectivities into
-  /// cardinality estimation. Access-path changes never change results:
-  /// seeks re-verify every candidate and emit the scan's exact stream.
-  /// nullptr = every NoK scans (the exact pre-index behavior).
+  /// index-seek access path against the sequential scan per NoK root —
+  /// sized by the root tag's stream (xml::Document::TagIndex) or by an
+  /// exact value-index equality run, priced by the index's per-tag subtree
+  /// statistics — short-circuits NoKs whose mandatory paths the DataGuide
+  /// proves absent to empty streams (zero nodes scanned), and feeds the
+  /// value index's selectivities into cardinality estimation. Access-path
+  /// changes never change results: seeks re-verify every candidate and
+  /// emit the scan's exact stream. nullptr = every NoK scans.
   const index::StructuralIndex* index = nullptr;
   /// Execution knobs (DESIGN.md §16): rows per GetNextBatch exchange
-  /// (`exec.batch_rows`) and the SIMD kernel toggle (`exec.simd`). Every
-  /// combination produces byte-identical results and bitwise-identical
-  /// deterministic counters.
+  /// (`exec.batch_rows`). Every batch size produces byte-identical results
+  /// and bitwise-identical deterministic counters.
   exec::ExecOptions exec;
 };
 
@@ -107,10 +108,16 @@ struct QueryPlan {
   const pattern::BlossomTree* tree = nullptr;
   pattern::Decomposition decomposition;
   std::vector<PatternTreePlan> trees;
-  JoinStrategy chosen = JoinStrategy::kPipelined;
+  /// The single join strategy the plan uses, kAuto for a mix, nullopt
+  /// for a plan without a join (scans, seeks and probes only).
+  std::optional<JoinStrategy> chosen;
   /// Set when merge_nok_scans produced a shared single-scan (its
   /// NodesScanned() is the plan's scan I/O in that case).
   std::unique_ptr<exec::MergedNokScan> merged_scan;
+
+  /// \brief `chosen` as EXPLAIN and profiles print it ("none" when no
+  /// join was built).
+  const char* StrategyName() const;
 
   std::string Explain() const;
 

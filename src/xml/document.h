@@ -306,18 +306,19 @@ class Document {
   const ExternalLayout& Layout() const { return view_; }
 
   /// \brief The record stream, one PackedNodeRecord per node in document
-  /// order — the stride-16 input of the exec::FilterTagEqRecords scan
-  /// kernel and what storage::PartitionSubtrees walks.
+  /// order — what storage::PartitionSubtrees walks, and what a BTSX v2
+  /// file persists.
   std::span<const PackedNodeRecord> Records() const {
     return {view_.records, view_.num_nodes};
   }
 
   /// \brief All element nodes with tag id `t`, in document order.
   ///
-  /// This is the "tag-name index" required by the join-based approaches
-  /// (TwigStack, structural merge join): a zero-copy span over the per-tag
-  /// node-id streams, which Finish() builds and a BTSX v2 file persists.
-  /// Empty before Finish().
+  /// This is the one tag index: the candidates of the NoK scan and of a
+  /// tag seek, the probes' streams, and the input of the join-based
+  /// approaches (TwigStack, structural merge join). A zero-copy span over
+  /// the per-tag node-id streams, which Finish() builds and a BTSX v2 file
+  /// persists. Empty before Finish().
   std::span<const NodeId> TagIndex(TagId t) const;
 
   // -- Statistics (valid after Finish) ---------------------------------------

@@ -1,9 +1,8 @@
 // Batch-at-a-time execution equivalence suite (DESIGN.md §16):
 //  - every engine result must equal the navigational oracle
 //    (engine::PathEvaluator), and every deterministic counter must be
-//    bitwise-identical to the serial scalar-kernel run, across SIMD on/off,
-//    batch sizes {1, 7, 64, 4096}, and 1/2/4 threads, on all five
-//    generated datasets;
+//    bitwise-identical to the serial default-batch run, across batch sizes
+//    {1, 7, 64, 4096} and 1/2/4 threads, on all five generated datasets;
 //  - operator streams drained at any batch size (or mixing sizes on one
 //    stream) must equal the batch_rows=1 stream byte for byte;
 //  - mid-batch cancellation: a cell budget tripping at *every* possible
@@ -56,11 +55,10 @@ struct EngineRun {
 };
 
 EngineRun RunEngine(const xml::Document* doc, const xpath::PathExpr& path,
-                    unsigned threads, bool simd, size_t batch_rows) {
+                    unsigned threads, size_t batch_rows) {
   engine::EngineOptions o;
   o.num_threads = threads;
   o.collect_profile = true;
-  o.plan.exec.simd = simd;
   o.plan.exec.batch_rows = batch_rows;
   engine::BlossomTreeEngine eng(doc, o);
   EngineRun run;
@@ -71,7 +69,7 @@ EngineRun RunEngine(const xml::Document* doc, const xpath::PathExpr& path,
   return run;
 }
 
-TEST(BatchExecTest, EngineIdenticalAcrossBatchSimdAndThreads) {
+TEST(BatchExecTest, EngineIdenticalAcrossBatchAndThreads) {
   for (datagen::Dataset ds : datagen::AllDatasets()) {
     datagen::GenOptions o;
     o.scale = 0.02;
@@ -83,25 +81,20 @@ TEST(BatchExecTest, EngineIdenticalAcrossBatchSimdAndThreads) {
       // Result oracle: navigational evaluation over the DOM.
       auto oracle = engine::PathEvaluator(doc.get()).Evaluate(*path);
       ASSERT_TRUE(oracle.ok()) << q.xpath;
-      // Counter reference: the serial scalar-kernel run.
-      EngineRun ref = RunEngine(doc.get(), *path, 1, false, 64);
+      // Counter reference: the serial run at the default batch size.
+      EngineRun ref = RunEngine(doc.get(), *path, 1, 64);
       EXPECT_EQ(ref.result, *oracle) << q.xpath;
-      auto check = [&](unsigned threads, bool simd, size_t rows) {
-        EngineRun got = RunEngine(doc.get(), *path, threads, simd, rows);
+      auto check = [&](unsigned threads, size_t rows) {
+        EngineRun got = RunEngine(doc.get(), *path, threads, rows);
         EXPECT_EQ(got.result, *oracle)
-            << q.xpath << " threads=" << threads << " simd=" << simd
-            << " batch_rows=" << rows;
+            << q.xpath << " threads=" << threads << " batch_rows=" << rows;
         EXPECT_EQ(got.counters, ref.counters)
-            << q.xpath << " threads=" << threads << " simd=" << simd
-            << " batch_rows=" << rows;
+            << q.xpath << " threads=" << threads << " batch_rows=" << rows;
       };
-      // Batch-size sweep on the serial SIMD path.
-      for (size_t rows : {1u, 7u, 64u, 4096u}) check(1, true, rows);
-      // Thread × kernel cross at the default batch size.
-      for (unsigned threads : {1u, 2u, 4u}) {
-        check(threads, true, 64);
-        check(threads, false, 64);
-      }
+      // Batch-size sweep on the serial path.
+      for (size_t rows : {1u, 7u, 4096u}) check(1, rows);
+      // Thread sweep at the default batch size.
+      for (unsigned threads : {2u, 4u}) check(threads, 64);
     }
   }
 }
@@ -319,7 +312,7 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
   // a batch that fits the budget is charged in one call, and only a batch
   // that crosses it is cut row by row.
   std::string text = "<r>";
-  // Filler makes the a/b postings selective enough for the planner to seek.
+  // Filler makes the a/b streams selective enough for the planner to seek.
   for (int i = 0; i < 64; ++i) text += "<z/>";
   text +=
       "<a><b/></a><a><b/><b/></a><a/><a><b/></a><a><b/><b/><b/></a><a><b/>"
@@ -370,38 +363,32 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
     ASSERT_GT(total_charge, 4u);
     ASSERT_GE(total_charge, total.cells);
 
-    for (bool simd : {true, false}) {
-      for (size_t batch_rows : {1u, 7u, 64u}) {
-        for (uint64_t budget = 0; budget <= total_charge; ++budget) {
-          util::QueryLimits limits;
-          limits.max_nl_cells = budget;
-          util::ResourceGuard guard(limits);
-          guard.Arm();
-          opt::PlanOptions po = plan_options(&guard);
-          po.exec.simd = simd;
-          auto plan = opt::PlanQuery(doc.get(), &*tree, po);
-          ASSERT_TRUE(plan.ok());
-          NestedListOperator* root = plan->trees[0].root.get();
-          GovernedDrain got = DrainGoverned(root, batch_rows);
-          EXPECT_LE(got.cells, budget);
-          EXPECT_EQ(guard.Tripped(), budget < total_charge)
-              << "budget=" << budget;
-          // Finish() on a tripped plan must be safe and must not inflate
-          // the handout counters past what was delivered.
-          plan->FinishAll();
-          ExecStats s = plan->trees[0].root->Stats();
-          EXPECT_EQ(s.matches, got.rows)
-              << "simd=" << simd << " batch_rows=" << batch_rows
-              << " budget=" << budget;
-          EXPECT_EQ(s.nl_cells, got.cells)
-              << "simd=" << simd << " batch_rows=" << batch_rows
-              << " budget=" << budget;
-          if (budget < total_charge) {
-            EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
-          } else {
-            EXPECT_EQ(got.rows, total.rows);
-            EXPECT_TRUE(guard.status().ok());
-          }
+    for (size_t batch_rows : {1u, 7u, 64u}) {
+      for (uint64_t budget = 0; budget <= total_charge; ++budget) {
+        util::QueryLimits limits;
+        limits.max_nl_cells = budget;
+        util::ResourceGuard guard(limits);
+        guard.Arm();
+        auto plan = opt::PlanQuery(doc.get(), &*tree, plan_options(&guard));
+        ASSERT_TRUE(plan.ok());
+        NestedListOperator* root = plan->trees[0].root.get();
+        GovernedDrain got = DrainGoverned(root, batch_rows);
+        EXPECT_LE(got.cells, budget);
+        EXPECT_EQ(guard.Tripped(), budget < total_charge)
+            << "budget=" << budget;
+        // Finish() on a tripped plan must be safe and must not inflate the
+        // handout counters past what was delivered.
+        plan->FinishAll();
+        ExecStats s = plan->trees[0].root->Stats();
+        EXPECT_EQ(s.matches, got.rows)
+            << "batch_rows=" << batch_rows << " budget=" << budget;
+        EXPECT_EQ(s.nl_cells, got.cells)
+            << "batch_rows=" << batch_rows << " budget=" << budget;
+        if (budget < total_charge) {
+          EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
+        } else {
+          EXPECT_EQ(got.rows, total.rows);
+          EXPECT_TRUE(guard.status().ok());
         }
       }
     }
@@ -410,7 +397,7 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
 
 TEST(BatchExecTest, ScanStatsMatchDeliveryUnderRowBudgetTrips) {
   // The same audit at the leaf: a bare NokScanOperator under cell budgets
-  // tripping on every row, with either kernel backend.
+  // tripping on every row.
   auto doc = xml::ParseDocument(
                  "<r><a/><b/><a/><a/><c/><a/><a/><a/><b/><a/></r>")
                  .MoveValue();
@@ -425,23 +412,16 @@ TEST(BatchExecTest, ScanStatsMatchDeliveryUnderRowBudgetTrips) {
   for (const NestedList& nl : Drain(&ungoverned)) total += CountCells(nl);
   ASSERT_GT(total, 0u);
 
-  for (bool simd : {true, false}) {
-    ExecOptions eo;
-    eo.simd = simd;
-    for (uint64_t budget = 0; budget <= total; ++budget) {
-      util::QueryLimits limits;
-      limits.max_nl_cells = budget;
-      util::ResourceGuard guard(limits);
-      guard.Arm();
-      NokScanOperator scan(doc.get(), &*tree, nok, nullptr, &guard, nullptr,
-                           nullptr, eo);
-      GovernedDrain got = DrainGoverned(&scan, 3);
-      EXPECT_EQ(scan.Stats().matches, got.rows)
-          << "simd=" << simd << " budget=" << budget;
-      EXPECT_EQ(scan.Stats().nl_cells, got.cells)
-          << "simd=" << simd << " budget=" << budget;
-      EXPECT_EQ(guard.Tripped(), budget < total);
-    }
+  for (uint64_t budget = 0; budget <= total; ++budget) {
+    util::QueryLimits limits;
+    limits.max_nl_cells = budget;
+    util::ResourceGuard guard(limits);
+    guard.Arm();
+    NokScanOperator scan(doc.get(), &*tree, nok, nullptr, &guard);
+    GovernedDrain got = DrainGoverned(&scan, 3);
+    EXPECT_EQ(scan.Stats().matches, got.rows) << "budget=" << budget;
+    EXPECT_EQ(scan.Stats().nl_cells, got.cells) << "budget=" << budget;
+    EXPECT_EQ(guard.Tripped(), budget < total);
   }
 }
 

@@ -1,4 +1,4 @@
-// Structural-index suite (DESIGN.md §14): DataGuide / posting-list /
+// Structural-index suite (DESIGN.md §14): DataGuide / tag-statistics /
 // value-index construction, BTSI sidecar roundtrip, and the planner's
 // cost-based access-path selection — index seeks must scan far fewer nodes
 // than sequential scans while producing byte-identical results at every
@@ -69,7 +69,7 @@ std::vector<xml::NodeId> BruteEq(const xml::Document& doc,
 
 // -- Construction ------------------------------------------------------------
 
-TEST(StructuralIndexTest, BuildPostingsAndGuide) {
+TEST(StructuralIndexTest, BuildStatsAndGuide) {
   auto doc = Parse("<r><a><b>x</b><b>y</b></a><c><b>z</b></c></r>");
   auto idx = StructuralIndex::Build(*doc);
   ASSERT_NE(idx, nullptr);
@@ -78,22 +78,24 @@ TEST(StructuralIndexTest, BuildPostingsAndGuide) {
   EXPECT_EQ(idx->num_elements(), doc->NumElements());
   EXPECT_TRUE(idx->Matches(*doc));
 
+  // Per-tag statistics: every b is a one-text subtree (2 nodes); a holds
+  // two of them (5 nodes).
+  xml::TagId a = doc->tags().Lookup("a");
   xml::TagId b = doc->tags().Lookup("b");
   ASSERT_NE(b, xml::kNullTag);
-  EXPECT_EQ(idx->PostingCount(b), 3u);
-  auto postings = idx->Postings(b);
-  ASSERT_EQ(postings.size(), 3u);
-  for (size_t i = 0; i < postings.size(); ++i) {
-    EXPECT_EQ(postings[i].node, doc->TagIndex(b)[i]);
-    EXPECT_EQ(postings[i].subtree_end, doc->SubtreeEnd(postings[i].node));
-    if (i > 0) {
-      EXPECT_LT(postings[i - 1].node, postings[i].node);
-    }
-  }
+  EXPECT_DOUBLE_EQ(idx->Stats(b).avg_subtree, 2.0);
+  EXPECT_DOUBLE_EQ(idx->Stats(a).avg_subtree, 5.0);
+  EXPECT_EQ(idx->Stats(b).overlong_values, 0u);
 
   // Guide: distinct root-to-element paths r, r/a, r/a/b, r/c, r/c/b plus
-  // the super-root.
-  EXPECT_EQ(idx->guide().size(), 6u);
+  // the super-root, each counting its elements: the three b's split 2/1
+  // over r/a/b and r/c/b.
+  ASSERT_EQ(idx->guide().size(), 6u);
+  uint64_t b_count = 0;
+  for (const GuideNode& g : idx->guide()) {
+    if (g.tag == b) b_count += g.count;
+  }
+  EXPECT_EQ(b_count, doc->TagIndex(b).size());
   EXPECT_TRUE(
       idx->CanMatchPaths({pattern::NokPath{{"a", "b"}}}));
   EXPECT_TRUE(idx->CanMatchPaths({pattern::NokPath{{"c", "b"}}}));
@@ -168,13 +170,12 @@ TEST(StructuralIndexTest, BtsiRoundtrip) {
     EXPECT_EQ((*back)->guide()[i].parent, idx->guide()[i].parent);
     EXPECT_EQ((*back)->guide()[i].count, idx->guide()[i].count);
   }
-  EXPECT_EQ((*back)->raw_posting_offsets(), idx->raw_posting_offsets());
-  ASSERT_EQ((*back)->raw_postings().size(), idx->raw_postings().size());
-  for (size_t i = 0; i < idx->raw_postings().size(); ++i) {
-    EXPECT_EQ((*back)->raw_postings()[i].node, idx->raw_postings()[i].node);
-    EXPECT_EQ((*back)->raw_postings()[i].subtree_end,
-              idx->raw_postings()[i].subtree_end);
-    EXPECT_EQ((*back)->raw_postings()[i].level, idx->raw_postings()[i].level);
+  ASSERT_EQ((*back)->raw_stats().size(), idx->raw_stats().size());
+  for (size_t i = 0; i < idx->raw_stats().size(); ++i) {
+    EXPECT_EQ((*back)->raw_stats()[i].avg_subtree,
+              idx->raw_stats()[i].avg_subtree);
+    EXPECT_EQ((*back)->raw_stats()[i].overlong_values,
+              idx->raw_stats()[i].overlong_values);
   }
   EXPECT_EQ((*back)->raw_value_pool(), idx->raw_value_pool());
   ASSERT_EQ((*back)->raw_values().size(), idx->raw_values().size());

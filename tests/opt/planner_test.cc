@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/query_profile.h"
+#include "index/structural_index.h"
 #include "pattern/builder.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
@@ -253,6 +255,48 @@ TEST(PlannerTest, IneligibleDescendantBranchesStayJoins) {
     nl.strategy = JoinStrategy::kBoundedNestedLoop;
     EXPECT_EQ(Eval(*doc, q), Eval(*doc, q, nl)) << q;
   }
+}
+
+TEST(PlannerTest, JoinFreePlansReportNoStrategy) {
+  // Filler makes the a stream selective enough for the planner to seek.
+  std::string text = "<r>";
+  for (int i = 0; i < 64; ++i) text += "<z/>";
+  text += "<a><x><b/></x></a><a><c/></a><b/></r>";
+  auto doc = Parse(text);
+  auto idx = index::StructuralIndex::Build(*doc);
+  PlanOptions seek;
+  seek.index = idx.get();
+  struct Case {
+    const char* query;
+    PlanOptions options;
+    const char* op;  ///< The operator the plan must contain.
+  };
+  const Case kCases[] = {
+      {"//a", {}, "NokScan(a)"},
+      {"//a", seek, "IndexSeek(a)"},
+      {"//a[//b]", {}, "DescendantProbe(a // b)"},
+      {"//a[//b]", seek, "DescendantProbe(a // b)"},
+  };
+  for (const Case& c : kCases) {
+    pattern::BlossomTree t = Tree(c.query);
+    auto plan = PlanQuery(doc.get(), &t, c.options);
+    ASSERT_TRUE(plan.ok()) << c.query;
+    const std::string explain = plan->Explain();
+    EXPECT_NE(explain.find(c.op), std::string::npos) << explain;
+    EXPECT_EQ(explain.find("Join("), std::string::npos) << explain;
+    EXPECT_FALSE(plan->chosen.has_value()) << explain;
+    EXPECT_EQ(explain.rfind("strategy: none\n", 0), 0u) << explain;
+    plan->FinishAll();
+    EXPECT_EQ(engine::BuildQueryProfile(&*plan, c.query, 1).strategy, "none");
+  }
+  // The same probe forced into a join names the join's strategy.
+  pattern::BlossomTree t = Tree("//a[//b]");
+  PlanOptions pl;
+  pl.strategy = JoinStrategy::kPipelined;
+  auto plan = PlanQuery(doc.get(), &t, pl);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->chosen, JoinStrategy::kPipelined);
+  EXPECT_EQ(plan->Explain().rfind("strategy: pipelined\n", 0), 0u);
 }
 
 TEST(PlannerTest, UnfinalizedTreeRejected) {
