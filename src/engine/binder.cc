@@ -1,6 +1,7 @@
 #include "engine/binder.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/trace.h"
 
@@ -49,7 +50,11 @@ struct Expander {
       }
     }
     BT_RETURN_NOT_OK(Walk());
-    out->rows = out->rows.SortedDistinct();
+    // Rows of a non-recursive document's lists arrive in order and
+    // distinct; only nesting matches pay for the sort.
+    if (!out->rows.StrictlyAscending()) {
+      out->rows = out->rows.SortedDistinct();
+    }
     return Status::OK();
   }
 
@@ -99,7 +104,7 @@ struct Expander {
       pool.push_back(xml::kNullNode);
       for (const Entry* e : matches) {
         pool[mark] = e->node;  // Deeper runs start past it.
-        st = Descend(item.slot, {e});
+        st = Descend(item.slot, {&e, 1});
         if (!st.ok()) break;
       }
     }
@@ -109,7 +114,7 @@ struct Expander {
   }
 
   /// Walks on with each child slot of `s` queued over its `matches`' groups.
-  Status Descend(SlotId s, const std::vector<const Entry*>& matches) {
+  Status Descend(SlotId s, std::span<const Entry* const> matches) {
     size_t mark = pending.size();
     const std::vector<SlotId>& kids = tree.slot(s).children;
     for (size_t i = 0; i < kids.size(); ++i) {

@@ -354,9 +354,7 @@ Result<TupleTable> BlossomTreeEngine::FlworTuples(
   // The FLWOR's own loop order is ascending slots; trees whose slots
   // interleave (`for $a in //a, $b in //b, $c in $a/c`) leave the nested
   // loop out of it, and a permutation of the rows restores it.
-  for (size_t r = 1; r < kept.rows; ++r) {
-    if (kept.Compare(r - 1, r) > 0) return kept.SortedDistinct();
-  }
+  if (!kept.StrictlyAscending()) return kept.SortedDistinct();
   return kept;
 }
 

@@ -1,6 +1,7 @@
 #include "engine/path_eval.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "exec/value_ops.h"
@@ -14,12 +15,12 @@ namespace {
 /// root element. Only the child and descendant axes leave it.
 constexpr xml::NodeId kVirtualRoot = static_cast<xml::NodeId>(-2);
 
-bool TagTest(const xml::Document& doc, xml::NodeId n, const std::string& tag) {
-  if (!doc.IsElement(n)) return false;
-  return tag == "*" || doc.TagName(n) == tag;
-}
-
+/// Sorts and dedups `nodes` unless they already ascend strictly.
 void SortDedup(std::vector<xml::NodeId>* nodes) {
+  if (std::adjacent_find(nodes->begin(), nodes->end(),
+                         std::greater_equal<>()) == nodes->end()) {
+    return;
+  }
   std::sort(nodes->begin(), nodes->end());
   nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
 }
@@ -82,16 +83,32 @@ Result<std::vector<xml::NodeId>> PathEvaluator::EvaluateWith(
     case xpath::PathExpr::StartKind::kContext:
       break;
   }
-  std::vector<xml::NodeId> cur(start.begin(), start.end());
+  if (path.steps.empty()) {
+    return std::vector<xml::NodeId>(start.begin(), start.end());
+  }
+  std::vector<xml::NodeId> cur;
   for (const xpath::Step& step : path.steps) {
-    BT_ASSIGN_OR_RETURN(cur, ApplyStep(step, cur));
+    // The step reads all of `start` (possibly `cur`) before `cur` changes.
+    BT_ASSIGN_OR_RETURN(cur, ApplyStep(step, start));
+    start = cur;
   }
   return cur;
 }
 
 Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
-    const xpath::Step& step, const std::vector<xml::NodeId>& context) {
+    const xpath::Step& step, std::span<const xml::NodeId> context) {
   std::vector<xml::NodeId> out;
+  // A step without predicates keeps every candidate: they go straight out.
+  std::vector<xml::NodeId> candidates;
+  std::vector<xml::NodeId>& hits = step.predicates.empty() ? out : candidates;
+  // The name test, resolved once: "*" is any element, else an element
+  // whose tag id is the name's (a name the document never interned is
+  // kNullTag, which no element carries).
+  const bool any = step.name == "*";
+  const xml::TagId tag = any ? xml::kNullTag : doc_->tags().Lookup(step.name);
+  auto name_ok = [&](xml::NodeId n) {
+    return doc_->IsElement(n) && (any || doc_->Tag(n) == tag);
+  };
   for (xml::NodeId ctx : context) {
     if (step.axis == xpath::Axis::kAttribute) {
       // Attribute steps surface the owning element when the attribute
@@ -102,43 +119,51 @@ Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
       continue;
     }
     // Candidate nodes by axis.
-    std::vector<xml::NodeId> candidates;
+    candidates.clear();
     switch (step.axis) {
       case xpath::Axis::kSelf:
         ++nodes_visited_;
-        if (step.name.empty() || TagTest(*doc_, ctx, step.name)) {
-          candidates.push_back(ctx);
+        if (step.name.empty() || name_ok(ctx)) {
+          hits.push_back(ctx);
         }
         break;
       case xpath::Axis::kChild:
         if (ctx == kVirtualRoot) {  // Its one child: the root element.
           ++nodes_visited_;
-          if (TagTest(*doc_, doc_->Root(), step.name)) {
-            candidates.push_back(doc_->Root());
+          if (name_ok(doc_->Root())) {
+            hits.push_back(doc_->Root());
           }
           break;
         }
         for (xml::NodeId c = doc_->FirstChild(ctx); c != xml::kNullNode;
              c = doc_->NextSibling(c)) {
           ++nodes_visited_;
-          if (TagTest(*doc_, c, step.name)) candidates.push_back(c);
+          if (name_ok(c)) hits.push_back(c);
         }
         break;
-      case xpath::Axis::kDescendant:
-        CollectDescendants(ctx, step.name, &candidates);
+      case xpath::Axis::kDescendant: {
+        // The virtual root's descendants: the root element and its subtree.
+        const bool top = ctx == kVirtualRoot;
+        xml::NodeId end = doc_->SubtreeEnd(top ? doc_->Root() : ctx);
+        for (xml::NodeId i = top ? doc_->Root() : ctx + 1;
+             i <= end && i < doc_->NumNodes(); ++i) {
+          ++nodes_visited_;
+          if (name_ok(i)) hits.push_back(i);
+        }
         break;
+      }
       case xpath::Axis::kFollowingSibling:
         for (xml::NodeId c = doc_->NextSibling(ctx); c != xml::kNullNode;
              c = doc_->NextSibling(c)) {
           ++nodes_visited_;
-          if (TagTest(*doc_, c, step.name)) candidates.push_back(c);
+          if (name_ok(c)) hits.push_back(c);
         }
         break;
       case xpath::Axis::kParent: {
         xml::NodeId p = doc_->Parent(ctx);
         ++nodes_visited_;
-        if (p != xml::kNullNode && TagTest(*doc_, p, step.name)) {
-          candidates.push_back(p);
+        if (p != xml::kNullNode && name_ok(p)) {
+          hits.push_back(p);
         }
         break;
       }
@@ -148,7 +173,7 @@ Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
         for (xml::NodeId p = doc_->Parent(ctx); p != xml::kNullNode;
              p = doc_->Parent(p)) {
           ++nodes_visited_;
-          if (TagTest(*doc_, p, step.name)) candidates.push_back(p);
+          if (name_ok(p)) hits.push_back(p);
         }
         break;
       case xpath::Axis::kFollowing:
@@ -156,7 +181,7 @@ Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
         for (xml::NodeId n = doc_->SubtreeEnd(ctx) + 1; n < doc_->NumNodes();
              ++n) {
           ++nodes_visited_;
-          if (TagTest(*doc_, n, step.name)) candidates.push_back(n);
+          if (name_ok(n)) hits.push_back(n);
         }
         break;
       case xpath::Axis::kPreceding:
@@ -165,12 +190,13 @@ Result<std::vector<xml::NodeId>> PathEvaluator::ApplyStep(
         for (xml::NodeId n = ctx; n-- > 0;) {
           ++nodes_visited_;
           if (doc_->SubtreeEnd(n) >= ctx) continue;  // Ancestor of ctx.
-          if (TagTest(*doc_, n, step.name)) candidates.push_back(n);
+          if (name_ok(n)) hits.push_back(n);
         }
         break;
       default:
         return Status::Unsupported("unsupported axis");
     }
+    if (step.predicates.empty()) continue;
     int axis_rank = 0;
     for (xml::NodeId n : candidates) {
       ++axis_rank;
@@ -218,17 +244,6 @@ Result<bool> PathEvaluator::EvalPredicate(const xpath::Predicate& pred,
   // Value comparison (general comparison semantics: some item matches).
   return exec::GeneralCompareLiteral(*doc_, nodes, pred.op, pred.literal,
                                      FinalAttribute(*pred.path));
-}
-
-void PathEvaluator::CollectDescendants(xml::NodeId n, const std::string& tag,
-                                       std::vector<xml::NodeId>* out) {
-  // The virtual root's descendants: the root element and its subtree.
-  xml::NodeId end = doc_->SubtreeEnd(n == kVirtualRoot ? doc_->Root() : n);
-  for (xml::NodeId i = n == kVirtualRoot ? doc_->Root() : n + 1;
-       i <= end && i < doc_->NumNodes(); ++i) {
-    ++nodes_visited_;
-    if (TagTest(*doc_, i, tag)) out->push_back(i);
-  }
 }
 
 }  // namespace engine

@@ -73,6 +73,14 @@ struct TupleTable {
     }
     return std::strong_ordering::equal;
   }
+  /// \brief True when every row Compares strictly below the next: the
+  /// table already is its own SortedDistinct().
+  bool StrictlyAscending() const {
+    for (size_t r = 1; r < rows; ++r) {
+      if (Compare(r - 1, r) >= 0) return false;
+    }
+    return true;
+  }
   /// \brief The distinct rows in ascending Compare order: one sort of row
   /// indexes, then one compaction.
   TupleTable SortedDistinct() const;
@@ -119,10 +127,8 @@ class PathEvaluator {
 
  private:
   Result<std::vector<xml::NodeId>> ApplyStep(
-      const xpath::Step& step, const std::vector<xml::NodeId>& context);
+      const xpath::Step& step, std::span<const xml::NodeId> context);
   Result<bool> EvalPredicate(const xpath::Predicate& pred, xml::NodeId node);
-  void CollectDescendants(xml::NodeId n, const std::string& tag,
-                          std::vector<xml::NodeId>* out);
 
   const xml::Document* doc_;
   uint64_t nodes_visited_ = 0;

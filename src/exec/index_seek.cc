@@ -7,12 +7,11 @@
 namespace blossomtree {
 namespace exec {
 
-IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
-                                     const pattern::BlossomTree* tree,
-                                     const pattern::NokTree* nok,
-                                     std::span<const xml::NodeId> candidates,
-                                     util::ResourceGuard* guard,
-                                     const storage::DiskStore* store)
+IndexSeekOperator::IndexSeekOperator(
+    const xml::Document* doc, const pattern::BlossomTree* tree,
+    const pattern::NokTree* nok, std::span<const xml::NodeId> candidates,
+    std::optional<std::vector<xml::NodeId>> owned, util::ResourceGuard* guard,
+    const storage::DiskStore* store)
     : NestedListOperator(guard),
       doc_(doc),
       matcher_(doc, tree, nok),
@@ -22,18 +21,10 @@ IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
                      : static_cast<xml::NodeId>(doc->NumNodes() - 1)),
       store_(store) {
   matcher_.set_guard(guard);
-}
-
-IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
-                                     const pattern::BlossomTree* tree,
-                                     const pattern::NokTree* nok,
-                                     std::vector<xml::NodeId> candidates,
-                                     util::ResourceGuard* guard,
-                                     const storage::DiskStore* store)
-    : IndexSeekOperator(doc, tree, nok, std::span<const xml::NodeId>(), guard,
-                        store) {
-  owned_ = std::move(candidates);
-  candidates_ = owned_;
+  if (owned) {
+    owned_ = std::move(*owned);
+    candidates_ = owned_;
+  }
 }
 
 void IndexSeekOperator::FillBatch(Batch* out, size_t max_rows) {

@@ -1,6 +1,7 @@
 #ifndef BLOSSOMTREE_EXEC_INDEX_SEEK_H_
 #define BLOSSOMTREE_EXEC_INDEX_SEEK_H_
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,7 +36,9 @@ class IndexSeekOperator : public NestedListOperator {
   /// \param candidates NodeIds to probe, ascending document order; the
   ///        planner's access-path choice (empty = provably-empty NoK).
   ///        Borrowed: they must outlive the operator, as a tag stream of
-  ///        `doc` does.
+  ///        `doc` does...
+  /// \param owned ...unless `owned` is set (a value-index run): then the
+  ///        operator keeps that run and probes it instead.
   /// \param guard optional per-query resource guard, sampled every ~512
   ///        probes.
   /// \param store optional DiskStore whose image `doc` is: probed
@@ -45,14 +48,8 @@ class IndexSeekOperator : public NestedListOperator {
                     const pattern::BlossomTree* tree,
                     const pattern::NokTree* nok,
                     std::span<const xml::NodeId> candidates,
-                    util::ResourceGuard* guard = nullptr,
-                    const storage::DiskStore* store = nullptr);
-
-  /// \brief The same seek over candidates it owns (a value-index run).
-  IndexSeekOperator(const xml::Document* doc,
-                    const pattern::BlossomTree* tree,
-                    const pattern::NokTree* nok,
-                    std::vector<xml::NodeId> candidates,
+                    std::optional<std::vector<xml::NodeId>> owned =
+                        std::nullopt,
                     util::ResourceGuard* guard = nullptr,
                     const storage::DiskStore* store = nullptr);
 
@@ -72,8 +69,6 @@ class IndexSeekOperator : public NestedListOperator {
   /// \brief Candidates probed so far — the seek's `nodes_scanned`.
   uint64_t NodesScanned() const { return probed_; }
 
-  size_t NumCandidates() const { return candidates_.size(); }
-
  protected:
   void FillBatch(Batch* out, size_t max_rows) override;
 
@@ -82,7 +77,7 @@ class IndexSeekOperator : public NestedListOperator {
   NokMatcher matcher_;
   /// The current batch's rows, lent to the consumer.
   nestedlist::Arena out_;
-  std::vector<xml::NodeId> owned_;  ///< Backs `candidates_` when owned.
+  std::vector<xml::NodeId> owned_;  ///< Backs `candidates_` when given.
   std::span<const xml::NodeId> candidates_;
   size_t pos_ = 0;
   xml::NodeId range_begin_ = 0;

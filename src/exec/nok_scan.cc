@@ -1,11 +1,11 @@
 #include "exec/nok_scan.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 
 #include "exec/value_ops.h"
 #include "nestedlist/ops.h"
-#include "pattern/fingerprint.h"
 
 namespace blossomtree {
 namespace exec {
@@ -15,6 +15,31 @@ using nestedlist::Group;
 using pattern::EdgeMode;
 using pattern::SlotId;
 using pattern::VertexId;
+
+namespace {
+
+void AppendTopSlots(const pattern::BlossomTree& tree,
+                    const pattern::NokTree& nok, VertexId v,
+                    std::vector<SlotId>* out) {
+  if (tree.vertex(v).returning) {
+    out->push_back(tree.SlotOfVertex(v));
+    return;
+  }
+  for (VertexId c : tree.vertex(v).children) {
+    if (xpath::IsLocalAxis(tree.vertex(c).axis) && nok.Contains(c)) {
+      AppendTopSlots(tree, nok, c, out);
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<SlotId> NokTopSlots(const pattern::BlossomTree& tree,
+                                const pattern::NokTree& nok) {
+  std::vector<SlotId> out;
+  AppendTopSlots(tree, nok, nok.root, &out);
+  return out;
+}
 
 NokMatcher::NokMatcher(const xml::Document* doc,
                        const pattern::BlossomTree* tree,
@@ -304,7 +329,7 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
       doc_(doc),
       tree_(tree),
       nok_(nok),
-      matcher_(doc, tree, nok),
+      top_slots_(NokTopSlots(*tree, *nok)),
       virtual_root_(tree->vertex(nok->root).IsVirtualRoot()),
       range_end_(doc->NumNodes() == 0
                      ? 0
@@ -312,10 +337,9 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
       pool_(pool),
       cache_(cache),
       store_(store) {
-  matcher_.set_guard(guard);
-  if (cache_ != nullptr) {
-    canonical_nok_ = pattern::CanonicalNok(*tree, *nok);
-  }
+  // Cache keys take their pattern half from the NoK's fingerprint, which
+  // pattern::Decompose sets.
+  assert(cache_ == nullptr || !nok->fingerprint.empty());
   // A concrete element root takes its candidates from its tag stream:
   // they are exactly the nodes on which RootTest would spend any counted
   // work (TagOk is a free tag-id compare; value comparisons and match work
@@ -452,8 +476,6 @@ void NokScanOperator::RunMaterializedScan() {
     parts.push_back(storage::NodeRange{range_begin_, range_end_});
   }
   parts_.assign(parts.size(), nullptr);
-  std::vector<uint64_t> scanned(parts.size(), 0);
-  std::vector<uint64_t> work(parts.size(), 0);
   // Per-partition cache probe (main thread): hit partitions take the
   // cached frozen arena; only the misses scan. Partition ranges are a pure
   // function of (document, thread count), so a warm run at the same thread
@@ -463,10 +485,19 @@ void NokScanOperator::RunMaterializedScan() {
   if (cached) {
     util::TraceSpan lookup("cache", "result.lookup");
     for (size_t i = 0; i < parts.size(); ++i) {
-      parts_[i] = ProbeCache(NokCacheKey{doc_->generation(), canonical_nok_,
+      parts_[i] = ProbeCache(NokCacheKey{doc_->generation(), nok_->fingerprint,
                                          parts[i].begin, parts[i].end});
     }
   }
+  part_ = 0;
+  part_pos_ = 0;
+  buffered_ = true;
+  // Hit partitions contribute no scan work: a full hit is done here.
+  if (std::find(parts_.begin(), parts_.end(), nullptr) == parts_.end()) {
+    return;
+  }
+  std::vector<uint64_t> scanned(parts.size(), 0);
+  std::vector<uint64_t> work(parts.size(), 0);
   // Each miss scans into its own arena, made here: the pool skips the
   // remaining tasks once the guard trips, and a skipped partition must
   // still lend (zero) rows.
@@ -504,7 +535,7 @@ void NokScanOperator::RunMaterializedScan() {
     work[i] = m.MatchWork();
   };
   if (parts.size() == 1) {
-    if (!missing.empty()) scan(0);
+    scan(0);
   } else {
     pool_->ParallelFor(missing.size(), scan, guard());
   }
@@ -513,21 +544,17 @@ void NokScanOperator::RunMaterializedScan() {
   // frozen: the cache and this scan read them, nobody writes them.
   if (cached) {
     for (size_t i : missing) {
-      FillCache(NokCacheKey{doc_->generation(), canonical_nok_,
+      FillCache(NokCacheKey{doc_->generation(), nok_->fingerprint,
                             parts[i].begin, parts[i].end},
                 parts_[i]);
     }
   }
   // Deterministic merge point (DESIGN.md §8): per-partition counters fold
-  // in partition order, matching the lending order. Hit partitions
-  // contribute no scan work.
+  // in partition order, matching the lending order.
   for (size_t i = 0; i < parts.size(); ++i) {
     nodes_scanned_ += scanned[i];
     parallel_work_ += work[i];
   }
-  part_ = 0;
-  part_pos_ = 0;
-  buffered_ = true;
 }
 
 bool NokScanOperator::ScanNextChunk(size_t want) {
@@ -543,7 +570,11 @@ bool NokScanOperator::ScanNextChunk(size_t want) {
     if (!virtual_root_ && chunk_end - cursor_ >= kScanChunk) {
       chunk_end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
     }
-    bool ok = ScanRange(&matcher_, cursor_, chunk_end, &io_cursor_,
+    if (!matcher_) {
+      matcher_.emplace(doc_, tree_, nok_);
+      matcher_->set_guard(guard());
+    }
+    bool ok = ScanRange(&*matcher_, cursor_, chunk_end, &io_cursor_,
                         &nodes_scanned_, &chunk_);
     cursor_ = chunk_end + 1;
     if (!ok) {

@@ -34,6 +34,13 @@ constexpr xml::NodeId kVirtualRootNode = static_cast<xml::NodeId>(-2);
 constexpr size_t kPrefetchAhead = 8;
 constexpr int kPrefetchLines = 4;
 
+/// \brief The slots a NoK's output rows' top groups align with (what
+/// NokMatcher::top_slots() holds), without building a matcher: on every
+/// local path down from the root, the first returning vertex's slot, in the
+/// NoK's DFS order.
+std::vector<pattern::SlotId> NokTopSlots(const pattern::BlossomTree& tree,
+                                         const pattern::NokTree& nok);
+
 /// \brief NoK pattern-tree matcher (paper Algorithm 2): matches one NoK
 /// pattern tree (local axes only) against the subtree rooted at a given
 /// XML node, building the NestedList groups for every returning node in
@@ -199,9 +206,10 @@ class NokScanOperator : public NestedListOperator {
   ///        scans share theirs with it. Range-restricted scans (the BNLJ
   ///        inner side) bypass it. nullptr = the exact uncached scan.
   /// \param store optional DiskStore whose image `doc` is: the scan drivers
-  ///        count the blocks of the ids they visit through a per-scan
-  ///        cursor, so block-read counts reflect the scan's real access
-  ///        pattern — deterministically, independent of concurrent readers.
+  ///        count, through a per-scan cursor, every block of the range they
+  ///        cover — the paper's sequential-scan cost of the range, not the
+  ///        blocks the tag-stream candidates actually touch —
+  ///        deterministically, independent of concurrent readers.
   NokScanOperator(const xml::Document* doc, const pattern::BlossomTree* tree,
                   const pattern::NokTree* nok,
                   util::ThreadPool* pool = nullptr,
@@ -210,7 +218,7 @@ class NokScanOperator : public NestedListOperator {
                   const storage::DiskStore* store = nullptr);
 
   const std::vector<pattern::SlotId>& top_slots() const override {
-    return matcher_.top_slots();
+    return top_slots_;
   }
 
   /// \brief Restricts the scan to nodes in [begin, end] (inclusive) — the
@@ -227,7 +235,9 @@ class NokScanOperator : public NestedListOperator {
   /// \brief Nodes the driver has scanned (the I/O proxy: one sequential
   /// pass costs NumNodes). Parallel partitions contribute their counts.
   uint64_t NodesScanned() const { return nodes_scanned_; }
-  uint64_t MatchWork() const { return matcher_.MatchWork() + parallel_work_; }
+  uint64_t MatchWork() const {
+    return (matcher_ ? matcher_->MatchWork() : 0) + parallel_work_;
+  }
 
   /// \brief Partitions used by the last parallel scan (0 = serial path).
   size_t PartitionsUsed() const { return partitions_used_; }
@@ -295,7 +305,10 @@ class NokScanOperator : public NestedListOperator {
   const xml::Document* doc_;
   const pattern::BlossomTree* tree_;
   const pattern::NokTree* nok_;
-  NokMatcher matcher_;
+  std::vector<pattern::SlotId> top_slots_;
+  /// The lazy driver's matcher, built by its first chunk: a scan served
+  /// from the result cache never matches, so it never pays for one.
+  std::optional<NokMatcher> matcher_;
   bool virtual_root_;
   xml::NodeId cursor_ = 0;
   xml::NodeId range_begin_ = 0;
@@ -318,9 +331,6 @@ class NokScanOperator : public NestedListOperator {
   size_t partitions_used_ = 0;
 
   NokResultCache* cache_;
-  /// Canonical NoK fingerprint (computed once at construction when a cache
-  /// is attached): the pattern half of every cache key this scan uses.
-  std::string canonical_nok_;
 
   /// Optional DiskStore behind the document; the serial drivers count
   /// through `io_cursor_` (parallel partitions use private cursors).

@@ -1,12 +1,15 @@
 #include "exec/result_cache.h"
 
-#include "pattern/fingerprint.h"
+#include <functional>
+#include <string_view>
 
 namespace blossomtree {
 namespace exec {
 
 size_t NokCacheKeyHash::operator()(const NokCacheKey& k) const {
-  uint64_t h = pattern::FingerprintHash(k.nok);
+  // Every probe hashes the whole canonical NoK: the library's word-at-a-time
+  // string hash, not the byte-at-a-time FNV digest logs use.
+  uint64_t h = std::hash<std::string_view>{}(k.nok);
   h ^= k.doc_generation * 0x9E3779B97F4A7C15ull;
   h ^= (static_cast<uint64_t>(k.begin) << 32 | k.end) *
        0xC2B2AE3D27D4EB4Full;

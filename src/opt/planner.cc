@@ -8,6 +8,7 @@
 #include "exec/joins.h"
 #include "nestedlist/ops.h"
 #include "opt/cost_model.h"
+#include "pattern/fingerprint.h"
 #include "pattern/paths.h"
 #include "util/trace.h"
 
@@ -63,8 +64,9 @@ bool ProbeEligible(const pattern::BlossomTree& tree, const Connection& c) {
   return true;
 }
 
-/// Moves every eligible connection of `d` onto its `from` NoK as a probe;
-/// marks in `probed` the NoKs that leaves unreachable (the probes' `to`).
+/// Moves every eligible connection of `d` onto its `from` NoK as a probe,
+/// refreshing that NoK's fingerprint; marks in `probed` the NoKs that
+/// leaves unreachable (the probes' `to`).
 void FoldProbes(const pattern::BlossomTree& tree, Decomposition* d,
                 std::vector<bool>* probed) {
   std::erase_if(d->connections, [&](const Connection& c) {
@@ -73,6 +75,11 @@ void FoldProbes(const pattern::BlossomTree& tree, Decomposition* d,
     (*probed)[d->NokOf(c.to)] = true;
     return true;
   });
+  for (size_t i = 0; i < d->noks.size(); ++i) {
+    if (!d->noks[i].probes.empty()) {
+      d->noks[i].fingerprint = pattern::CanonicalNok(tree, d->noks[i]);
+    }
+  }
 }
 
 /// NoK-local cardinality estimate: EstimateVertexMatches restricted to the
@@ -116,9 +123,8 @@ struct NokAccessPath {
   Kind kind = Kind::kScan;
   /// For kSeek: the root tag's stream, borrowed from the document...
   std::span<const xml::NodeId> stream;
-  /// ...unless `by_value`: then an exact value-index equality run.
-  bool by_value = false;
-  std::vector<xml::NodeId> value_run;
+  /// ...unless set: then an exact value-index equality run.
+  std::optional<std::vector<xml::NodeId>> value_run;
   std::string detail;  ///< EXPLAIN annotation.
 };
 
@@ -182,7 +188,6 @@ std::vector<NokAccessPath> ChooseAccessPaths(
     double scan_cost = static_cast<double>(doc->NumNodes());
     if (seek_cost < scan_cost) {
       ap.kind = NokAccessPath::Kind::kSeek;
-      ap.by_value = eq.usable;
       if (eq.usable) {
         ap.value_run = std::move(eq.nodes);
       } else {
@@ -252,18 +257,14 @@ class TreePlanner {
           decomp_->noks[nok_index].root);
     }
     const NokAccessPath& ap = (*access_)[nok_index];
+    const std::string nok_label = NokLabel(nok_index);
     if (ap.kind != NokAccessPath::Kind::kScan) {
       const pattern::NokTree* nok = &decomp_->noks[nok_index];
-      std::unique_ptr<exec::IndexSeekOperator> seek;
-      if (ap.by_value) {
-        seek = std::make_unique<exec::IndexSeekOperator>(
-            doc_, tree_, nok, ap.value_run, options_.guard, options_.store);
-      } else {
-        seek = std::make_unique<exec::IndexSeekOperator>(
-            doc_, tree_, nok, ap.stream, options_.guard, options_.store);
-      }
+      auto seek = std::make_unique<exec::IndexSeekOperator>(
+          doc_, tree_, nok, ap.stream, ap.value_run, options_.guard,
+          options_.store);
       plan_->seeks.push_back(seek.get());
-      std::string label = "IndexSeek(" + NokLabel(nok_index) + ")";
+      std::string label = "IndexSeek(" + nok_label + ")";
       seek->set_label(label);
       Indent(depth);
       plan_->explain += label + " [";
@@ -274,17 +275,19 @@ class TreePlanner {
     } else if (merged_ != nullptr && (*merged_index_)[nok_index] >= 0) {
       op = merged_->MakeOperator(
           static_cast<size_t>((*merged_index_)[nok_index]));
-      op->set_label("MergedNokView(" + NokLabel(nok_index) + ")");
+      std::string label = "MergedNokView(" + nok_label + ")";
       Indent(depth);
-      plan_->explain += "MergedNokView(" + NokLabel(nok_index) + ")\n";
+      plan_->explain += label + "\n";
+      op->set_label(std::move(label));
     } else {
       auto scan = std::make_unique<NokScanOperator>(
           doc_, tree_, &decomp_->noks[nok_index], options_.pool,
           options_.guard, options_.result_cache, options_.store);
       plan_->scans.push_back(scan.get());
-      scan->set_label("NokScan(" + NokLabel(nok_index) + ")");
+      std::string label = "NokScan(" + nok_label + ")";
       Indent(depth);
-      plan_->explain += "NokScan(" + NokLabel(nok_index) + ")";
+      plan_->explain += label;
+      scan->set_label(std::move(label));
       if (options_.pool != nullptr && options_.pool->NumThreads() > 1) {
         plan_->explain += " [parallel x" +
                           std::to_string(options_.pool->NumThreads()) + "]";
@@ -436,9 +439,11 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   plan.tree = tree;
   // Decompose is deterministic, so a plan built from a cached decomposition
   // is identical to one that re-runs Algorithm 1 here.
-  plan.decomposition =
-      precomputed != nullptr ? *precomputed : pattern::Decompose(*tree);
-  const Decomposition& d = plan.decomposition;
+  const Decomposition* decomp = precomputed;
+  if (decomp == nullptr) {
+    plan.decomposition = pattern::Decompose(*tree);
+    decomp = &plan.decomposition;
+  }
 
   // Rule: pipelined joins need document-order preservation (Theorem 2).
   // Under kAuto that is decided *per connection* using the per-tag nesting
@@ -447,12 +452,19 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
 
   // Rule: under kAuto an existential `//` leaf is a probe of its parent's
   // NoK, not a join (DESIGN.md §14). Forced strategies keep every join, so
-  // Table 3 still measures the paper's operators. Only the plan's copy of
-  // the decomposition changes; the cached one stays Algorithm 1's.
-  std::vector<bool> probed(d.noks.size(), false);
-  if (strategy == JoinStrategy::kAuto) {
+  // Table 3 still measures the paper's operators. Only the plan's own copy
+  // of the decomposition changes; a cached one stays Algorithm 1's.
+  std::vector<bool> probed(decomp->noks.size(), false);
+  if (strategy == JoinStrategy::kAuto &&
+      std::any_of(decomp->connections.begin(), decomp->connections.end(),
+                  [&](const Connection& c) {
+                    return ProbeEligible(*tree, c);
+                  })) {
+    if (decomp != &plan.decomposition) plan.decomposition = *decomp;
+    decomp = &plan.decomposition;
     FoldProbes(*tree, &plan.decomposition, &probed);
   }
+  const Decomposition& d = *decomp;
 
   // Find each pattern tree's base NoK: the root NoK itself, or — when the
   // root NoK is the bare virtual root "~" connected by // — its single
@@ -554,7 +566,7 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   }
   for (uint32_t base : bases) {
     PatternTreePlan tp;
-    TreePlanner builder(doc, tree, &plan.decomposition, options,
+    TreePlanner builder(doc, tree, &d, options,
                         merged.get(), &merged_index, &access, &tp,
                         &used_pipelined, &used_bnlj, cost.get());
     BT_ASSIGN_OR_RETURN(tp.root, builder.Build(base, 1));

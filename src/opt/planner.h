@@ -60,10 +60,12 @@ struct PlanOptions {
   /// (the exact pre-cache behavior, counters included).
   exec::NokResultCache* result_cache = nullptr;
   /// The DiskStore whose image `doc` is (borrowed, not owned). When set,
-  /// every NoK scan and index seek in the plan counts the blocks of the
-  /// ids it visits through it (per-scan cursors), so block-read counters
-  /// reflect the query's real access pattern. It changes no result and no
-  /// other counter. nullptr = no block accounting (in-RAM documents).
+  /// every NoK scan and index seek in the plan counts blocks through it
+  /// (per-scan cursors): a scan every block of the range it covers (the
+  /// sequential-scan cost of the range, not the blocks its tag-stream
+  /// candidates touch), a seek the blocks of the candidates it probes. It
+  /// changes no result and no other counter. nullptr = no block accounting
+  /// (in-RAM documents).
   const storage::DiskStore* store = nullptr;
   /// Structural index over `doc` (borrowed, not owned; DESIGN.md §14): when
   /// set and structurally matching the document, the planner costs an
@@ -106,6 +108,9 @@ struct PatternTreePlan {
 /// tree (FLWOR queries have several; path queries exactly one).
 struct QueryPlan {
   const pattern::BlossomTree* tree = nullptr;
+  /// The plan's own decomposition, when it needed one: PlanQuery was given
+  /// none, or folded probes into a copy of the one it was given. Empty
+  /// otherwise: the operators then read the caller's.
   pattern::Decomposition decomposition;
   std::vector<PatternTreePlan> trees;
   /// The single join strategy the plan uses, kAuto for a mix, nullopt
@@ -146,8 +151,9 @@ void ForEachOperator(
 ///    non-recursive documents, bounded nested-loop otherwise,
 ///  - optionally merges all root NoK scans into one pass.
 /// \param precomputed optional Decomposition of `tree` (e.g. from the plan
-///        cache): copied into the plan instead of re-running Algorithm 1.
-///        Must have been produced by pattern::Decompose(*tree).
+///        cache), used instead of re-running Algorithm 1 — copied into the
+///        plan only if the plan changes it. Must have been produced by
+///        pattern::Decompose(*tree), and must outlive the plan.
 Result<QueryPlan> PlanQuery(const xml::Document* doc,
                             const pattern::BlossomTree* tree,
                             const PlanOptions& options = {},

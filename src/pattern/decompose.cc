@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 
+#include "pattern/fingerprint.h"
+
 namespace blossomtree {
 namespace pattern {
 
@@ -41,6 +43,7 @@ Decomposition Decompose(const BlossomTree& tree) {
     }
     uint32_t idx = static_cast<uint32_t>(out.noks.size());
     for (VertexId v : t.vertices) out.nok_of_vertex[v] = idx;
+    t.fingerprint = CanonicalNok(tree, t);
     out.noks.push_back(std::move(t));
   }
   return out;

@@ -30,6 +30,11 @@ struct NokTree {
   /// `to`-tagged descendant (meeting `to`'s value constraint) exists. The
   /// matcher tests them on the tag stream; Decompose leaves this empty.
   std::vector<Connection> probes;
+  /// CanonicalNok(tree, *this), the NoK's result-cache identity: Decompose
+  /// sets it and whoever changes the NoK (the planner, when it folds
+  /// probes) refreshes it, so a plan built from a cached decomposition
+  /// never re-derives it.
+  std::string fingerprint;
 
   bool Contains(VertexId v) const;
 };

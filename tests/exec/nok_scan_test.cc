@@ -295,6 +295,26 @@ TEST(NokScanTest, RewindRestartsAndCountsWork) {
   EXPECT_GT(scan.MatchWork(), 0u);
 }
 
+TEST(NokScanTest, TopSlotsNeedNoMatcher) {
+  // The scan takes its top slots from NokTopSlots, so a cache hit never
+  // builds a matcher; they must be the matcher's, NoK by NoK.
+  auto doc = Parse("<r><a x='1'><b><c/></b><d/></a></r>");
+  for (const char* q : {"//a/b", "/r/a[b/c][@x]/d", "//a[b//c]/d", "//a",
+                        "//a[b]//c"}) {
+    auto path = xpath::ParsePath(q);
+    ASSERT_TRUE(path.ok()) << q;
+    auto tree = pattern::BuildFromPath(*path);
+    ASSERT_TRUE(tree.ok()) << q;
+    Decomposition d = Decompose(*tree);
+    for (const pattern::NokTree& nok : d.noks) {
+      NokMatcher m(doc.get(), &*tree, &nok);
+      EXPECT_EQ(NokTopSlots(*tree, nok), m.top_slots()) << q;
+      NokScanOperator scan(doc.get(), &*tree, &nok);
+      EXPECT_EQ(scan.top_slots(), m.top_slots()) << q;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace exec
 }  // namespace blossomtree
