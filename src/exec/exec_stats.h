@@ -30,8 +30,8 @@ struct CacheProbes {
 /// and is excluded from `Counters()`.
 struct ExecStats {
   uint64_t wall_nanos = 0;     ///< Inclusive operator time (incl. children).
-  uint64_t nodes_scanned = 0;  ///< Document nodes fetched by scan drivers.
-  uint64_t index_entries = 0;  ///< Tag-index entries consumed.
+  uint64_t nodes_scanned = 0;  ///< Nodes whose root test a scan ran.
+  uint64_t index_entries = 0;  ///< Tag-stream / index-run entries used.
   uint64_t comparisons = 0;    ///< Constraint checks + value comparisons.
   uint64_t matches = 0;        ///< NestedLists emitted by GetNextBatch.
   uint64_t nl_cells = 0;       ///< NestedList entries in emitted lists.

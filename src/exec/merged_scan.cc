@@ -63,23 +63,20 @@ void MergedNokScan::Run() {
     // All roots concrete: one walk of each distinct root tag's stream
     // replaces the per-node dispatch loop. Per-NoK result arenas are
     // filled in ascending NodeId (each stream ascends) and the probes
-    // re-verify every candidate, so streams and untripped-run counters
-    // match the per-node pass bitwise — the only nodes it spends counted
-    // work on are exactly these tag-equal candidates. The pass still
-    // counts every node: it is the cost of the one shared scan.
-    nodes_scanned_ += doc_->NumNodes();
-    uint64_t probed = 0;
+    // re-verify every candidate, so streams and untripped-run comparisons
+    // match the per-node pass bitwise. The pass counts the stream entries
+    // it walks: the nodes whose root tests ran.
     bool tripped = false;
     for (xml::TagId t = 0; t < by_tag.size() && !tripped; ++t) {
       if (by_tag[t].empty()) continue;
       for (xml::NodeId x : doc_->TagIndex(t)) {
         if (guard_ != nullptr &&
             (guard_->Tripped() ||
-             ((probed & 0x1FF) == 0x1FF && !guard_->Check()))) {
+             ((nodes_scanned_ & 0x1FF) == 0x1FF && !guard_->Check()))) {
           tripped = true;
           break;
         }
-        ++probed;
+        ++nodes_scanned_;
         for (size_t i : by_tag[t]) probe(i, x);
       }
     }

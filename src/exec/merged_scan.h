@@ -45,9 +45,12 @@ class MaterializedOperator : public NestedListOperator {
 };
 
 /// \brief Merged NoK evaluation (paper §4.2 "merging NoK operators"): runs
-/// several NoK pattern matchers over ONE sequential scan of the document —
-/// the DFA→NFA-style frontier merging that reduces k scans to one whenever
-/// multiple NoK operators read the same document.
+/// several NoK pattern matchers over ONE pass over the document — the
+/// DFA→NFA-style frontier merging that reduces k scans to one whenever
+/// multiple NoK operators read the same document. With a wildcard root
+/// that saves k-1 full passes; with concrete roots, whose scans test only
+/// their root tag's stream, it saves the re-walks of a root tag that
+/// several NoKs share.
 ///
 /// Usage: construct with the NoKs, call Run() once, then take per-NoK
 /// operator views with MakeOperator(i).
@@ -59,9 +62,9 @@ class MergedNokScan {
   ///        which must check guard->status()). The per-NoK views charge
   ///        it for every row they hand out.
   /// When every root tag is concrete, the pass walks each distinct root
-  /// tag's stream (xml::Document::TagIndex) instead of dispatching per
-  /// node — same per-NoK streams and counters (probes re-verify every
-  /// candidate). Any wildcard root selects the per-node pass.
+  /// tag's stream (xml::Document::TagIndex) once instead of dispatching per
+  /// node — the same per-NoK streams and comparisons (probes re-verify
+  /// every candidate). Any wildcard root selects the per-node pass.
   MergedNokScan(const xml::Document* doc, const pattern::BlossomTree* tree,
                 std::vector<const pattern::NokTree*> noks,
                 util::ResourceGuard* guard = nullptr);
@@ -69,8 +72,10 @@ class MergedNokScan {
   /// \brief Performs the single scan, materializing every NoK's matches.
   void Run();
 
-  /// \brief Nodes scanned by the single shared pass (compare with
-  /// k * NumNodes for k separate scans — the ablation bench's metric).
+  /// \brief Nodes the single shared pass tested: the entries of each
+  /// distinct root tag's stream, or every node for the per-node pass
+  /// (compare with the sum over k separate scans — the ablation bench's
+  /// metric).
   uint64_t NodesScanned() const { return nodes_scanned_; }
 
   /// \brief Matcher work (constraint checks), which is *not* shared.

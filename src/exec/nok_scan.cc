@@ -324,7 +324,8 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
                                  util::ThreadPool* pool,
                                  util::ResourceGuard* guard,
                                  NokResultCache* cache,
-                                 const storage::DiskStore* store)
+                                 const storage::DiskStore* store,
+                                 std::optional<std::vector<xml::NodeId>> run)
     : NestedListOperator(guard),
       doc_(doc),
       tree_(tree),
@@ -340,19 +341,21 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
   // Cache keys take their pattern half from the NoK's fingerprint, which
   // pattern::Decompose sets.
   assert(cache_ == nullptr || !nok->fingerprint.empty());
-  // A concrete element root takes its candidates from its tag stream:
-  // they are exactly the nodes on which RootTest would spend any counted
-  // work (TagOk is a free tag-id compare; value comparisons and match work
-  // only start after it passes), so counters match a per-node pass
-  // bitwise. Wildcard and attribute roots take ScanRange's per-node body;
-  // virtual roots match once, in its one-node branch.
   const pattern::Vertex& rootv = tree->vertex(nok->root);
-  stream_root_ = !virtual_root_ && !rootv.MatchesAnyTag() &&
-                 !rootv.tag.empty() && rootv.tag[0] != '@';
-  if (stream_root_) {
-    // A tag absent from the document (Lookup -> kNullTag) has an empty
-    // stream — the correct answer, since no node can pass TagOk.
-    root_stream_ = doc->TagIndex(doc->tags().Lookup(rootv.tag));
+  if (run) {
+    // The run is the whole candidate set, whatever the root: an empty one
+    // (a NoK proven empty) tests nothing, not even "~".
+    run_ = std::move(run);
+    candidates_ = *run_;
+    virtual_root_ = false;
+  } else if (!virtual_root_ && !rootv.MatchesAnyTag() &&
+             !rootv.tag.empty() && rootv.tag[0] != '@') {
+    // A concrete element root can only pass RootTest on a node with its
+    // tag. A tag absent from the document (Lookup -> kNullTag) has an
+    // empty stream — the correct answer, since no node can pass TagOk.
+    candidates_ = doc->TagIndex(doc->tags().Lookup(rootv.tag));
+  } else {
+    per_node_ = !virtual_root_;
   }
 }
 
@@ -364,7 +367,7 @@ void NokScanOperator::SetRange(xml::NodeId begin, xml::NodeId end) {
 
 bool NokScanOperator::ParallelEligible() const {
   return pool_ != nullptr && pool_->NumThreads() > 1 && !virtual_root_ &&
-         range_begin_ == 0 && doc_->NumNodes() > 1 &&
+         !run_ && range_begin_ == 0 && doc_->NumNodes() > 1 &&
          static_cast<size_t>(range_end_) + 1 >= doc_->NumNodes();
 }
 
@@ -374,7 +377,7 @@ bool NokScanOperator::CacheEligible() const {
   // would flood the budget with entries that rarely recur. An unfinished
   // document (generation 0) has no invalidation identity, so it is never
   // cached either.
-  return cache_ != nullptr && doc_->generation() != 0 &&
+  return cache_ != nullptr && !run_ && doc_->generation() != 0 &&
          doc_->NumNodes() > 0 && range_begin_ == 0 &&
          static_cast<size_t>(range_end_) + 1 >= doc_->NumNodes();
 }
@@ -393,12 +396,36 @@ void NokScanOperator::FillCache(
   cache_->Put(key, std::move(matches));
 }
 
-std::span<const xml::NodeId> NokScanOperator::GatherCandidates(
-    xml::NodeId first, xml::NodeId last) const {
-  auto begin =
-      std::lower_bound(root_stream_.begin(), root_stream_.end(), first);
-  auto end = std::upper_bound(begin, root_stream_.end(), last);
-  return {begin, end};
+size_t NokScanOperator::FirstCandidate(xml::NodeId first) const {
+  return static_cast<size_t>(
+      std::lower_bound(candidates_.begin(), candidates_.end(), first) -
+      candidates_.begin());
+}
+
+bool NokScanOperator::ProbeCandidates(NokMatcher* m, size_t* pos,
+                                      xml::NodeId last, size_t want,
+                                      storage::BlockCursor* io,
+                                      uint64_t* scanned,
+                                      nestedlist::Arena* out) const {
+  util::ResourceGuard* g = guard();
+  for (; *pos < candidates_.size() && candidates_[*pos] <= last &&
+         out->size() < want;
+       ++*pos) {
+    // Guard sample: a full Check every 512 tested nodes, from the first.
+    if (g != nullptr &&
+        (g->Tripped() || ((*scanned & 0x1FF) == 0 && !g->Check()))) {
+      return false;
+    }
+    if (*pos + kPrefetchAhead < candidates_.size()) {
+      doc_->PrefetchRecords(candidates_[*pos + kPrefetchAhead],
+                            kPrefetchLines);
+    }
+    const xml::NodeId c = candidates_[*pos];
+    if (store_ != nullptr) store_->Touch(c, c, io);
+    ++*scanned;
+    if (m->RootTest(c)) m->MatchAt(c, out);
+  }
+  return g == nullptr || !g->Tripped();
 }
 
 bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
@@ -413,15 +440,16 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
     m->MatchAt(kVirtualRootNode, out);
     return g == nullptr || !g->Tripped();
   }
+  if (!per_node_) {
+    size_t pos = FirstCandidate(begin);
+    return ProbeCandidates(m, &pos, end, static_cast<size_t>(-1), io, scanned,
+                           out);
+  }
   size_t total = doc_->NumNodes();
   if (total == 0 || begin > end) return true;
   if (static_cast<size_t>(end) >= total) {
     end = static_cast<xml::NodeId>(total - 1);
   }
-  // The range's candidates, consumed chunk by chunk from `next`.
-  std::span<const xml::NodeId> candidates;
-  if (stream_root_) candidates = GatherCandidates(begin, end);
-  size_t next = 0;
   for (xml::NodeId x = begin;;) {
     // Chunk-top guard sample. Check() never mutates a counter, so the
     // cadence leaves untripped-run counters unchanged; only trip *timing*
@@ -433,30 +461,11 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
     if (chunk_end - x >= kScanChunk) {
       chunk_end = x + static_cast<xml::NodeId>(kScanChunk) - 1;
     }
-    if (stream_root_) {
-      // The chunk costs a sequential pass over its records, whatever the
-      // candidates.
-      if (store_ != nullptr) store_->Touch(x, chunk_end, io);
-      *scanned += chunk_end - x + 1;
-      for (; next < candidates.size() && candidates[next] <= chunk_end;
-           ++next) {
-        if (next + kPrefetchAhead < candidates.size()) {
-          doc_->PrefetchRecords(candidates[next + kPrefetchAhead],
-                                kPrefetchLines);
-        }
-        const xml::NodeId c = candidates[next];
-        if (m->RootTest(c)) m->MatchAt(c, out);
-        if (g != nullptr && g->Tripped()) return false;
-      }
-    } else {
-      // Per-node body for roots without a tag stream (wildcard /
-      // attribute roots).
-      for (xml::NodeId c = x; c <= chunk_end; ++c) {
-        ++*scanned;
-        if (store_ != nullptr) store_->Touch(c, c, io);
-        if (m->RootTest(c)) m->MatchAt(c, out);
-        if (g != nullptr && g->Tripped()) return false;
-      }
+    if (store_ != nullptr) store_->Touch(x, chunk_end, io);
+    for (xml::NodeId c = x; c <= chunk_end; ++c) {
+      ++*scanned;
+      if (m->RootTest(c)) m->MatchAt(c, out);
+      if (g != nullptr && g->Tripped()) return false;
     }
     if (chunk_end == end) break;
     x = chunk_end + 1;
@@ -560,6 +569,18 @@ void NokScanOperator::RunMaterializedScan() {
 bool NokScanOperator::ScanNextChunk(size_t want) {
   chunk_.clear();
   chunk_pos_ = 0;
+  if (!matcher_) {
+    matcher_.emplace(doc_, tree_, nok_);
+    matcher_->set_guard(guard());
+  }
+  if (!virtual_root_ && !per_node_) {
+    if (!ProbeCandidates(&*matcher_, &next_, range_end_, want, &io_cursor_,
+                         &nodes_scanned_, &chunk_)) {
+      chunk_.clear();
+      return false;
+    }
+    return !chunk_.empty();
+  }
   while (chunk_.size() < want) {
     if (cursor_ > range_end_ ||
         (!virtual_root_ && static_cast<size_t>(cursor_) >= doc_->NumNodes())) {
@@ -569,10 +590,6 @@ bool NokScanOperator::ScanNextChunk(size_t want) {
     xml::NodeId chunk_end = range_end_;
     if (!virtual_root_ && chunk_end - cursor_ >= kScanChunk) {
       chunk_end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
-    }
-    if (!matcher_) {
-      matcher_.emplace(doc_, tree_, nok_);
-      matcher_->set_guard(guard());
     }
     bool ok = ScanRange(&*matcher_, cursor_, chunk_end, &io_cursor_,
                         &nodes_scanned_, &chunk_);
@@ -612,6 +629,7 @@ void NokScanOperator::FillBatch(Batch* out, size_t max_rows) {
 ExecStats NokScanOperator::Stats() const {
   ExecStats s = NestedListOperator::Stats();
   s.nodes_scanned = nodes_scanned_;
+  if (run_) s.index_entries = nodes_scanned_;
   s.comparisons = MatchWork();
   s.result_cache = cache_probes_;
   return s;
@@ -619,6 +637,7 @@ ExecStats NokScanOperator::Stats() const {
 
 void NokScanOperator::Rewind() {
   cursor_ = range_begin_;
+  next_ = FirstCandidate(range_begin_);
   // A rewound scan recomputes (or re-probes the cache), so its counters
   // accumulate as a second pass would.
   buffered_ = false;

@@ -27,10 +27,10 @@ namespace exec {
 /// the root element that anchors absolute paths).
 constexpr xml::NodeId kVirtualRootNode = static_cast<xml::NodeId>(-2);
 
-/// \brief The candidate loops of the index seek and the scan know their
-/// candidate ids in advance: each prefetches the first kPrefetchLines cache
-/// lines of the record run of the candidate kPrefetchAhead places on, so
-/// the matcher's misses overlap (DESIGN.md §16).
+/// \brief The scan's candidate loop knows its candidate ids in advance: it
+/// prefetches the first kPrefetchLines cache lines of the record run of the
+/// candidate kPrefetchAhead places on, so the matcher's misses overlap
+/// (DESIGN.md §16).
 constexpr size_t kPrefetchAhead = 8;
 constexpr int kPrefetchLines = 4;
 
@@ -163,20 +163,23 @@ class NokMatcher {
   std::vector<nestedlist::Group> group_scratch_;
 };
 
-/// \brief Sequential-scan driver (paper §3.3's "sequential scan of the XML
-/// tree against the blossom tree"): tries the NoK at every node in document
-/// order and emits one NestedList per match, as a pull iterator. A "~"-rooted
-/// NoK is a one-node range: one MatchAt(kVirtualRootNode) per scan. A
-/// concrete element root can only match a node with its tag, so its
-/// candidates are the slice of the document's tag stream
-/// (xml::Document::TagIndex) inside the range; wildcard and attribute roots
-/// try every node. Either way `nodes_scanned` and the block reads count the
-/// whole range: they are the paper's sequential-scan cost of the range, not
-/// the records the matcher touches.
+/// \brief The NoK access operator (paper §3.3's "sequential scan of the XML
+/// tree against the blossom tree"): tries the NoK at every node of its range
+/// that can be its root, in document order, and emits one NestedList per
+/// match, as a pull iterator. Its candidates are
+///  - the planner's `run` when it passes one: a value-index equality run,
+///    or the empty run of a NoK the DataGuide proves empty;
+///  - else, for a concrete element root, the slice of the root tag's stream
+///    (xml::Document::TagIndex) inside the range;
+///  - every node of the range for wildcard and attribute roots;
+///  - kVirtualRootNode, once, for a "~" root.
+/// `nodes_scanned` counts the nodes whose root test ran, and the block
+/// reads count the blocks those nodes enter.
 ///
 /// Two drivers produce the stream:
-///  - the *lazy* chunk loop (uncached serial scans) scans ≤kScanChunk-node
-///    chunks, only until it holds the rows the consumer asked for;
+///  - the *lazy* driver (uncached serial scans) tests candidates, or
+///    ≤kScanChunk-node chunks of the per-node body, only until it holds
+///    the rows the consumer asked for;
 ///  - the *materializing* driver (cache- or parallel-eligible scans) splits
 ///    the range into partitions — storage::PartitionSubtrees at the pool's
 ///    thread count in parallel mode, else the one whole range — probes each
@@ -186,7 +189,8 @@ class NokMatcher {
 /// Partition ranges ascend in NodeId (= Dewey/document order), and every
 /// match is local to its partition, so the partition-ordered stream is
 /// bitwise-identical to the lazy driver's (Theorem 1; DESIGN.md §7).
-/// Range-restricted scans (the BNLJ inner side) always take the lazy path.
+/// Range-restricted scans (the BNLJ inner side) and scans of a planner's
+/// run always take the lazy path.
 /// Both drivers lend their rows to the batch instead of copying them: the
 /// lazy one from its chunk arena, the materializing one from each
 /// partition's frozen arena — the very arena the result cache holds, so a
@@ -196,8 +200,8 @@ class NokScanOperator : public NestedListOperator {
  public:
   /// \param pool optional worker pool; nullptr (or a restricted range)
   ///        selects the exact serial scan.
-  /// \param guard optional per-query resource guard, sampled at batch
-  ///        boundaries (every ~512 nodes, per partition in parallel mode);
+  /// \param guard optional per-query resource guard, sampled every ~512
+  ///        candidates (or per ≤kScanChunk-node chunk of the per-node body);
   ///        once tripped the stream ends early and the caller must check
   ///        guard->status().
   /// \param cache optional NoK sub-result cache (DESIGN.md §11): full-range
@@ -205,17 +209,20 @@ class NokScanOperator : public NestedListOperator {
   ///        and lend a hit's frozen arena without scanning; complete cold
   ///        scans share theirs with it. Range-restricted scans (the BNLJ
   ///        inner side) bypass it. nullptr = the exact uncached scan.
-  /// \param store optional DiskStore whose image `doc` is: the scan drivers
-  ///        count, through a per-scan cursor, every block of the range they
-  ///        cover — the paper's sequential-scan cost of the range, not the
-  ///        blocks the tag-stream candidates actually touch —
-  ///        deterministically, independent of concurrent readers.
+  /// \param store optional DiskStore whose image `doc` is: the drivers
+  ///        count, through a per-scan cursor, the blocks the tested nodes
+  ///        enter — deterministically, independent of concurrent readers.
+  /// \param run optional candidates from the structural index, ascending:
+  ///        the scan tests only these, serially and uncached, and reports
+  ///        each as one `index_entries` too. Every candidate is re-verified
+  ///        by the matcher, so a superset of the match roots is safe.
   NokScanOperator(const xml::Document* doc, const pattern::BlossomTree* tree,
                   const pattern::NokTree* nok,
                   util::ThreadPool* pool = nullptr,
                   util::ResourceGuard* guard = nullptr,
                   NokResultCache* cache = nullptr,
-                  const storage::DiskStore* store = nullptr);
+                  const storage::DiskStore* store = nullptr,
+                  std::optional<std::vector<xml::NodeId>> run = std::nullopt);
 
   const std::vector<pattern::SlotId>& top_slots() const override {
     return top_slots_;
@@ -232,8 +239,8 @@ class NokScanOperator : public NestedListOperator {
 
   void Rewind() override;
 
-  /// \brief Nodes the driver has scanned (the I/O proxy: one sequential
-  /// pass costs NumNodes). Parallel partitions contribute their counts.
+  /// \brief Nodes whose root test ran (the I/O proxy). Parallel partitions
+  /// contribute their counts.
   uint64_t NodesScanned() const { return nodes_scanned_; }
   uint64_t MatchWork() const {
     return (matcher_ ? matcher_->MatchWork() : 0) + parallel_work_;
@@ -255,37 +262,46 @@ class NokScanOperator : public NestedListOperator {
   void FillBatch(Batch* out, size_t max_rows) override;
 
  private:
-  /// Chunk granularity of the batched scan drivers: guard checks, block
-  /// reads and bulk nodes_scanned accounting all happen at this stride
-  /// (DESIGN.md §16).
+  /// Chunk granularity of the per-node body: guard checks and block reads
+  /// happen at this stride (DESIGN.md §16).
   static constexpr size_t kScanChunk = 512;
 
-  /// Lazy driver: refills the chunk arena with the next chunk(s) of the
-  /// range until it holds `want` rows or the range ends; false if it holds
-  /// none (end of range, or a trip).
+  /// Lazy driver: refills the chunk arena until it holds `want` rows or the
+  /// range ends; false if it holds none (end of range, or a trip).
   bool ScanNextChunk(size_t want);
 
+  /// Tests candidates candidates_[*pos ..] up to id `last` with matcher
+  /// `m` until `out` holds `want` rows, advancing *pos, counting each
+  /// candidate into *scanned and its block through `io`. The guard is
+  /// sampled every 512 tested nodes; Check() never mutates counters, and
+  /// callers discard a tripped run's results. Returns false iff the guard
+  /// tripped.
+  bool ProbeCandidates(NokMatcher* m, size_t* pos, xml::NodeId last,
+                       size_t want, storage::BlockCursor* io,
+                       uint64_t* scanned, nestedlist::Arena* out) const;
+
   /// Scans nodes [begin, end] with matcher `m`, counting `store_` block
-  /// reads through `io`, bulk-counting scanned nodes into *scanned and
-  /// appending matches to *out. Chunked: the guard is sampled at every
-  /// ≤kScanChunk-node chunk top; Check() never mutates counters, and a
-  /// tripped run discards its results. A "~"-rooted NoK ignores the range
-  /// and matches once. Returns false iff the guard tripped mid-scan.
+  /// reads through `io` and tested nodes into *scanned, and appending
+  /// matches to *out: the candidates in the range, or every node in
+  /// ≤kScanChunk-node chunks with a guard sample at each chunk top. A
+  /// "~"-rooted NoK ignores the range and matches once. Returns false iff
+  /// the guard tripped mid-scan.
   bool ScanRange(NokMatcher* m, xml::NodeId begin, xml::NodeId end,
                  storage::BlockCursor* io, uint64_t* scanned,
                  nestedlist::Arena* out) const;
 
-  /// The root's candidates in [first, last]: the slice of its tag stream.
-  std::span<const xml::NodeId> GatherCandidates(xml::NodeId first,
-                                                xml::NodeId last) const;
+  /// Index of the first candidate at or after `first`.
+  size_t FirstCandidate(xml::NodeId first) const;
 
-  /// True when the pending scan may run partitioned: a pool is attached and
-  /// the range covers the whole document (the BNLJ's restricted inner
-  /// re-scans stay serial — their ranges are single subtrees).
+  /// True when the pending scan may run partitioned: a pool is attached, the
+  /// candidates are not an index run, and the range covers the whole
+  /// document (the BNLJ's restricted inner re-scans stay serial — their
+  /// ranges are single subtrees).
   bool ParallelEligible() const;
 
   /// True when the pending scan may use the result cache: a cache is
-  /// attached and the range covers the whole finished document.
+  /// attached, the candidates are not an index run, and the range covers
+  /// the whole finished document.
   bool CacheEligible() const;
 
   /// Materializing driver: freezes every match of the range into one arena
@@ -337,12 +353,16 @@ class NokScanOperator : public NestedListOperator {
   const storage::DiskStore* store_;
   storage::BlockCursor io_cursor_;
 
-  /// The root tag's stream, the scan's candidates; empty when the tag is
-  /// absent from the document (zero candidates, hence zero matches).
-  std::span<const xml::NodeId> root_stream_;
-  /// Only a concrete element root has a stream: wildcard / attribute roots
-  /// take ScanRange's per-node body.
-  bool stream_root_ = false;
+  /// The planner's index run, which `candidates_` then views.
+  std::optional<std::vector<xml::NodeId>> run_;
+  /// The candidates: the index run, or the root tag's stream (empty when
+  /// the tag is absent from the document: zero candidates, hence zero
+  /// matches). Wildcard and attribute roots have none and take the
+  /// per-node body (`per_node_`); a virtual root matches once.
+  std::span<const xml::NodeId> candidates_;
+  bool per_node_ = false;
+  /// Lazy driver: the next candidate to test.
+  size_t next_ = 0;
 };
 
 }  // namespace exec

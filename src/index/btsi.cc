@@ -80,7 +80,6 @@ Result<std::string> EncodeBtsi(const StructuralIndex& index) {
 
   std::string stats;
   for (const TagStats& s : index.raw_stats()) {
-    PutF64(&stats, s.avg_subtree);
     PutU64(&stats, s.overlong_values);
   }
 
@@ -196,7 +195,7 @@ Result<std::unique_ptr<StructuralIndex>> DecodeBtsi(std::string_view image) {
   const uint64_t expect[kBtsiNumSections] = {
       sizes[kBtsiTagDict],  // free-form, validated by parsing below
       num_guide * 16,
-      num_tags * 16,
+      num_tags * 8,
       num_values * 16,
       num_numerics * 16,
       sizes[kBtsiValuePool]};  // free-form
@@ -292,14 +291,8 @@ Result<std::unique_ptr<StructuralIndex>> DecodeBtsi(std::string_view image) {
   {
     const char* d = p + offs[kBtsiTagStats];
     stats.reserve(static_cast<size_t>(num_tags));
-    for (uint64_t t = 0; t < num_tags; ++t, d += 16) {
-      TagStats s;
-      s.avg_subtree = GetF64(d);
-      s.overlong_values = GetU64(d + 8);
-      if (!std::isfinite(s.avg_subtree) || s.avg_subtree < 0) {
-        return Corrupt("non-finite tag statistics");
-      }
-      stats.push_back(s);
+    for (uint64_t t = 0; t < num_tags; ++t, d += 8) {
+      stats.push_back(TagStats{GetU64(d)});
     }
   }
 

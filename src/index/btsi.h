@@ -30,16 +30,17 @@ namespace index {
 ///   0 tag dictionary   u32 length + bytes per name, in TagId order
 ///   1 guide nodes      num_guide × 16 B {tag u32, parent u32, count u64};
 ///                      node 0 is the super-root {kNullTag, kNoGuideNode, 1}
-///   2 tag stats        num_tags × 16 B {avg_subtree f64, overlong u64}
+///   2 tag stats        num_tags × 8 B {overlong u64}
 ///   3 value entries    num_values × 16 B {tag, node, offset, len},
 ///                      sorted by (tag, value bytes, node)
 ///   4 numeric entries  num_numerics × 16 B {tag u32, node u32, key f64},
 ///                      sorted by (tag, key, node)
 ///   5 value pool       concatenated value bytes
 ///
-/// Version 1 also carried per-tag posting lists (12 B per element). Its
-/// files are rejected as any unknown version is, so a store opened beside
-/// one runs without an index (scans) until `btingest --index` rewrites it.
+/// Version 1 also carried per-tag posting lists (12 B per element), and
+/// versions 1 and 2 an f64 average subtree size per tag. Their files are
+/// rejected as any unknown version is, so a store opened beside one runs
+/// without an index until `btingest --index` rewrites it.
 ///
 /// Unlike the `.btsx2` (which is mmap'd and served zero-copy), the decoder
 /// validates and *copies* the image into an owned StructuralIndex: the
@@ -47,7 +48,7 @@ namespace index {
 /// sidecar file unpinned after open.
 
 inline constexpr char kBtsiMagic[8] = {'B', 'T', 'S', 'I', 0, 0, 0, 0};
-inline constexpr uint32_t kBtsiVersion = 2;
+inline constexpr uint32_t kBtsiVersion = 3;
 inline constexpr uint32_t kBtsiEndianProbe = 0x01020304u;
 inline constexpr size_t kBtsiHeaderBytes = 256;
 inline constexpr size_t kBtsiNumSections = 6;

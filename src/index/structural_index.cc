@@ -30,18 +30,7 @@ std::unique_ptr<StructuralIndex> StructuralIndex::Build(
     idx->tag_names_.push_back(doc.tags().Name(t));
   }
 
-  // Per-tag average subtree sizes, from the tag streams.
   idx->stats_.assign(num_tags, TagStats{});
-  for (xml::TagId t = 0; t < num_tags; ++t) {
-    std::span<const xml::NodeId> nodes = doc.TagIndex(t);
-    double total = 0;
-    for (xml::NodeId n : nodes) {
-      total += static_cast<double>(doc.SubtreeEnd(n) - n + 1);
-    }
-    if (!nodes.empty()) {
-      idx->stats_[t].avg_subtree = total / static_cast<double>(nodes.size());
-    }
-  }
 
   // One preorder pass builds the DataGuide and accumulates every element's
   // string-value (capped): each text node appends to all open ancestors,

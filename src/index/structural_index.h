@@ -14,11 +14,8 @@
 namespace blossomtree {
 namespace index {
 
-/// \brief Per-tag statistics persisted with the index so access-path
-/// costing never needs a document pass.
+/// \brief Per-tag statistics persisted with the index.
 struct TagStats {
-  /// Average subtree size (in nodes) of elements with this tag.
-  double avg_subtree = 1.0;
   /// Elements of this tag whose string-value exceeded kMaxIndexedValueBytes
   /// and were therefore left out of the value index. A nonzero count
   /// disables *numeric* equality seeks on the tag (an unindexed over-long
@@ -56,13 +53,13 @@ struct EqualitySeek {
 /// \brief Persistent secondary index over one document (DESIGN.md §14):
 ///  - a path summary (DataGuide) of every distinct root-to-element tag
 ///    path, for provably-empty short-circuits,
-///  - per-tag statistics (average subtree size, over-long values) that cost
-///    a seek without a document pass,
+///  - per-tag counts of over-long values, which decide whether an equality
+///    probe is answerable,
 ///  - a sorted value index (byte order + numeric order views) answering
 ///    equality predicates exactly and sizing range predicates.
 /// Where the tag-t elements are is not the index's business: every
-/// document carries its per-tag streams (xml::Document::TagIndex), and a
-/// tag seek reads those.
+/// document carries its per-tag streams (xml::Document::TagIndex), and the
+/// NoK scan reads those.
 ///
 /// Built in one pass by Build(), persisted as a `.btsi` sidecar
 /// (index/btsi.h), and attached to plans through opt::PlanOptions::index.

@@ -25,7 +25,7 @@ CostModel::CostModel(const xml::Document* doc,
   // A structurally stale index would size probes against the wrong
   // dictionary; fall back to the fixed selectivity rather than misestimate.
   if (index_ != nullptr && !index_->Matches(*doc)) index_ = nullptr;
-  avg_subtree_.assign(doc->tags().size(), 1.0);
+  mean_subtree_.assign(doc->tags().size(), 1.0);
   for (xml::TagId t = 0; t < doc->tags().size(); ++t) {
     const auto& nodes = doc->TagIndex(t);
     if (nodes.empty()) continue;
@@ -33,7 +33,7 @@ CostModel::CostModel(const xml::Document* doc,
     for (xml::NodeId n : nodes) {
       total += static_cast<double>(doc->SubtreeEnd(n) - n + 1);
     }
-    avg_subtree_[t] = total / static_cast<double>(nodes.size());
+    mean_subtree_[t] = total / static_cast<double>(nodes.size());
   }
 }
 
@@ -54,8 +54,8 @@ double CostModel::AvgSubtreeSize(const std::string& tag) const {
                      static_cast<double>(doc_->NumElements());
   }
   xml::TagId t = doc_->tags().Lookup(tag);
-  if (t == xml::kNullTag || t >= avg_subtree_.size()) return 1.0;
-  return avg_subtree_[t];
+  if (t == xml::kNullTag || t >= mean_subtree_.size()) return 1.0;
+  return mean_subtree_[t];
 }
 
 double CostModel::ValueSelectivity(const pattern::Vertex& v) const {

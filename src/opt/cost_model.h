@@ -74,7 +74,7 @@ class CostModel {
  private:
   const xml::Document* doc_;
   const index::StructuralIndex* index_;  ///< Optional, borrowed.
-  std::vector<double> avg_subtree_;      ///< Per TagId.
+  std::vector<double> mean_subtree_;     ///< Per TagId.
 };
 
 /// \brief The optimizer's recommendation for a path query.

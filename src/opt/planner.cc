@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <span>
 #include <unordered_set>
 
 #include "exec/joins.h"
@@ -115,24 +114,22 @@ double EstimateNokMatches(const CostModel& model,
 /// The planner's access-path decision for one NoK (DESIGN.md §14).
 struct NokAccessPath {
   enum class Kind {
-    kScan,  ///< Sequential (or merged) NoK scan — the default.
-    kSeek,  ///< IndexSeek over a candidate list from the structural index.
-    kEmpty  ///< Provably empty (DataGuide / absent tag): seek zero
-            ///< candidates, scan nothing.
+    kScan,     ///< Sequential (or merged) NoK scan — the default.
+    kValueEq,  ///< Scan of a value-index equality run.
+    kEmpty     ///< Provably empty (DataGuide / absent tag): an empty run.
   };
   Kind kind = Kind::kScan;
-  /// For kSeek: the root tag's stream, borrowed from the document...
-  std::span<const xml::NodeId> stream;
-  /// ...unless set: then an exact value-index equality run.
-  std::optional<std::vector<xml::NodeId>> value_run;
-  std::string detail;  ///< EXPLAIN annotation.
+  std::vector<xml::NodeId> run;  ///< kValueEq: the candidates.
+  std::string detail;            ///< EXPLAIN annotation.
 };
 
-/// Costs index-seek against sequential scan per NoK root using real
-/// cardinalities (the root tag's stream, or a value-index run), and
-/// short-circuits NoKs whose mandatory paths the DataGuide rules out. Every
-/// choice is result-preserving: seeks re-verify candidates with the full
-/// matcher, and kEmpty is only chosen on a structural *proof* of emptiness.
+/// Gives a NoK whose root carries an index-answerable `= literal`
+/// predicate its value-index run, and short-circuits NoKs whose mandatory
+/// paths the DataGuide rules out. The run is a subset of the root tag's
+/// stream the scan would otherwise test, so it is taken whenever usable.
+/// Every choice is result-preserving: the scan re-verifies each candidate
+/// with the full matcher, and kEmpty is only chosen on a structural *proof*
+/// of emptiness.
 std::vector<NokAccessPath> ChooseAccessPaths(
     const xml::Document* doc, const pattern::BlossomTree* tree,
     const Decomposition& d, const std::vector<bool>& probed,
@@ -163,7 +160,7 @@ std::vector<NokAccessPath> ChooseAccessPaths(
     }
     if (ap.kind == NokAccessPath::Kind::kEmpty) continue;
     if (root.IsVirtualRoot() || root.MatchesAnyTag() || attr_root) {
-      continue;  // No tag stream to seek ("~" matches at most once).
+      continue;  // No tag to look up ("~" matches at most once).
     }
     xml::TagId t = doc->tags().Lookup(root.tag);
     if (t == xml::kNullTag) {
@@ -171,31 +168,12 @@ std::vector<NokAccessPath> ChooseAccessPaths(
       ap.detail = "tag absent";
       continue;
     }
-    // Candidate set: an exact value-index equality run when the root
-    // carries an answerable `= literal` predicate, else the tag's stream.
-    // Both are provable supersets of the NoK's match roots.
-    index::EqualitySeek eq;
-    if (root.value && root.value->op == xpath::CompareOp::kEq) {
-      eq = index->SeekEquality(t, root.value->literal);
-    }
-    std::span<const xml::NodeId> stream = doc->TagIndex(t);
-    size_t count = eq.usable ? eq.nodes.size() : stream.size();
-    // Seek cost: each probe verifies one candidate subtree (~avg_subtree
-    // node visits). Scan cost: one root test per document node. Real
-    // cardinalities on both sides — no fixed selectivity guess.
-    double probe = 1.0 + index->Stats(t).avg_subtree;
-    double seek_cost = static_cast<double>(count) * probe;
-    double scan_cost = static_cast<double>(doc->NumNodes());
-    if (seek_cost < scan_cost) {
-      ap.kind = NokAccessPath::Kind::kSeek;
-      if (eq.usable) {
-        ap.value_run = std::move(eq.nodes);
-      } else {
-        ap.stream = stream;
-      }
-      ap.detail = std::string(eq.usable ? "value-eq" : "tag stream") + ", " +
-                  std::to_string(count) + " candidates";
-    }
+    if (!root.value || root.value->op != xpath::CompareOp::kEq) continue;
+    index::EqualitySeek eq = index->SeekEquality(t, root.value->literal);
+    if (!eq.usable) continue;
+    ap.kind = NokAccessPath::Kind::kValueEq;
+    ap.detail = "value-eq, " + std::to_string(eq.nodes.size()) + " candidates";
+    ap.run = std::move(eq.nodes);
   }
   return out;
 }
@@ -258,21 +236,7 @@ class TreePlanner {
     }
     const NokAccessPath& ap = (*access_)[nok_index];
     const std::string nok_label = NokLabel(nok_index);
-    if (ap.kind != NokAccessPath::Kind::kScan) {
-      const pattern::NokTree* nok = &decomp_->noks[nok_index];
-      auto seek = std::make_unique<exec::IndexSeekOperator>(
-          doc_, tree_, nok, ap.stream, ap.value_run, options_.guard,
-          options_.store);
-      plan_->seeks.push_back(seek.get());
-      std::string label = "IndexSeek(" + nok_label + ")";
-      seek->set_label(label);
-      Indent(depth);
-      plan_->explain += label + " [";
-      plan_->explain +=
-          ap.kind == NokAccessPath::Kind::kEmpty ? "empty: " : "";
-      plan_->explain += ap.detail + "]\n";
-      op = std::move(seek);
-    } else if (merged_ != nullptr && (*merged_index_)[nok_index] >= 0) {
+    if (merged_ != nullptr && (*merged_index_)[nok_index] >= 0) {
       op = merged_->MakeOperator(
           static_cast<size_t>((*merged_index_)[nok_index]));
       std::string label = "MergedNokView(" + nok_label + ")";
@@ -280,15 +244,24 @@ class TreePlanner {
       plan_->explain += label + "\n";
       op->set_label(std::move(label));
     } else {
+      const bool indexed = ap.kind != NokAccessPath::Kind::kScan;
+      std::optional<std::vector<xml::NodeId>> run;
+      if (indexed) run = ap.run;
       auto scan = std::make_unique<NokScanOperator>(
           doc_, tree_, &decomp_->noks[nok_index], options_.pool,
-          options_.guard, options_.result_cache, options_.store);
+          options_.guard, options_.result_cache, options_.store,
+          std::move(run));
       plan_->scans.push_back(scan.get());
-      std::string label = "NokScan(" + nok_label + ")";
+      std::string label =
+          std::string(indexed ? "IndexSeek(" : "NokScan(") + nok_label + ")";
       Indent(depth);
       plan_->explain += label;
       scan->set_label(std::move(label));
-      if (options_.pool != nullptr && options_.pool->NumThreads() > 1) {
+      if (indexed) {
+        plan_->explain += " [";
+        if (ap.kind == NokAccessPath::Kind::kEmpty) plan_->explain += "empty: ";
+        plan_->explain += ap.detail + "]";
+      } else if (options_.pool != nullptr && options_.pool->NumThreads() > 1) {
         plan_->explain += " [parallel x" +
                           std::to_string(options_.pool->NumThreads()) + "]";
       }
@@ -495,9 +468,9 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
     }
   }
 
-  // Per-NoK access paths: the cost-based seek-vs-scan choice plus DataGuide
-  // emptiness proofs, decided before the merged scan so indexed NoKs never
-  // join (or pay for) the eager merged pass.
+  // Per-NoK access paths: value-index runs plus DataGuide emptiness
+  // proofs, decided before the merged scan so indexed NoKs never join (or
+  // pay for) the eager merged pass.
   std::vector<NokAccessPath> access =
       ChooseAccessPaths(doc, tree, d, probed, options.index);
 
@@ -533,7 +506,7 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   }
 
   // Optional merged single scan across every still-scanning NoK in the
-  // plan (NoKs routed to index seeks or proven empty stay out of the
+  // plan (NoKs scanning an index run or proven empty stay out of the
   // merged probe set — and out of its scan cost).
   std::unique_ptr<exec::MergedNokScan> merged;
   std::vector<int> merged_index(d.noks.size(), -1);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exec/batch.h"
-#include "exec/index_seek.h"
 #include "exec/merged_scan.h"
 #include "exec/nok_scan.h"
 #include "exec/operator.h"
@@ -60,23 +59,18 @@ struct PlanOptions {
   /// (the exact pre-cache behavior, counters included).
   exec::NokResultCache* result_cache = nullptr;
   /// The DiskStore whose image `doc` is (borrowed, not owned). When set,
-  /// every NoK scan and index seek in the plan counts blocks through it
-  /// (per-scan cursors): a scan every block of the range it covers (the
-  /// sequential-scan cost of the range, not the blocks its tag-stream
-  /// candidates touch), a seek the blocks of the candidates it probes. It
-  /// changes no result and no other counter. nullptr = no block accounting
-  /// (in-RAM documents).
+  /// every NoK scan in the plan counts, through a per-scan cursor, the
+  /// blocks its tested nodes enter. It changes no result and no other
+  /// counter. nullptr = no block accounting (in-RAM documents).
   const storage::DiskStore* store = nullptr;
   /// Structural index over `doc` (borrowed, not owned; DESIGN.md §14): when
-  /// set and structurally matching the document, the planner costs an
-  /// index-seek access path against the sequential scan per NoK root —
-  /// sized by the root tag's stream (xml::Document::TagIndex) or by an
-  /// exact value-index equality run, priced by the index's per-tag subtree
-  /// statistics — short-circuits NoKs whose mandatory paths the DataGuide
-  /// proves absent to empty streams (zero nodes scanned), and feeds the
-  /// value index's selectivities into cardinality estimation. Access-path
-  /// changes never change results: seeks re-verify every candidate and
-  /// emit the scan's exact stream. nullptr = every NoK scans.
+  /// set and structurally matching the document, a NoK root with an
+  /// index-answerable `= literal` predicate scans only its exact
+  /// value-index equality run (labelled IndexSeek), NoKs whose mandatory
+  /// paths the DataGuide proves absent scan an empty run (zero nodes
+  /// tested), and the value index's selectivities feed cardinality
+  /// estimation. Access paths never change results: the scan re-verifies
+  /// every candidate. nullptr = every NoK scans its tag stream or range.
   const index::StructuralIndex* index = nullptr;
   /// Execution knobs (DESIGN.md §16): rows per GetNextBatch exchange
   /// (`exec.batch_rows`). Every batch size produces byte-identical results
@@ -93,13 +87,11 @@ struct PatternTreePlan {
   std::unique_ptr<exec::NestedListOperator> root;
   std::vector<pattern::SlotId> tops;
   std::vector<exec::NokScanOperator*> scans;  ///< Borrowed from `root`.
-  std::vector<exec::IndexSeekOperator*> seeks;  ///< Borrowed from `root`.
   std::string explain;
 
   uint64_t TotalNodesScanned() const {
     uint64_t total = 0;
     for (const auto* s : scans) total += s->NodesScanned();
-    for (const auto* s : seeks) total += s->NodesScanned();
     return total;
   }
 };
@@ -114,7 +106,7 @@ struct QueryPlan {
   pattern::Decomposition decomposition;
   std::vector<PatternTreePlan> trees;
   /// The single join strategy the plan uses, kAuto for a mix, nullopt
-  /// for a plan without a join (scans, seeks and probes only).
+  /// for a plan without a join (scans and probes only).
   std::optional<JoinStrategy> chosen;
   /// Set when merge_nok_scans produced a shared single-scan (its
   /// NodesScanned() is the plan's scan I/O in that case).

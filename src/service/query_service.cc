@@ -242,12 +242,13 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
   eo.collect_metrics = observe;
   eo.plan_cache = corpus_->plan_cache();
   eo.plan.result_cache = corpus_->result_cache();
-  // Scans and seeks of a disk-backed document count their blocks through
+  // Scans of a disk-backed document count their blocks through
   // its DiskStore; in-RAM documents have none (disk() is null).
   eo.plan.store = ticket->doc_->disk();
   // The `.btsi` structural index the corpus loaded with the document (if
-  // any): plans cost index seeks against scans per NoK and short-circuit
-  // provably-empty patterns. Access paths never change results.
+  // any): roots with an answerable `= literal` scan their value-index run,
+  // and provably-empty patterns short-circuit. Access paths never change
+  // results.
   eo.plan.index = ticket->doc_->index();
   engine::BlossomTreeEngine engine(ticket->doc_->doc(), eo);
 

@@ -19,7 +19,7 @@ namespace storage {
 struct DiskStoreOptions {
   /// Block granularity of the read accounting; rounded up to a 4 KiB
   /// multiple (which is also a record multiple, so records never straddle
-  /// blocks). One block read is counted per block a scan or seek enters.
+  /// blocks). One block read is counted per block a scan enters.
   size_t block_bytes = 64 << 10;
   /// Inert: the store keeps no block cache (the OS page cache owns the
   /// mapping's residency; see ResidentBytes()). Kept only so the benchmark
@@ -55,7 +55,7 @@ struct BlockCursor {
 /// cache decides what stays resident, and ResidentBytes() measures it.
 ///
 /// A block read is arithmetic, not I/O the store performs: it is a change of
-/// `NodeId / nodes_per_block` along the ids a scan or seek visits, counted
+/// `NodeId / nodes_per_block` along the ids a scan tests, counted
 /// through Touch() into one relaxed store-wide total (PageReads()).
 /// Thread-safe for concurrent readers.
 class DiskStore {

@@ -19,7 +19,7 @@ uint64_t NextGeneration() {
 }  // namespace
 
 TagId TagDictionary::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   TagId id = static_cast<TagId>(names_.size());
   names_.emplace_back(name);
@@ -28,7 +28,7 @@ TagId TagDictionary::Intern(std::string_view name) {
 }
 
 TagId TagDictionary::Lookup(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   return it == ids_.end() ? kNullTag : it->second;
 }
 

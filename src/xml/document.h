@@ -2,6 +2,7 @@
 #define BLOSSOMTREE_XML_DOCUMENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -47,8 +48,17 @@ class TagDictionary {
   size_t size() const { return names_.size(); }
 
  private:
+  /// Hashes every string type as its string_view, so a lookup by view
+  /// builds no key.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, TagId> ids_;
+  std::unordered_map<std::string, TagId, NameHash, std::equal_to<>> ids_;
 };
 
 /// \brief One attribute of an element: both strings live in the document's
@@ -314,11 +324,11 @@ class Document {
 
   /// \brief All element nodes with tag id `t`, in document order.
   ///
-  /// This is the one tag index: the candidates of the NoK scan and of a
-  /// tag seek, the probes' streams, and the input of the join-based
-  /// approaches (TwigStack, structural merge join). A zero-copy span over
-  /// the per-tag node-id streams, which Finish() builds and a BTSX v2 file
-  /// persists. Empty before Finish().
+  /// This is the one tag index: the NoK scan's candidates, the probes'
+  /// streams, and the input of the join-based approaches (TwigStack,
+  /// structural merge join). A zero-copy span over the per-tag node-id
+  /// streams, which Finish() builds and a BTSX v2 file persists. Empty
+  /// before Finish().
   std::span<const NodeId> TagIndex(TagId t) const;
 
   // -- Statistics (valid after Finish) ---------------------------------------

@@ -305,18 +305,18 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
   // every tested batch size. The audit invariant: matches/nl_cells must
   // equal the rows/cells the consumer received — the row that tripped the
   // budget was never delivered, so it must not be counted. Inputs: the
-  // separate-scan //a//b plan, the same plan over the merged pass, the
-  // same plan over a structural index (both sides seek, as broad reads on
-  // an indexed corpus do), and a virtual-root path (one row, from the
+  // separate-scan //a//b plan, the same plan over the merged pass, a
+  // value-equality plan over a structural index (both roots scan
+  // value-index runs), and a virtual-root path (one row, from the
   // "~"-rooted NoK). The sweep also audits GetNextBatch's per-row fallback:
   // a batch that fits the budget is charged in one call, and only a batch
   // that crosses it is cut row by row.
-  std::string text = "<r>";
-  // Filler makes the a/b streams selective enough for the planner to seek.
-  for (int i = 0; i < 64; ++i) text += "<z/>";
-  text +=
-      "<a><b/></a><a><b/><b/></a><a/><a><b/></a><a><b/><b/><b/></a><a><b/>"
-      "</a><a><b/></a><a><b/><b/></a></r>";
+  // Every b of value "v" lies under an a of value "v", so every batch size
+  // drains the value-equality plan's inner run to its end.
+  const std::string text =
+      "<r><a><b>v</b></a><a><b>v</b><b/></a><a/><a><b>v</b></a>"
+      "<a><b>v</b><b/><b/></a><a><b>v</b></a><a><b>v</b></a>"
+      "<a><b>v</b><b/></a></r>";
   auto doc = xml::ParseDocument(text).MoveValue();
   const std::unique_ptr<index::StructuralIndex> idx =
       index::StructuralIndex::Build(*doc);
@@ -327,7 +327,8 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
   };
   for (const Input& in :
        {Input{"//a//b", false, false}, Input{"//a//b", true, false},
-        Input{"//a//b", false, true}, Input{"/r/a//b", false, false}}) {
+        Input{"//a[. = \"v\"]//b[. = \"v\"]", false, true},
+        Input{"/r/a//b", false, false}}) {
     SCOPED_TRACE(std::string(in.query) +
                  (in.merge_nok_scans ? " (merged)" : "") +
                  (in.seek ? " (index seek)" : ""));

@@ -71,13 +71,22 @@ TEST(MergedScanTest, MatchesSeparateScans) {
 }
 
 TEST(MergedScanTest, SingleSharedPass) {
-  Fixture fx("<r><a/><b/><c/></r>", "//a[//b][//c]");
-  auto noks = fx.NonTrivialNoks();
-  ASSERT_EQ(noks.size(), 3u);
-  MergedNokScan merged(fx.doc.get(), &fx.tree, noks);
-  merged.Run();
-  // One pass of 4 nodes — separate scans would cost 12.
-  EXPECT_EQ(merged.NodesScanned(), fx.doc->NumNodes());
+  // Concrete roots walk their tag streams, one node each here: 3 root
+  // tests, as three separate scans would run. Wildcard roots share one
+  // per-node pass over the 4 nodes, where two separate scans would test 8.
+  struct Case {
+    const char* query;
+    size_t noks;
+    uint64_t scanned;
+  };
+  for (const Case& c : {Case{"//a[//b][//c]", 3, 3}, Case{"//*[//*]", 2, 4}}) {
+    Fixture fx("<r><a/><b/><c/></r>", c.query);
+    auto noks = fx.NonTrivialNoks();
+    ASSERT_EQ(noks.size(), c.noks) << c.query;
+    MergedNokScan merged(fx.doc.get(), &fx.tree, noks);
+    merged.Run();
+    EXPECT_EQ(merged.NodesScanned(), c.scanned) << c.query;
+  }
 }
 
 TEST(MergedScanTest, RunIsIdempotent) {

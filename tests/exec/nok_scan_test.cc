@@ -286,12 +286,12 @@ TEST(NokScanTest, RewindRestartsAndCountsWork) {
   Decomposition d = Decompose(t);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
   Drain(&scan);
-  uint64_t scanned = scan.NodesScanned();
-  EXPECT_EQ(scanned, doc->NumNodes());
+  // The root test ran on the one <a>, not on <r> or <b>.
+  EXPECT_EQ(scan.NodesScanned(), 1u);
   scan.Rewind();
   Batch one;
   ASSERT_EQ(scan.GetNextBatch(&one, 1), 1u);
-  EXPECT_GT(scan.NodesScanned(), scanned);
+  EXPECT_EQ(scan.NodesScanned(), 2u);  // The rewound pass tests it again.
   EXPECT_GT(scan.MatchWork(), 0u);
 }
 

@@ -156,68 +156,81 @@ TEST(FuzzRegressionTest, RetiredV1FilesRejected) {
   EXPECT_EQ(seen, 3u);
 }
 
-// A `.btsi` of layout version 1, which also carried per-tag posting lists,
-// is a stale sidecar: the decoder rejects it, and a store opened beside it
-// comes up without an index and answers through scans, byte for byte as
-// the in-RAM document does, until a rewritten sidecar replaces it.
-TEST(FuzzRegressionTest, StaleV1SidecarFailsClosed) {
-  std::string sidecar_bytes =
-      ReadFile(fs::path(BLOSSOMTREE_FUZZ_DIR) /
-               "regressions/btsx/btsi_v1_postings.btsi");
-  auto decoded = index::DecodeBtsi(sidecar_bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-
-  // The document that sidecar describes, ingested; the sidecar is stamped
-  // with its generation (header bytes 16..23), so only its layout version
-  // makes it stale.
+// A `.btsi` of an older layout is a stale sidecar: version 1 also carried
+// per-tag posting lists, versions 1 and 2 a per-tag average subtree size.
+// The decoder rejects it, and a store opened beside it comes up without an
+// index and answers through scans, byte for byte as the in-RAM document
+// does, until a rewritten sidecar replaces it.
+TEST(FuzzRegressionTest, StaleSidecarsFailClosed) {
+  // The document those sidecars describe, ingested; each sidecar is
+  // stamped with its generation (header bytes 16..23), so only its layout
+  // version makes it stale.
   auto doc = xml::ParseDocument(
       "<lib><book><title>alpha</title><year>1995</year></book>"
       "<book><title>beta</title></book></lib>");
   ASSERT_TRUE(doc.ok());
-  const std::string path = ::testing::TempDir() + "/bt_stale_v1.btsx2";
+  const std::string path = ::testing::TempDir() + "/bt_stale_sidecar.btsx2";
   const std::string sidecar = index::BtsiSidecarPath(path);
   ASSERT_TRUE(storage::WriteBtsx2(**doc, path).ok());
   const uint64_t generation = (*doc)->generation();
-  for (size_t i = 0; i < 8; ++i) {
-    sidecar_bytes[16 + i] = static_cast<char>(generation >> (8 * i));
-  }
-  {
-    std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
-    out << sidecar_bytes;
-  }
-  auto store = storage::DiskStore::Open(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->index(), nullptr);
-
-  engine::EngineOptions disk;
-  disk.plan.store = store->get();
-  disk.plan.index = (*store)->index();
-  engine::BlossomTreeEngine from_disk((*store)->document(), disk);
   engine::BlossomTreeEngine in_ram(doc->get());
   const char* const kQueries[] = {
       "//book/title",
       "//book[year = \"1995\"]/title",
+      "//title[. = \"beta\"]",
       "//lib[//year]",
       "for $b in //book where $b/title = \"beta\" return $b",
   };
-  for (const char* q : kQueries) {
-    auto want = in_ram.EvaluateQuery(q);
-    auto got = from_disk.EvaluateQuery(q);
-    ASSERT_TRUE(want.ok() && got.ok()) << q;
-    EXPECT_FALSE(want->empty()) << q;
-    EXPECT_EQ(*got, *want) << q;
-    EXPECT_EQ(from_disk.LastExplain().find("IndexSeek"), std::string::npos)
-        << from_disk.LastExplain();
+  for (const char* stale : {"btsi_v1_postings.btsi",
+                            "btsi_v2_avg_subtree.btsi"}) {
+    SCOPED_TRACE(stale);
+    std::string sidecar_bytes = ReadFile(fs::path(BLOSSOMTREE_FUZZ_DIR) /
+                                         "regressions/btsx" / stale);
+    auto decoded = index::DecodeBtsi(sidecar_bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    for (size_t i = 0; i < 8; ++i) {
+      sidecar_bytes[16 + i] = static_cast<char>(generation >> (8 * i));
+    }
+    {
+      std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
+      out << sidecar_bytes;
+    }
+    auto store = storage::DiskStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->index(), nullptr);
+
+    engine::EngineOptions disk;
+    disk.plan.store = store->get();
+    disk.plan.index = (*store)->index();
+    engine::BlossomTreeEngine from_disk((*store)->document(), disk);
+    for (const char* q : kQueries) {
+      auto want = in_ram.EvaluateQuery(q);
+      auto got = from_disk.EvaluateQuery(q);
+      ASSERT_TRUE(want.ok() && got.ok()) << q;
+      EXPECT_FALSE(want->empty()) << q;
+      EXPECT_EQ(*got, *want) << q;
+      EXPECT_EQ(from_disk.LastExplain().find("IndexSeek"), std::string::npos)
+          << from_disk.LastExplain();
+    }
   }
 
   // `btingest --index` rewrites the sidecar in the current layout, which
-  // the next open loads.
+  // the next open loads, and the value-equality query seeks through it.
   auto idx = index::StructuralIndex::Build(**doc);
   ASSERT_TRUE(index::WriteBtsi(*idx, sidecar).ok());
   auto reopened = storage::DiskStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_NE((*reopened)->index(), nullptr);
+  ASSERT_NE((*reopened)->index(), nullptr);
+  engine::EngineOptions disk;
+  disk.plan.store = reopened->get();
+  disk.plan.index = (*reopened)->index();
+  engine::BlossomTreeEngine indexed((*reopened)->document(), disk);
+  auto got = indexed.EvaluateQuery("//title[. = \"beta\"]");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, *in_ram.EvaluateQuery("//title[. = \"beta\"]"));
+  EXPECT_NE(indexed.LastExplain().find("IndexSeek"), std::string::npos)
+      << indexed.LastExplain();
   std::remove(sidecar.c_str());
   std::remove(path.c_str());
 }
