@@ -101,9 +101,6 @@ int main(int argc, char** argv) {
     SystemRow ts{"TS", {}};
     SystemRow sj{"SJ", {}};
     SystemRow bt{recursive ? "NL" : "PL", {}};
-    // PLm: the §4.2 merged rewrite — all NoKs in one shared scan
-    // (non-recursive sets only).
-    SystemRow plm{"PLm", {}};
 
     for (const QuerySpec& q : QueriesFor(d)) {
       auto path = blossomtree::xpath::ParsePath(q.xpath);
@@ -154,19 +151,9 @@ int main(int argc, char** argv) {
               "\", " + bt_latency.JsonField(),
           blossomtree::bench::PlanProfileJson(doc.get(), &*tree, q.xpath,
                                               po)));
-      if (!recursive) {
-        blossomtree::opt::PlanOptions pm = po;
-        pm.merge_nok_scans = true;
-        plm.cells.push_back(Timed(flags, [&]() -> Status {
-          return blossomtree::opt::EvaluatePathQuery(doc.get(), &*tree, pm)
-              .status();
-        }));
-      }
     }
 
-    std::vector<const SystemRow*> rows = {&xh, &ts, &sj, &bt};
-    if (!recursive) rows.push_back(&plm);
-    for (const SystemRow* row : rows) {
+    for (const SystemRow* row : {&xh, &ts, &sj, &bt}) {
       std::printf("%-5s %-4s", row == &xh ? DatasetName(d) : "",
                   row->name);
       for (const std::string& cell : row->cells) {

@@ -2,8 +2,7 @@
 // responsible for choosing an appropriate physical operator based on its
 // knowledge of the system environment"):
 //  - the same query gets a pipelined plan on a non-recursive document and
-//    a bounded-nested-loop plan on a recursive one;
-//  - enabling the merged-NoK rewrite collapses k scans into one pass.
+//    a bounded-nested-loop plan on a recursive one.
 //
 // Options:
 //   --trace=<path>  record the whole exploration under the process tracer
@@ -113,19 +112,6 @@ void Explore(const char* label, const char* xml, const char* query,
     if (cal.num_flagged > 0) {
       std::printf("calibration (>10x deviations):\n%s",
                   cal.ToString().c_str());
-    }
-  }
-
-  if (!doc->IsRecursive()) {
-    opt::PlanOptions merged;
-    merged.strategy = opt::JoinStrategy::kPipelined;
-    merged.merge_nok_scans = true;
-    auto mplan = opt::PlanQuery(doc.get(), &*tree, merged);
-    if (mplan.ok() && mplan->merged_scan != nullptr) {
-      std::printf("merged-NoK rewrite: one pass of %llu nodes for %zu NoKs\n",
-                  static_cast<unsigned long long>(
-                      mplan->merged_scan->NodesScanned()),
-                  mplan->merged_scan->NumNoks());
     }
   }
   std::printf("\n");

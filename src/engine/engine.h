@@ -69,7 +69,7 @@ struct EngineOptions {
 };
 
 /// \brief End-to-end query evaluation via BlossomTree pattern matching:
-/// FLWOR → BlossomTree → NoK decomposition → (merged) NoK scans +
+/// FLWOR → BlossomTree → NoK decomposition → NoK scans +
 /// structural joins → NestedLists → per-tree variable binding into one
 /// TupleTable per tree (a row per tuple; one offsets array into one node
 /// pool) → nested-loop join across trees into one output table with the

@@ -147,9 +147,6 @@ QueryProfile BuildQueryProfile(opt::QueryPlan* plan, std::string query,
   profile.strategy = plan->StrategyName();
   profile.threads = threads;
   plan->FinishAll();
-  if (plan->merged_scan != nullptr) {
-    profile.AddOperator("MergedNokScan", 0, plan->merged_scan->ScanStats());
-  }
   opt::ForEachOperator(
       *plan, [&](const exec::NestedListOperator& op, int depth) {
         profile.AddOperator(op.Label(), depth, op.Stats(),
@@ -159,9 +156,6 @@ QueryProfile BuildQueryProfile(opt::QueryPlan* plan, std::string query,
     if (tp.root != nullptr) {
       profile.total_wall_nanos += tp.root->Stats().wall_nanos;
     }
-  }
-  if (plan->merged_scan != nullptr) {
-    profile.total_wall_nanos += plan->merged_scan->ScanStats().wall_nanos;
   }
   return profile;
 }

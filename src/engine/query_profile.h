@@ -81,8 +81,7 @@ struct QueryProfile {
 
 /// \brief Collects the profile of an executed plan: finishes every operator
 /// tree (run-to-completion normalization), then walks the trees recording
-/// labels, estimates, and counters; a merged shared scan contributes one
-/// extra "MergedNokScan" entry. `query` labels the profile.
+/// labels, estimates, and counters. `query` labels the profile.
 QueryProfile BuildQueryProfile(opt::QueryPlan* plan, std::string query,
                                unsigned threads);
 

@@ -114,8 +114,8 @@ double CostModel::EstimateResult(const pattern::BlossomTree& tree) const {
   return estimate;
 }
 
-CostEstimate CostModel::EstimatePipelined(const pattern::BlossomTree& tree,
-                                          bool merged_scan) const {
+CostEstimate CostModel::EstimatePipelined(
+    const pattern::BlossomTree& tree) const {
   CostEstimate out;
   out.cardinality = EstimateResult(tree);
   pattern::Decomposition d = pattern::Decompose(tree);
@@ -131,7 +131,7 @@ CostEstimate CostModel::EstimatePipelined(const pattern::BlossomTree& tree,
     out.cpu_cost += n + EstimateVertexMatches(tree, nok.root) *
                             AvgSubtreeSize(tree.vertex(nok.root).tag);
   }
-  out.io_cost = merged_scan ? n : n * static_cast<double>(scans);
+  out.io_cost = n * static_cast<double>(scans);
   // Pipelined merges are linear in their inputs.
   for (const pattern::Connection& c : d.connections) {
     out.cpu_cost += EstimateVertexMatches(tree, c.from) +
@@ -199,7 +199,7 @@ PlanAdvice AdvisePlan(const xml::Document& doc,
                       const pattern::BlossomTree& tree) {
   CostModel model(&doc);
   PlanAdvice advice;
-  advice.pipelined = model.EstimatePipelined(tree, /*merged_scan=*/true);
+  advice.pipelined = model.EstimatePipelined(tree);
   advice.bnlj = model.EstimateBnlj(tree);
   advice.twigstack = model.EstimateTwigStack(tree);
 

@@ -58,10 +58,9 @@ class CostModel {
   /// \brief Estimated result cardinality of a single-pattern-tree query.
   double EstimateResult(const pattern::BlossomTree& tree) const;
 
-  /// \brief Cost of the pipelined-NoK plan: one scan per NoK (or one
-  /// merged pass) + linear merges.
-  CostEstimate EstimatePipelined(const pattern::BlossomTree& tree,
-                                 bool merged_scan) const;
+  /// \brief Cost of the pipelined-NoK plan: one scan per NoK + linear
+  /// merges.
+  CostEstimate EstimatePipelined(const pattern::BlossomTree& tree) const;
 
   /// \brief Cost of the BNLJ plan: outer scans plus per-outer-match bounded
   /// re-scans.

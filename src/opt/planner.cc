@@ -114,7 +114,7 @@ double EstimateNokMatches(const CostModel& model,
 /// The planner's access-path decision for one NoK (DESIGN.md §14).
 struct NokAccessPath {
   enum class Kind {
-    kScan,     ///< Sequential (or merged) NoK scan — the default.
+    kScan,     ///< Scan of the root tag's stream or range — the default.
     kValueEq,  ///< Scan of a value-index equality run.
     kEmpty     ///< Provably empty (DataGuide / absent tag): an empty run.
   };
@@ -183,8 +183,6 @@ class TreePlanner {
  public:
   TreePlanner(const xml::Document* doc, const pattern::BlossomTree* tree,
               const Decomposition* decomp, const PlanOptions& options,
-              exec::MergedNokScan* merged,
-              const std::vector<int>* merged_index,
               const std::vector<NokAccessPath>* access,
               PatternTreePlan* plan,
               bool* used_pipelined, bool* used_bnlj, const CostModel* cost)
@@ -192,8 +190,6 @@ class TreePlanner {
         tree_(tree),
         decomp_(decomp),
         options_(options),
-        merged_(merged),
-        merged_index_(merged_index),
         access_(access),
         plan_(plan),
         used_pipelined_(used_pipelined),
@@ -215,13 +211,25 @@ class TreePlanner {
     return doc_->TagRecursionDegree(t) <= 1;
   }
 
-  /// Per-connection strategy under kAuto (paper §5: the optimizer chooses
-  /// using its knowledge of document recursion — here per tag).
-  JoinStrategy Pick(const Connection& c, uint32_t outer_nok) const {
-    if (options_.strategy != JoinStrategy::kAuto) return options_.strategy;
-    bool safe = NonNesting(decomp_->noks[outer_nok].root) && NonNesting(c.from);
-    return safe ? JoinStrategy::kPipelined
-                : JoinStrategy::kBoundedNestedLoop;
+  /// Per-connection strategy (paper §5: the optimizer chooses using its
+  /// knowledge of document recursion — here per tag). Where Theorem 2
+  /// holds, kAuto and a forced kPipelined pipeline; elsewhere kAuto runs
+  /// BNLJ and a forced kPipelined is refused. Forced nested loops are
+  /// correct everywhere.
+  Result<JoinStrategy> Pick(const Connection& c, uint32_t outer_nok) const {
+    JoinStrategy s = options_.strategy;
+    if (s != JoinStrategy::kAuto && s != JoinStrategy::kPipelined) return s;
+    if (NonNesting(decomp_->noks[outer_nok].root) && NonNesting(c.from)) {
+      return JoinStrategy::kPipelined;
+    }
+    if (s == JoinStrategy::kPipelined) {
+      return Status::InvalidArgument(
+          "pipelined join " + tree_->vertex(c.from).tag + " // " +
+          tree_->vertex(c.to).tag +
+          ": an outer vertex is a wildcard, an attribute or a recursing "
+          "tag, so matches may nest (Theorem 2)");
+    }
+    return JoinStrategy::kBoundedNestedLoop;
   }
 
   Result<std::unique_ptr<NestedListOperator>> Build(uint32_t nok_index,
@@ -236,38 +244,29 @@ class TreePlanner {
     }
     const NokAccessPath& ap = (*access_)[nok_index];
     const std::string nok_label = NokLabel(nok_index);
-    if (merged_ != nullptr && (*merged_index_)[nok_index] >= 0) {
-      op = merged_->MakeOperator(
-          static_cast<size_t>((*merged_index_)[nok_index]));
-      std::string label = "MergedNokView(" + nok_label + ")";
-      Indent(depth);
-      plan_->explain += label + "\n";
-      op->set_label(std::move(label));
-    } else {
-      const bool indexed = ap.kind != NokAccessPath::Kind::kScan;
-      std::optional<std::vector<xml::NodeId>> run;
-      if (indexed) run = ap.run;
-      auto scan = std::make_unique<NokScanOperator>(
-          doc_, tree_, &decomp_->noks[nok_index], options_.pool,
-          options_.guard, options_.result_cache, options_.store,
-          std::move(run));
-      plan_->scans.push_back(scan.get());
-      std::string label =
-          std::string(indexed ? "IndexSeek(" : "NokScan(") + nok_label + ")";
-      Indent(depth);
-      plan_->explain += label;
-      scan->set_label(std::move(label));
-      if (indexed) {
-        plan_->explain += " [";
-        if (ap.kind == NokAccessPath::Kind::kEmpty) plan_->explain += "empty: ";
-        plan_->explain += ap.detail + "]";
-      } else if (options_.pool != nullptr && options_.pool->NumThreads() > 1) {
-        plan_->explain += " [parallel x" +
-                          std::to_string(options_.pool->NumThreads()) + "]";
-      }
-      plan_->explain += "\n";
-      op = std::move(scan);
+    const bool indexed = ap.kind != NokAccessPath::Kind::kScan;
+    std::optional<std::vector<xml::NodeId>> run;
+    if (indexed) run = ap.run;
+    auto scan = std::make_unique<NokScanOperator>(
+        doc_, tree_, &decomp_->noks[nok_index], options_.pool,
+        options_.guard, options_.result_cache, options_.store,
+        std::move(run));
+    plan_->scans.push_back(scan.get());
+    std::string label =
+        std::string(indexed ? "IndexSeek(" : "NokScan(") + nok_label + ")";
+    Indent(depth);
+    plan_->explain += label;
+    scan->set_label(std::move(label));
+    if (indexed) {
+      plan_->explain += " [";
+      if (ap.kind == NokAccessPath::Kind::kEmpty) plan_->explain += "empty: ";
+      plan_->explain += ap.detail + "]";
+    } else if (options_.pool != nullptr && options_.pool->NumThreads() > 1) {
+      plan_->explain += " [parallel x" +
+                        std::to_string(options_.pool->NumThreads()) + "]";
     }
+    plan_->explain += "\n";
+    op = std::move(scan);
     for (const Connection& c : decomp_->noks[nok_index].probes) {
       Indent(depth);
       plan_->explain += "DescendantProbe(" + tree_->vertex(c.from).tag +
@@ -281,7 +280,7 @@ class TreePlanner {
       if (from_slot == pattern::kNoSlot) {
         return Status::Internal("connection endpoint has no slot");
       }
-      JoinStrategy join = Pick(c, nok_index);
+      BT_ASSIGN_OR_RETURN(JoinStrategy join, Pick(c, nok_index));
       const char* join_name = "BoundedNestedLoopJoin";
       if (join == JoinStrategy::kPipelined) {
         join_name = "PipelinedDescJoin";
@@ -352,8 +351,6 @@ class TreePlanner {
   const pattern::BlossomTree* tree_;
   const Decomposition* decomp_;
   const PlanOptions& options_;
-  exec::MergedNokScan* merged_;
-  const std::vector<int>* merged_index_;
   const std::vector<NokAccessPath>* access_;
   PatternTreePlan* plan_;
   bool* used_pipelined_;
@@ -419,8 +416,9 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   }
 
   // Rule: pipelined joins need document-order preservation (Theorem 2).
-  // Under kAuto that is decided *per connection* using the per-tag nesting
-  // statistics (TreePlanner::Pick); forced strategies apply uniformly.
+  // That is decided *per connection* using the per-tag nesting statistics
+  // (TreePlanner::Pick): kAuto falls back to BNLJ, a forced kPipelined is
+  // refused; the forced nested loops apply uniformly.
   JoinStrategy strategy = options.strategy;
 
   // Rule: under kAuto an existential `//` leaf is a probe of its parent's
@@ -444,11 +442,9 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   // connection target (the sequential scan subsumes the trivial //-join
   // from the document root).
   std::vector<uint32_t> bases;
-  std::vector<bool> is_base_or_inner(d.noks.size(), true);
   for (VertexId r : tree->roots()) {
     uint32_t root_nok = d.NokOf(r);
     if (IsTrivialRootNok(*tree, d.noks[root_nok])) {
-      is_base_or_inner[root_nok] = false;
       uint32_t target = static_cast<uint32_t>(-1);
       for (const Connection& c : d.connections) {
         if (d.NokOf(c.from) == root_nok) {
@@ -469,8 +465,7 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   }
 
   // Per-NoK access paths: value-index runs plus DataGuide emptiness
-  // proofs, decided before the merged scan so indexed NoKs never join (or
-  // pay for) the eager merged pass.
+  // proofs.
   std::vector<NokAccessPath> access =
       ChooseAccessPaths(doc, tree, d, probed, options.index);
 
@@ -505,32 +500,6 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
     }
   }
 
-  // Optional merged single scan across every still-scanning NoK in the
-  // plan (NoKs scanning an index run or proven empty stay out of the
-  // merged probe set — and out of its scan cost).
-  std::unique_ptr<exec::MergedNokScan> merged;
-  std::vector<int> merged_index(d.noks.size(), -1);
-  if (options.merge_nok_scans &&
-      strategy == JoinStrategy::kPipelined) {
-    std::vector<const pattern::NokTree*> noks;
-    for (size_t i = 0; i < d.noks.size(); ++i) {
-      if (!is_base_or_inner[i]) continue;
-      if (access[i].kind != NokAccessPath::Kind::kScan) continue;
-      merged_index[i] = static_cast<int>(noks.size());
-      noks.push_back(&d.noks[i]);
-    }
-    if (!noks.empty()) {
-      merged = std::make_unique<exec::MergedNokScan>(
-          doc, tree, std::move(noks), options.guard);
-      merged->Run();
-      // A trip during the eager merged scan leaves partial match lists;
-      // surface it now rather than handing out a truncated plan.
-      if (options.guard != nullptr && options.guard->Tripped()) {
-        return options.guard->status();
-      }
-    }
-  }
-
   bool used_pipelined = false;
   bool used_bnlj = false;
   std::unique_ptr<CostModel> cost;
@@ -539,14 +508,12 @@ Result<QueryPlan> PlanQuery(const xml::Document* doc,
   }
   for (uint32_t base : bases) {
     PatternTreePlan tp;
-    TreePlanner builder(doc, tree, &d, options,
-                        merged.get(), &merged_index, &access, &tp,
+    TreePlanner builder(doc, tree, &d, options, &access, &tp,
                         &used_pipelined, &used_bnlj, cost.get());
     BT_ASSIGN_OR_RETURN(tp.root, builder.Build(base, 1));
     tp.tops = tp.root->top_slots();
     plan.trees.push_back(std::move(tp));
   }
-  plan.merged_scan = std::move(merged);
   // Summarize: the single strategy used, kAuto for mixed plans, none for
   // a plan without a join.
   if (used_pipelined && used_bnlj) {

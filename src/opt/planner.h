@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exec/batch.h"
-#include "exec/merged_scan.h"
 #include "exec/nok_scan.h"
 #include "exec/operator.h"
 #include "exec/result_cache.h"
@@ -24,7 +23,8 @@ namespace opt {
 /// \brief Physical join strategy for the //-connections between NoKs.
 enum class JoinStrategy {
   kAuto,             ///< Recursion-aware choice (paper §4.2/§4.3 and §5.2).
-  kPipelined,        ///< Pipelined merge join — non-recursive documents only.
+  kPipelined,        ///< Pipelined merge join. PlanQuery refuses a
+                     ///< connection whose outer tags may nest (Theorem 2).
   kBoundedNestedLoop,///< BNLJ — correct everywhere, repeated bounded scans.
   kNaiveNestedLoop,  ///< Unbounded nested loop (full re-scan per outer
                      ///< match) — the strawman the BNLJ ablation compares
@@ -35,10 +35,6 @@ const char* JoinStrategyToString(JoinStrategy s);
 
 struct PlanOptions {
   JoinStrategy strategy = JoinStrategy::kAuto;
-  /// Evaluate all NoK scans of one document in a single merged pass
-  /// (§4.2's merged-NoK optimization). Only applies with kPipelined /
-  /// non-recursive kAuto plans (the BNLJ's inner must re-scan on demand).
-  bool merge_nok_scans = false;
   /// Worker pool for intra-query parallelism (borrowed, not owned):
   /// full-document NoK scans run partitioned across it. nullptr = serial
   /// plan, bitwise-identical results either way.
@@ -108,9 +104,6 @@ struct QueryPlan {
   /// The single join strategy the plan uses, kAuto for a mix, nullopt
   /// for a plan without a join (scans and probes only).
   std::optional<JoinStrategy> chosen;
-  /// Set when merge_nok_scans produced a shared single-scan (its
-  /// NodesScanned() is the plan's scan I/O in that case).
-  std::unique_ptr<exec::MergedNokScan> merged_scan;
 
   /// \brief `chosen` as EXPLAIN and profiles print it ("none" when no
   /// join was built).
@@ -139,9 +132,13 @@ void ForEachOperator(
 ///  - decomposes the BlossomTree into NoKs (Algorithm 1),
 ///  - drops the trivial virtual-root NoKs and their //-connections (a full
 ///    sequential scan subsumes them),
-///  - for each remaining //-connection picks the join: pipelined on
-///    non-recursive documents, bounded nested-loop otherwise,
-///  - optionally merges all root NoK scans into one pass.
+///  - for each remaining //-connection picks the join: pipelined where
+///    neither outer tag can nest, bounded nested-loop otherwise,
+///  - evaluates every NoK by its own NokScanOperator.
+/// A forced kPipelined fails with InvalidArgument on a connection kAuto
+/// would not pipeline: a `*`, attribute or recursing outer vertex breaks
+/// Theorem 2's document-order precondition, and the join would drop
+/// matches.
 /// \param precomputed optional Decomposition of `tree` (e.g. from the plan
 ///        cache), used instead of re-running Algorithm 1 — copied into the
 ///        plan only if the plan changes it. Must have been produced by

@@ -89,10 +89,6 @@ AccessPathMix AccessPathMix::FromProfile(const engine::QueryProfile& profile) {
       }
     } else if (HasLabelPrefix(op.label, "NokScan(")) {
       ++m.scan_ops;
-    } else if (HasLabelPrefix(op.label, "MergedNokView(")) {
-      ++m.merged_views;
-    } else if (op.label == "MergedNokScan") {
-      m.merged_scan = 1;
     }
   }
   return m;
@@ -138,7 +134,6 @@ std::string QuerySummary::ToJson() const {
   bool pf = true;
   AppendField(&out, "scan_ops", paths.scan_ops, &pf);
   AppendField(&out, "merged_views", paths.merged_views, &pf);
-  AppendField(&out, "merged_scan", paths.merged_scan, &pf);
   AppendField(&out, "seek_ops", paths.seek_ops, &pf);
   AppendField(&out, "empty_seeks", paths.empty_seeks, &pf);
   out += "}";

@@ -48,22 +48,21 @@ struct WorkCounters {
 
 /// \brief The access-path mix of one executed plan, classified from the
 /// profile's operator labels: how many NoKs ran as scans of their tag stream
-/// or range, merged single-pass views, index seeks (scans of a value-index
-/// run), and zero-probe short-circuits (a seek whose candidate set was
-/// empty — the DataGuide proved the path absent or the value run matched
-/// nothing). "Which plans stopped scanning" is the
-/// per-query ground truth the optimizer work feeds on (DESIGN.md §15).
+/// or range, index seeks (scans of a value-index run), and zero-probe
+/// short-circuits (a seek whose candidate set was empty — the DataGuide
+/// proved the path absent or the value run matched nothing). "Which plans
+/// stopped scanning" is the per-query ground truth the optimizer work feeds
+/// on (DESIGN.md §15).
 struct AccessPathMix {
   uint64_t scan_ops = 0;      ///< NokScan operators (tag-stream scans).
-  uint64_t merged_views = 0;  ///< NoK views served by the shared merged scan.
-  uint64_t merged_scan = 0;   ///< 1 when the plan had a shared merged pass.
+  /// Always 0: every NoK runs its own scan. Kept for readers of the field.
+  uint64_t merged_views = 0;
   uint64_t seek_ops = 0;      ///< IndexSeek operators (index-run scans).
   uint64_t empty_seeks = 0;   ///< Seeks that probed nothing (short-circuit).
 
   void MergeFrom(const AccessPathMix& o) {
     scan_ops += o.scan_ops;
     merged_views += o.merged_views;
-    merged_scan += o.merged_scan;
     seek_ops += o.seek_ops;
     empty_seeks += o.empty_seeks;
   }

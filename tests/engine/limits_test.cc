@@ -247,7 +247,8 @@ TEST(EngineLimitsTest, CellBudgetTripsAndEngineRecovers) {
 
 // Every NoK scan driver is charged at the one emission point, so a small
 // cell budget binds on each of them: the "~"-rooted NoK with the result
-// cache off and on at 1 and 4 threads, and the merged single-pass scan.
+// cache off and on at 1 and 4 threads, and the scans of a forced
+// pipelined plan.
 TEST(EngineLimitsTest, CellBudgetBindsOnEveryDriver) {
   datagen::GenOptions g;
   g.scale = 0.05;
@@ -257,7 +258,8 @@ TEST(EngineLimitsTest, CellBudgetBindsOnEveryDriver) {
     auto r = engine.EvaluatePath(MustParsePath(q));
     ASSERT_FALSE(r.ok()) << q << " threads=" << options.num_threads
                          << " cache=" << (options.plan.result_cache != nullptr)
-                         << " merged=" << options.plan.merge_nok_scans;
+                         << " strategy="
+                         << opt::JoinStrategyToString(options.plan.strategy);
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted) << q;
     EXPECT_GT(engine.guard().CellsCharged(), 100u) << q;
   };
@@ -275,7 +277,6 @@ TEST(EngineLimitsTest, CellBudgetBindsOnEveryDriver) {
     EngineOptions options;
     options.num_threads = 1;
     options.plan.strategy = opt::JoinStrategy::kPipelined;
-    options.plan.merge_nok_scans = true;
     options.limits.max_nl_cells = 100;
     expect_exhausted(options, q);
   }

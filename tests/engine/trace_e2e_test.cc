@@ -91,8 +91,7 @@ TEST_F(TraceE2eTest, FlworTraceCoversWholeLifecycleAtFourThreads) {
   EXPECT_GE(pool_tasks, 1) << json;
 
   // Every operator of the executed plan shows up on the timeline. Span
-  // names are truncated to the ring slot's inline capacity; a profile-only
-  // "MergedNokScan" entry matches its "MergedNokScan.run" span by prefix.
+  // names are truncated to the ring slot's inline capacity.
   const QueryProfile& prof = engine.LastProfile();
   ASSERT_FALSE(prof.operators.empty());
   for (const OperatorProfile& op : prof.operators) {

@@ -12,7 +12,7 @@
 //    safe on tripped plans;
 //  - one emission point: an unlimited drain charges the same cells whichever
 //    NoK scan driver (lazy, materializing, cached, partitioned, virtual
-//    root, merged pass) produced the rows.
+//    root, a pipelined join's inner scan) produced the rows.
 
 #include <gtest/gtest.h>
 
@@ -305,10 +305,9 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
   // every tested batch size. The audit invariant: matches/nl_cells must
   // equal the rows/cells the consumer received — the row that tripped the
   // budget was never delivered, so it must not be counted. Inputs: the
-  // separate-scan //a//b plan, the same plan over the merged pass, a
-  // value-equality plan over a structural index (both roots scan
-  // value-index runs), and a virtual-root path (one row, from the
-  // "~"-rooted NoK). The sweep also audits GetNextBatch's per-row fallback:
+  // pipelined //a//b plan, a value-equality plan over a structural index
+  // (both roots scan value-index runs), and a virtual-root path (one row,
+  // from the "~"-rooted NoK). The sweep also audits GetNextBatch's per-row fallback:
   // a batch that fits the budget is charged in one call, and only a batch
   // that crosses it is cut row by row.
   // Every b of value "v" lies under an a of value "v", so every batch size
@@ -322,22 +321,17 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
       index::StructuralIndex::Build(*doc);
   struct Input {
     const char* query;
-    bool merge_nok_scans;
     bool seek;
   };
-  for (const Input& in :
-       {Input{"//a//b", false, false}, Input{"//a//b", true, false},
-        Input{"//a[. = \"v\"]//b[. = \"v\"]", false, true},
-        Input{"/r/a//b", false, false}}) {
-    SCOPED_TRACE(std::string(in.query) +
-                 (in.merge_nok_scans ? " (merged)" : "") +
-                 (in.seek ? " (index seek)" : ""));
+  for (const Input& in : {Input{"//a//b", false},
+                          Input{"//a[. = \"v\"]//b[. = \"v\"]", true},
+                          Input{"/r/a//b", false}}) {
+    SCOPED_TRACE(std::string(in.query) + (in.seek ? " (index seek)" : ""));
     auto path = xpath::ParsePath(in.query);
     auto tree = pattern::BuildFromPath(*path);
     ASSERT_TRUE(tree.ok());
     auto plan_options = [&](util::ResourceGuard* guard) {
       opt::PlanOptions po = PipelinedPlan(guard);
-      po.merge_nok_scans = in.merge_nok_scans;
       if (in.seek) po.index = idx.get();
       return po;
     };
@@ -450,7 +444,8 @@ TEST(BatchExecTest, CellChargeIndependentOfDriver) {
   // Every NoK scan driver hands its rows over through GetNextBatch, which
   // charges them: the lazy chunk loop, the materializing driver (cold
   // fill, warm replay, partitioned), the "~"-rooted one-node range and the
-  // merged pass must all charge an unlimited drain the same cells.
+  // scans under a pipelined join must all charge an unlimited drain the
+  // same cells.
   std::string xml = "<r>";
   for (int i = 0; i < 300; ++i) {
     xml += i % 3 == 0 ? "<a><b/><c/></a>" : "<a><c><b/></c><b/></a>";
@@ -477,12 +472,7 @@ TEST(BatchExecTest, CellChargeIndependentOfDriver) {
   }
   const uint64_t separate = UnlimitedCharge(doc.get(), "//a//b", {});
   EXPECT_GT(separate, 0u);
-  for (bool merge : {false, true}) {
-    opt::PlanOptions po = PipelinedPlan();
-    po.merge_nok_scans = merge;
-    EXPECT_EQ(UnlimitedCharge(doc.get(), "//a//b", po), separate)
-        << "merge_nok_scans=" << merge;
-  }
+  EXPECT_EQ(UnlimitedCharge(doc.get(), "//a//b", PipelinedPlan()), separate);
 }
 
 // -- Result-cache hits share the frozen arena ---------------------------------

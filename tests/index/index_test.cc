@@ -324,35 +324,6 @@ TEST(IndexAccessPathTest, StaleIndexFallsBackToScan) {
   EXPECT_EQ(plan->Explain().find("IndexSeek("), std::string::npos);
 }
 
-TEST(IndexAccessPathTest, MergedScanExcludesSeekNoKs) {
-  auto doc = Parse(WideDoc());
-  auto idx = StructuralIndex::Build(*doc);
-  const char* q = "//sec//fig[.=\"one\"]";
-  pattern::BlossomTree t = Tree(q);
-  opt::PlanOptions with;
-  with.index = idx.get();
-  with.merge_nok_scans = true;
-  with.strategy = opt::JoinStrategy::kPipelined;
-  auto plan = opt::PlanQuery(doc.get(), &t, with);
-  ASSERT_TRUE(plan.ok());
-  // The `sec` root has no predicate and stays in the merged pass, while the
-  // `fig` root scans its value-index run — a mixed plan where the merged
-  // probe set must exclude the index-driven NoK.
-  ASSERT_NE(plan->merged_scan, nullptr) << plan->Explain();
-  EXPECT_NE(plan->Explain().find("MergedNokView(sec)"), std::string::npos)
-      << plan->Explain();
-  EXPECT_NE(plan->Explain().find("IndexSeek(fig)"), std::string::npos)
-      << plan->Explain();
-  auto baseline = Eval(*doc, q);
-  EXPECT_EQ(Eval(*doc, q, with), baseline);
-
-  // And when every NoK seeks, the merged pass is skipped outright.
-  pattern::BlossomTree t2 = Tree("//fig[.=\"one\"]");
-  auto plan2 = opt::PlanQuery(doc.get(), &t2, with);
-  ASSERT_TRUE(plan2.ok());
-  EXPECT_EQ(plan2->merged_scan, nullptr) << plan2->Explain();
-}
-
 // -- DiskStore sidecar wiring ------------------------------------------------
 
 TEST(BtsiSidecarTest, DiskStoreLoadsGenerationMatchingSidecar) {

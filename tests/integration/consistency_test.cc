@@ -18,7 +18,6 @@ namespace {
 ///   - navigational baseline (XH stand-in),
 ///   - BlossomTree plan with pipelined joins (non-recursive data only),
 ///   - BlossomTree plan with bounded nested-loop joins,
-///   - BlossomTree plan with the merged single-scan optimization,
 ///   - TwigStack.
 struct Case {
   datagen::Dataset dataset;
@@ -73,12 +72,6 @@ TEST_P(ConsistencyTest, AllStrategiesAgree) {
     auto got = opt::EvaluatePathQuery(doc.get(), &*tree, o);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *expected) << "PL mismatch on " << c.query.xpath;
-
-    o.merge_nok_scans = true;
-    auto merged = opt::EvaluatePathQuery(doc.get(), &*tree, o);
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ(*merged, *expected)
-        << "merged-scan mismatch on " << c.query.xpath;
   }
   // Auto plan.
   {

@@ -72,17 +72,6 @@ TEST(CostModelTest, AbsentTagEstimatesZero) {
   EXPECT_DOUBLE_EQ(model.EstimateResult(t), 0.0);
 }
 
-TEST(CostModelTest, MergedScanCheaperIo) {
-  datagen::GenOptions o;
-  o.scale = 0.05;
-  auto doc = datagen::GenerateDataset(datagen::Dataset::kD3Catalog, o);
-  CostModel model(doc.get());
-  pattern::BlossomTree t = Tree("//item[//author][//publisher]//title");
-  CostEstimate merged = model.EstimatePipelined(t, true);
-  CostEstimate separate = model.EstimatePipelined(t, false);
-  EXPECT_LT(merged.io_cost, separate.io_cost);
-}
-
 TEST(CostModelTest, AdviceGatesPipelinedOnRecursion) {
   // a nests → pipelined unsafe; advice must not pick it.
   auto doc = Parse("<r><a><a><b/></a></a></r>");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "engine/query_profile.h"
 #include "index/structural_index.h"
 #include "pattern/builder.h"
@@ -142,31 +143,54 @@ TEST(PlannerTest, BnljHandlesRecursiveChains) {
   ASSERT_EQ(out.size(), 1u);
 }
 
-TEST(PlannerTest, MergedScanProducesSameResults) {
-  auto doc = Parse(
-      "<r><a><b/><c/></a><a><b/></a><a><x><b/></x><c/></a></r>");
-  PlanOptions merged;
-  merged.strategy = JoinStrategy::kPipelined;
-  merged.merge_nok_scans = true;
-  PlanOptions plain;
-  plain.strategy = JoinStrategy::kPipelined;
-  for (const char* q : {"//a//b", "//a[//b][//c]", "//a[//c]//b"}) {
-    EXPECT_EQ(Eval(*doc, q, merged), Eval(*doc, q, plain)) << q;
+// Theorem 2: a pipelined //-join keeps document order only when its outer
+// matches cannot nest. Where they can — a wildcard outer (on a
+// non-recursive document, too) or a recursing tag — a forced kPipelined
+// would drop matches, so it is refused. The bytes under auto and nl are
+// written out by hand.
+TEST(PlannerTest, ForcedPipelinedRefusesNestingOuters) {
+  const char* const kFlat =
+      R"(<r><x><a><b i="1"/></a></x><c><b i="2"/></c></r>)";
+  const char* const kNested =
+      R"(<r><a i="1"><a i="2"><b i="x"/></a><b i="y"/></a>)"
+      R"(<a i="3"><c><b i="z"/></c></a></r>)";
+  struct Case {
+    const char* xml;
+    const char* query;
+    const char* expected;
+  };
+  const Case kCases[] = {
+      {kFlat, "//*[//b]",
+       R"(<r><x><a><b i="1"/></a></x><c><b i="2"/></c></r>)"
+       R"(<x><a><b i="1"/></a></x><a><b i="1"/></a><c><b i="2"/></c>)"},
+      {kNested, "//a[//b]",
+       R"(<a i="1"><a i="2"><b i="x"/></a><b i="y"/></a>)"
+       R"(<a i="2"><b i="x"/></a><a i="3"><c><b i="z"/></c></a>)"},
+      {kNested, "//a//a//b", R"(<b i="x"/>)"},
+      {kNested, "for $a in //a, $b in $a//b return $b",
+       R"(<b i="x"/><b i="y"/><b i="x"/><b i="z"/>)"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.query);
+    auto doc = Parse(c.xml);
+    for (JoinStrategy strategy :
+         {JoinStrategy::kAuto, JoinStrategy::kBoundedNestedLoop,
+          JoinStrategy::kPipelined}) {
+      engine::EngineOptions options;
+      options.num_threads = 1;
+      options.plan.strategy = strategy;
+      engine::BlossomTreeEngine engine(doc.get(), options);
+      auto got = engine.EvaluateQuery(c.query);
+      if (strategy == JoinStrategy::kPipelined) {
+        ASSERT_FALSE(got.ok()) << *got;
+        EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument)
+            << got.status().ToString();
+      } else {
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(*got, c.expected) << JoinStrategyToString(strategy);
+      }
+    }
   }
-}
-
-TEST(PlannerTest, MergedScanUsesOnePass) {
-  auto doc = Parse("<r><a><b/></a><a><c/></a></r>");
-  pattern::BlossomTree t = Tree("//a[//b]//c");
-  PlanOptions opts;
-  opts.strategy = JoinStrategy::kPipelined;
-  opts.merge_nok_scans = true;
-  auto plan = PlanQuery(doc.get(), &t, opts);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_NE(plan->merged_scan, nullptr);
-  // One walk of each root tag's stream: 2 <a>s, 1 <b>, 1 <c>.
-  EXPECT_EQ(plan->merged_scan->NodesScanned(), 4u);
-  EXPECT_TRUE(plan->trees[0].scans.empty());
 }
 
 TEST(PlannerTest, ScanMetricsExposed) {
